@@ -52,3 +52,28 @@ func TestEngineScheduleEventZeroAlloc(t *testing.T) {
 		t.Fatalf("pooled-event schedule+fire allocates %.1f objects per event, want 0", allocs)
 	}
 }
+
+// A deep queue with mixed delays exercises refill across buckets and
+// the front heap; once the slot table and front heap have grown to the
+// working depth, neither may allocate again.
+func TestEngineRefillZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	delays := depthDelays()
+	for i := 0; i < 1024; i++ {
+		eng.After(delays[i], fn)
+	}
+	i := 0
+	hold := func() {
+		eng.After(delays[i%len(delays)], fn)
+		eng.Step()
+		i++
+	}
+	for i < 1<<15 {
+		hold()
+	}
+	allocs := testing.AllocsPerRun(4096, hold)
+	if allocs != 0 {
+		t.Fatalf("deep-queue schedule+fire allocates %.1f objects per event, want 0", allocs)
+	}
+}

@@ -14,26 +14,6 @@ type Event interface {
 	Fire()
 }
 
-// entry is one scheduled occurrence, stored by value in the engine's
-// queue. Exactly one of fn and ev is set.
-type entry struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among events at the same instant
-	slot int32  // handle slot backing the Timer for this entry
-	fn   func()
-	ev   Event
-}
-
-// before orders entries by (at, seq) — the engine's total event order.
-// seq is unique per engine, so the order is strict and the firing
-// sequence does not depend on the queue's internal layout.
-func (a entry) before(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // Timer handle slots. A slot is acquired per scheduled entry and
 // released when the entry fires or is removed; its generation counter
 // increments on release, so a stale Timer held across the slot's reuse
@@ -44,10 +24,18 @@ const (
 	slotCancelled
 )
 
+// A live or cancelled slot also holds its queued entry: the timestamp,
+// the FIFO tie-breaker and exactly one of fn and ev. The queue keeps no
+// copy of the callback, only slot indices (see queue.go). The fields a
+// bucket refill walks lead the struct so they share a cache line.
 type slot struct {
-	gen   uint64
+	at    Time
+	next  int32 // bucket-chain link while queued, free-list link while free
 	state uint8
-	next  int32 // free-list link, valid while state == slotFree
+	seq   uint64 // tie-breaker: FIFO among events at the same instant
+	gen   uint64
+	fn    func()
+	ev    Event
 }
 
 // compactMin is the queue size below which cancelled entries are left
@@ -58,16 +46,29 @@ const compactMin = 64
 // usable; construct with NewEngine. An Engine (and everything scheduled
 // on it) belongs to a single goroutine.
 //
-// The queue is a value-typed 4-ary min-heap with a slot-based free list
-// for Timer handles: steady-state scheduling performs no heap
-// allocation (the backing arrays are reused), Cancel is O(1) (entries
-// are marked through their slot and skipped when they surface), and the
-// queue compacts itself when cancelled entries outnumber live ones.
+// The queue is a monotone radix heap over the engine clock (queue.go):
+// because time never runs backwards, entries past the last instant taken
+// out wait unsorted in buckets keyed by the highest bit in which their
+// timestamp differs from it, chained through the Timer slot table, and
+// only the earliest instant (plus any event scheduled between now and
+// it) is kept sorted, in a small front heap.
+// Steady-state scheduling performs no heap allocation (the slot table
+// and front heap are reused), Cancel is O(1) (entries are marked through
+// their slot and skipped when they surface), and the queue compacts
+// itself when cancelled entries outnumber live ones.
 type Engine struct {
 	now     Time
-	queue   []entry
 	seq     uint64
 	stopped bool
+	// last is the latest instant the queue has taken out of its
+	// buckets; front holds the entries at or before it, and heads the
+	// bucket chains after it. Bucket b is non-empty iff bit b of
+	// buckets is set, and its earliest timestamp is earliest[b].
+	last     Time
+	front    []frontEntry
+	heads    [64]int32
+	earliest [64]Time
+	buckets  uint64
 	// executed counts events that have run; useful as a progress and
 	// complexity metric in tests and benchmarks.
 	executed uint64
@@ -133,73 +134,6 @@ func (e *Engine) flushExecuted() {
 	}
 }
 
-// --- 4-ary min-heap over entries ---
-//
-// Arity 4 halves the tree depth of the binary heap: sift-up does fewer
-// comparisons per level and the four children of a node share a cache
-// line of entries, which is where a discrete-event queue spends its
-// time.
-
-func (e *Engine) push(en entry) {
-	e.queue = append(e.queue, en)
-	e.siftUp(len(e.queue) - 1)
-}
-
-func (e *Engine) siftUp(i int) {
-	en := e.queue[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !en.before(e.queue[p]) {
-			break
-		}
-		e.queue[i] = e.queue[p]
-		i = p
-	}
-	e.queue[i] = en
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.queue)
-	en := e.queue[i]
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if e.queue[j].before(e.queue[m]) {
-				m = j
-			}
-		}
-		if !e.queue[m].before(en) {
-			break
-		}
-		e.queue[i] = e.queue[m]
-		i = m
-	}
-	e.queue[i] = en
-}
-
-// popMin removes and returns the minimum entry. The vacated tail cell
-// is zeroed so dropped fn/ev references do not pin garbage.
-func (e *Engine) popMin() entry {
-	min := e.queue[0]
-	n := len(e.queue) - 1
-	last := e.queue[n]
-	e.queue[n] = entry{}
-	e.queue = e.queue[:n]
-	if n > 0 {
-		e.queue[0] = last
-		e.siftDown(0)
-	}
-	return min
-}
-
 // --- Timer handle slots ---
 
 func (e *Engine) acquireSlot() int32 {
@@ -214,8 +148,10 @@ func (e *Engine) acquireSlot() int32 {
 
 // releaseSlot returns a slot to the free list and bumps its generation,
 // invalidating every outstanding Timer that still points at it.
+// The callback references are dropped so a free slot pins no garbage.
 func (e *Engine) releaseSlot(s int32) {
 	sl := &e.slots[s]
+	sl.fn, sl.ev = nil, nil
 	sl.gen++
 	sl.state = slotFree
 	sl.next = e.freeSlot
@@ -233,7 +169,7 @@ func (e *Engine) Schedule(at Time, fn func()) Timer {
 }
 
 // ScheduleEvent is Schedule for pooled Event values: no closure, and no
-// allocation on the engine side — the entry lives by value in the queue.
+// allocation on the engine side — the entry lives in its Timer slot.
 func (e *Engine) ScheduleEvent(at Time, ev Event) Timer {
 	if ev == nil {
 		panic("sim: nil event")
@@ -246,10 +182,12 @@ func (e *Engine) schedule(at Time, fn func(), ev Event) Timer {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
 	s := e.acquireSlot()
-	e.push(entry{at: at, seq: e.seq, slot: s, fn: fn, ev: ev})
+	sl := &e.slots[s]
+	sl.at, sl.seq, sl.fn, sl.ev = at, e.seq, fn, ev
+	e.push(s)
 	e.seq++
 	e.live++
-	return Timer{eng: e, slot: s, gen: e.slots[s].gen}
+	return Timer{eng: e, slot: s, gen: sl.gen}
 }
 
 // After runs fn d after the current time.
@@ -270,28 +208,31 @@ func (e *Engine) AfterEvent(d Duration, ev Event) Timer {
 
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		en := e.popMin()
-		if e.slots[en.slot].state == slotCancelled {
-			e.cancelled--
-			e.releaseSlot(en.slot)
-			continue
-		}
-		e.releaseSlot(en.slot)
-		e.now = en.at
-		e.executed++
-		e.live--
-		if e.obs != nil {
-			e.obs.EventFired(en.at)
-		}
-		if en.fn != nil {
-			en.fn()
-		} else {
-			en.ev.Fire()
-		}
-		return true
+	if !e.settle() {
+		return false
 	}
-	return false
+	e.fire()
+	return true
+}
+
+// fire runs the entry at the front heap's head, which settle has
+// checked is live.
+func (e *Engine) fire() {
+	top := e.frontPop()
+	sl := &e.slots[top.slot]
+	fn, ev := sl.fn, sl.ev
+	e.releaseSlot(top.slot)
+	e.now = top.at
+	e.executed++
+	e.live--
+	if e.obs != nil {
+		e.obs.EventFired(top.at)
+	}
+	if fn != nil {
+		fn()
+	} else {
+		ev.Fire()
+	}
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -309,16 +250,15 @@ func (e *Engine) RunUntil(deadline Time) bool {
 	defer e.flushExecuted()
 	e.stopped = false
 	for !e.stopped {
-		en, ok := e.peek()
-		if !ok {
+		if !e.settle() {
 			e.now = maxTime(e.now, deadline)
 			return true
 		}
-		if en.at > deadline {
+		if e.front[0].at > deadline {
 			e.now = deadline
 			return false
 		}
-		e.Step()
+		e.fire()
 	}
 	return false
 }
@@ -352,49 +292,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // earliest pending event instead of stepping fixed windows through
 // idle virtual time.
 func (e *Engine) NextAt() (Time, bool) {
-	en, ok := e.peek()
-	return en.at, ok
-}
-
-// peek returns the next live entry without firing it, lazily discarding
-// cancelled entries that have surfaced at the queue head.
-func (e *Engine) peek() (entry, bool) {
-	for len(e.queue) > 0 {
-		if e.slots[e.queue[0].slot].state == slotCancelled {
-			en := e.popMin()
-			e.cancelled--
-			e.releaseSlot(en.slot)
-			continue
-		}
-		return e.queue[0], true
+	if !e.settle() {
+		return 0, false
 	}
-	return entry{}, false
-}
-
-// compact removes every cancelled entry from the queue in one O(n)
-// rebuild. Without it, a workload that schedules and cancels many
-// timers (retransmission timers under heavy loss) would grow the queue
-// unboundedly until the dead entries' timestamps surfaced.
-func (e *Engine) compact() {
-	kept := e.queue[:0]
-	for _, en := range e.queue {
-		if e.slots[en.slot].state == slotCancelled {
-			e.cancelled--
-			e.releaseSlot(en.slot)
-			continue
-		}
-		kept = append(kept, en)
-	}
-	for i := len(kept); i < len(e.queue); i++ {
-		e.queue[i] = entry{}
-	}
-	e.queue = kept
-	// Floyd heapify: restore the 4-ary heap property bottom-up.
-	if n := len(e.queue); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	}
+	return e.front[0].at, true
 }
 
 func maxTime(a, b Time) Time {
@@ -436,7 +337,7 @@ func (t Timer) Cancel() bool {
 	if e.obs != nil {
 		e.obs.EventCancelled(e.now)
 	}
-	if len(e.queue) >= compactMin && e.cancelled > len(e.queue)/2 {
+	if n := e.live + e.cancelled; n >= compactMin && e.cancelled > n/2 {
 		e.compact()
 	}
 	return true

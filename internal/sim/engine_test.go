@@ -169,8 +169,8 @@ func TestTimerSlotReuseAfterCancel(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after cancelling everything", e.Pending())
 	}
-	if len(e.queue) >= compactMin {
-		t.Fatalf("queue holds %d entries after mass cancellation; compaction did not run", len(e.queue))
+	if n := queuedEntries(e); n >= compactMin {
+		t.Fatalf("queue holds %d entries after mass cancellation; compaction did not run", n)
 	}
 	if len(e.slots) > 2*compactMin {
 		t.Fatalf("slot table grew to %d for a schedule/cancel loop", len(e.slots))
