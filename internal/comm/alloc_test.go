@@ -10,8 +10,9 @@ import (
 // per issued operation, plus the deferred-post path that schedules a
 // session member as a pooled sim.Event — must not allocate in steady
 // state: a saturating 32-tenant workload consults it once per operation
-// per rank. (The NIC and host models underneath have their own cost
-// model; this gate is the only thing internal/comm adds per op.)
+// per rank. (The Myrinet collective path underneath is gated by its own
+// steady-state allocation tests in internal/myrinet; this gate is the
+// only thing internal/comm adds per op.)
 func TestPacerDispatchZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	open := &pacer{eng: eng, arrivals: make([]sim.Time, 1024)}
@@ -58,7 +59,7 @@ func BenchmarkPacerNextAt(b *testing.B) {
 // stream must still complete in order. (The allocation-free property of
 // the mechanism is gated piecewise: the pacer gate above, and
 // ScheduleEvent's pooled value-event path in internal/sim's alloc
-// tests — the NIC models underneath allocate per handler by design.)
+// tests.)
 func TestDeferredPostDrivesEveryOp(t *testing.T) {
 	c := xpComm(8)
 	g := barrierGroup(t, c, 0, 1, 2, 3)

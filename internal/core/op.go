@@ -19,7 +19,10 @@ import (
 // The state machine is pure: it charges no simulated time and sends no
 // packets. Callers (the Myrinet MCP collective module, the Quadrics
 // chained-RDMA model) translate the returned rank lists into wire traffic
-// and charge their own processing costs.
+// and charge their own processing costs. The lists live in buffers the
+// state machine reuses, so a steady stream of operations allocates
+// nothing: each list is valid only until the next Start, Arrive or
+// Missing call on the same state machine.
 type OpState struct {
 	sched barrier.Schedule
 
@@ -31,6 +34,8 @@ type OpState struct {
 	arrived  *BitVector
 	rankBit  map[int]int // expected sender rank -> bit index
 	sendStep map[int]int // destination rank -> step performing that send
+
+	buf []int // reused result buffer of Start, Arrive and Missing
 
 	early map[int]bool // buffered arrivals for seq+1, by sender rank
 
@@ -148,13 +153,16 @@ func (o *OpState) Arrive(seq, fromRank int) (sends []int, completed bool, err er
 }
 
 // advance performs all sends whose steps have started and completes all
-// steps whose waits are satisfied, returning newly issued sends.
+// steps whose waits are satisfied, returning newly issued sends (nil when
+// there are none) in the reused buffer.
 func (o *OpState) advance() (sends []int, completed bool) {
+	o.buf = o.buf[:0]
+	completed = true
 	for o.step < len(o.sched.Steps) {
 		st := o.sched.Steps[o.step]
 		if !o.sent[o.step] {
 			o.sent[o.step] = true
-			sends = append(sends, st.Send...)
+			o.buf = append(o.buf, st.Send...)
 		}
 		done := true
 		for _, w := range st.Wait {
@@ -164,12 +172,18 @@ func (o *OpState) advance() (sends []int, completed bool) {
 			}
 		}
 		if !done {
-			return sends, false
+			completed = false
+			break
 		}
 		o.step++
 	}
-	o.active = false
-	return sends, true
+	if completed {
+		o.active = false
+	}
+	if len(o.buf) == 0 {
+		return nil, completed
+	}
+	return o.buf, completed
 }
 
 // Abort force-quiesces the state machine after a deadline expiry: the
@@ -187,20 +201,28 @@ func (o *OpState) Abort() {
 
 // Missing lists the peer ranks whose notifications for the active
 // operation have not arrived — the NACK targets of receiver-driven
-// retransmission. It is nil when no operation is active.
+// retransmission. It is nil when no operation is active or nothing is
+// missing.
 func (o *OpState) Missing() []int {
 	if !o.active {
 		return nil
 	}
-	byBit := make([]int, len(o.rankBit))
-	for r, b := range o.rankBit {
-		byBit[b] = r
+	// Bits were assigned in ExpectedArrivals order: the schedule's wait
+	// lists, step by step.
+	o.buf = o.buf[:0]
+	bit := 0
+	for _, st := range o.sched.Steps {
+		for _, r := range st.Wait {
+			if !o.arrived.Get(bit) {
+				o.buf = append(o.buf, r)
+			}
+			bit++
+		}
 	}
-	var out []int
-	for _, b := range o.arrived.Missing() {
-		out = append(out, byBit[b])
+	if len(o.buf) == 0 {
+		return nil
 	}
-	return out
+	return o.buf
 }
 
 // HasSent reports whether this rank's notification to toRank for

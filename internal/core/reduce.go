@@ -91,14 +91,27 @@ type ReduceState struct {
 	sched barrier.Schedule
 
 	local    int64
-	valueOf  map[int]int64 // arrival values of the active operation
-	waitStep map[int]int   // sender rank -> step index waiting on it
-	sendStep map[int]int   // destination rank -> step index sending to it
-	pending  map[int]int64 // buffered values of early (seq+1) arrivals
+	valueOf  map[int]int64    // arrival values of the active operation
+	waitStep map[int]int      // sender rank -> step index waiting on it
+	sendTo   map[int]sendSlot // destination rank -> its send step and snapshot index
+	pending  map[int]int64    // buffered values of early (seq+1) arrivals
 
-	// sent records the transmitted snapshot per destination for the
-	// current and previous operation (receivers lag by at most one).
-	sent map[int]map[int]int64
+	// sent is a ring of the transmitted snapshots of the current and
+	// previous operation (receivers lag by at most one), slot seq%2.
+	sent [2]sentSnap
+}
+
+// sendSlot locates one destination's notification: the schedule step
+// that sends it and its index into the sentSnap arrays.
+type sendSlot struct{ step, idx int }
+
+// sentSnap holds the values one operation transmitted, by destination
+// index: vals[i] went to destination i in operation seq[i]. A slot is
+// overwritten destination by destination as the operation two later
+// sends, so it needs no clearing.
+type sentSnap struct {
+	seq  []int
+	vals []int64
 }
 
 // NewReduceState builds an allreduce state machine over a schedule. It
@@ -115,16 +128,21 @@ func NewReduceState(op ReduceOp, sched barrier.Schedule) (*ReduceState, error) {
 		sched:    sched,
 		valueOf:  make(map[int]int64),
 		waitStep: make(map[int]int),
-		sendStep: make(map[int]int),
+		sendTo:   make(map[int]sendSlot),
 		pending:  make(map[int]int64),
-		sent:     make(map[int]map[int]int64),
 	}
 	for i, step := range sched.Steps {
 		for _, w := range step.Wait {
 			r.waitStep[w] = i
 		}
 		for _, d := range step.Send {
-			r.sendStep[d] = i
+			r.sendTo[d] = sendSlot{step: i, idx: len(r.sendTo)}
+		}
+	}
+	for i := range r.sent {
+		r.sent[i] = sentSnap{seq: make([]int, len(r.sendTo)), vals: make([]int64, len(r.sendTo))}
+		for d := range r.sent[i].seq {
+			r.sent[i].seq[d] = -1
 		}
 	}
 	return r, nil
@@ -165,26 +183,26 @@ func (r *ReduceState) Value() int64 { return r.fold(len(r.sched.Steps)) }
 // SentValue reports the value snapshot that was transmitted to toRank for
 // operation seq — what a NACK-triggered retransmission must carry.
 func (r *ReduceState) SentValue(seq, toRank int) (int64, bool) {
-	v, ok := r.sent[seq][toRank]
-	return v, ok
+	slot, ok := r.sendTo[toRank]
+	if !ok || seq < 0 {
+		return 0, false
+	}
+	snap := &r.sent[seq%2]
+	if snap.seq[slot.idx] != seq {
+		return 0, false
+	}
+	return snap.vals[slot.idx], true
 }
 
 // recordSends snapshots, for each outgoing notification, the fold up to
-// (but excluding) its step, and prunes snapshots older than the previous
-// operation.
+// (but excluding) its step, overwriting the ring slot of operation seq-2.
 func (r *ReduceState) recordSends(seq int, sends []int) {
-	if len(sends) == 0 {
-		return
-	}
-	m := r.sent[seq]
-	if m == nil {
-		m = make(map[int]int64)
-		r.sent[seq] = m
-	}
+	snap := &r.sent[seq%2]
 	for _, to := range sends {
-		m[to] = r.fold(r.sendStep[to])
+		slot := r.sendTo[to]
+		snap.seq[slot.idx] = seq
+		snap.vals[slot.idx] = r.fold(slot.step)
 	}
-	delete(r.sent, seq-2)
 }
 
 // Start begins operation seq with this rank's local contribution and

@@ -243,3 +243,47 @@ func TestReduceConsecutiveOpsWithEarlyValue(t *testing.T) {
 		t.Fatalf("op 1 result %d, want 100", a.Value())
 	}
 }
+
+// SentValue answers for the current and the previous operation from the
+// two-slot snapshot ring, never with another operation's value, and a
+// steady stream of operations allocates nothing (reused send buffer, no
+// per-operation snapshot map).
+func TestSentValueRingAndZeroAlloc(t *testing.T) {
+	a, err := NewReduceState(ReduceSum, barrier.New(barrier.PairwiseExchange, 2, 0, barrier.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seq int, local int64) {
+		t.Helper()
+		sends, _, err := a.Start(seq, local)
+		if err != nil || len(sends) != 1 || sends[0] != 1 {
+			t.Fatalf("Start(%d): sends %v, err %v", seq, sends, err)
+		}
+		if _, completed, err := a.Arrive(seq, 1, 1); err != nil || !completed {
+			t.Fatalf("Arrive(%d): completed %v, err %v", seq, completed, err)
+		}
+	}
+	for seq, local := range []int64{10, 20, 30} {
+		run(seq, local)
+	}
+	for _, c := range []struct {
+		seq, to int
+		want    int64
+		ok      bool
+	}{
+		{2, 1, 30, true},
+		{1, 1, 20, true},
+		{0, 1, 0, false},  // overwritten by operation 2
+		{3, 1, 0, false},  // not sent yet
+		{-1, 1, 0, false}, // before the first operation
+		{2, 5, 0, false},  // never a destination
+	} {
+		if v, ok := a.SentValue(c.seq, c.to); v != c.want || ok != c.ok {
+			t.Errorf("SentValue(%d, %d) = %d, %v; want %d, %v", c.seq, c.to, v, ok, c.want, c.ok)
+		}
+	}
+	seq := 3
+	if allocs := testing.AllocsPerRun(100, func() { run(seq, int64(seq)); seq++ }); allocs != 0 {
+		t.Errorf("steady-state allreduce op allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -16,6 +16,10 @@ type Cluster struct {
 	Prof  hwprofile.MyrinetProfile
 	Net   *netsim.Network
 	Nodes []*Node
+
+	// pool is the one free list of handler records and wire payloads
+	// that every node's NIC and host schedule from.
+	pool pool
 }
 
 // NewCluster builds an n-node Myrinet cluster: a single 16-port crossbar
@@ -34,7 +38,7 @@ func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, loss nets
 	net := netsim.New(eng, t, prof.Net, loss)
 	cl := &Cluster{Eng: eng, Prof: prof, Net: net}
 	for i := 0; i < n; i++ {
-		cl.Nodes = append(cl.Nodes, NewNode(eng, i, &cl.Prof, net))
+		cl.Nodes = append(cl.Nodes, newNode(eng, i, &cl.Prof, net, &cl.pool))
 	}
 	return cl
 }

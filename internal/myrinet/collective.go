@@ -24,18 +24,23 @@ type collModule struct {
 	ops map[core.GroupID]*collOp
 }
 
+// collOp is one group's queue entry. It is also the sim.Event of its own
+// NACK timer (at most one is armed at a time), for operation nackSeq.
 type collOp struct {
+	mod       *collModule
 	group     *core.Group
 	state     *core.OpState
 	reduce    *core.ReduceState // non-nil for allreduce groups
 	nextSeq   int
 	nackTimer sim.Timer
-	// nackServed counts NACKs answered per (seq, wantRank). A repeat NACK
-	// means the first retransmission was lost too, so the reply escalates
-	// to two back-to-back copies: under random loss that squares the
-	// residual failure probability, and under deterministic every-Nth
-	// impairments it breaks retransmission resonance outright (a
-	// one-in-N filter cannot discard two consecutive packets on a flow).
+	nackSeq   int
+	// nackServed counts NACKs answered per (seq, requesting rank). A
+	// repeat NACK means the first retransmission was lost too, so the
+	// reply escalates to two back-to-back copies: under random loss that
+	// squares the residual failure probability, and under deterministic
+	// every-Nth impairments it breaks retransmission resonance outright
+	// (a one-in-N filter cannot discard two consecutive packets on a
+	// flow).
 	nackServed map[[2]int]int
 	// nackRound counts consecutive fruitless NACK timer rounds for the
 	// active operation (reset by any accepted arrival); past
@@ -200,7 +205,7 @@ func (c *collModule) install(g *core.Group, sched barrier.Schedule) error {
 		return err
 	}
 	delete(c.nic.retired, g.ID)
-	c.ops[g.ID] = &collOp{group: g, state: core.NewOpState(sched)}
+	c.ops[g.ID] = &collOp{mod: c, group: g, state: core.NewOpState(sched)}
 	return nil
 }
 
@@ -213,7 +218,7 @@ func (c *collModule) installReduce(g *core.Group, sched barrier.Schedule, op cor
 		return err
 	}
 	delete(c.nic.retired, g.ID)
-	c.ops[g.ID] = &collOp{group: g, state: rd.Inner(), reduce: rd}
+	c.ops[g.ID] = &collOp{mod: c, group: g, state: rd.Inner(), reduce: rd}
 	return nil
 }
 
@@ -226,47 +231,55 @@ func (c *collModule) mustOp(id core.GroupID) *collOp {
 }
 
 // start handles the operation doorbell: one enqueue charge creates the
-// operation's send record, then the first sends fire from the static
-// packet. value is the allreduce contribution (ignored for barriers).
+// operation's send record (begin), then the first sends fire from the
+// static packet. value is the allreduce contribution (ignored for
+// barriers).
 func (c *collModule) start(id core.GroupID, value int64) {
 	op := c.mustOp(id)
 	n := c.nic
 	n.traceTime(int(id), n.node.Prof.NIC.CollEnqueue, 0)
-	n.exec(n.node.Prof.NIC.CollEnqueue, 0, func() {
-		if op.frozen {
-			// The group was aborted while this doorbell sat in the
-			// handler queue; the host-side run is void.
-			n.Stats.StaleColl++
-			n.traceEvent(int(id), obs.KindStale, int64(op.nextSeq))
-			return
+	h := n.pool.get(hCollStart, n)
+	h.op, h.msg.value = op, value
+	n.execHandler(n.node.Prof.NIC.CollEnqueue, 0, h)
+}
+
+// begin is the doorbell's handler body.
+func (c *collModule) begin(op *collOp, value int64) {
+	n := c.nic
+	id := op.group.ID
+	if op.frozen {
+		// The group was aborted while this doorbell sat in the handler
+		// queue; the host-side run is void.
+		n.Stats.StaleColl++
+		n.traceEvent(int(id), obs.KindStale, int64(op.nextSeq))
+		return
+	}
+	seq := op.nextSeq
+	op.nextSeq++
+	op.nackRound = 0
+	// Peers lag at most one operation behind, so NACK bookkeeping for
+	// operations before seq-1 can never be consulted again.
+	for k := range op.nackServed {
+		if k[0] < seq-1 {
+			delete(op.nackServed, k)
 		}
-		seq := op.nextSeq
-		op.nextSeq++
-		op.nackRound = 0
-		// Peers lag at most one operation behind, so NACK bookkeeping for
-		// operations before seq-1 can never be consulted again.
-		for k := range op.nackServed {
-			if k[0] < seq-1 {
-				delete(op.nackServed, k)
-			}
-		}
-		var sends []int
-		var done bool
-		var err error
-		if op.reduce != nil {
-			sends, done, err = op.reduce.Start(seq, value)
-		} else {
-			sends, done, err = op.state.Start(seq)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("myrinet: node %d group %d: %v", n.node.ID, int(id), err))
-		}
-		c.armNack(op, seq)
-		c.sendAll(op, seq, sends)
-		if done {
-			c.complete(op, seq)
-		}
-	})
+	}
+	var sends []int
+	var done bool
+	var err error
+	if op.reduce != nil {
+		sends, done, err = op.reduce.Start(seq, value)
+	} else {
+		sends, done, err = op.state.Start(seq)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("myrinet: node %d group %d: %v", n.node.ID, int(id), err))
+	}
+	c.armNack(op, seq)
+	c.sendAll(op, seq, sends)
+	if done {
+		c.complete(op, seq)
+	}
 }
 
 // sendAll fires one CollTrigger handler per outgoing notification; the
@@ -275,70 +288,81 @@ func (c *collModule) start(id core.GroupID, value int64) {
 func (c *collModule) sendAll(op *collOp, seq int, ranks []int) {
 	n := c.nic
 	for _, r := range ranks {
-		dst := op.group.NodeOf(r)
-		payload := collPayload{
+		h := n.pool.get(hCollSend, n)
+		h.dst = op.group.NodeOf(r)
+		h.msg = collPayload{
 			group: op.group.ID, seq: seq, fromRank: op.group.MyRank,
 			value: op.sendValue(seq, r),
 		}
 		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
-		n.exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, func() {
-			n.net.Send(netsim.Packet{
-				Src:     n.node.ID,
-				Dst:     dst,
-				Size:    n.node.Prof.BarrierBytes,
-				Kind:    "barrier-coll",
-				Group:   int(op.group.ID),
-				Payload: payload,
-			})
-			n.Stats.CollSent++
-		})
+		n.execHandler(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, h)
 	}
 }
 
+// sendColl injects one notification from the static packet, carrying a
+// pooled payload.
+func (n *NIC) sendColl(dst int, m collPayload) {
+	n.net.Send(netsim.Packet{
+		Src:     n.node.ID,
+		Dst:     dst,
+		Size:    n.node.Prof.BarrierBytes,
+		Kind:    "barrier-coll",
+		Group:   int(m.group),
+		Payload: n.pool.payload(m),
+	})
+}
+
 // onMsg handles an arrived collective notification: one slim handler
-// updates the bit vector and triggers whatever the schedule unblocks.
+// (arrive) updates the bit vector and triggers whatever the schedule
+// unblocks.
 func (c *collModule) onMsg(m collPayload) {
 	n := c.nic
 	n.traceTime(int(m.group), n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed)
-	n.exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, func() {
-		if _, gone := n.retired[m.group]; gone {
-			// A NACK-resent duplicate outlived its group: the operation
-			// completed (which is why the group could tear down), so the
-			// copy is stale by construction.
-			n.Stats.StaleColl++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		op := c.mustOp(m.group)
-		if op.frozen {
-			n.Stats.StaleColl++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		n.Stats.CollRecvd++
-		staleBefore := op.state.Stale + op.state.Duplicates
-		var sends []int
-		var done bool
-		var err error
-		if op.reduce != nil {
-			sends, done, err = op.reduce.Arrive(m.seq, m.fromRank, m.value)
-		} else {
-			sends, done, err = op.state.Arrive(m.seq, m.fromRank)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
-		}
-		if op.state.Stale+op.state.Duplicates > staleBefore {
-			n.Stats.StaleColl++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-		} else {
-			op.nackRound = 0 // progress: the NACK rounds were not fruitless
-		}
-		c.sendAll(op, op.state.Seq(), sends)
-		if done {
-			c.complete(op, op.state.Seq())
-		}
-	})
+	h := n.pool.get(hCollRecv, n)
+	h.msg = m
+	n.execHandler(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, h)
+}
+
+// arrive is onMsg's handler body.
+func (c *collModule) arrive(m collPayload) {
+	n := c.nic
+	if _, gone := n.retired[m.group]; gone {
+		// A NACK-resent duplicate outlived its group: the operation
+		// completed (which is why the group could tear down), so the
+		// copy is stale by construction.
+		n.Stats.StaleColl++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	op := c.mustOp(m.group)
+	if op.frozen {
+		n.Stats.StaleColl++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	n.Stats.CollRecvd++
+	staleBefore := op.state.Stale + op.state.Duplicates
+	var sends []int
+	var done bool
+	var err error
+	if op.reduce != nil {
+		sends, done, err = op.reduce.Arrive(m.seq, m.fromRank, m.value)
+	} else {
+		sends, done, err = op.state.Arrive(m.seq, m.fromRank)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
+	}
+	if op.state.Stale+op.state.Duplicates > staleBefore {
+		n.Stats.StaleColl++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+	} else {
+		op.nackRound = 0 // progress: the NACK rounds were not fruitless
+	}
+	c.sendAll(op, op.state.Seq(), sends)
+	if done {
+		c.complete(op, op.state.Seq())
+	}
 }
 
 func (c *collModule) complete(op *collOp, seq int) {
@@ -352,9 +376,9 @@ func (c *collModule) complete(op *collOp, seq int) {
 	}
 	n.traceEvent(int(op.group.ID), obs.KindComplete, int64(seq))
 	n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollComplete, 0)
-	n.exec(n.node.Prof.NIC.CollComplete, 0, func() {
-		n.postEvent(Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq, Value: value})
-	})
+	h := n.pool.get(hComplete, n)
+	h.ev = Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq, Value: value}
+	n.execHandler(n.node.Prof.NIC.CollComplete, 0, h)
 }
 
 // armNack starts the receiver-driven retransmission timer: if the
@@ -364,90 +388,99 @@ func (c *collModule) armNack(op *collOp, seq int) {
 	if !op.state.Active() {
 		return
 	}
-	n := c.nic
-	timeout := n.node.Prof.NIC.NackTimeout
-	op.nackTimer = n.eng.After(timeout, func() {
-		if !op.state.Active() || op.state.Seq() != seq {
-			return
-		}
-		op.nackRound++
-		if n.OnNackStall != nil && op.nackRound >= nackStallRounds {
-			n.OnNackStall(op.group.ID, op.nackRound)
-			if op.frozen {
-				return // the stall hook aborted the group
-			}
-		}
-		for _, r := range op.state.Missing() {
-			dst := op.group.NodeOf(r)
-			payload := nackMsg{group: op.group.ID, seq: seq, wantRank: op.group.MyRank}
-			n.traceEvent(int(op.group.ID), obs.KindNack, int64(r))
-			n.traceTime(int(op.group.ID), n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed)
-			n.exec(n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed, func() {
-				n.net.Send(netsim.Packet{
-					Src:     n.node.ID,
-					Dst:     dst,
-					Size:    n.node.Prof.BarrierBytes,
-					Kind:    "barrier-nack",
-					Group:   int(op.group.ID),
-					Payload: payload,
-				})
-				n.Stats.NacksSent++
-			})
-		}
-		c.armNack(op, seq) // re-arm until the operation completes
-	})
+	op.nackSeq = seq
+	op.nackTimer = c.nic.eng.AfterEvent(c.nic.node.Prof.NIC.NackTimeout, op)
 }
 
-// onNack serves a retransmission request: if this rank already sent the
-// requested notification, fire it again from the static packet. Repeat
-// NACKs for the same notification escalate to a duplicated reply (see
-// collOp.nackServed).
-func (c *collModule) onNack(m nackMsg, fromNode int) {
+// Fire implements sim.Event: the NACK timer armed for operation nackSeq
+// expired.
+func (op *collOp) Fire() {
+	c, seq := op.mod, op.nackSeq
+	n := c.nic
+	if !op.state.Active() || op.state.Seq() != seq {
+		return
+	}
+	op.nackRound++
+	if n.OnNackStall != nil && op.nackRound >= nackStallRounds {
+		n.OnNackStall(op.group.ID, op.nackRound)
+		if op.frozen {
+			return // the stall hook aborted the group
+		}
+	}
+	for _, r := range op.state.Missing() {
+		h := n.pool.get(hNackSend, n)
+		h.dst = op.group.NodeOf(r)
+		h.msg = collPayload{group: op.group.ID, seq: seq, fromRank: op.group.MyRank}
+		n.traceEvent(int(op.group.ID), obs.KindNack, int64(r))
+		n.traceTime(int(op.group.ID), n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed)
+		n.execHandler(n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed, h)
+	}
+	c.armNack(op, seq) // re-arm until the operation completes
+}
+
+// sendNack asks node dst to resend its operation m.seq notification to
+// rank m.fromRank of group m.group, on a pooled payload.
+func (n *NIC) sendNack(dst int, m collPayload) {
+	n.net.Send(netsim.Packet{
+		Src:     n.node.ID,
+		Dst:     dst,
+		Size:    n.node.Prof.BarrierBytes,
+		Kind:    "barrier-nack",
+		Group:   int(m.group),
+		Payload: (*nackMsg)(n.pool.payload(m)),
+	})
+	n.Stats.NacksSent++
+}
+
+// onNack queues a retransmission request (rank m.fromRank on node
+// fromNode wants its operation m.seq notification again) for serveNack.
+func (c *collModule) onNack(m collPayload, fromNode int) {
 	n := c.nic
 	n.traceTime(int(m.group), n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed)
-	n.exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, func() {
-		if _, gone := n.retired[m.group]; gone {
-			n.Stats.StaleColl++ // NACK for a drained, torn-down group
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		op := c.mustOp(m.group)
-		if op.frozen {
-			n.Stats.StaleColl++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		n.Stats.NacksRecvd++
-		if !op.state.HasSent(m.seq, m.wantRank) {
-			return // not sent yet; the normal path will deliver it
-		}
-		if op.nackServed == nil {
-			op.nackServed = make(map[[2]int]int)
-		}
-		key := [2]int{m.seq, m.wantRank}
-		op.nackServed[key]++
-		copies := 1
-		if op.nackServed[key] > 1 {
-			copies = 2
-		}
-		payload := collPayload{
-			group: op.group.ID, seq: m.seq, fromRank: op.group.MyRank,
-			value: op.sendValue(m.seq, m.wantRank),
-		}
-		for i := 0; i < copies; i++ {
-			n.traceEvent(int(op.group.ID), obs.KindResend, int64(m.seq))
-			n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
-			n.exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, func() {
-				n.net.Send(netsim.Packet{
-					Src:     n.node.ID,
-					Dst:     fromNode,
-					Size:    n.node.Prof.BarrierBytes,
-					Kind:    "barrier-coll",
-					Group:   int(op.group.ID),
-					Payload: payload,
-				})
-				n.Stats.CollResent++
-			})
-		}
-	})
+	h := n.pool.get(hNackRecv, n)
+	h.dst, h.msg = fromNode, m
+	n.execHandler(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, h)
+}
+
+// serveNack serves a retransmission request: if this rank already sent
+// the requested notification, fire it again from the static packet.
+// Repeat NACKs for the same notification escalate to a duplicated reply
+// (see collOp.nackServed), each copy with its own payload.
+func (c *collModule) serveNack(m collPayload, fromNode int) {
+	n := c.nic
+	if _, gone := n.retired[m.group]; gone {
+		n.Stats.StaleColl++ // NACK for a drained, torn-down group
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	op := c.mustOp(m.group)
+	if op.frozen {
+		n.Stats.StaleColl++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	n.Stats.NacksRecvd++
+	if !op.state.HasSent(m.seq, m.fromRank) {
+		return // not sent yet; the normal path will deliver it
+	}
+	if op.nackServed == nil {
+		op.nackServed = make(map[[2]int]int)
+	}
+	key := [2]int{m.seq, m.fromRank}
+	op.nackServed[key]++
+	copies := 1
+	if op.nackServed[key] > 1 {
+		copies = 2
+	}
+	payload := collPayload{
+		group: op.group.ID, seq: m.seq, fromRank: op.group.MyRank,
+		value: op.sendValue(m.seq, m.fromRank),
+	}
+	for i := 0; i < copies; i++ {
+		n.traceEvent(int(op.group.ID), obs.KindResend, int64(m.seq))
+		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
+		h := n.pool.get(hCollResend, n)
+		h.dst, h.msg = fromNode, payload
+		n.execHandler(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, h)
+	}
 }

@@ -32,7 +32,8 @@ type ackMsg struct {
 // collPayload is the one integer a barrier message carries, plus
 // addressing (group, operation sequence, sender rank). For allreduce
 // operations the integer is the sender's partial value; for barriers and
-// broadcasts it is unused.
+// broadcasts it is unused. Collective packets carry it as a pointer from
+// the cluster's pool (see pool.payload for the ownership rule).
 type collPayload struct {
 	group    core.GroupID
 	seq      int
@@ -41,12 +42,10 @@ type collPayload struct {
 }
 
 // nackMsg is the receiver-driven retransmission request of the collective
-// protocol: "I am wantRank in group; resend your operation-seq message".
-type nackMsg struct {
-	group    core.GroupID
-	seq      int
-	wantRank int
-}
+// protocol: "I am fromRank in group; resend your operation-seq message".
+// It shares collPayload's layout (value unused), so NACKs ride pooled
+// payloads under the same ownership rule.
+type nackMsg collPayload
 
 // sendToken is the NIC-side form of a send request (GM's "send token").
 type sendToken struct {
@@ -102,6 +101,7 @@ type NIC struct {
 	proc
 	node *Node
 	net  *netsim.Network
+	pool *pool // the cluster's shared handler and payload free lists
 
 	// p2p send side.
 	queues      map[int][]*sendToken
@@ -124,8 +124,8 @@ type NIC struct {
 	// were still in flight when the last member completed and the group
 	// tore down — is counted as stale and dropped instead of panicking
 	// as "unknown group". Entries age out once no packet for the group
-	// can still exist (see retiredHorizon), so churning clusters do not
-	// accumulate tombstones without bound.
+	// can still exist (16 × NackTimeout, see pruneRetired), so churning
+	// clusters do not accumulate tombstones without bound.
 	retired map[core.GroupID]sim.Time
 
 	// tr, when non-nil, receives firmware-level trace events
@@ -164,11 +164,12 @@ func (n *NIC) traceTime(group int, cycles int64, fixed sim.Duration) {
 	}
 }
 
-func newNIC(eng *sim.Engine, node *Node, net *netsim.Network) *NIC {
+func newNIC(eng *sim.Engine, node *Node, net *netsim.Network, pl *pool) *NIC {
 	n := &NIC{
 		proc:        proc{eng: eng, clockMHz: node.Prof.NIC.ClockMHz},
 		node:        node,
 		net:         net,
+		pool:        pl,
 		queues:      make(map[int][]*sendToken),
 		freePackets: node.Prof.NIC.SendPacketPool,
 		nextSeq:     make(map[int]uint32),
@@ -343,10 +344,14 @@ func (n *NIC) onPacket(pkt netsim.Packet) {
 		n.onData(m)
 	case ackMsg:
 		n.onAck(m)
-	case collPayload:
-		n.coll.onMsg(m)
-	case nackMsg:
-		n.coll.onNack(m, pkt.Src)
+	case *collPayload:
+		msg := *m
+		n.pool.putPayload(m)
+		n.coll.onMsg(msg)
+	case *nackMsg:
+		msg := collPayload(*m)
+		n.pool.putPayload((*collPayload)(m))
+		n.coll.onNack(msg, pkt.Src)
 	case core.Heartbeat:
 		// Keepalive filtering is a header compare in the firmware's
 		// receive fast path; its cost is negligible next to a handler
@@ -450,13 +455,10 @@ func (n *NIC) SendHeartbeat(group core.GroupID, fromRank, dstNode int) {
 	n.Stats.HeartbeatsSent++
 }
 
-// postEvent DMAs an event record into host memory for the host to poll.
+// postEvent DMAs an event record into host memory for the host to poll
+// (the hPostEvent and hEventDMA handlers).
 func (n *NIC) postEvent(ev Event) {
-	p := n.node.Prof.NIC
-	n.exec(p.EventPost, 0, func() {
-		n.Stats.EventsPosted++
-		n.node.Bus.DMA(n.node.Prof.EventBytes, func() {
-			n.node.Host.deliver(ev)
-		})
-	})
+	h := n.pool.get(hPostEvent, n)
+	h.ev = ev
+	n.execHandler(n.node.Prof.NIC.EventPost, 0, h)
 }

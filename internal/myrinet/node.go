@@ -20,6 +20,7 @@ package myrinet
 import (
 	"fmt"
 
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/pci"
@@ -39,13 +40,25 @@ type proc struct {
 // plus cycles of work plus a fixed latency; the processor is held busy for
 // the whole span.
 func (p *proc) exec(cycles int64, fixed sim.Duration, fn func()) {
+	p.eng.Schedule(p.reserve(cycles, fixed), fn)
+}
+
+// execHandler is exec for a pooled handler record: no closure, no
+// allocation.
+func (p *proc) execHandler(cycles int64, fixed sim.Duration, h *handler) {
+	p.eng.ScheduleEvent(p.reserve(cycles, fixed), h)
+}
+
+// reserve holds the processor busy for cycles of work plus a fixed
+// latency after its current backlog and returns when that work is done.
+func (p *proc) reserve(cycles int64, fixed sim.Duration) sim.Time {
 	start := p.eng.Now()
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
 	done := start.Add(sim.Cycles(cycles, p.clockMHz)).Add(fixed)
 	p.busyUntil = done
-	p.eng.Schedule(done, fn)
+	return done
 }
 
 // EventKind classifies host events (the records the NIC DMAs into host
@@ -140,8 +153,9 @@ func eventGroup(ev Event) (int, bool) {
 	return 0, false
 }
 
-// NewNode builds a node attached to net.
-func NewNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsim.Network) *Node {
+// newNode builds a node attached to net, scheduling its per-message
+// handlers from the cluster's pool.
+func newNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsim.Network, pl *pool) *Node {
 	n := &Node{
 		ID:   id,
 		Prof: prof,
@@ -151,28 +165,33 @@ func NewNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsi
 		proc: proc{eng: eng, clockMHz: prof.Host.ClockMHz},
 		node: n,
 	}
-	n.NIC = newNIC(eng, n, net)
+	n.NIC = newNIC(eng, n, net, pl)
 	net.Attach(id, n.NIC.onPacket)
 	return n
 }
 
 // deliver hands a DMAed event record to the host, charging the host's
-// poll-and-consume cost before the handler sees it. Group-addressed
-// events go to their bound handler; everything else (and events for
-// unbound groups) falls through to OnEvent. Routing is free in virtual
-// time — it models the host poll loop demultiplexing its event queue.
+// poll-and-consume cost before dispatch sees it.
 func (h *Host) deliver(ev Event) {
-	h.exec(h.node.Prof.Host.RecvPollCycles, 0, func() {
-		if gid, ok := eventGroup(ev); ok {
-			if fn := h.groupHandlers[gid]; fn != nil {
-				fn(ev)
-				return
-			}
+	r := h.node.NIC.pool.get(hDeliver, h.node.NIC)
+	r.ev = ev
+	h.execHandler(h.node.Prof.Host.RecvPollCycles, 0, r)
+}
+
+// dispatch routes a consumed event record. Group-addressed events go to
+// their bound handler; everything else (and events for unbound groups)
+// falls through to OnEvent. Routing is free in virtual time — it models
+// the host poll loop demultiplexing its event queue.
+func (h *Host) dispatch(ev Event) {
+	if gid, ok := eventGroup(ev); ok {
+		if fn := h.groupHandlers[gid]; fn != nil {
+			fn(ev)
+			return
 		}
-		if h.OnEvent != nil {
-			h.OnEvent(ev)
-		}
-	})
+	}
+	if h.OnEvent != nil {
+		h.OnEvent(ev)
+	}
 }
 
 // Send posts one GM send: host builds the descriptor, rings the doorbell
@@ -212,21 +231,14 @@ func (h *Host) PostRecvTokens(k int) {
 // PostBarrier initiates a NIC-based barrier on a previously installed
 // group (collective scheme or direct scheme, fixed per group at install
 // time). Completion arrives as an EvBarrierDone host event.
-func (h *Host) PostBarrier(groupID int) {
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.onBarrierDoorbell(groupID, 0)
-		})
-	})
-}
+func (h *Host) PostBarrier(groupID int) { h.PostReduce(groupID, 0) }
 
 // PostReduce initiates a NIC-based allreduce on a group installed with
-// InstallReduceGroup, contributing value. The EvBarrierDone completion
-// event carries the combined result.
+// InstallReduceGroup, contributing value: the host builds the descriptor
+// and rings the doorbell over PCI (the hPost and hDoorbell handlers). The
+// EvBarrierDone completion event carries the combined result.
 func (h *Host) PostReduce(groupID int, value int64) {
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.onBarrierDoorbell(groupID, value)
-		})
-	})
+	r := h.node.NIC.pool.get(hPost, h.node.NIC)
+	r.msg.group, r.msg.value = core.GroupID(groupID), value
+	h.execHandler(h.node.Prof.Host.SendPostCycles, 0, r)
 }

@@ -338,7 +338,6 @@ func New(eng *sim.Engine, t topo.Topology, p Params, loss LossModel) *Network {
 		recv:      make([]func(Packet), t.Hosts()),
 		loss:      loss,
 		kindIDs:   make(map[string]int),
-		mcast:     newMcastScratch(links),
 	}
 }
 
@@ -615,12 +614,17 @@ func (n *Network) multicastBody(pkt Packet, dsts []int) {
 	// replication (an inline OnReject observer re-multicasting) gets a
 	// fresh allocation instead — rare enough not to matter, and the
 	// shared scratch must keep serving the outer loop it is mid-way
-	// through.
+	// through. The shared scratch itself is allocated by the first
+	// multicast, so networks that never replicate (Myrinet's) never pay
+	// for its four per-link arrays.
 	sc := &n.mcast
 	if sc.inUse {
 		fresh := newMcastScratch(len(n.busyUntil))
 		sc = &fresh
 	} else {
+		if sc.headSet == nil {
+			*sc = newMcastScratch(len(n.busyUntil))
+		}
 		sc.inUse = true
 		defer func() { sc.inUse = false }()
 	}

@@ -78,8 +78,21 @@ func (b *Bus) PIOWrite(fn func()) {
 	if fn == nil {
 		panic("pci: nil completion")
 	}
+	b.eng.Schedule(b.pio(), fn)
+}
+
+// PIOWriteEvent is PIOWrite for a pooled sim.Event completion, mirroring
+// sim's Schedule/ScheduleEvent pair: no closure, no allocation.
+func (b *Bus) PIOWriteEvent(ev sim.Event) {
+	if ev == nil {
+		panic("pci: nil completion")
+	}
+	b.eng.ScheduleEvent(b.pio(), ev)
+}
+
+func (b *Bus) pio() sim.Time {
 	b.counters.PIOWrites++
-	b.eng.Schedule(b.acquire(b.params.PIOWrite), fn)
+	return b.acquire(b.params.PIOWrite)
 }
 
 // DMA moves bytes across the bus (either direction; the model is
@@ -88,11 +101,22 @@ func (b *Bus) DMA(bytes int, fn func()) {
 	if fn == nil {
 		panic("pci: nil completion")
 	}
+	b.eng.Schedule(b.dma(bytes), fn)
+}
+
+// DMAEvent is DMA for a pooled sim.Event completion.
+func (b *Bus) DMAEvent(bytes int, ev sim.Event) {
+	if ev == nil {
+		panic("pci: nil completion")
+	}
+	b.eng.ScheduleEvent(b.dma(bytes), ev)
+}
+
+func (b *Bus) dma(bytes int) sim.Time {
 	if bytes < 0 {
 		panic(fmt.Sprintf("pci: negative DMA size %d", bytes))
 	}
 	b.counters.DMAs++
 	b.counters.DMABytes += uint64(bytes)
-	d := b.params.DMASetup + sim.BytesAt(int64(bytes), b.params.BandwidthMBps)
-	b.eng.Schedule(b.acquire(d), fn)
+	return b.acquire(b.params.DMASetup + sim.BytesAt(int64(bytes), b.params.BandwidthMBps))
 }

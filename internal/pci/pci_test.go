@@ -98,12 +98,52 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// stamp is a sim.Event recording when it fired.
+type stamp struct {
+	eng *sim.Engine
+	at  []sim.Time
+}
+
+func (s *stamp) Fire() { s.at = append(s.at, s.eng.Now()) }
+
+// The Event forms arbitrate, count and complete exactly like the closure
+// forms, and allocate nothing once the engine is warm.
+func TestEventFormsMatchClosures(t *testing.T) {
+	eng := sim.NewEngine()
+	bus := testBus(eng)
+	ev := &stamp{eng: eng, at: make([]sim.Time, 0, 8)}
+	bus.DMAEvent(528, ev)
+	bus.PIOWriteEvent(ev)
+	bus.PIOWriteEvent(ev)
+	eng.Run()
+	want := []sim.Time{1600, 2000, 2400} // as TestBusArbitrationSerializes
+	for i, w := range want {
+		if ev.at[i] != w {
+			t.Fatalf("completions %v, want %v", ev.at, want)
+		}
+	}
+	if c := bus.Counters(); c.PIOWrites != 2 || c.DMAs != 1 || c.DMABytes != 528 {
+		t.Fatalf("counters %+v", c)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		ev.at = ev.at[:0]
+		bus.PIOWriteEvent(ev)
+		bus.DMAEvent(64, ev)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("event forms allocate %.1f objects per round, want 0", allocs)
+	}
+}
+
 func TestGuards(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	for name, fn := range map[string]func(){
 		"nil pio":      func() { bus.PIOWrite(nil) },
 		"nil dma":      func() { bus.DMA(1, nil) },
+		"nil pio ev":   func() { bus.PIOWriteEvent(nil) },
+		"nil dma ev":   func() { bus.DMAEvent(1, nil) },
 		"negative dma": func() { bus.DMA(-1, func() {}) },
 		"bad params":   func() { New(eng, Params{}) },
 	} {
