@@ -70,9 +70,9 @@ func (p *pool) put(h *handler) {
 // the packet: each Send carries its own payload (a NACK's duplicated
 // reply takes two), the receiving NIC copies it out and returns it with
 // putPayload, and a payload lost with a dropped packet is left to the
-// garbage collector. This is sound only because netsim neither
-// duplicates nor multicasts Myrinet packets; the GM p2p path, whose send
-// records re-send the very same packet, keeps boxed values.
+// garbage collector. This is sound only because netsim never duplicates
+// a unicast packet and this model never multicasts; the GM p2p path,
+// whose send records re-send the very same packet, keeps boxed values.
 func (p *pool) payload(m collPayload) *collPayload {
 	var pl *collPayload
 	if k := len(p.payloads); k > 0 {
