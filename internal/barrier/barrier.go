@@ -72,6 +72,9 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // result rather than a partial contribution (the broadcast-down phase of
 // gather-broadcast). Barriers ignore it; the allreduce extension uses it
 // to replace instead of combine.
+//
+// A schedule's lists share one backing array, and an exchange step's
+// Send and Wait are the same list: treat them as read-only.
 type Step struct {
 	Send       []int
 	Wait       []int
@@ -197,12 +200,31 @@ func CriticalSteps(alg Algorithm, n int, opts Options) int {
 	}
 }
 
+// peerLists is the one backing array a schedule constructor carves a
+// rank's Send and Wait lists from, so building a schedule costs two
+// allocations (the steps and their peers) whatever its shape.
+type peerLists []int
+
+// take returns the next k peers as a capacity-capped list (nil when k is
+// 0, as an absent list reads), filled with ranks in order when given.
+func (p *peerLists) take(k int, ranks ...int) []int {
+	if k == 0 {
+		return nil
+	}
+	l := (*p)[:k:k]
+	*p = (*p)[k:]
+	copy(l, ranks)
+	return l
+}
+
 func disseminationSteps(n, rank int) []Step {
-	steps := make([]Step, 0, Log2Ceil(n))
+	k := Log2Ceil(n)
+	steps := make([]Step, 0, k)
+	peers := make(peerLists, 2*k)
 	for m := 1; m < n; m <<= 1 {
 		steps = append(steps, Step{
-			Send: []int{(rank + m) % n},
-			Wait: []int{(rank - m + n) % n},
+			Send: peers.take(1, (rank+m)%n),
+			Wait: peers.take(1, (rank-m+n)%n),
 		})
 	}
 	return steps
@@ -210,10 +232,13 @@ func disseminationSteps(n, rank int) []Step {
 
 func pairwiseSteps(n, rank int) []Step {
 	if IsPowerOfTwo(n) {
-		steps := make([]Step, 0, Log2Floor(n))
+		k := Log2Floor(n)
+		steps := make([]Step, 0, k)
+		peers := make(peerLists, k)
 		for m := 1; m < n; m <<= 1 {
-			peer := rank ^ m
-			steps = append(steps, Step{Send: []int{peer}, Wait: []int{peer}})
+			// An exchange sends to and waits on the same peer.
+			peer := peers.take(1, rank^m)
+			steps = append(steps, Step{Send: peer, Wait: peer})
 		}
 		return steps
 	}
@@ -222,59 +247,84 @@ func pairwiseSteps(n, rank int) []Step {
 		// Extra rank: announce entry to its partner, then wait for the
 		// partner's exit notification — which carries the final combined
 		// result (the partner finished the whole exchange first).
-		partner := rank - m
+		partner := []int{rank - m}
 		return []Step{
-			{Send: []int{partner}},
-			{Wait: []int{partner}, ResultWait: true},
+			{Send: partner},
+			{Wait: partner, ResultWait: true},
 		}
 	}
-	var steps []Step
 	partner := rank + m
 	hasPartner := partner < n
+	k := Log2Floor(m)
 	if hasPartner {
-		steps = append(steps, Step{Wait: []int{partner}})
+		k++
+	}
+	steps := make([]Step, 0, k+1)
+	peers := make(peerLists, k)
+	var partnerList []int
+	if hasPartner {
+		partnerList = peers.take(1, partner)
+		steps = append(steps, Step{Wait: partnerList})
 	}
 	for b := 1; b < m; b <<= 1 {
-		peer := rank ^ b
-		steps = append(steps, Step{Send: []int{peer}, Wait: []int{peer}})
+		peer := peers.take(1, rank^b)
+		steps = append(steps, Step{Send: peer, Wait: peer})
 	}
 	if hasPartner {
-		steps = append(steps, Step{Send: []int{partner}})
+		steps = append(steps, Step{Send: partnerList})
 	}
 	return steps
 }
 
+// treeChildren counts the tree children of position pos: positions
+// pos*d+1 .. pos*d+d below n.
+func treeChildren(n, pos, d int) int { return max(0, min(d, n-(pos*d+1))) }
+
 func gatherBroadcastSteps(n, rank, d int) []Step {
-	parent := (rank - 1) / d
-	var children []int
-	for c := rank*d + 1; c <= rank*d+d && c < n; c++ {
-		children = append(children, c)
-	}
-	switch {
-	case rank == 0:
+	k := treeChildren(n, rank, d)
+	if rank == 0 {
+		children := make([]int, k)
+		for i := range children {
+			children[i] = i + 1
+		}
 		return []Step{{Wait: children}, {Send: children}}
-	case len(children) == 0:
+	}
+	peers := make(peerLists, k+1)
+	up := peers.take(1, (rank-1)/d)
+	if k == 0 {
 		// Leaf: one combined step — notify the parent, wait for the
 		// broadcast (carrying the final result) to come back.
-		return []Step{{Send: []int{parent}, Wait: []int{parent}, ResultWait: true}}
-	default:
-		return []Step{
-			{Wait: children},
-			{Send: []int{parent}, Wait: []int{parent}, ResultWait: true},
-			{Send: children},
-		}
+		return []Step{{Send: up, Wait: up, ResultWait: true}}
+	}
+	children := peers.take(k)
+	for i := range children {
+		children[i] = rank*d + 1 + i
+	}
+	return []Step{
+		{Wait: children},
+		{Send: up, Wait: up, ResultWait: true},
+		{Send: children},
 	}
 }
 
 // ExpectedArrivals returns, in step order, the ranks whose notifications
-// this schedule waits for. The NIC collective protocol sizes its arrival
-// bit vector from this list.
+// this schedule waits for. The NIC collective protocol numbers its
+// arrival bits in this order.
 func (s Schedule) ExpectedArrivals() []int {
-	var out []int
+	out := make([]int, 0, s.TotalWaits())
 	for _, st := range s.Steps {
 		out = append(out, st.Wait...)
 	}
 	return out
+}
+
+// TotalWaits counts the notifications this rank awaits per barrier.
+func (s Schedule) TotalWaits() int {
+	n := 0
+	for _, st := range s.Steps {
+		n += len(st.Wait)
+	}
+	return n
 }
 
 // TotalSends counts the notifications this rank transmits per barrier.

@@ -292,3 +292,15 @@ func TestExpectedArrivalsAndTotalSends(t *testing.T) {
 		t.Fatalf("total sends = %d", s.TotalSends())
 	}
 }
+
+var scheduleSink Schedule
+
+// A dissemination schedule is two allocations at any size: the steps and
+// one backing array for all their Send and Wait lists.
+func TestDisseminationScheduleAllocs(t *testing.T) {
+	for _, n := range []int{8, 65536} {
+		if got := testing.AllocsPerRun(20, func() { scheduleSink = New(Dissemination, n, 5, Options{}) }); got > 2 {
+			t.Errorf("New(Dissemination, %d): %.0f allocations, want at most 2", n, got)
+		}
+	}
+}

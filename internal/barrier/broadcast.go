@@ -27,25 +27,27 @@ func BroadcastTree(n, rank, root, degree int) Schedule {
 		return s
 	}
 	pos := (rank - root + n) % n
-	unrotate := func(p int) int { return (p + root) % n }
-
-	var children []int
-	for c := pos*degree + 1; c <= pos*degree+degree && c < n; c++ {
-		children = append(children, unrotate(c))
+	k := treeChildren(n, pos, degree)
+	peers := make(peerLists, k+1)
+	children := peers.take(k)
+	for i := range children {
+		children[i] = (pos*degree + 1 + i + root) % n // unrotated position
 	}
-	switch {
-	case pos == 0:
+	if pos == 0 {
 		s.Steps = []Step{{Send: children}}
-	case len(children) == 0:
-		s.Steps = []Step{{Wait: []int{unrotate((pos - 1) / degree)}}}
-	default:
-		// Forwarding must happen only after the parent's notification
-		// arrives, so the wait and the send are separate steps (a step's
-		// sends fire when the step starts).
-		s.Steps = []Step{
-			{Wait: []int{unrotate((pos - 1) / degree)}},
-			{Send: children},
-		}
+		return s
+	}
+	parent := peers.take(1, ((pos-1)/degree+root)%n)
+	if k == 0 {
+		s.Steps = []Step{{Wait: parent}}
+		return s
+	}
+	// Forwarding must happen only after the parent's notification
+	// arrives, so the wait and the send are separate steps (a step's
+	// sends fire when the step starts).
+	s.Steps = []Step{
+		{Wait: parent},
+		{Send: children},
 	}
 	return s
 }

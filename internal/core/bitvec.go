@@ -2,8 +2,9 @@
 // collective message passing protocol. It contains the pieces the paper
 // identifies as the collective replacements for point-to-point processing:
 //
-//   - Group tables with dedicated per-group queues (queuing done
-//     collectively — Section 3 "Queuing" and Section 6.1);
+//   - group views (Group) that the NIC models install into their
+//     group-queue slot tables, one dedicated queue entry per group
+//     (queuing done collectively — Section 3 "Queuing" and Section 6.1);
 //   - a single send record per collective operation holding a bit vector
 //     over peer messages (bookkeeping done collectively — Section 3
 //     "Bookkeeping" and Section 6.3);

@@ -81,35 +81,6 @@ func (g *Group) RankOf(node int) (int, bool) {
 	return r, ok
 }
 
-// GroupTable is the NIC-resident registry of groups, the anchor of the
-// protocol's "separate queue for a particular process group".
-type GroupTable struct {
-	groups map[GroupID]*Group
-}
-
-// NewGroupTable returns an empty table.
-func NewGroupTable() *GroupTable {
-	return &GroupTable{groups: make(map[GroupID]*Group)}
-}
-
-// Install registers a group; reinstalling an ID panics (group membership
-// is immutable in the protocol; build a new group instead).
-func (t *GroupTable) Install(g *Group) {
-	if _, dup := t.groups[g.ID]; dup {
-		panic(fmt.Sprintf("core: group %d already installed", g.ID))
-	}
-	t.groups[g.ID] = g
-}
-
-// Lookup finds a group by ID.
-func (t *GroupTable) Lookup(id GroupID) (*Group, bool) {
-	g, ok := t.groups[id]
-	return g, ok
-}
-
-// Len reports the number of installed groups.
-func (t *GroupTable) Len() int { return len(t.groups) }
-
 // ScheduleFor builds this rank's schedule for algorithm alg over group g.
 func ScheduleFor(g *Group, alg barrier.Algorithm, opts barrier.Options) barrier.Schedule {
 	return barrier.New(alg, g.Size(), g.MyRank, opts)

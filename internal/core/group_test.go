@@ -39,28 +39,6 @@ func TestGroupGuards(t *testing.T) {
 	}
 }
 
-func TestGroupTable(t *testing.T) {
-	tbl := NewGroupTable()
-	g := NewGroup(3, []int{0, 1}, 0)
-	tbl.Install(g)
-	if tbl.Len() != 1 {
-		t.Fatalf("len = %d", tbl.Len())
-	}
-	got, ok := tbl.Lookup(3)
-	if !ok || got != g {
-		t.Fatal("Lookup failed")
-	}
-	if _, ok := tbl.Lookup(4); ok {
-		t.Fatal("Lookup found phantom group")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("double install did not panic")
-		}
-	}()
-	tbl.Install(NewGroup(3, []int{2, 3}, 0))
-}
-
 func TestScheduleFor(t *testing.T) {
 	g := NewGroup(0, []int{10, 11, 12, 13, 14, 15, 16, 17}, 5)
 	s := ScheduleFor(g, barrier.Dissemination, barrier.Options{})

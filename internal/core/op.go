@@ -1,20 +1,23 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nicbarrier/internal/barrier"
 )
 
 // OpState is the per-group, per-rank state machine for consecutive
 // collective operations. It is the protocol's "single send record per
-// operation": one bit vector tracks peer arrivals, one flag per step
-// tracks this rank's sends, and a one-deep early buffer absorbs
-// notifications for operation seq+1 that arrive while seq is still in
-// flight (a fast peer may complete barrier k and inject its first message
-// of barrier k+1 before a slow peer finishes k; messages for k+2 are
-// impossible while k is incomplete, because completing k+1 requires this
-// rank's k+1 messages, so one buffer is provably enough).
+// operation": one bit vector tracks peer arrivals, a step counter
+// tracks this rank's sends, and a second bit vector, a one-deep early
+// buffer, absorbs notifications for operation seq+1 that arrive while
+// seq is still in flight (a fast peer may complete barrier k and inject
+// its first message of barrier k+1 before a slow peer finishes k;
+// messages for k+2 are impossible while k is incomplete, because
+// completing k+1 requires this rank's k+1 messages, so one buffer is
+// provably enough).
 //
 // The state machine is pure: it charges no simulated time and sends no
 // packets. Callers (the Myrinet MCP collective module, the Quadrics
@@ -28,16 +31,23 @@ type OpState struct {
 
 	seq    int // active or most recently completed operation; -1 before first
 	active bool
-	step   int
-	sent   []bool // per step
+	step   int // current step of the active operation
+	bit    int // arrival bit of the current step's first wait
+	sentTo int // steps of the active operation whose sends have fired
 
-	arrived  *BitVector
-	rankBit  map[int]int // expected sender rank -> bit index
-	sendStep map[int]int // destination rank -> step performing that send
+	// Arrival bits are numbered in schedule (wait-list) order. arrived
+	// holds the active operation's arrivals, early the buffered arrivals
+	// for seq+1; the two share one word array, and Start swaps them.
+	arrived, early BitVector
+
+	// peers holds one (rank, index, step) triple per expected sender
+	// (index: its arrival bit), then one per destination (index: its
+	// position in schedule send order), each half sorted by rank and
+	// searched by binary search. waits splits the halves.
+	peers []peer
+	waits int
 
 	buf []int // reused result buffer of Start, Arrive and Missing
-
-	early map[int]bool // buffered arrivals for seq+1, by sender rank
 
 	// Duplicates counts arrivals that were already recorded (retransmits
 	// that raced the original); they are ignored but visible for tests.
@@ -46,32 +56,82 @@ type OpState struct {
 	Stale int
 }
 
-// NewOpState builds the state machine for one rank's schedule.
+// peer locates one expected sender or destination of a schedule.
+type peer struct{ rank, index, step int32 }
+
+// find returns the triple of rank in ps, which is sorted by rank.
+func find(ps []peer, rank int) (peer, bool) {
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(ps[m].rank) < rank {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(ps) && int(ps[lo].rank) == rank {
+		return ps[lo], true
+	}
+	return peer{}, false
+}
+
+// sortPeers sorts one half of the peer table by rank and panics when a
+// rank appears twice in it.
+func sortPeers(ps []peer, twice string) {
+	slices.SortFunc(ps, func(a, b peer) int { return cmp.Compare(a.rank, b.rank) })
+	for i := 1; i < len(ps); i++ {
+		if ps[i].rank == ps[i-1].rank {
+			panic(fmt.Sprintf("core: schedule %s rank %d", twice, ps[i].rank))
+		}
+	}
+}
+
+// NewOpState builds the state machine for one rank's schedule. It makes
+// four allocations whatever the group size.
 func NewOpState(sched barrier.Schedule) *OpState {
-	o := &OpState{
-		sched:    sched,
-		seq:      -1,
-		sent:     make([]bool, len(sched.Steps)),
-		rankBit:  make(map[int]int),
-		sendStep: make(map[int]int),
-		early:    make(map[int]bool),
-	}
-	for _, r := range sched.ExpectedArrivals() {
-		if _, dup := o.rankBit[r]; dup {
-			panic(fmt.Sprintf("core: schedule waits twice on rank %d", r))
-		}
-		o.rankBit[r] = len(o.rankBit)
-	}
-	for i, st := range sched.Steps {
-		for _, dst := range st.Send {
-			if _, dup := o.sendStep[dst]; dup {
-				panic(fmt.Sprintf("core: schedule sends twice to rank %d", dst))
-			}
-			o.sendStep[dst] = i
-		}
-	}
-	o.arrived = NewBitVector(len(o.rankBit))
+	o := new(OpState)
+	o.init(sched)
 	return o
+}
+
+// init builds o in place; ReduceState embeds its OpState by value.
+func (o *OpState) init(sched barrier.Schedule) {
+	nw, ns := sched.TotalWaits(), sched.TotalSends()
+	words := make([]uint64, 2*((nw+63)/64))
+	half := len(words) / 2
+	*o = OpState{
+		sched:   sched,
+		seq:     -1,
+		arrived: BitVector{bits: words[:half:half], n: nw},
+		early:   BitVector{bits: words[half:], n: nw},
+		peers:   make([]peer, nw+ns),
+		waits:   nw,
+		buf:     make([]int, 0, max(nw, ns)),
+	}
+	w, d := o.peers[:0], o.peers[nw:nw]
+	for i, st := range sched.Steps {
+		for _, r := range st.Wait {
+			w = append(w, peer{rank: int32(r), index: int32(len(w)), step: int32(i)})
+		}
+		for _, r := range st.Send {
+			d = append(d, peer{rank: int32(r), index: int32(len(d)), step: int32(i)})
+		}
+	}
+	sortPeers(w, "waits twice on")
+	sortPeers(d, "sends twice to")
+}
+
+// senders and dests are the two halves of the peer table.
+func (o *OpState) senders() []peer { return o.peers[:o.waits] }
+func (o *OpState) dests() []peer   { return o.peers[o.waits:] }
+
+// SendIndex reports the position of toRank among this rank's
+// destinations, in schedule send order; ok is false when the schedule
+// never sends to toRank. Callers key per-destination records by it.
+func (o *OpState) SendIndex(toRank int) (idx int, ok bool) {
+	p, ok := find(o.dests(), toRank)
+	return int(p.index), ok
 }
 
 // Schedule returns the schedule this state machine executes.
@@ -100,19 +160,9 @@ func (o *OpState) Start(seq int) (sends []int, completed bool, err error) {
 	}
 	o.seq = seq
 	o.active = true
-	o.step = 0
-	for i := range o.sent {
-		o.sent[i] = false
-	}
-	o.arrived.Clear()
-	for r := range o.early {
-		bit, ok := o.rankBit[r]
-		if !ok {
-			return nil, false, fmt.Errorf("core: buffered arrival from unexpected rank %d", r)
-		}
-		o.arrived.Set(bit)
-	}
-	clear(o.early)
+	o.step, o.bit, o.sentTo = 0, 0, 0
+	o.arrived, o.early = o.early, o.arrived
+	o.early.Clear()
 	sends, completed = o.advance()
 	return sends, completed, nil
 }
@@ -122,33 +172,44 @@ func (o *OpState) Start(seq int) (sends []int, completed bool, err error) {
 // Arrivals for seq+1 are buffered; duplicates and stale arrivals are
 // counted and ignored.
 func (o *OpState) Arrive(seq, fromRank int) (sends []int, completed bool, err error) {
+	_, sends, completed, err = o.arrive(seq, fromRank)
+	return sends, completed, err
+}
+
+// noPeer is what arrive returns for an arrival it did not record.
+var noPeer = peer{rank: -1}
+
+// arrive is Arrive that also returns the sender's triple when the
+// arrival was recorded, for the active operation or buffered for the
+// next one, and noPeer when it was not.
+func (o *OpState) arrive(seq, fromRank int) (from peer, sends []int, completed bool, err error) {
 	switch {
 	case seq <= o.seq-1 || (seq == o.seq && !o.active):
 		o.Stale++
-		return nil, false, nil
+		return noPeer, nil, false, nil
 	case seq == o.seq && o.active:
-		bit, ok := o.rankBit[fromRank]
+		p, ok := find(o.senders(), fromRank)
 		if !ok {
-			return nil, false, fmt.Errorf("core: arrival from unexpected rank %d", fromRank)
+			return noPeer, nil, false, fmt.Errorf("core: arrival from unexpected rank %d", fromRank)
 		}
-		if !o.arrived.Set(bit) {
+		if !o.arrived.Set(int(p.index)) {
 			o.Duplicates++
-			return nil, false, nil
+			return noPeer, nil, false, nil
 		}
 		sends, completed = o.advance()
-		return sends, completed, nil
+		return p, sends, completed, nil
 	case seq == o.seq+1:
-		if _, ok := o.rankBit[fromRank]; !ok {
-			return nil, false, fmt.Errorf("core: early arrival from unexpected rank %d", fromRank)
+		p, ok := find(o.senders(), fromRank)
+		if !ok {
+			return noPeer, nil, false, fmt.Errorf("core: early arrival from unexpected rank %d", fromRank)
 		}
-		if o.early[fromRank] {
+		if !o.early.Set(int(p.index)) {
 			o.Duplicates++
-			return nil, false, nil
+			return noPeer, nil, false, nil
 		}
-		o.early[fromRank] = true
-		return nil, false, nil
+		return p, nil, false, nil
 	default:
-		return nil, false, fmt.Errorf("core: arrival for op %d while at op %d (impossible lookahead)", seq, o.seq)
+		return noPeer, nil, false, fmt.Errorf("core: arrival for op %d while at op %d (impossible lookahead)", seq, o.seq)
 	}
 }
 
@@ -160,13 +221,13 @@ func (o *OpState) advance() (sends []int, completed bool) {
 	completed = true
 	for o.step < len(o.sched.Steps) {
 		st := o.sched.Steps[o.step]
-		if !o.sent[o.step] {
-			o.sent[o.step] = true
+		if o.sentTo == o.step {
+			o.sentTo++
 			o.buf = append(o.buf, st.Send...)
 		}
 		done := true
-		for _, w := range st.Wait {
-			if !o.arrived.Get(o.rankBit[w]) {
+		for i := range st.Wait {
+			if !o.arrived.Get(o.bit + i) {
 				done = false
 				break
 			}
@@ -175,6 +236,7 @@ func (o *OpState) advance() (sends []int, completed bool) {
 			completed = false
 			break
 		}
+		o.bit += len(st.Wait)
 		o.step++
 	}
 	if completed {
@@ -196,7 +258,7 @@ func (o *OpState) advance() (sends []int, completed bool) {
 func (o *OpState) Abort() {
 	o.active = false
 	o.step = len(o.sched.Steps)
-	clear(o.early)
+	o.early.Clear()
 }
 
 // Missing lists the peer ranks whose notifications for the active
@@ -207,8 +269,7 @@ func (o *OpState) Missing() []int {
 	if !o.active {
 		return nil
 	}
-	// Bits were assigned in ExpectedArrivals order: the schedule's wait
-	// lists, step by step.
+	// Arrival bits follow the schedule's wait lists, step by step.
 	o.buf = o.buf[:0]
 	bit := 0
 	for _, st := range o.sched.Steps {
@@ -230,7 +291,7 @@ func (o *OpState) Missing() []int {
 // in response to a NACK). Operations before the current one sent
 // everything by construction.
 func (o *OpState) HasSent(seq, toRank int) bool {
-	step, sendsToRank := o.sendStep[toRank]
+	p, sendsToRank := find(o.dests(), toRank)
 	if !sendsToRank {
 		return false
 	}
@@ -238,7 +299,7 @@ func (o *OpState) HasSent(seq, toRank int) bool {
 	case seq < o.seq || (seq == o.seq && !o.active):
 		return true
 	case seq == o.seq:
-		return o.sent[step]
+		return int(p.step) < o.sentTo
 	default:
 		return false
 	}

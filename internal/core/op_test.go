@@ -275,3 +275,25 @@ func TestOpGroupProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+var installSink any
+
+// Building a state machine costs the same few allocations at any group
+// size: the schedule-indexed tables are sized once from the schedule.
+func TestInstallAllocsConstant(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		want  float64
+		build func(barrier.Schedule)
+	}{
+		{"NewOpState", 4, func(s barrier.Schedule) { installSink = NewOpState(s) }},
+		{"NewReduceState", 6, func(s barrier.Schedule) { installSink, _ = NewReduceState(ReduceSum, s) }},
+	} {
+		for _, n := range []int{8, 32768} {
+			sched := barrier.New(barrier.PairwiseExchange, n, 3, barrier.Options{})
+			if got := testing.AllocsPerRun(20, func() { c.build(sched) }); got != c.want {
+				t.Errorf("%s at n=%d: %.0f allocations, want %.0f", c.name, n, got, c.want)
+			}
+		}
+	}
+}

@@ -86,64 +86,45 @@ func (op ReduceOp) Combine(a, b int64) int64 {
 // and double-counts, so NewReduceState rejects sum there. Idempotent
 // operators work over any complete schedule.
 type ReduceState struct {
-	op    ReduceOp
-	st    *OpState
-	sched barrier.Schedule
+	op ReduceOp
+	st OpState
 
-	local    int64
-	valueOf  map[int]int64    // arrival values of the active operation
-	waitStep map[int]int      // sender rank -> step index waiting on it
-	sendTo   map[int]sendSlot // destination rank -> its send step and snapshot index
-	pending  map[int]int64    // buffered values of early (seq+1) arrivals
-
+	local int64
+	// vals holds arrival values by operation parity and arrival bit:
+	// vals[(seq%2)*waits+bit] is operation seq's value from the sender
+	// of that bit, present while the bit is set (in the arrival vector
+	// for the active operation, in the early vector for seq+1). An early
+	// arrival lands in the other half, so Start moves no values.
+	vals []int64
 	// sent is a ring of the transmitted snapshots of the current and
-	// previous operation (receivers lag by at most one), slot seq%2.
-	sent [2]sentSnap
+	// previous operation (receivers lag by at most one):
+	// sent[(seq%2)*dests+i] holds the value sent to destination i (in
+	// schedule send order), tagged with the operation that sent it. A
+	// slot is overwritten destination by destination as the operation
+	// two later sends, so it needs no clearing.
+	sent []sentVal
 }
 
-// sendSlot locates one destination's notification: the schedule step
-// that sends it and its index into the sentSnap arrays.
-type sendSlot struct{ step, idx int }
-
-// sentSnap holds the values one operation transmitted, by destination
-// index: vals[i] went to destination i in operation seq[i]. A slot is
-// overwritten destination by destination as the operation two later
-// sends, so it needs no clearing.
-type sentSnap struct {
-	seq  []int
-	vals []int64
+// sentVal is one transmitted snapshot and the operation that sent it.
+type sentVal struct {
+	seq int
+	val int64
 }
 
 // NewReduceState builds an allreduce state machine over a schedule. It
 // returns an error when the (operator, schedule) combination cannot be
-// exact.
+// exact. It makes six allocations whatever the group size.
 func NewReduceState(op ReduceOp, sched barrier.Schedule) (*ReduceState, error) {
 	if op == ReduceSum && sched.Algorithm == barrier.Dissemination && !barrier.IsPowerOfTwo(sched.N) {
 		return nil, fmt.Errorf(
 			"core: sum-allreduce over dissemination needs a power-of-two group, got %d", sched.N)
 	}
-	r := &ReduceState{
-		op:       op,
-		st:       NewOpState(sched),
-		sched:    sched,
-		valueOf:  make(map[int]int64),
-		waitStep: make(map[int]int),
-		sendTo:   make(map[int]sendSlot),
-		pending:  make(map[int]int64),
-	}
-	for i, step := range sched.Steps {
-		for _, w := range step.Wait {
-			r.waitStep[w] = i
-		}
-		for _, d := range step.Send {
-			r.sendTo[d] = sendSlot{step: i, idx: len(r.sendTo)}
-		}
-	}
+	r := &ReduceState{op: op}
+	r.st.init(sched)
+	r.vals = make([]int64, 2*r.st.waits)
+	r.sent = make([]sentVal, 2*len(r.st.dests()))
 	for i := range r.sent {
-		r.sent[i] = sentSnap{seq: make([]int, len(r.sendTo)), vals: make([]int64, len(r.sendTo))}
-		for d := range r.sent[i].seq {
-			r.sent[i].seq[d] = -1
-		}
+		r.sent[i].seq = -1
 	}
 	return r, nil
 }
@@ -152,25 +133,27 @@ func NewReduceState(op ReduceOp, sched barrier.Schedule) (*ReduceState, error) {
 func (r *ReduceState) Op() ReduceOp { return r.op }
 
 // Inner exposes the wrapped OpState (sequence numbers, NACK bookkeeping).
-func (r *ReduceState) Inner() *OpState { return r.st }
+func (r *ReduceState) Inner() *OpState { return &r.st }
 
 // fold combines the local contribution with the (arrived) values of all
 // steps before uptoStep, in schedule order, honoring ResultWait replace
 // semantics.
 func (r *ReduceState) fold(uptoStep int) int64 {
 	val := r.local
-	for s := 0; s < uptoStep && s < len(r.sched.Steps); s++ {
-		step := r.sched.Steps[s]
-		for _, w := range step.Wait {
-			v, arrived := r.valueOf[w]
-			if !arrived {
-				continue
+	steps := r.st.sched.Steps
+	vals := r.vals[(r.st.seq&1)*r.st.waits:]
+	bit := 0
+	for s := 0; s < uptoStep && s < len(steps); s++ {
+		step := steps[s]
+		for range step.Wait {
+			if r.st.arrived.Get(bit) {
+				if step.ResultWait {
+					val = vals[bit]
+				} else {
+					val = r.op.Combine(val, vals[bit])
+				}
 			}
-			if step.ResultWait {
-				val = v
-			} else {
-				val = r.op.Combine(val, v)
-			}
+			bit++
 		}
 	}
 	return val
@@ -178,49 +161,43 @@ func (r *ReduceState) fold(uptoStep int) int64 {
 
 // Value reports the full fold — the allreduce result once the operation
 // has completed.
-func (r *ReduceState) Value() int64 { return r.fold(len(r.sched.Steps)) }
+func (r *ReduceState) Value() int64 { return r.fold(len(r.st.sched.Steps)) }
 
 // SentValue reports the value snapshot that was transmitted to toRank for
 // operation seq — what a NACK-triggered retransmission must carry.
 func (r *ReduceState) SentValue(seq, toRank int) (int64, bool) {
-	slot, ok := r.sendTo[toRank]
+	p, ok := find(r.st.dests(), toRank)
 	if !ok || seq < 0 {
 		return 0, false
 	}
-	snap := &r.sent[seq%2]
-	if snap.seq[slot.idx] != seq {
+	sv := r.sent[(seq&1)*len(r.st.dests())+int(p.index)]
+	if sv.seq != seq {
 		return 0, false
 	}
-	return snap.vals[slot.idx], true
+	return sv.val, true
 }
 
 // recordSends snapshots, for each outgoing notification, the fold up to
 // (but excluding) its step, overwriting the ring slot of operation seq-2.
 func (r *ReduceState) recordSends(seq int, sends []int) {
-	snap := &r.sent[seq%2]
+	dests := r.st.dests()
+	ring := r.sent[(seq&1)*len(dests):]
 	for _, to := range sends {
-		slot := r.sendTo[to]
-		snap.seq[slot.idx] = seq
-		snap.vals[slot.idx] = r.fold(slot.step)
+		p, _ := find(dests, to)
+		ring[p.index] = sentVal{seq: seq, val: r.fold(int(p.step))}
 	}
 }
 
 // Start begins operation seq with this rank's local contribution and
 // returns the ranks to notify; the value each notification must carry is
-// SentValue(seq, rank).
+// SentValue(seq, rank). Early arrivals are always contributions: a
+// result message presupposes our own contribution reached its sender,
+// which requires this Start to have already happened.
 func (r *ReduceState) Start(seq int, local int64) (sends []int, completed bool, err error) {
 	r.local = local
-	clear(r.valueOf)
 	sends, completed, err = r.st.Start(seq)
 	if err != nil {
 		return nil, false, err
-	}
-	for from, v := range r.pending {
-		// Early arrivals are always contributions: a result message
-		// presupposes our own contribution reached its sender, which
-		// requires this Start to have already happened.
-		r.valueOf[from] = v
-		delete(r.pending, from)
 	}
 	r.recordSends(seq, sends)
 	return sends, completed, nil
@@ -230,26 +207,21 @@ func (r *ReduceState) Start(seq int, local int64) (sends []int, completed bool, 
 // schedule. Duplicates (NACK-recovered retransmissions that raced the
 // original) are detected by the bit vector and never combined twice.
 func (r *ReduceState) Arrive(seq, fromRank int, value int64) (sends []int, completed bool, err error) {
-	dupsBefore := r.st.Duplicates + r.st.Stale
 	active := r.st.Active() && r.st.Seq() == seq
-	future := seq == r.st.Seq()+1
-	sends, completed, err = r.st.Arrive(seq, fromRank)
+	from, sends, completed, err := r.st.arrive(seq, fromRank)
 	if err != nil {
 		return nil, false, err
 	}
-	if r.st.Duplicates+r.st.Stale > dupsBefore {
+	if from == noPeer {
 		return sends, completed, nil // duplicate or stale: drop the value
 	}
-	switch {
-	case active:
-		r.valueOf[fromRank] = value
+	if !active && r.st.sched.Steps[from.step].ResultWait {
+		return nil, false, fmt.Errorf(
+			"core: result message from rank %d arrived before operation %d started", fromRank, seq)
+	}
+	r.vals[(seq&1)*r.st.waits+int(from.index)] = value
+	if active {
 		r.recordSends(seq, sends)
-	case future:
-		if r.sched.Steps[r.waitStep[fromRank]].ResultWait {
-			return nil, false, fmt.Errorf(
-				"core: result message from rank %d arrived before operation %d started", fromRank, seq)
-		}
-		r.pending[fromRank] = value
 	}
 	return sends, completed, nil
 }

@@ -19,6 +19,7 @@ package elan
 
 import (
 	"fmt"
+	"slices"
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
@@ -103,8 +104,25 @@ type Host struct {
 	OnEvent func(Event)
 	// groupHandlers routes group-addressed events (chain completions,
 	// gsync remote events) to the session driving that group, so
-	// concurrent communicators can share one node.
-	groupHandlers map[int]func(Event)
+	// concurrent communicators can share one node. It holds one entry per
+	// bound group and is scanned linearly.
+	groupHandlers []groupHandler
+}
+
+// groupHandler is one group's event binding on a host.
+type groupHandler struct {
+	gid int
+	fn  func(Event)
+}
+
+// handler returns the index of group gid's binding, or -1.
+func (h *Host) handler(gid int) int {
+	for i := range h.groupHandlers {
+		if h.groupHandlers[i].gid == gid {
+			return i
+		}
+	}
+	return -1
 }
 
 // Bind routes this node's events for one group ID to fn; duplicate
@@ -113,29 +131,24 @@ func (h *Host) Bind(groupID int, fn func(Event)) {
 	if fn == nil {
 		panic("elan: nil group event handler")
 	}
-	if h.groupHandlers == nil {
-		h.groupHandlers = make(map[int]func(Event))
-	}
-	if _, dup := h.groupHandlers[groupID]; dup {
+	if h.bound(groupID) {
 		panic(fmt.Sprintf("elan: node %d: group %d already bound", h.node.ID, groupID))
 	}
-	h.groupHandlers[groupID] = fn
+	h.groupHandlers = append(h.groupHandlers, groupHandler{groupID, fn})
 }
 
 // bound reports whether a handler is already bound for the group.
-func (h *Host) bound(groupID int) bool {
-	_, ok := h.groupHandlers[groupID]
-	return ok
-}
+func (h *Host) bound(groupID int) bool { return h.handler(groupID) >= 0 }
 
 // Unbind releases a group's event routing (the host half of teardown).
 // Unbinding a group that was never bound panics. Late events for the
 // group fall through to OnEvent afterwards, like any unbound group's.
 func (h *Host) Unbind(groupID int) {
-	if _, ok := h.groupHandlers[groupID]; !ok {
+	i := h.handler(groupID)
+	if i < 0 {
 		panic(fmt.Sprintf("elan: node %d: unbinding group %d that is not bound", h.node.ID, groupID))
 	}
-	delete(h.groupHandlers, groupID)
+	h.groupHandlers = slices.Delete(h.groupHandlers, i, i+1)
 }
 
 // NIC is the Elan3 model.
@@ -144,7 +157,9 @@ type NIC struct {
 	node *Node
 	net  *netsim.Network
 
-	chains map[core.GroupID]*chainOp
+	// chains is the card's descriptor-list table: at most ChainSlots
+	// entries, each group's ID stored inline, scanned linearly.
+	chains []chainSlot
 
 	// OnHeartbeat, when set, observes liveness heartbeats addressed to
 	// this node (communicator-layer failure detection). Routed here, at
@@ -199,6 +214,22 @@ type Stats struct {
 	AbortedOps      uint64
 }
 
+// chainSlot is one entry of a card's descriptor-list table.
+type chainSlot struct {
+	id core.GroupID
+	op *chainOp
+}
+
+// chain returns the index of group id's chain in the table, or -1.
+func (n *NIC) chain(id core.GroupID) int {
+	for i := range n.chains {
+		if n.chains[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
 // chainOp is a NIC-resident chained-descriptor barrier: the compiled form
 // of a barrier schedule where each RDMA descriptor is triggered by the
 // arrival of the remote event it waits on.
@@ -221,10 +252,9 @@ func NewNode(eng *sim.Engine, id int, prof *hwprofile.QuadricsProfile, net *nets
 	}
 	n.Host = &Host{proc: proc{eng: eng, clockMHz: prof.Host.ClockMHz}, node: n}
 	n.NIC = &NIC{
-		proc:   proc{eng: eng, clockMHz: prof.NIC.ClockMHz},
-		node:   n,
-		net:    net,
-		chains: make(map[core.GroupID]*chainOp),
+		proc: proc{eng: eng, clockMHz: prof.NIC.ClockMHz},
+		node: n,
+		net:  net,
 	}
 	net.Attach(id, n.NIC.onPacket)
 	return n
@@ -233,8 +263,8 @@ func NewNode(eng *sim.Engine, id int, prof *hwprofile.QuadricsProfile, net *nets
 func (h *Host) deliver(ev Event) {
 	h.exec(h.node.Prof.Host.RecvPollCycles, 0, func() {
 		if ev.Kind == EvBarrierDone || ev.Kind == EvRemote {
-			if fn := h.groupHandlers[ev.Group]; fn != nil {
-				fn(ev)
+			if i := h.handler(ev.Group); i >= 0 {
+				h.groupHandlers[i].fn(ev)
 				return
 			}
 		}
@@ -258,7 +288,7 @@ func (n *NIC) ArmChain(g *core.Group, state *core.OpState) {
 // group's ID is already armed or the card's descriptor-list slots are
 // exhausted.
 func (n *NIC) TryArmChain(g *core.Group, state *core.OpState) error {
-	if _, dup := n.chains[g.ID]; dup {
+	if n.chain(g.ID) >= 0 {
 		return fmt.Errorf("elan: chain for group %d already armed on node %d", g.ID, n.node.ID)
 	}
 	if slots := n.node.Prof.NIC.ChainSlots; len(n.chains) >= slots {
@@ -266,7 +296,7 @@ func (n *NIC) TryArmChain(g *core.Group, state *core.OpState) error {
 			n.node.ID, core.ErrSlotsExhausted, len(n.chains), slots)
 	}
 	delete(n.retired, g.ID)
-	n.chains[g.ID] = &chainOp{group: g, state: state}
+	n.chains = append(n.chains, chainSlot{g.ID, &chainOp{group: g, state: state}})
 	return nil
 }
 
@@ -281,14 +311,14 @@ func (n *NIC) ChainSlotsFree() int {
 // disarming mid-operation panics, as armed descriptors still wait on
 // remote events. Disarming an unknown chain panics — a double free.
 func (n *NIC) DisarmChain(id core.GroupID) {
-	op, ok := n.chains[id]
-	if !ok {
+	i := n.chain(id)
+	if i < 0 {
 		panic(fmt.Sprintf("elan: node %d: disarming unknown chain %d", n.node.ID, id))
 	}
-	if op.state.Active() {
+	if n.chains[i].op.state.Active() {
 		panic(fmt.Sprintf("elan: node %d: disarming chain %d mid-operation", n.node.ID, id))
 	}
-	delete(n.chains, id)
+	n.chains = slices.Delete(n.chains, i, i+1)
 	if n.retired == nil {
 		n.retired = make(map[core.GroupID]sim.Time)
 	}
@@ -340,11 +370,11 @@ func (h *Host) TriggerChain(groupID int) {
 }
 
 func (n *NIC) mustChain(id core.GroupID) *chainOp {
-	op, ok := n.chains[id]
-	if !ok {
+	i := n.chain(id)
+	if i < 0 {
 		panic(fmt.Sprintf("elan: node %d: no chain for group %d", n.node.ID, id))
 	}
-	return op
+	return n.chains[i].op
 }
 
 // AbortChain cancels a group's in-flight chained operation: the
@@ -353,10 +383,11 @@ func (n *NIC) mustChain(id core.GroupID) *chainOp {
 // The SRAM slot stays occupied until DisarmChain, exactly as in the
 // orderly path. Aborting an unknown chain panics.
 func (n *NIC) AbortChain(id core.GroupID) {
-	op, ok := n.chains[id]
-	if !ok {
+	i := n.chain(id)
+	if i < 0 {
 		panic(fmt.Sprintf("elan: node %d: aborting unknown chain %d", n.node.ID, id))
 	}
+	op := n.chains[i].op
 	op.state.Abort()
 	op.frozen = true
 	n.Stats.AbortedOps++

@@ -135,7 +135,7 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 			if node.Host.bound(int(gid)) {
 				return nil, fmt.Errorf("elan: node %d: group %d already bound", id, gid)
 			}
-			if _, dup := node.NIC.chains[gid]; dup {
+			if node.NIC.chain(gid) >= 0 {
 				return nil, fmt.Errorf("elan: chain for group %d already armed on node %d", gid, id)
 			}
 		}

@@ -195,3 +195,38 @@ func benchSteady(b *testing.B, s *Session) {
 		step()
 	}
 }
+
+// Reinstalling groups on a NIC reuses its group table: the table is one
+// slice holding at most GroupQueueSlots entries, grown once and then
+// shared by every later install, whichever module serves the group.
+func TestReinstallReusesGroupTable(t *testing.T) {
+	_, cl := xpCluster(4, nil)
+	nic := cl.Nodes[0].NIC
+	sched := barrier.New(barrier.Dissemination, 4, 0, barrier.Options{})
+	install := func(id core.GroupID) {
+		t.Helper()
+		g := core.NewGroup(id, identity(4), 0)
+		var err error
+		if id%2 == 0 {
+			err = nic.InstallCollectiveGroup(g, sched)
+		} else {
+			err = nic.InstallDirectGroup(g, sched)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(1)
+	install(2)
+	table := &nic.slots[:1][0]
+	for id := core.GroupID(3); id < 40; id++ {
+		nic.UninstallGroup(id - 2)
+		install(id)
+		if &nic.slots[:1][0] != table {
+			t.Fatalf("install of group %d rebuilt the group table", id)
+		}
+		if free := nic.GroupSlotsFree(); free != cl.Prof.NIC.GroupQueueSlots-2 {
+			t.Fatalf("after group %d: %d slots free", id, free)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package myrinet
 
 import (
 	"fmt"
+	"slices"
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
@@ -21,7 +22,6 @@ import (
 //   - uses receiver-driven NACK retransmission instead of ACK+timeout.
 type collModule struct {
 	nic *NIC
-	ops map[core.GroupID]*collOp
 }
 
 // collOp is one group's queue entry. It is also the sim.Event of its own
@@ -34,14 +34,18 @@ type collOp struct {
 	nextSeq   int
 	nackTimer sim.Timer
 	nackSeq   int
-	// nackServed counts NACKs answered per (seq, requesting rank). A
-	// repeat NACK means the first retransmission was lost too, so the
-	// reply escalates to two back-to-back copies: under random loss that
-	// squares the residual failure probability, and under deterministic
-	// every-Nth impairments it breaks retransmission resonance outright
-	// (a one-in-N filter cannot discard two consecutive packets on a
-	// flow).
-	nackServed map[[2]int]int
+	// nackServed counts NACKs answered per requesting rank for the
+	// current and previous operation: entry (seq%2)*dests+i, tagged with
+	// its seq, belongs to destination i in schedule send order. It is
+	// built on the first NACK served. A repeat NACK means the first
+	// retransmission was lost too, so the reply escalates to two
+	// back-to-back copies: under random loss that squares the residual
+	// failure probability, and under deterministic every-Nth impairments
+	// it breaks retransmission resonance outright (a one-in-N filter
+	// cannot discard two consecutive packets on a flow). Peers lag at
+	// most one operation behind, so a NACK for an older operation is a
+	// delayed duplicate: it gets one copy and is not counted.
+	nackServed []nackCount
 	// nackRound counts consecutive fruitless NACK timer rounds for the
 	// active operation (reset by any accepted arrival); past
 	// nackStallRounds the NIC raises OnNackStall — NACK recovery repairs
@@ -54,6 +58,9 @@ type collOp struct {
 	// must not restart from a straggler packet.
 	frozen bool
 }
+
+// nackCount is one destination's NACK count for operation seq.
+type nackCount struct{ seq, n int }
 
 // nackStallRounds is how many consecutive fruitless NACK rounds raise
 // OnNackStall. Transient loss is repaired in one or two rounds (the
@@ -75,34 +82,58 @@ func (op *collOp) sendValue(seq, toRank int) int64 {
 	return v
 }
 
-func newCollModule(n *NIC) *collModule {
-	return &collModule{nic: n, ops: make(map[core.GroupID]*collOp)}
+// groupSlot is one entry of the NIC's group table, the SRAM-resident
+// group-queue slots the collective and direct modules share: the group
+// ID, stored inline so a lookup reads only the table, and the entry
+// serving the group (exactly one of coll and direct is set). The table
+// holds at most GroupQueueSlots entries and is scanned linearly.
+type groupSlot struct {
+	id     core.GroupID
+	coll   *collOp
+	direct *directOp
 }
 
-func (c *collModule) has(id core.GroupID) bool {
-	_, ok := c.ops[id]
-	return ok
+// state returns the protocol state of the slot's group.
+func (s groupSlot) state() *core.OpState {
+	if s.coll != nil {
+		return s.coll.state
+	}
+	return s.direct.state
+}
+
+// slot returns the index of group id in the group table, or -1.
+func (n *NIC) slot(id core.GroupID) int {
+	for i := range n.slots {
+		if n.slots[i].id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // checkSlot validates that group id can claim a NIC group-queue entry:
-// the ID must be fresh and a slot must be free. The slot table is shared
-// between the collective and direct modules — it models one SRAM-resident
-// group table, whichever protocol serves the group.
+// the ID must be fresh and a slot must be free.
 func (n *NIC) checkSlot(id core.GroupID) error {
-	if n.coll.has(id) || n.direct.has(id) {
+	if n.slot(id) >= 0 {
 		return fmt.Errorf("myrinet: group %d already installed on node %d", id, n.node.ID)
 	}
 	slots := n.node.Prof.NIC.GroupQueueSlots
-	if used := len(n.coll.ops) + len(n.direct.ops); used >= slots {
+	if used := len(n.slots); used >= slots {
 		return fmt.Errorf("myrinet: node %d: %w (%d of %d in use)",
 			n.node.ID, core.ErrSlotsExhausted, used, slots)
 	}
 	return nil
 }
 
+// claimSlot installs a checked group-table entry.
+func (n *NIC) claimSlot(s groupSlot) {
+	delete(n.retired, s.id)
+	n.slots = append(n.slots, s)
+}
+
 // GroupSlotsFree reports how many NIC group-queue entries remain.
 func (n *NIC) GroupSlotsFree() int {
-	return n.node.Prof.NIC.GroupQueueSlots - len(n.coll.ops) - len(n.direct.ops)
+	return n.node.Prof.NIC.GroupQueueSlots - len(n.slots)
 }
 
 // UninstallGroup retires a group's queue entry, freeing its slot for a
@@ -113,22 +144,18 @@ func (n *NIC) GroupSlotsFree() int {
 // vector still expects arrivals. Unknown IDs panic too: freeing a slot
 // twice is the host-side bug the real firmware would corrupt SRAM over.
 func (n *NIC) UninstallGroup(id core.GroupID) {
-	switch {
-	case n.coll.has(id):
-		op := n.coll.ops[id]
-		if op.state.Active() {
-			panic(fmt.Sprintf("myrinet: node %d: uninstalling group %d mid-operation", n.node.ID, id))
-		}
-		op.nackTimer.Cancel()
-		delete(n.coll.ops, id)
-	case n.direct.has(id):
-		if n.direct.ops[id].state.Active() {
-			panic(fmt.Sprintf("myrinet: node %d: uninstalling group %d mid-operation", n.node.ID, id))
-		}
-		delete(n.direct.ops, id)
-	default:
+	i := n.slot(id)
+	if i < 0 {
 		panic(fmt.Sprintf("myrinet: node %d: uninstalling unknown group %d", n.node.ID, id))
 	}
+	s := n.slots[i]
+	if s.state().Active() {
+		panic(fmt.Sprintf("myrinet: node %d: uninstalling group %d mid-operation", n.node.ID, id))
+	}
+	if s.coll != nil {
+		s.coll.nackTimer.Cancel()
+	}
+	n.slots = slices.Delete(n.slots, i, i+1)
 	if n.retired == nil {
 		n.retired = make(map[core.GroupID]sim.Time)
 	}
@@ -169,19 +196,19 @@ func (n *NIC) pruneRetired() {
 // (which becomes legal, the state no longer being active); recovery
 // installs a fresh group rather than restarting a frozen one.
 func (n *NIC) AbortGroup(id core.GroupID) {
-	switch {
-	case n.coll.has(id):
-		op := n.coll.ops[id]
+	i := n.slot(id)
+	if i < 0 {
+		panic(fmt.Sprintf("myrinet: node %d: aborting unknown group %d", n.node.ID, id))
+	}
+	if op := n.slots[i].coll; op != nil {
 		op.nackTimer.Cancel()
 		op.nackTimer = sim.Timer{}
 		op.state.Abort()
 		op.frozen = true
-	case n.direct.has(id):
-		op := n.direct.ops[id]
+	} else {
+		op := n.slots[i].direct
 		op.state.Abort()
 		op.frozen = true
-	default:
-		panic(fmt.Sprintf("myrinet: node %d: aborting unknown group %d", n.node.ID, id))
 	}
 	n.Stats.AbortedOps++
 	n.traceEvent(int(id), obs.KindOpTimeout, 0)
@@ -204,8 +231,7 @@ func (c *collModule) install(g *core.Group, sched barrier.Schedule) error {
 	if err := c.nic.checkSlot(g.ID); err != nil {
 		return err
 	}
-	delete(c.nic.retired, g.ID)
-	c.ops[g.ID] = &collOp{mod: c, group: g, state: core.NewOpState(sched)}
+	c.nic.claimSlot(groupSlot{id: g.ID, coll: &collOp{mod: c, group: g, state: core.NewOpState(sched)}})
 	return nil
 }
 
@@ -217,27 +243,24 @@ func (c *collModule) installReduce(g *core.Group, sched barrier.Schedule, op cor
 	if err != nil {
 		return err
 	}
-	delete(c.nic.retired, g.ID)
-	c.ops[g.ID] = &collOp{mod: c, group: g, state: rd.Inner(), reduce: rd}
+	c.nic.claimSlot(groupSlot{id: g.ID, coll: &collOp{mod: c, group: g, state: rd.Inner(), reduce: rd}})
 	return nil
 }
 
 func (c *collModule) mustOp(id core.GroupID) *collOp {
-	op, ok := c.ops[id]
-	if !ok {
-		panic(fmt.Sprintf("myrinet: node %d: collective message for unknown group %d", c.nic.node.ID, id))
+	if i := c.nic.slot(id); i >= 0 && c.nic.slots[i].coll != nil {
+		return c.nic.slots[i].coll
 	}
-	return op
+	panic(fmt.Sprintf("myrinet: node %d: collective message for unknown group %d", c.nic.node.ID, id))
 }
 
 // start handles the operation doorbell: one enqueue charge creates the
 // operation's send record (begin), then the first sends fire from the
 // static packet. value is the allreduce contribution (ignored for
 // barriers).
-func (c *collModule) start(id core.GroupID, value int64) {
-	op := c.mustOp(id)
+func (c *collModule) start(op *collOp, value int64) {
 	n := c.nic
-	n.traceTime(int(id), n.node.Prof.NIC.CollEnqueue, 0)
+	n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollEnqueue, 0)
 	h := n.pool.get(hCollStart, n)
 	h.op, h.msg.value = op, value
 	n.execHandler(n.node.Prof.NIC.CollEnqueue, 0, h)
@@ -257,13 +280,6 @@ func (c *collModule) begin(op *collOp, value int64) {
 	seq := op.nextSeq
 	op.nextSeq++
 	op.nackRound = 0
-	// Peers lag at most one operation behind, so NACK bookkeeping for
-	// operations before seq-1 can never be consulted again.
-	for k := range op.nackServed {
-		if k[0] < seq-1 {
-			delete(op.nackServed, k)
-		}
-	}
 	var sends []int
 	var done bool
 	var err error
@@ -463,14 +479,20 @@ func (c *collModule) serveNack(m collPayload, fromNode int) {
 	if !op.state.HasSent(m.seq, m.fromRank) {
 		return // not sent yet; the normal path will deliver it
 	}
-	if op.nackServed == nil {
-		op.nackServed = make(map[[2]int]int)
-	}
-	key := [2]int{m.seq, m.fromRank}
-	op.nackServed[key]++
 	copies := 1
-	if op.nackServed[key] > 1 {
-		copies = 2
+	if m.seq >= op.state.Seq()-1 {
+		if op.nackServed == nil {
+			op.nackServed = make([]nackCount, 2*op.state.Schedule().TotalSends())
+		}
+		i, _ := op.state.SendIndex(m.fromRank)
+		served := &op.nackServed[(m.seq&1)*(len(op.nackServed)/2)+i]
+		if served.seq != m.seq {
+			*served = nackCount{seq: m.seq}
+		}
+		served.n++
+		if served.n > 1 {
+			copies = 2
+		}
 	}
 	payload := collPayload{
 		group: op.group.ID, seq: m.seq, fromRank: op.group.MyRank,

@@ -15,7 +15,6 @@ import (
 // send records, ACKs and sender timeouts.
 type directModule struct {
 	nic *NIC
-	ops map[core.GroupID]*directOp
 }
 
 type directOp struct {
@@ -27,34 +26,22 @@ type directOp struct {
 	frozen bool
 }
 
-func newDirectModule(n *NIC) *directModule {
-	return &directModule{nic: n, ops: make(map[core.GroupID]*directOp)}
-}
-
-func (d *directModule) has(id core.GroupID) bool {
-	_, ok := d.ops[id]
-	return ok
-}
-
 func (d *directModule) install(g *core.Group, sched barrier.Schedule) error {
 	if err := d.nic.checkSlot(g.ID); err != nil {
 		return err
 	}
-	delete(d.nic.retired, g.ID)
-	d.ops[g.ID] = &directOp{group: g, state: core.NewOpState(sched)}
+	d.nic.claimSlot(groupSlot{id: g.ID, direct: &directOp{group: g, state: core.NewOpState(sched)}})
 	return nil
 }
 
 func (d *directModule) mustOp(id core.GroupID) *directOp {
-	op, ok := d.ops[id]
-	if !ok {
-		panic(fmt.Sprintf("myrinet: node %d: direct barrier message for unknown group %d", d.nic.node.ID, id))
+	if i := d.nic.slot(id); i >= 0 && d.nic.slots[i].direct != nil {
+		return d.nic.slots[i].direct
 	}
-	return op
+	panic(fmt.Sprintf("myrinet: node %d: direct barrier message for unknown group %d", d.nic.node.ID, id))
 }
 
-func (d *directModule) start(id core.GroupID) {
-	op := d.mustOp(id)
+func (d *directModule) start(op *directOp) {
 	n := d.nic
 	// The doorbell is translated like a regular send event.
 	n.exec(n.node.Prof.NIC.TokenTranslate, 0, func() {

@@ -94,7 +94,7 @@ func (h *handler) Fire() {
 	r := *h
 	n := r.nic
 	n.pool.put(h)
-	c := n.coll
+	c := &n.coll
 	switch r.kind {
 	case hCollStart:
 		c.begin(r.op, r.msg.value)

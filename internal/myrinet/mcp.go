@@ -103,7 +103,9 @@ type NIC struct {
 	net  *netsim.Network
 	pool *pool // the cluster's shared handler and payload free lists
 
-	// p2p send side.
+	// p2p send side. The GM maps (queues, nextSeq, records, expectSeq)
+	// are built on the NIC's first p2p send or receive (see gm): most
+	// NICs of a collective-only run never touch them.
 	queues      map[int][]*sendToken
 	rr          []int // destinations with queued tokens, sorted
 	lastDst     int   // round-robin cursor over the destination space
@@ -116,8 +118,10 @@ type NIC struct {
 	expectSeq  map[int]uint32
 	recvTokens int
 
-	coll   *collModule
-	direct *directModule
+	coll   collModule
+	direct directModule
+	// slots is the group table both modules share (see groupSlot).
+	slots []groupSlot
 
 	// retired remembers recently uninstalled group IDs (keyed to their
 	// teardown time) so that late traffic — NACK-resent duplicates that
@@ -170,15 +174,20 @@ func newNIC(eng *sim.Engine, node *Node, net *netsim.Network, pl *pool) *NIC {
 		node:        node,
 		net:         net,
 		pool:        pl,
-		queues:      make(map[int][]*sendToken),
 		freePackets: node.Prof.NIC.SendPacketPool,
-		nextSeq:     make(map[int]uint32),
-		records:     make(map[recordKey]*sendRecord),
-		expectSeq:   make(map[int]uint32),
 	}
-	n.coll = newCollModule(n)
-	n.direct = newDirectModule(n)
+	n.coll.nic, n.direct.nic = n, n
 	return n
+}
+
+// gm builds the point-to-point protocol's maps on first use.
+func (n *NIC) gm() {
+	if n.queues == nil {
+		n.queues = make(map[int][]*sendToken)
+		n.nextSeq = make(map[int]uint32)
+		n.records = make(map[recordKey]*sendRecord)
+		n.expectSeq = make(map[int]uint32)
+	}
 }
 
 // --- doorbell handlers (arrive over PCI from the host) ---
@@ -199,20 +208,21 @@ func (n *NIC) onTokenPost() {
 
 func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 	n.traceEvent(groupID, obs.KindDoorbell, value)
-	id := core.GroupID(groupID)
+	i := n.slot(core.GroupID(groupID))
 	switch {
-	case n.coll.has(id):
-		n.coll.start(id, value)
-	case n.direct.has(id):
-		n.direct.start(id)
-	default:
+	case i < 0:
 		panic(fmt.Sprintf("myrinet: node %d: barrier doorbell for unknown group %d", n.node.ID, groupID))
+	case n.slots[i].coll != nil:
+		n.coll.start(n.slots[i].coll, value)
+	default:
+		n.direct.start(n.slots[i].direct)
 	}
 }
 
 // --- p2p send pipeline ---
 
 func (n *NIC) enqueueToken(t *sendToken) {
+	n.gm()
 	q := n.queues[t.dst]
 	if len(q) == 0 {
 		// Insert into the sorted pending-destination ring.
@@ -366,6 +376,7 @@ func (n *NIC) onPacket(pkt netsim.Packet) {
 }
 
 func (n *NIC) onData(m dataMsg) {
+	n.gm()
 	p := n.node.Prof.NIC
 	n.exec(p.SeqCheck, p.RecvFixed, func() {
 		if m.seq != n.expectSeq[m.src] {

@@ -19,6 +19,7 @@ package myrinet
 
 import (
 	"fmt"
+	"slices"
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
@@ -101,8 +102,25 @@ type Host struct {
 	// groupHandlers routes group-addressed events (barrier completions,
 	// host-scheme barrier messages) to the session driving that group, so
 	// concurrent communicators can share one node without clobbering each
-	// other's event hook.
-	groupHandlers map[int]func(Event)
+	// other's event hook. It holds one entry per bound group and is
+	// scanned linearly.
+	groupHandlers []groupHandler
+}
+
+// groupHandler is one group's event binding on a host.
+type groupHandler struct {
+	gid int
+	fn  func(Event)
+}
+
+// handler returns the index of group gid's binding, or -1.
+func (h *Host) handler(gid int) int {
+	for i := range h.groupHandlers {
+		if h.groupHandlers[i].gid == gid {
+			return i
+		}
+	}
+	return -1
 }
 
 // Bind routes this node's events for one group ID to fn. It panics on a
@@ -112,20 +130,14 @@ func (h *Host) Bind(groupID int, fn func(Event)) {
 	if fn == nil {
 		panic("myrinet: nil group event handler")
 	}
-	if h.groupHandlers == nil {
-		h.groupHandlers = make(map[int]func(Event))
-	}
-	if _, dup := h.groupHandlers[groupID]; dup {
+	if h.bound(groupID) {
 		panic(fmt.Sprintf("myrinet: node %d: group %d already bound", h.node.ID, groupID))
 	}
-	h.groupHandlers[groupID] = fn
+	h.groupHandlers = append(h.groupHandlers, groupHandler{groupID, fn})
 }
 
 // bound reports whether a handler is already bound for the group.
-func (h *Host) bound(groupID int) bool {
-	_, ok := h.groupHandlers[groupID]
-	return ok
-}
+func (h *Host) bound(groupID int) bool { return h.handler(groupID) >= 0 }
 
 // Unbind releases a group's event routing, the host half of group
 // teardown. Unbinding a group that was never bound panics — it means two
@@ -133,10 +145,11 @@ func (h *Host) bound(groupID int) bool {
 // are still in flight afterwards fall through to OnEvent (usually nil),
 // exactly like events for a group that was never installed.
 func (h *Host) Unbind(groupID int) {
-	if _, ok := h.groupHandlers[groupID]; !ok {
+	i := h.handler(groupID)
+	if i < 0 {
 		panic(fmt.Sprintf("myrinet: node %d: unbinding group %d that is not bound", h.node.ID, groupID))
 	}
-	delete(h.groupHandlers, groupID)
+	h.groupHandlers = slices.Delete(h.groupHandlers, i, i+1)
 }
 
 // eventGroup extracts the group an event is addressed to, when it is
@@ -184,8 +197,8 @@ func (h *Host) deliver(ev Event) {
 // the host poll loop demultiplexing its event queue.
 func (h *Host) dispatch(ev Event) {
 	if gid, ok := eventGroup(ev); ok {
-		if fn := h.groupHandlers[gid]; fn != nil {
-			fn(ev)
+		if i := h.handler(gid); i >= 0 {
+			h.groupHandlers[i].fn(ev)
 			return
 		}
 	}

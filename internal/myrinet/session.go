@@ -293,7 +293,7 @@ func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 			m.hostOp = core.NewOpState(m.sched)
 			// Pre-post a pool of receive buffers; each consumed event
 			// is replenished during the run.
-			m.node.Host.PostRecvTokens(len(m.sched.ExpectedArrivals()) + 4)
+			m.node.Host.PostRecvTokens(m.sched.TotalWaits() + 4)
 		case SchemeDirect:
 			if err := m.node.NIC.InstallDirectGroup(m.group, m.sched); err != nil {
 				return nil, err
