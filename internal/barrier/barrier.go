@@ -9,6 +9,10 @@
 // chained RDMA) execute these same schedules; only *where* the processing
 // happens differs, which is precisely the paper's point.
 //
+// A Plan holds the schedules of a whole group with peers stored relative
+// to the reading rank, so a dissemination group keeps one step table for
+// all its ranks; a Schedule is one rank's view of a plan.
+//
 // Within one barrier each ordered (sender, receiver) pair occurs at most
 // once in every algorithm (for dissemination this holds because
 // 0 < 2^b − 2^a < N for steps a < b ≤ ⌈log2 N⌉−1), so a notification is
@@ -61,34 +65,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("barrier: unknown algorithm %q", s)
 }
 
-// Step is one stage of a rank's barrier participation. When a step starts
-// (all earlier steps completed), the rank sends a notification to every
-// rank in Send; the step completes once notifications from every rank in
-// Wait have arrived. Notifications may arrive before their step starts and
-// must be buffered — the bit-vector bookkeeping in the NIC collective
-// protocol exists for exactly this.
-//
-// ResultWait marks steps whose awaited messages carry a final combined
-// result rather than a partial contribution (the broadcast-down phase of
-// gather-broadcast). Barriers ignore it; the allreduce extension uses it
-// to replace instead of combine.
-//
-// A schedule's lists share one backing array, and an exchange step's
-// Send and Wait are the same list: treat them as read-only.
-type Step struct {
-	Send       []int
-	Wait       []int
-	ResultWait bool
-}
-
-// Schedule is one rank's complete barrier script.
-type Schedule struct {
-	Algorithm Algorithm
-	N         int // group size
-	Rank      int
-	Steps     []Step
-}
-
 // Options tunes schedule construction.
 type Options struct {
 	// TreeDegree is the arity d of the gather-broadcast tree; 0 means
@@ -100,45 +76,40 @@ type Options struct {
 // not override it.
 const DefaultTreeDegree = 4
 
-// New builds the schedule for one rank.
-func New(alg Algorithm, n, rank int, opts Options) Schedule {
-	if n < 1 {
-		panic(fmt.Sprintf("barrier: group size %d", n))
-	}
-	if rank < 0 || rank >= n {
-		panic(fmt.Sprintf("barrier: rank %d outside group of %d", rank, n))
-	}
-	s := Schedule{Algorithm: alg, N: n, Rank: rank}
+// NewPlan builds the plan of algorithm alg over an n-rank group.
+func NewPlan(alg Algorithm, n int, opts Options) *Plan {
+	checkSize(n)
+	p := &Plan{alg: alg, n: n}
 	if n == 1 {
-		return s
+		p.shared = newTable(alg, n, 0, 0, 0).index()
+		return p
 	}
 	switch alg {
 	case Dissemination:
-		s.Steps = disseminationSteps(n, rank)
+		p.shared = disseminationTable(n)
 	case PairwiseExchange:
-		s.Steps = pairwiseSteps(n, rank)
 	case GatherBroadcast:
-		d := opts.TreeDegree
-		if d == 0 {
-			d = DefaultTreeDegree
+		p.degree = opts.TreeDegree
+		if p.degree == 0 {
+			p.degree = DefaultTreeDegree
 		}
-		if d < 2 {
-			panic(fmt.Sprintf("barrier: tree degree %d", d))
+		if p.degree < 2 {
+			panic(fmt.Sprintf("barrier: tree degree %d", p.degree))
 		}
-		s.Steps = gatherBroadcastSteps(n, rank, d)
 	default:
 		panic(fmt.Sprintf("barrier: unknown algorithm %d", int(alg)))
 	}
-	return s
+	return p
+}
+
+// New builds the schedule of one rank: NewPlan(alg, n, opts).Rank(rank).
+func New(alg Algorithm, n, rank int, opts Options) Schedule {
+	return NewPlan(alg, n, opts).Rank(rank)
 }
 
 // All builds the schedules of every rank in an n-rank group.
 func All(alg Algorithm, n int, opts Options) []Schedule {
-	out := make([]Schedule, n)
-	for r := 0; r < n; r++ {
-		out[r] = New(alg, n, r, opts)
-	}
-	return out
+	return NewPlan(alg, n, opts).all()
 }
 
 // Log2Ceil returns ⌈log2 n⌉ for n >= 1.
@@ -200,138 +171,106 @@ func CriticalSteps(alg Algorithm, n int, opts Options) int {
 	}
 }
 
-// peerLists is the one backing array a schedule constructor carves a
-// rank's Send and Wait lists from, so building a schedule costs two
-// allocations (the steps and their peers) whatever its shape.
-type peerLists []int
-
-// take returns the next k peers as a capacity-capped list (nil when k is
-// 0, as an absent list reads), filled with ranks in order when given.
-func (p *peerLists) take(k int, ranks ...int) []int {
-	if k == 0 {
-		return nil
-	}
-	l := (*p)[:k:k]
-	*p = (*p)[k:]
-	copy(l, ranks)
-	return l
-}
-
-func disseminationSteps(n, rank int) []Step {
+// disseminationTable builds the one table of a dissemination plan: rank
+// 0's schedule, which every rank reads rotated.
+func disseminationTable(n int) *table {
 	k := Log2Ceil(n)
-	steps := make([]Step, 0, k)
-	peers := make(peerLists, 2*k)
+	t := newTable(Dissemination, n, k, k, k)
 	for m := 1; m < n; m <<= 1 {
-		steps = append(steps, Step{
-			Send: peers.take(1, (rank+m)%n),
-			Wait: peers.take(1, (rank-m+n)%n),
-		})
+		t.send(0, m)
+		t.wait(0, n-m)
+		t.endStep(false)
 	}
-	return steps
+	return t.index()
 }
 
-func pairwiseSteps(n, rank int) []Step {
+func pairwiseTable(n, rank int) *table {
 	if IsPowerOfTwo(n) {
 		k := Log2Floor(n)
-		steps := make([]Step, 0, k)
-		peers := make(peerLists, k)
+		t := newTable(PairwiseExchange, n, k, k, k)
 		for m := 1; m < n; m <<= 1 {
 			// An exchange sends to and waits on the same peer.
-			peer := peers.take(1, rank^m)
-			steps = append(steps, Step{Send: peer, Wait: peer})
+			t.send(rank, rank^m)
+			t.wait(rank, rank^m)
+			t.endStep(false)
 		}
-		return steps
+		return t.index()
 	}
 	m := 1 << Log2Floor(n) // largest power of two below n
 	if rank >= m {
 		// Extra rank: announce entry to its partner, then wait for the
 		// partner's exit notification — which carries the final combined
 		// result (the partner finished the whole exchange first).
-		partner := []int{rank - m}
-		return []Step{
-			{Send: partner},
-			{Wait: partner, ResultWait: true},
-		}
+		t := newTable(PairwiseExchange, n, 2, 1, 1)
+		t.send(rank, rank-m)
+		t.endStep(false)
+		t.wait(rank, rank-m)
+		t.endStep(true)
+		return t.index()
 	}
 	partner := rank + m
 	hasPartner := partner < n
 	k := Log2Floor(m)
+	steps, peers := k, k
 	if hasPartner {
-		k++
+		steps, peers = k+2, k+1
 	}
-	steps := make([]Step, 0, k+1)
-	peers := make(peerLists, k)
-	var partnerList []int
+	t := newTable(PairwiseExchange, n, steps, peers, peers)
 	if hasPartner {
-		partnerList = peers.take(1, partner)
-		steps = append(steps, Step{Wait: partnerList})
+		t.wait(rank, partner)
+		t.endStep(false)
 	}
 	for b := 1; b < m; b <<= 1 {
-		peer := peers.take(1, rank^b)
-		steps = append(steps, Step{Send: peer, Wait: peer})
+		t.send(rank, rank^b)
+		t.wait(rank, rank^b)
+		t.endStep(false)
 	}
 	if hasPartner {
-		steps = append(steps, Step{Send: partnerList})
+		t.send(rank, partner)
+		t.endStep(false)
 	}
-	return steps
+	return t.index()
 }
 
 // treeChildren counts the tree children of position pos: positions
 // pos*d+1 .. pos*d+d below n.
 func treeChildren(n, pos, d int) int { return max(0, min(d, n-(pos*d+1))) }
 
-func gatherBroadcastSteps(n, rank, d int) []Step {
+func gatherBroadcastTable(n, rank, d int) *table {
 	k := treeChildren(n, rank, d)
 	if rank == 0 {
-		children := make([]int, k)
-		for i := range children {
-			children[i] = i + 1
+		t := newTable(GatherBroadcast, n, 2, k, k)
+		for i := 1; i <= k; i++ {
+			t.wait(rank, i)
 		}
-		return []Step{{Wait: children}, {Send: children}}
+		t.endStep(false)
+		for i := 1; i <= k; i++ {
+			t.send(rank, i)
+		}
+		t.endStep(false)
+		return t.index()
 	}
-	peers := make(peerLists, k+1)
-	up := peers.take(1, (rank-1)/d)
+	up := (rank - 1) / d
 	if k == 0 {
 		// Leaf: one combined step — notify the parent, wait for the
 		// broadcast (carrying the final result) to come back.
-		return []Step{{Send: up, Wait: up, ResultWait: true}}
+		t := newTable(GatherBroadcast, n, 1, 1, 1)
+		t.send(rank, up)
+		t.wait(rank, up)
+		t.endStep(true)
+		return t.index()
 	}
-	children := peers.take(k)
-	for i := range children {
-		children[i] = rank*d + 1 + i
+	t := newTable(GatherBroadcast, n, 3, k+1, k+1)
+	for i := 0; i < k; i++ {
+		t.wait(rank, rank*d+1+i)
 	}
-	return []Step{
-		{Wait: children},
-		{Send: up, Wait: up, ResultWait: true},
-		{Send: children},
+	t.endStep(false)
+	t.send(rank, up)
+	t.wait(rank, up)
+	t.endStep(true)
+	for i := 0; i < k; i++ {
+		t.send(rank, rank*d+1+i)
 	}
-}
-
-// ExpectedArrivals returns, in step order, the ranks whose notifications
-// this schedule waits for. The NIC collective protocol numbers its
-// arrival bits in this order.
-func (s Schedule) ExpectedArrivals() []int {
-	out := make([]int, 0, s.TotalWaits())
-	for _, st := range s.Steps {
-		out = append(out, st.Wait...)
-	}
-	return out
-}
-
-// TotalWaits counts the notifications this rank awaits per barrier.
-func (s Schedule) TotalWaits() int {
-	n := 0
-	for _, st := range s.Steps {
-		n += len(st.Wait)
-	}
-	return n
-}
-
-// TotalSends counts the notifications this rank transmits per barrier.
-func (s Schedule) TotalSends() int {
-	n := 0
-	for _, st := range s.Steps {
-		n += len(st.Send)
-	}
-	return n
+	t.endStep(false)
+	return t.index()
 }

@@ -85,10 +85,10 @@ func TestScheduleShapes(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 6, 8, 12, 16} {
 		for r := 0; r < n; r++ {
 			ds := New(Dissemination, n, r, Options{})
-			if len(ds.Steps) != Log2Ceil(n) {
-				t.Errorf("DS n=%d rank=%d: %d steps", n, r, len(ds.Steps))
+			if ds.Steps() != Log2Ceil(n) {
+				t.Errorf("DS n=%d rank=%d: %d steps", n, r, ds.Steps())
 			}
-			for _, st := range ds.Steps {
+			for _, st := range resolve(ds) {
 				if len(st.Send) != 1 || len(st.Wait) != 1 {
 					t.Errorf("DS n=%d rank=%d: step %+v", n, r, st)
 				}
@@ -97,10 +97,10 @@ func TestScheduleShapes(t *testing.T) {
 	}
 	// PE power of two: every step is a symmetric exchange.
 	pe := New(PairwiseExchange, 8, 3, Options{})
-	if len(pe.Steps) != 3 {
-		t.Fatalf("PE n=8: %d steps", len(pe.Steps))
+	if pe.Steps() != 3 {
+		t.Fatalf("PE n=8: %d steps", pe.Steps())
 	}
-	for _, st := range pe.Steps {
+	for _, st := range resolve(pe) {
 		if len(st.Send) != 1 || len(st.Wait) != 1 || st.Send[0] != st.Wait[0] {
 			t.Errorf("PE pow2 step not an exchange: %+v", st)
 		}
@@ -112,8 +112,8 @@ func TestScheduleShapes(t *testing.T) {
 			t.Errorf("PE extra rank %d: sends=%d arrivals=%d",
 				r, s.TotalSends(), len(s.ExpectedArrivals()))
 		}
-		if s.Steps[0].Send[0] != r-4 {
-			t.Errorf("PE extra rank %d announces to %d", r, s.Steps[0].Send[0])
+		if to := resolve(s)[0].Send[0]; to != r-4 {
+			t.Errorf("PE extra rank %d announces to %d", r, to)
 		}
 	}
 }
@@ -123,25 +123,27 @@ func TestGatherBroadcastTreeShape(t *testing.T) {
 	// rank 2 has 9..12; ranks 3..12 are leaves.
 	opts := Options{TreeDegree: 4}
 	root := New(GatherBroadcast, 13, 0, opts)
-	if len(root.Steps) != 2 {
-		t.Fatalf("root steps = %d", len(root.Steps))
+	if root.Steps() != 2 {
+		t.Fatalf("root steps = %d", root.Steps())
 	}
-	if got := root.Steps[0].Wait; len(got) != 4 {
+	if got := root.AppendWaits(nil, 0); len(got) != 4 {
 		t.Fatalf("root waits on %v", got)
 	}
 	interior := New(GatherBroadcast, 13, 1, opts)
-	if len(interior.Steps) != 3 {
-		t.Fatalf("interior steps = %d", len(interior.Steps))
+	if interior.Steps() != 3 {
+		t.Fatalf("interior steps = %d", interior.Steps())
 	}
-	leaf := New(GatherBroadcast, 13, 12, opts)
-	if len(leaf.Steps) != 1 || leaf.Steps[0].Send[0] != 2 || leaf.Steps[0].Wait[0] != 2 {
-		t.Fatalf("leaf schedule %+v", leaf.Steps)
+	leaf := resolve(New(GatherBroadcast, 13, 12, opts))
+	if len(leaf) != 1 || leaf[0].Send[0] != 2 || leaf[0].Wait[0] != 2 {
+		t.Fatalf("leaf schedule %+v", leaf)
 	}
 }
 
 func TestNewPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"n=0":        func() { New(Dissemination, 0, 0, Options{}) },
+		"plan n=0":   func() { NewPlan(PairwiseExchange, 0, Options{}) },
+		"view range": func() { NewPlan(Dissemination, 4, Options{}).Rank(4) },
 		"rank range": func() { New(Dissemination, 4, 4, Options{}) },
 		"neg rank":   func() { New(Dissemination, 4, -1, Options{}) },
 		"bad alg":    func() { New(Algorithm(9), 4, 0, Options{}) },
@@ -161,8 +163,8 @@ func TestNewPanics(t *testing.T) {
 func TestSingletonGroup(t *testing.T) {
 	for _, alg := range []Algorithm{Dissemination, PairwiseExchange, GatherBroadcast} {
 		s := New(alg, 1, 0, Options{})
-		if len(s.Steps) != 0 {
-			t.Errorf("%v n=1 has %d steps", alg, len(s.Steps))
+		if s.Steps() != 0 {
+			t.Errorf("%v n=1 has %d steps", alg, s.Steps())
 		}
 		if err := Verify(alg, 1, Options{}); err != nil {
 			t.Errorf("%v n=1: %v", alg, err)
@@ -177,11 +179,11 @@ func TestNoDuplicatePairs(t *testing.T) {
 		for n := 2; n <= 70; n++ {
 			pairs := map[[2]int]bool{}
 			for _, s := range All(alg, n, Options{}) {
-				for _, st := range s.Steps {
+				for _, st := range resolve(s) {
 					for _, dst := range st.Send {
-						key := [2]int{s.Rank, dst}
+						key := [2]int{s.Rank(), dst}
 						if pairs[key] {
-							t.Fatalf("%v n=%d: duplicate send %d->%d", alg, n, s.Rank, dst)
+							t.Fatalf("%v n=%d: duplicate send %d->%d", alg, n, s.Rank(), dst)
 						}
 						pairs[key] = true
 					}
@@ -199,12 +201,12 @@ func TestSendWaitSymmetry(t *testing.T) {
 			sends := map[[2]int]int{}
 			waits := map[[2]int]int{}
 			for _, s := range All(alg, n, Options{}) {
-				for _, st := range s.Steps {
+				for _, st := range resolve(s) {
 					for _, dst := range st.Send {
-						sends[[2]int{s.Rank, dst}]++
+						sends[[2]int{s.Rank(), dst}]++
 					}
 					for _, src := range st.Wait {
-						waits[[2]int{src, s.Rank}]++
+						waits[[2]int{src, s.Rank()}]++
 					}
 				}
 			}
@@ -254,23 +256,31 @@ func TestVerifyProperty(t *testing.T) {
 
 // The verifier must actually catch broken schedules.
 func TestVerifyCatchesBrokenSchedules(t *testing.T) {
-	// Drop one rank's sends entirely: peers deadlock.
-	scheds := All(Dissemination, 8, Options{})
-	for i := range scheds[3].Steps {
-		scheds[3].Steps[i].Send = nil
+	// broken rebuilds every rank's schedule with its lists edited.
+	broken := func(n int, edit func(rank int, st *refStep)) []Schedule {
+		scheds := make([]Schedule, n)
+		for r := range scheds {
+			steps := refNew(Dissemination, n, r, Options{})
+			for i := range steps {
+				edit(r, &steps[i])
+			}
+			scheds[r] = fromSteps(Dissemination, n, r, steps)
+		}
+		return scheds
 	}
-	if err := VerifySchedules(scheds); err == nil {
+	// Drop one rank's sends entirely: peers deadlock.
+	dropped := broken(8, func(rank int, st *refStep) {
+		if rank == 3 {
+			st.Send = nil
+		}
+	})
+	if err := verifySchedules(dropped); err == nil {
 		t.Fatal("verifier accepted schedule with dropped sends")
 	}
 
 	// A "barrier" where nobody waits: completes but without knowledge.
-	free := All(Dissemination, 4, Options{})
-	for r := range free {
-		for i := range free[r].Steps {
-			free[r].Steps[i].Wait = nil
-		}
-	}
-	if err := VerifySchedules(free); err == nil {
+	free := broken(4, func(_ int, st *refStep) { st.Wait = nil })
+	if err := verifySchedules(free); err == nil {
 		t.Fatal("verifier accepted barrier with no synchronization")
 	}
 }
@@ -293,14 +303,25 @@ func TestExpectedArrivalsAndTotalSends(t *testing.T) {
 	}
 }
 
-var scheduleSink Schedule
+var (
+	planSink     *Plan
+	scheduleSink Schedule
+)
 
-// A dissemination schedule is two allocations at any size: the steps and
-// one backing array for all their Send and Wait lists.
+// A dissemination plan is five allocations at any size (the plan, its
+// one table, the table's steps, peer array and slot array), and a rank's
+// schedule is a view of it that costs none.
 func TestDisseminationScheduleAllocs(t *testing.T) {
 	for _, n := range []int{8, 65536} {
-		if got := testing.AllocsPerRun(20, func() { scheduleSink = New(Dissemination, n, 5, Options{}) }); got > 2 {
-			t.Errorf("New(Dissemination, %d): %.0f allocations, want at most 2", n, got)
+		if got := testing.AllocsPerRun(20, func() { planSink = NewPlan(Dissemination, n, Options{}) }); got != 5 {
+			t.Errorf("NewPlan(Dissemination, %d): %.0f allocations, want 5", n, got)
+		}
+		plan := NewPlan(Dissemination, n, Options{})
+		if got := testing.AllocsPerRun(20, func() { scheduleSink = plan.Rank(5) }); got != 0 {
+			t.Errorf("Rank on a %d-rank dissemination plan: %.0f allocations, want 0", n, got)
+		}
+		if !plan.Rank(0).Shares(plan.Rank(n - 1)) {
+			t.Errorf("n=%d: dissemination ranks read different tables", n)
 		}
 	}
 }

@@ -2,63 +2,74 @@ package barrier
 
 import "fmt"
 
-// BroadcastTree builds the schedule of one rank in a one-to-all
-// notification broadcast down a d-ary tree rooted at root. This is not a
-// barrier — it is the NIC-based broadcast of the paper's future-work
-// section (and of Yu et al., ICPP'03), expressed in the same Schedule
-// form so the NIC collective protocol executes it unchanged: the root
-// fires its children immediately, interior ranks forward upon arrival,
-// leaves simply complete.
+// NewBroadcastPlan builds the plan of a one-to-all notification
+// broadcast down a d-ary tree rooted at root. This is not a barrier — it
+// is the NIC-based broadcast of the paper's future-work section (and of
+// Yu et al., ICPP'03), expressed in the same Schedule form so the NIC
+// collective protocol executes it unchanged: the root fires its children
+// immediately, interior ranks forward upon arrival, leaves simply
+// complete.
 //
 // Tree positions are assigned on ranks rotated so the root maps to
 // position 0; children of position p are positions p*d+1 .. p*d+d.
-func BroadcastTree(n, rank, root, degree int) Schedule {
-	if n < 1 {
-		panic(fmt.Sprintf("barrier: group size %d", n))
-	}
-	if rank < 0 || rank >= n || root < 0 || root >= n {
-		panic(fmt.Sprintf("barrier: rank %d / root %d outside group of %d", rank, root, n))
+// A rank's children depend on its position, so every rank reads its own
+// table.
+func NewBroadcastPlan(n, root, degree int) *Plan {
+	checkSize(n)
+	if root < 0 || root >= n {
+		panic(fmt.Sprintf("barrier: root %d outside group of %d", root, n))
 	}
 	if degree < 2 {
 		panic(fmt.Sprintf("barrier: broadcast degree %d", degree))
 	}
-	s := Schedule{Algorithm: -1, N: n, Rank: rank}
+	p := &Plan{alg: broadcast, n: n, degree: degree, root: root}
 	if n == 1 {
-		return s
+		p.shared = newTable(broadcast, n, 0, 0, 0).index()
 	}
+	return p
+}
+
+// BroadcastTree builds the broadcast schedule of one rank:
+// NewBroadcastPlan(n, root, degree).Rank(rank).
+func BroadcastTree(n, rank, root, degree int) Schedule {
+	return NewBroadcastPlan(n, root, degree).Rank(rank)
+}
+
+func broadcastTable(n, rank, root, degree int) *table {
 	pos := (rank - root + n) % n
 	k := treeChildren(n, pos, degree)
-	peers := make(peerLists, k+1)
-	children := peers.take(k)
-	for i := range children {
-		children[i] = (pos*degree + 1 + i + root) % n // unrotated position
-	}
+	child := func(i int) int { return (pos*degree + 1 + i + root) % n } // unrotated position
 	if pos == 0 {
-		s.Steps = []Step{{Send: children}}
-		return s
+		t := newTable(broadcast, n, 1, k, 0)
+		for i := 0; i < k; i++ {
+			t.send(rank, child(i))
+		}
+		t.endStep(false)
+		return t.index()
 	}
-	parent := peers.take(1, ((pos-1)/degree+root)%n)
+	parent := ((pos-1)/degree + root) % n
 	if k == 0 {
-		s.Steps = []Step{{Wait: parent}}
-		return s
+		t := newTable(broadcast, n, 1, 0, 1)
+		t.wait(rank, parent)
+		t.endStep(false)
+		return t.index()
 	}
 	// Forwarding must happen only after the parent's notification
 	// arrives, so the wait and the send are separate steps (a step's
 	// sends fire when the step starts).
-	s.Steps = []Step{
-		{Wait: parent},
-		{Send: children},
+	t := newTable(broadcast, n, 2, k, 1)
+	t.wait(rank, parent)
+	t.endStep(false)
+	for i := 0; i < k; i++ {
+		t.send(rank, child(i))
 	}
-	return s
+	t.endStep(false)
+	return t.index()
 }
 
 // AllBroadcast builds the broadcast schedules of every rank.
 func AllBroadcast(n, root, degree int) []Schedule {
-	out := make([]Schedule, n)
-	for r := 0; r < n; r++ {
-		out[r] = BroadcastTree(n, r, root, degree)
-	}
-	return out
+	return NewBroadcastPlan(n, root, degree).all()
 }
 
 // VerifyBroadcast abstractly executes broadcast schedules and checks that

@@ -8,23 +8,23 @@ import (
 func TestBroadcastTreeShapes(t *testing.T) {
 	// n=13, root=0, degree=4: root sends to 1..4; rank 1 forwards to
 	// 5..8; rank 12 is a leaf under rank 2.
-	root := BroadcastTree(13, 0, 0, 4)
-	if len(root.Steps) != 1 || len(root.Steps[0].Send) != 4 || len(root.Steps[0].Wait) != 0 {
-		t.Fatalf("root schedule %+v", root.Steps)
+	root := resolve(BroadcastTree(13, 0, 0, 4))
+	if len(root) != 1 || len(root[0].Send) != 4 || len(root[0].Wait) != 0 {
+		t.Fatalf("root schedule %+v", root)
 	}
-	interior := BroadcastTree(13, 1, 0, 4)
-	if len(interior.Steps) != 2 {
-		t.Fatalf("interior schedule %+v", interior.Steps)
+	interior := resolve(BroadcastTree(13, 1, 0, 4))
+	if len(interior) != 2 {
+		t.Fatalf("interior schedule %+v", interior)
 	}
-	if interior.Steps[0].Wait[0] != 0 || len(interior.Steps[0].Send) != 0 {
-		t.Fatalf("interior step0 %+v", interior.Steps[0])
+	if interior[0].Wait[0] != 0 || len(interior[0].Send) != 0 {
+		t.Fatalf("interior step0 %+v", interior[0])
 	}
-	if len(interior.Steps[1].Send) != 4 {
-		t.Fatalf("interior step1 %+v", interior.Steps[1])
+	if len(interior[1].Send) != 4 {
+		t.Fatalf("interior step1 %+v", interior[1])
 	}
-	leaf := BroadcastTree(13, 12, 0, 4)
-	if len(leaf.Steps) != 1 || leaf.Steps[0].Wait[0] != 2 {
-		t.Fatalf("leaf schedule %+v", leaf.Steps)
+	leaf := resolve(BroadcastTree(13, 12, 0, 4))
+	if len(leaf) != 1 || leaf[0].Wait[0] != 2 {
+		t.Fatalf("leaf schedule %+v", leaf)
 	}
 }
 
@@ -33,13 +33,13 @@ func TestBroadcastNonZeroRoot(t *testing.T) {
 	if err := VerifyBroadcast(8, 5, 2); err != nil {
 		t.Fatal(err)
 	}
-	r := BroadcastTree(8, 5, 5, 2)
-	if len(r.Steps) != 1 || len(r.Steps[0].Wait) != 0 {
-		t.Fatalf("root schedule %+v", r.Steps)
+	r := resolve(BroadcastTree(8, 5, 5, 2))
+	if len(r) != 1 || len(r[0].Wait) != 0 {
+		t.Fatalf("root schedule %+v", r)
 	}
 	// Root's children are positions 1,2 -> ranks 6,7.
-	if r.Steps[0].Send[0] != 6 || r.Steps[0].Send[1] != 7 {
-		t.Fatalf("root children %v", r.Steps[0].Send)
+	if r[0].Send[0] != 6 || r[0].Send[1] != 7 {
+		t.Fatalf("root children %v", r[0].Send)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestVerifyBroadcastMatrix(t *testing.T) {
 func TestBroadcastIsNotABarrier(t *testing.T) {
 	// The full-knowledge check must fail for a broadcast (leaves never
 	// hear from each other) — guarding against silently weakening Verify.
-	if err := VerifySchedules(AllBroadcast(4, 0, 2)); err == nil {
+	if err := verifySchedules(AllBroadcast(4, 0, 2)); err == nil {
 		t.Fatal("broadcast schedules passed the barrier synchronization check")
 	}
 }

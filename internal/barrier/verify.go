@@ -13,17 +13,17 @@ import "fmt"
 //
 // It returns nil when both hold.
 func Verify(alg Algorithm, n int, opts Options) error {
-	return VerifySchedules(All(alg, n, opts))
+	return verifySchedules(All(alg, n, opts))
 }
 
-// VerifySchedules runs the abstract execution over explicit schedules; it
-// lets tests check hand-mutated (broken) schedules too.
-func VerifySchedules(scheds []Schedule) error {
+// verifySchedules runs the abstract execution over explicit schedules; it
+// lets tests check hand-built (broken) schedules too.
+func verifySchedules(scheds []Schedule) error {
 	return verifyKnowledge(scheds, func(rank int, knowledge []bool) error {
 		for x, k := range knowledge {
 			if !k {
 				return fmt.Errorf("barrier: rank %d completed without hearing from %d (%s, n=%d)",
-					rank, x, scheds[rank].Algorithm, len(scheds))
+					rank, x, scheds[rank].Algorithm(), len(scheds))
 			}
 		}
 		return nil
@@ -54,15 +54,14 @@ func verifyKnowledge(scheds []Schedule, check func(rank int, knowledge []bool) e
 		knowledge[r] = make([]bool, n)
 		knowledge[r][r] = true
 		arrived[r] = make([]bool, n)
-		sent[r] = make([]bool, len(scheds[r].Steps))
+		sent[r] = make([]bool, scheds[r].Steps())
 	}
 
-	complete := func(r int) bool { return stepIdx[r] >= len(scheds[r].Steps) }
+	complete := func(r int) bool { return stepIdx[r] >= scheds[r].Steps() }
+	var peers []int // scratch for one step's peer list
 	stepDone := func(r int) bool {
-		for _, w := range scheds[r].Steps[stepIdx[r]].Wait {
-			if w < 0 || w >= n {
-				panic(fmt.Sprintf("barrier: rank %d waits on invalid peer %d", r, w))
-			}
+		peers = scheds[r].AppendWaits(peers[:0], stepIdx[r])
+		for _, w := range peers {
 			if !arrived[r][w] {
 				return false
 			}
@@ -79,10 +78,8 @@ func verifyKnowledge(scheds []Schedule, check func(rank int, knowledge []bool) e
 				if !sent[r][s] {
 					sent[r][s] = true
 					progress = true
-					for _, p := range scheds[r].Steps[s].Send {
-						if p == r || p < 0 || p >= n {
-							panic(fmt.Sprintf("barrier: rank %d sends to invalid peer %d", r, p))
-						}
+					peers = scheds[r].AppendSends(peers[:0], s)
+					for _, p := range peers {
 						snap := make([]bool, n)
 						copy(snap, knowledge[r])
 						queue = append(queue, message{from: r, to: p, knowledge: snap})
@@ -115,7 +112,7 @@ func verifyKnowledge(scheds []Schedule, check func(rank int, knowledge []bool) e
 	for r := 0; r < n; r++ {
 		if !complete(r) {
 			return fmt.Errorf("barrier: rank %d/%d deadlocked at step %d/%d (%s)",
-				r, n, stepIdx[r], len(scheds[r].Steps), scheds[r].Algorithm)
+				r, n, stepIdx[r], scheds[r].Steps(), scheds[r].Algorithm())
 		}
 		if err := check(r, knowledge[r]); err != nil {
 			return err

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"nicbarrier/internal/barrier"
 )
@@ -25,6 +27,14 @@ type Group struct {
 	Nodes  []int
 	MyRank int
 
+	index *rankIndex // shared by every view of the group
+}
+
+// rankIndex is a group's node→rank map, built on the first RankOf call:
+// only host-driven schemes map arriving nodes back to ranks, so NIC-based
+// groups never pay for it.
+type rankIndex struct {
+	once   sync.Once
 	rankOf map[int]int
 }
 
@@ -38,13 +48,14 @@ func NewGroup(id GroupID, nodes []int, myRank int) *Group {
 		ID:     id,
 		Nodes:  append([]int(nil), nodes...),
 		MyRank: myRank,
-		rankOf: make(map[int]int, len(nodes)),
+		index:  new(rankIndex),
 	}
-	for r, node := range nodes {
-		if _, dup := g.rankOf[node]; dup {
-			panic(fmt.Sprintf("core: node %d appears twice in group %d", node, id))
+	sorted := slices.Clone(nodes)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			panic(fmt.Sprintf("core: node %d appears twice in group %d", sorted[i], id))
 		}
-		g.rankOf[node] = r
 	}
 	return g
 }
@@ -52,8 +63,8 @@ func NewGroup(id GroupID, nodes []int, myRank int) *Group {
 // WithRank returns rank's view of the same group, sharing the immutable
 // membership slice and node→rank index. Session constructors build one
 // group per member; deriving the per-member views from a single base
-// keeps that loop linear in the group size instead of quadratic (the
-// index is built, and membership validated, exactly once).
+// keeps that loop linear in the group size instead of quadratic
+// (membership is validated, and the index built, at most once).
 func (g *Group) WithRank(rank int) *Group {
 	if rank < 0 || rank >= len(g.Nodes) {
 		panic(fmt.Sprintf("core: rank %d outside group of %d", rank, len(g.Nodes)))
@@ -77,7 +88,14 @@ func (g *Group) NodeOf(rank int) int {
 // RankOf maps a network address back to its rank, with ok=false for
 // non-members.
 func (g *Group) RankOf(node int) (int, bool) {
-	r, ok := g.rankOf[node]
+	ix := g.index
+	ix.once.Do(func() {
+		ix.rankOf = make(map[int]int, len(g.Nodes))
+		for r, n := range g.Nodes {
+			ix.rankOf[n] = r
+		}
+	})
+	r, ok := ix.rankOf[node]
 	return r, ok
 }
 

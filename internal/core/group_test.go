@@ -42,7 +42,7 @@ func TestGroupGuards(t *testing.T) {
 func TestScheduleFor(t *testing.T) {
 	g := NewGroup(0, []int{10, 11, 12, 13, 14, 15, 16, 17}, 5)
 	s := ScheduleFor(g, barrier.Dissemination, barrier.Options{})
-	if s.N != 8 || s.Rank != 5 || len(s.Steps) != 3 {
+	if s.Size() != 8 || s.Rank() != 5 || s.Steps() != 3 {
 		t.Fatalf("schedule %+v", s)
 	}
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"nicbarrier/internal/barrier"
 )
@@ -32,20 +30,13 @@ type OpState struct {
 	seq    int // active or most recently completed operation; -1 before first
 	active bool
 	step   int // current step of the active operation
-	bit    int // arrival bit of the current step's first wait
+	bit    int // first arrival bit not yet seen set (all below it are)
 	sentTo int // steps of the active operation whose sends have fired
 
 	// Arrival bits are numbered in schedule (wait-list) order. arrived
 	// holds the active operation's arrivals, early the buffered arrivals
 	// for seq+1; the two share one word array, and Start swaps them.
 	arrived, early BitVector
-
-	// peers holds one (rank, index, step) triple per expected sender
-	// (index: its arrival bit), then one per destination (index: its
-	// position in schedule send order), each half sorted by rank and
-	// searched by binary search. waits splits the halves.
-	peers []peer
-	waits int
 
 	buf []int // reused result buffer of Start, Arrive and Missing
 
@@ -56,39 +47,10 @@ type OpState struct {
 	Stale int
 }
 
-// peer locates one expected sender or destination of a schedule.
-type peer struct{ rank, index, step int32 }
-
-// find returns the triple of rank in ps, which is sorted by rank.
-func find(ps []peer, rank int) (peer, bool) {
-	lo, hi := 0, len(ps)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if int(ps[m].rank) < rank {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo < len(ps) && int(ps[lo].rank) == rank {
-		return ps[lo], true
-	}
-	return peer{}, false
-}
-
-// sortPeers sorts one half of the peer table by rank and panics when a
-// rank appears twice in it.
-func sortPeers(ps []peer, twice string) {
-	slices.SortFunc(ps, func(a, b peer) int { return cmp.Compare(a.rank, b.rank) })
-	for i := 1; i < len(ps); i++ {
-		if ps[i].rank == ps[i-1].rank {
-			panic(fmt.Sprintf("core: schedule %s rank %d", twice, ps[i].rank))
-		}
-	}
-}
-
 // NewOpState builds the state machine for one rank's schedule. It makes
-// four allocations whatever the group size.
+// three allocations whatever the group size: the state, one word array
+// for its two bit vectors and its result buffer. Peer lookups read the
+// schedule's step table, which a plan shares among its ranks.
 func NewOpState(sched barrier.Schedule) *OpState {
 	o := new(OpState)
 	o.init(sched)
@@ -105,33 +67,16 @@ func (o *OpState) init(sched barrier.Schedule) {
 		seq:     -1,
 		arrived: BitVector{bits: words[:half:half], n: nw},
 		early:   BitVector{bits: words[half:], n: nw},
-		peers:   make([]peer, nw+ns),
-		waits:   nw,
 		buf:     make([]int, 0, max(nw, ns)),
 	}
-	w, d := o.peers[:0], o.peers[nw:nw]
-	for i, st := range sched.Steps {
-		for _, r := range st.Wait {
-			w = append(w, peer{rank: int32(r), index: int32(len(w)), step: int32(i)})
-		}
-		for _, r := range st.Send {
-			d = append(d, peer{rank: int32(r), index: int32(len(d)), step: int32(i)})
-		}
-	}
-	sortPeers(w, "waits twice on")
-	sortPeers(d, "sends twice to")
 }
-
-// senders and dests are the two halves of the peer table.
-func (o *OpState) senders() []peer { return o.peers[:o.waits] }
-func (o *OpState) dests() []peer   { return o.peers[o.waits:] }
 
 // SendIndex reports the position of toRank among this rank's
 // destinations, in schedule send order; ok is false when the schedule
 // never sends to toRank. Callers key per-destination records by it.
 func (o *OpState) SendIndex(toRank int) (idx int, ok bool) {
-	p, ok := find(o.dests(), toRank)
-	return int(p.index), ok
+	idx, _, ok = o.sched.Dest(toRank)
+	return idx, ok
 }
 
 // Schedule returns the schedule this state machine executes.
@@ -172,44 +117,41 @@ func (o *OpState) Start(seq int) (sends []int, completed bool, err error) {
 // Arrivals for seq+1 are buffered; duplicates and stale arrivals are
 // counted and ignored.
 func (o *OpState) Arrive(seq, fromRank int) (sends []int, completed bool, err error) {
-	_, sends, completed, err = o.arrive(seq, fromRank)
+	_, _, sends, completed, err = o.arrive(seq, fromRank)
 	return sends, completed, err
 }
 
-// noPeer is what arrive returns for an arrival it did not record.
-var noPeer = peer{rank: -1}
-
-// arrive is Arrive that also returns the sender's triple when the
-// arrival was recorded, for the active operation or buffered for the
-// next one, and noPeer when it was not.
-func (o *OpState) arrive(seq, fromRank int) (from peer, sends []int, completed bool, err error) {
+// arrive is Arrive that also returns the sender's arrival bit and step
+// when the arrival was recorded, for the active operation or buffered
+// for the next one, and bit -1 when it was not.
+func (o *OpState) arrive(seq, fromRank int) (bit, step int, sends []int, completed bool, err error) {
 	switch {
 	case seq <= o.seq-1 || (seq == o.seq && !o.active):
 		o.Stale++
-		return noPeer, nil, false, nil
+		return -1, 0, nil, false, nil
 	case seq == o.seq && o.active:
-		p, ok := find(o.senders(), fromRank)
+		bit, step, ok := o.sched.Arrival(fromRank)
 		if !ok {
-			return noPeer, nil, false, fmt.Errorf("core: arrival from unexpected rank %d", fromRank)
+			return -1, 0, nil, false, fmt.Errorf("core: arrival from unexpected rank %d", fromRank)
 		}
-		if !o.arrived.Set(int(p.index)) {
+		if !o.arrived.Set(bit) {
 			o.Duplicates++
-			return noPeer, nil, false, nil
+			return -1, 0, nil, false, nil
 		}
 		sends, completed = o.advance()
-		return p, sends, completed, nil
+		return bit, step, sends, completed, nil
 	case seq == o.seq+1:
-		p, ok := find(o.senders(), fromRank)
+		bit, step, ok := o.sched.Arrival(fromRank)
 		if !ok {
-			return noPeer, nil, false, fmt.Errorf("core: early arrival from unexpected rank %d", fromRank)
+			return -1, 0, nil, false, fmt.Errorf("core: early arrival from unexpected rank %d", fromRank)
 		}
-		if !o.early.Set(int(p.index)) {
+		if !o.early.Set(bit) {
 			o.Duplicates++
-			return noPeer, nil, false, nil
+			return -1, 0, nil, false, nil
 		}
-		return p, nil, false, nil
+		return bit, step, nil, false, nil
 	default:
-		return noPeer, nil, false, fmt.Errorf("core: arrival for op %d while at op %d (impossible lookahead)", seq, o.seq)
+		return -1, 0, nil, false, fmt.Errorf("core: arrival for op %d while at op %d (impossible lookahead)", seq, o.seq)
 	}
 }
 
@@ -219,24 +161,20 @@ func (o *OpState) arrive(seq, fromRank int) (from peer, sends []int, completed b
 func (o *OpState) advance() (sends []int, completed bool) {
 	o.buf = o.buf[:0]
 	completed = true
-	for o.step < len(o.sched.Steps) {
-		st := o.sched.Steps[o.step]
+	for o.step < o.sched.Steps() {
 		if o.sentTo == o.step {
 			o.sentTo++
-			o.buf = append(o.buf, st.Send...)
+			o.buf = o.sched.AppendSends(o.buf, o.step)
 		}
-		done := true
-		for i := range st.Wait {
-			if !o.arrived.Get(o.bit + i) {
-				done = false
+		for end := o.sched.WaitEnd(o.step); o.bit < end; o.bit++ {
+			if !o.arrived.Get(o.bit) {
+				completed = false
 				break
 			}
 		}
-		if !done {
-			completed = false
+		if !completed {
 			break
 		}
-		o.bit += len(st.Wait)
 		o.step++
 	}
 	if completed {
@@ -257,7 +195,7 @@ func (o *OpState) advance() (sends []int, completed bool) {
 // installs a fresh group (new ID, fresh records) instead.
 func (o *OpState) Abort() {
 	o.active = false
-	o.step = len(o.sched.Steps)
+	o.step = o.sched.Steps()
 	o.early.Clear()
 }
 
@@ -271,13 +209,9 @@ func (o *OpState) Missing() []int {
 	}
 	// Arrival bits follow the schedule's wait lists, step by step.
 	o.buf = o.buf[:0]
-	bit := 0
-	for _, st := range o.sched.Steps {
-		for _, r := range st.Wait {
-			if !o.arrived.Get(bit) {
-				o.buf = append(o.buf, r)
-			}
-			bit++
+	for bit := range o.sched.TotalWaits() {
+		if !o.arrived.Get(bit) {
+			o.buf = append(o.buf, o.sched.Sender(bit))
 		}
 	}
 	if len(o.buf) == 0 {
@@ -291,7 +225,7 @@ func (o *OpState) Missing() []int {
 // in response to a NACK). Operations before the current one sent
 // everything by construction.
 func (o *OpState) HasSent(seq, toRank int) bool {
-	p, sendsToRank := find(o.dests(), toRank)
+	_, step, sendsToRank := o.sched.Dest(toRank)
 	if !sendsToRank {
 		return false
 	}
@@ -299,7 +233,7 @@ func (o *OpState) HasSent(seq, toRank int) bool {
 	case seq < o.seq || (seq == o.seq && !o.active):
 		return true
 	case seq == o.seq:
-		return int(p.step) < o.sentTo
+		return step < o.sentTo
 	default:
 		return false
 	}

@@ -13,10 +13,48 @@ import (
 // replaced are kept here, unchanged but for their names, as the reference
 // model of TestOpStateMatchesReference and FuzzOpState: arrival bits
 // keyed by rank through maps, a flag per step for sends, an early set and
-// a pending-value map for operation seq+1.
+// a pending-value map for operation seq+1. The model keeps its own
+// per-rank schedule with absolute peer ranks, read once out of the plan
+// view under test (barrier's TestPlanMatchesReference pins those views to
+// the per-rank constructors they replaced).
+
+// refSchedule is one rank's schedule with absolute peer ranks.
+type refSchedule struct {
+	Algorithm barrier.Algorithm
+	N         int
+	Rank      int
+	Steps     []refStep
+}
+
+type refStep struct {
+	Send       []int
+	Wait       []int
+	ResultWait bool
+}
+
+// refScheduleOf copies a plan view into absolute per-step lists.
+func refScheduleOf(s barrier.Schedule) refSchedule {
+	ref := refSchedule{Algorithm: s.Algorithm(), N: s.Size(), Rank: s.Rank()}
+	for i := range s.Steps() {
+		ref.Steps = append(ref.Steps, refStep{
+			Send:       s.AppendSends(nil, i),
+			Wait:       s.AppendWaits(nil, i),
+			ResultWait: s.ResultWait(i),
+		})
+	}
+	return ref
+}
+
+func (s refSchedule) ExpectedArrivals() []int {
+	var out []int
+	for _, st := range s.Steps {
+		out = append(out, st.Wait...)
+	}
+	return out
+}
 
 type refOpState struct {
-	sched barrier.Schedule
+	sched refSchedule
 
 	seq    int
 	active bool
@@ -35,7 +73,7 @@ type refOpState struct {
 	Stale      int
 }
 
-func newRefOpState(sched barrier.Schedule) *refOpState {
+func newRefOpState(sched refSchedule) *refOpState {
 	o := &refOpState{
 		sched:    sched,
 		seq:      -1,
@@ -200,7 +238,7 @@ func (o *refOpState) HasSent(seq, toRank int) bool {
 type refReduceState struct {
 	op    ReduceOp
 	st    *refOpState
-	sched barrier.Schedule
+	sched refSchedule
 
 	local    int64
 	valueOf  map[int]int64
@@ -218,7 +256,7 @@ type refSentSnap struct {
 	vals []int64
 }
 
-func newRefReduceState(op ReduceOp, sched barrier.Schedule) (*refReduceState, error) {
+func newRefReduceState(op ReduceOp, sched refSchedule) (*refReduceState, error) {
 	if op == ReduceSum && sched.Algorithm == barrier.Dissemination && !barrier.IsPowerOfTwo(sched.N) {
 		return nil, fmt.Errorf(
 			"core: sum-allreduce over dissemination needs a power-of-two group, got %d", sched.N)
@@ -349,20 +387,29 @@ func (s *opScript) next() byte {
 	return b
 }
 
-// scriptSchedule decodes a schedule of 1-70 ranks: dissemination,
-// pairwise exchange, gather-broadcast or a broadcast tree.
+// schedule decodes a plan view: dissemination, pairwise exchange,
+// gather-broadcast or a broadcast tree, over 1-70 ranks, or over up to
+// 32,768 ranks when the first byte is 0xc0 or above.
 func (s *opScript) schedule() barrier.Schedule {
-	kind, n := s.next()%4, int(s.next())%70+1
-	rank, shape := int(s.next())%n, int(s.next())
+	first := s.next()
+	kind, n, rank := first%4, int(s.next())%70+1, int(s.next())
+	if first >= 0xc0 {
+		n = (int(s.next())<<8|int(s.next()))%32768 + 1
+		rank = rank<<8 | int(s.next())
+	}
+	rank %= n
+	shape := int(s.next())
 	degree := 2 + shape%4
+	var plan *barrier.Plan
 	switch kind {
 	case 3:
-		return barrier.BroadcastTree(n, rank, shape/4%n, degree)
+		plan = barrier.NewBroadcastPlan(n, shape/4%n, degree)
 	case 2:
-		return barrier.New(barrier.GatherBroadcast, n, rank, barrier.Options{TreeDegree: degree})
+		plan = barrier.NewPlan(barrier.GatherBroadcast, n, barrier.Options{TreeDegree: degree})
 	default:
-		return barrier.New(barrier.Algorithm(kind), n, rank, barrier.Options{})
+		plan = barrier.NewPlan(barrier.Algorithm(kind), n, barrier.Options{})
 	}
+	return plan.Rank(rank)
 }
 
 // runOpScript runs one script on the state machine and the reference
@@ -375,6 +422,7 @@ func (s *opScript) schedule() barrier.Schedule {
 func runOpScript(data []byte) error {
 	s := &opScript{data: data}
 	sched := s.schedule()
+	ref := refScheduleOf(sched)
 	mode := s.next() % 4 // 0: barrier OpState; 1-3: ReduceState over op mode-1
 	var (
 		got     *OpState
@@ -384,11 +432,11 @@ func runOpScript(data []byte) error {
 		aborted bool
 	)
 	if mode == 0 {
-		got, want = NewOpState(sched), newRefOpState(sched)
+		got, want = NewOpState(sched), newRefOpState(ref)
 	} else {
 		var err, refErr error
 		red, err = NewReduceState(ReduceOp(mode-1), sched)
-		refRed, refErr = newRefReduceState(ReduceOp(mode-1), sched)
+		refRed, refErr = newRefReduceState(ReduceOp(mode-1), ref)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			return fmt.Errorf("NewReduceState: error %v, reference %v", err, refErr)
 		}
@@ -397,7 +445,7 @@ func runOpScript(data []byte) error {
 		}
 		got, want = red.Inner(), refRed.Inner()
 	}
-	waits := sched.ExpectedArrivals()
+	waits := ref.ExpectedArrivals()
 	for step := 0; len(s.data) > 0 && step < 300; step++ {
 		var sends, refSends []int
 		var done, refDone bool
@@ -433,7 +481,7 @@ func runOpScript(data []byte) error {
 			if len(waits) > 0 && from < 0xf8 {
 				from = waits[from%len(waits)]
 			} else {
-				from = from%(sched.N+2) - 1 // any rank, or one outside the group
+				from = from%(ref.N+2) - 1 // any rank, or one outside the group
 			}
 			call = fmt.Sprintf("Arrive(%d, %d)", seq, from)
 			if red == nil {
@@ -461,7 +509,7 @@ func runOpScript(data []byte) error {
 		if err != nil {
 			return nil
 		}
-		if err := compareOpState(got, want, red, refRed); err != nil {
+		if err := compareOpState(got, want, red, refRed, ref); err != nil {
 			return fmt.Errorf("after %s: %w", call, err)
 		}
 	}
@@ -469,7 +517,7 @@ func runOpScript(data []byte) error {
 }
 
 // compareOpState checks every observable of the two state machines.
-func compareOpState(got *OpState, want *refOpState, red *ReduceState, refRed *refReduceState) error {
+func compareOpState(got *OpState, want *refOpState, red *ReduceState, refRed *refReduceState, sched refSchedule) error {
 	if got.Seq() != want.Seq() || got.Active() != want.Active() || got.Step() != want.Step() {
 		return fmt.Errorf("seq/active/step %d %v %d; reference %d %v %d",
 			got.Seq(), got.Active(), got.Step(), want.Seq(), want.Active(), want.Step())
@@ -481,7 +529,6 @@ func compareOpState(got *OpState, want *refOpState, red *ReduceState, refRed *re
 	if m, ref := slices.Clone(got.Missing()), want.Missing(); !slices.Equal(m, ref) {
 		return fmt.Errorf("Missing %v; reference %v", m, ref)
 	}
-	sched := got.Schedule()
 	// Destinations, expected senders (often not destinations) and two
 	// ranks outside the group.
 	ranks := append(append([]int{-1, sched.N}, sched.ExpectedArrivals()...), dests(sched)...)
@@ -506,7 +553,7 @@ func compareOpState(got *OpState, want *refOpState, red *ReduceState, refRed *re
 	return nil
 }
 
-func dests(sched barrier.Schedule) []int {
+func dests(sched refSchedule) []int {
 	var out []int
 	for _, st := range sched.Steps {
 		out = append(out, st.Send...)

@@ -279,21 +279,51 @@ func TestOpGroupProperty(t *testing.T) {
 var installSink any
 
 // Building a state machine costs the same few allocations at any group
-// size: the schedule-indexed tables are sized once from the schedule.
+// size: the bit vectors and result buffer are sized once from the
+// schedule, whose step table the state machine only reads.
 func TestInstallAllocsConstant(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		want  float64
 		build func(barrier.Schedule)
 	}{
-		{"NewOpState", 4, func(s barrier.Schedule) { installSink = NewOpState(s) }},
-		{"NewReduceState", 6, func(s barrier.Schedule) { installSink, _ = NewReduceState(ReduceSum, s) }},
+		{"NewOpState", 3, func(s barrier.Schedule) { installSink = NewOpState(s) }},
+		{"NewReduceState", 5, func(s barrier.Schedule) { installSink, _ = NewReduceState(ReduceSum, s) }},
 	} {
 		for _, n := range []int{8, 32768} {
-			sched := barrier.New(barrier.PairwiseExchange, n, 3, barrier.Options{})
-			if got := testing.AllocsPerRun(20, func() { c.build(sched) }); got != c.want {
-				t.Errorf("%s at n=%d: %.0f allocations, want %.0f", c.name, n, got, c.want)
+			for _, alg := range []barrier.Algorithm{barrier.PairwiseExchange, barrier.Dissemination} {
+				sched := barrier.New(alg, n, 3, barrier.Options{})
+				if got := testing.AllocsPerRun(20, func() { c.build(sched) }); got != c.want {
+					t.Errorf("%s over %v at n=%d: %.0f allocations, want %.0f", c.name, alg, n, got, c.want)
+				}
 			}
+		}
+	}
+}
+
+// BenchmarkOpStateArrive32k drives one rank of a 32,768-rank
+// dissemination group through a whole operation per iteration: Start,
+// then one Arrive per step, each resolving its sender's offset in the
+// plan's shared table and advancing the schedule.
+func BenchmarkOpStateArrive32k(b *testing.B) {
+	sched := barrier.NewPlan(barrier.Dissemination, 32768, barrier.Options{}).Rank(12345)
+	o := NewOpState(sched)
+	from := sched.ExpectedArrivals()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := o.Start(i); err != nil {
+			b.Fatal(err)
+		}
+		done := false
+		for _, r := range from {
+			var err error
+			if _, done, err = o.Arrive(i, r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !done {
+			b.Fatalf("operation %d did not complete", i)
 		}
 	}
 }

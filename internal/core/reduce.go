@@ -113,16 +113,16 @@ type sentVal struct {
 
 // NewReduceState builds an allreduce state machine over a schedule. It
 // returns an error when the (operator, schedule) combination cannot be
-// exact. It makes six allocations whatever the group size.
+// exact. It makes five allocations whatever the group size.
 func NewReduceState(op ReduceOp, sched barrier.Schedule) (*ReduceState, error) {
-	if op == ReduceSum && sched.Algorithm == barrier.Dissemination && !barrier.IsPowerOfTwo(sched.N) {
+	if op == ReduceSum && sched.Algorithm() == barrier.Dissemination && !barrier.IsPowerOfTwo(sched.Size()) {
 		return nil, fmt.Errorf(
-			"core: sum-allreduce over dissemination needs a power-of-two group, got %d", sched.N)
+			"core: sum-allreduce over dissemination needs a power-of-two group, got %d", sched.Size())
 	}
 	r := &ReduceState{op: op}
 	r.st.init(sched)
-	r.vals = make([]int64, 2*r.st.waits)
-	r.sent = make([]sentVal, 2*len(r.st.dests()))
+	r.vals = make([]int64, 2*sched.TotalWaits())
+	r.sent = make([]sentVal, 2*sched.TotalSends())
 	for i := range r.sent {
 		r.sent[i].seq = -1
 	}
@@ -140,20 +140,19 @@ func (r *ReduceState) Inner() *OpState { return &r.st }
 // semantics.
 func (r *ReduceState) fold(uptoStep int) int64 {
 	val := r.local
-	steps := r.st.sched.Steps
-	vals := r.vals[(r.st.seq&1)*r.st.waits:]
+	sched := r.st.sched
+	vals := r.vals[(r.st.seq&1)*sched.TotalWaits():]
 	bit := 0
-	for s := 0; s < uptoStep && s < len(steps); s++ {
-		step := steps[s]
-		for range step.Wait {
+	for s := 0; s < uptoStep && s < sched.Steps(); s++ {
+		result := sched.ResultWait(s)
+		for end := sched.WaitEnd(s); bit < end; bit++ {
 			if r.st.arrived.Get(bit) {
-				if step.ResultWait {
+				if result {
 					val = vals[bit]
 				} else {
 					val = r.op.Combine(val, vals[bit])
 				}
 			}
-			bit++
 		}
 	}
 	return val
@@ -161,16 +160,16 @@ func (r *ReduceState) fold(uptoStep int) int64 {
 
 // Value reports the full fold — the allreduce result once the operation
 // has completed.
-func (r *ReduceState) Value() int64 { return r.fold(len(r.st.sched.Steps)) }
+func (r *ReduceState) Value() int64 { return r.fold(r.st.sched.Steps()) }
 
 // SentValue reports the value snapshot that was transmitted to toRank for
 // operation seq — what a NACK-triggered retransmission must carry.
 func (r *ReduceState) SentValue(seq, toRank int) (int64, bool) {
-	p, ok := find(r.st.dests(), toRank)
+	i, _, ok := r.st.sched.Dest(toRank)
 	if !ok || seq < 0 {
 		return 0, false
 	}
-	sv := r.sent[(seq&1)*len(r.st.dests())+int(p.index)]
+	sv := r.sent[(seq&1)*r.st.sched.TotalSends()+i]
 	if sv.seq != seq {
 		return 0, false
 	}
@@ -180,11 +179,10 @@ func (r *ReduceState) SentValue(seq, toRank int) (int64, bool) {
 // recordSends snapshots, for each outgoing notification, the fold up to
 // (but excluding) its step, overwriting the ring slot of operation seq-2.
 func (r *ReduceState) recordSends(seq int, sends []int) {
-	dests := r.st.dests()
-	ring := r.sent[(seq&1)*len(dests):]
+	ring := r.sent[(seq&1)*r.st.sched.TotalSends():]
 	for _, to := range sends {
-		p, _ := find(dests, to)
-		ring[p.index] = sentVal{seq: seq, val: r.fold(int(p.step))}
+		i, step, _ := r.st.sched.Dest(to)
+		ring[i] = sentVal{seq: seq, val: r.fold(step)}
 	}
 }
 
@@ -208,18 +206,18 @@ func (r *ReduceState) Start(seq int, local int64) (sends []int, completed bool, 
 // original) are detected by the bit vector and never combined twice.
 func (r *ReduceState) Arrive(seq, fromRank int, value int64) (sends []int, completed bool, err error) {
 	active := r.st.Active() && r.st.Seq() == seq
-	from, sends, completed, err := r.st.arrive(seq, fromRank)
+	bit, step, sends, completed, err := r.st.arrive(seq, fromRank)
 	if err != nil {
 		return nil, false, err
 	}
-	if from == noPeer {
+	if bit < 0 {
 		return sends, completed, nil // duplicate or stale: drop the value
 	}
-	if !active && r.st.sched.Steps[from.step].ResultWait {
+	if !active && r.st.sched.ResultWait(step) {
 		return nil, false, fmt.Errorf(
 			"core: result message from rank %d arrived before operation %d started", fromRank, seq)
 	}
-	r.vals[(seq&1)*r.st.waits+int(from.index)] = value
+	r.vals[(seq&1)*r.st.sched.TotalWaits()+bit] = value
 	if active {
 		r.recordSends(seq, sends)
 	}

@@ -112,7 +112,14 @@ type Host struct {
 // groupHandler is one group's event binding on a host.
 type groupHandler struct {
 	gid int
-	fn  func(Event)
+	h   EventHandler
+}
+
+// EventHandler consumes the host events of one bound group. Session
+// members implement it, so binding a member stores the member itself
+// rather than a method value built per bind.
+type EventHandler interface {
+	HandleEvent(Event)
 }
 
 // handler returns the index of group gid's binding, or -1.
@@ -125,16 +132,16 @@ func (h *Host) handler(gid int) int {
 	return -1
 }
 
-// Bind routes this node's events for one group ID to fn; duplicate
+// Bind routes this node's events for one group ID to eh; duplicate
 // bindings panic (two drivers for one group is a programming error).
-func (h *Host) Bind(groupID int, fn func(Event)) {
-	if fn == nil {
+func (h *Host) Bind(groupID int, eh EventHandler) {
+	if eh == nil {
 		panic("elan: nil group event handler")
 	}
 	if h.bound(groupID) {
 		panic(fmt.Sprintf("elan: node %d: group %d already bound", h.node.ID, groupID))
 	}
-	h.groupHandlers = append(h.groupHandlers, groupHandler{groupID, fn})
+	h.groupHandlers = append(h.groupHandlers, groupHandler{groupID, eh})
 }
 
 // bound reports whether a handler is already bound for the group.
@@ -264,7 +271,7 @@ func (h *Host) deliver(ev Event) {
 	h.exec(h.node.Prof.Host.RecvPollCycles, 0, func() {
 		if ev.Kind == EvBarrierDone || ev.Kind == EvRemote {
 			if i := h.handler(ev.Group); i >= 0 {
-				h.groupHandlers[i].fn(ev)
+				h.groupHandlers[i].h.HandleEvent(ev)
 				return
 			}
 		}

@@ -244,3 +244,19 @@ func TestArmChainTwicePanics(t *testing.T) {
 	}()
 	NewSession(cl, identity(2), SchemeChained, barrier.Dissemination, barrier.Options{})
 }
+
+// Every member card of a chained dissemination session arms its chain
+// over the session plan's one step table.
+func TestSessionSharesPlan(t *testing.T) {
+	eng := sim.NewEngine()
+	cl := NewCluster(eng, hwprofile.Elan3Cluster(), 16)
+	s := NewSession(cl, identity(16), SchemeChained, barrier.Dissemination, barrier.Options{})
+	first := cl.Nodes[0].NIC.mustChain(s.gid).state.Schedule()
+	for rank, m := range s.members {
+		sched := m.node.NIC.mustChain(s.gid).state.Schedule()
+		if !sched.Shares(first) || sched.Rank() != rank {
+			t.Fatalf("rank %d arms its own table (view of rank %d)", rank, sched.Rank())
+		}
+	}
+	s.Run(3)
+}

@@ -144,6 +144,13 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 	if scheme == SchemeHW {
 		cl.hw.configure(s.nodeIDs)
 	}
+	var plan *barrier.Plan
+	switch scheme {
+	case SchemeChained:
+		plan = barrier.NewPlan(alg, len(nodeIDs), opts)
+	case SchemeGsync:
+		plan = barrier.NewPlan(barrier.GatherBroadcast, len(nodeIDs), opts)
+	}
 	base := core.NewGroup(gid, s.nodeIDs, 0)
 	for rank := range s.nodeIDs {
 		id := s.nodeIDs[rank]
@@ -155,20 +162,18 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 		}
 		switch scheme {
 		case SchemeChained:
-			sched := barrier.New(alg, len(nodeIDs), rank, opts)
-			if err := m.node.NIC.TryArmChain(m.group, core.NewOpState(sched)); err != nil {
+			if err := m.node.NIC.TryArmChain(m.group, core.NewOpState(plan.Rank(rank))); err != nil {
 				return nil, err
 			}
-			m.node.Host.Bind(int(gid), m.onEvent)
+			m.node.Host.Bind(int(gid), m)
 		case SchemeGsync:
-			sched := barrier.New(barrier.GatherBroadcast, len(nodeIDs), rank, opts)
-			m.hostOp = core.NewOpState(sched)
-			m.node.Host.Bind(int(gid), m.onEvent)
+			m.hostOp = core.NewOpState(plan.Rank(rank))
+			m.node.Host.Bind(int(gid), m)
 		case SchemeHW:
 			// No schedule: one network transaction synchronizes all. HW
 			// completions carry no group, so they flow through the plain
 			// event hook — one HW session per cluster, like the hardware.
-			m.node.Host.OnEvent = m.onEvent
+			m.node.Host.OnEvent = m.HandleEvent
 		default:
 			panic(fmt.Sprintf("elan: unknown scheme %d", int(scheme)))
 		}
@@ -438,7 +443,9 @@ func (m *member) gsyncSend(seq int, ranks []int) {
 	}
 }
 
-func (m *member) onEvent(ev Event) {
+// HandleEvent implements EventHandler: the member's host events for the
+// session's group (all events, for the hardware barrier).
+func (m *member) HandleEvent(ev Event) {
 	switch ev.Kind {
 	case EvBarrierDone:
 		m.s.complete(m.rank, ev.Seq)

@@ -230,3 +230,35 @@ func TestReinstallReusesGroupTable(t *testing.T) {
 		}
 	}
 }
+
+// Every member of a dissemination session, and every member NIC's
+// protocol state, reads the session plan's one step table; a broadcast
+// tree has no rotation symmetry, so its members read their own.
+func TestSessionSharesPlan(t *testing.T) {
+	_, cl := xpCluster(16, nil)
+	for _, scheme := range []Scheme{SchemeHost, SchemeDirect, SchemeCollective} {
+		s, err := NewSessionWithID(cl, core.GroupID(10+scheme), identity(16), scheme, barrier.Dissemination, barrier.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := s.members[0].sched
+		for _, m := range s.members {
+			state := m.hostOp
+			if scheme != SchemeHost {
+				state = m.node.NIC.slots[m.node.NIC.slot(s.gid)].state()
+			}
+			if !m.sched.Shares(first) || !state.Schedule().Shares(first) {
+				t.Fatalf("%v: rank %d reads its own schedule table", scheme, m.rank)
+			}
+			if m.sched.Rank() != m.rank {
+				t.Fatalf("%v: rank %d holds rank %d's view", scheme, m.rank, m.sched.Rank())
+			}
+		}
+		s.Run(3)
+		s.Close()
+	}
+	b := broadcastSession(16)
+	if b.members[1].sched.Shares(b.members[2].sched) {
+		t.Fatal("broadcast members share a step table")
+	}
+}

@@ -110,7 +110,14 @@ type Host struct {
 // groupHandler is one group's event binding on a host.
 type groupHandler struct {
 	gid int
-	fn  func(Event)
+	h   EventHandler
+}
+
+// EventHandler consumes the host events of one bound group. Session
+// members implement it, so binding a member stores the member itself
+// rather than a method value built per bind.
+type EventHandler interface {
+	HandleEvent(Event)
 }
 
 // handler returns the index of group gid's binding, or -1.
@@ -123,17 +130,17 @@ func (h *Host) handler(gid int) int {
 	return -1
 }
 
-// Bind routes this node's events for one group ID to fn. It panics on a
+// Bind routes this node's events for one group ID to eh. It panics on a
 // duplicate binding: two drivers polling the same group's completions is
 // a programming error, exactly like double-attaching a NIC.
-func (h *Host) Bind(groupID int, fn func(Event)) {
-	if fn == nil {
+func (h *Host) Bind(groupID int, eh EventHandler) {
+	if eh == nil {
 		panic("myrinet: nil group event handler")
 	}
 	if h.bound(groupID) {
 		panic(fmt.Sprintf("myrinet: node %d: group %d already bound", h.node.ID, groupID))
 	}
-	h.groupHandlers = append(h.groupHandlers, groupHandler{groupID, fn})
+	h.groupHandlers = append(h.groupHandlers, groupHandler{groupID, eh})
 }
 
 // bound reports whether a handler is already bound for the group.
@@ -198,7 +205,7 @@ func (h *Host) deliver(ev Event) {
 func (h *Host) dispatch(ev Event) {
 	if gid, ok := eventGroup(ev); ok {
 		if i := h.handler(gid); i >= 0 {
-			h.groupHandlers[i].fn(ev)
+			h.groupHandlers[i].h.HandleEvent(ev)
 			return
 		}
 	}

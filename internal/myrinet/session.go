@@ -153,11 +153,10 @@ func NewSession(cl *Cluster, nodeIDs []int, scheme Scheme, alg barrier.Algorithm
 // the ID is already installed on a member.
 func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 	alg barrier.Algorithm, opts barrier.Options) (*Session, error) {
-	scheds := make([]barrier.Schedule, len(nodeIDs))
-	for rank := range nodeIDs {
-		scheds[rank] = barrier.New(alg, len(nodeIDs), rank, opts)
+	if len(nodeIDs) == 0 {
+		panic("myrinet: empty session")
 	}
-	return newSession(cl, gid, nodeIDs, scheme, scheds, false)
+	return newSession(cl, gid, nodeIDs, scheme, barrier.NewPlan(alg, len(nodeIDs), opts), false)
 }
 
 // NewBroadcastSession prepares a NIC-based broadcast session (the
@@ -176,11 +175,10 @@ func NewBroadcastSession(cl *Cluster, nodeIDs []int, root, degree int) *Session 
 // NewBroadcastSessionWithID is NewBroadcastSession on an explicit group
 // ID, with clean errors instead of panics.
 func NewBroadcastSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, root, degree int) (*Session, error) {
-	scheds := make([]barrier.Schedule, len(nodeIDs))
-	for rank := range nodeIDs {
-		scheds[rank] = barrier.BroadcastTree(len(nodeIDs), rank, root, degree)
+	if len(nodeIDs) == 0 {
+		panic("myrinet: empty session")
 	}
-	return newSession(cl, gid, nodeIDs, SchemeCollective, scheds, true)
+	return newSession(cl, gid, nodeIDs, SchemeCollective, barrier.NewBroadcastPlan(len(nodeIDs), root, degree), true)
 }
 
 // NewAllreduceSession prepares a NIC-based single-word allreduce over the
@@ -200,15 +198,12 @@ func NewAllreduceSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int,
 	if len(nodeIDs) == 0 {
 		panic("myrinet: empty session")
 	}
-	scheds := make([]barrier.Schedule, len(nodeIDs))
-	for rank := range nodeIDs {
-		scheds[rank] = barrier.New(alg, len(nodeIDs), rank, opts)
-	}
+	plan := barrier.NewPlan(alg, len(nodeIDs), opts)
 	// Validate the operator/schedule combination before touching NICs.
-	if _, err := core.NewReduceState(op, scheds[0]); err != nil {
+	if _, err := core.NewReduceState(op, plan.Rank(0)); err != nil {
 		return nil, err
 	}
-	s, err := newAllreduceSession(cl, gid, nodeIDs, scheds, op)
+	s, err := newAllreduceSession(cl, gid, nodeIDs, plan, op)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +215,7 @@ func NewAllreduceSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int,
 }
 
 func newAllreduceSession(cl *Cluster, gid core.GroupID, nodeIDs []int,
-	scheds []barrier.Schedule, op core.ReduceOp) (*Session, error) {
+	plan *barrier.Plan, op core.ReduceOp) (*Session, error) {
 	if err := validateMembers(cl, gid, nodeIDs, true); err != nil {
 		return nil, err
 	}
@@ -233,12 +228,12 @@ func newAllreduceSession(cl *Cluster, gid core.GroupID, nodeIDs []int,
 			rank:  rank,
 			node:  cl.Nodes[id],
 			group: base.WithRank(rank),
-			sched: scheds[rank],
+			sched: plan.Rank(rank),
 		}
 		if err := m.node.NIC.InstallReduceGroup(m.group, m.sched, op); err != nil {
 			return nil, err
 		}
-		m.node.Host.Bind(int(gid), m.onEvent)
+		m.node.Host.Bind(int(gid), m)
 		s.members = append(s.members, m)
 	}
 	return s, nil
@@ -272,8 +267,10 @@ func validateMembers(cl *Cluster, gid core.GroupID, nodeIDs []int, needSlot bool
 	return nil
 }
 
+// newSession installs one member per node, each reading its view of the
+// session's one plan.
 func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
-	scheds []barrier.Schedule, gated bool) (*Session, error) {
+	plan *barrier.Plan, gated bool) (*Session, error) {
 	if err := validateMembers(cl, gid, nodeIDs, scheme != SchemeHost); err != nil {
 		return nil, err
 	}
@@ -286,7 +283,7 @@ func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 			rank:  rank,
 			node:  cl.Nodes[id],
 			group: base.WithRank(rank),
-			sched: scheds[rank],
+			sched: plan.Rank(rank),
 		}
 		switch scheme {
 		case SchemeHost:
@@ -305,7 +302,7 @@ func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 		default:
 			panic(fmt.Sprintf("myrinet: unknown scheme %d", int(scheme)))
 		}
-		m.node.Host.Bind(int(gid), m.onEvent)
+		m.node.Host.Bind(int(gid), m)
 		s.members = append(s.members, m)
 	}
 	return s, nil
@@ -570,7 +567,9 @@ func (m *member) hostSend(seq int, ranks []int) {
 	}
 }
 
-func (m *member) onEvent(ev Event) {
+// HandleEvent implements EventHandler: the member's host events for the
+// session's group.
+func (m *member) HandleEvent(ev Event) {
 	switch ev.Kind {
 	case EvBarrierDone:
 		if rel := ev.Seq - m.s.base; m.s.results != nil && rel < len(m.s.results) {
