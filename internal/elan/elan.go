@@ -30,26 +30,6 @@ import (
 	"nicbarrier/internal/topo"
 )
 
-// proc is the same sequential busy-until processor used by the Myrinet
-// model; the Elan3's event unit and DMA engine are much cheaper per
-// operation than a LANai firmware handler, which is why it absorbs
-// hot-spot arrivals gracefully (the paper's observation on PE vs DS).
-type proc struct {
-	eng       *sim.Engine
-	clockMHz  float64
-	busyUntil sim.Time
-}
-
-func (p *proc) exec(cycles int64, fixed sim.Duration, fn func()) {
-	start := p.eng.Now()
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	done := start.Add(sim.Cycles(cycles, p.clockMHz)).Add(fixed)
-	p.busyUntil = done
-	p.eng.Schedule(done, fn)
-}
-
 // rdmaMsg is a zero-byte RDMA whose only effect is firing a remote event
 // — "all messages communicated between processes just serve as a form of
 // notification" (Section 7).
@@ -98,7 +78,7 @@ type Node struct {
 
 // Host models the host CPU side of Elanlib.
 type Host struct {
-	proc
+	sim.Proc
 	node *Node
 	// OnEvent receives every host event not claimed by a group binding.
 	OnEvent func(Event)
@@ -159,10 +139,15 @@ func (h *Host) Unbind(groupID int) {
 }
 
 // NIC is the Elan3 model.
+//
+// The Elan3's event unit and DMA engine are much cheaper per operation
+// than a LANai firmware handler, which is why it absorbs hot-spot
+// arrivals gracefully (the paper's observation on PE vs DS).
 type NIC struct {
-	proc
+	sim.Proc
 	node *Node
 	net  *netsim.Network
+	pool *pool // the cluster's shared handler and payload free lists
 
 	// chains is the card's descriptor-list table: at most ChainSlots
 	// entries, each group's ID stored inline, scanned linearly.
@@ -193,7 +178,7 @@ type NIC struct {
 // traceEvent records a card-level event on this NIC's trace track.
 func (n *NIC) traceEvent(group int, k obs.Kind, arg int64) {
 	if n.tr != nil {
-		n.tr.NICEvent(n.eng.Now(), n.node.ID, group, k, arg)
+		n.tr.NICEvent(n.Eng.Now(), n.node.ID, group, k, arg)
 	}
 }
 
@@ -201,7 +186,7 @@ func (n *NIC) traceEvent(group int, k obs.Kind, arg int64) {
 // decomposition bucket; call it alongside the exec charging that work.
 func (n *NIC) traceTime(group int, cycles int64, fixed sim.Duration) {
 	if n.tr != nil {
-		n.tr.NICTime(group, sim.Cycles(cycles, n.clockMHz)+fixed)
+		n.tr.NICTime(group, sim.Cycles(cycles, n.ClockMHz)+fixed)
 	}
 }
 
@@ -250,35 +235,45 @@ type chainOp struct {
 	frozen bool
 }
 
-// NewNode builds one node attached to net.
-func NewNode(eng *sim.Engine, id int, prof *hwprofile.QuadricsProfile, net *netsim.Network) *Node {
+// newNode builds one node attached to net, scheduling its per-message
+// handlers from the cluster's pool.
+func newNode(eng *sim.Engine, id int, prof *hwprofile.QuadricsProfile, net *netsim.Network, pl *pool) *Node {
 	n := &Node{
 		ID:   id,
 		Prof: prof,
 		Bus:  pci.New(eng, prof.PCI),
 	}
-	n.Host = &Host{proc: proc{eng: eng, clockMHz: prof.Host.ClockMHz}, node: n}
+	n.Host = &Host{Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz}, node: n}
 	n.NIC = &NIC{
-		proc: proc{eng: eng, clockMHz: prof.NIC.ClockMHz},
+		Proc: sim.Proc{Eng: eng, ClockMHz: prof.NIC.ClockMHz},
 		node: n,
 		net:  net,
+		pool: pl,
 	}
 	net.Attach(id, n.NIC.onPacket)
 	return n
 }
 
+// deliver hands an event the card wrote to the host, charging the
+// host's poll cost before dispatch sees it.
 func (h *Host) deliver(ev Event) {
-	h.exec(h.node.Prof.Host.RecvPollCycles, 0, func() {
-		if ev.Kind == EvBarrierDone || ev.Kind == EvRemote {
-			if i := h.handler(ev.Group); i >= 0 {
-				h.groupHandlers[i].h.HandleEvent(ev)
-				return
-			}
+	r := h.node.NIC.get(hDeliver)
+	r.ev = ev
+	h.Exec(h.node.Prof.Host.RecvPollCycles, 0, r)
+}
+
+// dispatch routes a polled event: group-addressed events to their bound
+// handler, everything else (and events for unbound groups) to OnEvent.
+func (h *Host) dispatch(ev Event) {
+	if ev.Kind == EvBarrierDone || ev.Kind == EvRemote {
+		if i := h.handler(ev.Group); i >= 0 {
+			h.groupHandlers[i].h.HandleEvent(ev)
+			return
 		}
-		if h.OnEvent != nil {
-			h.OnEvent(ev)
-		}
-	})
+	}
+	if h.OnEvent != nil {
+		h.OnEvent(ev)
+	}
 }
 
 // ArmChain installs the chained-descriptor barrier for a group. The host
@@ -329,11 +324,11 @@ func (n *NIC) DisarmChain(id core.GroupID) {
 	if n.retired == nil {
 		n.retired = make(map[core.GroupID]sim.Time)
 	}
-	n.retired[id] = n.eng.Now()
+	n.retired[id] = n.Eng.Now()
 	n.pruneRetired()
 	n.traceEvent(int(id), obs.KindUninstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupUninstallCost)
-	n.exec(0, n.node.Prof.NIC.GroupUninstallCost, func() {})
+	n.Exec(0, n.node.Prof.NIC.GroupUninstallCost, sim.Nop{})
 }
 
 // retiredSweepLen bounds the tombstone table; pruning only runs past it.
@@ -347,7 +342,7 @@ func (n *NIC) pruneRetired() {
 	if len(n.retired) <= retiredSweepLen {
 		return
 	}
-	cutoff := n.eng.Now()
+	cutoff := n.Eng.Now()
 	horizon := sim.Micros(10000)
 	for id, at := range n.retired {
 		if cutoff.Sub(at) > horizon {
@@ -363,17 +358,15 @@ func (n *NIC) ChargeChainInstall(id core.GroupID) {
 	delete(n.retired, id)
 	n.traceEvent(int(id), obs.KindInstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupInstallCost)
-	n.exec(0, n.node.Prof.NIC.GroupInstallCost, func() {})
+	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})
 }
 
 // TriggerChain is the host-side barrier entry: post the doorbell that
 // fires the first RDMA descriptor of the armed chain.
 func (h *Host) TriggerChain(groupID int) {
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.startChain(core.GroupID(groupID))
-		})
-	})
+	r := h.node.NIC.get(hTrigger)
+	r.msg.group = core.GroupID(groupID)
+	h.Exec(h.node.Prof.Host.SendPostCycles, 0, r)
 }
 
 func (n *NIC) mustChain(id core.GroupID) *chainOp {
@@ -443,32 +436,38 @@ func (n *NIC) startChain(id core.GroupID) {
 func (n *NIC) fireRDMAs(op *chainOp, seq int, ranks []int) {
 	p := n.node.Prof.NIC
 	for _, r := range ranks {
-		dst := op.group.NodeOf(r)
-		payload := rdmaMsg{group: op.group.ID, seq: seq, fromRank: op.group.MyRank}
+		h := n.get(hRDMASend)
+		h.op, h.dst = op, op.group.NodeOf(r)
+		h.msg = rdmaMsg{group: op.group.ID, seq: seq, fromRank: op.group.MyRank}
 		n.traceTime(int(op.group.ID), p.DMADescCycles, p.SendFixed)
-		n.exec(p.DMADescCycles, p.SendFixed, func() {
-			if op.frozen {
-				return // descriptor invalidated by an abort while queued
-			}
-			n.net.Send(netsim.Packet{
-				Src:     n.node.ID,
-				Dst:     dst,
-				Size:    n.node.Prof.BarrierBytes,
-				Kind:    "rdma-event",
-				Group:   int(op.group.ID),
-				Payload: payload,
-			})
-			n.Stats.RDMAsSent++
-		})
+		n.Exec(p.DMADescCycles, p.SendFixed, h)
 	}
+}
+
+// sendRDMA injects one zero-byte RDMA to node dst on its own pooled
+// payload.
+func (n *NIC) sendRDMA(dst int, kind string, m rdmaMsg) {
+	pl := n.pool.payloads.Get()
+	*pl = m
+	n.net.Send(netsim.Packet{
+		Src:     n.node.ID,
+		Dst:     dst,
+		Size:    n.node.Prof.BarrierBytes,
+		Kind:    kind,
+		Group:   int(m.group),
+		Payload: pl,
+	})
+	n.Stats.RDMAsSent++
 }
 
 func (n *NIC) onPacket(pkt netsim.Packet) {
 	switch m := pkt.Payload.(type) {
-	case rdmaMsg:
-		n.onRDMA(m, pkt.Src)
+	case *rdmaMsg:
+		msg := *m
+		n.pool.payloads.Put(m)
+		n.onRDMA(msg, pkt.Src)
 	case hwBarrierMsg:
-		n.onHWBroadcast(m)
+		n.completeHW(m)
 	case core.Heartbeat:
 		// Liveness probes bypass the event unit: no NIC time charged.
 		n.Stats.HeartbeatsRecvd++
@@ -486,42 +485,46 @@ func (n *NIC) onPacket(pkt netsim.Packet) {
 func (n *NIC) onRDMA(m rdmaMsg, fromNode int) {
 	p := n.node.Prof.NIC
 	n.traceTime(int(m.group), p.EventFireCycles, 0)
-	n.exec(p.EventFireCycles, 0, func() {
-		n.Stats.EventsFired++
-		if m.hostLevel {
-			n.traceTime(int(m.group), 0, p.HostEventWrite)
-			n.exec(0, p.HostEventWrite, func() {
-				n.node.Host.deliver(Event{
-					Kind: EvRemote, Group: int(m.group), Seq: m.seq, FromNode: fromNode,
-				})
-			})
-			return
-		}
-		if _, gone := n.retired[m.group]; gone {
-			n.Stats.StaleRDMAs++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		op := n.mustChain(m.group)
-		if op.frozen {
-			n.Stats.StaleRDMAs++
-			n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-			return
-		}
-		sends, done, err := op.state.Arrive(m.seq, m.fromRank)
-		if err != nil {
-			panic(fmt.Sprintf("elan: node %d: %v", n.node.ID, err))
-		}
-		if len(sends) > 0 {
-			// The chained event triggers the next descriptors.
-			n.traceTime(int(m.group), p.ChainCycles, 0)
-			n.exec(p.ChainCycles, 0, func() {})
-			n.fireRDMAs(op, op.state.Seq(), sends)
-		}
-		if done {
-			n.completeChain(op, op.state.Seq())
-		}
-	})
+	h := n.get(hRDMARecv)
+	h.msg, h.dst = m, fromNode
+	n.Exec(p.EventFireCycles, 0, h)
+}
+
+// fireEvent is onRDMA's handler body.
+func (n *NIC) fireEvent(m rdmaMsg, fromNode int) {
+	p := n.node.Prof.NIC
+	n.Stats.EventsFired++
+	if m.hostLevel {
+		n.traceTime(int(m.group), 0, p.HostEventWrite)
+		h := n.get(hHostEvent)
+		h.ev = Event{Kind: EvRemote, Group: int(m.group), Seq: m.seq, FromNode: fromNode}
+		n.Exec(0, p.HostEventWrite, h)
+		return
+	}
+	if _, gone := n.retired[m.group]; gone {
+		n.Stats.StaleRDMAs++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	op := n.mustChain(m.group)
+	if op.frozen {
+		n.Stats.StaleRDMAs++
+		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
+		return
+	}
+	sends, done, err := op.state.Arrive(m.seq, m.fromRank)
+	if err != nil {
+		panic(fmt.Sprintf("elan: node %d: %v", n.node.ID, err))
+	}
+	if len(sends) > 0 {
+		// The chained event triggers the next descriptors.
+		n.traceTime(int(m.group), p.ChainCycles, 0)
+		n.Exec(p.ChainCycles, 0, sim.Nop{})
+		n.fireRDMAs(op, op.state.Seq(), sends)
+	}
+	if done {
+		n.completeChain(op, op.state.Seq())
+	}
 }
 
 // completeChain fires the local host event of the last descriptor: "the
@@ -531,19 +534,10 @@ func (n *NIC) completeChain(op *chainOp, seq int) {
 	p := n.node.Prof.NIC
 	n.traceEvent(int(op.group.ID), obs.KindComplete, int64(seq))
 	n.traceTime(int(op.group.ID), 0, p.HostEventWrite)
-	n.exec(0, p.HostEventWrite, func() {
-		if op.frozen {
-			return // completion overtaken by an abort
-		}
-		n.node.Host.deliver(Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq})
-	})
-}
-
-// Compute charges generic host CPU work before running fn; barrier
-// drivers use it for host-side bookkeeping that belongs to a specific
-// implementation (e.g. gsync's tree management).
-func (h *Host) Compute(cycles int64, fn func()) {
-	h.exec(cycles, 0, fn)
+	h := n.get(hComplete)
+	h.op = op
+	h.ev = Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq}
+	n.Exec(0, p.HostEventWrite, h)
 }
 
 // SendRemoteEvent issues one host-initiated zero-byte RDMA that fires a
@@ -554,25 +548,10 @@ func (h *Host) SendRemoteEvent(dstNode int, groupID, seq int) {
 	if dstNode == h.node.ID {
 		panic("elan: self RDMA not modeled")
 	}
-	h.exec(h.node.Prof.GsyncPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			n := h.node.NIC
-			p := n.node.Prof.NIC
-			payload := rdmaMsg{group: core.GroupID(groupID), seq: seq,
-				fromRank: -1, hostLevel: true}
-			n.exec(p.DMADescCycles, p.SendFixed, func() {
-				n.net.Send(netsim.Packet{
-					Src:     n.node.ID,
-					Dst:     dstNode,
-					Size:    h.node.Prof.BarrierBytes,
-					Kind:    "rdma-host",
-					Group:   groupID,
-					Payload: payload,
-				})
-				n.Stats.RDMAsSent++
-			})
-		})
-	})
+	r := h.node.NIC.get(hRemotePost)
+	r.dst = dstNode
+	r.msg = rdmaMsg{group: core.GroupID(groupID), seq: seq, fromRank: -1, hostLevel: true}
+	h.Exec(h.node.Prof.GsyncPostCycles, 0, r)
 }
 
 // Cluster is a set of Elan nodes on a quaternary fat tree.
@@ -583,6 +562,10 @@ type Cluster struct {
 	Nodes []*Node
 
 	hw *hwBarrier
+
+	// pool is the one free list of handler records and RDMA payloads
+	// that every node's NIC and host schedule from.
+	pool pool
 }
 
 // NewCluster builds an n-node QsNet cluster on the smallest quaternary
@@ -595,7 +578,7 @@ func NewCluster(eng *sim.Engine, prof hwprofile.QuadricsProfile, n int) *Cluster
 	net := netsim.New(eng, t, prof.Net, netsim.NoLoss{})
 	cl := &Cluster{Eng: eng, Prof: prof, Net: net}
 	for i := 0; i < n; i++ {
-		node := NewNode(eng, i, &cl.Prof, net)
+		node := newNode(eng, i, &cl.Prof, net, &cl.pool)
 		node.cluster = cl
 		cl.Nodes = append(cl.Nodes, node)
 	}

@@ -22,6 +22,12 @@ type hwBarrier struct {
 	round   int
 	firstAt sim.Time
 	retries uint64
+
+	// The transaction in flight: hwBarrier is its own sim.Event. At most
+	// one is, since participants post the next round only once this one
+	// has completed on them.
+	fireRound   int
+	fireMembers []int
 }
 
 // HWSyncLimit is the skew between the first and last arrival above which
@@ -43,11 +49,7 @@ func (hw *hwBarrier) configure(members []int) {
 // PostHWBarrier enters the hardware barrier from one host. Completion is
 // delivered as an EvHWBarrier host event on every participant.
 func (h *Host) PostHWBarrier() {
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.node.hwPost()
-		})
-	})
+	h.Exec(h.node.Prof.Host.SendPostCycles, 0, h.node.NIC.get(hHWPost))
 }
 
 func (n *Node) hwPost() {
@@ -59,7 +61,7 @@ func (n *Node) hwPost() {
 		panic(fmt.Sprintf("elan: node %d double-posted hw barrier round %d", n.ID, hw.round))
 	}
 	if len(hw.posted) == 0 {
-		hw.firstAt = n.NIC.eng.Now()
+		hw.firstAt = n.NIC.Eng.Now()
 	}
 	hw.posted[n.ID] = true
 	if len(hw.posted) == len(hw.members) {
@@ -80,39 +82,39 @@ func (hw *hwBarrier) fire() {
 		delay += prof.HWBarrierBase
 		hw.retries++
 	}
-	round := hw.round
+	hw.fireRound, hw.fireMembers = hw.round, hw.members
 	hw.round++
 	clear(hw.posted)
-	root := hw.members[0]
-	members := hw.members
-	eng.After(delay, func() {
-		// The combined reply is broadcast back down the tree to every
-		// participant (hardware replication in the switches).
-		hw.cl.Net.Multicast(netsim.Packet{
-			Src:     root,
-			Dst:     -1,
-			Size:    hw.cl.Prof.BarrierBytes,
-			Kind:    "hw-barrier",
-			Payload: hwBarrierMsg{round: round},
-		}, members)
-		// The root does not hear its own multicast; complete it directly.
-		hw.cl.Nodes[root].NIC.completeHW(hwBarrierMsg{round: round})
-	})
+	eng.AfterEvent(delay, hw)
+}
+
+// Fire implements sim.Event: the combined reply of the in-flight
+// transaction is broadcast back down the tree to every participant
+// (hardware replication in the switches).
+func (hw *hwBarrier) Fire() {
+	root := hw.fireMembers[0]
+	m := hwBarrierMsg{round: hw.fireRound}
+	hw.cl.Net.Multicast(netsim.Packet{
+		Src:     root,
+		Dst:     -1,
+		Size:    hw.cl.Prof.BarrierBytes,
+		Kind:    "hw-barrier",
+		Payload: m,
+	}, hw.fireMembers)
+	// The root does not hear its own multicast; complete it directly.
+	hw.cl.Nodes[root].NIC.completeHW(m)
 }
 
 // Retries reports how many failed probes (sync fallback penalty) occurred.
 func (hw *hwBarrier) Retries() uint64 { return hw.retries }
 
-func (n *NIC) onHWBroadcast(m hwBarrierMsg) {
-	n.completeHW(m)
-}
-
+// completeHW charges the card's event write of a completed round and
+// hands the completion to the host.
 func (n *NIC) completeHW(m hwBarrierMsg) {
 	p := n.node.Prof.NIC
-	n.exec(p.EventFireCycles, p.HostEventWrite, func() {
-		n.Stats.HWBarriers++
-		n.node.Host.deliver(Event{Kind: EvHWBarrier, Seq: m.round})
-	})
+	h := n.get(hHWDone)
+	h.msg.seq = m.round
+	n.Exec(p.EventFireCycles, p.HostEventWrite, h)
 }
 
 func clusterOf(n *Node) *Cluster {

@@ -460,15 +460,22 @@ func (m *member) HandleEvent(ev Event) {
 		}
 		// Elanlib's tree bookkeeping is heavier than the bare poll
 		// already charged by event delivery.
-		m.node.Host.Compute(m.node.Prof.GsyncPollExtraCycles, func() {
-			sends, done, err := m.hostOp.Arrive(ev.Seq, fromRank)
-			if err != nil {
-				panic(fmt.Sprintf("elan: rank %d: %v", m.rank, err))
-			}
-			m.gsyncSend(m.hostOp.Seq(), sends)
-			if done {
-				m.s.complete(m.rank, m.hostOp.Seq())
-			}
-		})
+		h := m.node.NIC.get(hGsync)
+		h.m = m
+		h.msg.seq, h.msg.fromRank = ev.Seq, fromRank
+		m.node.Host.Exec(m.node.Prof.GsyncPollExtraCycles, 0, h)
+	}
+}
+
+// gsyncArrive is the host's gsync tree step for a remote event from
+// fromRank, once its bookkeeping cost has been charged.
+func (m *member) gsyncArrive(seq, fromRank int) {
+	sends, done, err := m.hostOp.Arrive(seq, fromRank)
+	if err != nil {
+		panic(fmt.Sprintf("elan: rank %d: %v", m.rank, err))
+	}
+	m.gsyncSend(m.hostOp.Seq(), sends)
+	if done {
+		m.s.complete(m.rank, m.hostOp.Seq())
 	}
 }

@@ -34,9 +34,11 @@ func steadyIter(tb testing.TB, s *Session, iters int) func() {
 	}
 }
 
-func barrierSession(n int) *Session {
+func barrierSession(n int) *Session { return schemeSession(n, SchemeCollective) }
+
+func schemeSession(n int, scheme Scheme) *Session {
 	_, cl := xpCluster(n, nil)
-	return NewSession(cl, identity(n), SchemeCollective, barrier.PairwiseExchange, barrier.Options{})
+	return NewSession(cl, identity(n), scheme, barrier.PairwiseExchange, barrier.Options{})
 }
 
 func broadcastSession(n int) *Session {
@@ -91,6 +93,24 @@ func TestCollectiveSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// The GM point-to-point path pools its send tokens, send records (each
+// its own retransmit timer) and data and ACK payloads, and reuses each
+// destination queue's storage, so the host-based and direct-scheme
+// barriers, which send every notification through it, allocate nothing
+// per operation once warm either.
+func TestGMSteadyStateZeroAlloc(t *testing.T) {
+	const runs = 100
+	for _, scheme := range []Scheme{SchemeHost, SchemeDirect} {
+		step := steadyIter(t, schemeSession(allocNodes, scheme), allocWarmup+runs+2)
+		for i := 0; i < allocWarmup; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+			t.Errorf("%v: %.2f allocations per operation, want 0", scheme, allocs)
+		}
+	}
+}
+
 // perRunLoss drops the listed indices of the barrier-coll packets sent
 // since the last reset, so every run of a repeated session sees the same
 // losses.
@@ -108,12 +128,9 @@ func (l *perRunLoss) Drop(pkt netsim.Packet) bool {
 	return l.drop[k]
 }
 
-// freeLens walks the pool's free lists.
+// freeLens reports the sizes of the pool's collective free lists.
 func (p *pool) freeLens() (handlers, payloads int) {
-	for h := p.handlers; h != nil; h = h.next {
-		handlers++
-	}
-	return handlers, len(p.payloads)
+	return p.handlers.Len(), p.payloads.Len()
 }
 
 // Payload ownership under loss: notification 3 of each run is dropped,
@@ -182,6 +199,20 @@ func BenchmarkMyrinetBarrier(b *testing.B) {
 // per op, gated like BenchmarkMyrinetBarrier.
 func BenchmarkMyrinetAllreduce(b *testing.B) {
 	benchSteady(b, allreduceSession(b, allocNodes, nil))
+}
+
+// BenchmarkMyrinetHostBarrier is one steady-state 16-node host-based
+// barrier per op: every notification is a GM send, receive event and
+// ACK. Gated like BenchmarkMyrinetBarrier.
+func BenchmarkMyrinetHostBarrier(b *testing.B) {
+	benchSteady(b, schemeSession(allocNodes, SchemeHost))
+}
+
+// BenchmarkMyrinetDirectBarrier is one steady-state 16-node
+// direct-scheme barrier per op (NIC-triggered GM sends), gated like
+// BenchmarkMyrinetBarrier.
+func BenchmarkMyrinetDirectBarrier(b *testing.B) {
+	benchSteady(b, schemeSession(allocNodes, SchemeDirect))
 }
 
 func benchSteady(b *testing.B, s *Session) {

@@ -159,11 +159,11 @@ func (n *NIC) UninstallGroup(id core.GroupID) {
 	if n.retired == nil {
 		n.retired = make(map[core.GroupID]sim.Time)
 	}
-	n.retired[id] = n.eng.Now()
+	n.retired[id] = n.Eng.Now()
 	n.pruneRetired()
 	n.traceEvent(int(id), obs.KindUninstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupUninstallCost)
-	n.exec(0, n.node.Prof.NIC.GroupUninstallCost, func() {})
+	n.Exec(0, n.node.Prof.NIC.GroupUninstallCost, sim.Nop{})
 }
 
 // retiredSweepLen bounds the tombstone table: pruning only runs once it
@@ -180,7 +180,7 @@ func (n *NIC) pruneRetired() {
 		return
 	}
 	horizon := 16 * n.node.Prof.NIC.NackTimeout
-	cutoff := n.eng.Now()
+	cutoff := n.Eng.Now()
 	for id, at := range n.retired {
 		if cutoff.Sub(at) > horizon {
 			delete(n.retired, id)
@@ -224,7 +224,7 @@ func (n *NIC) ChargeGroupInstall(id core.GroupID) {
 	delete(n.retired, id)
 	n.traceEvent(int(id), obs.KindInstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupInstallCost)
-	n.exec(0, n.node.Prof.NIC.GroupInstallCost, func() {})
+	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})
 }
 
 func (c *collModule) install(g *core.Group, sched barrier.Schedule) error {
@@ -263,7 +263,7 @@ func (c *collModule) start(op *collOp, value int64) {
 	n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollEnqueue, 0)
 	h := n.pool.get(hCollStart, n)
 	h.op, h.msg.value = op, value
-	n.execHandler(n.node.Prof.NIC.CollEnqueue, 0, h)
+	n.Exec(n.node.Prof.NIC.CollEnqueue, 0, h)
 }
 
 // begin is the doorbell's handler body.
@@ -311,7 +311,7 @@ func (c *collModule) sendAll(op *collOp, seq int, ranks []int) {
 			value: op.sendValue(seq, r),
 		}
 		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
-		n.execHandler(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, h)
+		n.Exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, h)
 	}
 }
 
@@ -336,7 +336,7 @@ func (c *collModule) onMsg(m collPayload) {
 	n.traceTime(int(m.group), n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed)
 	h := n.pool.get(hCollRecv, n)
 	h.msg = m
-	n.execHandler(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, h)
+	n.Exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, h)
 }
 
 // arrive is onMsg's handler body.
@@ -394,7 +394,7 @@ func (c *collModule) complete(op *collOp, seq int) {
 	n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollComplete, 0)
 	h := n.pool.get(hComplete, n)
 	h.ev = Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq, Value: value}
-	n.execHandler(n.node.Prof.NIC.CollComplete, 0, h)
+	n.Exec(n.node.Prof.NIC.CollComplete, 0, h)
 }
 
 // armNack starts the receiver-driven retransmission timer: if the
@@ -405,7 +405,7 @@ func (c *collModule) armNack(op *collOp, seq int) {
 		return
 	}
 	op.nackSeq = seq
-	op.nackTimer = c.nic.eng.AfterEvent(c.nic.node.Prof.NIC.NackTimeout, op)
+	op.nackTimer = c.nic.Eng.AfterEvent(c.nic.node.Prof.NIC.NackTimeout, op)
 }
 
 // Fire implements sim.Event: the NACK timer armed for operation nackSeq
@@ -429,7 +429,7 @@ func (op *collOp) Fire() {
 		h.msg = collPayload{group: op.group.ID, seq: seq, fromRank: op.group.MyRank}
 		n.traceEvent(int(op.group.ID), obs.KindNack, int64(r))
 		n.traceTime(int(op.group.ID), n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed)
-		n.execHandler(n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed, h)
+		n.Exec(n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed, h)
 	}
 	c.armNack(op, seq) // re-arm until the operation completes
 }
@@ -455,7 +455,7 @@ func (c *collModule) onNack(m collPayload, fromNode int) {
 	n.traceTime(int(m.group), n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed)
 	h := n.pool.get(hNackRecv, n)
 	h.dst, h.msg = fromNode, m
-	n.execHandler(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, h)
+	n.Exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, h)
 }
 
 // serveNack serves a retransmission request: if this rank already sent
@@ -503,6 +503,6 @@ func (c *collModule) serveNack(m collPayload, fromNode int) {
 		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
 		h := n.pool.get(hCollResend, n)
 		h.dst, h.msg = fromNode, payload
-		n.execHandler(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, h)
+		n.Exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, h)
 	}
 }

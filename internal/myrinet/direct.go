@@ -17,7 +17,10 @@ type directModule struct {
 	nic *NIC
 }
 
+// directOp is one group's entry. It is also the sim.Event of its own
+// doorbell translation: the operation it starts is read when it fires.
 type directOp struct {
+	mod     *directModule
 	group   *core.Group
 	state   *core.OpState
 	nextSeq int
@@ -30,7 +33,7 @@ func (d *directModule) install(g *core.Group, sched barrier.Schedule) error {
 	if err := d.nic.checkSlot(g.ID); err != nil {
 		return err
 	}
-	d.nic.claimSlot(groupSlot{id: g.ID, direct: &directOp{group: g, state: core.NewOpState(sched)}})
+	d.nic.claimSlot(groupSlot{id: g.ID, direct: &directOp{mod: d, group: g, state: core.NewOpState(sched)}})
 	return nil
 }
 
@@ -42,24 +45,29 @@ func (d *directModule) mustOp(id core.GroupID) *directOp {
 }
 
 func (d *directModule) start(op *directOp) {
-	n := d.nic
 	// The doorbell is translated like a regular send event.
-	n.exec(n.node.Prof.NIC.TokenTranslate, 0, func() {
-		if op.frozen {
-			n.Stats.StaleColl++
-			return
-		}
-		seq := op.nextSeq
-		op.nextSeq++
-		sends, done, err := op.state.Start(seq)
-		if err != nil {
-			panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
-		}
-		d.enqueueSends(op, seq, sends)
-		if done {
-			d.complete(op, seq)
-		}
-	})
+	d.nic.Exec(d.nic.node.Prof.NIC.TokenTranslate, 0, op)
+}
+
+// Fire implements sim.Event: the translated doorbell starts the group's
+// next operation.
+func (op *directOp) Fire() {
+	d := op.mod
+	n := d.nic
+	if op.frozen {
+		n.Stats.StaleColl++
+		return
+	}
+	seq := op.nextSeq
+	op.nextSeq++
+	sends, done, err := op.state.Start(seq)
+	if err != nil {
+		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
+	}
+	d.enqueueSends(op, seq, sends)
+	if done {
+		d.complete(op, seq)
+	}
 }
 
 // enqueueSends pushes one regular send token per notification into the
@@ -69,12 +77,14 @@ func (d *directModule) enqueueSends(op *directOp, seq int, ranks []int) {
 	n := d.nic
 	for _, r := range ranks {
 		n.Stats.TokensEnqueued++
-		n.enqueueToken(&sendToken{
-			dst:      op.group.NodeOf(r),
-			size:     8, // the barrier integer, NIC-generated
-			hostData: false,
-			barrier:  &collPayload{group: op.group.ID, seq: seq, fromRank: op.group.MyRank},
-		})
+		tok := n.pool.data.Get()
+		*tok = dataMsg{
+			dst:     op.group.NodeOf(r),
+			size:    8, // the barrier integer, NIC-generated
+			route:   routeDirect,
+			barrier: collPayload{group: op.group.ID, seq: seq, fromRank: op.group.MyRank},
+		}
+		n.enqueueToken(tok)
 	}
 	if len(ranks) > 0 {
 		n.kick()
@@ -85,33 +95,39 @@ func (d *directModule) enqueueSends(op *directOp, seq int, ranks []int) {
 // accepted a barrier-tagged data packet.
 func (d *directModule) onArrive(m collPayload) {
 	n := d.nic
-	n.exec(n.node.Prof.NIC.CollRecv, 0, func() {
-		if _, gone := n.retired[m.group]; gone {
-			n.Stats.StaleColl++ // p2p retransmit outlived the group
-			return
-		}
-		op := d.mustOp(m.group)
-		if op.frozen {
-			n.Stats.StaleColl++
-			return
-		}
-		sends, done, err := op.state.Arrive(m.seq, m.fromRank)
-		if err != nil {
-			panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
-		}
-		d.enqueueSends(op, op.state.Seq(), sends)
-		if done {
-			d.complete(op, op.state.Seq())
-		}
-	})
+	h := n.pool.get(hDirectRecv, n)
+	h.msg = m
+	n.Exec(n.node.Prof.NIC.CollRecv, 0, h)
+}
+
+// arrive is onArrive's handler body.
+func (d *directModule) arrive(m collPayload) {
+	n := d.nic
+	if _, gone := n.retired[m.group]; gone {
+		n.Stats.StaleColl++ // p2p retransmit outlived the group
+		return
+	}
+	op := d.mustOp(m.group)
+	if op.frozen {
+		n.Stats.StaleColl++
+		return
+	}
+	sends, done, err := op.state.Arrive(m.seq, m.fromRank)
+	if err != nil {
+		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
+	}
+	d.enqueueSends(op, op.state.Seq(), sends)
+	if done {
+		d.complete(op, op.state.Seq())
+	}
 }
 
 func (d *directModule) complete(op *directOp, seq int) {
 	n := d.nic
 	n.Stats.BarriersRun++
-	n.exec(n.node.Prof.NIC.CollComplete, 0, func() {
-		n.postEvent(Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq})
-	})
+	h := n.pool.get(hComplete, n)
+	h.ev = Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq}
+	n.Exec(n.node.Prof.NIC.CollComplete, 0, h)
 }
 
 // --- NIC installation API (shared by both schemes) ---

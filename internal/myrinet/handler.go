@@ -1,20 +1,23 @@
 package myrinet
 
+import "nicbarrier/internal/sim"
+
 // handler is the pooled, closure-free form of one per-message handler of
-// the collective protocol and of the host event path: the NIC, bus and
-// host schedule a handler record through sim.Event instead of a closure
-// built per message, and kind selects what runs when it fires. The
-// fields are what the handlers read: the NIC (the host is its node's),
-// the group entry, a destination node, a wire payload and a host event
-// record.
+// the NIC firmware and the host: the NIC, bus and host schedule a
+// handler record through sim.Event instead of a closure built per
+// message, and kind selects what runs when it fires. The fields are what
+// the handlers read: the NIC (the host is its node's), the collective
+// group entry, a GM send token or arrived data payload, a node, a
+// collective notification (or a GM sequence number in msg.seq) and a
+// host event record.
 type handler struct {
 	kind handlerKind
 	nic  *NIC
 	op   *collOp
+	data *dataMsg
 	dst  int
 	msg  collPayload
 	ev   Event
-	next *handler // free-list link
 }
 
 type handlerKind uint8
@@ -28,6 +31,31 @@ const (
 	hComplete                      // operation done: post ev to the host
 	hNackSend                      // NACK msg (this NIC's rank wants a resend) to node dst
 	hNackRecv                      // arrived NACK msg from node dst
+	// The direct scheme's arrived notification msg (its doorbell is the
+	// directOp itself).
+	hDirectRecv
+	// GM send pipeline, carrying the send token: host post -> PIO -> token
+	// translation -> per-destination queue -> packet claim -> fill DMA ->
+	// send record and injection.
+	hSendPost
+	hSendDoorbell
+	hTokenEnqueue
+	hClaim
+	hFilled
+	hInject
+	// GM receive-buffer posts: host post -> PIO -> NIC token count.
+	hRecvTokenPost
+	hRecvTokenDoorbell
+	hRecvToken
+	// GM receive pipeline, carrying the arrived data payload until the
+	// chain ends: sequence check -> receive token match -> DMA to host.
+	hDataRecv
+	hRecvMatch
+	hRecvDMA
+	// GM acknowledgements and retransmission, keyed (dst, msg.seq).
+	hAckSend    // ACK of sequence msg.seq to node dst; msg.group is its trace group
+	hAckRecv    // ACK from node dst of sequence msg.seq
+	hRetransmit // re-inject the send record keyed (dst, msg.seq) if still live
 	// Host event path: NIC event post -> DMA -> host poll.
 	hPostEvent
 	hEventDMA
@@ -37,55 +65,44 @@ const (
 	hDoorbell
 )
 
-// pool holds the free lists of one cluster: handler records and wire
-// payloads. All nodes of a cluster share one engine, so one pool serves
-// them all and its size tracks the cluster's peak in-flight handlers,
-// not its endpoint count. It is owned by the engine's goroutine.
+// pool holds the free lists of one cluster: handler records, collective
+// and GM wire payloads (GM send tokens among them) and GM send records.
+// All nodes of a cluster share one engine, so one pool serves them all
+// and its size tracks the cluster's peak in flight, not its endpoint
+// count.
+//
+// Wire payloads follow one ownership rule. Ownership passes with the
+// packet: each Send carries its own payload (a NACK's duplicated reply
+// takes two, and every GM injection, retransmissions included, takes
+// its own copy of the send record's message), the receiving NIC copies
+// it out or holds it until its handlers are done and then returns it,
+// also when it drops the packet, and a payload lost with a dropped
+// packet is left to the garbage collector. This is sound only because
+// netsim never duplicates a unicast packet and this model never
+// multicasts.
 type pool struct {
-	handlers *handler
-	payloads []*collPayload
+	handlers sim.FreeList[handler]
+	payloads sim.FreeList[collPayload]
+	data     sim.FreeList[dataMsg]
+	acks     sim.FreeList[ackMsg]
+	records  sim.FreeList[sendRecord]
 }
 
 // get returns a handler record of kind k on NIC n, with its other fields
 // zeroed.
 func (p *pool) get(k handlerKind, n *NIC) *handler {
-	h := p.handlers
-	if h == nil {
-		h = new(handler)
-	} else {
-		p.handlers = h.next
-	}
+	h := p.handlers.Get()
 	h.kind, h.nic = k, n
 	return h
 }
 
-// put returns h to the free list, dropping its references.
-func (p *pool) put(h *handler) {
-	*h = handler{next: p.handlers}
-	p.handlers = h
-}
-
 // payload returns a wire payload holding m, for a collective
-// notification or (converted to *nackMsg) a NACK. Ownership passes with
-// the packet: each Send carries its own payload (a NACK's duplicated
-// reply takes two), the receiving NIC copies it out and returns it with
-// putPayload, and a payload lost with a dropped packet is left to the
-// garbage collector. This is sound only because netsim never duplicates
-// a unicast packet and this model never multicasts; the GM p2p path,
-// whose send records re-send the very same packet, keeps boxed values.
+// notification or (converted to *nackMsg) a NACK.
 func (p *pool) payload(m collPayload) *collPayload {
-	var pl *collPayload
-	if k := len(p.payloads); k > 0 {
-		pl = p.payloads[k-1]
-		p.payloads = p.payloads[:k-1]
-	} else {
-		pl = new(collPayload)
-	}
+	pl := p.payloads.Get()
 	*pl = m
 	return pl
 }
-
-func (p *pool) putPayload(pl *collPayload) { p.payloads = append(p.payloads, pl) }
 
 // Fire implements sim.Event. Like netsim's packet events, the record
 // returns to the free list before its handler runs: handlers schedule
@@ -93,7 +110,7 @@ func (p *pool) putPayload(pl *collPayload) { p.payloads = append(p.payloads, pl)
 func (h *handler) Fire() {
 	r := *h
 	n := r.nic
-	n.pool.put(h)
+	n.pool.handlers.Put(h)
 	c := &n.coll
 	switch r.kind {
 	case hCollStart:
@@ -112,11 +129,47 @@ func (h *handler) Fire() {
 		n.sendNack(r.dst, r.msg)
 	case hNackRecv:
 		c.serveNack(r.msg, r.dst)
+	case hDirectRecv:
+		n.direct.arrive(r.msg)
+	case hSendPost:
+		n.node.Bus.PIOWrite(n.with(hSendDoorbell, r.data))
+	case hSendDoorbell:
+		n.Exec(n.node.Prof.NIC.TokenTranslate, 0, n.with(hTokenEnqueue, r.data))
+	case hTokenEnqueue:
+		n.Stats.TokensEnqueued++
+		n.enqueueToken(r.data)
+		n.kick()
+	case hClaim:
+		n.fillPacket(r.data)
+	case hFilled:
+		n.injectData(r.data)
+	case hInject:
+		n.inject(r.data)
+	case hRecvTokenPost:
+		n.node.Bus.PIOWrite(n.pool.get(hRecvTokenDoorbell, n))
+	case hRecvTokenDoorbell:
+		n.Exec(n.node.Prof.NIC.TokenPost, 0, n.pool.get(hRecvToken, n))
+	case hRecvToken:
+		n.recvTokens++
+	case hDataRecv:
+		n.checkData(r.data)
+	case hRecvMatch:
+		dma := n.pool.get(hRecvDMA, n)
+		dma.data = r.data
+		n.node.Bus.DMA(r.data.size, dma)
+	case hRecvDMA:
+		n.deliverData(r.data)
+	case hAckSend:
+		n.sendAckPacket(r.dst, uint32(r.msg.seq), r.msg.group)
+	case hAckRecv:
+		n.ackRecord(recordKey{r.dst, uint32(r.msg.seq)})
+	case hRetransmit:
+		n.reinject(recordKey{r.dst, uint32(r.msg.seq)})
 	case hPostEvent:
 		n.Stats.EventsPosted++
 		dma := n.pool.get(hEventDMA, n)
 		dma.ev = r.ev
-		n.node.Bus.DMAEvent(n.node.Prof.EventBytes, dma)
+		n.node.Bus.DMA(n.node.Prof.EventBytes, dma)
 	case hEventDMA:
 		n.node.Host.deliver(r.ev)
 	case hDeliver:
@@ -124,8 +177,16 @@ func (h *handler) Fire() {
 	case hPost:
 		db := n.pool.get(hDoorbell, n)
 		db.msg = r.msg
-		n.node.Bus.PIOWriteEvent(db)
+		n.node.Bus.PIOWrite(db)
 	case hDoorbell:
 		n.onBarrierDoorbell(int(r.msg.group), r.msg.value)
 	}
+}
+
+// with returns a handler record of kind k on NIC n carrying send token
+// tok through the GM send pipeline.
+func (n *NIC) with(k handlerKind, tok *dataMsg) *handler {
+	h := n.pool.get(k, n)
+	h.data = tok
+	return h
 }

@@ -11,16 +11,34 @@ import (
 
 // Wire payloads.
 
-// dataMsg is a GM data packet. Direct-scheme barrier messages ride the
-// same path with barrier set, which is exactly the redundancy the paper's
-// collective protocol removes.
+// dataMsg is a GM data packet. Host- and direct-scheme barrier messages
+// ride the same path carrying barrier, which is exactly the redundancy
+// the paper's collective protocol removes. Before injection the same
+// record is the NIC-side form of the send request (GM's "send token"):
+// a message whose source and sequence number are not yet set.
 type dataMsg struct {
 	src, dst int
 	seq      uint32
 	size     int
-	tag      any
-	barrier  *collPayload // non-nil: direct-scheme barrier notification
+	tag      any // application tag (routeData)
+	route    dataRoute
+	hostData bool        // token: the payload lives in host memory, fill by DMA
+	barrier  collPayload // the notification (routeHost, routeDirect)
 }
+
+// dataRoute says what a GM data packet carries, and so where its
+// receiver hands it after the sequence check.
+type dataRoute uint8
+
+const (
+	// routeData is application data: receive token, DMA, EvRecv.
+	routeData dataRoute = iota
+	// routeHost is a host-scheme barrier message: received like data,
+	// posted as EvBarrierMsg.
+	routeHost
+	// routeDirect is a direct-scheme barrier message, consumed by the NIC.
+	routeDirect
+)
 
 // ackMsg acknowledges one data packet (sent from the receiver's static
 // ACK packet).
@@ -47,13 +65,34 @@ type collPayload struct {
 // payloads under the same ownership rule.
 type nackMsg collPayload
 
-// sendToken is the NIC-side form of a send request (GM's "send token").
-type sendToken struct {
-	dst      int
-	size     int
-	tag      any
-	hostData bool
-	barrier  *collPayload
+// tokenQueue is one destination's FIFO of send tokens. It keeps its
+// storage across drains, so a steady stream of sends reuses it.
+type tokenQueue struct {
+	toks []*dataMsg
+	head int
+}
+
+func (q *tokenQueue) empty() bool { return q.head == len(q.toks) }
+
+func (q *tokenQueue) push(t *dataMsg) {
+	if len(q.toks) == cap(q.toks) && q.head > 0 {
+		// Full with a consumed prefix: slide the backlog down rather
+		// than grow.
+		k := copy(q.toks, q.toks[q.head:])
+		clear(q.toks[k:])
+		q.toks, q.head = q.toks[:k], 0
+	}
+	q.toks = append(q.toks, t)
+}
+
+func (q *tokenQueue) pop() *dataMsg {
+	t := q.toks[q.head]
+	q.toks[q.head] = nil
+	q.head++
+	if q.empty() {
+		q.toks, q.head = q.toks[:0], 0
+	}
+	return t
 }
 
 type recordKey struct {
@@ -62,11 +101,17 @@ type recordKey struct {
 }
 
 // sendRecord is the per-packet bookkeeping entry of the p2p protocol; the
-// collective protocol replaces a set of these with one bit vector.
+// collective protocol replaces a set of these with one bit vector. The
+// record keeps its message by value and is its own retransmit timer.
 type sendRecord struct {
-	pkt   netsim.Packet
+	nic   *NIC
+	key   recordKey
+	msg   dataMsg
 	timer sim.Timer
 }
+
+// Fire implements sim.Event: the retransmit timeout expired.
+func (r *sendRecord) Fire() { r.nic.retransmit(r.key) }
 
 // NICStats counts NIC-level protocol activity; experiments and tests read
 // these to verify claims like "receiver-driven retransmission halves the
@@ -98,15 +143,15 @@ type NICStats struct {
 // NIC is the LANai model: one sequential firmware processor plus the MCP
 // protocol state.
 type NIC struct {
-	proc
+	sim.Proc
 	node *Node
 	net  *netsim.Network
-	pool *pool // the cluster's shared handler and payload free lists
+	pool *pool // the cluster's shared free lists
 
 	// p2p send side. The GM maps (queues, nextSeq, records, expectSeq)
 	// are built on the NIC's first p2p send or receive (see gm): most
 	// NICs of a collective-only run never touch them.
-	queues      map[int][]*sendToken
+	queues      map[int]*tokenQueue
 	rr          []int // destinations with queued tokens, sorted
 	lastDst     int   // round-robin cursor over the destination space
 	dispatching bool
@@ -155,7 +200,7 @@ type NIC struct {
 // traceEvent records a firmware-level event on this NIC's trace track.
 func (n *NIC) traceEvent(group int, k obs.Kind, arg int64) {
 	if n.tr != nil {
-		n.tr.NICEvent(n.eng.Now(), n.node.ID, group, k, arg)
+		n.tr.NICEvent(n.Eng.Now(), n.node.ID, group, k, arg)
 	}
 }
 
@@ -164,13 +209,13 @@ func (n *NIC) traceEvent(group int, k obs.Kind, arg int64) {
 // bucket; call it alongside the exec that charges the same work.
 func (n *NIC) traceTime(group int, cycles int64, fixed sim.Duration) {
 	if n.tr != nil {
-		n.tr.NICTime(group, sim.Cycles(cycles, n.clockMHz)+fixed)
+		n.tr.NICTime(group, sim.Cycles(cycles, n.ClockMHz)+fixed)
 	}
 }
 
 func newNIC(eng *sim.Engine, node *Node, net *netsim.Network, pl *pool) *NIC {
 	n := &NIC{
-		proc:        proc{eng: eng, clockMHz: node.Prof.NIC.ClockMHz},
+		Proc:        sim.Proc{Eng: eng, ClockMHz: node.Prof.NIC.ClockMHz},
 		node:        node,
 		net:         net,
 		pool:        pl,
@@ -183,7 +228,7 @@ func newNIC(eng *sim.Engine, node *Node, net *netsim.Network, pl *pool) *NIC {
 // gm builds the point-to-point protocol's maps on first use.
 func (n *NIC) gm() {
 	if n.queues == nil {
-		n.queues = make(map[int][]*sendToken)
+		n.queues = make(map[int]*tokenQueue)
 		n.nextSeq = make(map[int]uint32)
 		n.records = make(map[recordKey]*sendRecord)
 		n.expectSeq = make(map[int]uint32)
@@ -191,20 +236,6 @@ func (n *NIC) gm() {
 }
 
 // --- doorbell handlers (arrive over PCI from the host) ---
-
-func (n *NIC) onSendDoorbell(tok *sendToken) {
-	n.exec(n.node.Prof.NIC.TokenTranslate, 0, func() {
-		n.Stats.TokensEnqueued++
-		n.enqueueToken(tok)
-		n.kick()
-	})
-}
-
-func (n *NIC) onTokenPost() {
-	n.exec(n.node.Prof.NIC.TokenPost, 0, func() {
-		n.recvTokens++
-	})
-}
 
 func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 	n.traceEvent(groupID, obs.KindDoorbell, value)
@@ -221,30 +252,35 @@ func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 
 // --- p2p send pipeline ---
 
-func (n *NIC) enqueueToken(t *sendToken) {
+func (n *NIC) enqueueToken(t *dataMsg) {
 	n.gm()
-	q := n.queues[t.dst]
-	if len(q) == 0 {
+	dst := t.dst
+	q := n.queues[dst]
+	if q == nil {
+		q = new(tokenQueue)
+		n.queues[dst] = q
+	}
+	if q.empty() {
 		// Insert into the sorted pending-destination ring.
 		pos := len(n.rr)
 		for i, d := range n.rr {
-			if d > t.dst {
+			if d > dst {
 				pos = i
 				break
 			}
 		}
 		n.rr = append(n.rr, 0)
 		copy(n.rr[pos+1:], n.rr[pos:])
-		n.rr[pos] = t.dst
+		n.rr[pos] = dst
 	}
-	n.queues[t.dst] = append(q, t)
+	q.push(t)
 }
 
 // nextToken dequeues round-robin across destination queues (Section 4.2:
 // "the NIC processes the tokens to different destinations in a
 // round-robin manner"). The cursor cycles the destination space, so after
 // serving destination d the next pending destination above d goes first.
-func (n *NIC) nextToken() *sendToken {
+func (n *NIC) nextToken() *dataMsg {
 	if len(n.rr) == 0 {
 		return nil
 	}
@@ -258,12 +294,9 @@ func (n *NIC) nextToken() *sendToken {
 	dst := n.rr[pos]
 	n.lastDst = dst
 	q := n.queues[dst]
-	tok := q[0]
-	if len(q) == 1 {
-		delete(n.queues, dst)
+	tok := q.pop()
+	if q.empty() {
 		n.rr = append(n.rr[:pos], n.rr[pos+1:]...)
-	} else {
-		n.queues[dst] = q[1:]
 	}
 	return tok
 }
@@ -284,83 +317,109 @@ func (n *NIC) kick() {
 	n.dispatching = true
 	n.freePackets--
 	p := n.node.Prof.NIC
-	n.exec(p.TokenSchedule+p.PacketClaim, 0, func() { n.fillPacket(tok) })
+	n.Exec(p.TokenSchedule+p.PacketClaim, 0, n.with(hClaim, tok))
 }
 
-func (n *NIC) fillPacket(tok *sendToken) {
+func (n *NIC) fillPacket(tok *dataMsg) {
 	if tok.hostData && tok.size > 0 {
-		n.node.Bus.DMA(tok.size, func() { n.injectData(tok) })
+		n.node.Bus.DMA(tok.size, n.with(hFilled, tok))
 		return
 	}
 	n.injectData(tok)
 }
 
-func (n *NIC) injectData(tok *sendToken) {
+func (n *NIC) injectData(tok *dataMsg) {
 	p := n.node.Prof.NIC
-	n.exec(p.PacketFill+p.SendRecord, p.SendFixed, func() {
-		seq := n.nextSeq[tok.dst]
-		n.nextSeq[tok.dst] = seq + 1
-		kind := "data"
-		group := 0
-		if tok.barrier != nil {
-			kind = "barrier-direct"
-			group = int(tok.barrier.group)
-		}
-		pkt := netsim.Packet{
-			Src:   n.node.ID,
-			Dst:   tok.dst,
-			Size:  tok.size + n.node.Prof.DataHeaderBytes,
-			Kind:  kind,
-			Group: group,
-			Payload: dataMsg{
-				src: n.node.ID, dst: tok.dst, seq: seq,
-				size: tok.size, tag: tok.tag, barrier: tok.barrier,
-			},
-		}
-		key := recordKey{tok.dst, seq}
-		rec := &sendRecord{pkt: pkt}
-		n.records[key] = rec
-		rec.timer = n.eng.After(p.RetransmitTimeout, func() { n.retransmit(key) })
-		n.net.Send(pkt)
-		n.Stats.DataSent++
-		n.dispatching = false
-		n.kick()
+	n.Exec(p.PacketFill+p.SendRecord, p.SendFixed, n.with(hInject, tok))
+}
+
+// inject is injectData's handler body: the token becomes a numbered
+// message, a send record keeps it and arms its retransmit timer, and the
+// first copy goes on the wire.
+func (n *NIC) inject(tok *dataMsg) {
+	m := *tok
+	n.pool.data.Put(tok)
+	m.src = n.node.ID
+	m.seq = n.nextSeq[m.dst]
+	n.nextSeq[m.dst] = m.seq + 1
+	rec := n.pool.records.Get()
+	rec.nic, rec.key, rec.msg = n, recordKey{m.dst, m.seq}, m
+	n.records[rec.key] = rec
+	rec.timer = n.Eng.AfterEvent(n.node.Prof.NIC.RetransmitTimeout, rec)
+	n.sendData(m)
+	n.Stats.DataSent++
+	n.dispatching = false
+	n.kick()
+}
+
+// sendData injects one copy of a GM data packet on its own pooled
+// payload.
+func (n *NIC) sendData(m dataMsg) {
+	kind, group := "data", 0
+	if m.route == routeDirect {
+		kind, group = "barrier-direct", int(m.barrier.group)
+	}
+	pl := n.pool.data.Get()
+	*pl = m
+	n.net.Send(netsim.Packet{
+		Src:     n.node.ID,
+		Dst:     m.dst,
+		Size:    m.size + n.node.Prof.DataHeaderBytes,
+		Kind:    kind,
+		Group:   group,
+		Payload: pl,
 	})
 }
 
+// retransmit handles a send record's timeout. The record is looked up by
+// key, here and again when the retransmit handler runs, so a record
+// recycled after its ACK is never re-injected.
 func (n *NIC) retransmit(key recordKey) {
-	rec, ok := n.records[key]
-	if !ok {
+	if _, ok := n.records[key]; !ok {
 		return
 	}
 	p := n.node.Prof.NIC
 	n.Stats.Retransmits++
-	n.exec(p.SendRecord, p.SendFixed, func() {
-		// The packet buffer is still held (not released until ACK), so
-		// retransmission is a re-injection.
-		if _, live := n.records[key]; !live {
-			return // ACK raced the retransmit handler
-		}
-		n.net.Send(rec.pkt)
-		rec.timer = n.eng.After(p.RetransmitTimeout, func() { n.retransmit(key) })
-	})
+	h := n.pool.get(hRetransmit, n)
+	h.dst, h.msg.seq = key.dst, int(key.seq)
+	n.Exec(p.SendRecord, p.SendFixed, h)
+}
+
+// reinject is the retransmit handler body. The packet buffer is still
+// held (not released until ACK), so retransmission is a re-injection of
+// the record's message, on a fresh payload.
+func (n *NIC) reinject(key recordKey) {
+	rec, live := n.records[key]
+	if !live {
+		return // ACK raced the retransmit handler
+	}
+	n.sendData(rec.msg)
+	rec.timer = n.Eng.AfterEvent(n.node.Prof.NIC.RetransmitTimeout, rec)
 }
 
 // --- receive path ---
 
 func (n *NIC) onPacket(pkt netsim.Packet) {
 	switch m := pkt.Payload.(type) {
-	case dataMsg:
-		n.onData(m)
-	case ackMsg:
-		n.onAck(m)
+	case *dataMsg:
+		n.gm()
+		h := n.pool.get(hDataRecv, n)
+		h.data = m
+		p := n.node.Prof.NIC
+		n.Exec(p.SeqCheck, p.RecvFixed, h)
+	case *ackMsg:
+		h := n.pool.get(hAckRecv, n)
+		h.dst, h.msg.seq = m.src, int(m.seq)
+		n.pool.acks.Put(m)
+		p := n.node.Prof.NIC
+		n.Exec(p.AckProcess, p.RecvFixed, h)
 	case *collPayload:
 		msg := *m
-		n.pool.putPayload(m)
+		n.pool.payloads.Put(m)
 		n.coll.onMsg(msg)
 	case *nackMsg:
 		msg := collPayload(*m)
-		n.pool.putPayload((*collPayload)(m))
+		n.pool.payloads.Put((*collPayload)(m))
 		n.coll.onNack(msg, pkt.Src)
 	case core.Heartbeat:
 		// Keepalive filtering is a header compare in the firmware's
@@ -375,77 +434,91 @@ func (n *NIC) onPacket(pkt netsim.Packet) {
 	}
 }
 
-func (n *NIC) onData(m dataMsg) {
-	n.gm()
-	p := n.node.Prof.NIC
-	n.exec(p.SeqCheck, p.RecvFixed, func() {
-		if m.seq != n.expectSeq[m.src] {
-			// "An unexpected packet is dropped immediately."
-			n.Stats.SeqDrops++
-			return
-		}
-		if m.barrier != nil {
-			n.expectSeq[m.src] = m.seq + 1
-			n.sendAck(m)
-			n.direct.onArrive(*m.barrier)
-			return
-		}
-		if n.recvTokens == 0 {
-			// No posted receive buffer: drop without bumping the
-			// sequence; the sender's timeout recovers.
-			n.Stats.TokenDrops++
-			return
-		}
+// checkData is the sequence-check handler of an arrived data packet. The
+// NIC holds the packet's payload until its handlers are done with it and
+// returns it to the pool, whether it accepts the packet or drops it.
+func (n *NIC) checkData(m *dataMsg) {
+	switch {
+	case m.seq != n.expectSeq[m.src]:
+		// "An unexpected packet is dropped immediately."
+		n.Stats.SeqDrops++
+	case m.route == routeDirect:
+		n.expectSeq[m.src] = m.seq + 1
+		n.sendAck(m)
+		n.direct.onArrive(m.barrier)
+	case n.recvTokens == 0:
+		// No posted receive buffer: drop without bumping the sequence;
+		// the sender's timeout recovers.
+		n.Stats.TokenDrops++
+	default:
 		n.recvTokens--
 		n.expectSeq[m.src] = m.seq + 1
-		n.exec(p.RecvTokenMatch, 0, func() {
-			n.node.Bus.DMA(m.size, func() {
-				n.sendAck(m)
-				n.postEvent(Event{Kind: EvRecv, FromNode: m.src, Tag: m.tag})
-			})
-		})
-	})
+		h := n.pool.get(hRecvMatch, n)
+		h.data = m
+		n.Exec(n.node.Prof.NIC.RecvTokenMatch, 0, h)
+		return // deliverData returns the payload
+	}
+	n.pool.data.Put(m)
+}
+
+// deliverData runs once an accepted packet's payload has been DMAed into
+// host memory: ACK it and post the receive event.
+func (n *NIC) deliverData(m *dataMsg) {
+	n.sendAck(m)
+	ev := Event{Kind: EvRecv, FromNode: m.src, Tag: m.tag}
+	if m.route == routeHost {
+		ev = Event{Kind: EvBarrierMsg, FromNode: m.src, Group: int(m.barrier.group), Seq: m.barrier.seq}
+	}
+	n.pool.data.Put(m)
+	n.postEvent(ev)
 }
 
 // sendAck replies from the NIC's static ACK packet (no claim/fill cycle) —
 // the very packet the collective protocol pads with an integer to carry
 // barrier notifications.
-func (n *NIC) sendAck(m dataMsg) {
+func (n *NIC) sendAck(m *dataMsg) {
 	p := n.node.Prof.NIC
-	group := 0
-	if m.barrier != nil {
-		group = int(m.barrier.group)
+	h := n.pool.get(hAckSend, n)
+	h.dst, h.msg.seq = m.src, int(m.seq)
+	if m.route == routeDirect {
+		h.msg.group = m.barrier.group
 	}
-	n.exec(p.AckBuild, p.SendFixed, func() {
-		n.net.Send(netsim.Packet{
-			Src:     n.node.ID,
-			Dst:     m.src,
-			Size:    n.node.Prof.AckBytes,
-			Kind:    "ack",
-			Group:   group,
-			Payload: ackMsg{src: n.node.ID, dst: m.src, seq: m.seq},
-		})
-		n.Stats.AcksSent++
-	})
+	n.Exec(p.AckBuild, p.SendFixed, h)
 }
 
-func (n *NIC) onAck(m ackMsg) {
-	p := n.node.Prof.NIC
-	n.exec(p.AckProcess, p.RecvFixed, func() {
-		key := recordKey{m.src, m.seq}
-		rec, ok := n.records[key]
-		if !ok {
-			n.Stats.DupAcks++ // retransmission already acked
-			return
-		}
-		rec.timer.Cancel()
-		delete(n.records, key)
-		n.freePackets++
-		n.Stats.AcksRecv++
-		// GM passes the send token back to the host.
-		n.postEvent(Event{Kind: EvSendDone})
-		n.kick()
+// sendAckPacket is sendAck's handler body: the ACK of sequence seq to
+// node dst, on its own pooled payload.
+func (n *NIC) sendAckPacket(dst int, seq uint32, group core.GroupID) {
+	a := n.pool.acks.Get()
+	*a = ackMsg{src: n.node.ID, dst: dst, seq: seq}
+	n.net.Send(netsim.Packet{
+		Src:     n.node.ID,
+		Dst:     dst,
+		Size:    n.node.Prof.AckBytes,
+		Kind:    "ack",
+		Group:   int(group),
+		Payload: a,
 	})
+	n.Stats.AcksSent++
+}
+
+// ackRecord is the handler body of an arrived ACK: retire its send
+// record, free the packet buffer and pass the send token back to the
+// host.
+func (n *NIC) ackRecord(key recordKey) {
+	rec, ok := n.records[key]
+	if !ok {
+		n.Stats.DupAcks++ // retransmission already acked
+		return
+	}
+	rec.timer.Cancel()
+	delete(n.records, key)
+	n.pool.records.Put(rec)
+	n.freePackets++
+	n.Stats.AcksRecv++
+	// GM passes the send token back to the host.
+	n.postEvent(Event{Kind: EvSendDone})
+	n.kick()
 }
 
 // SendHeartbeat injects one failure-detector keepalive addressed to
@@ -471,5 +544,5 @@ func (n *NIC) SendHeartbeat(group core.GroupID, fromRank, dstNode int) {
 func (n *NIC) postEvent(ev Event) {
 	h := n.pool.get(hPostEvent, n)
 	h.ev = ev
-	n.execHandler(n.node.Prof.NIC.EventPost, 0, h)
+	n.Exec(n.node.Prof.NIC.EventPost, 0, h)
 }

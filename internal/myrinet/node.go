@@ -28,40 +28,6 @@ import (
 	"nicbarrier/internal/sim"
 )
 
-// proc is a sequential processor with a busy-until discipline: handlers
-// queue behind each other, which is how both the host CPU and the single
-// LANai processor serialize work.
-type proc struct {
-	eng       *sim.Engine
-	clockMHz  float64
-	busyUntil sim.Time
-}
-
-// exec schedules fn after the processor has finished its current backlog
-// plus cycles of work plus a fixed latency; the processor is held busy for
-// the whole span.
-func (p *proc) exec(cycles int64, fixed sim.Duration, fn func()) {
-	p.eng.Schedule(p.reserve(cycles, fixed), fn)
-}
-
-// execHandler is exec for a pooled handler record: no closure, no
-// allocation.
-func (p *proc) execHandler(cycles int64, fixed sim.Duration, h *handler) {
-	p.eng.ScheduleEvent(p.reserve(cycles, fixed), h)
-}
-
-// reserve holds the processor busy for cycles of work plus a fixed
-// latency after its current backlog and returns when that work is done.
-func (p *proc) reserve(cycles int64, fixed sim.Duration) sim.Time {
-	start := p.eng.Now()
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	done := start.Add(sim.Cycles(cycles, p.clockMHz)).Add(fixed)
-	p.busyUntil = done
-	return done
-}
-
 // EventKind classifies host events (the records the NIC DMAs into host
 // memory for the host to poll).
 type EventKind int
@@ -71,15 +37,19 @@ const (
 	EvRecv EventKind = iota + 1
 	EvSendDone
 	EvBarrierDone
+	// EvBarrierMsg is a received host-scheme barrier message: a GM
+	// receive whose payload is group Group's notification for operation
+	// Seq.
+	EvBarrierMsg
 )
 
 // Event is one host event record.
 type Event struct {
 	Kind     EventKind
-	FromNode int   // EvRecv: sender node
+	FromNode int   // EvRecv, EvBarrierMsg: sender node
 	Tag      any   // EvRecv: application tag
-	Group    int   // EvBarrierDone: group ID
-	Seq      int   // EvBarrierDone: operation sequence
+	Group    int   // EvBarrierDone, EvBarrierMsg: group ID
+	Seq      int   // EvBarrierDone, EvBarrierMsg: operation sequence
 	Value    int64 // EvBarrierDone: allreduce result, when applicable
 }
 
@@ -94,7 +64,7 @@ type Node struct {
 
 // Host models the host CPU side of GM.
 type Host struct {
-	proc
+	sim.Proc
 	node *Node
 	// OnEvent receives every host event not claimed by a group binding,
 	// after the host has paid the poll/consume cost.
@@ -159,20 +129,6 @@ func (h *Host) Unbind(groupID int) {
 	h.groupHandlers = slices.Delete(h.groupHandlers, i, i+1)
 }
 
-// eventGroup extracts the group an event is addressed to, when it is
-// group traffic at all.
-func eventGroup(ev Event) (int, bool) {
-	switch ev.Kind {
-	case EvBarrierDone:
-		return ev.Group, true
-	case EvRecv:
-		if tag, ok := ev.Tag.(hostBarrierTag); ok {
-			return int(tag.group), true
-		}
-	}
-	return 0, false
-}
-
 // newNode builds a node attached to net, scheduling its per-message
 // handlers from the cluster's pool.
 func newNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsim.Network, pl *pool) *Node {
@@ -182,7 +138,7 @@ func newNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsi
 		Bus:  pci.New(eng, prof.PCI),
 	}
 	n.Host = &Host{
-		proc: proc{eng: eng, clockMHz: prof.Host.ClockMHz},
+		Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz},
 		node: n,
 	}
 	n.NIC = newNIC(eng, n, net, pl)
@@ -195,7 +151,7 @@ func newNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsi
 func (h *Host) deliver(ev Event) {
 	r := h.node.NIC.pool.get(hDeliver, h.node.NIC)
 	r.ev = ev
-	h.execHandler(h.node.Prof.Host.RecvPollCycles, 0, r)
+	h.Exec(h.node.Prof.Host.RecvPollCycles, 0, r)
 }
 
 // dispatch routes a consumed event record. Group-addressed events go to
@@ -203,8 +159,8 @@ func (h *Host) deliver(ev Event) {
 // falls through to OnEvent. Routing is free in virtual time — it models
 // the host poll loop demultiplexing its event queue.
 func (h *Host) dispatch(ev Event) {
-	if gid, ok := eventGroup(ev); ok {
-		if i := h.handler(gid); i >= 0 {
+	if ev.Kind == EvBarrierDone || ev.Kind == EvBarrierMsg {
+		if i := h.handler(ev.Group); i >= 0 {
 			h.groupHandlers[i].h.HandleEvent(ev)
 			return
 		}
@@ -224,27 +180,29 @@ func (h *Host) Send(dst, size int, tag any, hostData bool) {
 	if size < 0 {
 		panic(fmt.Sprintf("myrinet: negative send size %d", size))
 	}
-	h.exec(h.node.Prof.Host.SendPostCycles, 0, func() {
-		h.node.Bus.PIOWrite(func() {
-			h.node.NIC.onSendDoorbell(&sendToken{
-				dst:      dst,
-				size:     size,
-				tag:      tag,
-				hostData: hostData,
-			})
-		})
-	})
+	h.postSend(dataMsg{dst: dst, size: size, tag: tag, hostData: hostData})
+}
+
+// sendBarrier posts a host-scheme barrier message: an 8-byte GM send
+// from host memory whose payload is notification m.
+func (h *Host) sendBarrier(dst int, m collPayload) {
+	h.postSend(dataMsg{dst: dst, size: 8, route: routeHost, hostData: true, barrier: m})
+}
+
+// postSend builds a send token for m and rings the NIC's send doorbell
+// (the hSendPost and hSendDoorbell handlers).
+func (h *Host) postSend(m dataMsg) {
+	nic := h.node.NIC
+	tok := nic.pool.data.Get()
+	*tok = m
+	h.Exec(h.node.Prof.Host.SendPostCycles, 0, nic.with(hSendPost, tok))
 }
 
 // PostRecvTokens replenishes k receive buffers, one PIO each (GM posts
 // each receive buffer separately).
 func (h *Host) PostRecvTokens(k int) {
 	for i := 0; i < k; i++ {
-		h.exec(h.node.Prof.Host.TokenPostCycles, 0, func() {
-			h.node.Bus.PIOWrite(func() {
-				h.node.NIC.onTokenPost()
-			})
-		})
+		h.Exec(h.node.Prof.Host.TokenPostCycles, 0, h.node.NIC.pool.get(hRecvTokenPost, h.node.NIC))
 	}
 }
 
@@ -260,5 +218,5 @@ func (h *Host) PostBarrier(groupID int) { h.PostReduce(groupID, 0) }
 func (h *Host) PostReduce(groupID int, value int64) {
 	r := h.node.NIC.pool.get(hPost, h.node.NIC)
 	r.msg.group, r.msg.value = core.GroupID(groupID), value
-	h.execHandler(h.node.Prof.Host.SendPostCycles, 0, r)
+	h.Exec(h.node.Prof.Host.SendPostCycles, 0, r)
 }

@@ -123,12 +123,6 @@ type member struct {
 // member itself keeps NextAt-gated loops allocation-free per operation.
 func (m *member) Fire() { m.start(m.deferSeq) }
 
-// hostBarrierTag tags host-scheme barrier messages on the wire.
-type hostBarrierTag struct {
-	group core.GroupID
-	seq   int
-}
-
 // SessionGroupID is the group ID single-session constructors install,
 // mirroring MPI_COMM_WORLD. Multi-group callers pass their own IDs via
 // the WithID constructors.
@@ -562,8 +556,7 @@ func (m *member) start(seq int) {
 
 func (m *member) hostSend(seq int, ranks []int) {
 	for _, r := range ranks {
-		m.node.Host.Send(m.group.NodeOf(r), 8,
-			hostBarrierTag{group: m.group.ID, seq: seq}, true)
+		m.node.Host.sendBarrier(m.group.NodeOf(r), collPayload{group: m.group.ID, seq: seq})
 	}
 }
 
@@ -576,18 +569,14 @@ func (m *member) HandleEvent(ev Event) {
 			m.s.results[rel][m.rank] = ev.Value
 		}
 		m.s.complete(m.rank, ev.Seq)
-	case EvRecv:
-		tag, ok := ev.Tag.(hostBarrierTag)
-		if !ok {
-			return // not barrier traffic; ignore
-		}
+	case EvBarrierMsg:
 		// Replenish the receive buffer consumed by this message.
 		m.node.Host.PostRecvTokens(1)
 		fromRank, ok := m.group.RankOf(ev.FromNode)
 		if !ok {
 			panic(fmt.Sprintf("myrinet: barrier message from non-member node %d", ev.FromNode))
 		}
-		sends, done, err := m.hostOp.Arrive(tag.seq, fromRank)
+		sends, done, err := m.hostOp.Arrive(ev.Seq, fromRank)
 		if err != nil {
 			panic(fmt.Sprintf("myrinet: rank %d: %v", m.rank, err))
 		}
@@ -595,8 +584,5 @@ func (m *member) HandleEvent(ev Event) {
 		if done {
 			m.s.complete(m.rank, m.hostOp.Seq())
 		}
-	case EvSendDone:
-		// Send completions are consumed (host cost already charged) and
-		// ignored by the barrier loop.
 	}
 }

@@ -72,51 +72,27 @@ func (b *Bus) acquire(d sim.Duration) sim.Time {
 	return done
 }
 
-// PIOWrite performs one programmed-I/O write and runs fn when it has
-// landed on the NIC.
-func (b *Bus) PIOWrite(fn func()) {
-	if fn == nil {
-		panic("pci: nil completion")
-	}
-	b.eng.Schedule(b.pio(), fn)
-}
-
-// PIOWriteEvent is PIOWrite for a pooled sim.Event completion, mirroring
-// sim's Schedule/ScheduleEvent pair: no closure, no allocation.
-func (b *Bus) PIOWriteEvent(ev sim.Event) {
+// PIOWrite performs one programmed-I/O write and fires ev when it has
+// landed on the NIC. Backends pass pooled handler records, so no closure
+// is built per write.
+func (b *Bus) PIOWrite(ev sim.Event) {
 	if ev == nil {
 		panic("pci: nil completion")
 	}
-	b.eng.ScheduleEvent(b.pio(), ev)
-}
-
-func (b *Bus) pio() sim.Time {
 	b.counters.PIOWrites++
-	return b.acquire(b.params.PIOWrite)
+	b.eng.ScheduleEvent(b.acquire(b.params.PIOWrite), ev)
 }
 
 // DMA moves bytes across the bus (either direction; the model is
-// symmetric) and runs fn at completion.
-func (b *Bus) DMA(bytes int, fn func()) {
-	if fn == nil {
-		panic("pci: nil completion")
-	}
-	b.eng.Schedule(b.dma(bytes), fn)
-}
-
-// DMAEvent is DMA for a pooled sim.Event completion.
-func (b *Bus) DMAEvent(bytes int, ev sim.Event) {
+// symmetric) and fires ev at completion.
+func (b *Bus) DMA(bytes int, ev sim.Event) {
 	if ev == nil {
 		panic("pci: nil completion")
 	}
-	b.eng.ScheduleEvent(b.dma(bytes), ev)
-}
-
-func (b *Bus) dma(bytes int) sim.Time {
 	if bytes < 0 {
 		panic(fmt.Sprintf("pci: negative DMA size %d", bytes))
 	}
 	b.counters.DMAs++
 	b.counters.DMABytes += uint64(bytes)
-	return b.acquire(b.params.DMASetup + sim.BytesAt(int64(bytes), b.params.BandwidthMBps))
+	b.eng.ScheduleEvent(b.acquire(b.params.DMASetup+sim.BytesAt(int64(bytes), b.params.BandwidthMBps)), ev)
 }

@@ -14,11 +14,17 @@ func testBus(eng *sim.Engine) *Bus {
 	})
 }
 
+// fn adapts a closure to sim.Event for tests; the bus itself takes only
+// Event completions.
+type fn func()
+
+func (f fn) Fire() { f() }
+
 func TestPIOWriteLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	var done sim.Time
-	bus.PIOWrite(func() { done = eng.Now() })
+	bus.PIOWrite(fn(func() { done = eng.Now() }))
 	eng.Run()
 	if done != 400 {
 		t.Fatalf("PIO completion at %v, want 400ns", done)
@@ -29,7 +35,7 @@ func TestDMALatency(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	var done sim.Time
-	bus.DMA(528, func() { done = eng.Now() }) // 528B at 528MB/s = 1000ns
+	bus.DMA(528, fn(func() { done = eng.Now() })) // 528B at 528MB/s = 1000ns
 	eng.Run()
 	if done != 1600 {
 		t.Fatalf("DMA completion at %v, want 1600ns", done)
@@ -40,27 +46,45 @@ func TestZeroByteDMA(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	var done sim.Time
-	bus.DMA(0, func() { done = eng.Now() })
+	bus.DMA(0, fn(func() { done = eng.Now() }))
 	eng.Run()
 	if done != 600 {
 		t.Fatalf("zero-byte DMA completion at %v, want setup-only 600ns", done)
 	}
 }
 
+// stamp is a sim.Event recording when it fired.
+type stamp struct {
+	eng *sim.Engine
+	at  []sim.Time
+}
+
+func (s *stamp) Fire() { s.at = append(s.at, s.eng.Now()) }
+
+// A DMA and two PIOs issued back to back serialize on the bus, and the
+// completions allocate nothing once the engine is warm.
 func TestBusArbitrationSerializes(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
-	var order []sim.Time
-	// Issue a DMA and two PIOs back-to-back: they must serialize.
-	bus.DMA(528, func() { order = append(order, eng.Now()) }) // 600+1000
-	bus.PIOWrite(func() { order = append(order, eng.Now()) }) // +400
-	bus.PIOWrite(func() { order = append(order, eng.Now()) }) // +400
+	ev := &stamp{eng: eng, at: make([]sim.Time, 0, 8)}
+	bus.DMA(528, ev) // 600+1000
+	bus.PIOWrite(ev) // +400
+	bus.PIOWrite(ev) // +400
 	eng.Run()
 	want := []sim.Time{1600, 2000, 2400}
 	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("completions %v, want %v", order, want)
+		if ev.at[i] != w {
+			t.Fatalf("completions %v, want %v", ev.at, want)
 		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		ev.at = ev.at[:0]
+		bus.PIOWrite(ev)
+		bus.DMA(64, ev)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("bus completions allocate %.1f objects per round, want 0", allocs)
 	}
 }
 
@@ -68,9 +92,9 @@ func TestBusIdleGapDoesNotCharge(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	var second sim.Time
-	bus.PIOWrite(func() {})
+	bus.PIOWrite(sim.Nop{})
 	eng.After(10_000, func() {
-		bus.PIOWrite(func() { second = eng.Now() })
+		bus.PIOWrite(fn(func() { second = eng.Now() }))
 	})
 	eng.Run()
 	if second != 10_400 {
@@ -81,9 +105,9 @@ func TestBusIdleGapDoesNotCharge(t *testing.T) {
 func TestCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
-	bus.PIOWrite(func() {})
-	bus.DMA(100, func() {})
-	bus.DMA(200, func() {})
+	bus.PIOWrite(sim.Nop{})
+	bus.DMA(100, sim.Nop{})
+	bus.DMA(200, sim.Nop{})
 	eng.Run()
 	c := bus.Counters()
 	if c.PIOWrites != 1 || c.DMAs != 2 || c.DMABytes != 300 {
@@ -98,53 +122,13 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// stamp is a sim.Event recording when it fired.
-type stamp struct {
-	eng *sim.Engine
-	at  []sim.Time
-}
-
-func (s *stamp) Fire() { s.at = append(s.at, s.eng.Now()) }
-
-// The Event forms arbitrate, count and complete exactly like the closure
-// forms, and allocate nothing once the engine is warm.
-func TestEventFormsMatchClosures(t *testing.T) {
-	eng := sim.NewEngine()
-	bus := testBus(eng)
-	ev := &stamp{eng: eng, at: make([]sim.Time, 0, 8)}
-	bus.DMAEvent(528, ev)
-	bus.PIOWriteEvent(ev)
-	bus.PIOWriteEvent(ev)
-	eng.Run()
-	want := []sim.Time{1600, 2000, 2400} // as TestBusArbitrationSerializes
-	for i, w := range want {
-		if ev.at[i] != w {
-			t.Fatalf("completions %v, want %v", ev.at, want)
-		}
-	}
-	if c := bus.Counters(); c.PIOWrites != 2 || c.DMAs != 1 || c.DMABytes != 528 {
-		t.Fatalf("counters %+v", c)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		ev.at = ev.at[:0]
-		bus.PIOWriteEvent(ev)
-		bus.DMAEvent(64, ev)
-		eng.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("event forms allocate %.1f objects per round, want 0", allocs)
-	}
-}
-
 func TestGuards(t *testing.T) {
 	eng := sim.NewEngine()
 	bus := testBus(eng)
 	for name, fn := range map[string]func(){
 		"nil pio":      func() { bus.PIOWrite(nil) },
 		"nil dma":      func() { bus.DMA(1, nil) },
-		"nil pio ev":   func() { bus.PIOWriteEvent(nil) },
-		"nil dma ev":   func() { bus.DMAEvent(1, nil) },
-		"negative dma": func() { bus.DMA(-1, func() {}) },
+		"negative dma": func() { bus.DMA(-1, sim.Nop{}) },
 		"bad params":   func() { New(eng, Params{}) },
 	} {
 		func() {
@@ -165,7 +149,7 @@ func TestPCIvsPCIX(t *testing.T) {
 		eng := sim.NewEngine()
 		bus := New(eng, Params{PIOWrite: 400, DMASetup: 600, BandwidthMBps: bw})
 		var done sim.Time
-		bus.DMA(4096, func() { done = eng.Now() })
+		bus.DMA(4096, fn(func() { done = eng.Now() }))
 		eng.Run()
 		return sim.Duration(done)
 	}
