@@ -9,6 +9,14 @@
 // single NIC firmware processor serializes handlers of co-resident
 // groups, and netsim's link occupancy charges worms that share trunks.
 //
+// Each Group drives its members through the backend session's shared
+// run driver (core.Session), held directly; everything else the layer
+// needs of an interconnect — node count, free slots, which kinds and
+// schemes it models or can recover, install, tracer and heartbeat hooks,
+// network counters — goes through the unexported backend interface
+// (backend.go), one adapter per model. No code here branches on which
+// model a Cluster runs.
+//
 // Groups are a full lifecycle, not a one-way allocation: Close drains
 // and uninstalls a group, returning its slots (teardown cost charged on
 // the member NICs), Reconfigure swaps a group's membership via
@@ -68,29 +76,16 @@ func (k OpKind) String() string {
 	}
 }
 
-// session is the slice of the backend sessions the communicator drives:
-// launch without running the engine, poll completion, read per-iteration
-// completion times, tear down.
-type session interface {
-	Launch(iters int)
-	Done() bool
-	DoneAt() []sim.Time
-	StartAt() []sim.Time
-	Run(iters int) []sim.Time
-	Reset()
-	Abort()
-	Close()
-	ChargeInstall()
-}
-
 // Cluster multiplexes process groups over one simulated cluster. Exactly
-// one backend is set. A Cluster (like everything below the engine) is
-// single-threaded; independent Clusters on independent engines may run
-// from parallel goroutines.
+// one of My and El is set; the layer reaches it only through be. A
+// Cluster (like everything below the engine) is single-threaded;
+// independent Clusters on independent engines may run from parallel
+// goroutines.
 type Cluster struct {
 	Eng *sim.Engine
 	My  *myrinet.Cluster
 	El  *elan.Cluster
+	be  backend
 
 	nextGID core.GroupID
 	groups  []*Group
@@ -111,12 +106,7 @@ type Cluster struct {
 // events, per-op spans from the workload engines). nil detaches.
 func (c *Cluster) SetTracer(sc *obs.Scope) {
 	c.tr = sc
-	if c.My != nil {
-		c.My.SetTracer(sc)
-	}
-	if c.El != nil {
-		c.El.SetTracer(sc)
-	}
+	c.be.setTracer(sc)
 }
 
 // SetMetronome arms periodic live snapshot publication on the attached
@@ -137,25 +127,20 @@ func (c *Cluster) SetMetronome(every sim.Duration) {
 
 // OverMyrinet builds a communicator layer over a Myrinet cluster.
 func OverMyrinet(cl *myrinet.Cluster) *Cluster {
-	c := &Cluster{Eng: cl.Eng, My: cl, nextGID: myrinet.SessionGroupID}
+	c := &Cluster{Eng: cl.Eng, My: cl, be: myrinetBackend{cl}, nextGID: myrinet.SessionGroupID}
 	c.sched = newSched(c, cl.Prof.NIC.GroupQueueSlots)
 	return c
 }
 
 // OverElan builds a communicator layer over a Quadrics cluster.
 func OverElan(cl *elan.Cluster) *Cluster {
-	c := &Cluster{Eng: cl.Eng, El: cl, nextGID: elan.SessionGroupID}
+	c := &Cluster{Eng: cl.Eng, El: cl, be: elanBackend{cl}, nextGID: elan.SessionGroupID}
 	c.sched = newSched(c, cl.Prof.NIC.ChainSlots)
 	return c
 }
 
 // Nodes reports the underlying cluster size.
-func (c *Cluster) Nodes() int {
-	if c.My != nil {
-		return len(c.My.Nodes)
-	}
-	return len(c.El.Nodes)
-}
+func (c *Cluster) Nodes() int { return c.be.nodes() }
 
 // Groups returns every group created so far, in creation order
 // (including closed and still-queued ones).
@@ -207,12 +192,10 @@ type Group struct {
 	// tracking placement and reconfiguration; Reconfigure reuses it.
 	gc GroupConfig
 
-	sess      session
-	launched  bool
-	closed    bool
-	closing   bool // Close requested while a run was in flight
-	setNextAt func(func(rank, next int) sim.Time)
-	setOnDone func(func(iter int, at sim.Time))
+	sess     *core.Session
+	launched bool
+	closed   bool
+	closing  bool // Close requested while a run was in flight
 
 	// userOnDone is the workload engine's completion observer,
 	// multiplexed under the group's own onIterDone.
@@ -234,9 +217,6 @@ type Group struct {
 	// when membership swaps (each backend session numbers its own
 	// operations from 0; the group keeps the cumulative count).
 	opsDone int
-
-	// results exposes allreduce outcomes (nil otherwise).
-	results func() [][]int64
 
 	// pace shapes the group's operation stream during workloads.
 	pace pacer
@@ -267,77 +247,12 @@ func (c *Cluster) NewGroup(gc GroupConfig) (*Group, error) {
 	return g, nil
 }
 
-// bindMyrinet and bindElan construct the backend session for gc under
-// group ID gid, writing g.sess and the hook setters on success and
-// leaving g untouched on failure.
-func (g *Group) bindMyrinet(gc GroupConfig, gid core.GroupID) error {
-	cl := g.c.My
-	switch gc.Kind {
-	case OpBarrier:
-		s, err := myrinet.NewSessionWithID(cl, gid, gc.Members, gc.MyrinetScheme, gc.Algorithm, gc.Options)
-		if err != nil {
-			return err
-		}
-		g.adoptMyrinet(s)
-	case OpBroadcast:
-		degree := gc.Degree
-		if degree == 0 {
-			degree = 4
-		}
-		if gc.Root < 0 || gc.Root >= len(gc.Members) {
-			return fmt.Errorf("comm: broadcast root %d outside group of %d", gc.Root, len(gc.Members))
-		}
-		s, err := myrinet.NewBroadcastSessionWithID(cl, gid, gc.Members, gc.Root, degree)
-		if err != nil {
-			return err
-		}
-		g.adoptMyrinet(s)
-	case OpAllreduce:
-		contrib := gc.Contrib
-		if contrib == nil {
-			return fmt.Errorf("comm: allreduce group without Contrib")
-		}
-		s, err := myrinet.NewAllreduceSessionWithID(cl, gid, gc.Members, gc.Algorithm, gc.Options, gc.Reduce, contrib)
-		if err != nil {
-			return err
-		}
-		g.adoptMyrinet(s)
-	default:
-		return fmt.Errorf("comm: unknown op kind %d", int(gc.Kind))
-	}
-	return nil
-}
-
-func (g *Group) adoptMyrinet(s *myrinet.Session) {
-	g.sess = s
-	g.setNextAt = func(fn func(rank, next int) sim.Time) { s.NextAt = fn }
-	g.setOnDone = func(fn func(iter int, at sim.Time)) { s.OnIterDone = fn }
-	g.results = s.Results
-}
-
-func (g *Group) bindElan(gc GroupConfig, gid core.GroupID) error {
-	if gc.Kind != OpBarrier {
-		return fmt.Errorf("comm: %v is modeled on Myrinet only (Quadrics groups run barriers)", gc.Kind)
-	}
-	s, err := elan.NewSessionWithID(g.c.El, gid, gc.Members, gc.ElanScheme, gc.Algorithm, gc.Options)
-	if err != nil {
-		return err
-	}
-	g.sess = s
-	g.setNextAt = func(fn func(rank, next int) sim.Time) { s.NextAt = fn }
-	g.setOnDone = func(fn func(iter int, at sim.Time)) { s.OnIterDone = fn }
-	g.results = nil
-	return nil
-}
-
 // attach wires the group's completion multiplexer and pacing hooks into
 // a freshly bound session; called after every install (initial, queued,
 // or reconfiguration).
 func (g *Group) attach() {
-	g.setOnDone(g.onIterDone)
-	if g.pace.active() {
-		g.setNextAt(g.pace.nextAt)
-	}
+	g.sess.OnIterDone = g.onIterDone
+	g.applyPace()
 }
 
 // onIterDone observes every globally completed operation: it advances
@@ -370,7 +285,7 @@ func (g *Group) SetOnIterDone(fn func(iter int, at sim.Time)) { g.userOnDone = f
 // the session materializes).
 func (g *Group) applyPace() {
 	if g.sess != nil && g.pace.active() {
-		g.setNextAt(g.pace.nextAt)
+		g.sess.NextAt = g.pace.nextAt
 	}
 }
 
@@ -458,7 +373,7 @@ func (g *Group) Done() bool {
 func (g *Group) DoneAt() []sim.Time { return g.sess.DoneAt() }
 
 // StartAt returns per-iteration first-post times for the current run
-// (-1 where not yet posted); see the backend sessions' StartAt.
+// (-1 where not yet posted); see core.Session.StartAt.
 func (g *Group) StartAt() []sim.Time { return g.sess.StartAt() }
 
 // Reset readies a finished group for another Run or Launch: the NIC
@@ -551,10 +466,10 @@ func (g *Group) Reconfigure(newMembers []int) error {
 // Results returns allreduce outcomes per iteration and rank; nil for
 // other group kinds.
 func (g *Group) Results() [][]int64 {
-	if g.results == nil {
+	if g.sess == nil {
 		return nil
 	}
-	return g.results()
+	return g.sess.Results()
 }
 
 // DriveAll runs the engine until every *launched* group completes,

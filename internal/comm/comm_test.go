@@ -37,6 +37,32 @@ func barrierGroup(t *testing.T, c *Cluster, members ...int) *Group {
 	return g
 }
 
+// Hardware-barrier groups claim no NIC slot, so admission never blocks
+// them; the backend still refuses a second live one instead of letting
+// it hijack the first's completions.
+func TestSecondHWGroupRefused(t *testing.T) {
+	c := elanComm(8)
+	hw := GroupConfig{Kind: OpBarrier, ElanScheme: elan.SchemeHW}
+	hw.Members = []int{0, 1, 2, 3}
+	first, err := c.NewGroup(hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw.Members = []int{4, 5, 6, 7}
+	if _, err := c.NewGroup(hw); err == nil {
+		t.Fatal("second live HW group installed")
+	}
+	first.Run(2)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.NewGroup(hw)
+	if err != nil {
+		t.Fatalf("HW group after the first closed: %v", err)
+	}
+	second.Run(2)
+}
+
 // A single comm group must be indistinguishable from the one-shot
 // measurement session it wraps: same group ID, same virtual completion
 // times, bit for bit.

@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/elan"
-	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
@@ -167,11 +165,8 @@ func (g *Group) SetRecovery(cfg RecoveryConfig) error {
 	if g.launched {
 		return fmt.Errorf("comm: SetRecovery on a launched group")
 	}
-	if g.c.My != nil && g.Kind == OpBarrier && g.gc.MyrinetScheme != myrinet.SchemeCollective {
-		return fmt.Errorf("comm: recovery requires the NIC collective scheme on Myrinet (%v rides p2p retransmission)", g.gc.MyrinetScheme)
-	}
-	if g.c.El != nil && g.gc.ElanScheme != elan.SchemeChained {
-		return fmt.Errorf("comm: recovery requires the chained-RDMA scheme on Quadrics (%v is host-driven)", g.gc.ElanScheme)
+	if err := g.c.be.checkRecovery(g.gc); err != nil {
+		return err
 	}
 	rec := &recovery{g: g, cfg: cfg.withDefaults()}
 	if g.Kind == OpAllreduce {
@@ -315,26 +310,7 @@ func (c *Cluster) ensureFailureRouting() {
 			rec.onNackStall()
 		}
 	}
-	if c.My != nil {
-		for _, n := range c.My.Nodes {
-			n.NIC.OnHeartbeat = onHB
-			n.NIC.OnNackStall = onStall
-		}
-		return
-	}
-	for _, n := range c.El.Nodes {
-		n.NIC.OnHeartbeat = onHB
-	}
-}
-
-// sendHeartbeat emits one probe from fromNode to dstNode on whichever
-// backend the cluster runs.
-func (c *Cluster) sendHeartbeat(gid core.GroupID, fromNode, fromRank, dstNode int) {
-	if c.My != nil {
-		c.My.Nodes[fromNode].NIC.SendHeartbeat(gid, fromRank, dstNode)
-		return
-	}
-	c.El.Nodes[fromNode].NIC.SendHeartbeat(gid, fromRank, dstNode)
+	c.be.setFailureHooks(onHB, onStall)
 }
 
 // onLaunch arms the machinery for a fresh Launch (not a relaunch): the
@@ -410,7 +386,7 @@ func (rec *recovery) tickHeartbeats() {
 	fanout := min(rec.cfg.Fanout, n-1)
 	for r, node := range g.Members {
 		for k := 1; k <= fanout; k++ {
-			g.c.sendHeartbeat(g.ID, node, r, g.Members[(r+k)%n])
+			g.c.be.sendHeartbeat(g.ID, node, r, g.Members[(r+k)%n])
 		}
 	}
 	rec.hbTimer = g.c.Eng.After(rec.cfg.HeartbeatEvery, rec.tickHeartbeats)

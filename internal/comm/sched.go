@@ -7,8 +7,6 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/elan"
-	"nicbarrier/internal/myrinet"
 )
 
 // AdmitPolicy decides what NewGroup does when a member NIC's group
@@ -123,22 +121,7 @@ func (c *Cluster) AdmissionStats() AdmissionStats {
 // SlotsFree reports how many group slots remain on one node's NIC — the
 // ground truth the backends maintain, which the controller's refcounts
 // mirror for the groups it admitted.
-func (c *Cluster) SlotsFree(node int) int {
-	if c.My != nil {
-		return c.My.Nodes[node].NIC.GroupSlotsFree()
-	}
-	return c.El.Nodes[node].NIC.ChainSlotsFree()
-}
-
-// slotted reports whether a configuration claims NIC group slots at all:
-// Myrinet host-scheme barriers and Quadrics gsync/hardware barriers keep
-// no per-group NIC state.
-func (s *sched) slotted(gc GroupConfig) bool {
-	if s.c.My != nil {
-		return gc.Kind != OpBarrier || gc.MyrinetScheme != myrinet.SchemeHost
-	}
-	return gc.ElanScheme == elan.SchemeChained
-}
+func (c *Cluster) SlotsFree(node int) int { return c.be.slotsFree(node) }
 
 // admit is NewGroup's policy dispatch: try the requested install, and on
 // slot exhaustion either fail, queue, or re-place per the policy.
@@ -195,24 +178,17 @@ func (s *sched) install(g *Group, gc GroupConfig) error {
 	g.ID = gid
 	g.Members = gc.Members
 	g.Kind = gc.Kind
-	var err error
-	switch {
-	case s.c.My != nil:
-		err = g.bindMyrinet(gc, gid)
-	case s.c.El != nil:
-		err = g.bindElan(gc, gid)
-	default:
-		panic("comm: cluster without backend")
-	}
+	sess, err := s.c.be.bind(gc, gid)
 	if err != nil {
 		g.ID, g.Members, g.Kind = prevID, prevMembers, prevKind
 		return err
 	}
+	g.sess = sess
 	s.c.nextGID++
 	g.gc = gc
 	g.installedAt = s.c.Eng.Now()
 	s.stats.Installs++
-	if s.slotted(gc) {
+	if s.c.be.slotted(gc) {
 		for _, id := range gc.Members {
 			s.used[id]++
 			if s.used[id] > s.stats.SlotHighWater {
@@ -231,7 +207,7 @@ func (s *sched) install(g *Group, gc GroupConfig) error {
 // drains the queue — a departure is exactly when deferred installs can
 // proceed.
 func (s *sched) release(gc GroupConfig, members []int) {
-	if s.slotted(gc) {
+	if s.c.be.slotted(gc) {
 		for _, id := range members {
 			if s.used[id] == 0 {
 				panic(fmt.Sprintf("comm: slot refcount underflow on node %d", id))
@@ -330,8 +306,8 @@ func (s *sched) preflight(gc GroupConfig) error {
 		}
 		seen[id] = true
 	}
-	if s.c.El != nil && gc.Kind != OpBarrier {
-		return fmt.Errorf("comm: %v is modeled on Myrinet only (Quadrics groups run barriers)", gc.Kind)
+	if err := s.c.be.checkKind(gc.Kind); err != nil {
+		return err
 	}
 	switch gc.Kind {
 	case OpBarrier:

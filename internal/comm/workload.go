@@ -8,7 +8,6 @@ import (
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/myrinet"
-	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
@@ -251,10 +250,11 @@ type tenantPlan struct {
 // a compatibility contract: it keeps single-partition runs bit-identical
 // to the gated baseline, and it makes multi-partition runs agree with
 // them on memberships, kinds and operation counts, because every
-// partitioning executes the same plans. barrierOnly forces OpBarrier
-// after the mix draw (Quadrics groups run barriers only), spending the
-// same draws so the seed stream stays aligned across backends.
-func planTenants(nodes int, spec WorkloadSpec, barrierOnly bool) ([]tenantPlan, error) {
+// partitioning executes the same plans. A kind the backend does not
+// model falls back to OpBarrier after the mix draw (Quadrics groups run
+// barriers only), spending the same draws so the seed stream stays
+// aligned across backends.
+func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error) {
 	rng := sim.NewRNG(spec.Seed ^ 0x7e4a47)
 
 	// Disjoint placement slices one shuffled node list; overlapping
@@ -292,8 +292,8 @@ func planTenants(nodes int, spec WorkloadSpec, barrierOnly bool) ([]tenantPlan, 
 				kind = OpAllreduce
 			}
 		}
-		if barrierOnly {
-			kind = OpBarrier // Quadrics groups run barriers only
+		if be.checkKind(kind) != nil {
+			kind = OpBarrier
 		}
 		p := tenantPlan{idx: t, members: members, kind: kind}
 
@@ -482,12 +482,7 @@ func collectWorkload(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
 	if sumTputSq > 0 {
 		res.Fairness = sumTput * sumTput / (float64(len(groups)) * sumTputSq)
 	}
-	var net netsim.Counters
-	if c.My != nil {
-		net = c.My.Net.Counters()
-	} else {
-		net = c.El.Net.Counters()
-	}
+	net := c.be.netCounters()
 	res.Sent, res.Dropped = net.Sent, net.Dropped
 	if c.tr != nil {
 		res.Decomp = c.tr.Decomp()
@@ -506,7 +501,7 @@ func RunWorkload(c *Cluster, spec WorkloadSpec) (WorkloadResult, error) {
 	if err := spec.validate(nodes); err != nil {
 		return WorkloadResult{}, err
 	}
-	plans, err := planTenants(nodes, spec, c.El != nil)
+	plans, err := planTenants(nodes, spec, c.be)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
@@ -868,12 +863,7 @@ func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOut
 	out.lastDepart = lastDepart
 	out.st = c.AdmissionStats()
 	out.pre, out.post = preLat, postLat
-	var net netsim.Counters
-	if c.My != nil {
-		net = c.My.Net.Counters()
-	} else {
-		net = c.El.Net.Counters()
-	}
+	net := c.be.netCounters()
 	out.sent, out.dropped = net.Sent, net.Dropped
 	return out, nil
 }

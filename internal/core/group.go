@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-
-	"nicbarrier/internal/barrier"
 )
 
 // ErrSlotsExhausted is wrapped by backend install errors when a member
@@ -97,9 +95,4 @@ func (g *Group) RankOf(node int) (int, bool) {
 	})
 	r, ok := ix.rankOf[node]
 	return r, ok
-}
-
-// ScheduleFor builds this rank's schedule for algorithm alg over group g.
-func ScheduleFor(g *Group, alg barrier.Algorithm, opts barrier.Options) barrier.Schedule {
-	return barrier.New(alg, g.Size(), g.MyRank, opts)
 }

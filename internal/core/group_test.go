@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"nicbarrier/internal/barrier"
-)
+import "testing"
 
 func TestGroupMapping(t *testing.T) {
 	g := NewGroup(1, []int{5, 2, 9, 0}, 2)
@@ -36,14 +32,6 @@ func TestGroupGuards(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestScheduleFor(t *testing.T) {
-	g := NewGroup(0, []int{10, 11, 12, 13, 14, 15, 16, 17}, 5)
-	s := ScheduleFor(g, barrier.Dissemination, barrier.Options{})
-	if s.Size() != 8 || s.Rank() != 5 || s.Steps() != 3 {
-		t.Fatalf("schedule %+v", s)
 	}
 }
 

@@ -29,7 +29,7 @@ func steadyIter(tb testing.TB, s *Session, iters int) func() {
 	tb.Helper()
 	s.Launch(iters)
 	next := 0
-	done := func() bool { return s.pending[next] == 0 }
+	done := func() bool { return s.DoneAt()[next] != 0 }
 	return func() {
 		if !s.cl.Eng.RunCondition(done) {
 			tb.Fatalf("iteration %d never completed", next)

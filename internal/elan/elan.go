@@ -276,19 +276,11 @@ func (h *Host) dispatch(ev Event) {
 	}
 }
 
-// ArmChain installs the chained-descriptor barrier for a group. The host
-// sets up the descriptor list once from user level; afterwards each
-// TriggerChain doorbell runs one barrier entirely on the NICs. It panics
-// on failure; multi-group callers use TryArmChain.
-func (n *NIC) ArmChain(g *core.Group, state *core.OpState) {
-	if err := n.TryArmChain(g, state); err != nil {
-		panic(fmt.Sprintf("elan: %v", err))
-	}
-}
-
-// TryArmChain is ArmChain with clean errors: arming fails when the
-// group's ID is already armed or the card's descriptor-list slots are
-// exhausted.
+// TryArmChain installs the chained-descriptor barrier for a group. The
+// host sets up the descriptor list once from user level; afterwards each
+// TriggerChain doorbell runs one barrier entirely on the NICs. Arming
+// fails when the group's ID is already armed or the card's
+// descriptor-list slots are exhausted.
 func (n *NIC) TryArmChain(g *core.Group, state *core.OpState) error {
 	if n.chain(g.ID) >= 0 {
 		return fmt.Errorf("elan: chain for group %d already armed on node %d", g.ID, n.node.ID)

@@ -133,16 +133,14 @@ func TestHWBarrierSkewRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.Elan3Cluster(), 4)
 	s := NewSession(cl, identity(4), SchemeHW, barrier.Dissemination, barrier.Options{})
-	s.iters = 1
-	s.doneAt = make([]sim.Time, 1)
-	s.pending = []int{len(s.members)}
-	// Stagger the posts far beyond HWSyncLimit.
-	for i, m := range s.members {
-		m := m
-		eng.After(sim.Duration(i)*3*HWSyncLimit, func() { m.start(0) })
+	// Stagger the posts far beyond HWSyncLimit; RunSkewed panics if the
+	// barrier never completes.
+	skew := make([]sim.Duration, len(s.members))
+	for i := range skew {
+		skew[i] = sim.Duration(i) * 3 * HWSyncLimit
 	}
-	if !eng.RunCondition(func() bool { return s.pending[0] == 0 }) {
-		t.Fatal("skewed HW barrier never completed")
+	if lat := s.RunSkewed(skew); lat <= 0 {
+		t.Fatalf("skewed HW barrier completed %v after the last entry", lat)
 	}
 	if cl.hw.Retries() == 0 {
 		t.Fatal("no retries recorded despite heavy skew")
@@ -158,6 +156,24 @@ func TestHWBarrierNoSpuriousRetries(t *testing.T) {
 	if cl.hw.Retries() != 0 {
 		t.Fatalf("%d spurious retries in a synchronized loop", cl.hw.Retries())
 	}
+}
+
+// The hardware barrier is a cluster singleton: a second live session
+// would overwrite the first's event hooks (and closing either would
+// detach the other's), so construction fails until the first closes.
+func TestHWSessionExclusive(t *testing.T) {
+	cl := NewCluster(sim.NewEngine(), hwprofile.Elan3Cluster(), 8)
+	first := NewSession(cl, identity(4), SchemeHW, barrier.Dissemination, barrier.Options{})
+	if _, err := NewSessionWithID(cl, 2, []int{4, 5, 6, 7}, SchemeHW, barrier.Dissemination, barrier.Options{}); err == nil {
+		t.Fatal("second live HW session constructed")
+	}
+	first.Run(3) // its completions still arrive
+	first.Close()
+	second, err := NewSessionWithID(cl, 2, []int{4, 5, 6, 7}, SchemeHW, barrier.Dissemination, barrier.Options{})
+	if err != nil {
+		t.Fatalf("HW session after the first closed: %v", err)
+	}
+	second.Run(3)
 }
 
 // The scalability trend of Fig. 8a: stepwise growth with ceil(log2 N) up

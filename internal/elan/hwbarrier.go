@@ -18,6 +18,9 @@ type hwBarrier struct {
 	cl *Cluster
 
 	members []int // node IDs participating in the current round
+	// held marks the transaction owned by a live session; a second
+	// hardware-barrier session would overwrite the first's event hooks.
+	held    bool
 	posted  map[int]bool
 	round   int
 	firstAt sim.Time
@@ -38,12 +41,14 @@ func newHWBarrier(cl *Cluster) *hwBarrier {
 	return &hwBarrier{cl: cl, posted: make(map[int]bool)}
 }
 
-// configure sets the participating nodes for subsequent rounds.
+// configure takes the transaction for a session and sets the
+// participating nodes for subsequent rounds.
 func (hw *hwBarrier) configure(members []int) {
 	if len(hw.posted) != 0 {
 		panic("elan: hw barrier reconfigured mid-round")
 	}
 	hw.members = append([]int(nil), members...)
+	hw.held = true
 }
 
 // PostHWBarrier enters the hardware barrier from one host. Completion is
