@@ -207,7 +207,7 @@ func BenchmarkOpStateBarrierRound(b *testing.B) {
 	// machines, the per-message hot path of the collective protocol.
 	states := make([]*core.OpState, 8)
 	for r := range states {
-		states[r] = core.NewOpState(barrier.New(barrier.Dissemination, 8, r, barrier.Options{}))
+		states[r] = core.NewOpState(barrier.NewPlan(barrier.Dissemination, 8, barrier.Options{}).Rank(r))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -6,7 +6,10 @@
 //     internal/{sim,netsim,comm,obs} lacks a doc comment, or
 //   - any of those packages lacks a package comment, or
 //   - a relative link in README.md, ARCHITECTURE.md or ROADMAP.md points
-//     at a file that does not exist.
+//     at a file that does not exist, or
+//   - one of those documents quotes a baseline metric count ("530-metric",
+//     "530 metrics", "530 gated simulated metrics") other than the number
+//     of metrics in bench/baseline.json.
 //
 // Usage:
 //
@@ -19,6 +22,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -48,6 +52,7 @@ func main() {
 	for _, f := range linkFiles {
 		violations = append(violations, lintLinks(*root, f)...)
 	}
+	violations = append(violations, lintMetricCounts(*root)...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -185,6 +190,42 @@ func lintLinks(root, name string) []string {
 			resolved := filepath.Join(filepath.Dir(path), target)
 			if _, err := os.Stat(resolved); err != nil {
 				out = append(out, fmt.Sprintf("%s:%d: broken link %q", name, i+1, m[1]))
+			}
+		}
+	}
+	return out
+}
+
+// metricCount matches a quoted metric count: "530-metric", or "530
+// metrics" with any of the baseline's qualifiers in between, across line
+// breaks. The first group is the number.
+var metricCount = regexp.MustCompile(`\b(\d[\d,]*)(?:-metric\b|\s+(?:(?:baseline|gated|simulated|existing)\s+)*metrics\b)`)
+
+// lintMetricCounts reports every metric count quoted in the linked
+// documents that differs from the number of metrics in
+// root/bench/baseline.json.
+func lintMetricCounts(root string) []string {
+	data, err := os.ReadFile(filepath.Join(root, "bench", "baseline.json"))
+	if err != nil {
+		return []string{fmt.Sprintf("bench/baseline.json: %v", err)}
+	}
+	var baseline struct {
+		Metrics []json.RawMessage `json:"metrics"`
+	}
+	if err := json.Unmarshal(data, &baseline); err != nil {
+		return []string{fmt.Sprintf("bench/baseline.json: %v", err)}
+	}
+	want := fmt.Sprint(len(baseline.Metrics))
+	var out []string
+	for _, name := range linkFiles {
+		text, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			return append(out, fmt.Sprintf("%s: %v", name, err))
+		}
+		for _, m := range metricCount.FindAllSubmatchIndex(text, -1) {
+			if got := strings.ReplaceAll(string(text[m[2]:m[3]]), ",", ""); got != want {
+				line := 1 + strings.Count(string(text[:m[0]]), "\n")
+				out = append(out, fmt.Sprintf("%s:%d: quotes %s baseline metrics, bench/baseline.json has %s", name, line, got, want))
 			}
 		}
 	}

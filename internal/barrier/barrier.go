@@ -9,9 +9,10 @@
 // chained RDMA) execute these same schedules; only *where* the processing
 // happens differs, which is precisely the paper's point.
 //
-// A Plan holds the schedules of a whole group with peers stored relative
-// to the reading rank, so a dissemination group keeps one step table for
-// all its ranks; a Schedule is one rank's view of a plan.
+// A Plan describes the schedules of a whole group in closed form: every
+// peer is computed from the algorithm's parameters and the reading rank,
+// so a plan is one small allocation at any group size; a Schedule is one
+// rank's view of a plan.
 //
 // Within one barrier each ordered (sender, receiver) pair occurs at most
 // once in every algorithm (for dissemination this holds because
@@ -80,14 +81,11 @@ const DefaultTreeDegree = 4
 func NewPlan(alg Algorithm, n int, opts Options) *Plan {
 	checkSize(n)
 	p := &Plan{alg: alg, n: n}
-	if n == 1 {
-		p.shared = newTable(alg, n, 0, 0, 0).index()
-		return p
-	}
 	switch alg {
 	case Dissemination:
-		p.shared = disseminationTable(n)
+		p.log = Log2Ceil(n)
 	case PairwiseExchange:
+		p.log = Log2Floor(n)
 	case GatherBroadcast:
 		p.degree = opts.TreeDegree
 		if p.degree == 0 {
@@ -100,16 +98,6 @@ func NewPlan(alg Algorithm, n int, opts Options) *Plan {
 		panic(fmt.Sprintf("barrier: unknown algorithm %d", int(alg)))
 	}
 	return p
-}
-
-// New builds the schedule of one rank: NewPlan(alg, n, opts).Rank(rank).
-func New(alg Algorithm, n, rank int, opts Options) Schedule {
-	return NewPlan(alg, n, opts).Rank(rank)
-}
-
-// All builds the schedules of every rank in an n-rank group.
-func All(alg Algorithm, n int, opts Options) []Schedule {
-	return NewPlan(alg, n, opts).all()
 }
 
 // Log2Ceil returns ⌈log2 n⌉ for n >= 1.
@@ -169,108 +157,4 @@ func CriticalSteps(alg Algorithm, n int, opts Options) int {
 	default:
 		panic(fmt.Sprintf("barrier: unknown algorithm %d", int(alg)))
 	}
-}
-
-// disseminationTable builds the one table of a dissemination plan: rank
-// 0's schedule, which every rank reads rotated.
-func disseminationTable(n int) *table {
-	k := Log2Ceil(n)
-	t := newTable(Dissemination, n, k, k, k)
-	for m := 1; m < n; m <<= 1 {
-		t.send(0, m)
-		t.wait(0, n-m)
-		t.endStep(false)
-	}
-	return t.index()
-}
-
-func pairwiseTable(n, rank int) *table {
-	if IsPowerOfTwo(n) {
-		k := Log2Floor(n)
-		t := newTable(PairwiseExchange, n, k, k, k)
-		for m := 1; m < n; m <<= 1 {
-			// An exchange sends to and waits on the same peer.
-			t.send(rank, rank^m)
-			t.wait(rank, rank^m)
-			t.endStep(false)
-		}
-		return t.index()
-	}
-	m := 1 << Log2Floor(n) // largest power of two below n
-	if rank >= m {
-		// Extra rank: announce entry to its partner, then wait for the
-		// partner's exit notification — which carries the final combined
-		// result (the partner finished the whole exchange first).
-		t := newTable(PairwiseExchange, n, 2, 1, 1)
-		t.send(rank, rank-m)
-		t.endStep(false)
-		t.wait(rank, rank-m)
-		t.endStep(true)
-		return t.index()
-	}
-	partner := rank + m
-	hasPartner := partner < n
-	k := Log2Floor(m)
-	steps, peers := k, k
-	if hasPartner {
-		steps, peers = k+2, k+1
-	}
-	t := newTable(PairwiseExchange, n, steps, peers, peers)
-	if hasPartner {
-		t.wait(rank, partner)
-		t.endStep(false)
-	}
-	for b := 1; b < m; b <<= 1 {
-		t.send(rank, rank^b)
-		t.wait(rank, rank^b)
-		t.endStep(false)
-	}
-	if hasPartner {
-		t.send(rank, partner)
-		t.endStep(false)
-	}
-	return t.index()
-}
-
-// treeChildren counts the tree children of position pos: positions
-// pos*d+1 .. pos*d+d below n.
-func treeChildren(n, pos, d int) int { return max(0, min(d, n-(pos*d+1))) }
-
-func gatherBroadcastTable(n, rank, d int) *table {
-	k := treeChildren(n, rank, d)
-	if rank == 0 {
-		t := newTable(GatherBroadcast, n, 2, k, k)
-		for i := 1; i <= k; i++ {
-			t.wait(rank, i)
-		}
-		t.endStep(false)
-		for i := 1; i <= k; i++ {
-			t.send(rank, i)
-		}
-		t.endStep(false)
-		return t.index()
-	}
-	up := (rank - 1) / d
-	if k == 0 {
-		// Leaf: one combined step — notify the parent, wait for the
-		// broadcast (carrying the final result) to come back.
-		t := newTable(GatherBroadcast, n, 1, 1, 1)
-		t.send(rank, up)
-		t.wait(rank, up)
-		t.endStep(true)
-		return t.index()
-	}
-	t := newTable(GatherBroadcast, n, 3, k+1, k+1)
-	for i := 0; i < k; i++ {
-		t.wait(rank, rank*d+1+i)
-	}
-	t.endStep(false)
-	t.send(rank, up)
-	t.wait(rank, up)
-	t.endStep(true)
-	for i := 0; i < k; i++ {
-		t.send(rank, rank*d+1+i)
-	}
-	t.endStep(false)
-	return t.index()
 }

@@ -84,7 +84,7 @@ func TestCriticalStepsFormulas(t *testing.T) {
 func TestScheduleShapes(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 6, 8, 12, 16} {
 		for r := 0; r < n; r++ {
-			ds := New(Dissemination, n, r, Options{})
+			ds := NewPlan(Dissemination, n, Options{}).Rank(r)
 			if ds.Steps() != Log2Ceil(n) {
 				t.Errorf("DS n=%d rank=%d: %d steps", n, r, ds.Steps())
 			}
@@ -96,7 +96,7 @@ func TestScheduleShapes(t *testing.T) {
 		}
 	}
 	// PE power of two: every step is a symmetric exchange.
-	pe := New(PairwiseExchange, 8, 3, Options{})
+	pe := NewPlan(PairwiseExchange, 8, Options{}).Rank(3)
 	if pe.Steps() != 3 {
 		t.Fatalf("PE n=8: %d steps", pe.Steps())
 	}
@@ -107,10 +107,10 @@ func TestScheduleShapes(t *testing.T) {
 	}
 	// PE n=6: ranks 4,5 are extras with exactly one send and one wait.
 	for r := 4; r <= 5; r++ {
-		s := New(PairwiseExchange, 6, r, Options{})
-		if s.TotalSends() != 1 || len(s.ExpectedArrivals()) != 1 {
+		s := NewPlan(PairwiseExchange, 6, Options{}).Rank(r)
+		if s.TotalSends() != 1 || s.TotalWaits() != 1 {
 			t.Errorf("PE extra rank %d: sends=%d arrivals=%d",
-				r, s.TotalSends(), len(s.ExpectedArrivals()))
+				r, s.TotalSends(), s.TotalWaits())
 		}
 		if to := resolve(s)[0].Send[0]; to != r-4 {
 			t.Errorf("PE extra rank %d announces to %d", r, to)
@@ -122,18 +122,18 @@ func TestGatherBroadcastTreeShape(t *testing.T) {
 	// n=13, d=4: rank 0 has children 1..4; rank 1 has children 5..8;
 	// rank 2 has 9..12; ranks 3..12 are leaves.
 	opts := Options{TreeDegree: 4}
-	root := New(GatherBroadcast, 13, 0, opts)
+	root := NewPlan(GatherBroadcast, 13, opts).Rank(0)
 	if root.Steps() != 2 {
 		t.Fatalf("root steps = %d", root.Steps())
 	}
 	if got := root.AppendWaits(nil, 0); len(got) != 4 {
 		t.Fatalf("root waits on %v", got)
 	}
-	interior := New(GatherBroadcast, 13, 1, opts)
+	interior := NewPlan(GatherBroadcast, 13, opts).Rank(1)
 	if interior.Steps() != 3 {
 		t.Fatalf("interior steps = %d", interior.Steps())
 	}
-	leaf := resolve(New(GatherBroadcast, 13, 12, opts))
+	leaf := resolve(NewPlan(GatherBroadcast, 13, opts).Rank(12))
 	if len(leaf) != 1 || leaf[0].Send[0] != 2 || leaf[0].Wait[0] != 2 {
 		t.Fatalf("leaf schedule %+v", leaf)
 	}
@@ -141,13 +141,13 @@ func TestGatherBroadcastTreeShape(t *testing.T) {
 
 func TestNewPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"n=0":        func() { New(Dissemination, 0, 0, Options{}) },
+		"n=0":        func() { NewPlan(Dissemination, 0, Options{}).Rank(0) },
 		"plan n=0":   func() { NewPlan(PairwiseExchange, 0, Options{}) },
 		"view range": func() { NewPlan(Dissemination, 4, Options{}).Rank(4) },
-		"rank range": func() { New(Dissemination, 4, 4, Options{}) },
-		"neg rank":   func() { New(Dissemination, 4, -1, Options{}) },
-		"bad alg":    func() { New(Algorithm(9), 4, 0, Options{}) },
-		"degree 1":   func() { New(GatherBroadcast, 4, 0, Options{TreeDegree: 1}) },
+		"rank range": func() { NewPlan(Dissemination, 4, Options{}).Rank(4) },
+		"neg rank":   func() { NewPlan(Dissemination, 4, Options{}).Rank(-1) },
+		"bad alg":    func() { NewPlan(Algorithm(9), 4, Options{}).Rank(0) },
+		"degree 1":   func() { NewPlan(GatherBroadcast, 4, Options{TreeDegree: 1}).Rank(0) },
 	} {
 		func() {
 			defer func() {
@@ -162,7 +162,7 @@ func TestNewPanics(t *testing.T) {
 
 func TestSingletonGroup(t *testing.T) {
 	for _, alg := range []Algorithm{Dissemination, PairwiseExchange, GatherBroadcast} {
-		s := New(alg, 1, 0, Options{})
+		s := NewPlan(alg, 1, Options{}).Rank(0)
 		if s.Steps() != 0 {
 			t.Errorf("%v n=1 has %d steps", alg, s.Steps())
 		}
@@ -178,7 +178,7 @@ func TestNoDuplicatePairs(t *testing.T) {
 	for _, alg := range []Algorithm{Dissemination, PairwiseExchange, GatherBroadcast} {
 		for n := 2; n <= 70; n++ {
 			pairs := map[[2]int]bool{}
-			for _, s := range All(alg, n, Options{}) {
+			for _, s := range NewPlan(alg, n, Options{}).all() {
 				for _, st := range resolve(s) {
 					for _, dst := range st.Send {
 						key := [2]int{s.Rank(), dst}
@@ -200,7 +200,7 @@ func TestSendWaitSymmetry(t *testing.T) {
 		for _, n := range []int{2, 3, 5, 8, 13, 16, 31, 64} {
 			sends := map[[2]int]int{}
 			waits := map[[2]int]int{}
-			for _, s := range All(alg, n, Options{}) {
+			for _, s := range NewPlan(alg, n, Options{}).all() {
 				for _, st := range resolve(s) {
 					for _, dst := range st.Send {
 						sends[[2]int{s.Rank(), dst}]++
@@ -257,14 +257,14 @@ func TestVerifyProperty(t *testing.T) {
 // The verifier must actually catch broken schedules.
 func TestVerifyCatchesBrokenSchedules(t *testing.T) {
 	// broken rebuilds every rank's schedule with its lists edited.
-	broken := func(n int, edit func(rank int, st *refStep)) []Schedule {
-		scheds := make([]Schedule, n)
+	broken := func(n int, edit func(rank int, st *refStep)) []refSchedule {
+		scheds := make([]refSchedule, n)
 		for r := range scheds {
 			steps := refNew(Dissemination, n, r, Options{})
 			for i := range steps {
 				edit(r, &steps[i])
 			}
-			scheds[r] = fromSteps(Dissemination, n, r, steps)
+			scheds[r] = steps
 		}
 		return scheds
 	}
@@ -274,28 +274,30 @@ func TestVerifyCatchesBrokenSchedules(t *testing.T) {
 			st.Send = nil
 		}
 	})
-	if err := verifySchedules(dropped); err == nil {
+	if err := verifySchedules(dropped, "DS"); err == nil {
 		t.Fatal("verifier accepted schedule with dropped sends")
 	}
 
 	// A "barrier" where nobody waits: completes but without knowledge.
 	free := broken(4, func(_ int, st *refStep) { st.Wait = nil })
-	if err := verifySchedules(free); err == nil {
+	if err := verifySchedules(free, "DS"); err == nil {
 		t.Fatal("verifier accepted barrier with no synchronization")
 	}
 }
 
+// Arrival bits number a rank's waits in step order.
 func TestExpectedArrivalsAndTotalSends(t *testing.T) {
-	s := New(Dissemination, 8, 0, Options{})
-	arr := s.ExpectedArrivals()
-	if len(arr) != 3 {
-		t.Fatalf("arrivals = %v", arr)
+	s := NewPlan(Dissemination, 8, Options{}).Rank(0)
+	if s.TotalWaits() != 3 {
+		t.Fatalf("total waits = %d", s.TotalWaits())
 	}
 	// Rank 0 waits for ranks 7 (step 0), 6 (step 1), 4 (step 2).
-	want := []int{7, 6, 4}
-	for i, w := range want {
-		if arr[i] != w {
-			t.Fatalf("arrivals = %v, want %v", arr, want)
+	for bit, want := range []int{7, 6, 4} {
+		if got := s.Sender(bit); got != want {
+			t.Fatalf("Sender(%d) = %d, want %d", bit, got, want)
+		}
+		if b, step, ok := s.Arrival(want); !ok || b != bit || step != bit {
+			t.Fatalf("Arrival(%d) = %d, %d, %v", want, b, step, ok)
 		}
 	}
 	if s.TotalSends() != 3 {
@@ -308,20 +310,25 @@ var (
 	scheduleSink Schedule
 )
 
-// A dissemination plan is five allocations at any size (the plan, its
-// one table, the table's steps, peer array and slot array), and a rank's
-// schedule is a view of it that costs none.
+// A plan is one allocation at any size, and a rank's schedule is a view
+// of it that costs none, for every algorithm.
 func TestDisseminationScheduleAllocs(t *testing.T) {
 	for _, n := range []int{8, 65536} {
-		if got := testing.AllocsPerRun(20, func() { planSink = NewPlan(Dissemination, n, Options{}) }); got != 5 {
-			t.Errorf("NewPlan(Dissemination, %d): %.0f allocations, want 5", n, got)
+		if got := testing.AllocsPerRun(20, func() { planSink = NewPlan(Dissemination, n, Options{}) }); got != 1 {
+			t.Errorf("NewPlan(Dissemination, %d): %.0f allocations, want 1", n, got)
 		}
-		plan := NewPlan(Dissemination, n, Options{})
-		if got := testing.AllocsPerRun(20, func() { scheduleSink = plan.Rank(5) }); got != 0 {
-			t.Errorf("Rank on a %d-rank dissemination plan: %.0f allocations, want 0", n, got)
-		}
-		if !plan.Rank(0).Shares(plan.Rank(n - 1)) {
-			t.Errorf("n=%d: dissemination ranks read different tables", n)
+		for _, plan := range []*Plan{
+			NewPlan(Dissemination, n, Options{}),
+			NewPlan(PairwiseExchange, n+3, Options{}),
+			NewPlan(GatherBroadcast, n, Options{TreeDegree: 3}),
+			NewBroadcastPlan(n, n/2, 4),
+		} {
+			if got := testing.AllocsPerRun(20, func() { scheduleSink = plan.Rank(5) }); got != 0 {
+				t.Errorf("Rank on a %d-rank %v plan: %.0f allocations, want 0", plan.Size(), plan.alg, got)
+			}
+			if !plan.Rank(0).Shares(plan.Rank(plan.Size() - 1)) {
+				t.Errorf("n=%d %v: ranks view different plans", plan.Size(), plan.alg)
+			}
 		}
 	}
 }

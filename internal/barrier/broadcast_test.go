@@ -8,11 +8,11 @@ import (
 func TestBroadcastTreeShapes(t *testing.T) {
 	// n=13, root=0, degree=4: root sends to 1..4; rank 1 forwards to
 	// 5..8; rank 12 is a leaf under rank 2.
-	root := resolve(BroadcastTree(13, 0, 0, 4))
+	root := resolve(NewBroadcastPlan(13, 0, 4).Rank(0))
 	if len(root) != 1 || len(root[0].Send) != 4 || len(root[0].Wait) != 0 {
 		t.Fatalf("root schedule %+v", root)
 	}
-	interior := resolve(BroadcastTree(13, 1, 0, 4))
+	interior := resolve(NewBroadcastPlan(13, 0, 4).Rank(1))
 	if len(interior) != 2 {
 		t.Fatalf("interior schedule %+v", interior)
 	}
@@ -22,7 +22,7 @@ func TestBroadcastTreeShapes(t *testing.T) {
 	if len(interior[1].Send) != 4 {
 		t.Fatalf("interior step1 %+v", interior[1])
 	}
-	leaf := resolve(BroadcastTree(13, 12, 0, 4))
+	leaf := resolve(NewBroadcastPlan(13, 0, 4).Rank(12))
 	if len(leaf) != 1 || leaf[0].Wait[0] != 2 {
 		t.Fatalf("leaf schedule %+v", leaf)
 	}
@@ -33,7 +33,7 @@ func TestBroadcastNonZeroRoot(t *testing.T) {
 	if err := VerifyBroadcast(8, 5, 2); err != nil {
 		t.Fatal(err)
 	}
-	r := resolve(BroadcastTree(8, 5, 5, 2))
+	r := resolve(NewBroadcastPlan(8, 5, 2).Rank(5))
 	if len(r) != 1 || len(r[0].Wait) != 0 {
 		t.Fatalf("root schedule %+v", r)
 	}
@@ -58,17 +58,17 @@ func TestVerifyBroadcastMatrix(t *testing.T) {
 func TestBroadcastIsNotABarrier(t *testing.T) {
 	// The full-knowledge check must fail for a broadcast (leaves never
 	// hear from each other) — guarding against silently weakening Verify.
-	if err := verifySchedules(AllBroadcast(4, 0, 2)); err == nil {
+	if err := verifySchedules(NewBroadcastPlan(4, 0, 2).all(), "broadcast"); err == nil {
 		t.Fatal("broadcast schedules passed the barrier synchronization check")
 	}
 }
 
 func TestBroadcastGuards(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"n=0":      func() { BroadcastTree(0, 0, 0, 2) },
-		"bad rank": func() { BroadcastTree(4, 4, 0, 2) },
-		"bad root": func() { BroadcastTree(4, 0, -1, 2) },
-		"degree 1": func() { BroadcastTree(4, 0, 0, 1) },
+		"n=0":      func() { NewBroadcastPlan(0, 0, 2).Rank(0) },
+		"bad rank": func() { NewBroadcastPlan(4, 0, 2).Rank(4) },
+		"bad root": func() { NewBroadcastPlan(4, -1, 2).Rank(0) },
+		"degree 1": func() { NewBroadcastPlan(4, 0, 1).Rank(0) },
 	} {
 		func() {
 			defer func() {
@@ -92,7 +92,7 @@ func TestBroadcastProperty(t *testing.T) {
 			return false
 		}
 		total := 0
-		for _, s := range AllBroadcast(n, root, d) {
+		for _, s := range NewBroadcastPlan(n, root, d).all() {
 			total += s.TotalSends()
 		}
 		return total == n-1

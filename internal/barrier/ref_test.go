@@ -163,26 +163,17 @@ func resolve(s Schedule) []refStep {
 	return out
 }
 
-// fromSteps builds rank's schedule from absolute per-step lists, so tests
-// can hand-build schedules the constructors never produce.
-func fromSteps(alg Algorithm, n, rank int, steps []refStep) Schedule {
-	var ns, nw int
-	for _, st := range steps {
-		ns += len(st.Send)
-		nw += len(st.Wait)
-	}
-	t := newTable(alg, n, len(steps), ns, nw)
-	for _, st := range steps {
-		for _, p := range st.Send {
-			t.send(rank, p)
-		}
-		for _, p := range st.Wait {
-			t.wait(rank, p)
-		}
-		t.endStep(st.ResultWait)
-	}
-	return Schedule{t.index(), rank}
-}
+// refSchedule is a schedule held as absolute per-step lists, so tests
+// can hand the verifier schedules the plans never produce.
+type refSchedule []refStep
+
+func (r refSchedule) Steps() int                         { return len(r) }
+func (r refSchedule) AppendSends(dst []int, i int) []int { return append(dst, r[i].Send...) }
+func (r refSchedule) AppendWaits(dst []int, i int) []int { return append(dst, r[i].Wait...) }
+
+// treeChildren counts the tree children of position pos: positions
+// pos*d+1 .. pos*d+d below n.
+func treeChildren(n, pos, d int) int { return max(0, min(d, n-(pos*d+1))) }
 
 // checkAgainstRef compares one plan view with the reference steps: the
 // resolved lists and flags, the totals, and every Arrival, Dest and
@@ -277,4 +268,29 @@ func TestPlanMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPlan checks the closed-form plans against the per-rank reference
+// constructors at random shapes: algorithm (the three barriers and the
+// broadcast tree), group size up to 65,536, tree degree 2–8, broadcast
+// root and reading rank.
+func FuzzPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, alg uint8, n uint32, degree uint8, root, rank uint32) {
+		size := int(n%65536) + 1
+		d := int(degree%7) + 2
+		r := int(rank % uint32(size))
+		var s Schedule
+		var want []refStep
+		switch a := Algorithm(alg % 4); a {
+		case Dissemination, PairwiseExchange, GatherBroadcast:
+			opts := Options{TreeDegree: d}
+			s, want = NewPlan(a, size, opts).Rank(r), refNew(a, size, r, opts)
+		default:
+			top := int(root % uint32(size))
+			s, want = NewBroadcastPlan(size, top, d).Rank(r), refBroadcastTree(size, r, top, d)
+		}
+		if err := checkAgainstRef(s, want); err != nil {
+			t.Fatalf("%v n=%d d=%d root=%d rank %d: %v", s.Algorithm(), size, d, root, r, err)
+		}
+	})
 }

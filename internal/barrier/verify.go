@@ -13,17 +13,25 @@ import "fmt"
 //
 // It returns nil when both hold.
 func Verify(alg Algorithm, n int, opts Options) error {
-	return verifySchedules(All(alg, n, opts))
+	return verifySchedules(NewPlan(alg, n, opts).all(), alg.String())
 }
 
-// verifySchedules runs the abstract execution over explicit schedules; it
+// script is what the abstract executor reads of one rank's schedule; it
 // lets tests check hand-built (broken) schedules too.
-func verifySchedules(scheds []Schedule) error {
-	return verifyKnowledge(scheds, func(rank int, knowledge []bool) error {
+type script interface {
+	Steps() int
+	AppendSends(dst []int, i int) []int
+	AppendWaits(dst []int, i int) []int
+}
+
+// verifySchedules runs the abstract execution over explicit schedules
+// and checks the barrier property; name labels its errors.
+func verifySchedules[S script](scheds []S, name string) error {
+	return verifyKnowledge(scheds, name, func(rank int, knowledge []bool) error {
 		for x, k := range knowledge {
 			if !k {
 				return fmt.Errorf("barrier: rank %d completed without hearing from %d (%s, n=%d)",
-					rank, x, scheds[rank].Algorithm(), len(scheds))
+					rank, x, name, len(scheds))
 			}
 		}
 		return nil
@@ -34,7 +42,7 @@ func verifySchedules(scheds []Schedule) error {
 // to quiescence, checks progress, and applies the given causal-knowledge
 // predicate to every completed rank (all-of for barriers, root-only for
 // broadcasts).
-func verifyKnowledge(scheds []Schedule, check func(rank int, knowledge []bool) error) error {
+func verifyKnowledge[S script](scheds []S, name string, check func(rank int, knowledge []bool) error) error {
 	n := len(scheds)
 	if n == 0 {
 		return fmt.Errorf("barrier: no schedules")
@@ -112,7 +120,7 @@ func verifyKnowledge(scheds []Schedule, check func(rank int, knowledge []bool) e
 	for r := 0; r < n; r++ {
 		if !complete(r) {
 			return fmt.Errorf("barrier: rank %d/%d deadlocked at step %d/%d (%s)",
-				r, n, stepIdx[r], scheds[r].Steps(), scheds[r].Algorithm())
+				r, n, stepIdx[r], scheds[r].Steps(), name)
 		}
 		if err := check(r, knowledge[r]); err != nil {
 			return err

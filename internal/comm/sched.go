@@ -319,7 +319,7 @@ func (s *sched) preflight(gc GroupConfig) error {
 		if gc.Contrib == nil {
 			return fmt.Errorf("comm: allreduce group without Contrib")
 		}
-		sched := barrier.New(gc.Algorithm, len(gc.Members), 0, gc.Options)
+		sched := barrier.NewPlan(gc.Algorithm, len(gc.Members), gc.Options).Rank(0)
 		if _, err := core.NewReduceState(gc.Reduce, sched); err != nil {
 			return err
 		}

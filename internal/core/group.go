@@ -18,14 +18,15 @@ var ErrSlotsExhausted = errors.New("NIC group slots exhausted")
 // mirroring MPI_COMM_WORLD.
 type GroupID int
 
-// Group is one rank's view of a process group, as installed into a NIC's
-// group table. Nodes[r] is the network address (host index) of rank r.
+// Group is a process group's membership, shared by every member of the
+// session that installs it; each member's NIC entry pairs it with the
+// member's own rank. Nodes[r] is the network address (host index) of
+// rank r.
 type Group struct {
-	ID     GroupID
-	Nodes  []int
-	MyRank int
+	ID    GroupID
+	Nodes []int
 
-	index *rankIndex // shared by every view of the group
+	index rankIndex
 }
 
 // rankIndex is a group's node→rank map, built on the first RankOf call:
@@ -36,17 +37,11 @@ type rankIndex struct {
 	rankOf map[int]int
 }
 
-// NewGroup builds a group view. Nodes must be distinct; MyRank must be in
-// range.
-func NewGroup(id GroupID, nodes []int, myRank int) *Group {
-	if myRank < 0 || myRank >= len(nodes) {
-		panic(fmt.Sprintf("core: rank %d outside group of %d", myRank, len(nodes)))
-	}
+// NewGroup builds a group. Nodes must be distinct.
+func NewGroup(id GroupID, nodes []int) *Group {
 	g := &Group{
-		ID:     id,
-		Nodes:  append([]int(nil), nodes...),
-		MyRank: myRank,
-		index:  new(rankIndex),
+		ID:    id,
+		Nodes: append([]int(nil), nodes...),
 	}
 	sorted := slices.Clone(nodes)
 	slices.Sort(sorted)
@@ -56,20 +51,6 @@ func NewGroup(id GroupID, nodes []int, myRank int) *Group {
 		}
 	}
 	return g
-}
-
-// WithRank returns rank's view of the same group, sharing the immutable
-// membership slice and node→rank index. Session constructors build one
-// group per member; deriving the per-member views from a single base
-// keeps that loop linear in the group size instead of quadratic
-// (membership is validated, and the index built, at most once).
-func (g *Group) WithRank(rank int) *Group {
-	if rank < 0 || rank >= len(g.Nodes) {
-		panic(fmt.Sprintf("core: rank %d outside group of %d", rank, len(g.Nodes)))
-	}
-	view := *g
-	view.MyRank = rank
-	return &view
 }
 
 // Size reports the number of ranks.
@@ -86,7 +67,7 @@ func (g *Group) NodeOf(rank int) int {
 // RankOf maps a network address back to its rank, with ok=false for
 // non-members.
 func (g *Group) RankOf(node int) (int, bool) {
-	ix := g.index
+	ix := &g.index
 	ix.once.Do(func() {
 		ix.rankOf = make(map[int]int, len(g.Nodes))
 		for r, n := range g.Nodes {

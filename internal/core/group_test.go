@@ -3,7 +3,7 @@ package core
 import "testing"
 
 func TestGroupMapping(t *testing.T) {
-	g := NewGroup(1, []int{5, 2, 9, 0}, 2)
+	g := NewGroup(1, []int{5, 2, 9, 0})
 	if g.Size() != 4 {
 		t.Fatalf("size = %d", g.Size())
 	}
@@ -20,9 +20,9 @@ func TestGroupMapping(t *testing.T) {
 
 func TestGroupGuards(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"dup node":   func() { NewGroup(0, []int{1, 1}, 0) },
-		"rank range": func() { NewGroup(0, []int{1, 2}, 2) },
-		"nodeof oob": func() { NewGroup(0, []int{1, 2}, 0).NodeOf(5) },
+		"dup node":   func() { NewGroup(0, []int{1, 1}) },
+		"nodeof neg": func() { NewGroup(0, []int{1, 2}).NodeOf(-1) },
+		"nodeof oob": func() { NewGroup(0, []int{1, 2}).NodeOf(5) },
 	} {
 		func() {
 			defer func() {
@@ -37,7 +37,7 @@ func TestGroupGuards(t *testing.T) {
 
 func TestGroupNodesIsolated(t *testing.T) {
 	nodes := []int{0, 1, 2}
-	g := NewGroup(0, nodes, 0)
+	g := NewGroup(0, nodes)
 	nodes[0] = 99
 	if g.NodeOf(0) != 0 {
 		t.Fatal("group aliases caller's slice")

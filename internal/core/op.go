@@ -20,10 +20,10 @@ import (
 // The state machine is pure: it charges no simulated time and sends no
 // packets. Callers (the Myrinet MCP collective module, the Quadrics
 // chained-RDMA model) translate the returned rank lists into wire traffic
-// and charge their own processing costs. The lists live in buffers the
-// state machine reuses, so a steady stream of operations allocates
-// nothing: each list is valid only until the next Start, Arrive or
-// Missing call on the same state machine.
+// and charge their own processing costs. The lists live in one result
+// buffer that every state machine of an Arena shares, so a steady stream
+// of operations allocates nothing: a returned list is valid only until
+// the next Start, Arrive or Missing call on any member of the arena.
 type OpState struct {
 	sched barrier.Schedule
 
@@ -35,10 +35,11 @@ type OpState struct {
 
 	// Arrival bits are numbered in schedule (wait-list) order. arrived
 	// holds the active operation's arrivals, early the buffered arrivals
-	// for seq+1; the two share one word array, and Start swaps them.
-	arrived, early BitVector
+	// for seq+1; the two are carved from the arena's word array, and
+	// Start swaps them.
+	arrived, early []uint64
 
-	buf []int // reused result buffer of Start, Arrive and Missing
+	buf *[]int // the arena's result buffer of Start, Arrive and Missing
 
 	// Duplicates counts arrivals that were already recorded (retransmits
 	// that raced the original); they are ignored but visible for tests.
@@ -47,29 +48,39 @@ type OpState struct {
 	Stale int
 }
 
-// NewOpState builds the state machine for one rank's schedule. It makes
-// three allocations whatever the group size: the state, one word array
-// for its two bit vectors and its result buffer. Peer lookups read the
-// schedule's step table, which a plan shares among its ranks.
+// NewOpState builds the state machine for one rank's schedule as a
+// one-member arena: four allocations whatever the group size. Sessions
+// build every member's state at once with NewArena instead.
 func NewOpState(sched barrier.Schedule) *OpState {
-	o := new(OpState)
-	o.init(sched)
-	return o
+	a, _ := newArena(1, func(int) barrier.Schedule { return sched }, nil)
+	return a.Op(0)
 }
 
-// init builds o in place; ReduceState embeds its OpState by value.
-func (o *OpState) init(sched barrier.Schedule) {
-	nw, ns := sched.TotalWaits(), sched.TotalSends()
-	words := make([]uint64, 2*((nw+63)/64))
+// init builds o in place over words, which holds two bit vectors of
+// len(words)/2 words each.
+func (o *OpState) init(sched barrier.Schedule, words []uint64, buf *[]int) {
 	half := len(words) / 2
 	*o = OpState{
 		sched:   sched,
 		seq:     -1,
-		arrived: BitVector{bits: words[:half:half], n: nw},
-		early:   BitVector{bits: words[half:], n: nw},
-		buf:     make([]int, 0, max(nw, ns)),
+		arrived: words[:half:half],
+		early:   words[half:],
+		buf:     buf,
 	}
 }
+
+// setBit sets bit i of w, reporting whether it was previously clear.
+func setBit(w []uint64, i int) bool {
+	m := uint64(1) << (i % 64)
+	if w[i/64]&m != 0 {
+		return false
+	}
+	w[i/64] |= m
+	return true
+}
+
+// getBit reports bit i of w.
+func getBit(w []uint64, i int) bool { return w[i/64]&(uint64(1)<<(i%64)) != 0 }
 
 // SendIndex reports the position of toRank among this rank's
 // destinations, in schedule send order; ok is false when the schedule
@@ -107,7 +118,7 @@ func (o *OpState) Start(seq int) (sends []int, completed bool, err error) {
 	o.active = true
 	o.step, o.bit, o.sentTo = 0, 0, 0
 	o.arrived, o.early = o.early, o.arrived
-	o.early.Clear()
+	clear(o.early)
 	sends, completed = o.advance()
 	return sends, completed, nil
 }
@@ -134,7 +145,7 @@ func (o *OpState) arrive(seq, fromRank int) (bit, step int, sends []int, complet
 		if !ok {
 			return -1, 0, nil, false, fmt.Errorf("core: arrival from unexpected rank %d", fromRank)
 		}
-		if !o.arrived.Set(bit) {
+		if !setBit(o.arrived, bit) {
 			o.Duplicates++
 			return -1, 0, nil, false, nil
 		}
@@ -145,7 +156,7 @@ func (o *OpState) arrive(seq, fromRank int) (bit, step int, sends []int, complet
 		if !ok {
 			return -1, 0, nil, false, fmt.Errorf("core: early arrival from unexpected rank %d", fromRank)
 		}
-		if !o.early.Set(bit) {
+		if !setBit(o.early, bit) {
 			o.Duplicates++
 			return -1, 0, nil, false, nil
 		}
@@ -157,17 +168,17 @@ func (o *OpState) arrive(seq, fromRank int) (bit, step int, sends []int, complet
 
 // advance performs all sends whose steps have started and completes all
 // steps whose waits are satisfied, returning newly issued sends (nil when
-// there are none) in the reused buffer.
+// there are none) in the shared buffer.
 func (o *OpState) advance() (sends []int, completed bool) {
-	o.buf = o.buf[:0]
+	buf := (*o.buf)[:0]
 	completed = true
-	for o.step < o.sched.Steps() {
+	for steps := o.sched.Steps(); o.step < steps; o.step++ {
 		if o.sentTo == o.step {
 			o.sentTo++
-			o.buf = o.sched.AppendSends(o.buf, o.step)
+			buf = o.sched.AppendSends(buf, o.step)
 		}
 		for end := o.sched.WaitEnd(o.step); o.bit < end; o.bit++ {
-			if !o.arrived.Get(o.bit) {
+			if !getBit(o.arrived, o.bit) {
 				completed = false
 				break
 			}
@@ -175,15 +186,15 @@ func (o *OpState) advance() (sends []int, completed bool) {
 		if !completed {
 			break
 		}
-		o.step++
 	}
 	if completed {
 		o.active = false
 	}
-	if len(o.buf) == 0 {
+	*o.buf = buf
+	if len(buf) == 0 {
 		return nil, completed
 	}
-	return o.buf, completed
+	return buf, completed
 }
 
 // Abort force-quiesces the state machine after a deadline expiry: the
@@ -196,7 +207,7 @@ func (o *OpState) advance() (sends []int, completed bool) {
 func (o *OpState) Abort() {
 	o.active = false
 	o.step = o.sched.Steps()
-	o.early.Clear()
+	clear(o.early)
 }
 
 // Missing lists the peer ranks whose notifications for the active
@@ -208,16 +219,17 @@ func (o *OpState) Missing() []int {
 		return nil
 	}
 	// Arrival bits follow the schedule's wait lists, step by step.
-	o.buf = o.buf[:0]
+	buf := (*o.buf)[:0]
 	for bit := range o.sched.TotalWaits() {
-		if !o.arrived.Get(bit) {
-			o.buf = append(o.buf, o.sched.Sender(bit))
+		if !getBit(o.arrived, bit) {
+			buf = append(buf, o.sched.Sender(bit))
 		}
 	}
-	if len(o.buf) == 0 {
+	*o.buf = buf
+	if len(buf) == 0 {
 		return nil
 	}
-	return o.buf
+	return buf
 }
 
 // HasSent reports whether this rank's notification to toRank for

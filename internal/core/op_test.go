@@ -27,7 +27,7 @@ func mustArrive(t *testing.T, o *OpState, seq, from int) (sends []int, completed
 }
 
 func TestOpSingletonCompletesAtStart(t *testing.T) {
-	o := NewOpState(barrier.New(barrier.Dissemination, 1, 0, barrier.Options{}))
+	o := NewOpState(barrier.NewPlan(barrier.Dissemination, 1, barrier.Options{}).Rank(0))
 	sends, completed := mustStart(t, o, 0)
 	if len(sends) != 0 || !completed {
 		t.Fatalf("sends=%v completed=%v", sends, completed)
@@ -39,7 +39,7 @@ func TestOpSingletonCompletesAtStart(t *testing.T) {
 
 func TestOpDisseminationTwoRanks(t *testing.T) {
 	// n=2: each rank sends one message and waits for one.
-	o := NewOpState(barrier.New(barrier.Dissemination, 2, 0, barrier.Options{}))
+	o := NewOpState(barrier.NewPlan(barrier.Dissemination, 2, barrier.Options{}).Rank(0))
 	sends, completed := mustStart(t, o, 0)
 	if len(sends) != 1 || sends[0] != 1 || completed {
 		t.Fatalf("start: sends=%v completed=%v", sends, completed)
@@ -59,7 +59,7 @@ func TestOpDisseminationTwoRanks(t *testing.T) {
 func TestOpDisseminationCascade(t *testing.T) {
 	// n=4 rank 0: step m sends to (0+2^m)%4, waits on (0-2^m)%4:
 	// step 0: send 1 wait 3; step 1: send 2 wait 2.
-	o := NewOpState(barrier.New(barrier.Dissemination, 4, 0, barrier.Options{}))
+	o := NewOpState(barrier.NewPlan(barrier.Dissemination, 4, barrier.Options{}).Rank(0))
 	sends, _ := mustStart(t, o, 0)
 	if len(sends) != 1 || sends[0] != 1 {
 		t.Fatalf("start sends %v", sends)
@@ -80,7 +80,7 @@ func TestOpDisseminationCascade(t *testing.T) {
 }
 
 func TestOpHasSent(t *testing.T) {
-	o := NewOpState(barrier.New(barrier.Dissemination, 4, 0, barrier.Options{}))
+	o := NewOpState(barrier.NewPlan(barrier.Dissemination, 4, barrier.Options{}).Rank(0))
 	if o.HasSent(0, 1) {
 		t.Fatal("HasSent before start")
 	}
@@ -108,7 +108,7 @@ func TestOpHasSent(t *testing.T) {
 func TestOpEarlyBufferAcrossOps(t *testing.T) {
 	// Rank 0, n=2, consecutive barriers: peer's message for op 1 arrives
 	// while op 0 is still active.
-	o := NewOpState(barrier.New(barrier.Dissemination, 2, 0, barrier.Options{}))
+	o := NewOpState(barrier.NewPlan(barrier.Dissemination, 2, barrier.Options{}).Rank(0))
 	mustStart(t, o, 0)
 	if sends, completed := mustArrive(t, o, 1, 1); len(sends) != 0 || completed {
 		t.Fatalf("future arrival acted on: %v %v", sends, completed)
@@ -125,7 +125,7 @@ func TestOpEarlyBufferAcrossOps(t *testing.T) {
 }
 
 func TestOpDuplicateAndStale(t *testing.T) {
-	o := NewOpState(barrier.New(barrier.Dissemination, 2, 0, barrier.Options{}))
+	o := NewOpState(barrier.NewPlan(barrier.Dissemination, 2, barrier.Options{}).Rank(0))
 	mustStart(t, o, 0)
 	mustArrive(t, o, 0, 1)
 	// Duplicate of a completed op: stale.
@@ -148,7 +148,7 @@ func TestOpDuplicateAndStale(t *testing.T) {
 }
 
 func TestOpErrors(t *testing.T) {
-	o := NewOpState(barrier.New(barrier.Dissemination, 4, 0, barrier.Options{}))
+	o := NewOpState(barrier.NewPlan(barrier.Dissemination, 4, barrier.Options{}).Rank(0))
 	if _, _, err := o.Start(1); err == nil {
 		t.Error("Start(1) before Start(0) accepted")
 	}
@@ -171,7 +171,7 @@ func driveGroup(alg barrier.Algorithm, n int, ops int, seed uint64, lossRate flo
 	rng := sim.NewRNG(seed)
 	states := make([]*OpState, n)
 	for r := 0; r < n; r++ {
-		states[r] = NewOpState(barrier.New(alg, n, r, barrier.Options{}))
+		states[r] = NewOpState(barrier.NewPlan(alg, n, barrier.Options{}).Rank(r))
 	}
 	type msg struct{ seq, from, to int }
 	var inflight []msg
@@ -279,36 +279,50 @@ func TestOpGroupProperty(t *testing.T) {
 var installSink any
 
 // Building a state machine costs the same few allocations at any group
-// size: the bit vectors and result buffer are sized once from the
-// schedule, whose step table the state machine only reads.
+// size: a one-member arena (the arena, its state slice, one word array
+// for the bit vectors and the result buffer, plus the value and snapshot
+// arrays of an allreduce). A session's arena costs the same whatever its
+// member count.
 func TestInstallAllocsConstant(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		want  float64
 		build func(barrier.Schedule)
 	}{
-		{"NewOpState", 3, func(s barrier.Schedule) { installSink = NewOpState(s) }},
-		{"NewReduceState", 5, func(s barrier.Schedule) { installSink, _ = NewReduceState(ReduceSum, s) }},
+		{"NewOpState", 4, func(s barrier.Schedule) { installSink = NewOpState(s) }},
+		{"NewReduceState", 6, func(s barrier.Schedule) { installSink, _ = NewReduceState(ReduceSum, s) }},
 	} {
 		for _, n := range []int{8, 32768} {
 			for _, alg := range []barrier.Algorithm{barrier.PairwiseExchange, barrier.Dissemination} {
-				sched := barrier.New(alg, n, 3, barrier.Options{})
+				sched := barrier.NewPlan(alg, n, barrier.Options{}).Rank(3)
 				if got := testing.AllocsPerRun(20, func() { c.build(sched) }); got != c.want {
 					t.Errorf("%s over %v at n=%d: %.0f allocations, want %.0f", c.name, alg, n, got, c.want)
 				}
 			}
 		}
 	}
+	for _, n := range []int{8, 32768} {
+		plan := barrier.NewPlan(barrier.PairwiseExchange, n, barrier.Options{})
+		if got := testing.AllocsPerRun(5, func() { installSink = NewArena(plan) }); got != 4 {
+			t.Errorf("NewArena at n=%d: %.0f allocations, want 4", n, got)
+		}
+		if got := testing.AllocsPerRun(5, func() { installSink, _ = NewReduceArena(ReduceMax, plan) }); got != 6 {
+			t.Errorf("NewReduceArena at n=%d: %.0f allocations, want 6", n, got)
+		}
+	}
 }
 
 // BenchmarkOpStateArrive32k drives one rank of a 32,768-rank
 // dissemination group through a whole operation per iteration: Start,
-// then one Arrive per step, each resolving its sender's offset in the
-// plan's shared table and advancing the schedule.
+// then one Arrive per step, each resolving its sender's arrival bit in
+// closed form and advancing the schedule.
 func BenchmarkOpStateArrive32k(b *testing.B) {
 	sched := barrier.NewPlan(barrier.Dissemination, 32768, barrier.Options{}).Rank(12345)
 	o := NewOpState(sched)
-	from := sched.ExpectedArrivals()
+	from := make([]int, sched.TotalWaits())
+	for bit := range from {
+		from[bit] = sched.Sender(bit)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

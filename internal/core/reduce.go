@@ -111,22 +111,17 @@ type sentVal struct {
 	val int64
 }
 
-// NewReduceState builds an allreduce state machine over a schedule. It
-// returns an error when the (operator, schedule) combination cannot be
-// exact. It makes five allocations whatever the group size.
+// NewReduceState builds an allreduce state machine over a schedule as a
+// one-member arena. It returns an error when the (operator, schedule)
+// combination cannot be exact. It makes six allocations whatever the
+// group size; sessions build every member's state at once with
+// NewReduceArena instead.
 func NewReduceState(op ReduceOp, sched barrier.Schedule) (*ReduceState, error) {
-	if op == ReduceSum && sched.Algorithm() == barrier.Dissemination && !barrier.IsPowerOfTwo(sched.Size()) {
-		return nil, fmt.Errorf(
-			"core: sum-allreduce over dissemination needs a power-of-two group, got %d", sched.Size())
+	a, err := newArena(1, func(int) barrier.Schedule { return sched }, &op)
+	if err != nil {
+		return nil, err
 	}
-	r := &ReduceState{op: op}
-	r.st.init(sched)
-	r.vals = make([]int64, 2*sched.TotalWaits())
-	r.sent = make([]sentVal, 2*sched.TotalSends())
-	for i := range r.sent {
-		r.sent[i].seq = -1
-	}
-	return r, nil
+	return a.Reduce(0), nil
 }
 
 // Op reports the combining operator.
@@ -146,7 +141,7 @@ func (r *ReduceState) fold(uptoStep int) int64 {
 	for s := 0; s < uptoStep && s < sched.Steps(); s++ {
 		result := sched.ResultWait(s)
 		for end := sched.WaitEnd(s); bit < end; bit++ {
-			if r.st.arrived.Get(bit) {
+			if getBit(r.st.arrived, bit) {
 				if result {
 					val = vals[bit]
 				} else {

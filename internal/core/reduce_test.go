@@ -28,18 +28,18 @@ func TestReduceOpBasics(t *testing.T) {
 
 func TestNewReduceStateValidation(t *testing.T) {
 	// Sum over non-power-of-two dissemination double-counts: rejected.
-	if _, err := NewReduceState(ReduceSum, barrier.New(barrier.Dissemination, 6, 0, barrier.Options{})); err == nil {
+	if _, err := NewReduceState(ReduceSum, barrier.NewPlan(barrier.Dissemination, 6, barrier.Options{}).Rank(0)); err == nil {
 		t.Error("sum over DS n=6 accepted")
 	}
 	// Min over the same schedule is fine (idempotent).
-	if _, err := NewReduceState(ReduceMin, barrier.New(barrier.Dissemination, 6, 0, barrier.Options{})); err != nil {
+	if _, err := NewReduceState(ReduceMin, barrier.NewPlan(barrier.Dissemination, 6, barrier.Options{}).Rank(0)); err != nil {
 		t.Errorf("min over DS n=6 rejected: %v", err)
 	}
 	// Sum over PE n=6 (pre/post fold) and GB are fine.
-	if _, err := NewReduceState(ReduceSum, barrier.New(barrier.PairwiseExchange, 6, 0, barrier.Options{})); err != nil {
+	if _, err := NewReduceState(ReduceSum, barrier.NewPlan(barrier.PairwiseExchange, 6, barrier.Options{}).Rank(0)); err != nil {
 		t.Errorf("sum over PE n=6 rejected: %v", err)
 	}
-	if _, err := NewReduceState(ReduceSum, barrier.New(barrier.GatherBroadcast, 6, 0, barrier.Options{})); err != nil {
+	if _, err := NewReduceState(ReduceSum, barrier.NewPlan(barrier.GatherBroadcast, 6, barrier.Options{}).Rank(0)); err != nil {
 		t.Errorf("sum over GB n=6 rejected: %v", err)
 	}
 }
@@ -53,7 +53,7 @@ func driveReduce(t *testing.T, op ReduceOp, alg barrier.Algorithm, values []int6
 	rng := sim.NewRNG(seed)
 	states := make([]*ReduceState, n)
 	for r := 0; r < n; r++ {
-		st, err := NewReduceState(op, barrier.New(alg, n, r, barrier.Options{}))
+		st, err := NewReduceState(op, barrier.NewPlan(alg, n, barrier.Options{}).Rank(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestAllreduceProperty(t *testing.T) {
 func TestReduceConsecutiveOpsWithEarlyValue(t *testing.T) {
 	// n=2 sum: peer's op-1 value arrives while op 0 still active; it must
 	// buffer and combine only at Start(1).
-	a, err := NewReduceState(ReduceSum, barrier.New(barrier.PairwiseExchange, 2, 0, barrier.Options{}))
+	a, err := NewReduceState(ReduceSum, barrier.NewPlan(barrier.PairwiseExchange, 2, barrier.Options{}).Rank(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestReduceConsecutiveOpsWithEarlyValue(t *testing.T) {
 // steady stream of operations allocates nothing (reused send buffer, no
 // per-operation snapshot map).
 func TestSentValueRingAndZeroAlloc(t *testing.T) {
-	a, err := NewReduceState(ReduceSum, barrier.New(barrier.PairwiseExchange, 2, 0, barrier.Options{}))
+	a, err := NewReduceState(ReduceSum, barrier.NewPlan(barrier.PairwiseExchange, 2, barrier.Options{}).Rank(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,11 @@ type Session struct {
 	eng  *sim.Engine
 	be   Backend
 	mode Mode
+	size int
 
-	// defers holds one NextAt deferral record per rank, allocated with
-	// the session so deferred loops schedule no new objects.
+	// defers holds one NextAt deferral record per rank, allocated as one
+	// slice on the first deferral: deferred loops then schedule no new
+	// objects, and sessions that never pace carry none.
 	defers []deferral
 
 	iters  int
@@ -118,11 +120,7 @@ func (d *deferral) Fire() { d.s.start(d.rank, d.seq) }
 
 // NewSession returns the driver for a group of size ranks on eng.
 func NewSession(eng *sim.Engine, size int, be Backend, mode Mode) *Session {
-	s := &Session{eng: eng, be: be, mode: mode, defers: make([]deferral, size)}
-	for r := range s.defers {
-		s.defers[r].s, s.defers[r].rank = s, r
-	}
-	return s
+	return &Session{eng: eng, be: be, mode: mode, size: size}
 }
 
 // Launch prepares iters consecutive operations and posts iteration 0 on
@@ -159,7 +157,7 @@ func (s *Session) Launch(iters int) {
 			s.results[i] = make([]int64, s.Size())
 		}
 	}
-	for r := range s.defers {
+	for r := range s.size {
 		s.post(r, s.base)
 	}
 }
@@ -211,10 +209,12 @@ func (s *Session) Abort() {
 	}
 	s.aborted = true
 	s.gen++ // void any in-flight OnIterDone-chained posts
-	for r := range s.defers {
-		d := &s.defers[r]
-		d.timer.Cancel()
-		d.timer = sim.Timer{}
+	for r := range s.size {
+		if s.defers != nil {
+			d := &s.defers[r]
+			d.timer.Cancel()
+			d.timer = sim.Timer{}
+		}
 		s.be.Abort(r)
 	}
 	s.iters = 0
@@ -234,6 +234,12 @@ func (s *Session) ChargeInstall() { s.be.ChargeInstall() }
 func (s *Session) post(rank, seq int) {
 	if s.NextAt != nil {
 		if at := s.NextAt(rank, seq-s.base); at > s.eng.Now() {
+			if s.defers == nil {
+				s.defers = make([]deferral, s.size)
+				for r := range s.defers {
+					s.defers[r].s, s.defers[r].rank = s, r
+				}
+			}
 			d := &s.defers[rank]
 			d.seq = seq
 			d.timer = s.eng.ScheduleEvent(at, d)
@@ -284,7 +290,7 @@ func (s *Session) Complete(rank, seq int) {
 			return
 		}
 		if gated && rel+1 < s.iters {
-			for r := range s.defers {
+			for r := range s.size {
 				s.post(r, seq+1)
 			}
 		}
@@ -322,7 +328,7 @@ func (s *Session) DoneAt() []sim.Time { return s.doneAt }
 func (s *Session) StartAt() []sim.Time { return s.startAt }
 
 // Size reports the number of participating ranks.
-func (s *Session) Size() int { return len(s.defers) }
+func (s *Session) Size() int { return s.size }
 
 // Run executes iters consecutive operations and returns the virtual time
 // at which each iteration completed on every member. It panics if the

@@ -224,9 +224,11 @@ func (n *NIC) chain(id core.GroupID) int {
 
 // chainOp is a NIC-resident chained-descriptor barrier: the compiled form
 // of a barrier schedule where each RDMA descriptor is triggered by the
-// arrival of the remote event it waits on.
+// arrival of the remote event it waits on. Session members embed it, so
+// the descriptor-list table points into their session's member slice.
 type chainOp struct {
-	group   *core.Group
+	group   *core.Group // shared by every member of the session
+	rank    int         // this member's rank in group
 	state   *core.OpState
 	nextSeq int
 	// frozen marks a chain aborted mid-operation (deadline expiry): late
@@ -276,21 +278,22 @@ func (h *Host) dispatch(ev Event) {
 	}
 }
 
-// TryArmChain installs the chained-descriptor barrier for a group. The
+// armChain installs the chained-descriptor barrier op for its group. The
 // host sets up the descriptor list once from user level; afterwards each
 // TriggerChain doorbell runs one barrier entirely on the NICs. Arming
 // fails when the group's ID is already armed or the card's
 // descriptor-list slots are exhausted.
-func (n *NIC) TryArmChain(g *core.Group, state *core.OpState) error {
-	if n.chain(g.ID) >= 0 {
-		return fmt.Errorf("elan: chain for group %d already armed on node %d", g.ID, n.node.ID)
+func (n *NIC) armChain(op *chainOp) error {
+	id := op.group.ID
+	if n.chain(id) >= 0 {
+		return fmt.Errorf("elan: chain for group %d already armed on node %d", id, n.node.ID)
 	}
 	if slots := n.node.Prof.NIC.ChainSlots; len(n.chains) >= slots {
 		return fmt.Errorf("elan: node %d: chain slots: %w (%d of %d in use)",
 			n.node.ID, core.ErrSlotsExhausted, len(n.chains), slots)
 	}
-	delete(n.retired, g.ID)
-	n.chains = append(n.chains, chainSlot{g.ID, &chainOp{group: g, state: state}})
+	delete(n.retired, id)
+	n.chains = append(n.chains, chainSlot{id, op})
 	return nil
 }
 
@@ -430,7 +433,7 @@ func (n *NIC) fireRDMAs(op *chainOp, seq int, ranks []int) {
 	for _, r := range ranks {
 		h := n.get(hRDMASend)
 		h.op, h.dst = op, op.group.NodeOf(r)
-		h.msg = rdmaMsg{group: op.group.ID, seq: seq, fromRank: op.group.MyRank}
+		h.msg = rdmaMsg{group: op.group.ID, seq: seq, fromRank: op.rank}
 		n.traceTime(int(op.group.ID), p.DMADescCycles, p.SendFixed)
 		n.Exec(p.DMADescCycles, p.SendFixed, h)
 	}

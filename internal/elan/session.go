@@ -47,21 +47,24 @@ const SessionGroupID = 1
 // supports one live session at a time.
 type Session struct {
 	*core.Session
-	cl      *Cluster
-	gid     core.GroupID
-	scheme  Scheme
-	members []*member
+	cl     *Cluster
+	gid    core.GroupID
+	scheme Scheme
+	// members holds every member in one slice, in rank order; chain
+	// tables and host bindings point into it.
+	members []member
 }
 
+// member is one rank of a session: its chained-descriptor barrier,
+// armed on its node's card by SchemeChained, whose state machine drives
+// the host-side gsync tree under SchemeGsync instead (SchemeHW uses
+// neither).
 type member struct {
-	s     *Session
-	rank  int
-	node  *Node
-	group *core.Group
-	// hostOp drives the gsync tree from the host; nil otherwise.
-	hostOp *core.OpState
+	s    *Session
+	node *Node
 	// hwSeq tracks hardware-barrier rounds for this member.
 	hwSeq int
+	chainOp
 }
 
 // NewSession prepares a barrier session on group SessionGroupID over
@@ -117,39 +120,36 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 	if scheme == SchemeHW {
 		cl.hw.configure(nodeIDs)
 	}
-	var plan *barrier.Plan
+	var arena *core.Arena
 	switch scheme {
 	case SchemeChained:
-		plan = barrier.NewPlan(alg, len(nodeIDs), opts)
+		arena = core.NewArena(barrier.NewPlan(alg, len(nodeIDs), opts))
 	case SchemeGsync:
-		plan = barrier.NewPlan(barrier.GatherBroadcast, len(nodeIDs), opts)
+		arena = core.NewArena(barrier.NewPlan(barrier.GatherBroadcast, len(nodeIDs), opts))
+	case SchemeHW:
+	default:
+		panic(fmt.Sprintf("elan: unknown scheme %d", int(scheme)))
 	}
-	base := core.NewGroup(gid, nodeIDs, 0)
-	for rank, id := range base.Nodes {
-		m := &member{
-			s:     s,
-			rank:  rank,
-			node:  cl.Nodes[id],
-			group: base.WithRank(rank),
-		}
-		switch scheme {
-		case SchemeChained:
-			if err := m.node.NIC.TryArmChain(m.group, core.NewOpState(plan.Rank(rank))); err != nil {
-				return nil, err
-			}
-			m.node.Host.Bind(int(gid), m)
-		case SchemeGsync:
-			m.hostOp = core.NewOpState(plan.Rank(rank))
-			m.node.Host.Bind(int(gid), m)
-		case SchemeHW:
+	s.members = make([]member, len(nodeIDs))
+	group := core.NewGroup(gid, nodeIDs)
+	for rank, id := range group.Nodes {
+		m := &s.members[rank]
+		m.s, m.node = s, cl.Nodes[id]
+		m.group, m.rank = group, rank
+		if scheme == SchemeHW {
 			// No schedule: one network transaction synchronizes all. HW
 			// completions carry no group, so they flow through the plain
 			// event hook — one HW session per cluster, like the hardware.
 			m.node.Host.OnEvent = m.HandleEvent
-		default:
-			panic(fmt.Sprintf("elan: unknown scheme %d", int(scheme)))
+			continue
 		}
-		s.members = append(s.members, m)
+		m.state = arena.Op(rank)
+		if scheme == SchemeChained {
+			if err := m.node.NIC.armChain(&m.chainOp); err != nil {
+				return nil, err
+			}
+		}
+		m.node.Host.Bind(int(gid), m)
 	}
 	return s, nil
 }
@@ -165,8 +165,8 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 // entries are NextAt deferrals of an ordinary one-iteration run, so the
 // driver's launch guards and sequence bookkeeping apply.
 func (s *Session) RunSkewed(skew []sim.Duration) sim.Duration {
-	if len(skew) != len(s.members) {
-		panic(fmt.Sprintf("elan: %d offsets for %d members", len(skew), len(s.members)))
+	if len(skew) != s.Size() {
+		panic(fmt.Sprintf("elan: %d offsets for %d members", len(skew), s.Size()))
 	}
 	now := s.cl.Eng.Now()
 	last := now
@@ -193,14 +193,14 @@ func (h hooks) String() string {
 // Start posts absolute operation seq on rank's node: a chain doorbell,
 // a hardware-barrier entry, or the gsync tree's first sends.
 func (h hooks) Start(rank, seq, _ int) {
-	m := h.s.members[rank]
+	m := &h.s.members[rank]
 	switch h.s.scheme {
 	case SchemeChained:
 		m.node.Host.TriggerChain(int(h.s.gid))
 	case SchemeHW:
 		m.node.Host.PostHWBarrier()
 	case SchemeGsync:
-		sends, done, err := m.hostOp.Start(seq)
+		sends, done, err := m.state.Start(seq)
 		if err != nil {
 			panic(fmt.Sprintf("elan: rank %d: %v", rank, err))
 		}
@@ -215,12 +215,12 @@ func (h hooks) Start(rank, seq, _ int) {
 // card's chain, leaving descriptor-slot accounting consistent for the
 // Close that must follow.
 func (h hooks) Abort(rank int) {
-	m := h.s.members[rank]
-	if m.hostOp != nil {
-		m.hostOp.Abort()
-	}
-	if h.s.scheme == SchemeChained {
+	m := &h.s.members[rank]
+	switch h.s.scheme {
+	case SchemeChained:
 		m.node.NIC.AbortChain(h.s.gid)
+	case SchemeGsync:
+		m.state.Abort()
 	}
 }
 
@@ -228,9 +228,12 @@ func (h hooks) Abort(rank int) {
 // Elan SRAM slot, the disarm cost charged on the card) and releases the
 // host binding; gsync sessions only release the binding (the tree lives
 // in host memory); hardware-barrier sessions detach the singleton event
-// hook and release the network transaction for a future session.
+// hook and release the network transaction for a future session. The
+// session then drops its members, so a closed session its caller keeps
+// for its results holds no member, chain or state machine.
 func (h hooks) Uninstall() {
-	for _, m := range h.s.members {
+	for i := range h.s.members {
+		m := &h.s.members[i]
 		switch h.s.scheme {
 		case SchemeChained:
 			m.node.NIC.DisarmChain(h.s.gid)
@@ -244,6 +247,7 @@ func (h hooks) Uninstall() {
 	if h.s.scheme == SchemeHW {
 		h.s.cl.hw.held = false
 	}
+	h.s.members = nil
 }
 
 // ChargeInstall charges every member card's chain-install cost (chained
@@ -253,8 +257,8 @@ func (h hooks) ChargeInstall() {
 	if h.s.scheme != SchemeChained {
 		return
 	}
-	for _, m := range h.s.members {
-		m.node.NIC.ChargeChainInstall(h.s.gid)
+	for i := range h.s.members {
+		h.s.members[i].node.NIC.ChargeChainInstall(h.s.gid)
 	}
 }
 
@@ -291,12 +295,12 @@ func (m *member) HandleEvent(ev Event) {
 // gsyncArrive is the host's gsync tree step for a remote event from
 // fromRank, once its bookkeeping cost has been charged.
 func (m *member) gsyncArrive(seq, fromRank int) {
-	sends, done, err := m.hostOp.Arrive(seq, fromRank)
+	sends, done, err := m.state.Arrive(seq, fromRank)
 	if err != nil {
 		panic(fmt.Sprintf("elan: rank %d: %v", m.rank, err))
 	}
-	m.gsyncSend(m.hostOp.Seq(), sends)
+	m.gsyncSend(m.state.Seq(), sends)
 	if done {
-		m.s.Complete(m.rank, m.hostOp.Seq())
+		m.s.Complete(m.rank, m.state.Seq())
 	}
 }

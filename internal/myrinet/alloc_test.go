@@ -233,17 +233,11 @@ func benchSteady(b *testing.B, s *Session) {
 func TestReinstallReusesGroupTable(t *testing.T) {
 	_, cl := xpCluster(4, nil)
 	nic := cl.Nodes[0].NIC
-	sched := barrier.New(barrier.Dissemination, 4, 0, barrier.Options{})
+	arena := core.NewArena(barrier.NewPlan(barrier.Dissemination, 4, barrier.Options{}))
 	install := func(id core.GroupID) {
 		t.Helper()
-		g := core.NewGroup(id, identity(4), 0)
-		var err error
-		if id%2 == 0 {
-			err = nic.InstallCollectiveGroup(g, sched)
-		} else {
-			err = nic.InstallDirectGroup(g, sched)
-		}
-		if err != nil {
+		op := &groupOp{nic: nic, group: core.NewGroup(id, identity(4)), state: arena.Op(0), direct: id%2 == 1}
+		if err := nic.install(op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,9 +256,9 @@ func TestReinstallReusesGroupTable(t *testing.T) {
 	}
 }
 
-// Every member of a dissemination session, and every member NIC's
-// protocol state, reads the session plan's one step table; a broadcast
-// tree has no rotation symmetry, so its members read their own.
+// Every member of a session reads its view of the session's one plan,
+// through the state machine its NIC entry (or, for the host scheme, its
+// host-side schedule) runs.
 func TestSessionSharesPlan(t *testing.T) {
 	_, cl := xpCluster(16, nil)
 	for _, scheme := range []Scheme{SchemeHost, SchemeDirect, SchemeCollective} {
@@ -272,24 +266,25 @@ func TestSessionSharesPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := s.members[0].sched
-		for _, m := range s.members {
-			state := m.hostOp
+		first := s.members[0].state.Schedule()
+		for i := range s.members {
+			m := &s.members[i]
+			state := m.state
 			if scheme != SchemeHost {
-				state = m.node.NIC.slots[m.node.NIC.slot(s.gid)].state()
+				state = m.nic.slots[m.nic.slot(s.gid)].op.state
 			}
-			if !m.sched.Shares(first) || !state.Schedule().Shares(first) {
-				t.Fatalf("%v: rank %d reads its own schedule table", scheme, m.rank)
+			if state != m.state || !state.Schedule().Shares(first) {
+				t.Fatalf("%v: rank %d reads its own schedule", scheme, m.rank)
 			}
-			if m.sched.Rank() != m.rank {
-				t.Fatalf("%v: rank %d holds rank %d's view", scheme, m.rank, m.sched.Rank())
+			if state.Schedule().Rank() != m.rank {
+				t.Fatalf("%v: rank %d holds rank %d's view", scheme, m.rank, state.Schedule().Rank())
 			}
 		}
 		s.Run(3)
 		s.Close()
 	}
 	b := broadcastSession(16)
-	if b.members[1].sched.Shares(b.members[2].sched) {
-		t.Fatal("broadcast members share a step table")
+	if !b.members[1].state.Schedule().Shares(b.members[2].state.Schedule()) {
+		t.Fatal("broadcast members read different plans")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
@@ -14,7 +13,7 @@ import (
 // collModule is the paper's NIC-based collective message passing protocol
 // as resident on one NIC. Compared with the p2p path it:
 //
-//   - keeps one dedicated queue entry per group (collOp), so barrier
+//   - keeps one dedicated queue entry per group (groupOp), so barrier
 //     traffic never waits behind per-destination data queues;
 //   - transmits from the static (padded-ACK) packet: no packet claim,
 //     no fill DMA, no per-packet send record;
@@ -24,11 +23,15 @@ type collModule struct {
 	nic *NIC
 }
 
-// collOp is one group's queue entry. It is also the sim.Event of its own
-// NACK timer (at most one is armed at a time), for operation nackSeq.
-type collOp struct {
-	mod       *collModule
-	group     *core.Group
+// groupOp is one group's queue entry, served by the collective module or,
+// when direct is set, by the direct scheme's module. Session members
+// embed it, so the group table points into their session's member slice.
+// It is also the sim.Event of its own NACK timer (collective entries
+// only; at most one is armed at a time), for operation nackSeq.
+type groupOp struct {
+	nic       *NIC
+	group     *core.Group // shared by every member of the session
+	rank      int         // this member's rank in group
 	state     *core.OpState
 	reduce    *core.ReduceState // non-nil for allreduce groups
 	nextSeq   int
@@ -57,6 +60,9 @@ type collOp struct {
 	// stale instead of touching protocol state — an aborted operation
 	// must not restart from a straggler packet.
 	frozen bool
+	// direct marks an entry of the direct scheme (Buntinas et al.),
+	// which rides the point-to-point machinery and never NACKs.
+	direct bool
 }
 
 // nackCount is one destination's NACK count for operation seq.
@@ -71,7 +77,7 @@ const nackStallRounds = 4
 // sendValue is the integer the static packet carries to toRank for
 // operation seq: the recorded partial snapshot for allreduce, zero for
 // barriers/broadcasts.
-func (op *collOp) sendValue(seq, toRank int) int64 {
+func (op *groupOp) sendValue(seq, toRank int) int64 {
 	if op.reduce == nil {
 		return 0
 	}
@@ -85,20 +91,11 @@ func (op *collOp) sendValue(seq, toRank int) int64 {
 // groupSlot is one entry of the NIC's group table, the SRAM-resident
 // group-queue slots the collective and direct modules share: the group
 // ID, stored inline so a lookup reads only the table, and the entry
-// serving the group (exactly one of coll and direct is set). The table
-// holds at most GroupQueueSlots entries and is scanned linearly.
+// serving the group. The table holds at most GroupQueueSlots entries and
+// is scanned linearly.
 type groupSlot struct {
-	id     core.GroupID
-	coll   *collOp
-	direct *directOp
-}
-
-// state returns the protocol state of the slot's group.
-func (s groupSlot) state() *core.OpState {
-	if s.coll != nil {
-		return s.coll.state
-	}
-	return s.direct.state
+	id core.GroupID
+	op *groupOp
 }
 
 // slot returns the index of group id in the group table, or -1.
@@ -125,10 +122,16 @@ func (n *NIC) checkSlot(id core.GroupID) error {
 	return nil
 }
 
-// claimSlot installs a checked group-table entry.
-func (n *NIC) claimSlot(s groupSlot) {
-	delete(n.retired, s.id)
-	n.slots = append(n.slots, s)
+// install claims a group-queue entry for op, failing when the NIC's
+// slots are exhausted or op's group is already installed.
+func (n *NIC) install(op *groupOp) error {
+	id := op.group.ID
+	if err := n.checkSlot(id); err != nil {
+		return err
+	}
+	delete(n.retired, id)
+	n.slots = append(n.slots, groupSlot{id, op})
+	return nil
 }
 
 // GroupSlotsFree reports how many NIC group-queue entries remain.
@@ -148,13 +151,11 @@ func (n *NIC) UninstallGroup(id core.GroupID) {
 	if i < 0 {
 		panic(fmt.Sprintf("myrinet: node %d: uninstalling unknown group %d", n.node.ID, id))
 	}
-	s := n.slots[i]
-	if s.state().Active() {
+	op := n.slots[i].op
+	if op.state.Active() {
 		panic(fmt.Sprintf("myrinet: node %d: uninstalling group %d mid-operation", n.node.ID, id))
 	}
-	if s.coll != nil {
-		s.coll.nackTimer.Cancel()
-	}
+	op.nackTimer.Cancel()
 	n.slots = slices.Delete(n.slots, i, i+1)
 	if n.retired == nil {
 		n.retired = make(map[core.GroupID]sim.Time)
@@ -200,16 +201,11 @@ func (n *NIC) AbortGroup(id core.GroupID) {
 	if i < 0 {
 		panic(fmt.Sprintf("myrinet: node %d: aborting unknown group %d", n.node.ID, id))
 	}
-	if op := n.slots[i].coll; op != nil {
-		op.nackTimer.Cancel()
-		op.nackTimer = sim.Timer{}
-		op.state.Abort()
-		op.frozen = true
-	} else {
-		op := n.slots[i].direct
-		op.state.Abort()
-		op.frozen = true
-	}
+	op := n.slots[i].op
+	op.nackTimer.Cancel()
+	op.nackTimer = sim.Timer{}
+	op.state.Abort()
+	op.frozen = true
 	n.Stats.AbortedOps++
 	n.traceEvent(int(id), obs.KindOpTimeout, 0)
 }
@@ -227,29 +223,9 @@ func (n *NIC) ChargeGroupInstall(id core.GroupID) {
 	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})
 }
 
-func (c *collModule) install(g *core.Group, sched barrier.Schedule) error {
-	if err := c.nic.checkSlot(g.ID); err != nil {
-		return err
-	}
-	c.nic.claimSlot(groupSlot{id: g.ID, coll: &collOp{mod: c, group: g, state: core.NewOpState(sched)}})
-	return nil
-}
-
-func (c *collModule) installReduce(g *core.Group, sched barrier.Schedule, op core.ReduceOp) error {
-	if err := c.nic.checkSlot(g.ID); err != nil {
-		return err
-	}
-	rd, err := core.NewReduceState(op, sched)
-	if err != nil {
-		return err
-	}
-	c.nic.claimSlot(groupSlot{id: g.ID, coll: &collOp{mod: c, group: g, state: rd.Inner(), reduce: rd}})
-	return nil
-}
-
-func (c *collModule) mustOp(id core.GroupID) *collOp {
-	if i := c.nic.slot(id); i >= 0 && c.nic.slots[i].coll != nil {
-		return c.nic.slots[i].coll
+func (c *collModule) mustOp(id core.GroupID) *groupOp {
+	if i := c.nic.slot(id); i >= 0 && !c.nic.slots[i].op.direct {
+		return c.nic.slots[i].op
 	}
 	panic(fmt.Sprintf("myrinet: node %d: collective message for unknown group %d", c.nic.node.ID, id))
 }
@@ -258,7 +234,7 @@ func (c *collModule) mustOp(id core.GroupID) *collOp {
 // operation's send record (begin), then the first sends fire from the
 // static packet. value is the allreduce contribution (ignored for
 // barriers).
-func (c *collModule) start(op *collOp, value int64) {
+func (c *collModule) start(op *groupOp, value int64) {
 	n := c.nic
 	n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollEnqueue, 0)
 	h := n.pool.get(hCollStart, n)
@@ -267,7 +243,7 @@ func (c *collModule) start(op *collOp, value int64) {
 }
 
 // begin is the doorbell's handler body.
-func (c *collModule) begin(op *collOp, value int64) {
+func (c *collModule) begin(op *groupOp, value int64) {
 	n := c.nic
 	id := op.group.ID
 	if op.frozen {
@@ -301,13 +277,13 @@ func (c *collModule) begin(op *collOp, value int64) {
 // sendAll fires one CollTrigger handler per outgoing notification; the
 // NIC processor serializes them, the static packet eliminates all
 // claim/fill work.
-func (c *collModule) sendAll(op *collOp, seq int, ranks []int) {
+func (c *collModule) sendAll(op *groupOp, seq int, ranks []int) {
 	n := c.nic
 	for _, r := range ranks {
 		h := n.pool.get(hCollSend, n)
 		h.dst = op.group.NodeOf(r)
 		h.msg = collPayload{
-			group: op.group.ID, seq: seq, fromRank: op.group.MyRank,
+			group: op.group.ID, seq: seq, fromRank: op.rank,
 			value: op.sendValue(seq, r),
 		}
 		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
@@ -381,7 +357,7 @@ func (c *collModule) arrive(m collPayload) {
 	}
 }
 
-func (c *collModule) complete(op *collOp, seq int) {
+func (c *collModule) complete(op *groupOp, seq int) {
 	op.nackTimer.Cancel() // no-op when never armed or already fired
 	op.nackTimer = sim.Timer{}
 	n := c.nic
@@ -400,7 +376,7 @@ func (c *collModule) complete(op *collOp, seq int) {
 // armNack starts the receiver-driven retransmission timer: if the
 // operation has not completed when it fires, NACK every sender whose
 // notification is missing and re-arm.
-func (c *collModule) armNack(op *collOp, seq int) {
+func (c *collModule) armNack(op *groupOp, seq int) {
 	if !op.state.Active() {
 		return
 	}
@@ -410,8 +386,8 @@ func (c *collModule) armNack(op *collOp, seq int) {
 
 // Fire implements sim.Event: the NACK timer armed for operation nackSeq
 // expired.
-func (op *collOp) Fire() {
-	c, seq := op.mod, op.nackSeq
+func (op *groupOp) Fire() {
+	c, seq := &op.nic.coll, op.nackSeq
 	n := c.nic
 	if !op.state.Active() || op.state.Seq() != seq {
 		return
@@ -426,7 +402,7 @@ func (op *collOp) Fire() {
 	for _, r := range op.state.Missing() {
 		h := n.pool.get(hNackSend, n)
 		h.dst = op.group.NodeOf(r)
-		h.msg = collPayload{group: op.group.ID, seq: seq, fromRank: op.group.MyRank}
+		h.msg = collPayload{group: op.group.ID, seq: seq, fromRank: op.rank}
 		n.traceEvent(int(op.group.ID), obs.KindNack, int64(r))
 		n.traceTime(int(op.group.ID), n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed)
 		n.Exec(n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed, h)
@@ -461,7 +437,7 @@ func (c *collModule) onNack(m collPayload, fromNode int) {
 // serveNack serves a retransmission request: if this rank already sent
 // the requested notification, fire it again from the static packet.
 // Repeat NACKs for the same notification escalate to a duplicated reply
-// (see collOp.nackServed), each copy with its own payload.
+// (see groupOp.nackServed), each copy with its own payload.
 func (c *collModule) serveNack(m collPayload, fromNode int) {
 	n := c.nic
 	if _, gone := n.retired[m.group]; gone {
@@ -495,7 +471,7 @@ func (c *collModule) serveNack(m collPayload, fromNode int) {
 		}
 	}
 	payload := collPayload{
-		group: op.group.ID, seq: m.seq, fromRank: op.group.MyRank,
+		group: op.group.ID, seq: m.seq, fromRank: op.rank,
 		value: op.sendValue(m.seq, m.fromRank),
 	}
 	for i := 0; i < copies; i++ {

@@ -3,7 +3,6 @@ package myrinet
 import (
 	"fmt"
 
-	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
 )
 
@@ -17,42 +16,23 @@ type directModule struct {
 	nic *NIC
 }
 
-// directOp is one group's entry. It is also the sim.Event of its own
-// doorbell translation: the operation it starts is read when it fires.
-type directOp struct {
-	mod     *directModule
-	group   *core.Group
-	state   *core.OpState
-	nextSeq int
-	// frozen marks a group aborted mid-operation; late doorbells and
-	// arrivals count stale instead of touching state (see AbortGroup).
-	frozen bool
-}
-
-func (d *directModule) install(g *core.Group, sched barrier.Schedule) error {
-	if err := d.nic.checkSlot(g.ID); err != nil {
-		return err
-	}
-	d.nic.claimSlot(groupSlot{id: g.ID, direct: &directOp{mod: d, group: g, state: core.NewOpState(sched)}})
-	return nil
-}
-
-func (d *directModule) mustOp(id core.GroupID) *directOp {
-	if i := d.nic.slot(id); i >= 0 && d.nic.slots[i].direct != nil {
-		return d.nic.slots[i].direct
+func (d *directModule) mustOp(id core.GroupID) *groupOp {
+	if i := d.nic.slot(id); i >= 0 && d.nic.slots[i].op.direct {
+		return d.nic.slots[i].op
 	}
 	panic(fmt.Sprintf("myrinet: node %d: direct barrier message for unknown group %d", d.nic.node.ID, id))
 }
 
-func (d *directModule) start(op *directOp) {
+func (d *directModule) start(op *groupOp) {
 	// The doorbell is translated like a regular send event.
-	d.nic.Exec(d.nic.node.Prof.NIC.TokenTranslate, 0, op)
+	h := d.nic.pool.get(hDirectStart, d.nic)
+	h.op = op
+	d.nic.Exec(d.nic.node.Prof.NIC.TokenTranslate, 0, h)
 }
 
-// Fire implements sim.Event: the translated doorbell starts the group's
-// next operation.
-func (op *directOp) Fire() {
-	d := op.mod
+// begin is the translated doorbell's handler body: it starts the
+// group's next operation.
+func (d *directModule) begin(op *groupOp) {
 	n := d.nic
 	if op.frozen {
 		n.Stats.StaleColl++
@@ -73,7 +53,7 @@ func (op *directOp) Fire() {
 // enqueueSends pushes one regular send token per notification into the
 // per-destination p2p queues — the exact queuing/packetizing overhead the
 // collective protocol bypasses.
-func (d *directModule) enqueueSends(op *directOp, seq int, ranks []int) {
+func (d *directModule) enqueueSends(op *groupOp, seq int, ranks []int) {
 	n := d.nic
 	for _, r := range ranks {
 		n.Stats.TokensEnqueued++
@@ -82,7 +62,7 @@ func (d *directModule) enqueueSends(op *directOp, seq int, ranks []int) {
 			dst:     op.group.NodeOf(r),
 			size:    8, // the barrier integer, NIC-generated
 			route:   routeDirect,
-			barrier: collPayload{group: op.group.ID, seq: seq, fromRank: op.group.MyRank},
+			barrier: collPayload{group: op.group.ID, seq: seq, fromRank: op.rank},
 		}
 		n.enqueueToken(tok)
 	}
@@ -122,34 +102,10 @@ func (d *directModule) arrive(m collPayload) {
 	}
 }
 
-func (d *directModule) complete(op *directOp, seq int) {
+func (d *directModule) complete(op *groupOp, seq int) {
 	n := d.nic
 	n.Stats.BarriersRun++
 	h := n.pool.get(hComplete, n)
 	h.ev = Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq}
 	n.Exec(n.node.Prof.NIC.CollComplete, 0, h)
-}
-
-// --- NIC installation API (shared by both schemes) ---
-
-// InstallCollectiveGroup registers a group for the paper's collective
-// protocol barrier on this NIC. It fails when the NIC's group-queue
-// slots are exhausted or the ID is already installed.
-func (n *NIC) InstallCollectiveGroup(g *core.Group, sched barrier.Schedule) error {
-	return n.coll.install(g, sched)
-}
-
-// InstallReduceGroup registers a group for NIC-based allreduce over the
-// collective protocol. It fails when the (operator, schedule) pair cannot
-// produce exact results (sum over non-power-of-two dissemination) or when
-// the NIC's group-queue slots are exhausted.
-func (n *NIC) InstallReduceGroup(g *core.Group, sched barrier.Schedule, op core.ReduceOp) error {
-	return n.coll.installReduce(g, sched, op)
-}
-
-// InstallDirectGroup registers a group for the direct-scheme barrier on
-// this NIC. It fails when the NIC's group-queue slots are exhausted or
-// the ID is already installed.
-func (n *NIC) InstallDirectGroup(g *core.Group, sched barrier.Schedule) error {
-	return n.direct.install(g, sched)
 }

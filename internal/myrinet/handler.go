@@ -6,14 +6,14 @@ import "nicbarrier/internal/sim"
 // the NIC firmware and the host: the NIC, bus and host schedule a
 // handler record through sim.Event instead of a closure built per
 // message, and kind selects what runs when it fires. The fields are what
-// the handlers read: the NIC (the host is its node's), the collective
-// group entry, a GM send token or arrived data payload, a node, a
-// collective notification (or a GM sequence number in msg.seq) and a
-// host event record.
+// the handlers read: the NIC (the host is its node's), the group entry,
+// a GM send token or arrived data payload, a node, a collective
+// notification (or a GM sequence number in msg.seq) and a host event
+// record.
 type handler struct {
 	kind handlerKind
 	nic  *NIC
-	op   *collOp
+	op   *groupOp
 	data *dataMsg
 	dst  int
 	msg  collPayload
@@ -31,8 +31,9 @@ const (
 	hComplete                      // operation done: post ev to the host
 	hNackSend                      // NACK msg (this NIC's rank wants a resend) to node dst
 	hNackRecv                      // arrived NACK msg from node dst
-	// The direct scheme's arrived notification msg (its doorbell is the
-	// directOp itself).
+	// The direct scheme's translated doorbell of entry op, and its
+	// arrived notification msg.
+	hDirectStart
 	hDirectRecv
 	// GM send pipeline, carrying the send token: host post -> PIO -> token
 	// translation -> per-destination queue -> packet claim -> fill DMA ->
@@ -129,6 +130,8 @@ func (h *handler) Fire() {
 		n.sendNack(r.dst, r.msg)
 	case hNackRecv:
 		c.serveNack(r.msg, r.dst)
+	case hDirectStart:
+		n.direct.begin(r.op)
 	case hDirectRecv:
 		n.direct.arrive(r.msg)
 	case hSendPost:

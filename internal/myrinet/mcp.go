@@ -243,10 +243,10 @@ func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 	switch {
 	case i < 0:
 		panic(fmt.Sprintf("myrinet: node %d: barrier doorbell for unknown group %d", n.node.ID, groupID))
-	case n.slots[i].coll != nil:
-		n.coll.start(n.slots[i].coll, value)
+	case n.slots[i].op.direct:
+		n.direct.start(n.slots[i].op)
 	default:
-		n.direct.start(n.slots[i].direct)
+		n.coll.start(n.slots[i].op, value)
 	}
 }
 

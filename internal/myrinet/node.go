@@ -211,8 +211,8 @@ func (h *Host) PostRecvTokens(k int) {
 // time). Completion arrives as an EvBarrierDone host event.
 func (h *Host) PostBarrier(groupID int) { h.PostReduce(groupID, 0) }
 
-// PostReduce initiates a NIC-based allreduce on a group installed with
-// InstallReduceGroup, contributing value: the host builds the descriptor
+// PostReduce initiates a NIC-based allreduce on a group installed by an
+// allreduce session, contributing value: the host builds the descriptor
 // and rings the doorbell over PCI (the hPost and hDoorbell handlers). The
 // EvBarrierDone completion event carries the combined result.
 func (h *Host) PostReduce(groupID int, value int64) {

@@ -46,24 +46,27 @@ func (s Scheme) String() string {
 // the group ID.
 type Session struct {
 	*core.Session
-	cl      *Cluster
-	gid     core.GroupID
-	scheme  Scheme
-	members []*member
+	cl     *Cluster
+	gid    core.GroupID
+	scheme Scheme
+	// members holds every member in one slice, in rank order; NIC group
+	// tables and host bindings point into it.
+	members []member
 	// contrib supplies each rank's allreduce contribution per run-local
 	// iteration; nil for barriers and broadcasts.
 	contrib func(rank, iter int) int64
 }
 
+// member is one rank of a session: its group-queue entry, installed on
+// its node's NIC by the NIC-based schemes, whose state machine drives
+// the host-side schedule under SchemeHost instead.
 type member struct {
-	s     *Session
-	rank  int
-	node  *Node
-	group *core.Group
-	sched barrier.Schedule
-	// Host-side schedule state, used only by SchemeHost.
-	hostOp *core.OpState
+	s *Session
+	groupOp
 }
+
+// node returns the member's node.
+func (m *member) node() *Node { return m.nic.node }
 
 // SessionGroupID is the group ID single-session constructors install,
 // mirroring MPI_COMM_WORLD. Multi-group callers pass their own IDs via
@@ -137,9 +140,11 @@ func NewAllreduceSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int,
 
 // newSession installs one member per node, each reading its view of the
 // session's one plan; Results sessions install op's reduce records. The
-// whole membership is pre-checked before any NIC or host state is
-// touched, so failed constructions leave the cluster exactly as it was
-// (no half-installed groups, no dangling event bindings).
+// members, their state machines and their group share a fixed number of
+// allocations whatever the group size (see core.Arena). The whole
+// membership is pre-checked before any NIC or host state is touched, so
+// failed constructions leave the cluster exactly as it was (no
+// half-installed groups, no dangling event bindings).
 func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 	plan *barrier.Plan, mode core.Mode, op core.ReduceOp) (*Session, error) {
 	for _, id := range nodeIDs {
@@ -156,38 +161,40 @@ func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 			}
 		}
 	}
-	s := &Session{cl: cl, gid: gid, scheme: scheme}
-	s.Session = core.NewSession(cl.Eng, len(nodeIDs), hooks{s}, mode)
-	base := core.NewGroup(gid, nodeIDs, 0)
-	for rank, id := range base.Nodes {
-		m := &member{
-			s:     s,
-			rank:  rank,
-			node:  cl.Nodes[id],
-			group: base.WithRank(rank),
-			sched: plan.Rank(rank),
-		}
+	if scheme < SchemeHost || scheme > SchemeCollective {
+		panic(fmt.Sprintf("myrinet: unknown scheme %d", int(scheme)))
+	}
+	var arena *core.Arena
+	if mode == core.Results {
 		var err error
-		switch {
-		case mode == core.Results:
-			err = m.node.NIC.InstallReduceGroup(m.group, m.sched, op)
-		case scheme == SchemeHost:
-			m.hostOp = core.NewOpState(m.sched)
-			// Pre-post a pool of receive buffers; each consumed event
-			// is replenished during the run.
-			m.node.Host.PostRecvTokens(m.sched.TotalWaits() + 4)
-		case scheme == SchemeDirect:
-			err = m.node.NIC.InstallDirectGroup(m.group, m.sched)
-		case scheme == SchemeCollective:
-			err = m.node.NIC.InstallCollectiveGroup(m.group, m.sched)
-		default:
-			panic(fmt.Sprintf("myrinet: unknown scheme %d", int(scheme)))
-		}
-		if err != nil {
+		if arena, err = core.NewReduceArena(op, plan); err != nil {
 			return nil, err
 		}
-		m.node.Host.Bind(int(gid), m)
-		s.members = append(s.members, m)
+	} else {
+		arena = core.NewArena(plan)
+	}
+	s := &Session{cl: cl, gid: gid, scheme: scheme, members: make([]member, len(nodeIDs))}
+	s.Session = core.NewSession(cl.Eng, len(nodeIDs), hooks{s}, mode)
+	group := core.NewGroup(gid, nodeIDs)
+	for rank, id := range group.Nodes {
+		m := &s.members[rank]
+		m.s = s
+		m.groupOp = groupOp{
+			nic:    cl.Nodes[id].NIC,
+			group:  group,
+			rank:   rank,
+			state:  arena.Op(rank),
+			reduce: arena.Reduce(rank),
+			direct: scheme == SchemeDirect,
+		}
+		if scheme == SchemeHost {
+			// Pre-post a pool of receive buffers; each consumed event
+			// is replenished during the run.
+			m.node().Host.PostRecvTokens(m.state.Schedule().TotalWaits() + 4)
+		} else if err := m.nic.install(&m.groupOp); err != nil {
+			return nil, err
+		}
+		m.node().Host.Bind(int(gid), m)
 	}
 	return s, nil
 }
@@ -203,16 +210,16 @@ func (h hooks) String() string {
 // Start posts absolute operation seq on rank's node: an allreduce
 // contribution, a doorbell, or the host scheme's first sends.
 func (h hooks) Start(rank, seq, iter int) {
-	m := h.s.members[rank]
+	m := &h.s.members[rank]
 	if h.s.contrib != nil {
-		m.node.Host.PostReduce(int(h.s.gid), h.s.contrib(rank, iter))
+		m.node().Host.PostReduce(int(h.s.gid), h.s.contrib(rank, iter))
 		return
 	}
 	if h.s.scheme != SchemeHost {
-		m.node.Host.PostBarrier(int(h.s.gid))
+		m.node().Host.PostBarrier(int(h.s.gid))
 		return
 	}
-	sends, done, err := m.hostOp.Start(seq)
+	sends, done, err := m.state.Start(seq)
 	if err != nil {
 		panic(fmt.Sprintf("myrinet: rank %d: %v", rank, err))
 	}
@@ -226,25 +233,28 @@ func (h hooks) Start(rank, seq, iter int) {
 // group op: late doorbells, arrivals and NACKs count stale instead of
 // touching state.
 func (h hooks) Abort(rank int) {
-	m := h.s.members[rank]
-	if m.hostOp != nil {
-		m.hostOp.Abort()
-	}
-	if h.s.scheme != SchemeHost {
-		m.node.NIC.AbortGroup(h.s.gid)
+	m := &h.s.members[rank]
+	if h.s.scheme == SchemeHost {
+		m.state.Abort()
+	} else {
+		m.nic.AbortGroup(h.s.gid)
 	}
 }
 
 // Uninstall frees every member NIC's group-queue slot and releases the
 // host-side event binding. Host-scheme sessions hold no NIC slot (posted
-// receive tokens stay with the NIC, as GM's do).
+// receive tokens stay with the NIC, as GM's do). The session then drops
+// its members, so a closed session its caller keeps for its results
+// holds no member, NIC entry or state machine.
 func (h hooks) Uninstall() {
-	for _, m := range h.s.members {
+	for i := range h.s.members {
+		m := &h.s.members[i]
 		if h.s.scheme != SchemeHost {
-			m.node.NIC.UninstallGroup(h.s.gid)
+			m.nic.UninstallGroup(h.s.gid)
 		}
-		m.node.Host.Unbind(int(h.s.gid))
+		m.node().Host.Unbind(int(h.s.gid))
 	}
+	h.s.members = nil
 }
 
 // ChargeInstall charges every member NIC's group-install cost; the host
@@ -253,14 +263,14 @@ func (h hooks) ChargeInstall() {
 	if h.s.scheme == SchemeHost {
 		return
 	}
-	for _, m := range h.s.members {
-		m.node.NIC.ChargeGroupInstall(h.s.gid)
+	for i := range h.s.members {
+		h.s.members[i].nic.ChargeGroupInstall(h.s.gid)
 	}
 }
 
 func (m *member) hostSend(seq int, ranks []int) {
 	for _, r := range ranks {
-		m.node.Host.sendBarrier(m.group.NodeOf(r), collPayload{group: m.group.ID, seq: seq})
+		m.node().Host.sendBarrier(m.group.NodeOf(r), collPayload{group: m.group.ID, seq: seq})
 	}
 }
 
@@ -273,18 +283,18 @@ func (m *member) HandleEvent(ev Event) {
 		m.s.Complete(m.rank, ev.Seq)
 	case EvBarrierMsg:
 		// Replenish the receive buffer consumed by this message.
-		m.node.Host.PostRecvTokens(1)
+		m.node().Host.PostRecvTokens(1)
 		fromRank, ok := m.group.RankOf(ev.FromNode)
 		if !ok {
 			panic(fmt.Sprintf("myrinet: barrier message from non-member node %d", ev.FromNode))
 		}
-		sends, done, err := m.hostOp.Arrive(ev.Seq, fromRank)
+		sends, done, err := m.state.Arrive(ev.Seq, fromRank)
 		if err != nil {
 			panic(fmt.Sprintf("myrinet: rank %d: %v", m.rank, err))
 		}
-		m.hostSend(m.hostOp.Seq(), sends)
+		m.hostSend(m.state.Seq(), sends)
 		if done {
-			m.s.Complete(m.rank, m.hostOp.Seq())
+			m.s.Complete(m.rank, m.state.Seq())
 		}
 	}
 }

@@ -321,7 +321,8 @@ type Timer struct {
 // already-cancelled timer is a no-op. It reports whether the event was
 // still pending. Cancel is O(1): the entry is marked through its slot
 // and skipped when it surfaces; when cancelled entries outnumber live
-// ones the queue compacts itself.
+// ones the queue compacts itself. The entry's callback is dropped at
+// once, so a cancelled timer keeps nothing it referenced alive.
 func (t Timer) Cancel() bool {
 	e := t.eng
 	if e == nil {
@@ -332,6 +333,7 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	sl.state = slotCancelled
+	sl.fn, sl.ev = nil, nil // a cancelled entry never fires; pin nothing
 	e.cancelled++
 	e.live--
 	if e.obs != nil {
