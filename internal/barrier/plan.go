@@ -267,7 +267,10 @@ func (s Schedule) Arrival(fromRank int) (bit, step int, ok bool) {
 	}
 	t := s.tree()
 	if t.up >= 0 && fromRank == s.parent(t) {
-		return s.WaitEnd(t.up) - 1, t.up, true // the step's last bit
+		if t.cw >= 0 {
+			return t.k, t.up, true // after the children's bits
+		}
+		return 0, t.up, true
 	}
 	if c, ok := s.child(t, fromRank); ok && t.cw >= 0 {
 		return c, t.cw, true

@@ -136,9 +136,9 @@ func (r *ReduceState) Inner() *OpState { return &r.st }
 func (r *ReduceState) fold(uptoStep int) int64 {
 	val := r.local
 	sched := r.st.sched
-	vals := r.vals[(r.st.seq&1)*sched.TotalWaits():]
+	vals := r.vals[(r.st.seq&1)*len(r.vals)/2:]
 	bit := 0
-	for s := 0; s < uptoStep && s < sched.Steps(); s++ {
+	for s, steps := 0, min(uptoStep, sched.Steps()); s < steps; s++ {
 		result := sched.ResultWait(s)
 		for end := sched.WaitEnd(s); bit < end; bit++ {
 			if getBit(r.st.arrived, bit) {
@@ -164,7 +164,7 @@ func (r *ReduceState) SentValue(seq, toRank int) (int64, bool) {
 	if !ok || seq < 0 {
 		return 0, false
 	}
-	sv := r.sent[(seq&1)*r.st.sched.TotalSends()+i]
+	sv := r.sent[(seq&1)*len(r.sent)/2+i]
 	if sv.seq != seq {
 		return 0, false
 	}
@@ -174,7 +174,7 @@ func (r *ReduceState) SentValue(seq, toRank int) (int64, bool) {
 // recordSends snapshots, for each outgoing notification, the fold up to
 // (but excluding) its step, overwriting the ring slot of operation seq-2.
 func (r *ReduceState) recordSends(seq int, sends []int) {
-	ring := r.sent[(seq&1)*r.st.sched.TotalSends():]
+	ring := r.sent[(seq&1)*len(r.sent)/2:]
 	for _, to := range sends {
 		i, step, _ := r.st.sched.Dest(to)
 		ring[i] = sentVal{seq: seq, val: r.fold(step)}
@@ -212,7 +212,7 @@ func (r *ReduceState) Arrive(seq, fromRank int, value int64) (sends []int, compl
 		return nil, false, fmt.Errorf(
 			"core: result message from rank %d arrived before operation %d started", fromRank, seq)
 	}
-	r.vals[(seq&1)*r.st.sched.TotalWaits()+bit] = value
+	r.vals[(seq&1)*len(r.vals)/2+bit] = value
 	if active {
 		r.recordSends(seq, sends)
 	}
