@@ -9,7 +9,12 @@
 //     at a file that does not exist, or
 //   - one of those documents quotes a baseline metric count ("530-metric",
 //     "530 metrics", "530 gated simulated metrics") other than the number
-//     of metrics in bench/baseline.json.
+//     of metrics in bench/baseline.json, or
+//   - a `go run ./cmd/<x>` or `go build ./cmd/<x>` line in README.md,
+//     ARCHITECTURE.md or the verify skill notes names a command directory
+//     that does not exist, passes cmd/<x> a flag it does not define, or
+//     gives barrier-bench, simserve or benchgate a -fig/-scenario value
+//     that is not a registered harness scenario ID (or "all").
 //
 // Usage:
 //
@@ -31,7 +36,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
+
+	"nicbarrier/internal/harness"
 )
 
 // docPackages are the packages whose exported surface must be fully
@@ -53,6 +62,7 @@ func main() {
 		violations = append(violations, lintLinks(*root, f)...)
 	}
 	violations = append(violations, lintMetricCounts(*root)...)
+	violations = append(violations, lintCommands(*root, harness.Experiments())...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -230,4 +240,150 @@ func lintMetricCounts(root string) []string {
 		}
 	}
 	return out
+}
+
+// commandFiles are the documents whose go run/go build lines must name
+// real commands, flags and scenario IDs. A missing file is skipped.
+var commandFiles = []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
+
+// goCommand matches a go run/go build invocation of a repository
+// command; group 1 is the verb, group 2 the command directory name.
+var goCommand = regexp.MustCompile("go (run|build)\\b[^`\\n]*?\\s\\./cmd/([\\w-]+)")
+
+// scenarioFlags are the flags whose value names harness scenarios, per
+// command that takes them.
+var scenarioFlags = map[string]map[string]bool{
+	"barrier-bench": {"fig": true},
+	"simserve":      {"scenario": true},
+	"benchgate":     {"scenario": true},
+}
+
+// lintCommands reports go run/go build lines in the command documents
+// under root that name a missing cmd/<x> directory, a flag cmd/<x> does
+// not define, or a scenario value outside ids. Only the arguments of go
+// run are checked for flags; a go build line only needs its directory.
+// A shell operator ends the arguments unless a flag follows it (the
+// docs write alternatives as "-list | -fig <id>"); <placeholders> and
+// "all" pass the scenario check.
+func lintCommands(root string, ids []string) []string {
+	var out []string
+	defined := map[string]map[string]bool{}
+	for _, name := range commandFiles {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", name, err))
+			continue
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range goCommand.FindAllStringSubmatchIndex(line, -1) {
+				verb, cmd := line[m[2]:m[3]], line[m[4]:m[5]]
+				where := fmt.Sprintf("%s:%d: go %s ./cmd/%s", name, i+1, verb, cmd)
+				flags, ok := defined[cmd]
+				if !ok {
+					flags = definedFlags(filepath.Join(root, "cmd", cmd))
+					defined[cmd] = flags
+				}
+				if flags == nil {
+					out = append(out, where+": no such command directory")
+					continue
+				}
+				if verb != "run" {
+					continue
+				}
+				args := commandArgs(line[m[1]:])
+				for j, arg := range args {
+					flag, value, hasValue := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+					if !strings.HasPrefix(arg, "-") || flag == "" || (flag[0] >= '0' && flag[0] <= '9') {
+						continue
+					}
+					if !flags[flag] {
+						out = append(out, fmt.Sprintf("%s: flag -%s is not defined by cmd/%s", where, flag, cmd))
+						continue
+					}
+					if !scenarioFlags[cmd][flag] {
+						continue
+					}
+					if !hasValue && j+1 < len(args) {
+						value = args[j+1]
+					}
+					for _, id := range strings.Split(value, ",") {
+						if id != "all" && !strings.HasPrefix(id, "<") && !slices.Contains(ids, id) {
+							out = append(out, fmt.Sprintf("%s: -%s %s is not a registered scenario", where, flag, id))
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// commandArgs splits the text after a command path into its arguments:
+// up to a comment, the end of an inline code span, or a shell operator
+// that no flag follows. Brackets marking optional arguments are
+// stripped.
+func commandArgs(rest string) []string {
+	rest, _, _ = strings.Cut(rest, "`")
+	rest, _, _ = strings.Cut(rest, " #")
+	fields := strings.Fields(rest)
+	var args []string
+	for i, f := range fields {
+		switch f {
+		case "|", "||", "&&", ";", "&", ">", ">>", "<", "2>&1":
+			if i+1 < len(fields) && strings.HasPrefix(fields[i+1], "-") {
+				continue
+			}
+			return args
+		}
+		args = append(args, strings.Trim(f, "[]()"))
+	}
+	return args
+}
+
+// definedFlags collects the flag names the non-test Go files in dir
+// define through flag-set calls — String/Bool/Int/Uint64/Float64 and
+// friends take the name first, their Var forms second — plus the -h
+// and -help every flag set accepts. It returns nil when dir holds no
+// Go package.
+func definedFlags(dir string) map[string]bool {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil || len(pkgs) == 0 {
+		return nil
+	}
+	flags := map[string]bool{"h": true, "help": true}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			arg := -1
+			switch sel.Sel.Name {
+			case "String", "Bool", "Int", "Int64", "Uint", "Uint64", "Float64", "Duration":
+				arg = 0
+			case "StringVar", "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "Float64Var", "DurationVar", "Var":
+				arg = 1
+			}
+			if arg < 0 || len(call.Args) <= arg {
+				return true
+			}
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = true
+				}
+			}
+			return true
+		})
+	}
+	return flags
 }

@@ -1,7 +1,7 @@
-// Command simserve hosts the live observability plane: it launches
-// named simulation scenarios (multi-tenant workloads, tenant churn,
-// fault-injected runs) with a metronome-armed trace and serves their
-// metrics over HTTP while they run.
+// Command simserve hosts the live observability plane: it runs
+// registered harness scenarios (the same IDs barrier-bench lists) with
+// a metronome-armed trace and serves their metrics over HTTP while they
+// run.
 //
 // Endpoints:
 //
@@ -14,14 +14,15 @@
 // Examples:
 //
 //	simserve -list
-//	simserve -addr :8077 -scenario churn-live
-//	simserve -scenario all -loop            # soak: rerun forever, bumping seeds
+//	simserve -addr :8077 -scenario churn-policies
+//	simserve -scenario group-churn,faults-impair -loop   # soak: rerun forever, bumping seeds
 //	curl -s localhost:8077/metrics | grep nicbarrier_ops_total
 //	curl -s localhost:8077/snapshot | go run ./cmd/tracecheck -snapshot /dev/stdin
 //
-// Scenarios run sequentially on one goroutine; the server keeps serving
-// their final published state after they finish. With -once the process
-// exits when the launched scenarios complete (CI smoke mode).
+// Each run is the scenario at quick fidelity with the round's seed.
+// Scenarios run one after another; the server keeps serving their final
+// published state after they finish. With -once the process exits when
+// the launched scenarios complete (CI smoke mode).
 package main
 
 import (
@@ -33,106 +34,11 @@ import (
 	"os"
 	"strings"
 
-	"nicbarrier"
+	"nicbarrier/internal/harness"
 	"nicbarrier/internal/metricsrv"
+	"nicbarrier/internal/obs"
+	"nicbarrier/internal/sim"
 )
-
-// scenario is one named simulation the service can host. run drives the
-// workload to completion over the public facade and returns the /runs
-// summary line.
-type scenario struct {
-	name string
-	desc string
-	kind string // "workload", "churn", "chaos"
-	run  func(tr *nicbarrier.Trace, seed uint64) (string, error)
-}
-
-func scenarios() []scenario {
-	xp := func(nodes int, tr *nicbarrier.Trace, seed uint64) nicbarrier.Config {
-		return nicbarrier.Config{
-			Interconnect: nicbarrier.MyrinetLANaiXP,
-			Nodes:        nodes,
-			Scheme:       nicbarrier.NICCollective,
-			Seed:         seed,
-			Trace:        tr,
-		}
-	}
-	wlSummary := func(res nicbarrier.WorkloadResult) string {
-		return fmt.Sprintf("%d ops, %.0f ops/s aggregate, fairness %.3f",
-			res.TotalOps, res.AggregateOpsPerSec, res.Fairness)
-	}
-	return []scenario{
-		{
-			name: "saturate-64",
-			desc: "16 tenants carve a 64-node cluster, back-to-back barriers",
-			kind: "workload",
-			run: func(tr *nicbarrier.Trace, seed uint64) (string, error) {
-				res, err := nicbarrier.MeasureWorkload(xp(64, tr, seed),
-					nicbarrier.WorkloadSpec{Tenants: 16, OpsPerTenant: 40})
-				if err != nil {
-					return "", err
-				}
-				return wlSummary(res), nil
-			},
-		},
-		{
-			name: "mixed-collectives",
-			desc: "2:1:1 barrier:broadcast:allreduce mix with think time",
-			kind: "workload",
-			run: func(tr *nicbarrier.Trace, seed uint64) (string, error) {
-				res, err := nicbarrier.MeasureWorkload(xp(32, tr, seed),
-					nicbarrier.WorkloadSpec{
-						Tenants: 8, OpsPerTenant: 40,
-						BarrierWeight: 2, BroadcastWeight: 1, AllreduceWeight: 1,
-						Arrival: nicbarrier.ClosedLoop, MeanGapMicros: 10,
-					})
-				if err != nil {
-					return "", err
-				}
-				return wlSummary(res), nil
-			},
-		},
-		{
-			name: "churn-live",
-			desc: "tenants arrive, install through admission, reconfigure, depart",
-			kind: "churn",
-			run: func(tr *nicbarrier.Trace, seed uint64) (string, error) {
-				res, err := nicbarrier.MeasureChurn(xp(16, tr, seed),
-					nicbarrier.ChurnSpec{
-						Tenants: 32, OpsPerTenant: 12,
-						MeanArrivalGapMicros: 30, MeanThinkMicros: 5,
-						ReconfigureEvery: 3,
-						Policy:           nicbarrier.AdmitQueue,
-					})
-				if err != nil {
-					return "", err
-				}
-				return fmt.Sprintf("%d/%d tenants completed, %d ops, %d queued installs",
-					res.Completed, res.Tenants, res.TotalOps, res.QueuedInstalls), nil
-			},
-		},
-		{
-			name: "lossy-chaos",
-			desc: "workload under burst loss, a healing partition and a slow NIC",
-			kind: "chaos",
-			run: func(tr *nicbarrier.Trace, seed uint64) (string, error) {
-				cfg := xp(32, tr, seed)
-				cfg.Faults = []nicbarrier.Fault{
-					nicbarrier.FaultBurstLoss(0.03, 3),
-					nicbarrier.FaultPartition(3, 7).Between(100, 400),
-					nicbarrier.FaultSlowNIC(5, 0.5),
-				}
-				res, err := nicbarrier.MeasureWorkload(cfg,
-					nicbarrier.WorkloadSpec{Tenants: 8, OpsPerTenant: 30})
-				if err != nil {
-					return "", err
-				}
-				return fmt.Sprintf("%d ops under faults, %d packets dropped",
-					res.TotalOps, res.DroppedPackets), nil
-			},
-		},
-	}
-}
 
 func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
@@ -144,10 +50,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8077", "HTTP listen address (host:port; port 0 picks a free one)")
 	listOnly := fs.Bool("list", false, "list scenarios and exit")
 	names := fs.String("scenario", "all",
-		"comma-separated scenarios to launch (see -list), or \"all\"")
+		"comma-separated scenario IDs to launch (see -list), or \"all\"")
 	metronome := fs.Float64("metronome", 50,
 		"live-snapshot publication period in simulated microseconds (0 disables mid-run snapshots)")
-	seed := fs.Uint64("seed", 1, "base cluster seed; -loop bumps it each round")
+	seed := fs.Uint64("seed", 1, "base seed; -loop bumps it each round")
 	loop := fs.Bool("loop", false, "rerun the scenarios forever, bumping the seed each round")
 	once := fs.Bool("once", false, "exit when the launched scenarios complete (CI smoke mode)")
 	if err := fs.Parse(args); err != nil {
@@ -157,39 +63,30 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	scens := scenarios()
 	if *listOnly {
-		for _, s := range scens {
-			fmt.Fprintf(stdout, "  %-18s [%s] %s\n", s.name, s.kind, s.desc)
+		for _, s := range harness.Scenarios() {
+			fmt.Fprintf(stdout, "  %-14s %s\n", s.ID, s.Title)
 		}
 		return 0
 	}
-	var picked []scenario
-	if *names == "all" {
-		picked = scens
-	} else {
-		for _, want := range strings.Split(*names, ",") {
-			want = strings.TrimSpace(want)
-			found := false
-			for _, s := range scens {
-				if s.name == want {
-					picked = append(picked, s)
-					found = true
-					break
-				}
-			}
-			if !found {
-				fmt.Fprintf(stderr, "simserve: unknown scenario %q (try -list)\n", want)
+	picked := harness.Scenarios()
+	if *names != "all" {
+		picked = nil
+		for _, id := range strings.Split(*names, ",") {
+			s, ok := harness.ScenarioByID(strings.TrimSpace(id))
+			if !ok {
+				fmt.Fprintf(stderr, "simserve: unknown scenario %q (try -list)\n", id)
 				return 1
 			}
+			picked = append(picked, s)
 		}
-	}
-	if len(picked) == 0 {
-		fmt.Fprintln(stderr, "simserve: no scenarios selected")
-		return 1
 	}
 	if *loop && *once {
 		fmt.Fprintln(stderr, "simserve: -loop and -once are mutually exclusive")
+		return 1
+	}
+	if *metronome < 0 {
+		fmt.Fprintf(stderr, "simserve: negative -metronome %g\n", *metronome)
 		return 1
 	}
 
@@ -201,29 +98,28 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	srv := metricsrv.New()
 	fmt.Fprintf(stdout, "simserve: listening on http://%s\n", ln.Addr())
 
-	// Scenarios run sequentially on one goroutine: each gets its own
-	// Trace (so /snapshot?run= views are disjoint) with the metronome
-	// armed before any cluster exists.
+	// Each run gets its own tracer (so /snapshot?run= views are
+	// disjoint) with the metronome armed before any cluster exists. A
+	// short per-track ring bounds the memory of the large sweeps.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for round := 0; ; round++ {
 			for _, s := range picked {
-				tr := nicbarrier.NewTrace()
-				tr.SetMetronome(*metronome)
-				name := s.name
+				tr := obs.NewTracerSize(256)
+				tr.SetMetronome(sim.Micros(*metronome))
+				cfg := harness.Quick()
+				cfg.Seed = *seed + uint64(round)
+				cfg.Trace = tr
+				name := s.ID
 				if round > 0 {
-					name = fmt.Sprintf("%s#%d", s.name, round)
+					name = fmt.Sprintf("%s#%d", s.ID, round)
 				}
-				run := srv.Register(name, s.kind, tr.Tracer())
+				run := srv.Register(name, s.ID, tr)
 				fmt.Fprintf(stdout, "simserve: run %d %q starting\n", run.ID, name)
-				summary, err := s.run(tr, *seed+uint64(round))
-				run.Finish(summary, err)
-				if err != nil {
-					fmt.Fprintf(stderr, "simserve: run %d %q failed: %v\n", run.ID, name, err)
-				} else {
-					fmt.Fprintf(stdout, "simserve: run %d %q done: %s\n", run.ID, name, summary)
-				}
+				summary := fmt.Sprintf("%d metrics over %d scopes", len(s.Points(cfg)), len(tr.Scopes()))
+				run.Finish(summary, nil)
+				fmt.Fprintf(stdout, "simserve: run %d %q done: %s\n", run.ID, name, summary)
 			}
 			if !*loop {
 				return

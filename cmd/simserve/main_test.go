@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"nicbarrier/internal/harness"
 	"nicbarrier/internal/metricsrv"
 	"nicbarrier/internal/obs"
 )
@@ -34,21 +36,27 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// -list prints the harness registry: the same IDs, in the same order,
+// as barrier-bench -list.
 func TestListScenarios(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := realMain([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errOut.String())
 	}
-	for _, want := range []string{"saturate-64", "churn-live", "lossy-chaos", "[chaos]"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("-list output missing %q:\n%s", want, out.String())
-		}
+	var ids []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		ids = append(ids, strings.Fields(line)[0])
+	}
+	if want := harness.Experiments(); !slices.Equal(ids, want) {
+		t.Fatalf("-list IDs = %v, want the registry %v", ids, want)
 	}
 }
 
 func TestBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-scenario", "no-such-scenario"},
+		{"-scenario", "fig6,no-such-scenario"},
+		{"-metronome", "-1"},
 		{"-loop", "-once"},
 		{"-addr", "not-an-address"},
 		{"-bogus-flag"},
@@ -63,16 +71,16 @@ func TestBadFlags(t *testing.T) {
 
 var listenRE = regexp.MustCompile(`listening on (http://\S+)`)
 
-// End-to-end: start the server on an ephemeral port with one scenario,
-// scrape /healthz, /runs, /metrics and /snapshot while it serves, and
-// assert the run reaches done with validated metrics. The server
-// goroutine is intentionally left running; the test binary's exit
-// reclaims it.
+// End-to-end: start the server on an ephemeral port with one registered
+// churn scenario, scrape /healthz, /runs, /metrics and /snapshot while
+// it serves, and assert the run reaches done with validated metrics.
+// The server goroutine is intentionally left running; the test binary's
+// exit reclaims it.
 func TestServeScrapesEndToEnd(t *testing.T) {
 	out := &syncBuffer{}
 	go realMain([]string{
 		"-addr", "127.0.0.1:0",
-		"-scenario", "churn-live",
+		"-scenario", "churn-policies",
 		"-metronome", "25",
 	}, out, out)
 
@@ -138,17 +146,17 @@ func TestServeScrapesEndToEnd(t *testing.T) {
 	}
 
 	_, body := get("/metrics")
-	if !strings.Contains(string(body), `nicbarrier_ops_total{run="churn-live"`) {
-		t.Fatalf("/metrics missing churn-live ops series:\n%.2000s", body)
+	if !strings.Contains(string(body), `nicbarrier_ops_total{run="churn-policies"`) {
+		t.Fatalf("/metrics missing churn-policies ops series:\n%.2000s", body)
 	}
-	code, body := get("/snapshot?run=churn-live")
+	code, body := get("/snapshot?run=churn-policies")
 	if code != http.StatusOK {
-		t.Fatalf("/snapshot?run=churn-live status %d", code)
+		t.Fatalf("/snapshot?run=churn-policies status %d", code)
 	}
 	if _, err := obs.ValidateSnapshotJSON(body); err != nil {
 		t.Fatalf("final /snapshot invalid: %v", err)
 	}
-	if !strings.Contains(out.String(), `"churn-live" done:`) {
+	if !strings.Contains(out.String(), `"churn-policies" done:`) {
 		t.Fatalf("server log missing completion line:\n%s", out.String())
 	}
 }
@@ -160,7 +168,7 @@ func TestOnceModeExits(t *testing.T) {
 	go func() {
 		codeCh <- realMain([]string{
 			"-addr", "127.0.0.1:0",
-			"-scenario", "saturate-64",
+			"-scenario", "fig6",
 			"-once",
 		}, out, out)
 	}()

@@ -15,13 +15,8 @@ import (
 // on a clusterSize-node cluster with the given scheme and algorithm.
 func MeasureMyrinet(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
 	scheme myrinet.Scheme, alg barrier.Algorithm) float64 {
-	eng := sim.NewEngine()
-	cl := myrinet.NewCluster(eng, prof, clusterSize, nil)
-	if cfg.Trace != nil {
-		sc := cfg.Trace.NewScope(fmt.Sprintf("myrinet %dn/%d %v %v", clusterSize, n, scheme, alg))
-		eng.SetObserver(sc)
-		cl.SetTracer(sc)
-	}
+	cl, p := cfg.myrinet(prof, clusterSize, fmt.Sprintf("%dn/%d %v %v", clusterSize, n, scheme, alg))
+	defer p.drained()
 	ids := permutedIDs(cfg, clusterSize, n, uint64(scheme)<<8|uint64(alg))
 	s := myrinet.NewSession(cl, ids, scheme, alg, barrier.Options{})
 	warmup, iters := cfg.itersFor(n)
@@ -30,13 +25,8 @@ func MeasureMyrinet(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n in
 
 // MeasureElan runs one Quadrics data point.
 func MeasureElan(cfg Config, clusterSize, n int, scheme elan.Scheme, alg barrier.Algorithm) float64 {
-	eng := sim.NewEngine()
-	cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), clusterSize)
-	if cfg.Trace != nil {
-		sc := cfg.Trace.NewScope(fmt.Sprintf("elan %dn/%d %v %v", clusterSize, n, scheme, alg))
-		eng.SetObserver(sc)
-		cl.SetTracer(sc)
-	}
+	cl, p := cfg.elan(clusterSize, fmt.Sprintf("%dn/%d %v %v", clusterSize, n, scheme, alg))
+	defer p.drained()
 	ids := permutedIDs(cfg, clusterSize, n, 0x9000|uint64(scheme)<<8|uint64(alg))
 	s := elan.NewSession(cl, ids, scheme, alg, barrier.Options{})
 	warmup, iters := cfg.itersFor(n)
@@ -246,13 +236,13 @@ func Packets(cfg Config) Figure {
 	const size = 16
 	count := func(scheme myrinet.Scheme) Measure {
 		return func(n int) float64 {
-			eng := sim.NewEngine()
-			cl := myrinet.NewCluster(eng, prof, size, nil)
+			cl, p := cfg.myrinet(prof, size, fmt.Sprintf("packets %dn/%d %v", size, n, scheme))
+			defer p.drained()
 			ids := permutedIDs(cfg, size, n, 0x7000|uint64(scheme))
 			s := myrinet.NewSession(cl, ids, scheme, barrier.Dissemination, barrier.Options{})
 			const iters = 10
 			s.Run(iters)
-			eng.Run() // drain trailing ACKs
+			cl.Eng.Run() // drain trailing ACKs
 			c := cl.Net.Counters()
 			pkts := c.ByKind["barrier-coll"] + c.ByKind["barrier-direct"] +
 				c.ByKind["ack"] + c.ByKind["barrier-nack"]
@@ -285,8 +275,8 @@ func Skew(cfg Config) Figure {
 	spansUS := []int{0, 10, 20, 40, 80, 160, 320}
 	run := func(scheme elan.Scheme) Measure {
 		return func(spanUS int) float64 {
-			eng := sim.NewEngine()
-			cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), size)
+			cl, p := cfg.elan(size, fmt.Sprintf("skew %dn span%dus %v", size, spanUS, scheme))
+			defer p.drained()
 			ids := permutedIDs(cfg, size, size, 0x5e00|uint64(scheme))
 			s := elan.NewSession(cl, ids, scheme, barrier.Dissemination, barrier.Options{})
 			skew := make([]sim.Duration, size)
@@ -314,9 +304,10 @@ func Skew(cfg Config) Figure {
 }
 
 // init registers the paper's experiments as named scenarios, in the
-// order the evaluation presents them. Additional workloads register
-// themselves the same way (see faults.go) and automatically appear in
-// the CLI listing and in benchgate reports.
+// order the evaluation presents them, then the extension families.
+// Registration order is the listing order of every front end, so new
+// scenarios are appended. A registered scenario automatically appears
+// in the CLI listings and in benchgate reports.
 func init() {
 	RegisterScenario(Scenario{ID: "fig5",
 		Title: "Fig. 5: NIC vs host barrier, Myrinet LANai 9.1, 16 nodes", Figure: Fig5})
@@ -341,4 +332,10 @@ func init() {
 	registerTenantScenarios()
 	registerLifecycleScenarios()
 	registerPartitionScenarios()
+	RegisterScenario(Scenario{ID: "faults-impair",
+		Title: "Barrier latency under every-Nth, partition, crash, slow-NIC, throttle and chaos faults", Figure: FaultImpairments})
+	RegisterScenario(Scenario{ID: "tenant-shapes",
+		Title: "Open-loop, overlapping-group and Quadrics multi-tenant workloads", Figure: TenantShapes})
+	RegisterScenario(Scenario{ID: "churn-policies",
+		Title: "Tenant churn under reconfiguration, spreading admission, think time and live-service pacing", Figure: ChurnPolicies})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/comm"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
@@ -42,8 +43,8 @@ func faultSeed(cfg Config, salt uint64) uint64 {
 // built from rules (nil rules = fault-free).
 func MeasureMyrinetFaulted(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
 	scheme myrinet.Scheme, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
-	eng := sim.NewEngine()
-	cl := myrinet.NewCluster(eng, prof, clusterSize, nil)
+	cl, p := cfg.myrinet(prof, clusterSize, fmt.Sprintf("%dn/%d %v %v [%s]", clusterSize, n, scheme, alg, fault.Describe(rules)))
+	defer p.drained()
 	if len(rules) > 0 {
 		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
 	}
@@ -58,8 +59,8 @@ func MeasureMyrinetFaulted(cfg Config, prof hwprofile.MyrinetProfile, clusterSiz
 // reliability), so loss-only rule sets leave the latency untouched.
 func MeasureElanFaulted(cfg Config, clusterSize, n int,
 	scheme elan.Scheme, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
-	eng := sim.NewEngine()
-	cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), clusterSize)
+	cl, p := cfg.elan(clusterSize, fmt.Sprintf("%dn/%d %v %v [%s]", clusterSize, n, scheme, alg, fault.Describe(rules)))
+	defer p.drained()
 	if len(rules) > 0 {
 		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
 	}
@@ -178,6 +179,62 @@ func FaultJitterSweep(cfg Config) Figure {
 		Notes: []string{
 			"jitter delays packets on both interconnects: delay-type faults pass through",
 			"the Quadrics DelayOnly filter, loss-type faults do not",
+		},
+	}
+}
+
+// FaultImpairments runs the NIC-collective dissemination barrier under
+// one impairment per series, one point per cluster size: the fault
+// shapes the sweeps above do not cover, each against the clean line.
+// Partition and crash name physical nodes, so those series place rank r
+// on node r (in dissemination, rank 3 notifies rank 7 at distance 4).
+// The Chaos series is a multi-tenant workload, one tenant per 4 nodes,
+// under burst loss, a healing partition and a slow NIC at once.
+func FaultImpairments(cfg Config) Figure {
+	prof := hwprofile.LANaiXPCluster()
+	ns := []int{8, 16, 32}
+	barrierUnder := func(salt uint64, permute bool, rules ...fault.Rule) Measure {
+		c := cfg
+		c.Permute = permute
+		return func(n int) float64 {
+			return MeasureMyrinetFaulted(c, prof, n, n, myrinet.SchemeCollective, barrier.Dissemination,
+				rules, 0x1a<<16|salt<<8|uint64(n))
+		}
+	}
+	everyNth := fault.DropEveryNth(50)
+	everyNth.Match.Kinds = fault.Kinds("barrier-coll")
+	chaos := func(n int) comm.WorkloadResult {
+		plan := fault.NewPlan(faultSeed(cfg, 0xc4a05<<8|uint64(n)),
+			fault.BurstLoss(0.03, 3),
+			fault.Partition(3, 7, fault.Between(100, 400)),
+			fault.SlowNIC(5, sim.Micros(0.5)))
+		return runWorkload(cfg, false, n, comm.WorkloadSpec{
+			Tenants: n / 4,
+			Mix:     comm.OpMix{Barrier: 1},
+			Seed:    cfg.Seed ^ 0xc4a05<<16 ^ uint64(n),
+		}, plan)
+	}
+	return Figure{
+		ID:     "faults-impair",
+		Title:  "Barrier latency under deterministic, node-scoped and bandwidth impairments, Myrinet LANai-XP",
+		XLabel: "Number of Nodes",
+		YLabel: "Latency",
+		Series: []Series{
+			sweep(cfg, "Clean", ns, barrierUnder(0, true)),
+			sweep(cfg, "Every-50th", ns, barrierUnder(1, true, everyNth)),
+			sweep(cfg, "Partition-heal", ns, barrierUnder(2, false, fault.Partition(3, 7, fault.Between(100, 250)))),
+			sweep(cfg, "Crash-recover", ns, barrierUnder(3, false, fault.Crash(5, fault.Between(100, 400)))),
+			sweep(cfg, "Slow-NIC", ns, barrierUnder(4, true, fault.SlowNIC(0, sim.Micros(5)))),
+			sweep(cfg, "Throttled-25MBps", ns, barrierUnder(5, true, fault.Bandwidth(25, prof.Net.BandwidthMBps))),
+			seriesOf("Chaos-p99-worst", "", ns, measureAll(cfg, ns, chaos), workloadP99Worst),
+		},
+		Notes: []string{
+			"every-50th drops every 50th collective packet: reproducible single-loss recovery, no RNG",
+			"partition 3<->7 (100-250us) and crash of node 5 (100-400us) stall barriers until the window",
+			"closes; NACK retransmission then resynchronizes the run",
+			"slow NIC: node 0 injects 5us later per packet, and dissemination makes every rank wait on it",
+			"throttling to 25 MB/s costs little: barrier packets are tiny (Section 6.3's static packet)",
+			"chaos: n/4 tenants under 3% burst loss (mean burst 3), partition 3<->7 (100-400us), node 5 +0.5us",
 		},
 	}
 }

@@ -156,14 +156,28 @@ func forEach(cfg Config, n int, fn func(i int)) {
 	wg.Wait()
 }
 
+// measureAll evaluates fn at every x, optionally in parallel. Results
+// keep the order of xs.
+func measureAll[T any](cfg Config, xs []int, fn func(x int) T) []T {
+	out := make([]T, len(xs))
+	forEach(cfg, len(xs), func(i int) { out[i] = fn(xs[i]) })
+	return out
+}
+
+// seriesOf builds one series from per-x results: point i is val(pts[i])
+// at xs[i]. unit "" inherits the figure's unit.
+func seriesOf[T any](name, unit string, xs []int, pts []T, val func(T) float64) Series {
+	s := Series{Name: name, Unit: unit, Points: make([]Point, len(pts))}
+	for i, p := range pts {
+		s.Points[i] = Point{N: xs[i], LatencyUS: val(p)}
+	}
+	return s
+}
+
 // sweep evaluates fn over ns, optionally in parallel. Results keep the
 // order of ns.
 func sweep(cfg Config, name string, ns []int, fn Measure) Series {
-	pts := make([]Point, len(ns))
-	forEach(cfg, len(ns), func(i int) {
-		pts[i] = Point{N: ns[i], LatencyUS: fn(ns[i])}
-	})
-	return Series{Name: name, Points: pts}
+	return seriesOf(name, "", ns, measureAll(cfg, ns, fn), func(v float64) float64 { return v })
 }
 
 // permutedIDs picks the node IDs for an n-rank group out of a
@@ -185,12 +199,37 @@ func permutedIDs(cfg Config, clusterSize, n int, salt uint64) []int {
 	return rng.Perm(clusterSize)[:n]
 }
 
+// displayUnit is the unit a rendered table prints: the figure's Unit
+// (a series' own Unit where set), with simulated microseconds as "us".
+func (f Figure) displayUnit(s Series) string {
+	u := s.Unit
+	if u == "" {
+		u = f.Unit
+	}
+	if u == "" || u == "sim_us" {
+		return "us"
+	}
+	return u
+}
+
 // Table renders the figure as an aligned text table, one row per cluster
-// size, one column per series.
+// size, one column per series. The header names the unit when every
+// series shares one; otherwise a unit row under the series names does.
 func (f Figure) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", f.ID, f.Title)
-	fmt.Fprintf(&b, "%s vs %s (us)\n", f.YLabel, f.XLabel)
+	unit, mixed := f.displayUnit(Series{}), false
+	for i, s := range f.Series {
+		if i == 0 {
+			unit = f.displayUnit(s)
+		}
+		mixed = mixed || f.displayUnit(s) != unit
+	}
+	if mixed {
+		fmt.Fprintf(&b, "%s vs %s\n", f.YLabel, f.XLabel)
+	} else {
+		fmt.Fprintf(&b, "%s vs %s (%s)\n", f.YLabel, f.XLabel, unit)
+	}
 
 	// Collect the union of Ns, sorted.
 	set := map[int]bool{}
@@ -210,6 +249,13 @@ func (f Figure) Table() string {
 		fmt.Fprintf(&b, " %14s", s.Name)
 	}
 	b.WriteByte('\n')
+	if mixed {
+		fmt.Fprintf(&b, "%6s", "unit")
+		for _, s := range f.Series {
+			fmt.Fprintf(&b, " %14s", f.displayUnit(s))
+		}
+		b.WriteByte('\n')
+	}
 	for _, n := range ns {
 		fmt.Fprintf(&b, "%6d", n)
 		for _, s := range f.Series {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -96,6 +97,17 @@ func TestFigureTableAndTSV(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
+	}
+	if !strings.Contains(table, "lat vs N (us)\n") {
+		t.Errorf("single-unit table header does not name us:\n%s", table)
+	}
+	// A series with its own unit turns the header's unit into a unit row.
+	mixed := f
+	mixed.Series = []Series{f.Series[0], {Name: "c", Unit: "kops/s", Points: []Point{{2, 9}}}}
+	mt := strings.Split(mixed.Table(), "\n")
+	if mt[1] != "lat vs N" || strings.Fields(mt[3])[0] != "unit" ||
+		!slices.Equal(strings.Fields(mt[3])[1:], []string{"us", "kops/s"}) {
+		t.Errorf("mixed-unit table header:\n%s", mixed.Table())
 	}
 	tsv := f.TSV()
 	lines := strings.Split(strings.TrimSpace(tsv), "\n")
@@ -197,18 +209,21 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	cfg := tinyCfg()
 	wants := map[string][]string{
-		"fig5":          {"NIC-DS", "Host-PE"},
-		"fig6":          {"NIC-DS", "Host-PE"},
-		"fig7":          {"NIC-Barrier-DS", "Elan-HW-Barrier"},
-		"fig8a":         {"Model", "Measured", "Paper-Model", "fitted"},
-		"fig8b":         {"Model", "Measured", "Paper-Model", "fitted"},
-		"summary":       {"Quadrics NIC-based barrier", "paper", "measured"},
-		"ablation":      {"XP-Collective", "9.1-Host"},
-		"packets":       {"Collective", "Direct(ACKed)"},
-		"skew":          {"NIC-Barrier-DS", "Elan-HW-Barrier"},
-		"faults":        {"Myrinet-DS", "Myrinet-PE", "Quadrics-DS"},
-		"faults-burst":  {"Myrinet-DS", "Quadrics-DS"},
-		"faults-jitter": {"Myrinet-DS", "Quadrics-DS"},
+		"fig5":           {"NIC-DS", "Host-PE"},
+		"fig6":           {"NIC-DS", "Host-PE"},
+		"fig7":           {"NIC-Barrier-DS", "Elan-HW-Barrier"},
+		"fig8a":          {"Model", "Measured", "Paper-Model", "fitted"},
+		"fig8b":          {"Model", "Measured", "Paper-Model", "fitted"},
+		"summary":        {"Quadrics NIC-based barrier", "paper", "measured"},
+		"ablation":       {"XP-Collective", "9.1-Host"},
+		"packets":        {"Collective", "Direct(ACKed)"},
+		"skew":           {"NIC-Barrier-DS", "Elan-HW-Barrier"},
+		"faults":         {"Myrinet-DS", "Myrinet-PE", "Quadrics-DS"},
+		"faults-burst":   {"Myrinet-DS", "Quadrics-DS"},
+		"faults-jitter":  {"Myrinet-DS", "Quadrics-DS"},
+		"faults-impair":  {"Every-50th", "Partition-heal", "Crash-recover", "Chaos-p99-worst"},
+		"tenant-shapes":  {"Open-loop-kops", "Overlap-fairness", "Quadrics-kops", "unit"},
+		"churn-policies": {"Reconfig-post-swap-p95", "Spread-kops", "Think-wait-p95", "Live-kops"},
 	}
 	for _, id := range Experiments() {
 		out, err := Run(id, cfg)
@@ -243,9 +258,13 @@ func TestSummaryWithinBands(t *testing.T) {
 }
 
 // The packet experiment must show the halving: direct uses 2x the wire
-// packets of collective at every size.
+// packets of collective at every size. Its table is headed in packets,
+// not in the latency figures' microseconds.
 func TestPacketHalving(t *testing.T) {
 	fig := Packets(tinyCfg())
+	if header := strings.Split(fig.Table(), "\n")[1]; header != "Packets/barrier vs Number of Nodes (pkts)" {
+		t.Errorf("packets header = %q", header)
+	}
 	coll, direct := fig.Series[0], fig.Series[1]
 	for i := range coll.Points {
 		c, d := coll.Points[i].LatencyUS, direct.Points[i].LatencyUS

@@ -6,9 +6,7 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/comm"
-	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
-	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
 )
@@ -52,19 +50,23 @@ func churnSpecFor(cfg Config, tenants int) comm.ChurnSpec {
 
 // MeasureChurnPoint runs one churn data point on the named backend.
 func MeasureChurnPoint(cfg Config, quadrics bool, tenants int) comm.ChurnResult {
-	eng := sim.NewEngine()
-	var c *comm.Cluster
-	if quadrics {
-		c = comm.OverElan(elan.NewCluster(eng, hwprofile.Elan3Cluster(), churnClusterNodes))
-	} else {
-		c = comm.OverMyrinet(myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), churnClusterNodes, nil))
-	}
-	res, err := comm.RunChurn(c, churnSpecFor(cfg, tenants))
+	return runChurn(cfg, quadrics, churnClusterNodes, churnSpecFor(cfg, tenants))
+}
+
+// runChurn runs one churn data point on a fresh nodes-node cluster of
+// the named backend.
+func runChurn(cfg Config, quadrics bool, nodes int, spec comm.ChurnSpec) comm.ChurnResult {
+	c, p := cfg.commCluster(quadrics, nodes, fmt.Sprintf("churn %dn T=%d %v", nodes, spec.Tenants, spec.Policy), nil)
+	defer p.drained()
+	res, err := comm.RunChurn(c, spec)
 	if err != nil {
-		panic(fmt.Sprintf("harness: churn point (quadrics=%v, T=%d): %v", quadrics, tenants, err))
+		panic(fmt.Sprintf("harness: churn point (quadrics=%v, %d nodes, T=%d): %v", quadrics, nodes, spec.Tenants, err))
 	}
 	return res
 }
+
+func churnKops(r comm.ChurnResult) float64    { return r.AggOpsPerSec / 1e3 }
+func churnWaitP95(r comm.ChurnResult) float64 { return r.QueueWaitP95US }
 
 // GroupChurn sweeps tenant count on a 16-node cluster under the
 // queueing admission policy: cumulative installs far exceed the per-NIC
@@ -73,35 +75,21 @@ func MeasureChurnPoint(cfg Config, quadrics bool, tenants int) comm.ChurnResult 
 // aggregate throughput and the p95 wait of queued installs.
 func GroupChurn(cfg Config) Figure {
 	tenants := []int{8, 16, 32}
-	type point struct{ kops, waitP95 float64 }
-	measure := func(quadrics bool) []point {
-		pts := make([]point, len(tenants))
-		run := func(i int) {
-			res := MeasureChurnPoint(cfg, quadrics, tenants[i])
-			pts[i] = point{kops: res.AggOpsPerSec / 1e3, waitP95: res.QueueWaitP95US}
-		}
-		forEach(cfg, len(tenants), run)
-		return pts
+	measure := func(quadrics bool) []comm.ChurnResult {
+		return measureAll(cfg, tenants, func(t int) comm.ChurnResult { return MeasureChurnPoint(cfg, quadrics, t) })
 	}
 	myri := measure(false)
 	quad := measure(true)
-	series := func(name, unit string, pts []point, val func(point) float64) Series {
-		s := Series{Name: name, Unit: unit}
-		for i, p := range pts {
-			s.Points = append(s.Points, Point{N: tenants[i], LatencyUS: val(p)})
-		}
-		return s
-	}
 	return Figure{
 		ID:     "group-churn",
 		Title:  fmt.Sprintf("Tenant churn over %d nodes, queueing admission, install/uninstall costs charged", churnClusterNodes),
 		XLabel: "Tenants over the run",
 		YLabel: "Throughput / queue wait",
 		Series: []Series{
-			series("Myrinet-kops", "kops/s", myri, func(p point) float64 { return p.kops }),
-			series("Quadrics-kops", "kops/s", quad, func(p point) float64 { return p.kops }),
-			series("Myrinet-wait-p95", "sim_us", myri, func(p point) float64 { return p.waitP95 }),
-			series("Quadrics-wait-p95", "sim_us", quad, func(p point) float64 { return p.waitP95 }),
+			seriesOf("Myrinet-kops", "kops/s", tenants, myri, churnKops),
+			seriesOf("Quadrics-kops", "kops/s", tenants, quad, churnKops),
+			seriesOf("Myrinet-wait-p95", "sim_us", tenants, myri, churnWaitP95),
+			seriesOf("Quadrics-wait-p95", "sim_us", tenants, quad, churnWaitP95),
 		},
 		Notes: []string{
 			"tenants arrive on a Poisson process, run 8 barriers, depart (every 4th reconfigures halfway);",
@@ -117,13 +105,8 @@ func GroupChurn(cfg Config) Figure {
 // post-swap completion (uninstall + install charges + the first barrier
 // on cold NICs), reported next to the steady per-barrier latency.
 func MeasureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS float64) {
-	eng := sim.NewEngine()
-	var c *comm.Cluster
-	if quadrics {
-		c = comm.OverElan(elan.NewCluster(eng, hwprofile.Elan3Cluster(), 2*n))
-	} else {
-		c = comm.OverMyrinet(myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), 2*n, nil))
-	}
+	c, p := cfg.commCluster(quadrics, 2*n, fmt.Sprintf("reconfigure %dn/%d", 2*n, n), nil)
+	defer p.drained()
 	c.SetAdmission(comm.AdmissionConfig{ChargeSetupCosts: true})
 	perm := permutedIDs(cfg, 2*n, 2*n, 0x9ec0|uint64(n))
 	g, err := c.NewGroup(comm.GroupConfig{
@@ -157,34 +140,27 @@ func MeasureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS floa
 // is cold — against the steady-state barrier as the reference line.
 func ReconfigureCost(cfg Config) Figure {
 	sizes := []int{4, 8, 16}
-	type point struct{ swap, steady float64 }
-	measure := func(quadrics bool) []point {
-		pts := make([]point, len(sizes))
-		forEach(cfg, len(sizes), func(i int) {
-			swap, steady := MeasureReconfigure(cfg, quadrics, sizes[i])
-			pts[i] = point{swap, steady}
+	type cost struct{ swap, steady float64 }
+	measure := func(quadrics bool) []cost {
+		return measureAll(cfg, sizes, func(n int) cost {
+			sw, steady := MeasureReconfigure(cfg, quadrics, n)
+			return cost{sw, steady}
 		})
-		return pts
 	}
 	myri := measure(false)
 	quad := measure(true)
-	series := func(name string, pts []point, val func(point) float64) Series {
-		s := Series{Name: name}
-		for i, p := range pts {
-			s.Points = append(s.Points, Point{N: sizes[i], LatencyUS: val(p)})
-		}
-		return s
-	}
+	swapUS := func(c cost) float64 { return c.swap }
+	steadyUS := func(c cost) float64 { return c.steady }
 	return Figure{
 		ID:     "reconfigure-cost",
 		Title:  "Membership swap (install-new/handoff/uninstall-old) vs steady barrier",
 		XLabel: "Group size (ranks)",
 		YLabel: "Latency",
 		Series: []Series{
-			series("Myrinet-swap", myri, func(p point) float64 { return p.swap }),
-			series("Myrinet-steady", myri, func(p point) float64 { return p.steady }),
-			series("Quadrics-swap", quad, func(p point) float64 { return p.swap }),
-			series("Quadrics-steady", quad, func(p point) float64 { return p.steady }),
+			seriesOf("Myrinet-swap", "", sizes, myri, swapUS),
+			seriesOf("Myrinet-steady", "", sizes, myri, steadyUS),
+			seriesOf("Quadrics-swap", "", sizes, quad, swapUS),
+			seriesOf("Quadrics-steady", "", sizes, quad, steadyUS),
 		},
 		Notes: []string{
 			"swap = last pre-swap completion to first post-swap completion: teardown charge on the",
@@ -207,15 +183,15 @@ type victimStats struct {
 // every-Nth drop scoped to the victim group (dropNth 0 = clean run) and
 // returns the victim's and the worst bystander's per-op latency stats.
 func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats) {
-	eng := sim.NewEngine()
-	cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), 8, nil)
+	var plan *fault.Plan
 	if dropNth > 0 {
 		rule := fault.DropEveryNth(dropNth)
 		rule.Match.Groups = fault.Groups(1) // the victim is the first group installed
 		rule.Match.Kinds = fault.Kinds("barrier-coll")
-		cl.SetFaults(fault.NewPlan(faultSeed(cfg, 0x71c<<8|uint64(dropNth)), rule))
+		plan = fault.NewPlan(faultSeed(cfg, 0x71c<<8|uint64(dropNth)), rule)
 	}
-	c := comm.OverMyrinet(cl)
+	c, p := cfg.commCluster(false, 8, fmt.Sprintf("victim 8n drop-every-%d", dropNth), plan)
+	defer p.drained()
 	mk := func(members ...int) *comm.Group {
 		g, err := c.NewGroup(comm.GroupConfig{
 			Members:       members,
@@ -267,18 +243,13 @@ func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats
 // 0 = clean reference).
 func FaultVictimTenant(cfg Config) Figure {
 	periods := []int{0, 32, 16, 8, 4}
-	type point struct{ victim, bystander victimStats }
-	pts := make([]point, len(periods))
-	forEach(cfg, len(periods), func(i int) {
-		v, b := MeasureVictimTenant(cfg, periods[i])
-		pts[i] = point{v, b}
+	type layout struct{ victim, bystander victimStats }
+	pts := measureAll(cfg, periods, func(n int) layout {
+		v, b := MeasureVictimTenant(cfg, n)
+		return layout{v, b}
 	})
-	series := func(name string, val func(point) float64) Series {
-		s := Series{Name: name}
-		for i, p := range pts {
-			s.Points = append(s.Points, Point{N: periods[i], LatencyUS: val(p)})
-		}
-		return s
+	series := func(name string, val func(layout) float64) Series {
+		return seriesOf(name, "", periods, pts, val)
 	}
 	return Figure{
 		ID:     "faults-victim-tenant",
@@ -286,10 +257,10 @@ func FaultVictimTenant(cfg Config) Figure {
 		XLabel: "Drop period N (0 = clean)",
 		YLabel: "Per-op latency",
 		Series: []Series{
-			series("Victim-mean", func(p point) float64 { return p.victim.meanUS }),
-			series("Victim-p95", func(p point) float64 { return p.victim.p95US }),
-			series("Bystander-mean", func(p point) float64 { return p.bystander.meanUS }),
-			series("Bystander-p95", func(p point) float64 { return p.bystander.p95US }),
+			series("Victim-mean", func(l layout) float64 { return l.victim.meanUS }),
+			series("Victim-p95", func(l layout) float64 { return l.victim.p95US }),
+			series("Bystander-mean", func(l layout) float64 { return l.bystander.meanUS }),
+			series("Bystander-p95", func(l layout) float64 { return l.bystander.p95US }),
 		},
 		Notes: []string{
 			"three size-4 groups on 8 nodes: the victim {0,1,2,3}, bystanders {0,1,4,5} and {2,3,6,7};",
@@ -298,6 +269,67 @@ func FaultVictimTenant(cfg Config) Figure {
 			"move only by the shared-NIC firmware interference of the victim's recovery traffic",
 			"per-flow every-Nth counters advance in lockstep, so drops bunch into whole rounds —",
 			"p95 knees once more than 5% of operations catch a recovery round",
+		},
+	}
+}
+
+// ChurnPolicies sweeps tenant count over four churn shapes group-churn
+// does not cover, all on Myrinet LANai-XP under charged install costs
+// unless noted: every 2nd tenant reconfiguring mid-run (16 nodes), the
+// spreading admission policy that re-places over-capacity tenants
+// instead of queueing them (16 nodes), slow tenants whose think time
+// holds slots longer (8 nodes), and the long-lived live-service shape —
+// sparse arrivals, short think time, every 3rd tenant reconfiguring,
+// setup costs uncharged (16 nodes).
+func ChurnPolicies(cfg Config) Figure {
+	tenants := []int{8, 16, 32}
+	shape := func(nodes int, salt uint64, spec comm.ChurnSpec) []comm.ChurnResult {
+		return measureAll(cfg, tenants, func(t int) comm.ChurnResult {
+			s := spec
+			s.Tenants = t
+			s.Seed = cfg.Seed ^ 0xc40c<<16 ^ salt<<8 ^ uint64(t)
+			return runChurn(cfg, false, nodes, s)
+		})
+	}
+	reconfig := shape(16, 1, comm.ChurnSpec{
+		OpsPerTenant: 10, GroupSizeMin: 2, GroupSizeMax: 4,
+		MeanArrivalGapUS: 4, ReconfigureEvery: 2,
+		Policy: comm.AdmitQueue, ChargeSetupCosts: true,
+	})
+	spread := shape(16, 2, comm.ChurnSpec{
+		OpsPerTenant: 8, GroupSizeMin: 2, GroupSizeMax: 4,
+		MeanArrivalGapUS: 3,
+		Policy:           comm.AdmitSpread, ChargeSetupCosts: true,
+	})
+	think := shape(8, 3, comm.ChurnSpec{
+		OpsPerTenant: 6, GroupSizeMin: 2, GroupSizeMax: 4,
+		MeanArrivalGapUS: 2, MeanThinkUS: 15,
+		Policy: comm.AdmitQueue, ChargeSetupCosts: true,
+	})
+	live := shape(16, 4, comm.ChurnSpec{
+		OpsPerTenant: 12, MeanArrivalGapUS: 30, MeanThinkUS: 5,
+		ReconfigureEvery: 3, Policy: comm.AdmitQueue,
+	})
+	return Figure{
+		ID:     "churn-policies",
+		Title:  "Reconfiguration, spreading admission, think time and live-service churn on Myrinet",
+		XLabel: "Tenants over the run",
+		YLabel: "Throughput / latency / queue wait",
+		Series: []Series{
+			seriesOf("Reconfig-kops", "kops/s", tenants, reconfig, churnKops),
+			seriesOf("Reconfig-post-swap-p95", "sim_us", tenants, reconfig,
+				func(r comm.ChurnResult) float64 { return r.PostSwapP95US }),
+			seriesOf("Spread-kops", "kops/s", tenants, spread, churnKops),
+			seriesOf("Spread-wait-p95", "sim_us", tenants, spread, churnWaitP95),
+			seriesOf("Think-kops", "kops/s", tenants, think, churnKops),
+			seriesOf("Think-wait-p95", "sim_us", tenants, think, churnWaitP95),
+			seriesOf("Live-kops", "kops/s", tenants, live, churnKops),
+		},
+		Notes: []string{
+			"reconfigure: a swap that cannot get slots on its new members keeps the old membership",
+			"spread: over-capacity tenants move to the emptiest NICs, so installs never wait",
+			"think time: slot holding time is ops x (barrier + think), so slots, not wires, bind",
+			"live: the long-running shape a live metrics endpoint serves while tenants come and go",
 		},
 	}
 }

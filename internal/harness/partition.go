@@ -6,9 +6,7 @@ import (
 
 	"nicbarrier/internal/comm"
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/shard"
-	"nicbarrier/internal/sim"
 )
 
 // The partitioned-simulation experiment family measures the sharded
@@ -84,19 +82,22 @@ type partPoint struct {
 	wall     time.Duration // host wall clock of the sharded run
 }
 
-// MeasurePartitionedTenants runs the multi-tenant workload once at the
+// measurePartitionedTenants runs the multi-tenant workload once at the
 // given partition count: parts replica clusters (1024 tenants over
 // 2048-node clusters at quick fidelity and above, a toy size for test
 // configs), tenants dealt round-robin, shards running in parallel. The
-// returned result is bit-deterministic per (cfg.Seed, parts); the
+// virtual-time fields are bit-deterministic per (cfg.Seed, parts); the
 // wall time is not. Replica construction is excluded from the timed
 // region, so the wall series measures the parallel simulation itself.
-func MeasurePartitionedTenants(cfg Config, parts int) (comm.WorkloadResult, partPoint) {
+func measurePartitionedTenants(cfg Config, parts int) partPoint {
 	tenants, nodes := partTenantScale(cfg)
 	cs := make([]*comm.Cluster, parts)
 	for s := range cs {
-		eng := sim.NewEngine()
-		cs[s] = comm.OverMyrinet(myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), nodes, nil))
+		// One scope per shard: each replica's engine runs on its own
+		// goroutine, the single writer its scope requires.
+		var p point
+		cs[s], p = cfg.commCluster(false, nodes, fmt.Sprintf("tenants %dn T=%d P=%d/shard%d", nodes, tenants, parts, s), nil)
+		defer p.drained()
 	}
 	spec := comm.WorkloadSpec{
 		Tenants:      tenants,
@@ -118,7 +119,7 @@ func MeasurePartitionedTenants(cfg Config, parts int) (comm.WorkloadResult, part
 			slowest = ev
 		}
 	}
-	return res, partPoint{
+	return partPoint{
 		aggKops:  res.AggOpsPerSec / 1e3,
 		fairness: res.Fairness,
 		bound:    float64(total) / float64(slowest),
@@ -133,14 +134,10 @@ func MeasurePartitionedTenants(cfg Config, parts int) (comm.WorkloadResult, part
 func PartitionSweep(cfg Config) Figure {
 	pts := make([]partPoint, len(partCounts))
 	for i, parts := range partCounts {
-		_, pts[i] = MeasurePartitionedTenants(cfg, parts)
+		pts[i] = measurePartitionedTenants(cfg, parts)
 	}
 	series := func(name, unit string, val func(partPoint) float64) Series {
-		s := Series{Name: name, Unit: unit}
-		for i, pp := range pts {
-			s.Points = append(s.Points, Point{N: partCounts[i], LatencyUS: val(pp)})
-		}
-		return s
+		return seriesOf(name, unit, partCounts, pts, val)
 	}
 	wall1 := float64(pts[0].wall)
 	return Figure{
@@ -201,11 +198,7 @@ func ShardScale(cfg Config) Figure {
 		}
 	}
 	series := func(name, unit string, val func(shardScalePoint) float64) Series {
-		s := Series{Name: name, Unit: unit}
-		for i, sp := range pts {
-			s.Points = append(s.Points, Point{N: sweep[i], LatencyUS: val(sp)})
-		}
-		return s
+		return seriesOf(name, unit, sweep, pts, val)
 	}
 	return Figure{
 		ID:     "shard-scale",

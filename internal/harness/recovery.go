@@ -7,7 +7,6 @@ import (
 	"nicbarrier/internal/comm"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
-	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
 )
@@ -38,25 +37,12 @@ const recoveryOps = 10
 // microseconds. Node IDs are identity-mapped (no permutation) because
 // the crash rule names a physical node.
 func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64, crash bool, salt uint64) float64 {
-	eng := sim.NewEngine()
 	var plan *fault.Plan
 	if crash {
 		plan = fault.NewPlan(faultSeed(cfg, salt), fault.Crash(n/2, fault.Window{}))
 	}
-	var c *comm.Cluster
-	if onElan {
-		cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), n)
-		if plan != nil {
-			cl.SetFaults(plan)
-		}
-		c = comm.OverElan(cl)
-	} else {
-		cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), n, nil)
-		if plan != nil {
-			cl.SetFaults(plan)
-		}
-		c = comm.OverMyrinet(cl)
-	}
+	c, p := cfg.commCluster(onElan, n, fmt.Sprintf("recovery %dn deadline%.0fus crash=%v", n, deadlineUS, crash), plan)
+	defer p.drained()
 	members := make([]int, n)
 	for i := range members {
 		members[i] = i

@@ -12,7 +12,8 @@ func TestRegistryHasAllExperiments(t *testing.T) {
 		"crash-recovery", "recovery-deadline",
 		"multi-tenant", "multi-tenant-mixed",
 		"group-churn", "reconfigure-cost", "faults-victim-tenant",
-		"multi-tenant-1024", "shard-scale"}
+		"multi-tenant-1024", "shard-scale",
+		"faults-impair", "tenant-shapes", "churn-policies"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("experiments = %v", got)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"nicbarrier/internal/comm"
-	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/myrinet"
-	"nicbarrier/internal/sim"
+	"nicbarrier/internal/fault"
 )
 
 // The multi-tenant experiment family measures the property the paper's
@@ -36,48 +34,50 @@ func tenantOps(cfg Config) int {
 // a 64-node LANai-XP cluster into even disjoint groups, every tenant
 // issuing back-to-back barriers over the NIC-collective protocol.
 func MeasureTenants(cfg Config, tenants int, spec comm.WorkloadSpec) comm.WorkloadResult {
-	eng := sim.NewEngine()
-	cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), tenantClusterNodes, nil)
 	spec.Tenants = tenants
+	spec.Seed = cfg.Seed ^ 0x7e0a<<16 ^ uint64(tenants)
+	return runWorkload(cfg, false, tenantClusterNodes, spec, nil)
+}
+
+// runWorkload runs one workload data point on a fresh nodes-node cluster
+// of the named backend under plan (nil: fault-free). A spec without an
+// operation count gets tenantOps(cfg).
+func runWorkload(cfg Config, quadrics bool, nodes int, spec comm.WorkloadSpec, plan *fault.Plan) comm.WorkloadResult {
 	if spec.OpsPerTenant == 0 {
 		spec.OpsPerTenant = tenantOps(cfg)
 	}
-	spec.Seed = cfg.Seed ^ 0x7e0a<<16 ^ uint64(tenants)
-	res, err := comm.RunWorkload(comm.OverMyrinet(cl), spec)
+	c, p := cfg.commCluster(quadrics, nodes, fmt.Sprintf("workload %dn T=%d", nodes, spec.Tenants), plan)
+	defer p.drained()
+	res, err := comm.RunWorkload(c, spec)
 	if err != nil {
-		panic(fmt.Sprintf("harness: multi-tenant point (T=%d): %v", tenants, err))
+		panic(fmt.Sprintf("harness: workload point (quadrics=%v, %d nodes, T=%d): %v", quadrics, nodes, spec.Tenants, err))
 	}
 	return res
 }
 
-// tenantPoint summarizes one sweep point for the figure's series.
-type tenantPoint struct {
-	aggKops  float64 // aggregate throughput, kops per simulated second
-	p50Mean  float64 // mean of per-tenant p50 latencies
-	p99Worst float64 // worst tenant p99 latency
-	fairness float64 // Jain index over tenant throughputs
+// Per-point summaries of a workload result, shared by the figures of
+// the tenant families.
+func workloadKops(r comm.WorkloadResult) float64     { return r.AggOpsPerSec / 1e3 }
+func workloadFairness(r comm.WorkloadResult) float64 { return r.Fairness }
+
+// workloadP50Mean is the mean of the per-tenant p50 latencies.
+func workloadP50Mean(r comm.WorkloadResult) float64 {
+	var sum float64
+	for _, tr := range r.Tenants {
+		sum += tr.P50US
+	}
+	return sum / float64(len(r.Tenants))
 }
 
-func tenantSweep(cfg Config, spec comm.WorkloadSpec) []tenantPoint {
-	pts := make([]tenantPoint, len(tenantCounts))
-	measure := func(i int) {
-		res := MeasureTenants(cfg, tenantCounts[i], spec)
-		var p50Sum, p99 float64
-		for _, tr := range res.Tenants {
-			p50Sum += tr.P50US
-			if tr.P99US > p99 {
-				p99 = tr.P99US
-			}
-		}
-		pts[i] = tenantPoint{
-			aggKops:  res.AggOpsPerSec / 1e3,
-			p50Mean:  p50Sum / float64(len(res.Tenants)),
-			p99Worst: p99,
-			fairness: res.Fairness,
+// workloadP99Worst is the worst tenant's p99 latency.
+func workloadP99Worst(r comm.WorkloadResult) float64 {
+	var p99 float64
+	for _, tr := range r.Tenants {
+		if tr.P99US > p99 {
+			p99 = tr.P99US
 		}
 	}
-	forEach(cfg, len(tenantCounts), measure)
-	return pts
+	return p99
 }
 
 // tenantFigure builds one multi-tenant sweep figure: the four series
@@ -85,24 +85,17 @@ func tenantSweep(cfg Config, spec comm.WorkloadSpec) []tenantPoint {
 // in the family, so their names and units — which the committed
 // baseline's metric names embed — live in exactly one place.
 func tenantFigure(cfg Config, id, title string, spec comm.WorkloadSpec, notes []string) Figure {
-	pts := tenantSweep(cfg, spec)
-	series := func(name, unit string, val func(tenantPoint) float64) Series {
-		s := Series{Name: name, Unit: unit}
-		for i, tp := range pts {
-			s.Points = append(s.Points, Point{N: tenantCounts[i], LatencyUS: val(tp)})
-		}
-		return s
-	}
+	pts := measureAll(cfg, tenantCounts, func(t int) comm.WorkloadResult { return MeasureTenants(cfg, t, spec) })
 	return Figure{
 		ID:     id,
 		Title:  title,
 		XLabel: "Tenant groups",
 		YLabel: "Throughput / latency / fairness",
 		Series: []Series{
-			series("Agg-kops-per-sec", "kops/s", func(tp tenantPoint) float64 { return tp.aggKops }),
-			series("Tenant-p50", "sim_us", func(tp tenantPoint) float64 { return tp.p50Mean }),
-			series("Tenant-p99-worst", "sim_us", func(tp tenantPoint) float64 { return tp.p99Worst }),
-			series("Fairness-Jain", "jain", func(tp tenantPoint) float64 { return tp.fairness }),
+			seriesOf("Agg-kops-per-sec", "kops/s", tenantCounts, pts, workloadKops),
+			seriesOf("Tenant-p50", "sim_us", tenantCounts, pts, workloadP50Mean),
+			seriesOf("Tenant-p99-worst", "sim_us", tenantCounts, pts, workloadP99Worst),
+			seriesOf("Fairness-Jain", "jain", tenantCounts, pts, workloadFairness),
 		},
 		Notes: notes,
 	}
@@ -147,4 +140,50 @@ func registerTenantScenarios() {
 		Title: "Multi-tenant throughput: 1-32 concurrent groups over 64 nodes", Figure: MultiTenant})
 	RegisterScenario(Scenario{ID: "multi-tenant-mixed",
 		Title: "Multi-tenant mixed op workload under closed-loop think time", Figure: MultiTenantMixed})
+}
+
+// TenantShapes sweeps tenant count over three workload shapes the
+// even-partition sweeps above do not cover: open-loop Poisson arrivals
+// faster than service on 32 Myrinet nodes (ops queue behind a busy
+// group, which shows in the worst p99), random overlapping groups of
+// 4-8 ranks contending for 16 Myrinet nodes, and concurrent
+// chained-RDMA barrier groups on 32 Quadrics nodes.
+func TenantShapes(cfg Config) Figure {
+	tenants := []int{2, 4, 8}
+	shape := func(quadrics bool, nodes int, salt uint64, spec comm.WorkloadSpec) []comm.WorkloadResult {
+		return measureAll(cfg, tenants, func(t int) comm.WorkloadResult {
+			s := spec
+			s.Tenants = t
+			s.Seed = cfg.Seed ^ 0x5a9e<<16 ^ salt<<8 ^ uint64(t)
+			return runWorkload(cfg, quadrics, nodes, s, nil)
+		})
+	}
+	openLoop := shape(false, 32, 1, comm.WorkloadSpec{
+		Mix:     comm.OpMix{Barrier: 1},
+		Arrival: comm.ArrivalSpec{Kind: comm.OpenLoop, MeanGapUS: 4},
+	})
+	overlap := shape(false, 16, 2, comm.WorkloadSpec{
+		Mix:          comm.OpMix{Barrier: 1},
+		GroupSizeMin: 4, GroupSizeMax: 8, Overlap: true,
+	})
+	quad := shape(true, 32, 3, comm.WorkloadSpec{Mix: comm.OpMix{Barrier: 1}})
+	return Figure{
+		ID:     "tenant-shapes",
+		Title:  "Open-loop bursts, overlapping groups and Quadrics tenants: throughput, tail latency, fairness",
+		XLabel: "Tenant groups",
+		YLabel: "Throughput / latency / fairness",
+		Series: []Series{
+			seriesOf("Open-loop-kops", "kops/s", tenants, openLoop, workloadKops),
+			seriesOf("Open-loop-p99-worst", "sim_us", tenants, openLoop, workloadP99Worst),
+			seriesOf("Overlap-kops", "kops/s", tenants, overlap, workloadKops),
+			seriesOf("Overlap-fairness", "jain", tenants, overlap, workloadFairness),
+			seriesOf("Quadrics-kops", "kops/s", tenants, quad, workloadKops),
+			seriesOf("Quadrics-p99-worst", "sim_us", tenants, quad, workloadP99Worst),
+		},
+		Notes: []string{
+			"open loop: latency is arrival-to-completion, so ops queued behind a busy group pay the backlog",
+			"overlap: co-resident groups serialize on one NIC processor; fairness below 1 is contention",
+			"quadrics: each tenant's descriptor chain holds its own Elan slot; hardware reliability, no drops",
+		},
+	}
 }

@@ -123,7 +123,7 @@ func TestMeasureBroadcast(t *testing.T) {
 }
 
 func TestRunExperimentFacade(t *testing.T) {
-	if len(Experiments()) != 21 {
+	if len(Experiments()) != 24 {
 		t.Fatalf("experiments: %v", Experiments())
 	}
 	out, err := RunExperiment("packets", Quick)
