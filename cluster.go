@@ -5,6 +5,7 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/comm"
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/harness"
 	"nicbarrier/internal/hwprofile"
@@ -33,10 +34,6 @@ import (
 type Cluster struct {
 	cfg Config
 	c   *comm.Cluster
-	// replicas are the extra workload shards under Config.Partitions > 1
-	// (shard 0 is c itself). Single-group measurements never touch them;
-	// RunWorkload/RunChurn deal tenants across [c, replicas...].
-	replicas []*comm.Cluster
 }
 
 // AdmissionPolicy decides what a group install does when a member NIC's
@@ -80,34 +77,13 @@ func (a AdmissionConfig) internal() comm.AdmissionConfig {
 }
 
 // NewCluster builds a simulated cluster from cfg (Nodes, Interconnect,
-// LossRate, Faults, Admission, Seed). The Scheme and Algorithm fields
-// set the default for groups created on it. Under cfg.Partitions > 1
-// it also builds the replica shards that partitioned workloads run on.
+// LossRate, Faults, Admission, Seed, Trace): engine, NIC backend,
+// communicator layer and admission controller. The Scheme and Algorithm
+// fields set the default for groups created on it.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cc, err := newCommCluster(cfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{cfg: cfg, c: cc}
-	for s := 1; s < cfg.Partitions; s++ {
-		rc, err := newCommCluster(cfg, s)
-		if err != nil {
-			return nil, err
-		}
-		c.replicas = append(c.replicas, rc)
-	}
-	return c, nil
-}
-
-// newCommCluster builds one simulated cluster backend — engine, NIC
-// backend, comm layer, admission controller and trace scope — from cfg.
-// shard is the replica index under partitioned workload execution;
-// shard 0 is the primary and keeps the historical trace-scope name, so
-// single-partition traces are unchanged.
-func newCommCluster(cfg Config, shard int) (*comm.Cluster, error) {
 	eng := sim.NewEngine()
 	var cc *comm.Cluster
 	switch cfg.Interconnect {
@@ -117,7 +93,9 @@ func newCommCluster(cfg Config, shard int) (*comm.Cluster, error) {
 			loss = &netsim.RandomLoss{Rate: cfg.LossRate, RNG: sim.NewRNG(cfg.Seed + 1)}
 		}
 		cl := myrinet.NewCluster(eng, myrinetProfile(cfg.Interconnect), cfg.Nodes, loss)
-		applyMyrinetFaults(cfg, cl)
+		if plan := compileFaults(cfg.Faults, cfg.Seed, cl.Prof.Net.BandwidthMBps); plan != nil {
+			cl.SetFaults(plan)
+		}
 		cc = comm.OverMyrinet(cl)
 	case QuadricsElan3:
 		cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), cfg.Nodes)
@@ -130,24 +108,11 @@ func newCommCluster(cfg Config, shard int) (*comm.Cluster, error) {
 	}
 	cc.SetAdmission(cfg.Admission.internal())
 	if cfg.Trace != nil {
-		name := fmt.Sprintf("%v %dn %v", cfg.Interconnect, cfg.Nodes, cfg.Scheme)
-		if shard > 0 {
-			name = fmt.Sprintf("%s/shard%d", name, shard)
-		}
-		sc := cfg.Trace.newScope(name)
+		sc := cfg.Trace.newScope(fmt.Sprintf("%v %dn %v", cfg.Interconnect, cfg.Nodes, cfg.Scheme))
 		eng.SetObserver(sc)
 		cc.SetTracer(sc)
 	}
-	return cc, nil
-}
-
-// workloadClusters is the shard list partitioned workloads run over:
-// the primary plus the Partitions-1 replicas.
-func (c *Cluster) workloadClusters() []*comm.Cluster {
-	if len(c.replicas) == 0 {
-		return []*comm.Cluster{c.c}
-	}
-	return append([]*comm.Cluster{c.c}, c.replicas...)
+	return &Cluster{cfg: cfg, c: cc}, nil
 }
 
 // Group is one communicator on a shared Cluster: a node subset with its
@@ -159,10 +124,24 @@ type Group struct {
 	c       *Cluster
 	members []int
 	closed  bool
+	// shapes holds one communicator per collective shape run so far, in
+	// creation order, so Close tears them down deterministically.
+	shapes []shapedGroup
+}
 
-	barrierG *comm.Group
-	bcastG   map[[2]int]*comm.Group
-	reduceG  map[ReduceOperator]*comm.Group
+// shapedGroup is one of a Group's communicators and the shape it runs.
+type shapedGroup struct {
+	shape
+	cg *comm.Group
+}
+
+// shape identifies one collective configuration of a Group: the
+// operation kind plus the broadcast tree or allreduce operator. The
+// cluster fixes everything else (scheme, algorithm, tree degree).
+type shape struct {
+	kind         comm.OpKind
+	root, degree int
+	op           core.ReduceOp
 }
 
 // NewGroup declares a communicator over the given node IDs (rank
@@ -197,29 +176,17 @@ func (g *Group) Size() int { return len(g.members) }
 // deferred installs. Closing an unused or already-closed group is a
 // no-op. The group cannot run collectives afterwards.
 func (g *Group) Close() error {
-	if g.barrierG != nil {
-		if err := g.barrierG.Close(); err != nil {
+	for len(g.shapes) > 0 {
+		if err := g.shapes[0].cg.Close(); err != nil {
 			return err
 		}
-		g.barrierG = nil
-	}
-	for key, cg := range g.bcastG {
-		if err := cg.Close(); err != nil {
-			return err
-		}
-		delete(g.bcastG, key)
-	}
-	for op, cg := range g.reduceG {
-		if err := cg.Close(); err != nil {
-			return err
-		}
-		delete(g.reduceG, op)
+		g.shapes = g.shapes[1:]
 	}
 	g.closed = true
 	return nil
 }
 
-// schemes maps the public scheme to the backend selector.
+// commSchemes maps the public scheme to the backend selectors.
 func (c *Cluster) commSchemes() (myrinet.Scheme, elan.Scheme, error) {
 	quadrics := c.cfg.Interconnect == QuadricsElan3
 	switch c.cfg.Scheme {
@@ -243,80 +210,30 @@ func (c *Cluster) commSchemes() (myrinet.Scheme, elan.Scheme, error) {
 // are untouched and may run their own operations concurrently via
 // MeasureWorkload-style driving.
 func (g *Group) Barrier(warmup, iters int) (Result, error) {
-	if g.closed {
-		return Result{}, fmt.Errorf("nicbarrier: group is closed")
-	}
-	if err := checkLoop(warmup, iters); err != nil {
+	ms, es, err := g.c.commSchemes()
+	if err != nil {
 		return Result{}, err
 	}
-	if g.barrierG == nil {
-		ms, es, err := g.c.commSchemes()
-		if err != nil {
-			return Result{}, err
-		}
-		alg := g.c.cfg.Algorithm.internal()
-		if g.c.cfg.Interconnect == QuadricsElan3 && g.c.cfg.Scheme == HostBased {
-			alg = barrier.GatherBroadcast
-		}
-		cg, err := g.c.c.NewGroup(comm.GroupConfig{
-			Members:       g.members,
-			Kind:          comm.OpBarrier,
-			Algorithm:     alg,
-			Options:       barrier.Options{TreeDegree: g.c.cfg.TreeDegree},
-			MyrinetScheme: ms,
-			ElanScheme:    es,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		g.barrierG = cg
+	alg := g.c.cfg.Algorithm.internal()
+	if g.c.cfg.Interconnect == QuadricsElan3 && g.c.cfg.Scheme == HostBased {
+		alg = barrier.GatherBroadcast
 	}
-	if err := runnable(g.barrierG); err != nil {
-		return Result{}, err
-	}
-	return g.c.measure(g.barrierG, warmup, iters), nil
+	return g.run(comm.GroupConfig{
+		Kind:          comm.OpBarrier,
+		Algorithm:     alg,
+		Options:       barrier.Options{TreeDegree: g.c.cfg.TreeDegree},
+		MyrinetScheme: ms,
+		ElanScheme:    es,
+	}, warmup, iters)
 }
 
 // Broadcast runs warmup+iters NIC-based broadcasts from root down a
-// degree-ary tree (Myrinet clusters only).
+// degree-ary tree (0: the default of 4; Myrinet clusters only).
 func (g *Group) Broadcast(root, degree, warmup, iters int) (Result, error) {
-	if g.closed {
-		return Result{}, fmt.Errorf("nicbarrier: group is closed")
-	}
-	if err := checkLoop(warmup, iters); err != nil {
-		return Result{}, err
-	}
-	if g.c.cfg.Interconnect == QuadricsElan3 {
-		return Result{}, fmt.Errorf("nicbarrier: NIC-based broadcast is implemented on Myrinet")
-	}
-	if root < 0 || root >= len(g.members) {
-		return Result{}, fmt.Errorf("nicbarrier: root %d outside group of %d", root, len(g.members))
-	}
 	if degree == 0 {
 		degree = 4
 	}
-	key := [2]int{root, degree}
-	if g.bcastG == nil {
-		g.bcastG = make(map[[2]int]*comm.Group)
-	}
-	cg := g.bcastG[key]
-	if cg == nil {
-		var err error
-		cg, err = g.c.c.NewGroup(comm.GroupConfig{
-			Members: g.members,
-			Kind:    comm.OpBroadcast,
-			Root:    root,
-			Degree:  degree,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		g.bcastG[key] = cg
-	}
-	if err := runnable(cg); err != nil {
-		return Result{}, err
-	}
-	return g.c.measure(cg, warmup, iters), nil
+	return g.run(comm.GroupConfig{Kind: comm.OpBroadcast, Root: root, Degree: degree}, warmup, iters)
 }
 
 // allreduceContrib is the deterministic contribution the library's
@@ -327,49 +244,48 @@ func allreduceContrib(rank, iter int) int64 { return int64(rank*131 + iter*17 - 
 // given operator (Myrinet clusters only), self-checking every
 // iteration's result on every rank against the reference reduction.
 func (g *Group) Allreduce(op ReduceOperator, warmup, iters int) (Result, error) {
+	return g.run(comm.GroupConfig{
+		Kind:      comm.OpAllreduce,
+		Algorithm: g.c.cfg.Algorithm.internal(),
+		Options:   barrier.Options{TreeDegree: g.c.cfg.TreeDegree},
+		Reduce:    op.internal(),
+		Contrib:   allreduceContrib,
+	}, warmup, iters)
+}
+
+// run measures warmup+iters operations of gc's shape on this group,
+// creating its communicator (and claiming its NIC slots) on first use,
+// and checks any allreduce results.
+func (g *Group) run(gc comm.GroupConfig, warmup, iters int) (Result, error) {
 	if g.closed {
 		return Result{}, fmt.Errorf("nicbarrier: group is closed")
 	}
 	if err := checkLoop(warmup, iters); err != nil {
 		return Result{}, err
 	}
-	if g.c.cfg.Interconnect == QuadricsElan3 {
-		return Result{}, fmt.Errorf("nicbarrier: NIC-based allreduce is implemented on Myrinet")
+	key := shape{kind: gc.Kind, root: gc.Root, degree: gc.Degree, op: gc.Reduce}
+	var cg *comm.Group
+	for _, sg := range g.shapes {
+		if sg.shape == key {
+			cg = sg.cg
+		}
 	}
-	if g.reduceG == nil {
-		g.reduceG = make(map[ReduceOperator]*comm.Group)
-	}
-	cg := g.reduceG[op]
 	if cg == nil {
+		gc.Members = g.members
 		var err error
-		cg, err = g.c.c.NewGroup(comm.GroupConfig{
-			Members:   g.members,
-			Kind:      comm.OpAllreduce,
-			Algorithm: g.c.cfg.Algorithm.internal(),
-			Options:   barrier.Options{TreeDegree: g.c.cfg.TreeDegree},
-			Reduce:    op.internal(),
-			Contrib:   allreduceContrib,
-		})
-		if err != nil {
+		if cg, err = g.c.c.NewGroup(gc); err != nil {
 			return Result{}, err
 		}
-		g.reduceG[op] = cg
+		g.shapes = append(g.shapes, shapedGroup{key, cg})
 	}
-	if err := runnable(cg); err != nil {
-		return Result{}, err
+	// An exclusive measurement loop never closes other groups, so an
+	// install still queued behind full NICs would wait forever.
+	if !cg.Installed() {
+		return Result{}, fmt.Errorf("nicbarrier: group install is queued awaiting free NIC slots; close another group first")
 	}
 	res := g.c.measure(cg, warmup, iters)
-	for iter, row := range cg.Results() {
-		want := allreduceContrib(0, iter)
-		for r := 1; r < len(g.members); r++ {
-			want = op.internal().Combine(want, allreduceContrib(r, iter))
-		}
-		for rank, got := range row {
-			if got != want {
-				return Result{}, fmt.Errorf(
-					"nicbarrier: allreduce iteration %d rank %d: got %d, want %d", iter, rank, got, want)
-			}
-		}
+	if err := cg.CheckResults(); err != nil {
+		return Result{}, err
 	}
 	return res, nil
 }
@@ -377,16 +293,6 @@ func (g *Group) Allreduce(op ReduceOperator, warmup, iters int) (Result, error) 
 func checkLoop(warmup, iters int) error {
 	if warmup < 0 || iters < 1 {
 		return fmt.Errorf("nicbarrier: warmup %d / iters %d", warmup, iters)
-	}
-	return nil
-}
-
-// runnable rejects exclusive runs on a group whose install is still
-// queued behind full NICs: an exclusive measurement loop never closes
-// other groups, so the install would wait forever.
-func runnable(cg *comm.Group) error {
-	if !cg.Installed() {
-		return fmt.Errorf("nicbarrier: group install is queued awaiting free NIC slots; close another group first")
 	}
 	return nil
 }
@@ -399,10 +305,9 @@ func runnable(cg *comm.Group) error {
 //
 // A group whose install is still queued (AdmitQueue on a full NIC)
 // cannot be driven exclusively — nothing in an exclusive run will free
-// the slots it waits for — so callers error out before reaching here
-// (see runnable).
+// the slots it waits for — so Group.run errors out before reaching here.
 func (c *Cluster) measure(cg *comm.Group, warmup, iters int) Result {
-	c0 := c.counters()
+	c0 := c.c.Counters()
 	t0 := c.c.Eng.Now()
 	cg.Reset()
 	doneAt := cg.Run(warmup + iters)
@@ -415,45 +320,20 @@ func (c *Cluster) measure(cg *comm.Group, warmup, iters int) Result {
 		doneAt = shifted
 	}
 	st := harness.LatencyStats(doneAt, warmup)
-	c1 := c.counters()
-	dropped := c1.dropped - c0.dropped
-	midRoute := c1.hopDropped - c0.hopDropped
+	c1 := c.c.Counters()
+	dropped := c1.Dropped - c0.Dropped
+	midRoute := c1.HopDropped - c0.HopDropped
 	return Result{
 		MeanMicros: st.MeanUS, MinMicros: st.MinUS, MaxMicros: st.MaxUS,
 		StdMicros: st.StdUS, Iterations: st.Iterations,
-		PacketsPerBarrier: float64(c1.sent-c0.sent) / float64(warmup+iters),
-		Retransmissions:   c1.retrans - c0.retrans,
+		PacketsPerBarrier: float64(c1.Sent-c0.Sent) / float64(warmup+iters),
+		Retransmissions:   c1.Retransmits - c0.Retransmits,
 		DroppedPackets:    dropped,
 		Drops: DropBreakdown{
 			Injected: dropped - midRoute,
 			MidRoute: midRoute,
-			Rejected: c1.rejected - c0.rejected,
-			Stale:    c1.stale - c0.stale,
+			Rejected: c1.Rejected - c0.Rejected,
+			Stale:    c1.Stale - c0.Stale,
 		},
-	}
-}
-
-// wireSnapshot is one moment's cluster-wide wire and recovery
-// accounting; measure works on deltas between two of them.
-type wireSnapshot struct {
-	sent, dropped, hopDropped, rejected, retrans, stale uint64
-}
-
-// counters snapshots the cluster-wide wire and recovery accounting.
-func (c *Cluster) counters() wireSnapshot {
-	if my := c.c.My; my != nil {
-		net := my.Net.Counters()
-		nic := my.Stats()
-		return wireSnapshot{
-			sent: net.Sent, dropped: net.Dropped,
-			hopDropped: net.HopDropped, rejected: net.Rejected,
-			retrans: nic.Retransmits + nic.CollResent, stale: nic.StaleColl,
-		}
-	}
-	net := c.c.El.Net.Counters()
-	return wireSnapshot{
-		sent: net.Sent, dropped: net.Dropped,
-		hopDropped: net.HopDropped, rejected: net.Rejected,
-		stale: c.c.El.Stats().StaleRDMAs,
 	}
 }

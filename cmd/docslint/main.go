@@ -14,7 +14,12 @@
 //     ARCHITECTURE.md or the verify skill notes names a command directory
 //     that does not exist, passes cmd/<x> a flag it does not define, or
 //     gives barrier-bench, simserve or benchgate a -fig/-scenario value
-//     that is not a registered harness scenario ID (or "all").
+//     that is not a registered harness scenario ID (or "all"), or
+//   - README.md or ARCHITECTURE.md cites nicbarrier.X or <pkg>.X for a
+//     package under internal/ where X is neither a top-level identifier
+//     declared in that package nor one of its files ("comm.go"), or a
+//     ```go block sets a field that nicbarrier.T{…} or <pkg>.T{…} does
+//     not have.
 //
 // Usage:
 //
@@ -63,6 +68,7 @@ func main() {
 	}
 	violations = append(violations, lintMetricCounts(*root)...)
 	violations = append(violations, lintCommands(*root, harness.Experiments())...)
+	violations = append(violations, lintCitations(*root)...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -386,4 +392,186 @@ func definedFlags(dir string) map[string]bool {
 		})
 	}
 	return flags
+}
+
+// citeFiles are the documents whose package-qualified citations must
+// resolve.
+var citeFiles = []string{"README.md", "ARCHITECTURE.md"}
+
+// citation matches a package-qualified identifier; group 1 is the
+// package name, group 2 the identifier.
+var citation = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+
+// pkgDecls is what a package declares at top level: every identifier
+// (functions, types, vars and each member of a const block) and the
+// field names of its struct types.
+type pkgDecls struct {
+	dir    string
+	idents map[string]bool
+	fields map[string]map[string]bool
+}
+
+// lintCitations reports citations in the cite documents under root of
+// nicbarrier.X, or of <pkg>.X for a directory internal/<pkg>, where X
+// is neither declared at top level in that package's non-test files
+// nor the name of one of its files. A citation preceded by a path or
+// identifier character ("internal/comm.X", "x.comm.Y") is not one.
+// Fields set in composite literals of the package's struct types inside
+// ```go blocks are checked too.
+func lintCitations(root string) []string {
+	pkgs := map[string]*pkgDecls{"nicbarrier": {dir: root}}
+	entries, _ := os.ReadDir(filepath.Join(root, "internal"))
+	for _, e := range entries {
+		if e.IsDir() {
+			pkgs[e.Name()] = &pkgDecls{dir: filepath.Join(root, "internal", e.Name())}
+		}
+	}
+	lookup := func(name string) *pkgDecls {
+		p := pkgs[name]
+		if p != nil && p.idents == nil {
+			p.scan()
+		}
+		return p
+	}
+	var out []string
+	for _, name := range citeFiles {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", name, err))
+			continue
+		}
+		lines := strings.Split(string(data), "\n")
+		for i, line := range lines {
+			for _, m := range citation.FindAllStringSubmatchIndex(line, -1) {
+				if m[0] > 0 && strings.ContainsRune("/._-", rune(line[m[0]-1])) {
+					continue
+				}
+				pkg, id := line[m[2]:m[3]], line[m[4]:m[5]]
+				p := lookup(pkg)
+				if p == nil || p.idents[id] {
+					continue
+				}
+				if _, err := os.Stat(filepath.Join(p.dir, pkg+"."+id)); err == nil {
+					continue
+				}
+				out = append(out, fmt.Sprintf("%s:%d: %s.%s is not declared in package %s", name, i+1, pkg, id, pkg))
+			}
+		}
+		out = append(out, lintLiteralFields(name, lines, lookup)...)
+	}
+	return out
+}
+
+// scan parses the package's non-test files and records its top-level
+// declarations.
+func (p *pkgDecls) scan() {
+	p.idents, p.fields = map[string]bool{}, map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	parsed, _ := parser.ParseDir(fset, p.dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	for _, pkg := range parsed {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						p.idents[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							p.idents[s.Name.Name] = true
+							if st, ok := s.Type.(*ast.StructType); ok {
+								p.fields[s.Name.Name] = structFields(st)
+							}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								p.idents[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// structFields lists a struct's field names, embedded ones by their
+// type name.
+func structFields(st *ast.StructType) map[string]bool {
+	fields := map[string]bool{}
+	for _, f := range st.Fields.List {
+		for _, n := range f.Names {
+			fields[n.Name] = true
+		}
+		if len(f.Names) == 0 {
+			t := f.Type
+			if star, ok := t.(*ast.StarExpr); ok {
+				t = star.X
+			}
+			switch e := t.(type) {
+			case *ast.Ident:
+				fields[e.Name] = true
+			case *ast.SelectorExpr:
+				fields[e.Sel.Name] = true
+			}
+		}
+	}
+	return fields
+}
+
+// lintLiteralFields parses each ```go block of a document as a function
+// body and reports keys of pkg.T{…} literals that are not fields of
+// struct type T. A block that does not parse is skipped.
+func lintLiteralFields(name string, lines []string, lookup func(string) *pkgDecls) []string {
+	var out []string
+	for i := 0; i < len(lines); i++ {
+		if strings.TrimSpace(lines[i]) != "```go" {
+			continue
+		}
+		start := i + 1
+		for i++; i < len(lines) && strings.TrimSpace(lines[i]) != "```"; i++ {
+		}
+		src := "package p\nfunc _() {\n" + strings.Join(lines[start:min(i, len(lines))], "\n") + "\n}\n"
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "", src, 0)
+		if err != nil {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			sel, ok := lit.Type.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			p := lookup(pkg.Name)
+			if p == nil || p.fields[sel.Sel.Name] == nil {
+				return true
+			}
+			for _, elt := range lit.Elts {
+				kv, ok := elt.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				if key, ok := kv.Key.(*ast.Ident); ok && !p.fields[sel.Sel.Name][key.Name] {
+					line := start + fset.Position(key.Pos()).Line - 2
+					out = append(out, fmt.Sprintf("%s:%d: %s.%s has no field %s", name, line, pkg.Name, sel.Sel.Name, key.Name))
+				}
+			}
+			return true
+		})
+	}
+	return out
 }

@@ -112,3 +112,76 @@ func TestRepositoryCommands(t *testing.T) {
 		t.Fatalf("stale command lines: %q", got)
 	}
 }
+
+// A fixture tree with the root package and one internal package:
+// citations of undeclared identifiers and literal keys that are not
+// fields are reported with their line; declared functions, types and
+// const-block members (iota continuations included), package files,
+// paths, unknown packages and method chains on declared types are not.
+func TestLintCitations(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"nicbarrier.go": `package nicbarrier
+
+type Config struct {
+	Nodes int
+	Trace *Trace
+}
+
+type Trace struct{}
+`,
+		"nicbarrier_test.go": "package nicbarrier\n\nfunc TestOnly() {}\n",
+		"internal/comm/comm.go": `package comm
+
+type Kind int
+
+const (
+	OpBarrier Kind = iota
+	OpBroadcast
+)
+
+type Cluster struct{}
+
+func (c *Cluster) SetTracer() {}
+
+func RunWorkload() {}
+`,
+		"README.md": "Use `nicbarrier.Config` with `comm.RunWorkload` and `comm.OpBroadcast`.\n" +
+			"Gone: `comm.RunChurnSharded`, `nicbarrier.TestOnly`, `comm.SetTracer`.\n" +
+			"```go\n" +
+			"c, err := nicbarrier.NewCluster(nicbarrier.Config{\n" +
+			"    Nodes:      8,\n" +
+			"    Partitions: 4,\n" +
+			"})\n" +
+			"```\n",
+		"ARCHITECTURE.md": "See internal/comm/comm.go, `comm.go`, nicbarrier/internal/comm.Cluster, " +
+			"`comm.Cluster.SetTracer`, `other.Thing` and `nicbarrier.Trace`.\n",
+	}
+	for name, text := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		"README.md:2: comm.RunChurnSharded is not declared in package comm",
+		"README.md:2: nicbarrier.TestOnly is not declared in package nicbarrier",
+		"README.md:2: comm.SetTracer is not declared in package comm",
+		"README.md:4: nicbarrier.NewCluster is not declared in package nicbarrier",
+		"README.md:6: nicbarrier.Config has no field Partitions",
+	}
+	if got := lintCitations(root); !slices.Equal(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// The repository's own documents cite only declared identifiers and
+// fields.
+func TestRepositoryCitations(t *testing.T) {
+	if got := lintCitations("../.."); len(got) != 0 {
+		t.Fatalf("stale citations: %q", got)
+	}
+}

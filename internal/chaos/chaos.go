@@ -300,7 +300,7 @@ func Soak(spec Spec) (Report, error) {
 				}
 			}
 		}
-		if err := verifyRows(st); err != nil {
+		if err := t.g.CheckResults(); err != nil {
 			violate("group %d: %v", i, err)
 		}
 	}
@@ -320,33 +320,4 @@ func Soak(spec Spec) (Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// verifyRows checks an allreduce tenant's recovery ledger epoch by
-// epoch: each operation's result must equal the reference reduction
-// over the membership that produced it.
-func verifyRows(st *comm.RecoveryStatus) error {
-	if len(st.Rows) == 0 {
-		return nil // barrier tenant
-	}
-	e := 0
-	for iter, row := range st.Rows {
-		for e+1 < len(st.Epochs) && st.Epochs[e+1].FromOp <= iter {
-			e++
-		}
-		size := len(st.Epochs[e].Members)
-		if len(row) != size {
-			return fmt.Errorf("allreduce op %d: %d results for a membership of %d", iter, len(row), size)
-		}
-		want := chaosContrib(0, iter)
-		for r := 1; r < size; r++ {
-			want = core.ReduceMax.Combine(want, chaosContrib(r, iter))
-		}
-		for rank, got := range row {
-			if got != want {
-				return fmt.Errorf("allreduce op %d rank %d: got %d, want %d", iter, rank, got, want)
-			}
-		}
-	}
-	return nil
 }

@@ -35,6 +35,24 @@ type backend interface {
 	setFailureHooks(onHB, onStall func(gid core.GroupID, arg int))
 	// sendHeartbeat emits one probe from fromNode to dstNode.
 	sendHeartbeat(gid core.GroupID, fromNode, fromRank, dstNode int)
-	// netCounters reports the network's packet counters.
-	netCounters() netsim.Counters
+	// counters reports the network's packet counters and the NICs'
+	// recovery accounting.
+	counters() Counters
 }
+
+// Counters is a cluster-wide snapshot of wire and recovery accounting:
+// the network's packet counters plus what the NICs did about losses.
+type Counters struct {
+	netsim.Counters
+	// Retransmits counts recovery resends: point-to-point
+	// retransmissions and collective NACK resends. Always zero on
+	// Quadrics, whose hardware reliability never resends.
+	Retransmits uint64
+	// Stale counts NIC discards of late duplicates: packets the wire
+	// delivered for an operation already complete or a group already
+	// torn down.
+	Stale uint64
+}
+
+// Counters snapshots the cluster-wide wire and recovery accounting.
+func (c *Cluster) Counters() Counters { return c.be.counters() }

@@ -5,7 +5,6 @@ import (
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/elan"
-	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
 )
 
@@ -60,4 +59,6 @@ func (b elanBackend) sendHeartbeat(gid core.GroupID, fromNode, fromRank, dstNode
 	b.cl.Nodes[fromNode].NIC.SendHeartbeat(gid, fromRank, dstNode)
 }
 
-func (b elanBackend) netCounters() netsim.Counters { return b.cl.Net.Counters() }
+func (b elanBackend) counters() Counters {
+	return Counters{Counters: b.cl.Net.Counters(), Stale: b.cl.Stats().StaleRDMAs}
+}

@@ -5,7 +5,6 @@ import (
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/myrinet"
-	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
 )
 
@@ -73,4 +72,8 @@ func (b myrinetBackend) sendHeartbeat(gid core.GroupID, fromNode, fromRank, dstN
 	b.cl.Nodes[fromNode].NIC.SendHeartbeat(gid, fromRank, dstNode)
 }
 
-func (b myrinetBackend) netCounters() netsim.Counters { return b.cl.Net.Counters() }
+func (b myrinetBackend) counters() Counters {
+	nic := b.cl.Stats()
+	return Counters{Counters: b.cl.Net.Counters(),
+		Retransmits: nic.Retransmits + nic.CollResent, Stale: nic.StaleColl}
+}

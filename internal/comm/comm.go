@@ -31,14 +31,17 @@
 // reporting throughput of virtual time, per-tenant latency percentiles,
 // fairness and admission statistics.
 //
-// workload_shard.go parallelizes both generators across replica
-// clusters: RunWorkloadSharded and RunChurnSharded plan the full tenant
-// population once (same RNG draw order as the single-cluster path),
-// deal tenants round-robin across the shards, run every shard on its
-// own engine goroutine, and merge per-shard results into one report in
-// deterministic global-tenant order. A one-shard call is exactly the
-// single-cluster run, bit for bit; see ARCHITECTURE.md for the
-// partitioning model and its fidelity trade.
+// workload_shard.go holds the one workload run path: RunWorkloadSharded
+// plans the full tenant population once, deals tenants round-robin
+// across replica clusters, runs every shard's install/launch/drive/
+// collect on its own engine goroutine, and merges the shards into one
+// report in deterministic global-tenant order. RunWorkload is its
+// one-shard call, run on the caller's goroutine; see ARCHITECTURE.md
+// for the partitioning model and its fidelity trade. Churn runs on one
+// cluster.
+//
+// Cluster.Counters and Group.CheckResults are the wire accounting and
+// the allreduce reference check every caller shares.
 package comm
 
 import (
@@ -470,6 +473,46 @@ func (g *Group) Results() [][]int64 {
 		return nil
 	}
 	return g.sess.Results()
+}
+
+// CheckResults verifies every completed allreduce operation's result on
+// every rank against the reference reduction: the group's own operator
+// folded over its members' contributions for that operation. It is the
+// cheap invariant that proves concurrent groups did not contaminate
+// each other's NIC state. A group with recovery armed checks its
+// recovery ledger instead, epoch by epoch, since each eviction shrinks
+// the membership and so changes the expected reduction. Other kinds
+// have nothing to check.
+func (g *Group) CheckResults() error {
+	if g.Kind != OpAllreduce {
+		return nil
+	}
+	rows, epochs, contrib := g.Results(), []MembershipEpoch{{Members: g.Members}}, g.gc.Contrib
+	if g.rec != nil {
+		rows, epochs, contrib = g.rec.rows, g.rec.epochs, g.rec.contrib
+	}
+	e := 0
+	for op, row := range rows {
+		for e+1 < len(epochs) && epochs[e+1].FromOp <= op {
+			e++
+		}
+		size := len(epochs[e].Members)
+		if len(row) != size {
+			return fmt.Errorf("comm: group %d allreduce op %d: %d results for a membership of %d",
+				g.ID, op, len(row), size)
+		}
+		want := contrib(0, op)
+		for r := 1; r < size; r++ {
+			want = g.gc.Reduce.Combine(want, contrib(r, op))
+		}
+		for rank, got := range row {
+			if got != want {
+				return fmt.Errorf("comm: group %d allreduce op %d rank %d: got %d, want %d",
+					g.ID, op, rank, got, want)
+			}
+		}
+	}
+	return nil
 }
 
 // DriveAll runs the engine until every *launched* group completes,

@@ -129,6 +129,13 @@ func TestOverlappingGroupsComplete(t *testing.T) {
 			}
 		}
 	}
+	if err := r.CheckResults(); err != nil {
+		t.Fatalf("CheckResults on exact results: %v", err)
+	}
+	r.Results()[4][2]++
+	if err := r.CheckResults(); err == nil {
+		t.Fatal("CheckResults accepted a corrupted result")
+	}
 }
 
 // Concurrent groups on shared nodes must cost more than the same group

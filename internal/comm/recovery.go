@@ -140,8 +140,10 @@ type recovery struct {
 
 	// offset maps the current session's run-local iteration to the
 	// group-global operation index the allreduce contrib sees; bumped
-	// to opsDone at every rebuild.
-	offset int
+	// to opsDone at every rebuild. contrib is the group's original
+	// contribution function, indexed by that global index.
+	offset  int
+	contrib func(rank, op int) int64
 
 	watchdog  sim.Timer
 	hbTimer   sim.Timer
@@ -174,8 +176,8 @@ func (g *Group) SetRecovery(cfg RecoveryConfig) error {
 		// tenant's contribution stream continuous across rebuilds by
 		// offsetting the run-local iteration. Always wraps the
 		// ORIGINAL contrib, so repeated rebuilds don't stack offsets.
-		orig := g.gc.Contrib
-		g.gc.Contrib = func(rank, iter int) int64 { return orig(rank, iter+rec.offset) }
+		rec.contrib = g.gc.Contrib
+		g.gc.Contrib = func(rank, iter int) int64 { return rec.contrib(rank, iter+rec.offset) }
 	}
 	g.rec = rec
 	g.c.ensureFailureRouting()

@@ -324,6 +324,21 @@ func TestAllreduceExactAcrossEviction(t *testing.T) {
 			}
 		}
 	}
+	// CheckResults reads the same ledger epoch by epoch: it accepts the
+	// exact rows and rejects a wrong value or a row of the wrong width.
+	if err := g.CheckResults(); err != nil {
+		t.Fatalf("CheckResults on exact ledger: %v", err)
+	}
+	last := g.rec.rows[iters-1]
+	last[0]++
+	if err := g.CheckResults(); err == nil {
+		t.Fatal("CheckResults accepted a corrupted result")
+	}
+	last[0]--
+	g.rec.rows[iters-1] = append(last, last[0])
+	if err := g.CheckResults(); err == nil {
+		t.Fatal("CheckResults accepted a row wider than its epoch's membership")
+	}
 }
 
 // A crash racing a Reconfigure: the swap onto a membership containing

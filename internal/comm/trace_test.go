@@ -134,3 +134,43 @@ func TestConcurrentTracedClusters(t *testing.T) {
 		t.Fatalf("snapshot has %d scopes, want 4", got)
 	}
 }
+
+// A traced churn run emits one span per completed op, across
+// reconfigurations: the barrier decomposition counts every op, and the
+// tenant-merged view gives every tenant its full latency histogram
+// even when a membership swap moved it to a new group ID.
+func TestChurnOpSpans(t *testing.T) {
+	spec := ChurnSpec{
+		Tenants: 12, OpsPerTenant: 8,
+		MeanArrivalGapUS: 2, MeanThinkUS: 3,
+		ReconfigureEvery: 2,
+		Policy:           AdmitQueue,
+		Seed:             5,
+	}
+	sc := obs.NewTracer().NewScope("churn")
+	res, err := RunChurn(tracedXpComm(16, sc), spec)
+	if err != nil {
+		t.Fatalf("RunChurn: %v", err)
+	}
+	if res.Reconfigs == 0 {
+		t.Fatal("no tenant reconfigured; the rebinding has nothing to show")
+	}
+	var ops uint64
+	for _, d := range sc.Decomp() {
+		if d.Kind == "barrier" {
+			ops = d.Ops
+		}
+	}
+	if ops != uint64(res.TotalOps) {
+		t.Fatalf("barrier decomposition ops = %d, want TotalOps %d", ops, res.TotalOps)
+	}
+	rows := obs.Snapshot{Scopes: []obs.ScopeSnapshot{sc.Snapshot()}}.MergeTenants()
+	if len(rows) != spec.Tenants {
+		t.Fatalf("tenant-merged rows = %d, want %d", len(rows), spec.Tenants)
+	}
+	for _, r := range rows {
+		if r.Latency.Count != uint64(spec.OpsPerTenant) {
+			t.Fatalf("tenant %d latency count = %d, want %d", r.Tenant, r.Latency.Count, spec.OpsPerTenant)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nicbarrier/internal/barrier"
@@ -399,23 +400,22 @@ func deriveClosedLoopEligibility(spec WorkloadSpec, groups []*Group, eligible []
 	}
 }
 
-// collectWorkload verifies and aggregates a finished run's groups into
-// a WorkloadResult. plans supply the workload-wide tenant indices, so
-// a shard reporting a subset of tenants labels them by their global
-// identity.
-func collectWorkload(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
-	groups []*Group, eligible [][]sim.Time) (WorkloadResult, error) {
-	var res WorkloadResult
+// collectTenants verifies a finished shard's groups and summarizes
+// each tenant's stream, emitting one span per op when the cluster is
+// traced. plans supply the workload-wide tenant indices, so a shard
+// reporting a subset of tenants labels them by their global identity.
+// It also returns the shard's last completion instant.
+func collectTenants(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
+	groups []*Group, eligible [][]sim.Time) ([]TenantResult, sim.Time, error) {
+	out := make([]TenantResult, 0, len(groups))
 	var makespan sim.Time
-	var sumTput, sumTputSq float64
 	lat := make([]float64, 0, spec.OpsPerTenant)
 	for i, g := range groups {
-		if err := verifyTenantAllreduce(g); err != nil {
-			return WorkloadResult{}, err
+		if err := g.CheckResults(); err != nil {
+			return nil, 0, err
 		}
 		st := g.Recovery()
 		done := tenantDone(g)
-		res.TotalOps += len(done)
 		tr := TenantResult{
 			Tenant:  plans[i].idx,
 			GroupID: g.ID,
@@ -427,10 +427,6 @@ func collectWorkload(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
 			tr.Failed = st.Err != nil
 			tr.Evicted = len(st.Evicted)
 			tr.Retries = st.Retries
-			if tr.Failed {
-				res.FailedTenants++
-			}
-			res.Evictions += tr.Evicted
 		}
 		if c.tr != nil && (st == nil || st.Retries == 0) {
 			// Emit one span per op: queue wait (eligible to first post)
@@ -446,7 +442,7 @@ func collectWorkload(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
 		if len(done) == 0 {
 			// Terminal failure before the first completion: the zeroed,
 			// Failed-flagged row keeps the tenant visible in the report.
-			res.Tenants = append(res.Tenants, tr)
+			out = append(out, tr)
 			continue
 		}
 		last := done[len(done)-1]
@@ -464,30 +460,15 @@ func collectWorkload(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
 			}
 		}
 		sort.Float64s(lat)
-		tput := float64(len(done)) / (last.Micros() / 1e6)
 		tr.MeanUS = sum / float64(len(done))
 		tr.P50US = percentile(lat, 0.50)
 		tr.P95US = percentile(lat, 0.95)
 		tr.P99US = percentile(lat, 0.99)
 		tr.MaxUS = maxL
-		tr.OpsPerSec = tput
-		res.Tenants = append(res.Tenants, tr)
-		sumTput += tput
-		sumTputSq += tput * tput
+		tr.OpsPerSec = float64(len(done)) / (last.Micros() / 1e6)
+		out = append(out, tr)
 	}
-	res.MakespanUS = makespan.Micros()
-	if res.MakespanUS > 0 {
-		res.AggOpsPerSec = float64(res.TotalOps) / (res.MakespanUS / 1e6)
-	}
-	if sumTputSq > 0 {
-		res.Fairness = sumTput * sumTput / (float64(len(groups)) * sumTputSq)
-	}
-	net := c.be.netCounters()
-	res.Sent, res.Dropped = net.Sent, net.Dropped
-	if c.tr != nil {
-		res.Decomp = c.tr.Decomp()
-	}
-	return res, nil
+	return out, makespan, nil
 }
 
 // RunWorkload generates spec's tenants over the cluster, runs every
@@ -495,105 +476,15 @@ func collectWorkload(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
 // fairness. All randomness derives from spec.Seed; runs are
 // bit-deterministic. Allreduce tenants' results are verified against the
 // reference reduction, so cross-tenant contamination of NIC state cannot
-// pass silently.
+// pass silently. It is the one-shard case of RunWorkloadSharded and runs
+// on the caller's goroutine.
 func RunWorkload(c *Cluster, spec WorkloadSpec) (WorkloadResult, error) {
-	nodes := c.Nodes()
-	if err := spec.validate(nodes); err != nil {
-		return WorkloadResult{}, err
-	}
-	plans, err := planTenants(nodes, spec, c.be)
-	if err != nil {
-		return WorkloadResult{}, err
-	}
-	groups := make([]*Group, len(plans))
-	eligible := make([][]sim.Time, len(plans)) // per tenant, per op
-	for i, p := range plans {
-		g, elig, err := installTenant(c, spec, p)
-		if err != nil {
-			return WorkloadResult{}, err
-		}
-		groups[i], eligible[i] = g, elig
-	}
-
-	for _, g := range groups {
-		g.Launch(spec.OpsPerTenant)
-	}
-	c.DriveAll()
-	c.Eng.Run() // drain trailing traffic so counters are complete
-
-	deriveClosedLoopEligibility(spec, groups, eligible)
-	res, err := collectWorkload(c, spec, plans, groups, eligible)
-	if c.tr != nil {
-		// After collection, so the last live snapshot carries the
-		// span-fed latency histograms alongside the live counters.
-		c.tr.PublishFinal(c.Eng.Now())
-	}
-	return res, err
+	return RunWorkloadSharded([]*Cluster{c}, spec)
 }
 
 // allreduceContrib is the deterministic per-rank contribution workload
-// allreduce tenants feed in; verifyAllreduce recomputes it.
+// allreduce tenants feed in; Group.CheckResults recomputes it.
 func allreduceContrib(rank, iter int) int64 { return int64(rank*31 + iter*7 - 11) }
-
-// verifyTenantAllreduce checks an allreduce tenant's results against the
-// reference reduction. A group that retried under recovery verifies its
-// ledger rows epoch by epoch — each eviction shrinks the membership, so
-// the expected reduction changes at every epoch boundary.
-func verifyTenantAllreduce(g *Group) error {
-	st := g.Recovery()
-	if st == nil || st.Retries == 0 {
-		return verifyAllreduce(g)
-	}
-	if g.Kind != OpAllreduce {
-		return nil
-	}
-	epochs := st.Epochs
-	e := 0
-	for iter, row := range st.Rows {
-		for e+1 < len(epochs) && epochs[e+1].FromOp <= iter {
-			e++
-		}
-		size := len(epochs[e].Members)
-		if len(row) != size {
-			return fmt.Errorf("comm: group %d allreduce op %d: %d results for a membership of %d",
-				g.ID, iter, len(row), size)
-		}
-		want := allreduceContrib(0, iter)
-		for r := 1; r < size; r++ {
-			want = core.ReduceMax.Combine(want, allreduceContrib(r, iter))
-		}
-		for rank, got := range row {
-			if got != want {
-				return fmt.Errorf("comm: group %d allreduce op %d rank %d: got %d, want %d",
-					g.ID, iter, rank, got, want)
-			}
-		}
-	}
-	return nil
-}
-
-// verifyAllreduce checks every iteration's result on every rank against
-// the reference reduction — the cheap invariant that proves concurrent
-// groups did not contaminate each other's NIC state.
-func verifyAllreduce(g *Group) error {
-	rows := g.Results()
-	if rows == nil {
-		return nil
-	}
-	for iter, row := range rows {
-		want := allreduceContrib(0, iter)
-		for r := 1; r < g.Size(); r++ {
-			want = core.ReduceMax.Combine(want, allreduceContrib(r, iter))
-		}
-		for rank, got := range row {
-			if got != want {
-				return fmt.Errorf("comm: group %d allreduce iter %d rank %d: got %d, want %d",
-					g.ID, iter, rank, got, want)
-			}
-		}
-	}
-	return nil
-}
 
 // ChurnSpec describes a tenant-churn workload: tenants arrive over
 // virtual time on a Poisson process, each installs a group (through the
@@ -707,15 +598,13 @@ type churnTenant struct {
 	target    int // run-local final iteration of the current run
 	swapped   bool
 	// lastDone tracks the previous completion (arrival before the first)
-	// for the pre/post-swap latency histograms.
+	// for the pre/post-swap latency histograms and the op spans.
 	lastDone sim.Time
 }
 
 // planChurn draws every churn tenant's lifecycle (arrival instant,
 // size, membership, optional reconfiguration target, think times) from
-// spec.Seed. Like planTenants, the draw order is a compatibility
-// contract: partitioned churn runs execute the same lifecycles a
-// single-cluster run would.
+// spec.Seed.
 func planChurn(nodes int, spec ChurnSpec) []*churnTenant {
 	rng := sim.NewRNG(spec.Seed ^ 0xc42917)
 	minSize, maxSize := spec.sizeBounds(nodes)
@@ -742,29 +631,26 @@ func planChurn(nodes int, spec ChurnSpec) []*churnTenant {
 	return tenants
 }
 
-// churnOutcome is the raw product of one cluster's churn run, merged by
-// finalizeChurn. Keeping the raw queue waits and latency histograms
-// (rather than summarized percentiles) lets a sharded run compute exact
-// statistics over all shards combined.
-type churnOutcome struct {
-	completed                  int
-	lastDepart                 sim.Time
-	reconfigs, reconfigsFailed int
-	st                         AdmissionStats
-	pre, post                  obs.Histogram
-	sent, dropped              uint64
-}
-
-// runChurnPlans executes the given tenant lifecycles on one cluster —
-// the whole workload, or one shard's round-robin slice of it — and
-// returns the raw outcome.
-func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOutcome, error) {
+// RunChurn executes spec's tenant churn on the cluster and reports
+// throughput, admission and lifecycle statistics. All randomness derives
+// from spec.Seed; runs are bit-deterministic. It returns an error when a
+// tenant's install fails under the configured policy (AdmitError on a
+// full NIC, a queued install that can never be served) — under
+// AdmitQueue with departing tenants the run completes by construction.
+// On a traced cluster every completed op emits a span: eligible at the
+// tenant's arrival (op 0) or at the previous completion plus think
+// time, started at its first post.
+func RunChurn(c *Cluster, spec ChurnSpec) (ChurnResult, error) {
+	nodes := c.Nodes()
+	if err := spec.validate(nodes); err != nil {
+		return ChurnResult{}, err
+	}
+	tenants := planChurn(nodes, spec)
 	c.SetAdmission(AdmissionConfig{Policy: spec.Policy, ChargeSetupCosts: spec.ChargeSetupCosts})
 
-	var out churnOutcome
+	res := ChurnResult{Tenants: spec.Tenants}
 	var failure error
 	var lastDepart sim.Time
-	completed := 0
 	// Per-op latency (completion gap) of reconfiguring tenants, split at
 	// their membership swap — the apples-to-apples SLO comparison.
 	var preLat, postLat obs.Histogram
@@ -800,6 +686,16 @@ func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOut
 			}
 			tn.target = firstRun
 			g.SetOnIterDone(func(iter int, doneAt sim.Time) {
+				if c.tr != nil {
+					op, eligible := iter, tn.lastDone
+					if tn.swapped {
+						op += firstRun
+					}
+					if op > 0 && tn.think != nil {
+						eligible = eligible.Add(tn.think[op])
+					}
+					c.tr.OpSpan(int(g.ID), OpBarrier.String(), eligible, g.StartAt()[iter], doneAt)
+				}
 				if tn.newMembrs != nil {
 					gap := doneAt.Sub(tn.lastDone)
 					if tn.swapped {
@@ -818,9 +714,12 @@ func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOut
 					tn.swapped = true
 					g.Reset()
 					if err := g.Reconfigure(tn.newMembrs); err != nil {
-						out.reconfigsFailed++ // keep the old membership
+						res.ReconfigsFailed++ // keep the old membership
 					} else {
-						out.reconfigs++
+						res.Reconfigs++
+						if c.tr != nil {
+							c.tr.BindGroupTenant(int(g.ID), tn.idx) // the swap drew a new group ID
+						}
 					}
 					if tn.think != nil {
 						// The pacer indexes by run-local iteration, which
@@ -835,7 +734,7 @@ func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOut
 				}
 				// Departure: free the slots; queued installs drain now.
 				g.Close()
-				completed++
+				res.Completed++
 				if doneAt > lastDepart {
 					lastDepart = doneAt
 				}
@@ -844,67 +743,32 @@ func runChurnPlans(c *Cluster, spec ChurnSpec, tenants []*churnTenant) (churnOut
 		})
 	}
 
-	finished := func() bool { return failure != nil || completed == len(tenants) }
+	finished := func() bool { return failure != nil || res.Completed == len(tenants) }
 	if !c.Eng.RunCondition(finished) && failure == nil {
-		st := c.AdmissionStats()
-		return churnOutcome{}, fmt.Errorf(
+		return ChurnResult{}, fmt.Errorf(
 			"comm: churn deadlocked with %d of %d tenants complete (%d installs still queued)",
-			completed, len(tenants), st.QueueLen)
+			res.Completed, len(tenants), c.AdmissionStats().QueueLen)
 	}
 	if failure != nil {
-		return churnOutcome{}, failure
+		return ChurnResult{}, failure
 	}
 	c.Eng.Run() // drain trailing teardown charges and wire traffic
 	if c.tr != nil {
 		c.tr.PublishFinal(c.Eng.Now())
 	}
 
-	out.completed = completed
-	out.lastDepart = lastDepart
-	out.st = c.AdmissionStats()
-	out.pre, out.post = preLat, postLat
-	net := c.be.netCounters()
-	out.sent, out.dropped = net.Sent, net.Dropped
-	return out, nil
-}
-
-// finalizeChurn merges one outcome per cluster into the reported
-// statistics: counts sum, high-water marks take the maximum, and the
-// wait/latency distributions are pooled before percentiles are taken.
-func finalizeChurn(spec ChurnSpec, outs []churnOutcome) ChurnResult {
-	res := ChurnResult{Tenants: spec.Tenants}
-	var waits []float64
-	var preLat, postLat obs.Histogram
-	var lastDepart sim.Time
-	for i := range outs {
-		o := &outs[i]
-		res.Completed += o.completed
-		res.Installs += o.st.Installs
-		res.Uninstalls += o.st.Uninstalls
-		res.QueuedInstalls += o.st.Queued
-		if o.st.MaxQueueLen > res.MaxQueueLen {
-			res.MaxQueueLen = o.st.MaxQueueLen
-		}
-		if o.st.SlotHighWater > res.SlotHighWater {
-			res.SlotHighWater = o.st.SlotHighWater
-		}
-		res.Reconfigs += o.reconfigs
-		res.ReconfigsFailed += o.reconfigsFailed
-		waits = append(waits, o.st.WaitsUS...)
-		preLat.Merge(&o.pre)
-		postLat.Merge(&o.post)
-		if o.lastDepart > lastDepart {
-			lastDepart = o.lastDepart
-		}
-		res.Sent += o.sent
-		res.Dropped += o.dropped
-	}
+	st := c.AdmissionStats()
+	res.Installs, res.Uninstalls, res.QueuedInstalls = st.Installs, st.Uninstalls, st.Queued
+	res.MaxQueueLen, res.SlotHighWater = st.MaxQueueLen, st.SlotHighWater
+	net := c.Counters()
+	res.Sent, res.Dropped = net.Sent, net.Dropped
 	res.TotalOps = res.Completed * spec.OpsPerTenant
 	res.MakespanUS = lastDepart.Micros()
 	if res.MakespanUS > 0 {
 		res.AggOpsPerSec = float64(res.TotalOps) / (res.MakespanUS / 1e6)
 	}
-	if len(waits) > 0 {
+	if len(st.WaitsUS) > 0 {
+		waits := slices.Clone(st.WaitsUS)
 		sort.Float64s(waits)
 		var sum float64
 		for _, w := range waits {
@@ -923,25 +787,7 @@ func finalizeChurn(spec ChurnSpec, outs []churnOutcome) ChurnResult {
 		res.PostSwapOps = int(s.Count)
 		res.PostSwapP50US, res.PostSwapP95US, res.PostSwapP99US = s.P50US, s.P95US, s.P99US
 	}
-	return res
-}
-
-// RunChurn executes spec's tenant churn on the cluster and reports
-// throughput, admission and lifecycle statistics. All randomness derives
-// from spec.Seed; runs are bit-deterministic. It returns an error when a
-// tenant's install fails under the configured policy (AdmitError on a
-// full NIC, a queued install that can never be served) — under
-// AdmitQueue with departing tenants the run completes by construction.
-func RunChurn(c *Cluster, spec ChurnSpec) (ChurnResult, error) {
-	nodes := c.Nodes()
-	if err := spec.validate(nodes); err != nil {
-		return ChurnResult{}, err
-	}
-	out, err := runChurnPlans(c, spec, planChurn(nodes, spec))
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	return finalizeChurn(spec, []churnOutcome{out}), nil
+	return res, nil
 }
 
 // percentile returns the nearest-rank percentile of sorted values.

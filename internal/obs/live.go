@@ -71,7 +71,7 @@ func (s *Scope) metroTick(at sim.Time) {
 // It returns the published epoch.
 func (s *Scope) Publish(at sim.Time) uint64 {
 	s.pubSeq.Add(1) // odd: publication in progress
-	snap := s.snapshot()
+	snap := s.Snapshot()
 	snap.Epoch = s.pubSeq.Load()/2 + 1
 	snap.AtUS = at.Micros()
 	s.live.Store(&snap)

@@ -175,7 +175,7 @@ func TestMergeTenantsPoolsAcrossScopes(t *testing.T) {
 	b.OpSpan(0, "bcast", 0, 0, sim.Time(2*sim.Microsecond))
 	a.OpSpan(5, "barrier", 0, 0, sim.Time(1*sim.Microsecond)) // unbound
 
-	rows := Snapshot{Scopes: []ScopeSnapshot{a.snapshot(), b.snapshot()}}.MergeTenants()
+	rows := Snapshot{Scopes: []ScopeSnapshot{a.Snapshot(), b.Snapshot()}}.MergeTenants()
 	if len(rows) != 2 {
 		t.Fatalf("merged rows: %+v", rows)
 	}
@@ -196,7 +196,7 @@ func TestLifecycleOnlyGroupSurvivesSnapshot(t *testing.T) {
 	tr := NewTracer()
 	sc := tr.NewScope("x")
 	sc.Lifecycle(0, 4, KindEvict, 9)
-	ss := sc.snapshot()
+	ss := sc.Snapshot()
 	if len(ss.Groups) != 1 || ss.Groups[0].Evictions != 1 {
 		t.Fatalf("lifecycle-only group dropped from snapshot: %+v", ss.Groups)
 	}

@@ -181,12 +181,16 @@ func (s Snapshot) MergeTenants() []GroupSnapshot {
 func (tr *Tracer) Snapshot() Snapshot {
 	var out Snapshot
 	for _, s := range tr.Scopes() {
-		out.Scopes = append(out.Scopes, s.snapshot())
+		out.Scopes = append(out.Scopes, s.Snapshot())
 	}
 	return out
 }
 
-func (s *Scope) snapshot() ScopeSnapshot {
+// Snapshot exports the scope's current metric state. Like every read of
+// a scope's live accumulators it must not race the scope's writer: call
+// it from the goroutine driving the scope's engine, or after that
+// goroutine is done.
+func (s *Scope) Snapshot() ScopeSnapshot {
 	ss := ScopeSnapshot{
 		Name:            s.name,
 		EventsFired:     s.eventsFired,
@@ -302,7 +306,7 @@ func DecompByKind(snap Snapshot) []OpDecomp {
 // Decomp aggregates this scope's per-group phase attribution into
 // per-op-kind decomposition rows; see DecompByKind.
 func (s *Scope) Decomp() []OpDecomp {
-	return DecompByKind(Snapshot{Scopes: []ScopeSnapshot{s.snapshot()}})
+	return DecompByKind(Snapshot{Scopes: []ScopeSnapshot{s.Snapshot()}})
 }
 
 // FormatDecomp renders a latency-decomposition table (queue/wire/NIC

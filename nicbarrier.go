@@ -161,22 +161,8 @@ type Config struct {
 	// cluster built from this Config: packet-lifecycle records, NIC
 	// firmware events, per-op spans and latency-decomposition metrics,
 	// exportable as a Chrome trace (see NewTrace). Tracing never alters
-	// the simulated timeline; results stay bit-identical. Under
-	// Partitions > 1 each shard gets its own scope (suffixed "/shardN"
-	// for N ≥ 1), since scopes record from one engine goroutine each.
+	// the simulated timeline; results stay bit-identical.
 	Trace *Trace
-	// Partitions runs multi-tenant workloads (RunWorkload/RunChurn and
-	// the Measure* wrappers over them) on that many replica shards in
-	// parallel, dealing tenants round-robin across them. 0 or 1 (the
-	// default) is the single-partition path, bit-identical to the
-	// historical results; P > 1 keeps every tenant's membership, kind,
-	// operation count and pacing draws identical but simulates
-	// cross-tenant contention only within a shard. Results are
-	// bit-deterministic per (Seed, Partitions) pair. Unitless count;
-	// values above Tenants leave the extra shards idle. Single-group
-	// measurements (Barrier/Broadcast/Allreduce) always run on one
-	// partition.
-	Partitions int
 }
 
 // Result summarizes one measurement.
@@ -218,9 +204,6 @@ func (c Config) validate() error {
 	if c.LossRate < 0 || c.LossRate >= 1 {
 		return fmt.Errorf("nicbarrier: LossRate = %v outside [0,1)", c.LossRate)
 	}
-	if c.Partitions < 0 {
-		return fmt.Errorf("nicbarrier: Partitions = %d", c.Partitions)
-	}
 	quadrics := c.Interconnect == QuadricsElan3
 	if c.Scheme == HardwareBroadcast && !quadrics {
 		return fmt.Errorf("nicbarrier: hardware broadcast barrier needs Quadrics")
@@ -256,12 +239,12 @@ func (c Config) ids() []int {
 // group spanning cfg.Nodes, one run — bit-identical to the historical
 // one-shot path.
 func MeasureBarrier(cfg Config, warmup, iters int) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if err := checkLoop(warmup, iters); err != nil {
-		return Result{}, err
-	}
+	return measureOnce(cfg, func(g *Group) (Result, error) { return g.Barrier(warmup, iters) })
+}
+
+// measureOnce builds a fresh cluster from cfg, declares one group over
+// all its nodes (in cfg's rank placement) and measures run on it.
+func measureOnce(cfg Config, run func(*Group) (Result, error)) (Result, error) {
 	c, err := NewCluster(cfg)
 	if err != nil {
 		return Result{}, err
@@ -270,7 +253,7 @@ func MeasureBarrier(cfg Config, warmup, iters int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return g.Barrier(warmup, iters)
+	return run(g)
 }
 
 func myrinetProfile(ic Interconnect) hwprofile.MyrinetProfile {
@@ -280,39 +263,12 @@ func myrinetProfile(ic Interconnect) hwprofile.MyrinetProfile {
 	return hwprofile.LANaiXPCluster()
 }
 
-// applyFaults compiles Config.Faults onto a Myrinet cluster.
-func applyMyrinetFaults(cfg Config, cl *myrinet.Cluster) {
-	if plan := compileFaults(cfg.Faults, cfg.Seed, cl.Prof.Net.BandwidthMBps); plan != nil {
-		cl.SetFaults(plan)
-	}
-}
-
 // MeasureBroadcast runs the NIC-based broadcast extension on a Myrinet
 // cluster: the root's notification fans down a degree-ary tree entirely
 // on the NICs. Like MeasureBarrier, it is a thin wrapper over a
 // single-group Cluster.
 func MeasureBroadcast(cfg Config, root, degree, warmup, iters int) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if root < 0 || root >= cfg.Nodes {
-		return Result{}, fmt.Errorf("nicbarrier: root %d outside group of %d", root, cfg.Nodes)
-	}
-	if err := checkLoop(warmup, iters); err != nil {
-		return Result{}, err
-	}
-	if cfg.Interconnect == QuadricsElan3 {
-		return Result{}, fmt.Errorf("nicbarrier: NIC-based broadcast is implemented on Myrinet")
-	}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	g, err := c.NewGroup(cfg.ids())
-	if err != nil {
-		return Result{}, err
-	}
-	return g.Broadcast(root, degree, warmup, iters)
+	return measureOnce(cfg, func(g *Group) (Result, error) { return g.Broadcast(root, degree, warmup, iters) })
 }
 
 // ReduceOperator selects the combining operator of a NIC-based allreduce.
@@ -348,24 +304,7 @@ func (op ReduceOperator) String() string { return op.internal().String() }
 // that cannot be exact (sum over non-power-of-two dissemination). Like
 // MeasureBarrier, it is a thin wrapper over a single-group Cluster.
 func MeasureAllreduce(cfg Config, op ReduceOperator, warmup, iters int) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if cfg.Interconnect == QuadricsElan3 {
-		return Result{}, fmt.Errorf("nicbarrier: NIC-based allreduce is implemented on Myrinet")
-	}
-	if err := checkLoop(warmup, iters); err != nil {
-		return Result{}, err
-	}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	g, err := c.NewGroup(cfg.ids())
-	if err != nil {
-		return Result{}, err
-	}
-	return g.Allreduce(op, warmup, iters)
+	return measureOnce(cfg, func(g *Group) (Result, error) { return g.Allreduce(op, warmup, iters) })
 }
 
 // Fidelity selects how closely the experiment loop follows the paper.

@@ -139,11 +139,8 @@ func (s WorkloadSpec) internal(seed uint64) comm.WorkloadSpec {
 // RunWorkload generates and runs spec's tenants concurrently on this
 // cluster. Randomness (membership, mix assignment, arrival draws)
 // derives from the cluster Config's Seed; runs are bit-deterministic.
-// Under Config.Partitions > 1 the tenants are dealt round-robin across
-// the replica shards and the shards run in parallel (see the
-// Partitions field for the fidelity contract).
 func (c *Cluster) RunWorkload(spec WorkloadSpec) (WorkloadResult, error) {
-	res, err := comm.RunWorkloadSharded(c.workloadClusters(), spec.internal(c.cfg.Seed))
+	res, err := comm.RunWorkload(c.c, spec.internal(c.cfg.Seed))
 	if err != nil {
 		return WorkloadResult{}, err
 	}
@@ -250,11 +247,9 @@ type ChurnResult struct {
 // RunChurn executes spec's tenant churn on this cluster. Randomness
 // derives from the cluster Config's Seed; runs are bit-deterministic.
 // Note: RunChurn reconfigures the cluster's admission controller to
-// spec.Policy for the run. Under Config.Partitions > 1 tenant
-// lifecycles are dealt round-robin across the replica shards, which
-// run in parallel.
+// spec.Policy for the run.
 func (c *Cluster) RunChurn(spec ChurnSpec) (ChurnResult, error) {
-	res, err := comm.RunChurnSharded(c.workloadClusters(), comm.ChurnSpec{
+	res, err := comm.RunChurn(c.c, comm.ChurnSpec{
 		Tenants:          spec.Tenants,
 		OpsPerTenant:     spec.OpsPerTenant,
 		GroupSizeMin:     spec.GroupSizeMin,
