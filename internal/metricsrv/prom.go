@@ -4,18 +4,23 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"nicbarrier/internal/obs"
 )
 
 // Prometheus text exposition (format version 0.0.4), hand-rolled — the
 // repository takes no dependencies, and the counter/gauge subset the
 // obs snapshots need is a few dozen lines.
 //
-// Label scheme: every sample carries run="<name>" (and scope="..." for
-// per-scope engine counters). Per-tenant samples come from the
-// tenant-merged view — one time series per workload-wide tenant however
-// many shards it ran across — labeled tenant="<index>",kind="<op>".
-// Latency is exposed summary-style: _us{quantile=...} gauges plus
-// _us_sum and _us_count, all per tenant.
+// Label scheme: every sample carries run="<name>",scope="<scope>" — a
+// run's scopes are separate simulated clusters (the data points of a
+// registry scenario, or the shards of a partitioned workload, which
+// deal each tenant to one shard), so nothing is pooled across them.
+// Per-tenant samples add tenant="<index>",kind="<op>" and come from the
+// scope's tenant-merged view, which folds the groups a reconfiguration
+// rebound to the same tenant into one series. Latency is exposed
+// summary-style: _us{quantile=...} gauges plus _us_sum and _us_count,
+// all per tenant.
 
 // promEscape escapes a label value per the exposition format.
 func promEscape(v string) string {
@@ -73,37 +78,44 @@ func writeRunMetrics(w io.Writer, run *Run) {
 		fmt.Fprintf(w, "nicbarrier_events_cancelled_total{%s} %d\n", sl, sc.EventsCancelled)
 		fmt.Fprintf(w, "nicbarrier_records_total{%s} %d\n", sl, sc.Records)
 	}
-	for _, g := range snap.MergeTenants() {
-		tl := fmt.Sprintf(`%s,tenant="%d",kind="%s"`, rl, g.Tenant, promEscape(g.Kind))
-		fmt.Fprintf(w, "nicbarrier_ops_total{%s} %d\n", tl, g.Done)
-		fmt.Fprintf(w, "nicbarrier_ops_spanned_total{%s} %d\n", tl, g.Ops)
-		fmt.Fprintf(w, "nicbarrier_packets_sent_total{%s} %d\n", tl, g.Sent)
-		fmt.Fprintf(w, "nicbarrier_packets_dropped_total{%s} %d\n", tl, g.Dropped)
-		for _, d := range []struct {
-			reason string
-			n      uint64
-		}{
-			{"injected", g.Drops.Injected}, {"mid-route", g.Drops.MidRoute},
-			{"rejected", g.Drops.Rejected}, {"fail-stop", g.Drops.FailStop},
-		} {
-			fmt.Fprintf(w, "nicbarrier_drops_total{%s,reason=\"%s\"} %d\n", tl, d.reason, d.n)
+	for _, sc := range snap.Scopes {
+		sl := fmt.Sprintf(`%s,scope="%s"`, rl, promEscape(sc.Name))
+		for _, g := range (obs.Snapshot{Scopes: []obs.ScopeSnapshot{sc}}).MergeTenants() {
+			writeTenantMetrics(w, fmt.Sprintf(`%s,tenant="%d",kind="%s"`, sl, g.Tenant, promEscape(g.Kind)), g)
 		}
-		fmt.Fprintf(w, "nicbarrier_op_timeouts_total{%s} %d\n", tl, g.Timeouts)
-		fmt.Fprintf(w, "nicbarrier_evictions_total{%s} %d\n", tl, g.Evictions)
-		fmt.Fprintf(w, "nicbarrier_retries_total{%s} %d\n", tl, g.Retries)
-		fmt.Fprintf(w, "nicbarrier_queue_us_total{%s} %g\n", tl, g.QueueUS)
-		fmt.Fprintf(w, "nicbarrier_wire_us_total{%s} %g\n", tl, g.WireUS)
-		fmt.Fprintf(w, "nicbarrier_nic_us_total{%s} %g\n", tl, g.NICUS)
-		if h := g.Latency; h.Count > 0 {
-			for _, q := range []struct {
-				q string
-				v float64
-			}{{"0.5", h.P50US}, {"0.95", h.P95US}, {"0.99", h.P99US}} {
-				fmt.Fprintf(w, "nicbarrier_latency_us{%s,quantile=\"%s\"} %g\n", tl, q.q, q.v)
-			}
-			fmt.Fprintf(w, "nicbarrier_latency_us_sum{%s} %g\n", tl, float64(h.SumNS)/1e3)
-			fmt.Fprintf(w, "nicbarrier_latency_us_count{%s} %d\n", tl, h.Count)
-			fmt.Fprintf(w, "nicbarrier_latency_us_max{%s} %g\n", tl, h.MaxUS)
+	}
+}
+
+// writeTenantMetrics writes one tenant's series under labels tl.
+func writeTenantMetrics(w io.Writer, tl string, g obs.GroupSnapshot) {
+	fmt.Fprintf(w, "nicbarrier_ops_total{%s} %d\n", tl, g.Done)
+	fmt.Fprintf(w, "nicbarrier_ops_spanned_total{%s} %d\n", tl, g.Ops)
+	fmt.Fprintf(w, "nicbarrier_packets_sent_total{%s} %d\n", tl, g.Sent)
+	fmt.Fprintf(w, "nicbarrier_packets_dropped_total{%s} %d\n", tl, g.Dropped)
+	for _, d := range []struct {
+		reason string
+		n      uint64
+	}{
+		{"injected", g.Drops.Injected}, {"mid-route", g.Drops.MidRoute},
+		{"rejected", g.Drops.Rejected}, {"fail-stop", g.Drops.FailStop},
+	} {
+		fmt.Fprintf(w, "nicbarrier_drops_total{%s,reason=\"%s\"} %d\n", tl, d.reason, d.n)
+	}
+	fmt.Fprintf(w, "nicbarrier_op_timeouts_total{%s} %d\n", tl, g.Timeouts)
+	fmt.Fprintf(w, "nicbarrier_evictions_total{%s} %d\n", tl, g.Evictions)
+	fmt.Fprintf(w, "nicbarrier_retries_total{%s} %d\n", tl, g.Retries)
+	fmt.Fprintf(w, "nicbarrier_queue_us_total{%s} %g\n", tl, g.QueueUS)
+	fmt.Fprintf(w, "nicbarrier_wire_us_total{%s} %g\n", tl, g.WireUS)
+	fmt.Fprintf(w, "nicbarrier_nic_us_total{%s} %g\n", tl, g.NICUS)
+	if h := g.Latency; h.Count > 0 {
+		for _, q := range []struct {
+			q string
+			v float64
+		}{{"0.5", h.P50US}, {"0.95", h.P95US}, {"0.99", h.P99US}} {
+			fmt.Fprintf(w, "nicbarrier_latency_us{%s,quantile=\"%s\"} %g\n", tl, q.q, q.v)
 		}
+		fmt.Fprintf(w, "nicbarrier_latency_us_sum{%s} %g\n", tl, float64(h.SumNS)/1e3)
+		fmt.Fprintf(w, "nicbarrier_latency_us_count{%s} %d\n", tl, h.Count)
+		fmt.Fprintf(w, "nicbarrier_latency_us_max{%s} %g\n", tl, h.MaxUS)
 	}
 }

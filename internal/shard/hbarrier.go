@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
@@ -42,13 +43,6 @@ type HierResult struct {
 	MemBytes uint64
 }
 
-// hierToken is the payload of one inter-shard dissemination message:
-// "my shard has finished round `round` prerequisites of iteration
-// `iter`".
-type hierToken struct {
-	iter, round int
-}
-
 const (
 	hierGatherGID  = 1 // group ID of the intra-shard gather barrier
 	hierReleaseGID = 2 // group ID of the intra-shard release broadcast
@@ -56,34 +50,40 @@ const (
 
 // hierShard is one shard's slice of the hierarchical barrier: a
 // full-fidelity Myrinet sub-cluster running a NIC-collective gather
-// barrier and a NIC-based release broadcast, plus the dissemination
-// state machine that stitches shards together through the Runner.
+// barrier and a NIC-based release broadcast, plus this shard's rank of
+// the cross-shard dissemination plan, whose tokens travel as Runner
+// messages.
 type hierShard struct {
 	h      *hier
 	id     int
 	eng    *sim.Engine
 	gather *myrinet.Session
 	bcast  *myrinet.Session
-
-	iter    int      // iteration currently executing (== len(doneAt) completed)
-	state   int      // hierGathering | hierDissem | hierReleasing
-	waiting int      // next dissemination round whose token we await
-	got     [][]bool // got[iter][round]: token received (tokens may arrive early)
-	doneAt  []sim.Time
+	op     *core.OpState // this shard's rank of the cross-shard plan
+	tokens sim.FreeList[hierToken]
+	doneAt []sim.Time // release completion per finished iteration
 }
 
-const (
-	hierGathering = iota
-	hierDissem
-	hierReleasing
-)
+// hierToken is one inbound dissemination token, scheduled on its
+// destination shard's engine at its arrival time: shard from has
+// notified this shard in operation (iteration) seq. Records come from
+// the destination's free list, which only its worker touches.
+type hierToken struct {
+	sh        *hierShard
+	seq, from int
+}
+
+func (t *hierToken) Fire() {
+	sh, seq, from := t.sh, t.seq, t.from
+	sh.tokens.Put(t)
+	sh.step(sh.op.Arrive(seq, from))
+}
 
 type hier struct {
 	spec   HierSpec
 	plan   Plan
 	runner *Runner
 	shards []*hierShard
-	rounds int              // ⌈log2 Parts⌉ dissemination rounds
 	cross  [][]sim.Duration // cross[a][b]: token flight time shard a → b
 	total  int              // Warmup + Iters
 }
@@ -92,13 +92,14 @@ type hier struct {
 // spec.Nodes endpoints partitioned into spec.Parts shards, each shard
 // a full-fidelity Myrinet sub-cluster on its own engine. One global
 // barrier is three phases: an intra-shard NIC-collective dissemination
-// barrier (the paper's protocol, unchanged), ⌈log2 Parts⌉ inter-shard
-// dissemination rounds among shard representatives carried as
-// cross-shard Runner messages, and an intra-shard NIC broadcast that
-// releases the local ranks. Token flight times come from representative
-// routes on the fat-tree topology a flat cluster of spec.Nodes would
-// use, so the lookahead derivation (MinCrossLatency over the same
-// topology) is anchored to the hardware profile rather than invented.
+// barrier (the paper's protocol, unchanged), a dissemination
+// barrier.Plan over the Parts shard representatives — one
+// core.OpState per shard, its tokens carried as cross-shard Runner
+// messages — and an intra-shard NIC broadcast that releases the local
+// ranks. Token flight times come from representative routes on the
+// fat-tree topology a flat cluster of spec.Nodes would use, so the
+// lookahead derivation (MinCrossLatency over the same topology) is
+// anchored to the hardware profile rather than invented.
 //
 // Virtual-time results are deterministic per spec; the shards
 // genuinely run in parallel, so WallTime reflects real speedup.
@@ -115,17 +116,17 @@ func MeasureHierBarrier(spec HierSpec) HierResult {
 	runtime.ReadMemStats(&m0)
 
 	h := &hier{
-		spec:   spec,
-		plan:   NewPlan(spec.Nodes, spec.Parts),
-		rounds: barrier.Log2Ceil(spec.Parts),
-		total:  spec.Warmup + spec.Iters,
+		spec:  spec,
+		plan:  NewPlan(spec.Nodes, spec.Parts),
+		total: spec.Warmup + spec.Iters,
 	}
 	look := h.deriveLatencies()
 
+	dissem := barrier.NewPlan(barrier.Dissemination, spec.Parts, barrier.Options{})
 	engines := make([]*sim.Engine, spec.Parts)
 	for s := 0; s < spec.Parts; s++ {
 		engines[s] = sim.NewEngine()
-		h.shards = append(h.shards, h.newShard(s, engines[s]))
+		h.shards = append(h.shards, h.newShard(s, engines[s], dissem))
 	}
 	h.runner = NewRunner(look, engines, h.deliver)
 
@@ -218,14 +219,14 @@ func (h *hier) deriveLatencies() sim.Duration {
 	return look
 }
 
-func (h *hier) newShard(id int, eng *sim.Engine) *hierShard {
+func (h *hier) newShard(id int, eng *sim.Engine, dissem *barrier.Plan) *hierShard {
 	size := h.plan.Size(id)
 	cl := myrinet.NewCluster(eng, h.spec.Prof, size, nil)
 	ids := make([]int, size)
 	for i := range ids {
 		ids[i] = i
 	}
-	sh := &hierShard{h: h, id: id, eng: eng}
+	sh := &hierShard{h: h, id: id, eng: eng, op: core.NewOpState(dissem.Rank(id))}
 	var err error
 	sh.gather, err = myrinet.NewSessionWithID(cl, hierGatherGID, ids,
 		myrinet.SchemeCollective, barrier.Dissemination, barrier.Options{})
@@ -236,92 +237,48 @@ func (h *hier) newShard(id int, eng *sim.Engine) *hierShard {
 	if err != nil {
 		panic(fmt.Sprintf("shard: release session: %v", err))
 	}
-	sh.gather.OnIterDone = func(int, sim.Time) { sh.onGatherDone() }
+	// Every local rank has entered the barrier: start the cross-shard
+	// operation, which replays tokens that ran ahead of the gather.
+	sh.gather.OnIterDone = func(int, sim.Time) { sh.step(sh.op.Start(len(sh.doneAt))) }
 	sh.bcast.OnIterDone = func(_ int, at sim.Time) { sh.onReleased(at) }
-	sh.got = make([][]bool, h.total)
-	for i := range sh.got {
-		sh.got[i] = make([]bool, h.rounds)
-	}
 	sh.doneAt = make([]sim.Time, 0, h.total)
 	return sh
 }
 
-// deliver is the Runner's per-message callback: schedule the token's
-// processing on the destination shard's engine at its arrival time.
+// deliver is the Runner's per-message callback: schedule the token on
+// the destination shard's engine at its arrival time.
 func (h *hier) deliver(shard int, m Msg) {
 	sh := h.shards[shard]
-	tok := m.Data.(hierToken)
-	sh.eng.Schedule(m.At, func() { sh.onToken(tok) })
+	tok := sh.tokens.Get()
+	*tok = hierToken{sh: sh, seq: m.Op, from: m.From}
+	sh.eng.ScheduleEvent(m.At, tok)
 }
 
 func (h *hier) done() bool {
 	for _, sh := range h.shards {
-		if sh.iter < h.total {
+		if len(sh.doneAt) < h.total {
 			return false
 		}
 	}
 	return true
 }
 
-// onGatherDone fires when every local rank has entered the barrier
-// (the intra-shard gather completed): start the inter-shard
-// dissemination, or release immediately when there is nothing to
-// disseminate (single shard).
-func (sh *hierShard) onGatherDone() {
-	sh.state = hierDissem
-	sh.waiting = 0
-	if sh.h.rounds == 0 {
-		sh.release()
-		return
+// step acts on one cross-shard state transition: each rank the plan
+// unblocked gets this shard's token after the representative-route
+// flight time — which is ≥ the runner's lookahead by construction —
+// and a completed operation releases the local ranks over the NIC
+// broadcast tree.
+func (sh *hierShard) step(sends []int, completed bool, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("shard %d: cross-shard barrier: %v", sh.id, err))
 	}
-	sh.sendRound(0)
-	sh.tryAdvance()
-}
-
-// sendRound emits this shard's round-r token to its dissemination
-// partner (s + 2^r) mod P, arriving after the representative-route
-// flight time — which is ≥ the runner's lookahead by construction.
-func (sh *hierShard) sendRound(r int) {
-	dst := (sh.id + 1<<uint(r)) % sh.h.plan.Parts()
-	repDst, _ := sh.h.plan.Range(dst)
-	at := sh.eng.Now().Add(sh.h.cross[sh.id][dst])
-	sh.h.runner.Send(sh.id, dst, at, repDst, hierToken{iter: sh.iter, round: r})
-}
-
-// onToken buffers an inbound dissemination token. Tokens can run ahead
-// of this shard — a faster peer may finish a later round, or even its
-// next iteration's gather, before we finish the current round — so
-// receipt is recorded per (iteration, round) and consumed when the
-// state machine catches up.
-func (sh *hierShard) onToken(t hierToken) {
-	sh.got[t.iter][t.round] = true
-	if sh.state == hierDissem && t.iter == sh.iter {
-		sh.tryAdvance()
+	for _, dst := range sends {
+		sh.h.runner.Send(sh.id, dst, sh.eng.Now().Add(sh.h.cross[sh.id][dst]), sh.op.Seq())
 	}
-}
-
-// tryAdvance walks the dissemination rounds: each satisfied round
-// unlocks sending the next one (rounds 0..r-1 must be heard before
-// round r is sent, the dissemination invariant); hearing the final
-// round releases the shard.
-func (sh *hierShard) tryAdvance() {
-	for sh.waiting < sh.h.rounds && sh.got[sh.iter][sh.waiting] {
-		sh.waiting++
-		if sh.waiting < sh.h.rounds {
-			sh.sendRound(sh.waiting)
-		}
+	if completed {
+		sh.bcast.Reset()
+		sh.bcast.Launch(1)
 	}
-	if sh.waiting == sh.h.rounds {
-		sh.release()
-	}
-}
-
-// release broadcasts the global completion to the shard's local ranks
-// over the NIC broadcast tree.
-func (sh *hierShard) release() {
-	sh.state = hierReleasing
-	sh.bcast.Reset()
-	sh.bcast.Launch(1)
 }
 
 // onReleased fires when the release broadcast has reached every local
@@ -330,9 +287,7 @@ func (sh *hierShard) release() {
 // release completion instant.
 func (sh *hierShard) onReleased(at sim.Time) {
 	sh.doneAt = append(sh.doneAt, at)
-	sh.iter++
-	if sh.iter < sh.h.total {
-		sh.state = hierGathering
+	if len(sh.doneAt) < sh.h.total {
 		sh.gather.Reset()
 		sh.gather.Launch(1)
 	}

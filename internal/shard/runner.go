@@ -1,12 +1,40 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"nicbarrier/internal/sim"
 )
+
+// Msg is one cross-shard message: an event the destination shard must
+// schedule at virtual time At. The (From, At, Seq) triple totally
+// orders all messages a shard receives in a window — Seq is a
+// per-source running counter, so two messages from the same shard at
+// the same virtual time are delivered in the order they were sent, and
+// messages from different shards are ordered by shard ID. That total
+// order is what makes multi-partition runs reproducible: delivery
+// order never depends on goroutine interleaving.
+type Msg struct {
+	From int      // source shard ID
+	At   sim.Time // virtual delivery time (≥ the window end it was sent in)
+	Seq  uint64   // per-source sequence number, assigned by Runner.Send
+	Op   int      // sequence number of the collective operation it belongs to
+}
+
+// compareMsg orders messages by (From, At, Seq).
+func compareMsg(a, b Msg) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
 
 // Runner drives one sim.Engine per shard through conservative
 // lookahead windows. Each window [W, W+L) — L being the lookahead —
@@ -14,13 +42,16 @@ import (
 // persistent worker goroutine per shard; the conservative invariant
 // (no cross-shard message can be delivered inside the window it was
 // sent in) means the shards cannot observe each other mid-window, so
-// the parallelism is free of both data races and result races. At the
-// window barrier the coordinator drains every non-empty inbound queue
-// — fixing the batch of messages each shard sees at that barrier
-// independently of goroutine timing — and then computes the next
-// window start as the minimum over all shards of the next pending
-// event or message time, so idle stretches of virtual time are skipped
-// in one jump rather than stepped through L nanoseconds at a time.
+// the parallelism is free of both data races and result races. A
+// shard's sends go to its own per-destination outboxes, which only its
+// worker writes during a window; at the window barrier the coordinator
+// collects each destination's messages from every outbox and sorts
+// them by (From, At, Seq) — fixing the batch of messages each shard
+// sees at that barrier independently of goroutine timing — and then
+// computes the next window start as the minimum over all shards of the
+// next pending event or message time, so idle stretches of virtual
+// time are skipped in one jump rather than stepped through L
+// nanoseconds at a time.
 //
 // Workers are spawned once per Run and woken per window through a
 // 1-slot channel carrying the window end, rather than re-spawning a
@@ -52,9 +83,9 @@ type Runner struct {
 type runnerShard struct {
 	eng     *sim.Engine
 	deliver func(Msg)
-	in      Queue
-	seq     uint64 // per-source sequence; touched only by this shard's goroutine
-	pending []Msg  // barrier-drained batch, reused across windows
+	seq     uint64  // per-source sequence; touched only by this shard's goroutine
+	out     [][]Msg // out[to]: sent this window; written only by this shard's goroutine
+	pending []Msg   // barrier-collected batch, reused across windows
 
 	// wake carries the window end to this shard's persistent worker.
 	// Capacity 1 so the coordinator never blocks: the worker has always
@@ -97,6 +128,7 @@ func NewRunner(lookahead sim.Duration, engines []*sim.Engine, deliver func(shard
 		sh := &r.shards[i]
 		sh.eng = e
 		sh.deliver = func(m Msg) { deliver(i, m) }
+		sh.out = make([][]Msg, len(engines))
 	}
 	return r
 }
@@ -110,7 +142,7 @@ func (r *Runner) Windows() uint64 { return r.windows }
 // Delivered reports how many cross-shard messages have been handed to
 // deliver callbacks. Counting happens at delivery, so a read from
 // inside a deliver callback sees the in-flight message already counted
-// and none of the batch still queued behind it.
+// and none of the batch still waiting behind it.
 func (r *Runner) Delivered() uint64 {
 	var n uint64
 	for i := range r.shards {
@@ -119,21 +151,22 @@ func (r *Runner) Delivered() uint64 {
 	return n
 }
 
-// Send queues a cross-shard message from shard `from` to shard `to`,
-// to take effect at virtual time `at` on the destination. It must be
-// called from shard from's goroutine while a window is executing, and
-// at must lie at or beyond the window's end — the conservative
-// invariant. A violation panics: it means the claimed lookahead was
-// larger than the model's true minimum cross-shard latency, which
-// would silently corrupt causality if allowed through.
-func (r *Runner) Send(from, to int, at sim.Time, node int, data any) {
+// Send posts a cross-shard message of operation op from shard `from`
+// to shard `to`, to take effect at virtual time `at` on the
+// destination. It must be called from shard from's goroutine while a
+// window is executing (or from the coordinator's goroutine between
+// Runs), and at must lie at or beyond the window's end — the
+// conservative invariant. A violation panics: it means the claimed
+// lookahead was larger than the model's true minimum cross-shard
+// latency, which would silently corrupt causality if allowed through.
+func (r *Runner) Send(from, to int, at sim.Time, op int) {
 	if at < r.winEnd {
 		panic(fmt.Sprintf("shard: lookahead violation: %d→%d at %v inside window ending %v",
 			from, to, at, r.winEnd))
 	}
 	sh := &r.shards[from]
 	sh.seq++
-	r.shards[to].in.Push(Msg{From: from, At: at, Seq: sh.seq, Node: node, Data: data})
+	sh.out[to] = append(sh.out[to], Msg{From: from, At: at, Seq: sh.seq, Op: op})
 }
 
 // worker is one shard's persistent goroutine: deliver the barrier-fixed
@@ -158,7 +191,7 @@ func (r *Runner) worker(sh *runnerShard) {
 
 // Run executes windows until no shard has pending events or messages,
 // or until stop (checked at every barrier; nil means never) reports
-// true. Each barrier: drain non-empty queues, pick the earliest next
+// true. Each barrier: collect the outboxes, pick the earliest next
 // event or message time W across shards (cached next-event times make
 // an idle shard one comparison), wake the workers of shards with work
 // before W+lookahead, wait for their acks, repeat.
@@ -183,17 +216,20 @@ func (r *Runner) Run(stop func() bool) {
 		if stop != nil && stop() {
 			return
 		}
-		// Barrier phase: no shard goroutine is running, so draining is
-		// race-free and the batch each shard will see is fixed here —
-		// exactly the messages sent in prior windows — rather than
-		// depending on how far sibling goroutines had gotten.
+		// Barrier phase: no shard goroutine is running, so collecting
+		// the outboxes is race-free and the batch each shard will see is
+		// fixed here — exactly the messages sent in prior windows —
+		// rather than depending on how far sibling goroutines had gotten.
 		haveWork := false
 		var next sim.Time
 		for i := range r.shards {
 			sh := &r.shards[i]
-			if !sh.in.Empty() {
-				sh.pending = sh.in.Drain(sh.pending)
+			for j := range r.shards {
+				out := &r.shards[j].out[i]
+				sh.pending = append(sh.pending, *out...)
+				*out = (*out)[:0]
 			}
+			slices.SortFunc(sh.pending, compareMsg)
 			for _, m := range sh.pending {
 				if !haveWork || m.At < next {
 					haveWork, next = true, m.At

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,10 +21,11 @@ func TestDeliveredCountsAtDelivery(t *testing.T) {
 	r = NewRunner(10, engines, func(int, Msg) {
 		seen = append(seen, r.Delivered())
 	})
-	// Inject a batch directly: the queue is drained in one barrier, so
-	// all three messages are delivered back to back in one window.
-	for i := uint64(1); i <= 3; i++ {
-		r.shards[0].in.Push(Msg{From: 0, At: sim.Time(100 * i), Seq: i})
+	// Post a batch before the run: the outboxes are collected in one
+	// barrier, so all three messages are delivered back to back in one
+	// window.
+	for i := 1; i <= 3; i++ {
+		r.Send(0, 0, sim.Time(100*i), 0)
 	}
 	r.Run(nil)
 	if len(seen) != 3 {
@@ -58,50 +60,33 @@ func TestSendLookaheadViolationMessage(t *testing.T) {
 			}
 			engines[0].Stop()
 		}()
-		r.Send(0, 1, 50, 0, nil) // window is [0, 100); arrival at 50 violates
+		r.Send(0, 1, 50, 0) // window is [0, 100); arrival at 50 violates
 	})
 	r.Run(nil)
 }
 
-// TestQueueDrainReusesBuffer pins Drain's buffer contract: a buf with
-// enough capacity is refilled in place (no allocation per barrier),
-// and an undersized buf grows without losing or misordering messages.
-func TestQueueDrainReusesBuffer(t *testing.T) {
-	var q Queue
-	buf := make([]Msg, 1, 8)
-	probe := &buf[0]
-	for i := uint64(3); i > 0; i-- {
-		q.Push(Msg{From: 0, At: sim.Time(i), Seq: i})
+// TestRunnerBatchOrder pins the barrier's merge key: a destination's
+// batch, collected from several senders' outboxes in any send order,
+// is delivered sorted by (From, At, Seq).
+func TestRunnerBatchOrder(t *testing.T) {
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	var got []Msg
+	r := NewRunner(10, engines, func(_ int, m Msg) { got = append(got, m) })
+	r.Send(1, 0, 200, 0)
+	r.Send(0, 0, 300, 1)
+	r.Send(1, 0, 100, 2)
+	r.Send(0, 0, 300, 3)
+	r.Send(0, 0, 100, 4)
+	r.Run(nil)
+	want := []Msg{
+		{From: 0, At: 100, Seq: 3, Op: 4},
+		{From: 0, At: 300, Seq: 1, Op: 1},
+		{From: 0, At: 300, Seq: 2, Op: 3},
+		{From: 1, At: 100, Seq: 2, Op: 2},
+		{From: 1, At: 200, Seq: 1, Op: 0},
 	}
-	got := q.Drain(buf)
-	if &got[0] != probe {
-		t.Fatal("Drain did not reuse the caller's buffer despite sufficient capacity")
-	}
-	if len(got) != 3 || cap(got) != 8 {
-		t.Fatalf("got len %d cap %d, want len 3 cap 8", len(got), cap(got))
-	}
-	for i := range got {
-		if got[i].At != sim.Time(i+1) {
-			t.Fatalf("message %d at %v, want %v", i, got[i].At, sim.Time(i+1))
-		}
-	}
-
-	// Growth: five messages through a two-slot buffer.
-	small := make([]Msg, 0, 2)
-	for i := uint64(5); i > 0; i-- {
-		q.Push(Msg{From: 0, At: sim.Time(i), Seq: i})
-	}
-	grown := q.Drain(small)
-	if len(grown) != 5 {
-		t.Fatalf("drained %d messages through undersized buffer, want 5", len(grown))
-	}
-	for i := range grown {
-		if grown[i].At != sim.Time(i+1) {
-			t.Fatalf("grown drain out of order at %d: %v", i, grown[i].At)
-		}
-	}
-	if !q.Empty() {
-		t.Fatal("queue not empty after drain")
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %+v, want %+v", got, want)
 	}
 }
 
@@ -147,4 +132,39 @@ func BenchmarkRunnerWindow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	r.Run(nil)
+}
+
+// benchSender is a self-rescheduling engine event on shard 0 that sends
+// shard 1 one cross-shard message per firing, one lookahead apart, so
+// every window carries exactly one message.
+type benchSender struct {
+	r    *Runner
+	eng  *sim.Engine
+	left int
+}
+
+func (s *benchSender) Fire() {
+	if s.left > 0 {
+		s.left--
+		look := s.r.Lookahead()
+		s.r.Send(0, 1, s.eng.Now().Add(look), s.left)
+		s.eng.AfterEvent(look, s)
+	}
+}
+
+// BenchmarkRunnerSend measures one cross-shard message end to end:
+// Send into the sender's outbox, collection and ordering at the
+// barrier, delivery on the destination's worker. Gated at 0 allocs/op
+// in CI: outboxes and the delivery batch reuse their buffers, so a
+// steady message stream allocates nothing per message.
+func BenchmarkRunnerSend(b *testing.B) {
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	r := NewRunner(100, engines, func(int, Msg) {})
+	engines[0].ScheduleEvent(0, &benchSender{r: r, eng: engines[0], left: b.N})
+	b.ReportAllocs()
+	b.ResetTimer()
+	r.Run(nil)
+	if got := r.Delivered(); got != uint64(b.N) {
+		b.Fatalf("delivered %d messages, want %d", got, b.N)
+	}
 }

@@ -6,8 +6,8 @@
 // parallel discrete-event simulation (Chandy–Misra–Bryant with a
 // global window): within a window no shard can affect another, so the
 // shards run truly in parallel; at window boundaries cross-shard
-// messages are exchanged through lock-free inbound queues and merged
-// in a deterministic order (source shard ID, then virtual time, then
+// messages are collected from per-sender outboxes and merged in a
+// deterministic order (source shard ID, then virtual time, then
 // per-source sequence number), which keeps multi-partition runs
 // bit-reproducible for a given seed regardless of how the OS schedules
 // the shard goroutines.
@@ -22,13 +22,15 @@
 //
 // Three layers build on this runtime:
 //
-//   - the partitioner (Plan) assigns nodes — and through the
-//     communicator layer, the groups/tenants bound to them — to shards;
+//   - the partitioner (Plan) assigns nodes to shards in contiguous
+//     blocks (the communicator layer deals whole tenants to partitions
+//     round-robin instead, see comm.RunWorkloadSharded);
 //   - the Runner coordinates per-shard engines through windows;
 //   - MeasureHierBarrier simulates shard-spanning collectives (a
 //     hierarchical barrier toward 64k endpoints): full-fidelity
-//     NIC-collective barriers inside each shard, dissemination rounds
-//     between shard representatives as cross-shard messages.
+//     NIC-collective barriers inside each shard, and between shard
+//     representatives the same dissemination barrier.Plan and
+//     core.OpState state machine, its tokens as cross-shard messages.
 package shard
 
 import (
@@ -42,7 +44,7 @@ import (
 // Plan is a deterministic assignment of cluster nodes to shards:
 // contiguous blocks of near-equal size, in node order. Contiguity keeps
 // partition boundaries aligned with the block placement the topologies
-// and workload generators already use, and makes ShardOf O(1)
+// and workload generators already use, and makes Range O(1)
 // arithmetic rather than a lookup.
 type Plan struct {
 	nodes, parts int
@@ -89,32 +91,6 @@ func (p Plan) Size(s int) int {
 	return hi - lo
 }
 
-// ShardOf reports which shard owns a node.
-func (p Plan) ShardOf(node int) int {
-	if node < 0 || node >= p.nodes {
-		panic(fmt.Sprintf("shard: node %d outside [0,%d)", node, p.nodes))
-	}
-	base, extra := p.nodes/p.parts, p.nodes%p.parts
-	// The first `extra` shards hold base+1 nodes each.
-	if fat := extra * (base + 1); node < fat {
-		return node / (base + 1)
-	} else {
-		return extra + (node-fat)/base
-	}
-}
-
-// HomeShard maps a group's member list to the shard that simulates it:
-// the shard owning its first (root) member. The communicator layer
-// binds every group — and therefore every tenant — to exactly one
-// shard; collectives that genuinely span shards go through the
-// hierarchical cross-shard path instead (see MeasureHierBarrier).
-func (p Plan) HomeShard(members []int) int {
-	if len(members) == 0 {
-		panic("shard: home shard of an empty group")
-	}
-	return p.ShardOf(members[0])
-}
-
 // MinCrossLatency derives the conservative lookahead window from the
 // topology and wire parameters: the minimum head latency of any packet
 // whose route crosses a partition boundary. Every route between
@@ -128,7 +104,7 @@ func MinCrossLatency(t topo.Topology, p Plan, params netsim.Params) sim.Duration
 	if p.Parts() < 2 {
 		return 0
 	}
-	min := sim.Duration(1<<62 - 1)
+	least := sim.Duration(1<<62 - 1)
 	for a := 0; a < p.Parts(); a++ {
 		_, hiA := p.Range(a)
 		src := hiA - 1 // boundary node of shard a
@@ -138,12 +114,12 @@ func MinCrossLatency(t topo.Topology, p Plan, params netsim.Params) sim.Duration
 			}
 			loB, _ := p.Range(b)
 			lat := headLatency(t, src, loB, params)
-			if lat < min {
-				min = lat
+			if lat < least {
+				least = lat
 			}
 		}
 	}
-	return min
+	return least
 }
 
 // headLatency is the uncontended head arrival latency of a zero-byte
@@ -160,11 +136,4 @@ func headLatency(t topo.Topology, src, dst int, params netsim.Params) sim.Durati
 		}
 	}
 	return lat
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
