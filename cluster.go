@@ -230,9 +230,6 @@ func (g *Group) Barrier(warmup, iters int) (Result, error) {
 // Broadcast runs warmup+iters NIC-based broadcasts from root down a
 // degree-ary tree (0: the default of 4; Myrinet clusters only).
 func (g *Group) Broadcast(root, degree, warmup, iters int) (Result, error) {
-	if degree == 0 {
-		degree = 4
-	}
 	return g.run(comm.GroupConfig{Kind: comm.OpBroadcast, Root: root, Degree: degree}, warmup, iters)
 }
 
@@ -263,7 +260,7 @@ func (g *Group) run(gc comm.GroupConfig, warmup, iters int) (Result, error) {
 	if err := checkLoop(warmup, iters); err != nil {
 		return Result{}, err
 	}
-	key := shape{kind: gc.Kind, root: gc.Root, degree: gc.Degree, op: gc.Reduce}
+	key := shape{kind: gc.Kind, root: gc.Root, degree: barrier.TreeDegree(gc.Degree), op: gc.Reduce}
 	var cg *comm.Group
 	for _, sg := range g.shapes {
 		if sg.shape == key {

@@ -169,3 +169,35 @@ func TestWorkloadSpecValidationPublic(t *testing.T) {
 		t.Fatal("open loop without rate accepted")
 	}
 }
+
+// Invalid collective shapes fail with an error, never a panic: a
+// broadcast tree of degree 1 or below, a gather-broadcast tree of
+// degree 1, and an unknown allreduce operator. The group stays usable.
+func TestInvalidShapesError(t *testing.T) {
+	c, err := NewCluster(xpConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.NewGroup([]int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, degree := range []int{1, -3} {
+		if _, err := g.Broadcast(0, degree, 0, 2); err == nil {
+			t.Errorf("broadcast of degree %d accepted", degree)
+		}
+	}
+	if _, err := g.Allreduce(ReduceOperator(9), 0, 2); err == nil {
+		t.Error("allreduce with operator 9 accepted")
+	}
+	for _, degree := range []int{1, -2} {
+		cfg := xpConfig(8)
+		cfg.Algorithm, cfg.TreeDegree = GatherBroadcast, degree
+		if _, err := NewCluster(cfg); err == nil {
+			t.Errorf("gather-broadcast tree degree %d accepted", degree)
+		}
+	}
+	if _, err := g.Barrier(0, 2); err != nil {
+		t.Fatalf("barrier after rejected shapes: %v", err)
+	}
+}

@@ -73,9 +73,18 @@ type Options struct {
 	TreeDegree int
 }
 
-// DefaultTreeDegree is the gather-broadcast arity used when Options does
-// not override it.
+// DefaultTreeDegree is the tree arity used when Options (or a broadcast's
+// degree) does not override it.
 const DefaultTreeDegree = 4
+
+// TreeDegree returns the tree arity a requested degree d selects: d
+// itself, or DefaultTreeDegree for 0.
+func TreeDegree(d int) int {
+	if d == 0 {
+		return DefaultTreeDegree
+	}
+	return d
+}
 
 // NewPlan builds the plan of algorithm alg over an n-rank group.
 func NewPlan(alg Algorithm, n int, opts Options) *Plan {
@@ -87,13 +96,11 @@ func NewPlan(alg Algorithm, n int, opts Options) *Plan {
 	case PairwiseExchange:
 		p.log = Log2Floor(n)
 	case GatherBroadcast:
-		p.degree = opts.TreeDegree
-		if p.degree == 0 {
-			p.degree = DefaultTreeDegree
-		}
+		p.degree = TreeDegree(opts.TreeDegree)
 		if p.degree < 2 {
 			panic(fmt.Sprintf("barrier: tree degree %d", p.degree))
 		}
+		p.degree = starDegree(p.degree, n)
 	default:
 		panic(fmt.Sprintf("barrier: unknown algorithm %d", int(alg)))
 	}
@@ -144,10 +151,7 @@ func CriticalSteps(alg Algorithm, n int, opts Options) int {
 		}
 		return Log2Floor(n) + 2
 	case GatherBroadcast:
-		d := opts.TreeDegree
-		if d == 0 {
-			d = DefaultTreeDegree
-		}
+		d := TreeDegree(opts.TreeDegree)
 		steps, p := 0, 1
 		for p < n {
 			p *= d

@@ -23,8 +23,13 @@ func NewBroadcastPlan(n, root, degree int) *Plan {
 	if degree < 2 {
 		panic(fmt.Sprintf("barrier: broadcast degree %d", degree))
 	}
-	return &Plan{alg: broadcast, n: n, degree: degree, root: root}
+	return &Plan{alg: broadcast, n: n, degree: starDegree(degree, n), root: root}
 }
+
+// starDegree caps a tree degree at n−1: every degree from there on
+// builds the same one-level star, and the cap keeps the position
+// arithmetic (position·degree) from overflowing on huge degrees.
+func starDegree(degree, n int) int { return min(degree, max(n-1, 2)) }
 
 // VerifyBroadcast abstractly executes broadcast schedules and checks that
 // every rank completes and has transitively heard from the root.

@@ -101,3 +101,22 @@ func TestBroadcastProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A tree degree far beyond the group size builds the same star as
+// degree n−1 instead of overflowing the position arithmetic.
+func TestHugeTreeDegree(t *testing.T) {
+	const huge = 1 << 62
+	for _, n := range []int{1, 2, 3, 8, 33} {
+		star := max(n-1, 2)
+		gb := NewPlan(GatherBroadcast, n, Options{TreeDegree: huge})
+		bc := NewBroadcastPlan(n, n/2, huge)
+		for r := range n {
+			if err := checkAgainstRef(gb.Rank(r), refNew(GatherBroadcast, n, r, Options{TreeDegree: star})); err != nil {
+				t.Fatalf("gather-broadcast n=%d rank %d: %v", n, r, err)
+			}
+			if err := checkAgainstRef(bc.Rank(r), refBroadcastTree(n, r, n/2, star)); err != nil {
+				t.Fatalf("broadcast n=%d rank %d: %v", n, r, err)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
@@ -8,10 +9,10 @@ import (
 
 // backend is what the communicator layer needs of one interconnect
 // model beyond the shared run driver (core.Session): resources,
-// installs, which configurations the model implements, and the hooks
-// the tracer and fail-stop recovery attach to. Each model has one
-// adapter (backend_myrinet.go, backend_elan.go); a new interconnect is
-// one more.
+// installs of a plan in a mode (never of a kind), what the model can
+// recover, and the hooks the tracer and fail-stop recovery attach to.
+// Each model has one adapter (backend_myrinet.go, backend_elan.go); a
+// new interconnect is one more.
 type backend interface {
 	// nodes reports the cluster size.
 	nodes() int
@@ -20,14 +21,15 @@ type backend interface {
 	slotsFree(node int) int
 	// slotted reports whether gc claims NIC group slots at all.
 	slotted(gc GroupConfig) bool
-	// checkKind rejects a collective the model does not implement.
-	checkKind(k OpKind) error
+	// collectiveProtocol reports whether the model has the NIC
+	// collective protocol that kinds taking no barrier scheme ride.
+	collectiveProtocol() bool
 	// checkRecovery rejects a configuration fail-stop recovery cannot
 	// drive: recovery needs the operation to live on the NICs.
 	checkRecovery(gc GroupConfig) error
-	// bind installs gc's session under group ID gid, leaving the cluster
-	// untouched on failure.
-	bind(gc GroupConfig, gid core.GroupID) (*core.Session, error)
+	// bind installs a session running plan, validated from gc, in mode
+	// under group ID gid, leaving the cluster untouched on failure.
+	bind(gc GroupConfig, gid core.GroupID, plan *barrier.Plan, mode core.Mode) (*core.Session, error)
 	// setTracer attaches sc (nil detaches) to the network and NICs.
 	setTracer(sc *obs.Scope)
 	// setFailureHooks routes every NIC's heartbeat deliveries and, where

@@ -3,13 +3,14 @@ package comm
 import (
 	"fmt"
 
+	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/obs"
 )
 
-// elanBackend adapts a Quadrics cluster: groups run barriers only (the
-// paper's chained-RDMA list is a barrier structure), and only the
+// elanBackend adapts a Quadrics cluster: groups run barrier schemes only
+// (the paper's chained-RDMA list is a barrier structure), and only the
 // chained scheme holds a per-group descriptor slot on the cards.
 type elanBackend struct{ cl *elan.Cluster }
 
@@ -20,12 +21,8 @@ func (b elanBackend) slotsFree(node int) int { return b.cl.Nodes[node].NIC.Chain
 // slotted: gsync and hardware barriers keep no per-group NIC state.
 func (b elanBackend) slotted(gc GroupConfig) bool { return gc.ElanScheme == elan.SchemeChained }
 
-func (b elanBackend) checkKind(k OpKind) error {
-	if k != OpBarrier {
-		return fmt.Errorf("comm: %v is modeled on Myrinet only (Quadrics groups run barriers)", k)
-	}
-	return nil
-}
+// collectiveProtocol: the Elan model runs barrier schemes only.
+func (b elanBackend) collectiveProtocol() bool { return false }
 
 func (b elanBackend) checkRecovery(gc GroupConfig) error {
 	if gc.ElanScheme != elan.SchemeChained {
@@ -34,10 +31,8 @@ func (b elanBackend) checkRecovery(gc GroupConfig) error {
 	return nil
 }
 
-func (b elanBackend) bind(gc GroupConfig, gid core.GroupID) (*core.Session, error) {
-	if err := b.checkKind(gc.Kind); err != nil {
-		return nil, err
-	}
+// bind: each Elan barrier scheme builds its own schedule from gc.
+func (b elanBackend) bind(gc GroupConfig, gid core.GroupID, _ *barrier.Plan, _ core.Mode) (*core.Session, error) {
 	s, err := elan.NewSessionWithID(b.cl, gid, gc.Members, gc.ElanScheme, gc.Algorithm, gc.Options)
 	if err != nil {
 		return nil, err

@@ -11,11 +11,13 @@
 //
 // Each Group drives its members through the backend session's shared
 // run driver (core.Session), held directly; everything else the layer
-// needs of an interconnect — node count, free slots, which kinds and
-// schemes it models or can recover, install, tracer and heartbeat hooks,
-// network counters — goes through the unexported backend interface
-// (backend.go), one adapter per model. No code here branches on which
-// model a Cluster runs.
+// needs of an interconnect — node count, free slots, whether it has the
+// NIC collective protocol, which schemes claim slots or can recover,
+// install, tracer and heartbeat hooks, network counters — goes through
+// the unexported backend interface (backend.go), one adapter per model.
+// No code here branches on which model a Cluster runs, nor, outside the
+// collective table (collectives), on which op kind a group runs: a new
+// collective is one table entry plus its barrier.Plan.
 //
 // Groups are a full lifecycle, not a one-way allocation: Close drains
 // and uninstalls a group, returning its slots (teardown cost charged on
@@ -65,18 +67,68 @@ const (
 	OpAllreduce
 )
 
+// collective is one op kind's entry in the collective table. Every
+// collective is a barrier.Plan run by the same NIC group queues, bit
+// vectors and NACK recovery; kinds differ only in these fields.
+type collective struct {
+	name string
+	// plan builds gc's plan, rejecting a bad root, degree or algorithm.
+	plan func(gc GroupConfig) (*barrier.Plan, error)
+	mode core.Mode
+	// fold kinds need Reduce and Contrib, exact over the plan, and have
+	// their results checked.
+	fold    bool
+	schemed bool            // takes a barrier scheme, else runs the NIC collective protocol
+	weight  func(OpMix) int // the kind's share of a workload mix
+}
+
+// collectives is the collective table, indexed by OpKind.
+var collectives = [...]collective{
+	OpBarrier: {name: "barrier", plan: schedulePlan, mode: core.Chained, schemed: true,
+		weight: func(m OpMix) int { return m.Barrier }},
+	OpBroadcast: {name: "broadcast", plan: treePlan, mode: core.Gated,
+		weight: func(m OpMix) int { return m.Broadcast }},
+	OpAllreduce: {name: "allreduce", plan: schedulePlan, mode: core.Results, fold: true,
+		weight: func(m OpMix) int { return m.Allreduce }},
+}
+
+// collective returns k's table entry, nil for an unknown kind.
+func (k OpKind) collective() *collective {
+	if k < 0 || int(k) >= len(collectives) {
+		return nil
+	}
+	return &collectives[k]
+}
+
 // String implements fmt.Stringer.
 func (k OpKind) String() string {
-	switch k {
-	case OpBarrier:
-		return "barrier"
-	case OpBroadcast:
-		return "broadcast"
-	case OpAllreduce:
-		return "allreduce"
-	default:
-		return fmt.Sprintf("OpKind(%d)", int(k))
+	if op := k.collective(); op != nil {
+		return op.name
 	}
+	return fmt.Sprintf("OpKind(%d)", int(k))
+}
+
+// schedulePlan is the plan of a barrier algorithm over the group.
+func schedulePlan(gc GroupConfig) (*barrier.Plan, error) {
+	if gc.Algorithm < barrier.Dissemination || gc.Algorithm > barrier.GatherBroadcast {
+		return nil, fmt.Errorf("comm: unknown algorithm %d", int(gc.Algorithm))
+	}
+	if d := gc.Options.TreeDegree; d != 0 && d < 2 {
+		return nil, fmt.Errorf("comm: tree degree %d", d)
+	}
+	return barrier.NewPlan(gc.Algorithm, len(gc.Members), gc.Options), nil
+}
+
+// treePlan is the plan of a broadcast from Root down a Degree-ary tree.
+func treePlan(gc GroupConfig) (*barrier.Plan, error) {
+	n, degree := len(gc.Members), barrier.TreeDegree(gc.Degree)
+	if gc.Root < 0 || gc.Root >= n {
+		return nil, fmt.Errorf("comm: broadcast root %d outside group of %d", gc.Root, n)
+	}
+	if degree < 2 {
+		return nil, fmt.Errorf("comm: broadcast degree %d", gc.Degree)
+	}
+	return barrier.NewBroadcastPlan(n, gc.Root, degree), nil
 }
 
 // Cluster multiplexes process groups over one simulated cluster. Exactly
@@ -168,7 +220,7 @@ type GroupConfig struct {
 	// ElanScheme selects the Quadrics implementation (chained, gsync,
 	// hw). Ignored on Myrinet.
 	ElanScheme elan.Scheme
-	// Root and Degree shape broadcast trees (Degree 0 means 4).
+	// Root and Degree shape broadcast trees (Degree 0: barrier.DefaultTreeDegree).
 	Root, Degree int
 	// Reduce and Contrib configure allreduce groups: the combining
 	// operator and each rank's per-iteration contribution.
@@ -194,6 +246,8 @@ type Group struct {
 	// gc is the configuration the group was admitted with, with Members
 	// tracking placement and reconfiguration; Reconfigure reuses it.
 	gc GroupConfig
+	// queuedPlan is a queued install's validated plan, until it binds.
+	queuedPlan *barrier.Plan
 
 	sess     *core.Session
 	launched bool
@@ -236,12 +290,9 @@ type Group struct {
 // exhausted the admission policy decides the outcome: fail cleanly with
 // the cluster untouched (AdmitError, the default), queue the install
 // until a Close frees slots (AdmitQueue), or place the group on
-// alternate members with free slots (AdmitSpread/AdmitPack). Invalid
-// member lists and inexact op/operator combinations always fail.
+// alternate members with free slots (AdmitSpread/AdmitPack). An invalid
+// configuration fails under every policy, with the same error.
 func (c *Cluster) NewGroup(gc GroupConfig) (*Group, error) {
-	if len(gc.Members) < 1 {
-		return nil, fmt.Errorf("comm: empty group")
-	}
 	g := &Group{c: c, Kind: gc.Kind}
 	if err := c.sched.admit(g, gc); err != nil {
 		return nil, err
@@ -447,18 +498,15 @@ func (g *Group) Reconfigure(newMembers []int) error {
 	if g.launched && !g.sess.Done() {
 		return fmt.Errorf("comm: Reconfigure mid-run (drain the launched operations first)")
 	}
-	if len(newMembers) < 1 {
-		return fmt.Errorf("comm: Reconfigure to an empty membership")
-	}
 	gc := g.gc
 	gc.Members = newMembers
-	if err := g.c.sched.preflight(gc); err != nil {
+	plan, err := g.c.sched.validate(&gc)
+	if err != nil {
 		return err
 	}
-	oldSess, oldGC, oldMembers, oldID := g.sess, g.gc, g.Members, g.ID
-	if err := g.c.sched.install(g, gc); err != nil {
-		g.sess, g.gc, g.Members, g.ID = oldSess, oldGC, oldMembers, oldID
-		return err
+	oldSess, oldGC, oldMembers := g.sess, g.gc, g.Members
+	if err := g.c.sched.install(g, gc, plan); err != nil {
+		return err // install leaves g on its old session
 	}
 	g.launched = false
 	oldSess.Close()
@@ -475,16 +523,16 @@ func (g *Group) Results() [][]int64 {
 	return g.sess.Results()
 }
 
-// CheckResults verifies every completed allreduce operation's result on
-// every rank against the reference reduction: the group's own operator
-// folded over its members' contributions for that operation. It is the
-// cheap invariant that proves concurrent groups did not contaminate
-// each other's NIC state. A group with recovery armed checks its
-// recovery ledger instead, epoch by epoch, since each eviction shrinks
-// the membership and so changes the expected reduction. Other kinds
-// have nothing to check.
+// CheckResults verifies every completed operation's result on every
+// rank of a folding group (allreduce) against the reference reduction:
+// the group's own operator folded over its members' contributions for
+// that operation. It is the cheap invariant that proves concurrent
+// groups did not contaminate each other's NIC state. A group with
+// recovery armed checks its recovery ledger instead, epoch by epoch,
+// since each eviction shrinks the membership and so changes the
+// expected reduction. Other kinds have nothing to check.
 func (g *Group) CheckResults() error {
-	if g.Kind != OpAllreduce {
+	if !g.Kind.collective().fold {
 		return nil
 	}
 	rows, epochs, contrib := g.Results(), []MembershipEpoch{{Members: g.Members}}, g.gc.Contrib
@@ -498,8 +546,8 @@ func (g *Group) CheckResults() error {
 		}
 		size := len(epochs[e].Members)
 		if len(row) != size {
-			return fmt.Errorf("comm: group %d allreduce op %d: %d results for a membership of %d",
-				g.ID, op, len(row), size)
+			return fmt.Errorf("comm: group %d %v op %d: %d results for a membership of %d",
+				g.ID, g.Kind, op, len(row), size)
 		}
 		want := contrib(0, op)
 		for r := 1; r < size; r++ {
@@ -507,8 +555,8 @@ func (g *Group) CheckResults() error {
 		}
 		for rank, got := range row {
 			if got != want {
-				return fmt.Errorf("comm: group %d allreduce op %d rank %d: got %d, want %d",
-					g.ID, op, rank, got, want)
+				return fmt.Errorf("comm: group %d %v op %d rank %d: got %d, want %d",
+					g.ID, g.Kind, op, rank, got, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -289,5 +290,86 @@ func TestGroupConfigGuards(t *testing.T) {
 		Members: []int{0, 1}, Kind: OpBroadcast, Root: 5,
 	}); err == nil {
 		t.Fatal("broadcast root outside group accepted")
+	}
+}
+
+// TestInvalidConfigRejected pins that NewGroup rejects every invalid
+// configuration with an error instead of a panic, under both the
+// default and the queueing policy, on a fresh cluster and on one whose
+// NICs have no free slot (where a queueing cluster used to defer the
+// install): the four variants must agree on the error.
+func TestInvalidConfigRejected(t *testing.T) {
+	contrib := func(rank, iter int) int64 { return int64(rank) }
+	members := []int{0, 1, 2, 3}
+	for _, tc := range []struct {
+		name  string
+		elan  bool
+		gc    GroupConfig
+		match string
+	}{
+		{"broadcast degree 1", false, GroupConfig{Kind: OpBroadcast, Degree: 1}, "degree 1"},
+		{"broadcast degree -3", false, GroupConfig{Kind: OpBroadcast, Degree: -3}, "degree -3"},
+		{"barrier tree degree 1", false, GroupConfig{Kind: OpBarrier, Algorithm: barrier.GatherBroadcast,
+			Options: barrier.Options{TreeDegree: 1}, MyrinetScheme: myrinet.SchemeCollective}, "degree 1"},
+		{"allreduce tree degree 1", false, GroupConfig{Kind: OpAllreduce, Algorithm: barrier.GatherBroadcast,
+			Options: barrier.Options{TreeDegree: 1}, Reduce: core.ReduceMax, Contrib: contrib}, "degree 1"},
+		{"gsync tree degree 1", true, GroupConfig{Kind: OpBarrier, ElanScheme: elan.SchemeGsync,
+			Options: barrier.Options{TreeDegree: 1}}, "degree 1"},
+		{"unknown algorithm", false, GroupConfig{Kind: OpBarrier, Algorithm: barrier.Algorithm(9),
+			MyrinetScheme: myrinet.SchemeCollective}, "algorithm 9"},
+		{"unknown Myrinet scheme", false, GroupConfig{Kind: OpBarrier, MyrinetScheme: myrinet.Scheme(9)}, "scheme 9"},
+		{"unknown Elan scheme", true, GroupConfig{Kind: OpBarrier, ElanScheme: elan.Scheme(9)}, "scheme 9"},
+		{"member outside cluster", false, GroupConfig{Kind: OpBarrier, Members: []int{0, 1, 99},
+			MyrinetScheme: myrinet.SchemeCollective}, "node 99 outside"},
+		{"member repeated", false, GroupConfig{Kind: OpBarrier, Members: []int{0, 1, 0},
+			MyrinetScheme: myrinet.SchemeCollective}, "node 0 repeated"},
+		{"unknown reduce op", false, GroupConfig{Kind: OpAllreduce, Reduce: core.ReduceOp(9), Contrib: contrib}, "reduce op 9"},
+		{"inexact sum", false, GroupConfig{Kind: OpAllreduce, Members: []int{0, 1, 2},
+			Reduce: core.ReduceSum, Contrib: contrib}, "power-of-two"},
+	} {
+		if tc.gc.Members == nil {
+			tc.gc.Members = members
+		}
+		var first string
+		for _, policy := range []AdmitPolicy{AdmitError, AdmitQueue} {
+			for _, full := range []bool{false, true} {
+				c := xpComm(8)
+				if tc.elan {
+					c = elanComm(8)
+				}
+				if full {
+					fill := GroupConfig{Members: []int{0, 1, 2, 3, 4, 5, 6, 7}, Kind: OpBarrier,
+						MyrinetScheme: myrinet.SchemeCollective}
+					for c.SlotsFree(0) > 0 {
+						if _, err := c.NewGroup(fill); err != nil {
+							t.Fatalf("%s: filling slots: %v", tc.name, err)
+						}
+					}
+				}
+				c.SetAdmission(AdmissionConfig{Policy: policy})
+				var err error
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s (%v, full %v): NewGroup panicked: %v", tc.name, policy, full, r)
+							err = fmt.Errorf("panic: %v", r)
+						}
+					}()
+					_, err = c.NewGroup(tc.gc)
+				}()
+				if err == nil || !strings.Contains(err.Error(), tc.match) {
+					t.Errorf("%s (%v, full %v): error %v, want one naming %q", tc.name, policy, full, err, tc.match)
+					continue
+				}
+				if first == "" {
+					first = err.Error()
+				} else if err.Error() != first {
+					t.Errorf("%s (%v, full %v): error %q differs from %q", tc.name, policy, full, err, first)
+				}
+				if q := c.AdmissionStats().QueueLen; q != 0 {
+					t.Errorf("%s (%v, full %v): %d installs queued", tc.name, policy, full, q)
+				}
+			}
+		}
 	}
 }

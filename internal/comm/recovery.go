@@ -171,7 +171,7 @@ func (g *Group) SetRecovery(cfg RecoveryConfig) error {
 		return err
 	}
 	rec := &recovery{g: g, cfg: cfg.withDefaults()}
-	if g.Kind == OpAllreduce {
+	if g.Kind.collective().fold {
 		// Rebuilt sessions number operations from 0 again; keep the
 		// tenant's contribution stream continuous across rebuilds by
 		// offsetting the run-local iteration. Always wraps the

@@ -7,6 +7,7 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
+	"nicbarrier/internal/myrinet"
 )
 
 // AdmitPolicy decides what NewGroup does when a member NIC's group
@@ -89,12 +90,16 @@ type sched struct {
 	slotCap int   // per-NIC slot capacity from the hardware profile
 	used    []int // communicator-held slots per node (refcounts)
 	queue   []*Group
+	// seen stamps each member node with the validate call that met it
+	// (pass), so the duplicate check allocates and clears nothing.
+	seen []uint64
+	pass uint64
 
 	stats AdmissionStats
 }
 
 func newSched(c *Cluster, slotCap int) *sched {
-	return &sched{c: c, cfg: AdmissionConfig{}, slotCap: slotCap, used: make([]int, c.Nodes())}
+	return &sched{c: c, cfg: AdmissionConfig{}, slotCap: slotCap, used: make([]int, c.Nodes()), seen: make([]uint64, c.Nodes())}
 }
 
 // SetAdmission configures the admission controller. Changing the policy
@@ -123,26 +128,22 @@ func (c *Cluster) AdmissionStats() AdmissionStats {
 // mirror for the groups it admitted.
 func (c *Cluster) SlotsFree(node int) int { return c.be.slotsFree(node) }
 
-// admit is NewGroup's policy dispatch: try the requested install, and on
-// slot exhaustion either fail, queue, or re-place per the policy.
+// admit is NewGroup's policy dispatch: validate gc, try the requested
+// install, and on slot exhaustion either fail, queue, or re-place per
+// the policy.
 func (s *sched) admit(g *Group, gc GroupConfig) error {
-	err := s.install(g, gc)
-	if err == nil {
-		return nil
+	plan, err := s.validate(&gc)
+	if err != nil {
+		return err
 	}
-	if !errors.Is(err, core.ErrSlotsExhausted) {
+	err = s.install(g, gc, plan)
+	if err == nil || !errors.Is(err, core.ErrSlotsExhausted) {
 		return err
 	}
 	switch s.cfg.Policy {
 	case AdmitQueue:
-		// Everything except slot availability must be valid now, so the
-		// deferred install cannot fail later for a reason the caller
-		// should have seen today.
-		if verr := s.preflight(gc); verr != nil {
-			return verr
-		}
 		gc.Members = append([]int(nil), gc.Members...)
-		g.gc = gc
+		g.gc, g.queuedPlan = gc, plan
 		g.Members = gc.Members
 		g.queuedAt = s.c.Eng.Now()
 		s.queue = append(s.queue, g)
@@ -157,7 +158,7 @@ func (s *sched) admit(g *Group, gc GroupConfig) error {
 			return fmt.Errorf("%w; placement found no alternative: %v", err, perr)
 		}
 		gc.Members = members
-		if ierr := s.install(g, gc); ierr != nil {
+		if ierr := s.install(g, gc, plan); ierr != nil {
 			return ierr
 		}
 		s.stats.Placed++
@@ -167,20 +168,18 @@ func (s *sched) admit(g *Group, gc GroupConfig) error {
 	}
 }
 
-// install binds a backend session for gc under a fresh group ID,
-// updating the slot refcounts and charging the install cost when
-// configured. On failure g keeps whatever session it had (callers that
-// need rollback snapshot around it).
-func (s *sched) install(g *Group, gc GroupConfig) error {
+// install binds a backend session running plan, validated from gc,
+// under a fresh group ID, updating the slot refcounts and charging the
+// install cost when configured. On failure g is left as it was.
+func (s *sched) install(g *Group, gc GroupConfig, plan *barrier.Plan) error {
 	gc.Members = append([]int(nil), gc.Members...)
-	prevID, prevMembers, prevKind := g.ID, g.Members, g.Kind
+	prevID, prevMembers := g.ID, g.Members
 	gid := s.c.nextGID
 	g.ID = gid
 	g.Members = gc.Members
-	g.Kind = gc.Kind
-	sess, err := s.c.be.bind(gc, gid)
+	sess, err := s.c.be.bind(gc, gid, plan, gc.Kind.collective().mode)
 	if err != nil {
-		g.ID, g.Members, g.Kind = prevID, prevMembers, prevKind
+		g.ID, g.Members = prevID, prevMembers
 		return err
 	}
 	g.sess = sess
@@ -241,14 +240,15 @@ func (s *sched) withdraw(g *Group) {
 func (s *sched) drain() {
 	for len(s.queue) > 0 {
 		head := s.queue[0]
-		if err := s.install(head, head.gc); err != nil {
+		if err := s.install(head, head.gc, head.queuedPlan); err != nil {
 			if errors.Is(err, core.ErrSlotsExhausted) {
 				return // strict FIFO: nothing behind the head may jump it
 			}
-			// preflight validated everything but slot capacity.
+			// validate checked everything but slot capacity.
 			panic(fmt.Sprintf("comm: queued install failed: %v", err))
 		}
 		s.queue = s.queue[1:]
+		head.queuedPlan = nil
 		head.queueWaitUS = head.installedAt.Sub(head.queuedAt).Micros()
 		s.stats.WaitsUS = append(s.stats.WaitsUS, head.queueWaitUS)
 		if head.pendingIters > 0 {
@@ -291,40 +291,48 @@ func (s *sched) place(size int, spread bool) ([]int, error) {
 	return members, nil
 }
 
-// preflight validates everything about gc except slot capacity, so an
-// install deferred by the queueing policy cannot fail at drain time for
-// a reason that was knowable at admission.
-func (s *sched) preflight(gc GroupConfig) error {
-	nodes := s.c.Nodes()
-	seen := make(map[int]bool, len(gc.Members))
+// validate checks everything about gc but slot capacity against the
+// collective table and builds its plan (its only allocation), setting
+// the NIC collective scheme for kinds that take none and dropping the
+// contribution of kinds that do not fold. Every admission and
+// reconfiguration runs it first, so all policies reject alike and a
+// queued install cannot fail later for a reason knowable now.
+func (s *sched) validate(gc *GroupConfig) (*barrier.Plan, error) {
+	if len(gc.Members) < 1 {
+		return nil, fmt.Errorf("comm: empty group")
+	}
+	op := gc.Kind.collective()
+	if op == nil {
+		return nil, fmt.Errorf("comm: unknown op kind %d", int(gc.Kind))
+	}
+	s.pass++
 	for _, id := range gc.Members {
-		if id < 0 || id >= nodes {
-			return fmt.Errorf("comm: member node %d outside cluster of %d", id, nodes)
+		if id < 0 || id >= len(s.seen) {
+			return nil, fmt.Errorf("comm: member node %d outside cluster of %d", id, len(s.seen))
 		}
-		if seen[id] {
-			return fmt.Errorf("comm: member node %d repeated", id)
+		if s.seen[id] == s.pass {
+			return nil, fmt.Errorf("comm: member node %d repeated", id)
 		}
-		seen[id] = true
+		s.seen[id] = s.pass
 	}
-	if err := s.c.be.checkKind(gc.Kind); err != nil {
-		return err
+	if !op.schemed {
+		if !s.c.be.collectiveProtocol() {
+			return nil, fmt.Errorf("comm: %v needs the NIC collective protocol (Quadrics groups run barriers)", gc.Kind)
+		}
+		gc.MyrinetScheme = myrinet.SchemeCollective
 	}
-	switch gc.Kind {
-	case OpBarrier:
-	case OpBroadcast:
-		if gc.Root < 0 || gc.Root >= len(gc.Members) {
-			return fmt.Errorf("comm: broadcast root %d outside group of %d", gc.Root, len(gc.Members))
-		}
-	case OpAllreduce:
-		if gc.Contrib == nil {
-			return fmt.Errorf("comm: allreduce group without Contrib")
-		}
-		sched := barrier.NewPlan(gc.Algorithm, len(gc.Members), gc.Options).Rank(0)
-		if _, err := core.NewReduceState(gc.Reduce, sched); err != nil {
-			return err
-		}
+	plan, err := op.plan(*gc)
+	switch {
+	case err != nil:
+	case !op.fold:
+		gc.Contrib = nil
+	case gc.Contrib == nil:
+		err = fmt.Errorf("comm: %v group without Contrib", gc.Kind)
 	default:
-		return fmt.Errorf("comm: unknown op kind %d", int(gc.Kind))
+		err = core.CheckReduce(gc.Reduce, plan.Rank(0))
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	return plan, nil
 }

@@ -118,8 +118,10 @@ func (s WorkloadSpec) validate(nodes int) error {
 	} else if s.GroupSizeMax > nodes {
 		return fmt.Errorf("comm: group size maximum %d > %d nodes", s.GroupSizeMax, nodes)
 	}
-	if s.Mix.Barrier < 0 || s.Mix.Broadcast < 0 || s.Mix.Allreduce < 0 {
-		return fmt.Errorf("comm: negative op-mix weight")
+	for _, op := range collectives {
+		if op.weight(s.Mix) < 0 {
+			return fmt.Errorf("comm: negative op-mix weight for %s", op.name)
+		}
 	}
 	if s.Arrival.MeanGapUS < 0 {
 		return fmt.Errorf("comm: MeanGapUS = %v", s.Arrival.MeanGapUS)
@@ -251,10 +253,11 @@ type tenantPlan struct {
 // a compatibility contract: it keeps single-partition runs bit-identical
 // to the gated baseline, and it makes multi-partition runs agree with
 // them on memberships, kinds and operation counts, because every
-// partitioning executes the same plans. A kind the backend does not
-// model falls back to OpBarrier after the mix draw (Quadrics groups run
-// barriers only), spending the same draws so the seed stream stays
-// aligned across backends.
+// partitioning executes the same plans. The kind is one draw walked
+// through the table's weights. A kind that needs the NIC collective
+// protocol falls back to OpBarrier after the draw on a backend without
+// it, spending the same draws so the seed stream stays aligned across
+// backends.
 func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error) {
 	rng := sim.NewRNG(spec.Seed ^ 0x7e4a47)
 
@@ -262,7 +265,10 @@ func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error)
 	// placement draws a fresh permutation per tenant.
 	shuffled := rng.Perm(nodes)
 	cursor := 0
-	mixTotal := spec.Mix.Barrier + spec.Mix.Broadcast + spec.Mix.Allreduce
+	mixTotal := 0
+	for _, op := range collectives {
+		mixTotal += op.weight(spec.Mix)
+	}
 
 	plans := make([]tenantPlan, spec.Tenants)
 	for t := 0; t < spec.Tenants; t++ {
@@ -284,16 +290,12 @@ func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error)
 		}
 		kind := OpBarrier
 		if mixTotal > 0 {
-			switch r := rng.Intn(mixTotal); {
-			case r < spec.Mix.Barrier:
-				kind = OpBarrier
-			case r < spec.Mix.Barrier+spec.Mix.Broadcast:
-				kind = OpBroadcast
-			default:
-				kind = OpAllreduce
+			// Spend weights in kind order until the draw is used up.
+			for k, r := 0, rng.Intn(mixTotal); r >= 0; k++ {
+				kind, r = OpKind(k), r-collectives[k].weight(spec.Mix)
 			}
 		}
-		if be.checkKind(kind) != nil {
+		if !kind.collective().schemed && !be.collectiveProtocol() {
 			kind = OpBarrier
 		}
 		p := tenantPlan{idx: t, members: members, kind: kind}
@@ -335,7 +337,7 @@ func installTenant(c *Cluster, spec WorkloadSpec, p tenantPlan) (*Group, []sim.T
 		Algorithm:     spec.Algorithm,
 		MyrinetScheme: myrinet.SchemeCollective,
 	}
-	if p.kind == OpAllreduce {
+	if p.kind.collective().fold {
 		// Max is exact for every group size and algorithm, so mixed
 		// workloads never trip the sum/dissemination exactness rule.
 		gc.Reduce = core.ReduceMax

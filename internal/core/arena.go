@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"nicbarrier/internal/barrier"
-)
+import "nicbarrier/internal/barrier"
 
 // Arena holds the protocol state of every member of one session in a
 // fixed number of allocations whatever the group size: the members'
@@ -41,11 +37,10 @@ func NewReduceArena(op ReduceOp, plan *barrier.Plan) (*Arena, error) {
 // newArena builds n state machines over the schedules rank returns,
 // allreduce ones when op is non-nil.
 func newArena(n int, rank func(int) barrier.Schedule, op *ReduceOp) (*Arena, error) {
-	// Sum over dissemination is exact only at powers of two (see
-	// ReduceState).
-	if s := rank(0); op != nil && *op == ReduceSum && s.Algorithm() == barrier.Dissemination && !barrier.IsPowerOfTwo(s.Size()) {
-		return nil, fmt.Errorf(
-			"core: sum-allreduce over dissemination needs a power-of-two group, got %d", s.Size())
+	if op != nil {
+		if err := CheckReduce(*op, rank(0)); err != nil {
+			return nil, err
+		}
 	}
 	var words, waits, sends, list int
 	for r := range n {

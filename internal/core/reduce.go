@@ -37,6 +37,20 @@ func (op ReduceOp) String() string {
 	}
 }
 
+// CheckReduce reports whether op folded over sched's plan is exact: op
+// must be known, and sum over dissemination is exact only at powers of
+// two (see ReduceState).
+func CheckReduce(op ReduceOp, sched barrier.Schedule) error {
+	if op < ReduceSum || op > ReduceMax {
+		return fmt.Errorf("core: unknown reduce op %d", int(op))
+	}
+	if op == ReduceSum && sched.Algorithm() == barrier.Dissemination && !barrier.IsPowerOfTwo(sched.Size()) {
+		return fmt.Errorf(
+			"core: sum-allreduce over dissemination needs a power-of-two group, got %d", sched.Size())
+	}
+	return nil
+}
+
 // Idempotent reports whether combining a value twice is harmless.
 func (op ReduceOp) Idempotent() bool { return op == ReduceMin || op == ReduceMax }
 

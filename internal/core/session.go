@@ -25,7 +25,7 @@ type Backend interface {
 	ChargeInstall()
 }
 
-// Mode fixes, per constructor, how a session's members move from one
+// Mode fixes, per collective, how a session's members move from one
 // operation to the next and what the driver records.
 type Mode uint8
 

@@ -81,13 +81,16 @@ func NewSession(cl *Cluster, nodeIDs []int, scheme Scheme, alg barrier.Algorithm
 }
 
 // NewSessionWithID prepares a barrier session on an explicit group ID,
-// failing cleanly when a member card's chain slots are exhausted, the ID
-// is already armed on a member, or (SchemeHW) a live hardware-barrier
-// session holds the cluster's network transaction.
+// failing cleanly on an unknown scheme, when a member card's chain slots
+// are exhausted, the ID is already armed on a member, or (SchemeHW) a
+// live hardware-barrier session holds the cluster's network transaction.
 func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 	alg barrier.Algorithm, opts barrier.Options) (*Session, error) {
 	if len(nodeIDs) == 0 {
 		panic("elan: empty session")
+	}
+	if scheme < SchemeChained || scheme > SchemeHW {
+		return nil, fmt.Errorf("elan: unknown scheme %d", int(scheme))
 	}
 	// Pre-validate the whole membership before touching any card or host
 	// state, so failed constructions leave the cluster untouched.
@@ -126,9 +129,6 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 		arena = core.NewArena(barrier.NewPlan(alg, len(nodeIDs), opts))
 	case SchemeGsync:
 		arena = core.NewArena(barrier.NewPlan(barrier.GatherBroadcast, len(nodeIDs), opts))
-	case SchemeHW:
-	default:
-		panic(fmt.Sprintf("elan: unknown scheme %d", int(scheme)))
 	}
 	s.members = make([]member, len(nodeIDs))
 	group := core.NewGroup(gid, nodeIDs)

@@ -57,3 +57,58 @@ func TestTenantSeriesPerScope(t *testing.T) {
 		t.Errorf("%d latency count series, want one per scope:\n%s", n, text)
 	}
 }
+
+// TestFamiliesContiguous pins the exposition format's grouping rule:
+// with two runs of two scopes of two tenants each, every family is one
+// block — its # HELP and # TYPE lines, then every sample of it — and no
+// family starts twice.
+func TestFamiliesContiguous(t *testing.T) {
+	srv := New()
+	var runs []*Run
+	for _, name := range []string{"first", "second"} {
+		tr := obs.NewTracer()
+		for _, scope := range []string{"point a", "point b"} {
+			sc := tr.NewScope(scope)
+			sc.BindGroupTenant(0, 0)
+			sc.BindGroupTenant(1, 1)
+			sc.OpSpan(0, "barrier", 0, 0, sim.Time(4*sim.Microsecond))
+			sc.OpSpan(1, "allreduce", 0, 0, sim.Time(3*sim.Microsecond))
+		}
+		run := srv.Register(name, "test", tr)
+		run.Finish("", nil)
+		runs = append(runs, run)
+	}
+	var buf strings.Builder
+	WritePrometheus(&buf, runs)
+	started := map[string]bool{}
+	family, samples := "", 0
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for i, line := range lines {
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			name := strings.Fields(line)[2]
+			if started[name] {
+				t.Fatalf("line %d: family %s starts a second time", i+1, name)
+			}
+			if i+1 >= len(lines) || !strings.HasPrefix(lines[i+1], "# TYPE "+name+" ") {
+				t.Fatalf("line %d: # HELP %s not followed by its # TYPE", i+1, name)
+			}
+			started[name], family = true, name
+		case strings.HasPrefix(line, "# TYPE "):
+		default:
+			name, _, _ := strings.Cut(line, "{")
+			if name != family {
+				t.Fatalf("line %d: %s sample inside family %s", i+1, name, family)
+			}
+			samples++
+		}
+	}
+	if len(started) != len(promFamilies) {
+		t.Errorf("%d families written, want %d", len(started), len(promFamilies))
+	}
+	// 5 scope families × 4 scopes; per tenant 10 one-sample families,
+	// 4 drop reasons and 3 quantiles + sum + count + max, × 8 tenants.
+	if want := 5*4 + (10+4+6)*8; samples != want {
+		t.Errorf("%d samples, want %d", samples, want)
+	}
+}

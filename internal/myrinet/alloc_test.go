@@ -43,14 +43,13 @@ func schemeSession(n int, scheme Scheme) *Session {
 
 func broadcastSession(n int) *Session {
 	_, cl := xpCluster(n, nil)
-	return NewBroadcastSession(cl, identity(n), 0, barrier.DefaultTreeDegree)
+	return newBroadcast(cl, identity(n), 0, barrier.DefaultTreeDegree)
 }
 
 func allreduceSession(tb testing.TB, n int, loss netsim.LossModel) *Session {
 	tb.Helper()
 	_, cl := xpCluster(n, loss)
-	s, err := NewAllreduceSession(cl, identity(n), barrier.PairwiseExchange, barrier.Options{},
-		core.ReduceSum, contribFn)
+	s, err := newAllreduce(cl, identity(n), barrier.PairwiseExchange, core.ReduceSum, contribFn)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -262,7 +261,8 @@ func TestReinstallReusesGroupTable(t *testing.T) {
 func TestSessionSharesPlan(t *testing.T) {
 	_, cl := xpCluster(16, nil)
 	for _, scheme := range []Scheme{SchemeHost, SchemeDirect, SchemeCollective} {
-		s, err := NewSessionWithID(cl, core.GroupID(10+scheme), identity(16), scheme, barrier.Dissemination, barrier.Options{})
+		s, err := NewGroupSession(cl, core.GroupID(10+scheme), identity(16), scheme,
+			barrier.NewPlan(barrier.Dissemination, 16, barrier.Options{}), core.Chained, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

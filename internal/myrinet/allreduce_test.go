@@ -27,7 +27,7 @@ func runAllreduce(t *testing.T, n int, alg barrier.Algorithm, op core.ReduceOp,
 	t.Helper()
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), n, loss)
-	s, err := NewAllreduceSession(cl, identity(n), alg, barrier.Options{}, op, contribFn)
+	s, err := newAllreduce(cl, identity(n), alg, op, contribFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,7 @@ func TestAllreduceOnNIC(t *testing.T) {
 func TestAllreduceInvalidCombination(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 6, nil)
-	_, err := NewAllreduceSession(cl, identity(6), barrier.Dissemination,
-		barrier.Options{}, core.ReduceSum, contribFn)
+	_, err := newAllreduce(cl, identity(6), barrier.Dissemination, core.ReduceSum, contribFn)
 	if err == nil {
 		t.Fatal("sum over DS n=6 accepted")
 	}
@@ -117,8 +116,7 @@ func TestAllreduceCostsLikeBarrier(t *testing.T) {
 
 	eng2 := sim.NewEngine()
 	cl2 := NewCluster(eng2, hwprofile.LANaiXPCluster(), 8, nil)
-	rs, err := NewAllreduceSession(cl2, identity(8), barrier.PairwiseExchange,
-		barrier.Options{}, core.ReduceSum, contribFn)
+	rs, err := newAllreduce(cl2, identity(8), barrier.PairwiseExchange, core.ReduceSum, contribFn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,10 @@ var arenaKinds = []struct {
 		return NewSession(cl, nodes, SchemeCollective, barrier.Dissemination, barrier.Options{})
 	}},
 	{"broadcast", func(cl *Cluster, nodes []int) *Session {
-		return NewBroadcastSession(cl, nodes, 0, barrier.DefaultTreeDegree)
+		return newBroadcast(cl, nodes, 0, barrier.DefaultTreeDegree)
 	}},
 	{"allreduce", func(cl *Cluster, nodes []int) *Session {
-		s, err := NewAllreduceSession(cl, nodes, barrier.PairwiseExchange, barrier.Options{}, core.ReduceSum, contribFn)
+		s, err := newAllreduce(cl, nodes, barrier.PairwiseExchange, core.ReduceSum, contribFn)
 		if err != nil {
 			panic(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
@@ -20,6 +21,25 @@ func identity(n int) []int {
 		ids[i] = i
 	}
 	return ids
+}
+
+// newBroadcast installs a broadcast session from root down a degree-ary
+// tree on group SessionGroupID, panicking on installation failure.
+func newBroadcast(cl *Cluster, nodeIDs []int, root, degree int) *Session {
+	s, err := NewGroupSession(cl, SessionGroupID, nodeIDs, SchemeCollective,
+		barrier.NewBroadcastPlan(len(nodeIDs), root, degree), core.Gated, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// newAllreduce installs an allreduce session on group SessionGroupID:
+// op folded over alg's plan, rank contributions from contrib.
+func newAllreduce(cl *Cluster, nodeIDs []int, alg barrier.Algorithm, op core.ReduceOp,
+	contrib func(rank, iter int) int64) (*Session, error) {
+	return NewGroupSession(cl, SessionGroupID, nodeIDs, SchemeCollective,
+		barrier.NewPlan(alg, len(nodeIDs), barrier.Options{}), core.Results, op, contrib)
 }
 
 func meanLatency(t *testing.T, prof hwprofile.MyrinetProfile, n int, scheme Scheme, alg barrier.Algorithm, iters int) sim.Duration {

@@ -52,8 +52,8 @@ type Session struct {
 	// members holds every member in one slice, in rank order; NIC group
 	// tables and host bindings point into it.
 	members []member
-	// contrib supplies each rank's allreduce contribution per run-local
-	// iteration; nil for barriers and broadcasts.
+	// contrib supplies each rank's fold contribution per run-local
+	// iteration; nil unless the session folds.
 	contrib func(rank, iter int) int64
 }
 
@@ -68,85 +68,43 @@ type member struct {
 // node returns the member's node.
 func (m *member) node() *Node { return m.nic.node }
 
-// SessionGroupID is the group ID single-session constructors install,
-// mirroring MPI_COMM_WORLD. Multi-group callers pass their own IDs via
-// the WithID constructors.
+// SessionGroupID is the group ID NewSession installs, mirroring
+// MPI_COMM_WORLD. Multi-group callers pass their own IDs to
+// NewGroupSession.
 const SessionGroupID = 1
 
 // NewSession prepares a barrier session on group SessionGroupID. nodeIDs
 // lists the participating node IDs in rank order (the harness passes a
 // random permutation, as the paper does); alg and opts pick the barrier
-// algorithm. It panics on installation failure — the single-session
-// constructors exist for the one-group measurement loops, where a full
-// group table is a programming error.
+// algorithm. It panics on installation failure — it exists for the
+// one-group measurement loops, where a full group table is a
+// programming error.
 func NewSession(cl *Cluster, nodeIDs []int, scheme Scheme, alg barrier.Algorithm, opts barrier.Options) *Session {
-	s, err := NewSessionWithID(cl, SessionGroupID, nodeIDs, scheme, alg, opts)
+	s, err := NewGroupSession(cl, SessionGroupID, nodeIDs, scheme,
+		barrier.NewPlan(alg, len(nodeIDs), opts), core.Chained, 0, nil)
 	if err != nil {
 		panic(fmt.Sprintf("myrinet: %v", err))
 	}
 	return s
 }
 
-// NewSessionWithID prepares a barrier session on an explicit group ID,
-// failing cleanly when a member NIC's group-queue slots are exhausted or
-// the ID is already installed on a member.
-func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
-	alg barrier.Algorithm, opts barrier.Options) (*Session, error) {
-	return newSession(cl, gid, nodeIDs, scheme, barrier.NewPlan(alg, len(nodeIDs), opts), core.Chained, 0)
-}
-
-// NewBroadcastSession prepares a NIC-based broadcast session (the
-// extension of the paper's future-work section) on group SessionGroupID:
-// the root's notification fans down a d-ary tree entirely on the NICs
-// via the collective protocol. Iterations are globally gated, since a
-// broadcast does not synchronize its participants.
-func NewBroadcastSession(cl *Cluster, nodeIDs []int, root, degree int) *Session {
-	s, err := NewBroadcastSessionWithID(cl, SessionGroupID, nodeIDs, root, degree)
-	if err != nil {
-		panic(fmt.Sprintf("myrinet: %v", err))
+// NewGroupSession prepares a session running plan on group gid, one
+// member per node of nodeIDs (rank order). scheme picks who executes the
+// plan and mode how operations follow each other (core.Gated for a
+// broadcast, which does not synchronize its participants). A non-nil
+// contrib makes it a fold over the collective protocol: rank r
+// contributes contrib(r, iter), combined under op. The members share a
+// fixed number of allocations whatever the group size (see core.Arena),
+// and the whole membership is checked before any NIC or host state is
+// touched, so a failed construction leaves the cluster as it was.
+func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
+	plan *barrier.Plan, mode core.Mode, op core.ReduceOp, contrib func(rank, iter int) int64) (*Session, error) {
+	if scheme < SchemeHost || scheme > SchemeCollective {
+		return nil, fmt.Errorf("myrinet: unknown scheme %d", int(scheme))
 	}
-	return s
-}
-
-// NewBroadcastSessionWithID is NewBroadcastSession on an explicit group
-// ID, with clean errors instead of panics.
-func NewBroadcastSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, root, degree int) (*Session, error) {
-	return newSession(cl, gid, nodeIDs, SchemeCollective, barrier.NewBroadcastPlan(len(nodeIDs), root, degree), core.Gated, 0)
-}
-
-// NewAllreduceSession prepares a NIC-based single-word allreduce over the
-// collective protocol on group SessionGroupID. contrib supplies each
-// rank's contribution per iteration; results are collected per iteration
-// and retrievable with Results after Run.
-func NewAllreduceSession(cl *Cluster, nodeIDs []int, alg barrier.Algorithm, opts barrier.Options,
-	op core.ReduceOp, contrib func(rank, iter int) int64) (*Session, error) {
-	return NewAllreduceSessionWithID(cl, SessionGroupID, nodeIDs, alg, opts, op, contrib)
-}
-
-// NewAllreduceSessionWithID is NewAllreduceSession on an explicit group
-// ID.
-func NewAllreduceSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int,
-	alg barrier.Algorithm, opts barrier.Options,
-	op core.ReduceOp, contrib func(rank, iter int) int64) (*Session, error) {
-	// An operator/schedule combination that cannot be exact fails rank
-	// 0's install, before any NIC state is touched.
-	s, err := newSession(cl, gid, nodeIDs, SchemeCollective, barrier.NewPlan(alg, len(nodeIDs), opts), core.Results, op)
-	if err != nil {
-		return nil, err
+	if contrib != nil && scheme != SchemeCollective {
+		return nil, fmt.Errorf("myrinet: a fold needs the %v scheme, not %v", SchemeCollective, scheme)
 	}
-	s.contrib = contrib
-	return s, nil
-}
-
-// newSession installs one member per node, each reading its view of the
-// session's one plan; Results sessions install op's reduce records. The
-// members, their state machines and their group share a fixed number of
-// allocations whatever the group size (see core.Arena). The whole
-// membership is pre-checked before any NIC or host state is touched, so
-// failed constructions leave the cluster exactly as it was (no
-// half-installed groups, no dangling event bindings).
-func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
-	plan *barrier.Plan, mode core.Mode, op core.ReduceOp) (*Session, error) {
 	for _, id := range nodeIDs {
 		if id < 0 || id >= len(cl.Nodes) {
 			panic(fmt.Sprintf("myrinet: node %d outside cluster of %d", id, len(cl.Nodes)))
@@ -161,11 +119,8 @@ func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 			}
 		}
 	}
-	if scheme < SchemeHost || scheme > SchemeCollective {
-		panic(fmt.Sprintf("myrinet: unknown scheme %d", int(scheme)))
-	}
 	var arena *core.Arena
-	if mode == core.Results {
+	if contrib != nil {
 		var err error
 		if arena, err = core.NewReduceArena(op, plan); err != nil {
 			return nil, err
@@ -173,7 +128,7 @@ func newSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
 	} else {
 		arena = core.NewArena(plan)
 	}
-	s := &Session{cl: cl, gid: gid, scheme: scheme, members: make([]member, len(nodeIDs))}
+	s := &Session{cl: cl, gid: gid, scheme: scheme, members: make([]member, len(nodeIDs)), contrib: contrib}
 	s.Session = core.NewSession(cl.Eng, len(nodeIDs), hooks{s}, mode)
 	group := core.NewGroup(gid, nodeIDs)
 	for rank, id := range group.Nodes {

@@ -228,12 +228,13 @@ func (h *hier) newShard(id int, eng *sim.Engine, dissem *barrier.Plan) *hierShar
 	}
 	sh := &hierShard{h: h, id: id, eng: eng, op: core.NewOpState(dissem.Rank(id))}
 	var err error
-	sh.gather, err = myrinet.NewSessionWithID(cl, hierGatherGID, ids,
-		myrinet.SchemeCollective, barrier.Dissemination, barrier.Options{})
+	sh.gather, err = myrinet.NewGroupSession(cl, hierGatherGID, ids, myrinet.SchemeCollective,
+		barrier.NewPlan(barrier.Dissemination, size, barrier.Options{}), core.Chained, 0, nil)
 	if err != nil {
 		panic(fmt.Sprintf("shard: gather session: %v", err))
 	}
-	sh.bcast, err = myrinet.NewBroadcastSessionWithID(cl, hierReleaseGID, ids, 0, barrier.DefaultTreeDegree)
+	sh.bcast, err = myrinet.NewGroupSession(cl, hierReleaseGID, ids, myrinet.SchemeCollective,
+		barrier.NewBroadcastPlan(size, 0, barrier.DefaultTreeDegree), core.Gated, 0, nil)
 	if err != nil {
 		panic(fmt.Sprintf("shard: release session: %v", err))
 	}

@@ -204,6 +204,9 @@ func (c Config) validate() error {
 	if c.LossRate < 0 || c.LossRate >= 1 {
 		return fmt.Errorf("nicbarrier: LossRate = %v outside [0,1)", c.LossRate)
 	}
+	if c.TreeDegree < 0 || c.TreeDegree == 1 {
+		return fmt.Errorf("nicbarrier: TreeDegree = %d (0 for the default, else at least 2)", c.TreeDegree)
+	}
 	quadrics := c.Interconnect == QuadricsElan3
 	if c.Scheme == HardwareBroadcast && !quadrics {
 		return fmt.Errorf("nicbarrier: hardware broadcast barrier needs Quadrics")
@@ -281,18 +284,9 @@ const (
 	Max
 )
 
-func (op ReduceOperator) internal() core.ReduceOp {
-	switch op {
-	case Sum:
-		return core.ReduceSum
-	case Min:
-		return core.ReduceMin
-	case Max:
-		return core.ReduceMax
-	default:
-		panic(fmt.Sprintf("nicbarrier: unknown operator %d", int(op)))
-	}
-}
+// internal maps op onto core's operators, which share its numbering; an
+// unknown operator stays unknown, and group validation rejects it.
+func (op ReduceOperator) internal() core.ReduceOp { return core.ReduceOp(op) }
 
 // String implements fmt.Stringer.
 func (op ReduceOperator) String() string { return op.internal().String() }
