@@ -3,6 +3,7 @@ package comm
 import (
 	"testing"
 
+	"nicbarrier/internal/elan"
 	"nicbarrier/internal/sim"
 )
 
@@ -80,5 +81,27 @@ func TestDeferredPostDrivesEveryOp(t *testing.T) {
 		if done[i] <= done[i-1] {
 			t.Fatalf("op %d completion %v not after %v", i, done[i], done[i-1])
 		}
+	}
+}
+
+// A Quadrics chained install builds its plan once: validation builds
+// the plan and the session arms exactly that plan on every card, so a
+// NewGroup+Close cycle on 8 nodes costs 16 allocations (17 while the
+// session built a second plan of its own).
+func TestElanInstallBuildsOnePlan(t *testing.T) {
+	c := elanComm(8)
+	gc := GroupConfig{Members: []int{0, 1, 2, 3, 4, 5, 6, 7}, Kind: OpBarrier, ElanScheme: elan.SchemeChained}
+	cycle := func() {
+		g, err := c.NewGroup(gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 16 {
+		t.Fatalf("chained NewGroup+Close costs %.1f allocations, want 16", allocs)
 	}
 }

@@ -31,9 +31,14 @@ func (b elanBackend) checkRecovery(gc GroupConfig) error {
 	return nil
 }
 
-// bind: each Elan barrier scheme builds its own schedule from gc.
-func (b elanBackend) bind(gc GroupConfig, gid core.GroupID, _ *barrier.Plan, _ core.Mode) (*core.Session, error) {
-	s, err := elan.NewSessionWithID(b.cl, gid, gc.Members, gc.ElanScheme, gc.Algorithm, gc.Options)
+// bind installs the validated plan; elan_gsync is a gather-broadcast
+// tree whatever the group's algorithm, so a gsync group that asked for
+// another one gets that tree built from its options.
+func (b elanBackend) bind(gc GroupConfig, gid core.GroupID, plan *barrier.Plan, _ core.Mode) (*core.Session, error) {
+	if gc.ElanScheme == elan.SchemeGsync && gc.Algorithm != barrier.GatherBroadcast {
+		plan = barrier.NewPlan(barrier.GatherBroadcast, len(gc.Members), gc.Options)
+	}
+	s, err := elan.NewGroupSession(b.cl, gid, gc.Members, gc.ElanScheme, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,6 @@ package elan
 
 import (
 	"fmt"
-	"slices"
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
@@ -82,17 +81,10 @@ type Host struct {
 	node *Node
 	// OnEvent receives every host event not claimed by a group binding.
 	OnEvent func(Event)
-	// groupHandlers routes group-addressed events (chain completions,
-	// gsync remote events) to the session driving that group, so
-	// concurrent communicators can share one node. It holds one entry per
-	// bound group and is scanned linearly.
-	groupHandlers []groupHandler
-}
-
-// groupHandler is one group's event binding on a host.
-type groupHandler struct {
-	gid int
-	h   EventHandler
+	// groups routes group-addressed events (chain completions, gsync
+	// remote events) to the session driving that group, so concurrent
+	// communicators can share one node.
+	groups core.Bindings[EventHandler]
 }
 
 // EventHandler consumes the host events of one bound group. Session
@@ -102,40 +94,24 @@ type EventHandler interface {
 	HandleEvent(Event)
 }
 
-// handler returns the index of group gid's binding, or -1.
-func (h *Host) handler(gid int) int {
-	for i := range h.groupHandlers {
-		if h.groupHandlers[i].gid == gid {
-			return i
-		}
-	}
-	return -1
-}
-
 // Bind routes this node's events for one group ID to eh; duplicate
 // bindings panic (two drivers for one group is a programming error).
 func (h *Host) Bind(groupID int, eh EventHandler) {
 	if eh == nil {
 		panic("elan: nil group event handler")
 	}
-	if h.bound(groupID) {
+	if !h.groups.Bind(core.GroupID(groupID), eh) {
 		panic(fmt.Sprintf("elan: node %d: group %d already bound", h.node.ID, groupID))
 	}
-	h.groupHandlers = append(h.groupHandlers, groupHandler{groupID, eh})
 }
-
-// bound reports whether a handler is already bound for the group.
-func (h *Host) bound(groupID int) bool { return h.handler(groupID) >= 0 }
 
 // Unbind releases a group's event routing (the host half of teardown).
 // Unbinding a group that was never bound panics. Late events for the
 // group fall through to OnEvent afterwards, like any unbound group's.
 func (h *Host) Unbind(groupID int) {
-	i := h.handler(groupID)
-	if i < 0 {
+	if !h.groups.Unbind(core.GroupID(groupID)) {
 		panic(fmt.Sprintf("elan: node %d: unbinding group %d that is not bound", h.node.ID, groupID))
 	}
-	h.groupHandlers = slices.Delete(h.groupHandlers, i, i+1)
 }
 
 // NIC is the Elan3 model.
@@ -149,23 +125,17 @@ type NIC struct {
 	net  *netsim.Network
 	pool *pool // the cluster's shared handler and payload free lists
 
-	// chains is the card's descriptor-list table: at most ChainSlots
-	// entries, each group's ID stored inline, scanned linearly.
-	chains []chainSlot
+	// chains is the card's descriptor-list table, at most ChainSlots
+	// entries. QsNet delivers reliably, so arrivals for a disarmed chain
+	// happen only when a delay-type fault holds an RDMA in flight; its
+	// tombstones make those droppable.
+	chains core.Table[*chainOp]
 
 	// OnHeartbeat, when set, observes liveness heartbeats addressed to
 	// this node (communicator-layer failure detection). Routed here, at
 	// the NIC, so heartbeats ride the simulated wire and are silenced by
 	// the same crashes and partitions that stall the collectives.
 	OnHeartbeat func(group core.GroupID, fromRank int)
-
-	// retired remembers recently disarmed chain IDs (keyed to their
-	// disarm time): QsNet delivers reliably, so post-teardown arrivals
-	// only happen when a delay-type fault holds an RDMA in flight; the
-	// map makes those droppable and double-disarm loudly distinguishable
-	// from never-armed IDs. Entries age out (see pruneRetired) so
-	// churning clusters do not accumulate tombstones without bound.
-	retired map[core.GroupID]sim.Time
 
 	// tr, when non-nil, receives card-level trace events (doorbells,
 	// completions, installs, stale arrivals) and per-group NIC-time
@@ -204,22 +174,6 @@ type Stats struct {
 	HeartbeatsSent  uint64
 	HeartbeatsRecvd uint64
 	AbortedOps      uint64
-}
-
-// chainSlot is one entry of a card's descriptor-list table.
-type chainSlot struct {
-	id core.GroupID
-	op *chainOp
-}
-
-// chain returns the index of group id's chain in the table, or -1.
-func (n *NIC) chain(id core.GroupID) int {
-	for i := range n.chains {
-		if n.chains[i].id == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // chainOp is a NIC-resident chained-descriptor barrier: the compiled form
@@ -268,8 +222,8 @@ func (h *Host) deliver(ev Event) {
 // handler, everything else (and events for unbound groups) to OnEvent.
 func (h *Host) dispatch(ev Event) {
 	if ev.Kind == EvBarrierDone || ev.Kind == EvRemote {
-		if i := h.handler(ev.Group); i >= 0 {
-			h.groupHandlers[i].h.HandleEvent(ev)
+		if eh, ok := h.groups.Get(core.GroupID(ev.Group)); ok {
+			eh.HandleEvent(ev)
 			return
 		}
 	}
@@ -284,22 +238,15 @@ func (h *Host) dispatch(ev Event) {
 // fails when the group's ID is already armed or the card's
 // descriptor-list slots are exhausted.
 func (n *NIC) armChain(op *chainOp) error {
-	id := op.group.ID
-	if n.chain(id) >= 0 {
-		return fmt.Errorf("elan: chain for group %d already armed on node %d", id, n.node.ID)
+	if err := n.chains.Claim(op.group.ID, op, n.node.Prof.NIC.ChainSlots); err != nil {
+		return fmt.Errorf("elan: node %d: %w", n.node.ID, err)
 	}
-	if slots := n.node.Prof.NIC.ChainSlots; len(n.chains) >= slots {
-		return fmt.Errorf("elan: node %d: chain slots: %w (%d of %d in use)",
-			n.node.ID, core.ErrSlotsExhausted, len(n.chains), slots)
-	}
-	delete(n.retired, id)
-	n.chains = append(n.chains, chainSlot{id, op})
 	return nil
 }
 
 // ChainSlotsFree reports how many chained-descriptor slots remain.
 func (n *NIC) ChainSlotsFree() int {
-	return n.node.Prof.NIC.ChainSlots - len(n.chains)
+	return n.node.Prof.NIC.ChainSlots - n.chains.Len()
 }
 
 // DisarmChain retires a group's chained-descriptor list, freeing its
@@ -308,49 +255,26 @@ func (n *NIC) ChainSlotsFree() int {
 // disarming mid-operation panics, as armed descriptors still wait on
 // remote events. Disarming an unknown chain panics — a double free.
 func (n *NIC) DisarmChain(id core.GroupID) {
-	i := n.chain(id)
-	if i < 0 {
+	op, ok := n.chains.Get(id)
+	if !ok {
 		panic(fmt.Sprintf("elan: node %d: disarming unknown chain %d", n.node.ID, id))
 	}
-	if n.chains[i].op.state.Active() {
+	if op.state.Active() {
 		panic(fmt.Sprintf("elan: node %d: disarming chain %d mid-operation", n.node.ID, id))
 	}
-	n.chains = slices.Delete(n.chains, i, i+1)
-	if n.retired == nil {
-		n.retired = make(map[core.GroupID]sim.Time)
-	}
-	n.retired[id] = n.Eng.Now()
-	n.pruneRetired()
+	// QsNet has no retransmission, so stale arrivals exist only under
+	// delay-type faults, and 10ms of virtual time dwarfs any jitter the
+	// fault models inject.
+	n.chains.Release(id, n.Eng.Now(), sim.Micros(10000))
 	n.traceEvent(int(id), obs.KindUninstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupUninstallCost)
 	n.Exec(0, n.node.Prof.NIC.GroupUninstallCost, sim.Nop{})
-}
-
-// retiredSweepLen bounds the tombstone table; pruning only runs past it.
-const retiredSweepLen = 64
-
-// pruneRetired drops tombstones old enough that no delayed RDMA can
-// still be in flight: QsNet has no retransmission, so stale arrivals
-// exist only under delay-type faults, and 10ms of virtual time dwarfs
-// any jitter the fault models inject.
-func (n *NIC) pruneRetired() {
-	if len(n.retired) <= retiredSweepLen {
-		return
-	}
-	cutoff := n.Eng.Now()
-	horizon := sim.Micros(10000)
-	for id, at := range n.retired {
-		if cutoff.Sub(at) > horizon {
-			delete(n.retired, id)
-		}
-	}
 }
 
 // ChargeChainInstall charges the cost of arming a descriptor list on the
 // simulated timeline; see the Myrinet NIC's ChargeGroupInstall for the
 // setup-phase-vs-lifecycle distinction.
 func (n *NIC) ChargeChainInstall(id core.GroupID) {
-	delete(n.retired, id)
 	n.traceEvent(int(id), obs.KindInstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupInstallCost)
 	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})
@@ -365,11 +289,11 @@ func (h *Host) TriggerChain(groupID int) {
 }
 
 func (n *NIC) mustChain(id core.GroupID) *chainOp {
-	i := n.chain(id)
-	if i < 0 {
+	op, ok := n.chains.Get(id)
+	if !ok {
 		panic(fmt.Sprintf("elan: node %d: no chain for group %d", n.node.ID, id))
 	}
-	return n.chains[i].op
+	return op
 }
 
 // AbortChain cancels a group's in-flight chained operation: the
@@ -378,11 +302,10 @@ func (n *NIC) mustChain(id core.GroupID) *chainOp {
 // The SRAM slot stays occupied until DisarmChain, exactly as in the
 // orderly path. Aborting an unknown chain panics.
 func (n *NIC) AbortChain(id core.GroupID) {
-	i := n.chain(id)
-	if i < 0 {
+	op, ok := n.chains.Get(id)
+	if !ok {
 		panic(fmt.Sprintf("elan: node %d: aborting unknown chain %d", n.node.ID, id))
 	}
-	op := n.chains[i].op
 	op.state.Abort()
 	op.frozen = true
 	n.Stats.AbortedOps++
@@ -496,7 +419,7 @@ func (n *NIC) fireEvent(m rdmaMsg, fromNode int) {
 		n.Exec(0, p.HostEventWrite, h)
 		return
 	}
-	if _, gone := n.retired[m.group]; gone {
+	if n.chains.Retired(m.group) {
 		n.Stats.StaleRDMAs++
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return

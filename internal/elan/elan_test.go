@@ -164,12 +164,12 @@ func TestHWBarrierNoSpuriousRetries(t *testing.T) {
 func TestHWSessionExclusive(t *testing.T) {
 	cl := NewCluster(sim.NewEngine(), hwprofile.Elan3Cluster(), 8)
 	first := NewSession(cl, identity(4), SchemeHW, barrier.Dissemination, barrier.Options{})
-	if _, err := NewSessionWithID(cl, 2, []int{4, 5, 6, 7}, SchemeHW, barrier.Dissemination, barrier.Options{}); err == nil {
+	if _, err := NewGroupSession(cl, 2, []int{4, 5, 6, 7}, SchemeHW, nil); err == nil {
 		t.Fatal("second live HW session constructed")
 	}
 	first.Run(3) // its completions still arrive
 	first.Close()
-	second, err := NewSessionWithID(cl, 2, []int{4, 5, 6, 7}, SchemeHW, barrier.Dissemination, barrier.Options{})
+	second, err := NewGroupSession(cl, 2, []int{4, 5, 6, 7}, SchemeHW, nil)
 	if err != nil {
 		t.Fatalf("HW session after the first closed: %v", err)
 	}

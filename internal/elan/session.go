@@ -73,45 +73,56 @@ type member struct {
 // uses the gather-broadcast tree (that is what elan_gsync is) and
 // SchemeHW uses none. It panics on installation failure.
 func NewSession(cl *Cluster, nodeIDs []int, scheme Scheme, alg barrier.Algorithm, opts barrier.Options) *Session {
-	s, err := NewSessionWithID(cl, SessionGroupID, nodeIDs, scheme, alg, opts)
+	if scheme == SchemeGsync {
+		alg = barrier.GatherBroadcast
+	}
+	var plan *barrier.Plan
+	if scheme != SchemeHW {
+		plan = barrier.NewPlan(alg, len(nodeIDs), opts)
+	}
+	s, err := NewGroupSession(cl, SessionGroupID, nodeIDs, scheme, plan)
 	if err != nil {
 		panic(fmt.Sprintf("elan: %v", err))
 	}
 	return s
 }
 
-// NewSessionWithID prepares a barrier session on an explicit group ID,
-// failing cleanly on an unknown scheme, when a member card's chain slots
-// are exhausted, the ID is already armed on a member, or (SchemeHW) a
-// live hardware-barrier session holds the cluster's network transaction.
-func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme,
-	alg barrier.Algorithm, opts barrier.Options) (*Session, error) {
+// NewGroupSession prepares a barrier session running plan on group gid,
+// one member per node of nodeIDs (rank order). SchemeChained arms plan as
+// every member's descriptor list; SchemeGsync runs it on the hosts and
+// must be given a gather-broadcast plan, the tree elan_gsync is;
+// SchemeHW ignores it. The whole membership is checked before any card
+// or host state is touched, so a construction failing on an unknown
+// scheme, exhausted chain slots, an ID already armed or bound on a
+// member, or (SchemeHW) a live hardware-barrier session holding the
+// cluster's network transaction leaves the cluster as it was.
+func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme, plan *barrier.Plan) (*Session, error) {
 	if len(nodeIDs) == 0 {
 		panic("elan: empty session")
 	}
-	if scheme < SchemeChained || scheme > SchemeHW {
+	switch scheme {
+	case SchemeChained, SchemeHW:
+	case SchemeGsync:
+		if alg := plan.Rank(0).Algorithm(); alg != barrier.GatherBroadcast {
+			return nil, fmt.Errorf("elan: %v runs a %v tree, not %v", scheme, barrier.GatherBroadcast, alg)
+		}
+	default:
 		return nil, fmt.Errorf("elan: unknown scheme %d", int(scheme))
 	}
-	// Pre-validate the whole membership before touching any card or host
-	// state, so failed constructions leave the cluster untouched.
 	for _, id := range nodeIDs {
 		if id < 0 || id >= len(cl.Nodes) {
 			panic(fmt.Sprintf("elan: node %d outside cluster of %d", id, len(cl.Nodes)))
 		}
 		node := cl.Nodes[id]
-		switch scheme {
-		case SchemeChained:
-			if node.NIC.ChainSlotsFree() <= 0 {
-				return nil, fmt.Errorf("elan: node %d: chain slots: %w (%d in use)",
-					id, core.ErrSlotsExhausted, node.Prof.NIC.ChainSlots)
-			}
-			fallthrough
-		case SchemeGsync:
-			if node.Host.bound(int(gid)) {
-				return nil, fmt.Errorf("elan: node %d: group %d already bound", id, gid)
-			}
-			if node.NIC.chain(gid) >= 0 {
-				return nil, fmt.Errorf("elan: chain for group %d already armed on node %d", gid, id)
+		if scheme == SchemeHW {
+			continue
+		}
+		if _, bound := node.Host.groups.Get(gid); bound {
+			return nil, fmt.Errorf("elan: node %d: group %d already bound", id, gid)
+		}
+		if scheme == SchemeChained {
+			if err := node.NIC.chains.Check(gid, node.Prof.NIC.ChainSlots); err != nil {
+				return nil, fmt.Errorf("elan: node %d: %w", id, err)
 			}
 		}
 	}
@@ -120,15 +131,11 @@ func NewSessionWithID(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Schem
 	}
 	s := &Session{cl: cl, gid: gid, scheme: scheme}
 	s.Session = core.NewSession(cl.Eng, len(nodeIDs), hooks{s}, core.Chained)
+	var arena *core.Arena
 	if scheme == SchemeHW {
 		cl.hw.configure(nodeIDs)
-	}
-	var arena *core.Arena
-	switch scheme {
-	case SchemeChained:
-		arena = core.NewArena(barrier.NewPlan(alg, len(nodeIDs), opts))
-	case SchemeGsync:
-		arena = core.NewArena(barrier.NewPlan(barrier.GatherBroadcast, len(nodeIDs), opts))
+	} else {
+		arena = core.NewArena(plan)
 	}
 	s.members = make([]member, len(nodeIDs))
 	group := core.NewGroup(gid, nodeIDs)

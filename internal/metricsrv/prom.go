@@ -137,7 +137,7 @@ func WritePrometheus(w io.Writer, runs []*Run) {
 			scopes = append(scopes, promScope{
 				labels:  fmt.Sprintf(`%s,scope="%s"`, rl, promEscape(sc.Name)),
 				sc:      sc,
-				tenants: (obs.Snapshot{Scopes: []obs.ScopeSnapshot{sc}}).MergeTenants(),
+				tenants: sc.MergeTenants(),
 			})
 		}
 	}

@@ -226,32 +226,40 @@ func benchSteady(b *testing.B, s *Session) {
 	}
 }
 
-// Reinstalling groups on a NIC reuses its group table: the table is one
-// slice holding at most GroupQueueSlots entries, grown once and then
-// shared by every later install, whichever module serves the group.
+// Reinstalling groups on a NIC reuses its group table: once the table
+// and its tombstones have grown, an uninstall and a reinstall —
+// whichever module serves the group, reviving a released ID — allocate
+// nothing and leave the slot count where it was.
 func TestReinstallReusesGroupTable(t *testing.T) {
-	_, cl := xpCluster(4, nil)
+	eng, cl := xpCluster(4, nil)
 	nic := cl.Nodes[0].NIC
 	arena := core.NewArena(barrier.NewPlan(barrier.Dissemination, 4, barrier.Options{}))
-	install := func(id core.GroupID) {
-		t.Helper()
-		op := &groupOp{nic: nic, group: core.NewGroup(id, identity(4)), state: arena.Op(0), direct: id%2 == 1}
+	ops := make([]*groupOp, 4)
+	for i := range ops {
+		ops[i] = &groupOp{nic: nic, group: core.NewGroup(core.GroupID(i+1), identity(4)), state: arena.Op(0), direct: i%2 == 1}
+	}
+	install := func(op *groupOp) {
 		if err := nic.install(op); err != nil {
 			t.Fatal(err)
 		}
 	}
-	install(1)
-	install(2)
-	table := &nic.slots[:1][0]
-	for id := core.GroupID(3); id < 40; id++ {
-		nic.UninstallGroup(id - 2)
-		install(id)
-		if &nic.slots[:1][0] != table {
-			t.Fatalf("install of group %d rebuilt the group table", id)
-		}
+	install(ops[0])
+	install(ops[1])
+	next := 2
+	cycle := func() {
+		nic.UninstallGroup(ops[(next+2)%4].group.ID)
+		install(ops[next%4])
+		next++
+		eng.Run() // the uninstall charge
 		if free := nic.GroupSlotsFree(); free != cl.Prof.NIC.GroupQueueSlots-2 {
-			t.Fatalf("after group %d: %d slots free", id, free)
+			t.Fatalf("after cycle %d: %d slots free", next, free)
 		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("reinstall cycle allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -271,7 +279,8 @@ func TestSessionSharesPlan(t *testing.T) {
 			m := &s.members[i]
 			state := m.state
 			if scheme != SchemeHost {
-				state = m.nic.slots[m.nic.slot(s.gid)].op.state
+				op, _ := m.nic.groups.Get(s.gid)
+				state = op.state
 			}
 			if state != m.state || !state.Schedule().Shares(first) {
 				t.Fatalf("%v: rank %d reads its own schedule", scheme, m.rank)

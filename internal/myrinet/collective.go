@@ -2,7 +2,6 @@ package myrinet
 
 import (
 	"fmt"
-	"slices"
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/netsim"
@@ -88,55 +87,18 @@ func (op *groupOp) sendValue(seq, toRank int) int64 {
 	return v
 }
 
-// groupSlot is one entry of the NIC's group table, the SRAM-resident
-// group-queue slots the collective and direct modules share: the group
-// ID, stored inline so a lookup reads only the table, and the entry
-// serving the group. The table holds at most GroupQueueSlots entries and
-// is scanned linearly.
-type groupSlot struct {
-	id core.GroupID
-	op *groupOp
-}
-
-// slot returns the index of group id in the group table, or -1.
-func (n *NIC) slot(id core.GroupID) int {
-	for i := range n.slots {
-		if n.slots[i].id == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// checkSlot validates that group id can claim a NIC group-queue entry:
-// the ID must be fresh and a slot must be free.
-func (n *NIC) checkSlot(id core.GroupID) error {
-	if n.slot(id) >= 0 {
-		return fmt.Errorf("myrinet: group %d already installed on node %d", id, n.node.ID)
-	}
-	slots := n.node.Prof.NIC.GroupQueueSlots
-	if used := len(n.slots); used >= slots {
-		return fmt.Errorf("myrinet: node %d: %w (%d of %d in use)",
-			n.node.ID, core.ErrSlotsExhausted, used, slots)
-	}
-	return nil
-}
-
 // install claims a group-queue entry for op, failing when the NIC's
 // slots are exhausted or op's group is already installed.
 func (n *NIC) install(op *groupOp) error {
-	id := op.group.ID
-	if err := n.checkSlot(id); err != nil {
-		return err
+	if err := n.groups.Claim(op.group.ID, op, n.node.Prof.NIC.GroupQueueSlots); err != nil {
+		return fmt.Errorf("myrinet: node %d: %w", n.node.ID, err)
 	}
-	delete(n.retired, id)
-	n.slots = append(n.slots, groupSlot{id, op})
 	return nil
 }
 
 // GroupSlotsFree reports how many NIC group-queue entries remain.
 func (n *NIC) GroupSlotsFree() int {
-	return n.node.Prof.NIC.GroupQueueSlots - len(n.slots)
+	return n.node.Prof.NIC.GroupQueueSlots - n.groups.Len()
 }
 
 // UninstallGroup retires a group's queue entry, freeing its slot for a
@@ -147,46 +109,21 @@ func (n *NIC) GroupSlotsFree() int {
 // vector still expects arrivals. Unknown IDs panic too: freeing a slot
 // twice is the host-side bug the real firmware would corrupt SRAM over.
 func (n *NIC) UninstallGroup(id core.GroupID) {
-	i := n.slot(id)
-	if i < 0 {
+	op, ok := n.groups.Get(id)
+	if !ok {
 		panic(fmt.Sprintf("myrinet: node %d: uninstalling unknown group %d", n.node.ID, id))
 	}
-	op := n.slots[i].op
 	if op.state.Active() {
 		panic(fmt.Sprintf("myrinet: node %d: uninstalling group %d mid-operation", n.node.ID, id))
 	}
 	op.nackTimer.Cancel()
-	n.slots = slices.Delete(n.slots, i, i+1)
-	if n.retired == nil {
-		n.retired = make(map[core.GroupID]sim.Time)
-	}
-	n.retired[id] = n.Eng.Now()
-	n.pruneRetired()
+	// The longest-lived stale traffic is a NACK-resent duplicate, bounded
+	// by a handful of NackTimeout rounds; a 16x horizon is far beyond any
+	// recovery the protocol can stretch to.
+	n.groups.Release(id, n.Eng.Now(), 16*n.node.Prof.NIC.NackTimeout)
 	n.traceEvent(int(id), obs.KindUninstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupUninstallCost)
 	n.Exec(0, n.node.Prof.NIC.GroupUninstallCost, sim.Nop{})
-}
-
-// retiredSweepLen bounds the tombstone table: pruning only runs once it
-// grows past this, keeping the common case (few concurrent teardowns)
-// sweep-free.
-const retiredSweepLen = 64
-
-// pruneRetired drops tombstones old enough that no packet addressed to
-// them can still be in flight. The longest-lived stale traffic is a
-// NACK-resent duplicate, bounded by a handful of NackTimeout rounds; a
-// 16x horizon is far beyond any recovery the protocol can stretch to.
-func (n *NIC) pruneRetired() {
-	if len(n.retired) <= retiredSweepLen {
-		return
-	}
-	horizon := 16 * n.node.Prof.NIC.NackTimeout
-	cutoff := n.Eng.Now()
-	for id, at := range n.retired {
-		if cutoff.Sub(at) > horizon {
-			delete(n.retired, id)
-		}
-	}
 }
 
 // AbortGroup force-quiesces a group's NIC-resident operation after a
@@ -197,11 +134,10 @@ func (n *NIC) pruneRetired() {
 // (which becomes legal, the state no longer being active); recovery
 // installs a fresh group rather than restarting a frozen one.
 func (n *NIC) AbortGroup(id core.GroupID) {
-	i := n.slot(id)
-	if i < 0 {
+	op, ok := n.groups.Get(id)
+	if !ok {
 		panic(fmt.Sprintf("myrinet: node %d: aborting unknown group %d", n.node.ID, id))
 	}
-	op := n.slots[i].op
 	op.nackTimer.Cancel()
 	op.nackTimer = sim.Timer{}
 	op.state.Abort()
@@ -214,18 +150,16 @@ func (n *NIC) AbortGroup(id core.GroupID) {
 // group-queue entry on the simulated timeline. Installation itself is
 // synchronous (the slot is claimed immediately); the charge models the
 // SRAM writes occupying the firmware processor, so lifecycle-aware
-// callers invoke it right after a successful install. Reinstalling a
-// previously retired ID is legal, so the retired mark clears.
+// callers invoke it right after a successful install.
 func (n *NIC) ChargeGroupInstall(id core.GroupID) {
-	delete(n.retired, id)
 	n.traceEvent(int(id), obs.KindInstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupInstallCost)
 	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})
 }
 
 func (c *collModule) mustOp(id core.GroupID) *groupOp {
-	if i := c.nic.slot(id); i >= 0 && !c.nic.slots[i].op.direct {
-		return c.nic.slots[i].op
+	if op, ok := c.nic.groups.Get(id); ok && !op.direct {
+		return op
 	}
 	panic(fmt.Sprintf("myrinet: node %d: collective message for unknown group %d", c.nic.node.ID, id))
 }
@@ -318,7 +252,7 @@ func (c *collModule) onMsg(m collPayload) {
 // arrive is onMsg's handler body.
 func (c *collModule) arrive(m collPayload) {
 	n := c.nic
-	if _, gone := n.retired[m.group]; gone {
+	if n.groups.Retired(m.group) {
 		// A NACK-resent duplicate outlived its group: the operation
 		// completed (which is why the group could tear down), so the
 		// copy is stale by construction.
@@ -440,7 +374,7 @@ func (c *collModule) onNack(m collPayload, fromNode int) {
 // (see groupOp.nackServed), each copy with its own payload.
 func (c *collModule) serveNack(m collPayload, fromNode int) {
 	n := c.nic
-	if _, gone := n.retired[m.group]; gone {
+	if n.groups.Retired(m.group) {
 		n.Stats.StaleColl++ // NACK for a drained, torn-down group
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return

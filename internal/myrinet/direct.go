@@ -17,8 +17,8 @@ type directModule struct {
 }
 
 func (d *directModule) mustOp(id core.GroupID) *groupOp {
-	if i := d.nic.slot(id); i >= 0 && d.nic.slots[i].op.direct {
-		return d.nic.slots[i].op
+	if op, ok := d.nic.groups.Get(id); ok && op.direct {
+		return op
 	}
 	panic(fmt.Sprintf("myrinet: node %d: direct barrier message for unknown group %d", d.nic.node.ID, id))
 }
@@ -83,7 +83,7 @@ func (d *directModule) onArrive(m collPayload) {
 // arrive is onArrive's handler body.
 func (d *directModule) arrive(m collPayload) {
 	n := d.nic
-	if _, gone := n.retired[m.group]; gone {
+	if n.groups.Retired(m.group) {
 		n.Stats.StaleColl++ // p2p retransmit outlived the group
 		return
 	}

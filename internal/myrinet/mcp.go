@@ -165,17 +165,12 @@ type NIC struct {
 
 	coll   collModule
 	direct directModule
-	// slots is the group table both modules share (see groupSlot).
-	slots []groupSlot
-
-	// retired remembers recently uninstalled group IDs (keyed to their
-	// teardown time) so that late traffic — NACK-resent duplicates that
-	// were still in flight when the last member completed and the group
-	// tore down — is counted as stale and dropped instead of panicking
-	// as "unknown group". Entries age out once no packet for the group
-	// can still exist (16 × NackTimeout, see pruneRetired), so churning
-	// clusters do not accumulate tombstones without bound.
-	retired map[core.GroupID]sim.Time
+	// groups is the group table both modules share: the SRAM-resident
+	// group-queue entries, at most GroupQueueSlots. Its tombstones let
+	// late traffic — NACK-resent duplicates still in flight when the last
+	// member completed and the group tore down — count as stale instead
+	// of panicking as "unknown group".
+	groups core.Table[*groupOp]
 
 	// tr, when non-nil, receives firmware-level trace events
 	// (doorbells, NACKs, resends, stale duplicates, installs) and
@@ -239,14 +234,14 @@ func (n *NIC) gm() {
 
 func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 	n.traceEvent(groupID, obs.KindDoorbell, value)
-	i := n.slot(core.GroupID(groupID))
+	op, ok := n.groups.Get(core.GroupID(groupID))
 	switch {
-	case i < 0:
+	case !ok:
 		panic(fmt.Sprintf("myrinet: node %d: barrier doorbell for unknown group %d", n.node.ID, groupID))
-	case n.slots[i].op.direct:
-		n.direct.start(n.slots[i].op)
+	case op.direct:
+		n.direct.start(op)
 	default:
-		n.coll.start(n.slots[i].op, value)
+		n.coll.start(op, value)
 	}
 }
 

@@ -19,7 +19,6 @@ package myrinet
 
 import (
 	"fmt"
-	"slices"
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
@@ -69,18 +68,11 @@ type Host struct {
 	// OnEvent receives every host event not claimed by a group binding,
 	// after the host has paid the poll/consume cost.
 	OnEvent func(Event)
-	// groupHandlers routes group-addressed events (barrier completions,
+	// groups routes group-addressed events (barrier completions,
 	// host-scheme barrier messages) to the session driving that group, so
 	// concurrent communicators can share one node without clobbering each
-	// other's event hook. It holds one entry per bound group and is
-	// scanned linearly.
-	groupHandlers []groupHandler
-}
-
-// groupHandler is one group's event binding on a host.
-type groupHandler struct {
-	gid int
-	h   EventHandler
+	// other's event hook.
+	groups core.Bindings[EventHandler]
 }
 
 // EventHandler consumes the host events of one bound group. Session
@@ -90,16 +82,6 @@ type EventHandler interface {
 	HandleEvent(Event)
 }
 
-// handler returns the index of group gid's binding, or -1.
-func (h *Host) handler(gid int) int {
-	for i := range h.groupHandlers {
-		if h.groupHandlers[i].gid == gid {
-			return i
-		}
-	}
-	return -1
-}
-
 // Bind routes this node's events for one group ID to eh. It panics on a
 // duplicate binding: two drivers polling the same group's completions is
 // a programming error, exactly like double-attaching a NIC.
@@ -107,14 +89,10 @@ func (h *Host) Bind(groupID int, eh EventHandler) {
 	if eh == nil {
 		panic("myrinet: nil group event handler")
 	}
-	if h.bound(groupID) {
+	if !h.groups.Bind(core.GroupID(groupID), eh) {
 		panic(fmt.Sprintf("myrinet: node %d: group %d already bound", h.node.ID, groupID))
 	}
-	h.groupHandlers = append(h.groupHandlers, groupHandler{groupID, eh})
 }
-
-// bound reports whether a handler is already bound for the group.
-func (h *Host) bound(groupID int) bool { return h.handler(groupID) >= 0 }
 
 // Unbind releases a group's event routing, the host half of group
 // teardown. Unbinding a group that was never bound panics — it means two
@@ -122,11 +100,9 @@ func (h *Host) bound(groupID int) bool { return h.handler(groupID) >= 0 }
 // are still in flight afterwards fall through to OnEvent (usually nil),
 // exactly like events for a group that was never installed.
 func (h *Host) Unbind(groupID int) {
-	i := h.handler(groupID)
-	if i < 0 {
+	if !h.groups.Unbind(core.GroupID(groupID)) {
 		panic(fmt.Sprintf("myrinet: node %d: unbinding group %d that is not bound", h.node.ID, groupID))
 	}
-	h.groupHandlers = slices.Delete(h.groupHandlers, i, i+1)
 }
 
 // newNode builds a node attached to net, scheduling its per-message
@@ -160,8 +136,8 @@ func (h *Host) deliver(ev Event) {
 // the host poll loop demultiplexing its event queue.
 func (h *Host) dispatch(ev Event) {
 	if ev.Kind == EvBarrierDone || ev.Kind == EvBarrierMsg {
-		if i := h.handler(ev.Group); i >= 0 {
-			h.groupHandlers[i].h.HandleEvent(ev)
+		if eh, ok := h.groups.Get(core.GroupID(ev.Group)); ok {
+			eh.HandleEvent(ev)
 			return
 		}
 	}

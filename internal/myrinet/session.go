@@ -110,12 +110,12 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 			panic(fmt.Sprintf("myrinet: node %d outside cluster of %d", id, len(cl.Nodes)))
 		}
 		node := cl.Nodes[id]
-		if node.Host.bound(int(gid)) {
+		if _, bound := node.Host.groups.Get(gid); bound {
 			return nil, fmt.Errorf("myrinet: node %d: group %d already bound", id, gid)
 		}
 		if scheme != SchemeHost {
-			if err := node.NIC.checkSlot(gid); err != nil {
-				return nil, err
+			if err := node.NIC.groups.Check(gid, node.Prof.NIC.GroupQueueSlots); err != nil {
+				return nil, fmt.Errorf("myrinet: node %d: %w", id, err)
 			}
 		}
 	}

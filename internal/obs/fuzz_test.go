@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"nicbarrier/internal/sim"
 )
 
 // FuzzValidateSnapshotJSON fuzzes the /snapshot schema check: it never
 // panics, and a document it accepts still validates, with the same
 // scope count, after a round trip through the SnapshotDoc wire type.
-// The seeds are the golden snapshot cmd/tracecheck validates and a
-// live snapshot of a traced registry scenario (faults-impair's chaos
-// workload, with tenant-bound groups and injected drops).
+// The seeds are the golden snapshot cmd/tracecheck validates, a live
+// snapshot of a traced registry scenario (faults-impair's chaos
+// workload, with tenant-bound groups and injected drops), and a doc
+// whose two scopes each bind tenant 0.
 func FuzzValidateSnapshotJSON(f *testing.F) {
 	for _, path := range []string{
 		"../../cmd/tracecheck/testdata/snapshot.json",
@@ -23,6 +26,17 @@ func FuzzValidateSnapshotJSON(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	tr := NewTracer()
+	for _, name := range []string{"a", "b"} {
+		sc := tr.NewScope(name)
+		sc.BindGroupTenant(1, 0)
+		sc.OpSpan(1, "barrier", 0, 0, sim.Time(sim.Microsecond))
+	}
+	two, err := json.Marshal(NewSnapshotDoc(tr.Snapshot()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(two)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scopes, err := ValidateSnapshotJSON(data)
 		if err != nil {

@@ -8,35 +8,42 @@ import (
 // SnapshotSchemaVersion is the version stamped into every serialized
 // SnapshotDoc. Bump it on any field change that is not
 // backward-compatible; ValidateSnapshotJSON rejects other versions.
-const SnapshotSchemaVersion = 1
+const SnapshotSchemaVersion = 2
 
 // SnapshotDoc is the wire form of a metrics snapshot: what the metrics
 // service's /snapshot endpoint serves and what cmd/tracecheck
 // -snapshot validates. Epoch sums the per-scope publication epochs (0
 // for a quiescent snapshot), so two docs from the same run are ordered
-// by it; Tenants is the cross-scope tenant-merged view of Scopes (see
-// Snapshot.MergeTenants).
+// by it; Tenants holds each scope's tenant-merged view (see
+// ScopeSnapshot.MergeTenants), scope by scope.
 type SnapshotDoc struct {
 	SchemaVersion int             `json:"schemaVersion"`
 	Epoch         uint64          `json:"epoch"`
 	AtUS          float64         `json:"atUS"`
 	Scopes        []ScopeSnapshot `json:"scopes"`
-	Tenants       []GroupSnapshot `json:"tenants,omitempty"`
+	Tenants       []TenantRow     `json:"tenants,omitempty"`
+}
+
+// TenantRow is one tenant's merged row within one scope. Scope indexes
+// the doc's Scopes: names do not identify a scope, since a scenario may
+// measure the same point twice.
+type TenantRow struct {
+	Scope int `json:"scope"`
+	GroupSnapshot
 }
 
 // NewSnapshotDoc wraps a snapshot in its versioned wire form, filling
-// the doc-level epoch/time stamps from the scopes and attaching the
-// tenant-merged view.
+// the doc-level epoch/time stamps from the scopes and attaching every
+// scope's tenant-merged view.
 func NewSnapshotDoc(snap Snapshot) SnapshotDoc {
-	doc := SnapshotDoc{
-		SchemaVersion: SnapshotSchemaVersion,
-		Scopes:        snap.Scopes,
-		Tenants:       snap.MergeTenants(),
-	}
-	for _, sc := range snap.Scopes {
+	doc := SnapshotDoc{SchemaVersion: SnapshotSchemaVersion, Scopes: snap.Scopes}
+	for i, sc := range snap.Scopes {
 		doc.Epoch += sc.Epoch
 		if sc.AtUS > doc.AtUS {
 			doc.AtUS = sc.AtUS
+		}
+		for _, g := range sc.MergeTenants() {
+			doc.Tenants = append(doc.Tenants, TenantRow{i, g})
 		}
 	}
 	return doc
@@ -45,9 +52,10 @@ func NewSnapshotDoc(snap Snapshot) SnapshotDoc {
 // ValidateSnapshotJSON parses data as a SnapshotDoc and checks its
 // internal consistency: the schema version, that every group's
 // drop-reason breakdown sums to its drop total, that histogram bin
-// counts sum to the histogram count, that quantiles are ordered, and
-// that the doc epoch equals the sum of the scope epochs. It returns
-// the number of scopes on success.
+// counts sum to the histogram count, that quantiles are ordered, that
+// the doc epoch equals the sum of the scope epochs, and that every
+// tenant row names a bound tenant of a scope in the doc, once per
+// scope. It returns the number of scopes on success.
 func ValidateSnapshotJSON(data []byte) (int, error) {
 	var doc SnapshotDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -74,11 +82,20 @@ func ValidateSnapshotJSON(data []byte) (int, error) {
 		return 0, fmt.Errorf("snapshot: doc epoch %d != scope epoch sum %d",
 			doc.Epoch, epochs)
 	}
-	for _, g := range doc.Tenants {
-		if g.Tenant < 0 {
-			return 0, fmt.Errorf("snapshot: tenant row with unbound tenant (group %d)", g.Group)
+	seen := map[[2]int]bool{}
+	for _, r := range doc.Tenants {
+		if r.Scope < 0 || r.Scope >= len(doc.Scopes) {
+			return 0, fmt.Errorf("snapshot: tenant row for scope %d of %d", r.Scope, len(doc.Scopes))
 		}
-		if err := validateGroup(fmt.Sprintf("tenant %d", g.Tenant), g); err != nil {
+		if r.Tenant < 0 {
+			return 0, fmt.Errorf("snapshot: scope %d: tenant row with unbound tenant (group %d)", r.Scope, r.Group)
+		}
+		key := [2]int{r.Scope, r.Tenant}
+		if seen[key] {
+			return 0, fmt.Errorf("snapshot: scope %d: tenant %d repeated", r.Scope, r.Tenant)
+		}
+		seen[key] = true
+		if err := validateGroup(fmt.Sprintf("scope %d tenant %d", r.Scope, r.Tenant), r.GroupSnapshot); err != nil {
 			return 0, err
 		}
 	}

@@ -47,18 +47,49 @@ func TestValidateSnapshotRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"not json":       `nope`,
 		"wrong version":  `{"schemaVersion":99,"epoch":0,"atUS":0,"scopes":[]}`,
-		"unnamed scope":  `{"schemaVersion":1,"epoch":0,"atUS":0,"scopes":[{"name":""}]}`,
-		"epoch mismatch": `{"schemaVersion":1,"epoch":5,"atUS":0,"scopes":[{"name":"a","epoch":2}]}`,
-		"unbound tenant": `{"schemaVersion":1,"epoch":0,"atUS":0,"scopes":[],"tenants":[{"group":0,"tenant":-1}]}`,
-		"drop sum":       `{"schemaVersion":1,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"dropped":2,"drops":{"injected":1}}]}]}`,
-		"bin sum":        `{"schemaVersion":1,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":3,"bins":[{"v":10,"n":1}]}}]}]}`,
-		"empty bin":      `{"schemaVersion":1,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":0,"bins":[{"v":10,"n":0}]}}]}]}`,
-		"quantile order": `{"schemaVersion":1,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":1,"p50US":9,"p95US":5,"p99US":9,"maxUS":9,"bins":[{"v":10,"n":1}]}}]}]}`,
+		"unnamed scope":  `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":""}]}`,
+		"epoch mismatch": `{"schemaVersion":2,"epoch":5,"atUS":0,"scopes":[{"name":"a","epoch":2}]}`,
+		"unbound tenant": `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":0,"group":0,"tenant":-1}]}`,
+		"tenant scope":   `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":1,"group":0,"tenant":0}]}`,
+		"tenant repeat":  `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":0,"group":0,"tenant":0},{"scope":0,"group":1,"tenant":0}]}`,
+		"drop sum":       `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"dropped":2,"drops":{"injected":1}}]}]}`,
+		"bin sum":        `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":3,"bins":[{"v":10,"n":1}]}}]}]}`,
+		"empty bin":      `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":0,"bins":[{"v":10,"n":0}]}}]}]}`,
+		"quantile order": `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":1,"p50US":9,"p95US":5,"p99US":9,"maxUS":9,"bins":[{"v":10,"n":1}]}}]}]}`,
 	}
 	for name, c := range cases {
 		if _, err := ValidateSnapshotJSON([]byte(c)); err == nil {
 			t.Errorf("%s: accepted %q", name, c)
 		}
+	}
+}
+
+// Two scopes that each bind tenant 0 are unrelated data points: the doc
+// reports one tenant-0 row per scope, each with only its own scope's
+// latency, rather than one row pooling both.
+func TestSnapshotTenantsPerScope(t *testing.T) {
+	tr := NewTracer()
+	for i, name := range []string{"point a", "point b"} {
+		sc := tr.NewScope(name)
+		sc.BindGroupTenant(1, 0)
+		sc.OpSpan(1, "barrier", 0, 0, sim.Time((i+1)*int(sim.Microsecond)))
+	}
+	doc := NewSnapshotDoc(tr.Snapshot())
+	if len(doc.Tenants) != 2 {
+		t.Fatalf("%d tenant rows, want one per scope: %+v", len(doc.Tenants), doc.Tenants)
+	}
+	for i, r := range doc.Tenants {
+		if r.Tenant != 0 || r.Latency.Count != 1 || r.Latency.MaxUS != float64(i+1) {
+			t.Fatalf("row %d: tenant %d, %d latencies, max %vus; want tenant 0, 1 latency of %dus",
+				i, r.Tenant, r.Latency.Count, r.Latency.MaxUS, i+1)
+		}
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateSnapshotJSON(data); err != nil {
+		t.Fatalf("validate: %v\n%s", err, data)
 	}
 }
 

@@ -134,10 +134,19 @@ type Snapshot struct {
 // locally, but the tenant binding is workload-wide, so the merged view
 // reports every tenant exactly once whatever the partition count. A
 // merged row keeps the first contributing group's ID.
-func (s Snapshot) MergeTenants() []GroupSnapshot {
+func (s Snapshot) MergeTenants() []GroupSnapshot { return mergeTenants(s.Scopes...) }
+
+// MergeTenants is the scope's own tenant-merged view: the groups a
+// reconfiguration rebound to one tenant fold into one row, and nothing
+// is pooled with another scope. A registry scenario's scopes are
+// unrelated data points, so /metrics and /snapshot both report tenants
+// this way.
+func (sc ScopeSnapshot) MergeTenants() []GroupSnapshot { return mergeTenants(sc) }
+
+func mergeTenants(scopes ...ScopeSnapshot) []GroupSnapshot {
 	byTenant := map[int]*GroupSnapshot{}
 	var order []int
-	for _, sc := range s.Scopes {
+	for _, sc := range scopes {
 		for _, g := range sc.Groups {
 			if g.Tenant < 0 {
 				continue

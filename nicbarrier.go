@@ -313,8 +313,12 @@ const (
 	PaperFidelity
 )
 
-// Experiments lists the runnable experiment IDs (fig5, fig6, fig7,
-// fig8a, fig8b, summary, ablation, packets).
+// Experiments lists the runnable experiment IDs in registry order: the
+// paper's figures and tables (fig5 … fig8b, summary, ablation, packets)
+// followed by the reproduction's own sweeps (skew, the faults and
+// recovery families, the multi-tenant, churn and reconfiguration
+// workloads, shard-scale); barrier-bench -list prints each with its
+// title.
 func Experiments() []string { return harness.Experiments() }
 
 // RunExperiment regenerates one paper artifact and returns its rendered
