@@ -15,6 +15,7 @@ import (
 	"nicbarrier/internal/harness"
 	"nicbarrier/internal/metricsrv"
 	"nicbarrier/internal/obs"
+	"nicbarrier/internal/sim"
 )
 
 // syncBuffer is a goroutine-safe writer the server goroutine can log to
@@ -158,6 +159,42 @@ func TestServeScrapesEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), `"churn-policies" done:`) {
 		t.Fatalf("server log missing completion line:\n%s", out.String())
+	}
+}
+
+// A scrape never repeats a series: scope names repeat within a run
+// (both scenarios measure some point twice), so every sample also
+// carries its scope's index in the run.
+func TestMetricsSeriesUnique(t *testing.T) {
+	srv := metricsrv.New()
+	for _, id := range []string{"churn-policies", "faults-impair"} {
+		s, ok := harness.ScenarioByID(id)
+		if !ok {
+			t.Fatalf("scenario %q not registered", id)
+		}
+		tr := obs.NewTracerSize(256)
+		tr.SetMetronome(sim.Micros(25))
+		cfg := harness.Quick()
+		cfg.Trace = tr
+		run := srv.Register(id, id, tr)
+		s.Points(cfg)
+		run.Finish("", nil)
+	}
+	var buf strings.Builder
+	metricsrv.WritePrometheus(&buf, srv.Runs())
+	seen := map[string]int{}
+	for i, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if prev, dup := seen[series]; dup {
+			t.Fatalf("lines %d and %d repeat series %s", prev+1, i+1, series)
+		}
+		seen[series] = i
+	}
+	if len(seen) == 0 {
+		t.Fatal("scrape holds no samples")
 	}
 }
 

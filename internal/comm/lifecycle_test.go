@@ -252,6 +252,30 @@ func TestWithdrawnHeadUnblocksQueue(t *testing.T) {
 	allSlotsFree(t, c, 1)
 }
 
+// A departure that does not free the queued head's slots leaves the
+// head blocked without attempting its install: the refusal builds no
+// error, copies no member list and claims no group ID.
+func TestDrainBlockedHeadAllocsNothing(t *testing.T) {
+	c := xpCommSlots(4, 1)
+	c.SetAdmission(AdmissionConfig{Policy: AdmitQueue})
+	a := barrierGroup(t, c, 0, 1)
+	head := barrierGroup(t, c, 0, 2) // queued: node 0 full under a
+	gid := c.nextGID
+	if allocs := testing.AllocsPerRun(100, c.sched.drain); allocs != 0 {
+		t.Fatalf("draining a blocked head allocates %.1f objects, want 0", allocs)
+	}
+	if head.Installed() || c.nextGID != gid || c.AdmissionStats().QueueLen != 1 {
+		t.Fatal("blocked drain changed the queue or the group IDs")
+	}
+	a.Close()
+	if !head.Installed() {
+		t.Fatal("freeing node 0 did not serve the head")
+	}
+	head.Close()
+	c.Eng.Run()
+	allSlotsFree(t, c, 1)
+}
+
 // Launch guards apply to queued groups exactly as to installed ones.
 func TestQueuedLaunchGuards(t *testing.T) {
 	c := xpCommSlots(2, 1)

@@ -235,16 +235,21 @@ func (s *sched) withdraw(g *Group) {
 // drain serves the deferred-install queue strictly FIFO: install the
 // head while its slots are available, stop at the first head that still
 // cannot fit. Served groups replay any Launch that arrived while they
-// waited. The empty-queue fast path is allocation-free — it runs on
-// every group departure.
+// waited. A head whose members lack a free slot is refused before
+// install, so the refusal builds no error: the empty-queue and
+// still-blocked paths run on every group departure.
 func (s *sched) drain() {
 	for len(s.queue) > 0 {
 		head := s.queue[0]
-		if err := s.install(head, head.gc, head.queuedPlan); err != nil {
-			if errors.Is(err, core.ErrSlotsExhausted) {
-				return // strict FIFO: nothing behind the head may jump it
+		if s.c.be.slotted(head.gc) {
+			for _, id := range head.gc.Members {
+				if s.c.SlotsFree(id) == 0 {
+					return // strict FIFO: nothing behind the head may jump it
+				}
 			}
-			// validate checked everything but slot capacity.
+		}
+		if err := s.install(head, head.gc, head.queuedPlan); err != nil {
+			// validate checked everything but slot capacity, checked above.
 			panic(fmt.Sprintf("comm: queued install failed: %v", err))
 		}
 		s.queue = s.queue[1:]

@@ -12,10 +12,14 @@ import (
 // repository takes no dependencies, and the counter/gauge subset the
 // obs snapshots need is a few dozen lines.
 //
-// Label scheme: every sample carries run="<name>",scope="<scope>" — a
-// run's scopes are separate simulated clusters (the data points of a
-// registry scenario, or the shards of a partitioned workload, which
-// deal each tenant to one shard), so nothing is pooled across them.
+// Label scheme: every sample carries
+// run="<name>",scope="<scope>",scope_index="<i>" — a run's scopes are
+// separate simulated clusters (the data points of a registry scenario,
+// or the shards of a partitioned workload, which deal each tenant to
+// one shard), so nothing is pooled across them. A scenario may measure
+// the same point twice, so names repeat within a run; the scope's index
+// in the run (the one /snapshot tenant rows carry) keeps every series
+// distinct.
 // Per-tenant samples add tenant="<index>",kind="<op>" and come from the
 // scope's tenant-merged view, which folds the groups a reconfiguration
 // rebound to the same tenant into one series. Latency is exposed
@@ -133,9 +137,9 @@ func WritePrometheus(w io.Writer, runs []*Run) {
 	var scopes []promScope
 	for _, run := range runs {
 		rl := fmt.Sprintf(`run="%s"`, promEscape(run.Name))
-		for _, sc := range run.snap().Scopes {
+		for i, sc := range run.snap().Scopes {
 			scopes = append(scopes, promScope{
-				labels:  fmt.Sprintf(`%s,scope="%s"`, rl, promEscape(sc.Name)),
+				labels:  fmt.Sprintf(`%s,scope="%s",scope_index="%d"`, rl, promEscape(sc.Name), i),
 				sc:      sc,
 				tenants: sc.MergeTenants(),
 			})

@@ -46,8 +46,8 @@ func TestTenantSeriesPerScope(t *testing.T) {
 	WritePrometheus(&buf, []*Run{run})
 	text := buf.String()
 	for _, want := range []string{
-		`nicbarrier_latency_us_count{run="pts",scope="point a",tenant="0",kind="barrier"} 3` + "\n",
-		`nicbarrier_latency_us_count{run="pts",scope="point b",tenant="0",kind="barrier"} 5` + "\n",
+		`nicbarrier_latency_us_count{run="pts",scope="point a",scope_index="0",tenant="0",kind="barrier"} 3` + "\n",
+		`nicbarrier_latency_us_count{run="pts",scope="point b",scope_index="1",tenant="0",kind="barrier"} 5` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics lacks %q", want)

@@ -54,7 +54,7 @@ func TestEngineScheduleEventZeroAlloc(t *testing.T) {
 }
 
 // A deep queue with mixed delays exercises refill across buckets and
-// the front heap; once the slot table and front heap have grown to the
+// the front; once the slot arrays and the front have grown to the
 // working depth, neither may allocate again.
 func TestEngineRefillZeroAlloc(t *testing.T) {
 	eng := NewEngine()

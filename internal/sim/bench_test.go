@@ -88,3 +88,52 @@ func BenchmarkEngineDepth4k(b *testing.B) {
 		eng.Step()
 	}
 }
+
+// BenchmarkEngineSameInstant32k is core.Session.Launch's burst at the
+// hier-64k scale (32,768 ranks per shard): one op schedules 32,768
+// entries for a single instant and fires them, in seq order. The queue
+// takes the instant out of its buckets as one sorted front run.
+func BenchmarkEngineSameInstant32k(b *testing.B) {
+	eng := NewEngine()
+	fn := func() {}
+	burst := func() {
+		at := eng.Now().Add(1)
+		for j := 0; j < 1<<15; j++ {
+			eng.Schedule(at, fn)
+		}
+		eng.Run()
+	}
+	burst() // grow the slot arrays and the front to the burst
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst()
+	}
+}
+
+// BenchmarkEngineWindowed is the shard worker's window pattern
+// (internal/shard/runner.go): each window schedules two short events,
+// runs to the window's end with RunUntil(end-1) and asks NextAt for the
+// next event, while a far-future timer stays pending. Neither call may
+// take the timer's instant out of the queue, or every event of the
+// next window would land before the front.
+func BenchmarkEngineWindowed(b *testing.B) {
+	eng := NewEngine()
+	fn := func() {}
+	eng.Schedule(1<<50, fn)
+	const window = 1000
+	end := eng.Now()
+	step := func() {
+		end += window
+		eng.After(window/4, fn)
+		eng.After(window/2, fn)
+		eng.RunUntil(end - 1)
+		eng.NextAt()
+	}
+	step() // grow the slot arrays and the front
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -24,18 +25,23 @@ const (
 	slotCancelled
 )
 
-// A live or cancelled slot also holds its queued entry: the timestamp,
-// the FIFO tie-breaker and exactly one of fn and ev. The queue keeps no
-// copy of the callback, only slot indices (see queue.go). The fields a
-// bucket refill walks lead the struct so they share a cache line.
-type slot struct {
+// A live or cancelled slot also holds its queued entry, split across
+// two parallel arrays that grow together. The key array holds what the
+// bucket walk, Cancel and the free list read, 16 bytes a slot; the
+// payload array holds the FIFO tie-breaker, the generation and exactly
+// one of fn and ev. The queue keeps no copy of the callback, only slot
+// indices (see queue.go).
+type key struct {
 	at    Time
 	next  int32 // bucket-chain link while queued, free-list link while free
 	state uint8
-	seq   uint64 // tie-breaker: FIFO among events at the same instant
-	gen   uint64
-	fn    func()
-	ev    Event
+}
+
+type payload struct {
+	seq uint64 // tie-breaker: FIFO among events at the same instant
+	gen uint64
+	fn  func()
+	ev  Event
 }
 
 // compactMin is the queue size below which cancelled entries are left
@@ -49,24 +55,28 @@ const compactMin = 64
 // The queue is a monotone radix heap over the engine clock (queue.go):
 // because time never runs backwards, entries past the last instant taken
 // out wait unsorted in buckets keyed by the highest bit in which their
-// timestamp differs from it, chained through the Timer slot table, and
-// only the earliest instant (plus any event scheduled between now and
-// it) is kept sorted, in a small front heap.
-// Steady-state scheduling performs no heap allocation (the slot table
-// and front heap are reused), Cancel is O(1) (entries are marked through
-// their slot and skipped when they surface), and the queue compacts
-// itself when cancelled entries outnumber live ones.
+// timestamp differs from it, chained through the slot table's dense key
+// array. Only that instant is kept in order, as a front run of slot
+// indices sorted by seq; peeking at the next event never takes an
+// instant out early, so no entry can land before the front and there is
+// no heap. Steady-state scheduling performs no heap allocation (the slot
+// arrays and the front are reused), Cancel is O(1) (entries are marked
+// through their slot and skipped when they surface), and the queue
+// compacts itself when cancelled entries outnumber live ones.
 type Engine struct {
 	now     Time
 	seq     uint64
 	stopped bool
 	// last is the latest instant the queue has taken out of its
-	// buckets; front holds the entries at or before it, and heads the
-	// bucket chains after it. Bucket b is non-empty iff bit b of
-	// buckets is set, and its earliest timestamp is earliest[b].
+	// buckets, never after now; front[head:] holds the entries at it in
+	// seq order, and heads the bucket chains after it. Bucket b is
+	// non-empty iff bit b of buckets is set; its earliest timestamp is
+	// earliest[b], held by slot first[b].
 	last     Time
-	front    []frontEntry
+	front    []int32
+	head     int
 	heads    [64]int32
+	first    [64]int32
 	earliest [64]Time
 	buckets  uint64
 	// executed counts events that have run; useful as a progress and
@@ -80,7 +90,8 @@ type Engine struct {
 	live int
 	// cancelled counts cancelled entries still occupying the queue.
 	cancelled int
-	slots     []slot
+	keys      []key
+	payload   []payload
 	freeSlot  int32 // head of the slot free list, -1 when empty
 	// obs, when non-nil, is notified of every event firing and
 	// cancellation. The disabled cost is one nil check per event.
@@ -138,23 +149,25 @@ func (e *Engine) flushExecuted() {
 
 func (e *Engine) acquireSlot() int32 {
 	if s := e.freeSlot; s >= 0 {
-		e.freeSlot = e.slots[s].next
-		e.slots[s].state = slotLive
+		e.freeSlot = e.keys[s].next
+		e.keys[s].state = slotLive
 		return s
 	}
-	e.slots = append(e.slots, slot{state: slotLive})
-	return int32(len(e.slots) - 1)
+	e.keys = append(e.keys, key{state: slotLive})
+	e.payload = append(e.payload, payload{})
+	return int32(len(e.keys) - 1)
 }
 
 // releaseSlot returns a slot to the free list and bumps its generation,
 // invalidating every outstanding Timer that still points at it.
 // The callback references are dropped so a free slot pins no garbage.
 func (e *Engine) releaseSlot(s int32) {
-	sl := &e.slots[s]
-	sl.fn, sl.ev = nil, nil
-	sl.gen++
-	sl.state = slotFree
-	sl.next = e.freeSlot
+	p := &e.payload[s]
+	p.fn, p.ev = nil, nil
+	p.gen++
+	k := &e.keys[s]
+	k.state = slotFree
+	k.next = e.freeSlot
 	e.freeSlot = s
 }
 
@@ -182,12 +195,13 @@ func (e *Engine) schedule(at Time, fn func(), ev Event) Timer {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
 	s := e.acquireSlot()
-	sl := &e.slots[s]
-	sl.at, sl.seq, sl.fn, sl.ev = at, e.seq, fn, ev
+	e.keys[s].at = at
+	p := &e.payload[s]
+	p.seq, p.fn, p.ev = e.seq, fn, ev
 	e.push(s)
 	e.seq++
 	e.live++
-	return Timer{eng: e, slot: s, gen: sl.gen}
+	return Timer{eng: e, slot: s, gen: p.gen}
 }
 
 // After runs fn d after the current time.
@@ -208,25 +222,26 @@ func (e *Engine) AfterEvent(d Duration, ev Event) Timer {
 
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if !e.settle() {
+	if !e.next(math.MaxInt64) {
 		return false
 	}
 	e.fire()
 	return true
 }
 
-// fire runs the entry at the front heap's head, which settle has
-// checked is live.
+// fire runs the entry at the front's head, which next has checked is
+// live.
 func (e *Engine) fire() {
-	top := e.frontPop()
-	sl := &e.slots[top.slot]
-	fn, ev := sl.fn, sl.ev
-	e.releaseSlot(top.slot)
-	e.now = top.at
+	s := e.front[e.head]
+	e.head++
+	p := &e.payload[s]
+	fn, ev := p.fn, p.ev
+	e.releaseSlot(s)
+	e.now = e.last
 	e.executed++
 	e.live--
 	if e.obs != nil {
-		e.obs.EventFired(top.at)
+		e.obs.EventFired(e.now)
 	}
 	if fn != nil {
 		fn()
@@ -245,18 +260,15 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline. It reports whether the queue drained before the
-// deadline (i.e. no runnable event remained at or past it).
+// deadline (i.e. no runnable event remained at or past it). The queue
+// takes out no instant past the deadline.
 func (e *Engine) RunUntil(deadline Time) bool {
 	defer e.flushExecuted()
 	e.stopped = false
 	for !e.stopped {
-		if !e.settle() {
-			e.now = maxTime(e.now, deadline)
-			return true
-		}
-		if e.front[0].at > deadline {
-			e.now = deadline
-			return false
+		if !e.next(deadline) {
+			e.now = max(e.now, deadline)
+			return e.live == 0
 		}
 		e.fire()
 	}
@@ -284,27 +296,6 @@ func (e *Engine) RunCondition(pred func() bool) bool {
 // event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// NextAt reports the timestamp of the next live (not cancelled) event,
-// or ok == false when the queue is empty. Cancelled entries that have
-// surfaced at the queue head are collected as a side effect. The
-// partitioned runtime (internal/shard) uses it to skip empty lookahead
-// windows: the coordinator advances every shard straight to the
-// earliest pending event instead of stepping fixed windows through
-// idle virtual time.
-func (e *Engine) NextAt() (Time, bool) {
-	if !e.settle() {
-		return 0, false
-	}
-	return e.front[0].at, true
-}
-
-func maxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Timer is a value handle for a scheduled event; its only operation is
 // Cancel. The zero Timer is valid and cancels nothing. Handles are
 // generation-stamped: once the event fires (or the cancellation is
@@ -328,12 +319,12 @@ func (t Timer) Cancel() bool {
 	if e == nil {
 		return false
 	}
-	sl := &e.slots[t.slot]
-	if sl.state != slotLive || sl.gen != t.gen {
+	k, p := &e.keys[t.slot], &e.payload[t.slot]
+	if k.state != slotLive || p.gen != t.gen {
 		return false
 	}
-	sl.state = slotCancelled
-	sl.fn, sl.ev = nil, nil // a cancelled entry never fires; pin nothing
+	k.state = slotCancelled
+	p.fn, p.ev = nil, nil // a cancelled entry never fires; pin nothing
 	e.cancelled++
 	e.live--
 	if e.obs != nil {

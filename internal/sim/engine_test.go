@@ -172,8 +172,8 @@ func TestTimerSlotReuseAfterCancel(t *testing.T) {
 	if n := queuedEntries(e); n >= compactMin {
 		t.Fatalf("queue holds %d entries after mass cancellation; compaction did not run", n)
 	}
-	if len(e.slots) > 2*compactMin {
-		t.Fatalf("slot table grew to %d for a schedule/cancel loop", len(e.slots))
+	if len(e.keys) > 2*compactMin {
+		t.Fatalf("slot table grew to %d for a schedule/cancel loop", len(e.keys))
 	}
 }
 

@@ -1,76 +1,76 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // The event queue is a radix heap over the engine clock. It relies on
 // one property of a discrete-event simulation: the queue minimum never
 // decreases between refills, because time never runs backwards
 // (schedule panics on at < now).
 //
-// last is the timestamp of the most recent instant the queue took out
-// of its buckets. Every queued entry sits in exactly one of two places:
+// last is the instant the queue most recently took out of its buckets,
+// and last <= now holds after every public call: Step takes an instant
+// out only to fire it, RunUntil none past its deadline (the clock then
+// moves to the deadline), and NextAt only peeks. If the instants taken
+// out held only cancelled entries and the queue drains, last falls
+// back to now. Every queued entry sits in exactly one of two places:
 //
 //   - at > last: unsorted in bucket bits.Len64(at ^ last), a singly
-//     linked chain threaded through the Timer slot table's next field.
-//     All entries of bucket b agree with last above bit b-1, so the
-//     lowest non-empty bucket holds the earliest entries.
-//   - at <= last: in the front, a small pointer-free 4-ary heap
-//     ordered by (at, seq). It holds the current instant plus
-//     stragglers: entries scheduled in [now, last) after NextAt or
-//     RunUntil looked past now (the shard runner's window pattern).
+//     linked chain threaded through the key array's next field. All
+//     entries of bucket b agree with last above bit b-1, so the lowest
+//     non-empty bucket holds the earliest entries.
+//   - at == last: in the front, a run of slot indices in seq order.
+//     A refill sorts the instant it takes out by seq once; a zero-delay
+//     schedule appends, since its seq is the largest so far. Because
+//     at >= now >= last for every new entry, nothing can land before
+//     last, and the front never needs a heap.
 //
 // Every front entry precedes every bucket entry, so the front's head is
-// the global minimum. When the front runs dry, refill takes the lowest
-// non-empty bucket's earliest timestamp (kept up to date as entries are
-// linked), makes that the new last, moves the entries at that instant
-// to the front and relinks the rest into strictly lower buckets. Each entry therefore moves at most
-// once per bit of its distance from last, and the front heap stays a
-// handful of entries deep however many timers are pending.
+// the global minimum. With the front empty, a refill takes the lowest
+// bucket's earliest instant (kept up to date as entries are linked),
+// makes it last, moves its entries to the front and relinks the rest
+// of the bucket into strictly lower buckets. Each entry therefore
+// moves at most once per bit of its distance from last. NextAt reads
+// that earliest timestamp without a refill; each bucket also keeps the
+// slot holding it, and only when that entry has been cancelled is the
+// bucket rescanned.
+//
+// The bucket walk reads only the 16-byte key array (at, next, state);
+// the seq, generation and callback live in the parallel payload array,
+// which the walk touches only to sort a refilled instant.
 //
 // The firing order is (at, seq) by construction: bucket placement only
-// decides when an entry reaches the front, and the front orders by
-// (at, seq). Cancelled entries are dropped lazily, wherever a refill,
-// a head inspection or compact meets them.
-
-// frontEntry is one front-heap cell. It copies at and seq out of the
-// slot so sifting compares within the heap array, and carries no
-// pointers, so moving it needs no GC write barrier.
-type frontEntry struct {
-	at   Time
-	seq  uint64
-	slot int32
-}
-
-// before orders entries by (at, seq), the engine's total event order.
-func (a frontEntry) before(b frontEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+// decides when an entry reaches the front, and the front holds one
+// instant in seq order. Cancelled entries are dropped lazily, wherever
+// a refill, NextAt or compact meets them.
 
 // push queues the entry held in slot s.
 func (e *Engine) push(s int32) {
-	sl := &e.slots[s]
-	if sl.at <= e.last {
-		e.frontPush(frontEntry{at: sl.at, seq: sl.seq, slot: s})
+	at := e.keys[s].at
+	if at == e.last {
+		e.front = append(e.front, s)
 		return
 	}
-	e.link(s, bits.Len64(uint64(sl.at^e.last)))
+	e.link(s, bits.Len64(uint64(at^e.last)))
 }
 
 // link prepends slot s to bucket b's chain and keeps the bucket's
-// earliest timestamp.
+// earliest timestamp and the slot holding it.
 func (e *Engine) link(s int32, b int) {
 	bit := uint64(1) << b
-	sl := &e.slots[s]
+	k := &e.keys[s]
 	if e.buckets&bit == 0 {
 		e.buckets |= bit
-		e.earliest[b] = sl.at
-		sl.next = -1
+		e.earliest[b], e.first[b] = k.at, s
+		k.next = -1
 	} else {
-		e.earliest[b] = min(e.earliest[b], sl.at)
-		sl.next = e.heads[b]
+		if k.at < e.earliest[b] {
+			e.earliest[b], e.first[b] = k.at, s
+		}
+		k.next = e.heads[b]
 	}
 	e.heads[b] = s
 }
@@ -78,7 +78,7 @@ func (e *Engine) link(s int32, b int) {
 // drop releases slot s if its entry was cancelled and reports whether
 // it did.
 func (e *Engine) drop(s int32) bool {
-	if e.slots[s].state != slotCancelled {
+	if e.keys[s].state != slotCancelled {
 		return false
 	}
 	e.cancelled--
@@ -86,132 +86,117 @@ func (e *Engine) drop(s int32) bool {
 	return true
 }
 
-// settle brings the earliest live entry to the front heap's head,
-// discarding cancelled entries on the way. It reports false when no
-// live entry remains.
-func (e *Engine) settle() bool {
-	for {
-		if len(e.front) == 0 && !e.refill() {
-			return false
-		}
-		if !e.drop(e.front[0].slot) {
+// frontLive drops the cancelled entries at the front's head and
+// reports whether a live one remains there, resetting an exhausted
+// front for reuse.
+func (e *Engine) frontLive() bool {
+	for ; e.head < len(e.front); e.head++ {
+		if !e.drop(e.front[e.head]) {
 			return true
 		}
-		e.frontPop()
 	}
+	e.front, e.head = e.front[:0], 0
+	return false
 }
 
-// refill moves the earliest instant held in the buckets into the empty
-// front heap. It reports false when the buckets hold no live entry.
-//
-// A bucket's earliest timestamp may belong to a cancelled entry (Cancel
-// leaves the chains alone). Making it last is still sound: it precedes
-// every other entry of the bucket. If every entry at that instant was
-// cancelled, the front stays empty and the loop goes on with the
-// buckets the rest were relinked into.
-func (e *Engine) refill() bool {
-	for e.buckets != 0 {
-		b := bits.TrailingZeros64(e.buckets)
-		e.buckets &^= 1 << b
-		at := e.earliest[b]
-		e.last = at
-		for s := e.heads[b]; s >= 0; {
-			sl := &e.slots[s]
-			next := sl.next
-			switch {
-			case e.drop(s):
-			case sl.at == at:
-				e.frontPush(frontEntry{at: at, seq: sl.seq, slot: s})
-			default:
-				e.link(s, bits.Len64(uint64(sl.at^at)))
-			}
-			s = next
+// next brings the earliest live entry to the front's head, taking
+// instants out of the buckets while the front is empty, but none after
+// limit. It reports false when no live entry is due by limit. Only
+// Step and RunUntil call it, and each fires what it brings forward or
+// moves the clock to limit, so last never passes now.
+func (e *Engine) next(limit Time) bool {
+	if e.frontLive() {
+		return e.last <= limit
+	}
+	for e.buckets != 0 && e.earliest[bits.TrailingZeros64(e.buckets)] <= limit {
+		if e.refill(); len(e.front) > 0 {
+			return true // a refill drops cancelled entries on its walk
 		}
-		if len(e.front) > 0 {
-			return true
-		}
+	}
+	if e.buckets == 0 {
+		e.last = e.now // only cancelled entries were left
 	}
 	return false
 }
 
-// compact removes every cancelled entry from the front heap and the
-// bucket chains in one O(n) pass. Without it, a workload that schedules
-// and cancels many timers (retransmission timers under heavy loss)
-// would grow the queue unboundedly until the dead entries surfaced.
+// NextAt reports the timestamp of the next live (not cancelled) event,
+// or ok == false when the queue is empty. It only peeks: no instant is
+// taken out of the buckets, so events scheduled afterwards before it
+// stay ordinary bucket entries. A bucket's earliest entry may have been
+// cancelled (Cancel leaves the chains alone); only then is that bucket
+// rescanned. The partitioned runtime (internal/shard) uses it to skip
+// empty lookahead windows: the coordinator advances every shard
+// straight to the earliest pending event instead of stepping fixed
+// windows through idle virtual time.
+func (e *Engine) NextAt() (Time, bool) {
+	if e.live == 0 {
+		return 0, false
+	}
+	if e.frontLive() {
+		return e.last, true
+	}
+	for {
+		b := bits.TrailingZeros64(e.buckets)
+		if e.keys[e.first[b]].state == slotLive {
+			return e.earliest[b], true
+		}
+		e.rescan(b)
+	}
+}
+
+// rescan drops bucket b's cancelled entries and recomputes its earliest
+// timestamp, emptying the bucket if nothing live is left in it.
+func (e *Engine) rescan(b int) {
+	e.buckets &^= 1 << b
+	for s := e.heads[b]; s >= 0; {
+		next := e.keys[s].next
+		if !e.drop(s) {
+			e.link(s, b)
+		}
+		s = next
+	}
+}
+
+// refill moves the lowest bucket's earliest instant into the empty
+// front and makes it last. If every entry at that instant was
+// cancelled, the front stays empty and next goes on with the buckets
+// the rest were relinked into.
+func (e *Engine) refill() {
+	b := bits.TrailingZeros64(e.buckets)
+	e.buckets &^= 1 << b
+	at := e.earliest[b]
+	e.last = at
+	for s := e.heads[b]; s >= 0; {
+		k := &e.keys[s]
+		next := k.next
+		switch {
+		case e.drop(s):
+		case k.at == at:
+			e.front = append(e.front, s)
+		default:
+			e.link(s, bits.Len64(uint64(k.at^at)))
+		}
+		s = next
+	}
+	if len(e.front) > 1 {
+		p := e.payload
+		slices.SortFunc(e.front, func(a, b int32) int { return cmp.Compare(p[a].seq, p[b].seq) })
+	}
+}
+
+// compact removes every cancelled entry from the front and the bucket
+// chains in one O(n) pass. Without it, a workload that schedules and
+// cancels many timers (retransmission timers under heavy loss) would
+// grow the queue unboundedly until the dead entries surfaced.
 func (e *Engine) compact() {
 	kept := e.front[:0]
-	for _, f := range e.front {
-		if !e.drop(f.slot) {
-			kept = append(kept, f)
+	for _, s := range e.front[e.head:] {
+		if !e.drop(s) {
+			kept = append(kept, s)
 		}
 	}
-	e.front = kept
-	if n := len(kept); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	}
+	e.front, e.head = kept, 0
 	for m := e.buckets; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		e.buckets &^= 1 << b
-		for s := e.heads[b]; s >= 0; {
-			next := e.slots[s].next
-			if !e.drop(s) {
-				e.link(s, b)
-			}
-			s = next
-		}
+		e.rescan(bits.TrailingZeros64(m))
 	}
-}
-
-// --- the front: a 4-ary min-heap of frontEntry ---
-
-func (e *Engine) frontPush(f frontEntry) {
-	e.front = append(e.front, f)
-	i := len(e.front) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !f.before(e.front[p]) {
-			break
-		}
-		e.front[i] = e.front[p]
-		i = p
-	}
-	e.front[i] = f
-}
-
-func (e *Engine) frontPop() frontEntry {
-	top := e.front[0]
-	n := len(e.front) - 1
-	e.front[0] = e.front[n]
-	e.front = e.front[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	return top
-}
-
-func (e *Engine) siftDown(i int) {
-	h := e.front
-	n := len(h)
-	f := h[i]
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := min(c+4, n)
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(f) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = f
 }

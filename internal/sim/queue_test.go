@@ -11,34 +11,34 @@ import (
 // in a slice and finds the next one by linear scan.
 
 // queuedEntries counts the entries physically held by the queue, live
-// or cancelled: the front heap plus every bucket chain.
+// or cancelled: the unconsumed front run plus every bucket chain.
 func queuedEntries(e *Engine) int {
-	n := len(e.front)
+	n := len(e.front) - e.head
 	for m := e.buckets; m != 0; m &= m - 1 {
-		for s := e.heads[bits.TrailingZeros64(m)]; s >= 0; s = e.slots[s].next {
+		for s := e.heads[bits.TrailingZeros64(m)]; s >= 0; s = e.keys[s].next {
 			n++
 		}
 	}
 	return n
 }
 
-// checkQueue verifies the queue's structural invariants: the front is a
-// 4-ary heap of entries at or before last, each bucket chain holds only
-// entries after last in the bucket their distance from last selects
-// and records its earliest timestamp, and the queue holds exactly the
-// live and not yet dropped cancelled entries.
+// checkQueue verifies the queue's structural invariants: last is not
+// after now, the front is a run of entries at last in increasing seq
+// order, each bucket chain holds only entries after last in the bucket
+// their distance from last selects and records its earliest timestamp
+// and the slot holding it, and the queue holds exactly the live and
+// not yet dropped cancelled entries.
 func checkQueue(t *testing.T, e *Engine) {
 	t.Helper()
-	for i, f := range e.front {
-		if f.at > e.last {
-			t.Fatalf("front[%d] at %v is after last %v", i, f.at, e.last)
+	if e.last > e.now {
+		t.Fatalf("last %v is after now %v", e.last, e.now)
+	}
+	for i, s := range e.front[e.head:] {
+		if k := e.keys[s]; k.state == slotFree || k.at != e.last {
+			t.Fatalf("front[%d]: slot %d (state %d) at %v, last %v", i, s, k.state, k.at, e.last)
 		}
-		if i > 0 && f.before(e.front[(i-1)/4]) {
-			t.Fatalf("front[%d] precedes its parent", i)
-		}
-		sl := e.slots[f.slot]
-		if sl.state == slotFree || sl.at != f.at || sl.seq != f.seq {
-			t.Fatalf("front[%d] disagrees with slot %d", i, f.slot)
+		if i > 0 && e.payload[s].seq <= e.payload[e.front[e.head+i-1]].seq {
+			t.Fatalf("front[%d] is out of seq order", i)
 		}
 	}
 	for m := e.buckets; m != 0; m &= m - 1 {
@@ -46,21 +46,25 @@ func checkQueue(t *testing.T, e *Engine) {
 		if e.heads[b] < 0 {
 			t.Fatalf("bucket %d marked non-empty with no chain", b)
 		}
-		earliest := Time(-1)
-		for s := e.heads[b]; s >= 0; s = e.slots[s].next {
-			sl := e.slots[s]
-			if sl.state == slotFree {
+		earliest, holdsFirst := Time(-1), false
+		for s := e.heads[b]; s >= 0; s = e.keys[s].next {
+			k := e.keys[s]
+			if k.state == slotFree {
 				t.Fatalf("free slot %d chained in bucket %d", s, b)
 			}
-			if sl.at <= e.last || bits.Len64(uint64(sl.at^e.last)) != b {
-				t.Fatalf("slot %d at %v sits in bucket %d with last %v", s, sl.at, b, e.last)
+			if k.at <= e.last || bits.Len64(uint64(k.at^e.last)) != b {
+				t.Fatalf("slot %d at %v sits in bucket %d with last %v", s, k.at, b, e.last)
 			}
-			if earliest < 0 || sl.at < earliest {
-				earliest = sl.at
+			if earliest < 0 || k.at < earliest {
+				earliest = k.at
 			}
+			holdsFirst = holdsFirst || s == e.first[b]
 		}
 		if e.earliest[b] != earliest {
 			t.Fatalf("bucket %d records earliest %v, holds %v", b, e.earliest[b], earliest)
+		}
+		if !holdsFirst || e.keys[e.first[b]].at != earliest {
+			t.Fatalf("bucket %d: first slot %d is not its earliest entry", b, e.first[b])
 		}
 	}
 	if n := queuedEntries(e); n != e.live+e.cancelled {
@@ -233,7 +237,7 @@ func (o *orderScript) run() {
 			if drained == left {
 				o.t.Fatalf("RunUntil(%v) = %v with live entries %v", deadline, drained, left)
 			}
-			if e.Now() != maxTime(before, deadline) {
+			if e.Now() != max(before, deadline) {
 				o.t.Fatalf("clock %v after RunUntil(%v) from %v", e.Now(), deadline, before)
 			}
 		case 7: // NextAt, possibly over cancelled heads
@@ -282,11 +286,12 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Fuzz(runOrderScript)
 }
 
-// A cancelled head past now is discarded by NextAt, which moves the
-// queue's last instant beyond now; an event then scheduled between now
-// and that instant is a straggler and must still fire first. This is
-// the shard runner's window pattern.
-func TestEngineStragglerAfterCancelledHead(t *testing.T) {
+// NextAt and RunUntil only peek: neither takes an instant out of the
+// buckets, so last stays at or before now even when a cancelled head
+// has to be skipped (the shard runner's window pattern), and an event
+// scheduled afterwards between now and the peeked instant is an
+// ordinary bucket entry that still fires first.
+func TestEnginePeekKeepsLastBehindNow(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	head := e.Schedule(100, func() { order = append(order, "head") })
@@ -296,16 +301,22 @@ func TestEngineStragglerAfterCancelledHead(t *testing.T) {
 	if at, ok := e.NextAt(); !ok || at != 200 {
 		t.Fatalf("NextAt() = %v, %v; want 200, true", at, ok)
 	}
-	e.Schedule(150, func() { order = append(order, "straggler") })
+	if e.last > e.Now() {
+		t.Fatalf("NextAt moved last to %v past now %v", e.last, e.Now())
+	}
+	e.Schedule(150, func() { order = append(order, "early") })
 	e.Schedule(200, func() { order = append(order, "d") })
 	checkQueue(t, e)
-	// RunUntil stopping short of its deadline leaves the same gap.
 	if e.RunUntil(120) {
 		t.Fatal("RunUntil(120) drained")
 	}
+	if e.last > e.Now() {
+		t.Fatalf("RunUntil moved last to %v past now %v", e.last, e.Now())
+	}
 	e.Schedule(130, func() { order = append(order, "late") })
+	checkQueue(t, e)
 	e.Run()
-	want := []string{"late", "straggler", "b", "c", "d"}
+	want := []string{"late", "early", "b", "c", "d"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -313,5 +324,23 @@ func TestEngineStragglerAfterCancelledHead(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+}
+
+// A queue that drains through cancelled entries only must not leave
+// last ahead of now: an event scheduled before the cancelled instant
+// fires at its own time.
+func TestScheduleAfterCancelledDrain(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(100, func() { t.Fatal("cancelled event fired") }).Cancel()
+	if e.Step() {
+		t.Fatal("Step() ran an event from a queue holding only a cancelled one")
+	}
+	checkQueue(t, e)
+	fired := Time(-1)
+	e.Schedule(50, func() { fired = e.Now() })
+	checkQueue(t, e)
+	if !e.Step() || fired != 50 {
+		t.Fatalf("event scheduled at 50 fired at %v", fired)
 	}
 }
