@@ -10,7 +10,6 @@ import (
 	"nicbarrier/internal/harness"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
-	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
 )
 
@@ -88,20 +87,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	var cc *comm.Cluster
 	switch cfg.Interconnect {
 	case MyrinetLANai91, MyrinetLANaiXP:
-		var loss netsim.LossModel
-		if cfg.LossRate > 0 {
-			loss = &netsim.RandomLoss{Rate: cfg.LossRate, RNG: sim.NewRNG(cfg.Seed + 1)}
-		}
-		cl := myrinet.NewCluster(eng, myrinetProfile(cfg.Interconnect), cfg.Nodes, loss)
-		if plan := compileFaults(cfg.Faults, cfg.Seed, cl.Prof.Net.BandwidthMBps); plan != nil {
-			cl.SetFaults(plan)
-		}
-		cc = comm.OverMyrinet(cl)
+		prof := myrinetProfile(cfg.Interconnect)
+		imp := compileFaults(cfg.faults(), cfg.Seed, prof.Net.BandwidthMBps)
+		cc = comm.OverMyrinet(myrinet.NewCluster(eng, prof, cfg.Nodes, imp))
 	case QuadricsElan3:
 		cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), cfg.Nodes)
-		if plan := compileFaults(cfg.Faults, cfg.Seed, cl.Prof.Net.BandwidthMBps); plan != nil {
-			cl.SetFaults(plan)
-		}
+		cl.SetFaults(compileFaults(cfg.faults(), cfg.Seed, cl.Prof.Net.BandwidthMBps))
 		cc = comm.OverElan(cl)
 	default:
 		return nil, fmt.Errorf("nicbarrier: unknown interconnect %d", int(cfg.Interconnect))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nicbarrier/internal/fault"
+	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
 )
 
@@ -143,7 +144,7 @@ func (f Fault) validate() error {
 	case nil:
 		return fmt.Errorf("zero Fault; use the Fault* constructors")
 	case fault.RandomLoss:
-		if e.Rate < 0 || e.Rate >= 1 {
+		if !(e.Rate >= 0 && e.Rate < 1) { // NaN too
 			return fmt.Errorf("%s: loss rate %v outside [0,1)", f.rule.Name, e.Rate)
 		}
 	case *fault.EveryNth:
@@ -200,8 +201,9 @@ func ValidateFaults(faults []Fault) []string {
 
 // compileFaults builds the stateful fault.Plan for one measurement run.
 // lineRateMBps patches throttle faults that were declared without
-// knowledge of the interconnect.
-func compileFaults(faults []Fault, seed uint64, lineRateMBps float64) *fault.Plan {
+// knowledge of the interconnect. With no faults it returns an untyped
+// nil, never a nil *fault.Plan, so the result can be installed as is.
+func compileFaults(faults []Fault, seed uint64, lineRateMBps float64) netsim.Impairment {
 	if len(faults) == 0 {
 		return nil
 	}

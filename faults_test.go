@@ -25,6 +25,34 @@ func TestConfigFaultsLossRecovery(t *testing.T) {
 	}
 }
 
+// LossRate is shorthand for a leading FaultRandomLoss: both spellings
+// compile into the same plan, so drops, retransmissions and latencies
+// match exactly, with or without further faults behind the loss rule.
+// (The host and direct schemes are left out: under this much loss they
+// hang on the GM duplicate-ACK livelock whichever spelling is used.)
+func TestLossRateIsLeadingRandomLossFault(t *testing.T) {
+	for _, extra := range [][]Fault{nil, {FaultDelay(1, 2), FaultEveryNth(7)}} {
+		base := Config{Interconnect: MyrinetLANaiXP, Nodes: 8, Scheme: NICCollective, Algorithm: Dissemination, Seed: 11}
+		short, long := base, base
+		short.LossRate, short.Faults = 0.1, extra
+		long.Faults = append([]Fault{FaultRandomLoss(0.1)}, extra...)
+		a, err := MeasureBarrier(short, 2, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := MeasureBarrier(long, 2, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%d extra faults: LossRate run %+v, Faults run %+v", len(extra), a, b)
+		}
+		if a.Drops.Injected == 0 || a.Retransmissions == 0 {
+			t.Errorf("%d extra faults: no loss or no recovery: %+v", len(extra), a)
+		}
+	}
+}
+
 func TestQuadricsUnaffectedByLossOnlyFaults(t *testing.T) {
 	base := Config{
 		Interconnect: QuadricsElan3,

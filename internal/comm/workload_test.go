@@ -207,15 +207,20 @@ func TestWorkloadUnderLoss(t *testing.T) {
 		t.Fatalf("RunWorkload: %v", err)
 	}
 	if res.Dropped == 0 {
-		t.Fatal("loss model dropped nothing")
+		t.Fatal("impairment dropped nothing")
 	}
 }
 
-// lossEveryNth drops every n-th packet network-wide (a deliberately
-// harsh deterministic loss model for recovery coverage).
+// lossEveryNth drops every n-th packet network-wide at injection (a
+// deliberately harsh deterministic impairment for recovery coverage;
+// fault.DropEveryNth counts per flow instead).
 type lossEveryNth struct{ n, seen int }
 
-func (l *lossEveryNth) Drop(netsim.Packet) bool {
+func (l *lossEveryNth) Inject(netsim.Packet, sim.Time) netsim.Outcome {
 	l.seen++
-	return l.seen%l.n == 0
+	return netsim.Outcome{Drop: l.seen%l.n == 0}
+}
+
+func (*lossEveryNth) Hop(netsim.Packet, int, int, int, sim.Time) netsim.Outcome {
+	return netsim.Outcome{}
 }

@@ -493,7 +493,7 @@ func NewCluster(eng *sim.Engine, prof hwprofile.QuadricsProfile, n int) *Cluster
 		panic(fmt.Sprintf("elan: cluster size %d", n))
 	}
 	t := topo.MinFatTree(prof.FatTreeArity, n)
-	net := netsim.New(eng, t, prof.Net, netsim.NoLoss{})
+	net := netsim.New(eng, t, prof.Net)
 	cl := &Cluster{Eng: eng, Prof: prof, Net: net}
 	for i := 0; i < n; i++ {
 		node := newNode(eng, i, &cl.Prof, net, &cl.pool)

@@ -6,6 +6,7 @@ import (
 
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
+	"nicbarrier/internal/topo"
 )
 
 func gpkt(src, dst, group int) netsim.Packet {
@@ -222,6 +223,41 @@ func TestDelayAndThrottle(t *testing.T) {
 	free := Throttle{BandwidthMBps: 500, LineRateMBps: 250}
 	if got := free.Apply(pkt(0, 1, "x"), 0, rng).Delay; got != 0 {
 		t.Fatalf("over-line throttle delay %v, want 0", got)
+	}
+}
+
+// A kind-scoped random-loss plan on a live network drops its kinds at
+// the configured rate and leaves every other kind alone.
+func TestRandomLossRate(t *testing.T) {
+	eng := sim.NewEngine()
+	net := netsim.New(eng, topo.NewCrossbar(4), netsim.Params{BandwidthMBps: 250})
+	net.SetImpairment(NewPlan(1, Rule{Match: Match{Kinds: Kinds("data")}, Effect: RandomLoss{Rate: 0.3}}))
+	net.Attach(1, func(netsim.Packet) {})
+	const total = 20000
+	for i := 0; i < total; i++ {
+		net.Send(netsim.Packet{Src: 0, Dst: 1, Size: 1, Kind: "data"})
+		eng.Run() // drain so link occupancy does not grow unboundedly
+	}
+	frac := float64(net.Counters().Dropped) / total
+	if frac < 0.27 || frac > 0.33 {
+		t.Fatalf("drop fraction %v, want ~0.3", frac)
+	}
+	before := net.Counters().Dropped
+	for i := 0; i < 1000; i++ {
+		net.Send(netsim.Packet{Src: 0, Dst: 1, Size: 1, Kind: "ctl"})
+	}
+	eng.Run()
+	if net.Counters().Dropped != before {
+		t.Fatal("out-of-scope packets were dropped")
+	}
+}
+
+// A non-positive loss rate never drops and never draws from the RNG.
+func TestRandomLossZeroRateNeedsNoRNG(t *testing.T) {
+	for _, rate := range []float64{0, -0.5} {
+		if (RandomLoss{Rate: rate}).Apply(pkt(0, 1, "data"), 0, nil).Drop { // nil RNG: must not be touched
+			t.Fatalf("rate %v dropped", rate)
+		}
 	}
 }
 

@@ -84,13 +84,6 @@ func (c Config) itersFor(n int) (warmup, iters int) {
 	return warmup, iters
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Point is one (cluster size, latency) measurement.
 type Point struct {
 	N         int
@@ -231,19 +224,6 @@ func (f Figure) Table() string {
 		fmt.Fprintf(&b, "%s vs %s (%s)\n", f.YLabel, f.XLabel, unit)
 	}
 
-	// Collect the union of Ns, sorted.
-	set := map[int]bool{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			set[p.N] = true
-		}
-	}
-	ns := make([]int, 0, len(set))
-	for n := range set {
-		ns = append(ns, n)
-	}
-	sort.Ints(ns)
-
 	fmt.Fprintf(&b, "%6s", "N")
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, " %14s", s.Name)
@@ -256,7 +236,7 @@ func (f Figure) Table() string {
 		}
 		b.WriteByte('\n')
 	}
-	for _, n := range ns {
+	for _, n := range f.sizes() {
 		fmt.Fprintf(&b, "%6d", n)
 		for _, s := range f.Series {
 			v, ok := s.value(n)
@@ -283,6 +263,22 @@ func (f Figure) TSV() string {
 		b.WriteString(s.Name)
 	}
 	b.WriteByte('\n')
+	for _, n := range f.sizes() {
+		fmt.Fprintf(&b, "%d", n)
+		for _, s := range f.Series {
+			b.WriteByte('\t')
+			if v, ok := s.value(n); ok {
+				fmt.Fprintf(&b, "%.3f", v)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// sizes is the sorted union of the cluster sizes the series measured:
+// the rows of Table and TSV.
+func (f Figure) sizes() []int {
 	set := map[int]bool{}
 	for _, s := range f.Series {
 		for _, p := range s.Points {
@@ -294,17 +290,7 @@ func (f Figure) TSV() string {
 		ns = append(ns, n)
 	}
 	sort.Ints(ns)
-	for _, n := range ns {
-		fmt.Fprintf(&b, "%d", n)
-		for _, s := range f.Series {
-			b.WriteByte('\t')
-			if v, ok := s.value(n); ok {
-				fmt.Fprintf(&b, "%.3f", v)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return ns
 }
 
 func (s Series) value(n int) (float64, bool) {

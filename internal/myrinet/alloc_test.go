@@ -46,9 +46,9 @@ func broadcastSession(n int) *Session {
 	return newBroadcast(cl, identity(n), 0, barrier.DefaultTreeDegree)
 }
 
-func allreduceSession(tb testing.TB, n int, loss netsim.LossModel) *Session {
+func allreduceSession(tb testing.TB, n int, imp netsim.Impairment) *Session {
 	tb.Helper()
-	_, cl := xpCluster(n, loss)
+	_, cl := xpCluster(n, imp)
 	s, err := newAllreduce(cl, identity(n), barrier.PairwiseExchange, core.ReduceSum, contribFn)
 	if err != nil {
 		tb.Fatal(err)
@@ -110,23 +110,6 @@ func TestGMSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// perRunLoss drops the listed indices of the barrier-coll packets sent
-// since the last reset, so every run of a repeated session sees the same
-// losses.
-type perRunLoss struct {
-	drop map[int]bool
-	seen int
-}
-
-func (l *perRunLoss) Drop(pkt netsim.Packet) bool {
-	if pkt.Kind != "barrier-coll" {
-		return false
-	}
-	k := l.seen
-	l.seen++
-	return l.drop[k]
-}
-
 // freeLens reports the sizes of the pool's collective free lists.
 func (p *pool) freeLens() (handlers, payloads int) {
 	return p.handlers.Len(), p.payloads.Len()
@@ -147,7 +130,7 @@ func TestPayloadOwnershipUnderNackEscalation(t *testing.T) {
 		iters = 4
 		runs  = 5
 	)
-	loss := &perRunLoss{drop: map[int]bool{3: true, 25: true}}
+	loss := dropNth("barrier-coll", 3, 25)
 	s := allreduceSession(t, nodes, loss)
 	cl := s.cl
 	var firstH, firstP int

@@ -5,6 +5,7 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
+	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
@@ -23,10 +24,10 @@ func expectReduce(op core.ReduceOp, n, iter int) int64 {
 }
 
 func runAllreduce(t *testing.T, n int, alg barrier.Algorithm, op core.ReduceOp,
-	loss netsim.LossModel, iters int) (*Cluster, [][]int64) {
+	imp netsim.Impairment, iters int) (*Cluster, [][]int64) {
 	t.Helper()
 	eng := sim.NewEngine()
-	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), n, loss)
+	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), n, imp)
 	s, err := newAllreduce(cl, identity(n), alg, op, contribFn)
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +76,7 @@ func TestAllreduceInvalidCombination(t *testing.T) {
 // the results must still be exact (no double combining).
 func TestAllreduceLossRecoveryExactness(t *testing.T) {
 	for drop := 0; drop < 10; drop++ {
-		loss := &netsim.ScriptedLoss{Kind: "barrier-coll", DropNth: map[int]bool{drop: true}}
-		cl, results := runAllreduce(t, 8, barrier.PairwiseExchange, core.ReduceSum, loss, 3)
+		cl, results := runAllreduce(t, 8, barrier.PairwiseExchange, core.ReduceSum, dropNth("barrier-coll", drop), 3)
 		if cl.Stats().CollResent == 0 {
 			t.Fatalf("drop %d: no NACK recovery happened", drop)
 		}
@@ -93,7 +93,7 @@ func TestAllreduceLossRecoveryExactness(t *testing.T) {
 }
 
 func TestAllreduceRandomLossTorture(t *testing.T) {
-	loss := &netsim.RandomLoss{Rate: 0.1, RNG: sim.NewRNG(17)}
+	loss := fault.NewPlan(17, fault.Loss(0.1))
 	_, results := runAllreduce(t, 8, barrier.PairwiseExchange, core.ReduceSum, loss, 5)
 	for iter, row := range results {
 		want := expectReduce(core.ReduceSum, 8, iter)

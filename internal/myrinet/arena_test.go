@@ -8,8 +8,7 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/netsim"
-	"nicbarrier/internal/sim"
+	"nicbarrier/internal/fault"
 )
 
 // arenaKinds builds the three collective session kinds over nodes.
@@ -66,7 +65,7 @@ func TestReinstallAllocsConstant(t *testing.T) {
 func TestClosedSessionReleasesArena(t *testing.T) {
 	const n = 16
 	for _, k := range arenaKinds {
-		_, cl := xpCluster(n, &netsim.RandomLoss{Rate: 0.05, RNG: sim.NewRNG(3)})
+		_, cl := xpCluster(n, fault.NewPlan(3, fault.Loss(0.05)))
 		var freed atomic.Bool
 		s := k.build(cl, identity(n))
 		runtime.SetFinalizer(s.members[0].group, func(*core.Group) { freed.Store(true) })

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
 )
 
@@ -75,8 +74,7 @@ func TestBroadcastNonZeroRootAndPermutation(t *testing.T) {
 // NACK path, exactly as for barriers.
 func TestBroadcastLossRecovery(t *testing.T) {
 	eng := sim.NewEngine()
-	loss := &netsim.ScriptedLoss{Kind: "barrier-coll", DropNth: map[int]bool{1: true}}
-	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 8, loss)
+	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 8, dropNth("barrier-coll", 1))
 	s := newBroadcast(cl, identity(8), 0, 2)
 	s.Run(2)
 	if cl.Stats().NacksSent == 0 || cl.Stats().CollResent == 0 {

@@ -24,8 +24,11 @@ type Cluster struct {
 
 // NewCluster builds an n-node Myrinet cluster: a single 16-port crossbar
 // when it fits (the paper's testbeds), otherwise a Clos network of
-// 16-port switches (8 up / 8 down). loss may be nil.
-func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, loss netsim.LossModel) *Cluster {
+// 16-port switches (8 up / 8 down). imp is installed exactly as SetFaults
+// would install it; nil means a fault-free network. Pass an untyped nil,
+// not a nil *fault.Plan: a typed nil is a non-nil interface that the
+// network would call.
+func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, imp netsim.Impairment) *Cluster {
 	if n < 1 {
 		panic(fmt.Sprintf("myrinet: cluster size %d", n))
 	}
@@ -35,11 +38,12 @@ func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, loss nets
 	} else {
 		t = topo.MinFatTree(8, n)
 	}
-	net := netsim.New(eng, t, prof.Net, loss)
+	net := netsim.New(eng, t, prof.Net)
 	cl := &Cluster{Eng: eng, Prof: prof, Net: net}
 	for i := 0; i < n; i++ {
 		cl.Nodes = append(cl.Nodes, newNode(eng, i, &cl.Prof, net, &cl.pool))
 	}
+	cl.SetFaults(imp)
 	return cl
 }
 

@@ -5,23 +5,22 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/netsim"
+	"nicbarrier/internal/sim"
 )
 
-// rescripted replays one ScriptedLoss script per run: the test swaps in
-// a fresh ScriptedLoss before each run of a repeated session. It counts
-// the packets it drops by kind, since their payloads are lost to the
-// garbage collector.
+// rescripted is a lossScript that also counts the packets it drops by
+// kind, since their payloads are lost to the garbage collector.
 type rescripted struct {
-	*netsim.ScriptedLoss
+	*lossScript
 	lost map[string]int
 }
 
-func (l *rescripted) Drop(pkt netsim.Packet) bool {
-	if l.ScriptedLoss.Drop(pkt) {
+func (l *rescripted) Inject(pkt netsim.Packet, now sim.Time) netsim.Outcome {
+	out := l.lossScript.Inject(pkt, now)
+	if out.Drop {
 		l.lost[pkt.Kind]++
-		return true
 	}
-	return false
+	return out
 }
 
 // GM payload ownership under loss, the p2p counterpart of
@@ -50,12 +49,12 @@ func TestGMPayloadOwnershipUnderLoss(t *testing.T) {
 	want := []struct{ retransmits, seqDrops uint64 }{
 		{7, 6}, {19, 17}, {37, 34}, {60, 56}, {89, 84},
 	}
-	loss := &rescripted{lost: map[string]int{}}
+	loss := &rescripted{lossScript: dropNth("", 3, 10), lost: map[string]int{}}
 	_, cl := xpCluster(nodes, loss)
 	s := NewSession(cl, identity(nodes), SchemeHost, barrier.Dissemination, barrier.Options{})
 	var size [3]int // each pool's size after the first run
 	for run := 0; run < runs; run++ {
-		loss.ScriptedLoss = &netsim.ScriptedLoss{DropNth: map[int]bool{3: true, 10: true}}
+		loss.seen = 0 // replay the script
 		if run > 0 {
 			s.Reset()
 		}

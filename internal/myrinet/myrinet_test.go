@@ -1,18 +1,47 @@
 package myrinet
 
 import (
+	"slices"
 	"testing"
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
+	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/sim"
 )
 
-func xpCluster(n int, loss netsim.LossModel) (*sim.Engine, *Cluster) {
+func xpCluster(n int, imp netsim.Impairment) (*sim.Engine, *Cluster) {
 	eng := sim.NewEngine()
-	return eng, NewCluster(eng, hwprofile.LANaiXPCluster(), n, loss)
+	return eng, NewCluster(eng, hwprofile.LANaiXPCluster(), n, imp)
+}
+
+// lossScript is the recovery tests' deterministic impairment: at
+// injection it drops the packets of kind (every kind when empty) whose
+// 0-based index among them is in nth. Setting seen back to 0 replays
+// the script, so each run of a repeated session sees the same losses.
+type lossScript struct {
+	kind string
+	nth  []int
+	seen int
+}
+
+// dropNth scripts the loss of the listed packets of kind.
+func dropNth(kind string, nth ...int) *lossScript {
+	return &lossScript{kind: kind, nth: nth}
+}
+
+func (l *lossScript) Inject(pkt netsim.Packet, _ sim.Time) netsim.Outcome {
+	if l.kind != "" && pkt.Kind != l.kind {
+		return netsim.Outcome{}
+	}
+	l.seen++
+	return netsim.Outcome{Drop: slices.Contains(l.nth, l.seen-1)}
+}
+
+func (*lossScript) Hop(netsim.Packet, int, int, int, sim.Time) netsim.Outcome {
+	return netsim.Outcome{}
 }
 
 func identity(n int) []int {
@@ -113,8 +142,7 @@ func TestPointToPointNoTokenDrops(t *testing.T) {
 
 func TestPointToPointLossRecovery(t *testing.T) {
 	eng := sim.NewEngine()
-	loss := &netsim.ScriptedLoss{Kind: "data", DropNth: map[int]bool{0: true}}
-	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 2, loss)
+	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 2, dropNth("data", 0))
 	var recvs int
 	cl.Nodes[1].Host.OnEvent = func(ev Event) {
 		if ev.Kind == EvRecv {
@@ -232,8 +260,7 @@ func TestBarrierCompletionMatrix(t *testing.T) {
 func TestCollectiveBarrierLossRecovery(t *testing.T) {
 	for drop := 0; drop < 12; drop++ {
 		eng := sim.NewEngine()
-		loss := &netsim.ScriptedLoss{Kind: "barrier-coll", DropNth: map[int]bool{drop: true}}
-		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, loss)
+		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, dropNth("barrier-coll", drop))
 		s := NewSession(cl, identity(4), SchemeCollective, barrier.Dissemination, barrier.Options{})
 		s.Run(3) // panics on deadlock
 		stats := cl.Stats()
@@ -246,8 +273,7 @@ func TestCollectiveBarrierLossRecovery(t *testing.T) {
 // The direct scheme recovers through the p2p sender timeout instead.
 func TestDirectBarrierLossRecovery(t *testing.T) {
 	eng := sim.NewEngine()
-	loss := &netsim.ScriptedLoss{Kind: "barrier-direct", DropNth: map[int]bool{2: true}}
-	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, loss)
+	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, dropNth("barrier-direct", 2))
 	s := NewSession(cl, identity(4), SchemeDirect, barrier.Dissemination, barrier.Options{})
 	s.Run(3)
 	if cl.Stats().Retransmits == 0 {
@@ -258,8 +284,7 @@ func TestDirectBarrierLossRecovery(t *testing.T) {
 // Host barriers ride the regular reliable p2p path.
 func TestHostBarrierLossRecovery(t *testing.T) {
 	eng := sim.NewEngine()
-	loss := &netsim.ScriptedLoss{Kind: "data", DropNth: map[int]bool{1: true, 5: true}}
-	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, loss)
+	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, dropNth("data", 1, 5))
 	s := NewSession(cl, identity(4), SchemeHost, barrier.Dissemination, barrier.Options{})
 	s.Run(3)
 	if cl.Stats().Retransmits == 0 {
@@ -270,10 +295,8 @@ func TestHostBarrierLossRecovery(t *testing.T) {
 // Random loss at a high rate: everything still completes, for all schemes.
 func TestBarrierRandomLossTorture(t *testing.T) {
 	for _, scheme := range barrierSchemes() {
-		kinds := map[string]bool{} // no immunity: drop anything
 		eng := sim.NewEngine()
-		loss := &netsim.RandomLoss{Rate: 0.15, RNG: sim.NewRNG(99), Immune: kinds}
-		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 5, loss)
+		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 5, fault.NewPlan(99, fault.Loss(0.15)))
 		s := NewSession(cl, identity(5), scheme, barrier.Dissemination, barrier.Options{})
 		s.Run(4)
 	}

@@ -13,7 +13,7 @@ import (
 func warmNet(t testing.TB) (*sim.Engine, *Network) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewFatTree(4, 2), testParams(), nil)
+	net := New(eng, topo.NewFatTree(4, 2), testParams())
 	sink := func(Packet) {}
 	for h := 0; h < 16; h++ {
 		net.Attach(h, sink)
@@ -65,8 +65,12 @@ func TestMulticastZeroAlloc(t *testing.T) {
 // entries or allocate either.
 func TestSendDropZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	loss := &ScriptedLoss{} // inert, but exercises the LossModel call
-	net := New(eng, topo.NewCrossbar(4), testParams(), loss)
+	net := New(eng, topo.NewCrossbar(4), testParams())
+	seen := 0
+	net.SetImpairment(hookImp{inject: func(Packet, sim.Time) Outcome {
+		seen++
+		return Outcome{Drop: seen%2 == 0} // every other packet
+	}})
 	net.Attach(1, func(Packet) {})
 	for i := 0; i < 32; i++ {
 		net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "data"})
@@ -77,6 +81,9 @@ func TestSendDropZeroAlloc(t *testing.T) {
 		eng.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("send under loss model allocates %.1f objects per packet, want 0", allocs)
+		t.Fatalf("send under injection drops allocates %.1f objects per packet, want 0", allocs)
+	}
+	if c := net.Counters(); c.Dropped == 0 || c.Delivered == 0 {
+		t.Fatalf("counters %+v, want both drops and deliveries", c)
 	}
 }

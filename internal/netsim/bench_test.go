@@ -14,7 +14,7 @@ import (
 func benchNet(b *testing.B) (*sim.Engine, *Network) {
 	b.Helper()
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewFatTree(4, 2), testParams(), nil)
+	net := New(eng, topo.NewFatTree(4, 2), testParams())
 	sink := func(Packet) {}
 	for h := 0; h < 16; h++ {
 		net.Attach(h, sink)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"nicbarrier/internal/sim"
@@ -27,9 +28,23 @@ func (h hookImp) Hop(pkt Packet, link, hop, hops int, headAt sim.Time) Outcome {
 	return h.hop(pkt, link, hop, hops, headAt)
 }
 
+// dropNth drops, at injection, the packets of the given kind whose
+// 0-based index among that kind's packets is listed in nth: a
+// deterministic single-loss script.
+func dropNth(kind string, nth ...int) hookImp {
+	seen := 0
+	return hookImp{inject: func(pkt Packet, _ sim.Time) Outcome {
+		if pkt.Kind != kind {
+			return Outcome{}
+		}
+		seen++
+		return Outcome{Drop: slices.Contains(nth, seen-1)}
+	}}
+}
+
 func TestInjectDelayPostponesWholeTransmission(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams(), nil)
+	net := New(eng, topo.NewCrossbar(4), testParams())
 	net.SetImpairment(hookImp{inject: func(Packet, sim.Time) Outcome {
 		return Outcome{Delay: 1000}
 	}})
@@ -46,7 +61,7 @@ func TestInjectDelayPostponesWholeTransmission(t *testing.T) {
 
 func TestHopDelayAddsAtThatHop(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams(), nil)
+	net := New(eng, topo.NewCrossbar(4), testParams())
 	net.SetImpairment(hookImp{hop: func(_ Packet, _ int, hop, _ int, _ sim.Time) Outcome {
 		if hop == 1 {
 			return Outcome{Delay: 700}
@@ -67,7 +82,7 @@ func TestHopDelayAddsAtThatHop(t *testing.T) {
 // dead packet's serialization.
 func TestHopDropKeepsUpstreamOccupancy(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams(), nil)
+	net := New(eng, topo.NewCrossbar(4), testParams())
 	net.SetImpairment(hookImp{hop: func(pkt Packet, _ int, hop, _ int, _ sim.Time) Outcome {
 		if pkt.Kind == "doomed" && hop == 1 {
 			return Outcome{Drop: true}
@@ -98,7 +113,7 @@ func TestHopDropKeepsUpstreamOccupancy(t *testing.T) {
 
 func TestRejectSemanticsNotifyObserver(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams(), nil)
+	net := New(eng, topo.NewCrossbar(4), testParams())
 	net.SetImpairment(hookImp{inject: func(pkt Packet, _ sim.Time) Outcome {
 		return Outcome{Reject: pkt.Kind == "blocked"}
 	}})
@@ -136,7 +151,7 @@ func TestDelayOnlyStripsDiscards(t *testing.T) {
 func TestMulticastHopDropPrunesSubtree(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := topo.NewFatTree(4, 2)
-	net := New(eng, ft, testParams(), nil)
+	net := New(eng, ft, testParams())
 	// Kill host 5's final downlink: route hop == last for dst 5 only.
 	net.SetImpairment(hookImp{hop: func(pkt Packet, _ int, hop, hops int, _ sim.Time) Outcome {
 		return Outcome{}
@@ -161,7 +176,7 @@ func TestMulticastHopDropPrunesSubtree(t *testing.T) {
 	// links as the ones only 4..7 routes use: drop per-destination is not
 	// expressible per-link here, so cut at the last hop for those hosts.
 	eng2 := sim.NewEngine()
-	net2 := New(eng2, topo.NewFatTree(4, 2), testParams(), nil)
+	net2 := New(eng2, topo.NewFatTree(4, 2), testParams())
 	cut := map[int]bool{}
 	for _, h := range []int{4, 5, 6, 7} {
 		r := net2.Topology().Route(0, h)
@@ -195,7 +210,7 @@ func TestMulticastHopDropPrunesSubtree(t *testing.T) {
 // the branch serving that destination.
 func TestMulticastHopSeesPerDestinationPacket(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams(), nil)
+	net := New(eng, topo.NewCrossbar(4), testParams())
 	seenDsts := map[int]bool{}
 	net.SetImpairment(hookImp{hop: func(pkt Packet, _ int, _, _ int, _ sim.Time) Outcome {
 		seenDsts[pkt.Dst] = true
@@ -234,7 +249,7 @@ func TestMulticastReentrantObserverKeepsTrunkBookkeeping(t *testing.T) {
 	ft := topo.NewFatTree(4, 2)
 	// Zero per-hop latency keeps every head time at Now, which is what
 	// makes the mid-route reject fire its observer inline.
-	net := New(eng, ft, Params{WirePerHop: 0, SwitchLatency: 0, BandwidthMBps: 250}, nil)
+	net := New(eng, ft, Params{WirePerHop: 0, SwitchLatency: 0, BandwidthMBps: 250})
 	arrivals := map[int]sim.Time{}
 	for h := 0; h < 16; h++ {
 		h := h
@@ -275,30 +290,5 @@ func TestMulticastReentrantObserverKeepsTrunkBookkeeping(t *testing.T) {
 	c := net.Counters()
 	if c.Sent != 2 || c.Delivered != 2 || c.Dropped != 1 || c.Rejected != 1 {
 		t.Fatalf("counters %+v", c)
-	}
-}
-
-func TestRandomLossZeroRateNeedsNoRNG(t *testing.T) {
-	l := &RandomLoss{Rate: 0} // nil RNG: must not be touched
-	if l.Drop(Packet{Kind: "data"}) {
-		t.Fatal("zero-rate loss dropped")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("positive rate with nil RNG did not panic")
-		}
-	}()
-	(&RandomLoss{Rate: 0.5}).Drop(Packet{Kind: "data"})
-}
-
-func TestScriptedLossNilMapIsInert(t *testing.T) {
-	l := &ScriptedLoss{Kind: "data"} // nil DropNth
-	for i := 0; i < 10; i++ {
-		if l.Drop(Packet{Kind: "data"}) {
-			t.Fatal("nil-map scripted loss dropped")
-		}
-	}
-	if l.seen != 0 {
-		t.Fatal("nil-map scripted loss consumed sequence numbers")
 	}
 }

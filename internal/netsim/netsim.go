@@ -6,18 +6,18 @@
 // output-port contention arises), and the destination sees the packet once
 // the last byte arrives.
 //
-// Packet loss is injected through a LossModel; Quadrics provides
-// hardware-level reliability (never drops), while Myrinet leaves
-// reliability to the NIC control program, which is exactly the part of the
-// design space the paper's receiver-driven retransmission targets.
-//
-// Richer impairments — burst loss, latency/jitter, throttling, blocking,
-// time-windowed faults — come in through the Impairment hook, which is
-// consulted once at injection and once per traversed link (so a packet
+// The network itself never loses a packet. Every impairment — random,
+// scripted or burst loss, latency/jitter, throttling, blocking,
+// time-windowed faults — comes in through the one Impairment hook, which
+// is consulted once at injection and once per traversed link (so a packet
 // dropped mid-route still occupies the links it already crossed, and a
 // time-windowed fault takes effect at the instant the head reaches the
 // faulty hop). internal/fault builds composable fault plans on top of
-// this hook.
+// this hook. Quadrics wraps whatever it is given in DelayOnly
+// (hardware-level reliability: link loss never reaches the NICs), while
+// Myrinet leaves reliability to the NIC control program, which is exactly
+// the part of the design space the paper's receiver-driven
+// retransmission targets.
 package netsim
 
 import (
@@ -49,67 +49,6 @@ type Params struct {
 	SwitchLatency sim.Duration
 	// BandwidthMBps is the link bandwidth used for serialization.
 	BandwidthMBps float64
-}
-
-// LossModel decides whether a packet is dropped at injection. It is
-// consulted once per Send.
-type LossModel interface {
-	Drop(pkt Packet) bool
-}
-
-// NoLoss never drops; it models Quadrics' hardware reliability.
-type NoLoss struct{}
-
-// Drop implements LossModel.
-func (NoLoss) Drop(Packet) bool { return false }
-
-// RandomLoss drops packets independently with probability Rate, except
-// kinds listed in Immune (useful to protect control traffic in tests).
-// A nil Immune map means no kind is immune; a non-positive Rate never
-// drops and never touches the RNG.
-type RandomLoss struct {
-	Rate   float64
-	RNG    *sim.RNG
-	Immune map[string]bool
-}
-
-// Drop implements LossModel.
-func (l *RandomLoss) Drop(pkt Packet) bool {
-	if l.Rate <= 0 {
-		return false // fast path: the RNG may legitimately be nil
-	}
-	if l.Immune[pkt.Kind] {
-		return false
-	}
-	if l.RNG == nil {
-		panic(fmt.Sprintf("netsim: RandomLoss rate %v with nil RNG", l.Rate))
-	}
-	return l.RNG.Bool(l.Rate)
-}
-
-// ScriptedLoss drops the n-th matching packet (0-based) for each entry,
-// giving tests deterministic single-loss scenarios. A nil or empty DropNth
-// never drops (and skips sequence counting entirely).
-type ScriptedLoss struct {
-	// Kind selects which packets count; empty matches all.
-	Kind string
-	// DropNth holds indices (into the matching sequence) to drop.
-	DropNth map[int]bool
-
-	seen int
-}
-
-// Drop implements LossModel.
-func (l *ScriptedLoss) Drop(pkt Packet) bool {
-	if len(l.DropNth) == 0 {
-		return false
-	}
-	if l.Kind != "" && pkt.Kind != l.Kind {
-		return false
-	}
-	n := l.seen
-	l.seen++
-	return l.DropNth[n]
 }
 
 // Outcome is an impairment decision for one packet at one consultation
@@ -184,7 +123,7 @@ type Counters struct {
 	Sent      uint64
 	Delivered uint64
 	// Dropped counts every discarded packet, whatever the mechanism
-	// (LossModel, impairment drop or reject, at injection or mid-route).
+	// (impairment drop or reject, at injection or mid-route).
 	Dropped uint64
 	// Rejected counts the Dropped subset discarded with reject semantics.
 	Rejected uint64
@@ -221,7 +160,6 @@ type Network struct {
 	params    Params
 	busyUntil []sim.Time
 	recv      []func(Packet)
-	loss      LossModel
 	imp       Impairment
 	onReject  func(Packet)
 	// counters holds the scalar totals; per-kind counts live in
@@ -320,14 +258,11 @@ func newMcastScratch(links int) mcastScratch {
 	}
 }
 
-// New builds a network over the given topology. Loss may be nil for a
-// lossless network.
-func New(eng *sim.Engine, t topo.Topology, p Params, loss LossModel) *Network {
+// New builds a lossless network over the given topology; SetImpairment
+// adds faults.
+func New(eng *sim.Engine, t topo.Topology, p Params) *Network {
 	if p.BandwidthMBps <= 0 {
 		panic("netsim: non-positive bandwidth")
-	}
-	if loss == nil {
-		loss = NoLoss{}
 	}
 	links := t.LinkCount()
 	return &Network{
@@ -336,7 +271,6 @@ func New(eng *sim.Engine, t topo.Topology, p Params, loss LossModel) *Network {
 		params:    p,
 		busyUntil: make([]sim.Time, links),
 		recv:      make([]func(Packet), t.Hosts()),
-		loss:      loss,
 		kindIDs:   make(map[string]int),
 	}
 }
@@ -416,8 +350,8 @@ func (n *Network) serialization(pkt Packet) sim.Duration {
 	return sim.BytesAt(int64(pkt.Size), n.params.BandwidthMBps)
 }
 
-// recordDrop is the single drop-accounting path: every discard — loss
-// model, impairment drop or reject, injection-time or mid-route — funnels
+// recordDrop is the single drop-accounting path: every discard —
+// impairment drop or reject, injection-time or mid-route — funnels
 // through here. at is the virtual time the discard decision is made (the
 // current time for injection discards, the hop's head time for mid-route
 // ones); reject observers fire then, not before.
@@ -465,10 +399,6 @@ func (n *Network) Send(pkt Packet) {
 	}
 	if pkt.Src == pkt.Dst {
 		panic(fmt.Sprintf("netsim: loopback packet %d->%d; NIC models handle self-delivery", pkt.Src, pkt.Dst))
-	}
-	if n.loss.Drop(pkt) {
-		n.recordDrop(pkt, Outcome{Drop: true}, false, n.eng.Now())
-		return
 	}
 	if n.imp != nil {
 		out := n.imp.Inject(pkt, n.eng.Now())
@@ -580,10 +510,6 @@ func (n *Network) Multicast(pkt Packet, dsts []int) {
 	n.countKind(pkt.Kind)
 	if n.tr != nil {
 		n.tr.PktInject(n.eng.Now(), pkt.Src, pkt.Dst, pkt.Group, pkt.Kind)
-	}
-	if n.loss.Drop(pkt) {
-		n.recordDrop(pkt, Outcome{Drop: true}, false, n.eng.Now())
-		return
 	}
 	if n.imp != nil {
 		out := n.imp.Inject(pkt, n.eng.Now())

@@ -99,11 +99,12 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	}
 }
 
-// TestTraceDropReasons exercises the three drop classifications.
+// TestTraceDropReasons checks that an injection-time discard reaches
+// the trace as one drop classified as injected.
 func TestTraceDropReasons(t *testing.T) {
 	eng := sim.NewEngine()
-	loss := &ScriptedLoss{Kind: "data", DropNth: map[int]bool{0: true}}
-	net := New(eng, topo.NewFatTree(4, 2), testParams(), loss)
+	net := New(eng, topo.NewFatTree(4, 2), testParams())
+	net.SetImpairment(dropNth("data", 0))
 	for h := 0; h < net.Topology().Hosts(); h++ {
 		net.Attach(h, func(Packet) {})
 	}
@@ -113,12 +114,18 @@ func TestTraceDropReasons(t *testing.T) {
 
 	net.Send(Packet{Src: 0, Dst: 1, Size: 64, Kind: "data", Group: 1})
 	eng.Run()
-	snap := tr.Snapshot()
-	var dropped uint64
-	for _, g := range snap.Scopes[0].Groups {
-		dropped += g.Dropped
+	if c := net.Counters(); c.Dropped != 1 {
+		t.Fatalf("counters %+v, want one drop", c)
 	}
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
+	snap := tr.Snapshot()
+	var drops obs.DropCounts
+	for _, g := range snap.Scopes[0].Groups {
+		drops.Injected += g.Drops.Injected
+		drops.MidRoute += g.Drops.MidRoute
+		drops.Rejected += g.Drops.Rejected
+		drops.FailStop += g.Drops.FailStop
+	}
+	if drops != (obs.DropCounts{Injected: 1}) {
+		t.Fatalf("drop reasons %+v, want one injected drop", drops)
 	}
 }

@@ -110,7 +110,7 @@ type DropReason uint8
 // Drop reasons. Rejected takes precedence (a mid-route reject records
 // as Rejected); Injected vs MidRoute partition the silent drops.
 const (
-	DropInjected DropReason = iota // discarded at injection (loss model or inject-time fault)
+	DropInjected DropReason = iota // discarded at injection by an inject-time impairment
 	DropMidRoute                   // discarded mid-route by a per-hop impairment
 	DropRejected                   // discarded with reject semantics
 	DropFailStop                   // discarded because an endpoint fail-stop crashed

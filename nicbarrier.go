@@ -140,14 +140,18 @@ type Config struct {
 	// TreeDegree is the gather-broadcast arity (0: the default of 4).
 	TreeDegree int
 	// LossRate injects random packet loss (Myrinet only; Quadrics is
-	// hardware-reliable). Recovery traffic shows up in Result.
+	// hardware-reliable). It is shorthand for a leading
+	// FaultRandomLoss(LossRate) in Faults: both spellings compile into
+	// the same fault plan and give the same run, bit for bit. Recovery
+	// traffic shows up in Result.
 	LossRate float64
 	// Faults composes richer impairments — burst loss, partitions,
 	// latency/jitter, throttling, crashes — built with the Fault*
 	// constructors. On Quadrics only latency-type faults take effect
 	// (hardware reliability strips loss-type ones).
 	Faults []Fault
-	// Seed drives node permutation and loss; 0 is a valid seed.
+	// Seed drives node permutation and every fault's randomness
+	// (LossRate included); 0 is a valid seed.
 	Seed uint64
 	// Permute randomizes which physical nodes host the ranks, as the
 	// paper's methodology does.
@@ -176,7 +180,8 @@ type Result struct {
 	// injection only).
 	Retransmissions uint64
 	// DroppedPackets counts packets the network discarded over the whole
-	// run (loss model plus fault plan, at injection or mid-route).
+	// run (the fault plan's discards, LossRate included, at injection or
+	// mid-route).
 	DroppedPackets uint64
 	// Drops breaks DroppedPackets down by where in the packet lifecycle
 	// the loss happened, plus the NIC-level stale-duplicate count.
@@ -191,7 +196,7 @@ type Result struct {
 // but addressed an operation already complete or a group already torn
 // down — and is not part of DroppedPackets.
 type DropBreakdown struct {
-	Injected uint64 // lost entering the source link (loss models, drop faults)
+	Injected uint64 // lost entering the source link (LossRate, inject-time drop faults)
 	MidRoute uint64 // worms killed at an intermediate hop
 	Rejected uint64 // refused by a crashed/rejecting port (subset, by cause)
 	Stale    uint64 // NIC-discarded late duplicates (delivered, then ignored)
@@ -200,9 +205,6 @@ type DropBreakdown struct {
 func (c Config) validate() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("nicbarrier: Nodes = %d", c.Nodes)
-	}
-	if c.LossRate < 0 || c.LossRate >= 1 {
-		return fmt.Errorf("nicbarrier: LossRate = %v outside [0,1)", c.LossRate)
 	}
 	if c.TreeDegree < 0 || c.TreeDegree == 1 {
 		return fmt.Errorf("nicbarrier: TreeDegree = %d (0 for the default, else at least 2)", c.TreeDegree)
@@ -217,12 +219,26 @@ func (c Config) validate() error {
 	if quadrics && c.LossRate > 0 {
 		return fmt.Errorf("nicbarrier: Quadrics provides hardware reliability; no loss injection")
 	}
+	if c.LossRate != 0 {
+		if err := FaultRandomLoss(c.LossRate).validate(); err != nil {
+			return fmt.Errorf("nicbarrier: LossRate: %w", err)
+		}
+	}
 	for i, f := range c.Faults {
 		if err := f.validate(); err != nil {
 			return fmt.Errorf("nicbarrier: Faults[%d]: %w", i, err)
 		}
 	}
 	return nil
+}
+
+// faults is the one fault list a run compiles: LossRate, when set, as a
+// leading FaultRandomLoss, then Faults in order.
+func (c Config) faults() []Fault {
+	if c.LossRate == 0 {
+		return c.Faults
+	}
+	return append([]Fault{FaultRandomLoss(c.LossRate)}, c.Faults...)
 }
 
 func (c Config) ids() []int {

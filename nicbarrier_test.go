@@ -1,6 +1,7 @@
 package nicbarrier
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -83,6 +84,8 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Interconnect: MyrinetLANaiXP, Nodes: 0},
 		{Interconnect: MyrinetLANaiXP, Nodes: 4, LossRate: 1.5},
+		{Interconnect: MyrinetLANaiXP, Nodes: 4, LossRate: -0.1},
+		{Interconnect: MyrinetLANaiXP, Nodes: 4, LossRate: math.NaN()},
 		{Interconnect: MyrinetLANaiXP, Nodes: 4, Scheme: HardwareBroadcast},
 		{Interconnect: QuadricsElan3, Nodes: 4, Scheme: NICDirect},
 		{Interconnect: QuadricsElan3, Nodes: 4, LossRate: 0.1},
