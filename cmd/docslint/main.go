@@ -50,7 +50,7 @@ import (
 
 // docPackages are the packages whose exported surface must be fully
 // documented: the public facade and the layers ARCHITECTURE.md leans on.
-var docPackages = []string{".", "internal/sim", "internal/netsim", "internal/comm", "internal/obs"}
+var docPackages = []string{".", "internal/sim", "internal/netsim", "internal/core", "internal/comm", "internal/chaos", "internal/obs"}
 
 // linkFiles are the markdown documents whose relative links must resolve.
 var linkFiles = []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md"}

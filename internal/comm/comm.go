@@ -27,20 +27,20 @@
 // error, queue until a departure frees them, or re-place the group on
 // members with capacity (see AdmissionConfig).
 //
-// On top, workload.go generates open- and closed-loop streams of
-// collective operations from N tenants (RunWorkload) and churns whole
-// tenants through arrive/run/depart/reconfigure lifecycles (RunChurn),
-// reporting throughput of virtual time, per-tenant latency percentiles,
-// fairness and admission statistics.
+// On top, the tenant driver (driver.go) runs every multi-tenant load
+// from Tenant records planned up front: planTenants for RunWorkload's
+// open- and closed-loop streams and planChurn for RunChurn's
+// arrive/run/reconfigure/depart lifecycles (workload.go), and the chaos
+// soak's own planner. A stalled run returns an error, never a panic.
 //
 // workload_shard.go holds the one workload run path: RunWorkloadSharded
 // plans the full tenant population once, deals tenants round-robin
-// across replica clusters, runs every shard's install/launch/drive/
-// collect on its own engine goroutine, and merges the shards into one
-// report in deterministic global-tenant order. RunWorkload is its
-// one-shard call, run on the caller's goroutine; see ARCHITECTURE.md
-// for the partitioning model and its fidelity trade. Churn runs on one
-// cluster.
+// across replica clusters, drives and collects every shard on its own
+// engine goroutine, and merges the shards into one report in
+// deterministic global-tenant order. RunWorkload is its one-shard call,
+// run on the caller's goroutine; see ARCHITECTURE.md for the
+// partitioning model and its fidelity trade. Churn runs one driver on
+// one cluster.
 //
 // Cluster.Counters and Group.CheckResults are the wire accounting and
 // the allreduce reference check every caller shares.
@@ -146,8 +146,8 @@ type Cluster struct {
 	groups  []*Group
 	sched   *sched
 
-	// tr, when non-nil, is the observability scope the workload engines
-	// emit per-operation spans and per-tenant metrics into.
+	// tr, when non-nil, is the observability scope the tenant driver
+	// emits per-operation spans and per-tenant metrics into.
 	tr *obs.Scope
 
 	// hbRoute routes heartbeat deliveries and NACK-stall signals to the
@@ -158,7 +158,7 @@ type Cluster struct {
 
 // SetTracer attaches an observability scope to the communicator layer
 // and its backend cluster (network packet lifecycle, NIC firmware
-// events, per-op spans from the workload engines). nil detaches.
+// events, per-op spans from the tenant driver). nil detaches.
 func (c *Cluster) SetTracer(sc *obs.Scope) {
 	c.tr = sc
 	c.be.setTracer(sc)
@@ -231,7 +231,7 @@ type GroupConfig struct {
 // Group is one communicator: a subset of nodes with its own NIC
 // group-queue slot, bit-vector records and sequence space. Groups on one
 // Cluster run concurrently; each is driven either exclusively (Run) or
-// as part of a workload (Launch + the cluster-level drive loop).
+// with others (Launch + DriveAll, or the tenant driver RunTenants).
 //
 // A group's lifecycle is install -> run(s) -> Close (or Reconfigure
 // between runs). Under the queueing admission policy a group may exist
@@ -254,9 +254,11 @@ type Group struct {
 	closed   bool
 	closing  bool // Close requested while a run was in flight
 
-	// userOnDone is the workload engine's completion observer,
-	// multiplexed under the group's own onIterDone.
-	userOnDone func(iter int, at sim.Time)
+	// tenant is the workload-wide tenant index every ID the group is
+	// installed under is bound to on a traced cluster (-1: none); run is
+	// the tenant driver's ledger while a driven run is in progress.
+	tenant int
+	run    *TenantRun
 
 	// pendingIters holds a Launch that arrived while the install was
 	// still queued; it replays when the scheduler installs the group.
@@ -292,8 +294,12 @@ type Group struct {
 // until a Close frees slots (AdmitQueue), or place the group on
 // alternate members with free slots (AdmitSpread/AdmitPack). An invalid
 // configuration fails under every policy, with the same error.
-func (c *Cluster) NewGroup(gc GroupConfig) (*Group, error) {
-	g := &Group{c: c, Kind: gc.Kind}
+func (c *Cluster) NewGroup(gc GroupConfig) (*Group, error) { return c.newGroup(gc, -1) }
+
+// newGroup is NewGroup for a group labelled with its workload-wide
+// tenant index.
+func (c *Cluster) newGroup(gc GroupConfig, tenant int) (*Group, error) {
+	g := &Group{c: c, Kind: gc.Kind, tenant: tenant}
 	if err := c.sched.admit(g, gc); err != nil {
 		return nil, err
 	}
@@ -310,8 +316,8 @@ func (g *Group) attach() {
 }
 
 // onIterDone observes every globally completed operation: it advances
-// the group-level sequence, forwards to the workload engine's observer,
-// and finalizes a deferred Close once the run has drained.
+// the group-level sequence, forwards to the tenant driver, and finalizes
+// a deferred Close once the run has drained.
 func (g *Group) onIterDone(iter int, at sim.Time) {
 	g.opsDone++
 	if g.c.tr != nil {
@@ -320,19 +326,13 @@ func (g *Group) onIterDone(iter int, at sim.Time) {
 	if g.rec != nil {
 		g.rec.onProgress(iter, at)
 	}
-	if g.userOnDone != nil {
-		g.userOnDone(iter, at)
+	if g.run != nil {
+		g.run.opDone(iter, at)
 	}
 	if g.closing && g.sess.Done() {
 		g.finalizeClose()
 	}
 }
-
-// SetOnIterDone registers fn to observe each operation's global
-// completion (all members done) at the virtual time it happens; nil
-// unregisters. Workload engines drive departures and reconfigurations
-// from this hook.
-func (g *Group) SetOnIterDone(fn func(iter int, at sim.Time)) { g.userOnDone = fn }
 
 // applyPace (re)installs the group's pacer as the session's NextAt gate;
 // safe to call while the install is still queued (attach applies it when
@@ -410,8 +410,11 @@ func (g *Group) Launch(iters int) {
 
 // launchSess posts iters operations on the bound session and arms the
 // recovery machinery when configured; the single funnel for every
-// launch path (direct, queued replay, recovery relaunch).
+// launch path (direct, queued replay, recovery relaunch). The new
+// session numbers its operations from 0, so the pacer's schedule is
+// shifted to continue at the group-level operation index.
 func (g *Group) launchSess(iters int) {
+	g.pace.off = g.opsDone
 	g.sess.Launch(iters)
 	if g.rec != nil {
 		g.rec.onLaunch(iters)
@@ -566,9 +569,11 @@ func (g *Group) CheckResults() error {
 // DriveAll runs the engine until every *launched* group completes,
 // panicking with a per-group diagnostic if the simulation deadlocks
 // (e.g. a fault plan crashed a member for good, or queued installs wait
-// on slots nothing will free). Groups that were created but never
-// launched — e.g. the survivors of a workload setup that failed partway
-// — are not waited on; neither are closed groups.
+// on slots nothing will free). It is the drive loop for groups launched
+// by hand; tenant loads go through RunTenants, which returns an error
+// instead. Groups that were created but never launched — e.g. one
+// installed to hold slots — are not waited on; neither are closed
+// groups.
 func (c *Cluster) DriveAll() {
 	// A recovering group is waited on through its whole deadline run
 	// (rec.inFlight), including abort/backoff windows where it is

@@ -548,7 +548,8 @@ func TestChurnDeterministic(t *testing.T) {
 }
 
 // Under AdmitError the same oversubscription fails cleanly with the
-// tenant named, not a panic or a deadlock.
+// tenant named, not a panic or a deadlock, and leaves the cluster quiet:
+// the tenants installed before the refusal ran out and departed.
 func TestChurnErrorPolicyFailsCleanly(t *testing.T) {
 	c := xpCommSlots(4, 1)
 	_, err := RunChurn(c, ChurnSpec{
@@ -558,6 +559,10 @@ func TestChurnErrorPolicyFailsCleanly(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "tenant") {
 		t.Fatalf("error-policy churn returned %v", err)
 	}
+	if n := c.Eng.Pending(); n != 0 {
+		t.Fatalf("%d events still pending after the failed churn", n)
+	}
+	allSlotsFree(t, c, 1)
 }
 
 // Concurrent clusters churning groups (NewGroup/Close in a loop) from

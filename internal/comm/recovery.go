@@ -279,7 +279,6 @@ func (g *Group) rebuild(members []int) error {
 	oldID := g.ID
 	if g.rec != nil {
 		g.rec.offset = g.opsDone
-		g.pace.off = g.opsDone // pacer schedules continue at the global op index
 	}
 	if err := g.Reconfigure(members); err != nil {
 		return err

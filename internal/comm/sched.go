@@ -169,8 +169,9 @@ func (s *sched) admit(g *Group, gc GroupConfig) error {
 }
 
 // install binds a backend session running plan, validated from gc,
-// under a fresh group ID, updating the slot refcounts and charging the
-// install cost when configured. On failure g is left as it was.
+// under a fresh group ID, labels the ID with g's tenant on a traced
+// cluster, updates the slot refcounts and charges the install cost when
+// configured. On failure g is left as it was.
 func (s *sched) install(g *Group, gc GroupConfig, plan *barrier.Plan) error {
 	gc.Members = append([]int(nil), gc.Members...)
 	prevID, prevMembers := g.ID, g.Members
@@ -184,6 +185,9 @@ func (s *sched) install(g *Group, gc GroupConfig, plan *barrier.Plan) error {
 	}
 	g.sess = sess
 	s.c.nextGID++
+	if s.c.tr != nil {
+		s.c.tr.BindGroupTenant(int(gid), g.tenant)
+	}
 	g.gc = gc
 	g.installedAt = s.c.Eng.Now()
 	s.stats.Installs++

@@ -174,3 +174,34 @@ func TestChurnOpSpans(t *testing.T) {
 		}
 	}
 }
+
+// Churn tenants whose installs queue for slots, and tenants that swap
+// membership, keep their tenant label on every group ID they install
+// under: the tenant-merged view has one full row per tenant, and no
+// completed op sits under an unbound group.
+func TestChurnQueuedInstallsBindTenants(t *testing.T) {
+	spec := ChurnSpec{Tenants: 32, OpsPerTenant: 8, ReconfigureEvery: 2, Policy: AdmitQueue, Seed: 1}
+	sc := obs.NewTracer().NewScope("churn")
+	res, err := RunChurn(tracedXpComm(16, sc), spec)
+	if err != nil {
+		t.Fatalf("RunChurn: %v", err)
+	}
+	if res.QueuedInstalls == 0 || res.Reconfigs == 0 {
+		t.Fatalf("queued installs = %d, reconfigs = %d; the test needs both", res.QueuedInstalls, res.Reconfigs)
+	}
+	snap := sc.Snapshot()
+	for _, g := range snap.Groups {
+		if g.Tenant < 0 && g.Done > 0 {
+			t.Errorf("group %d completed %d ops unbound", g.Group, g.Done)
+		}
+	}
+	rows := snap.MergeTenants()
+	if len(rows) != spec.Tenants {
+		t.Fatalf("tenant-merged rows = %d, want %d", len(rows), spec.Tenants)
+	}
+	for _, r := range rows {
+		if r.Done != uint64(spec.OpsPerTenant) || r.Latency.Count != uint64(spec.OpsPerTenant) {
+			t.Errorf("tenant %d: done = %d, latency count = %d, want %d", r.Tenant, r.Done, r.Latency.Count, spec.OpsPerTenant)
+		}
+	}
+}

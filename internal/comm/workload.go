@@ -153,9 +153,9 @@ type pacer struct {
 	// and arrivals are unset (back-to-back chaining).
 	think []sim.Duration
 	// off shifts the session-local iteration index to the tenant-global
-	// op index. It is zero except after a recovery rebuild, where the
-	// relaunched session restarts numbering at 0 but the tenant's
-	// arrival/think schedule must continue where it left off.
+	// op index: every launch sets it to the ops already completed, so a
+	// run relaunched after a swap or a recovery rebuild, whose session
+	// restarts numbering at 0, continues the tenant's schedule.
 	off int
 }
 
@@ -235,30 +235,20 @@ type WorkloadResult struct {
 	Decomp []obs.OpDecomp
 }
 
-// tenantPlan is one tenant's precomputed setup: membership, operation
-// kind and every arrival/think draw. Plans are drawn up-front by
-// planTenants so that execution — single-cluster or sharded — performs
-// no RNG work: the same seed yields the same plans no matter how many
-// partitions later run them.
-type tenantPlan struct {
-	idx      int
-	members  []int
-	kind     OpKind
-	arrivals []sim.Time     // open-loop arrival instants; nil for closed loop
-	think    []sim.Duration // closed-loop think times; nil when back-to-back
-}
-
-// planTenants draws every tenant's plan from spec.Seed. The draw order
-// (placement shuffle, then per tenant: size, members, kind, pacing) is
-// a compatibility contract: it keeps single-partition runs bit-identical
-// to the gated baseline, and it makes multi-partition runs agree with
-// them on memberships, kinds and operation counts, because every
-// partitioning executes the same plans. The kind is one draw walked
-// through the table's weights. A kind that needs the NIC collective
-// protocol falls back to OpBarrier after the draw on a backend without
-// it, spending the same draws so the seed stream stays aligned across
-// backends.
-func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error) {
+// planTenants draws every tenant's record from spec.Seed: membership,
+// operation kind and every arrival/think draw, so that execution —
+// single-cluster or sharded — performs no RNG work: the same seed yields
+// the same records no matter how many partitions later run them. The
+// draw order (placement shuffle, then per tenant: size, members, kind,
+// pacing) is a compatibility contract: it keeps single-partition runs
+// bit-identical to the gated baseline, and it makes multi-partition runs
+// agree with them on memberships, kinds and operation counts, because
+// every partitioning executes the same records. The kind is one draw
+// walked through the table's weights. A kind that needs the NIC
+// collective protocol falls back to OpBarrier after the draw on a
+// backend without it, spending the same draws so the seed stream stays
+// aligned across backends. Every tenant arrives at t=0.
+func planTenants(nodes int, spec WorkloadSpec, be backend) ([]Tenant, error) {
 	rng := sim.NewRNG(spec.Seed ^ 0x7e4a47)
 
 	// Disjoint placement slices one shuffled node list; overlapping
@@ -270,8 +260,8 @@ func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error)
 		mixTotal += op.weight(spec.Mix)
 	}
 
-	plans := make([]tenantPlan, spec.Tenants)
-	for t := 0; t < spec.Tenants; t++ {
+	ts := make([]Tenant, spec.Tenants)
+	for t := range ts {
 		size := nodes / spec.Tenants
 		if spec.GroupSizeMax > 0 {
 			size = spec.GroupSizeMin + rng.Intn(spec.GroupSizeMax-spec.GroupSizeMin+1)
@@ -298,7 +288,23 @@ func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error)
 		if !kind.collective().schemed && !be.collectiveProtocol() {
 			kind = OpBarrier
 		}
-		p := tenantPlan{idx: t, members: members, kind: kind}
+		tn := Tenant{
+			Index: t,
+			Config: GroupConfig{
+				Members:       members,
+				Kind:          kind,
+				Algorithm:     spec.Algorithm,
+				MyrinetScheme: myrinet.SchemeCollective,
+			},
+			Ops:      spec.OpsPerTenant,
+			Recovery: spec.Recovery,
+		}
+		if kind.collective().fold {
+			// Max is exact for every group size and algorithm, so mixed
+			// workloads never trip the sum/dissemination exactness rule.
+			tn.Config.Reduce = core.ReduceMax
+			tn.Config.Contrib = allreduceContrib
+		}
 
 		// Precompute the arrival process so steady-state dispatch is
 		// allocation- and RNG-free.
@@ -311,163 +317,68 @@ func planTenants(nodes int, spec WorkloadSpec, be backend) ([]tenantPlan, error)
 				at = at.Add(expGap(rng, gap))
 				arr[k] = at
 			}
-			p.arrivals = arr
+			tn.Arrivals = arr
 		case ClosedLoop:
 			if gap > 0 {
 				think := make([]sim.Duration, spec.OpsPerTenant)
 				for k := range think {
 					think[k] = expGap(rng, gap)
 				}
-				p.think = think
+				tn.Think = think
 			}
 		}
-		plans[t] = p
+		ts[t] = tn
 	}
-	return plans, nil
+	return ts, nil
 }
 
-// installTenant realizes one plan on a cluster: creates the group,
-// attaches the precomputed pacer, and returns the eligibility vector
-// (open loop: the arrival instants; closed loop: zeros, derived after
-// the run from completions).
-func installTenant(c *Cluster, spec WorkloadSpec, p tenantPlan) (*Group, []sim.Time, error) {
-	gc := GroupConfig{
-		Members:       p.members,
-		Kind:          p.kind,
-		Algorithm:     spec.Algorithm,
-		MyrinetScheme: myrinet.SchemeCollective,
-	}
-	if p.kind.collective().fold {
-		// Max is exact for every group size and algorithm, so mixed
-		// workloads never trip the sum/dissemination exactness rule.
-		gc.Reduce = core.ReduceMax
-		gc.Contrib = allreduceContrib
-	}
-	g, err := c.NewGroup(gc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("comm: tenant %d: %w", p.idx, err)
-	}
-	if c.tr != nil {
-		c.tr.BindGroupTenant(int(g.ID), p.idx)
-	}
-	g.pace.eng = c.Eng
-	g.pace.arrivals = p.arrivals
-	g.pace.think = p.think
-	g.applyPace()
-	if spec.Recovery.OpDeadline > 0 {
-		if err := g.SetRecovery(spec.Recovery); err != nil {
-			g.Close()
-			return nil, nil, fmt.Errorf("comm: tenant %d: %w", p.idx, err)
-		}
-	}
-	elig := make([]sim.Time, spec.OpsPerTenant)
-	copy(elig, p.arrivals)
-	return g, elig, nil
-}
-
-// tenantDone returns a tenant's completed-op times: the recovery ledger
-// when survival is armed (completions span rebuilt sessions, and the
-// final session may have been aborted), the session's own record
-// otherwise.
-func tenantDone(g *Group) []sim.Time {
-	if st := g.Recovery(); st != nil {
-		return st.DoneTimes
-	}
-	return g.DoneAt()
-}
-
-// deriveClosedLoopEligibility back-fills closed-loop eligibility after
-// a run: op k became eligible when op k-1 completed plus the think gap
-// (op 0 after the initial think from t=0). Open-loop eligibility was
-// fixed at planning time, so this is a no-op there.
-func deriveClosedLoopEligibility(spec WorkloadSpec, groups []*Group, eligible [][]sim.Time) {
-	if spec.Arrival.Kind != ClosedLoop {
-		return
-	}
-	for t, g := range groups {
-		done := tenantDone(g)
-		for k := range eligible[t] {
-			if k > len(done) {
-				break // ops beyond the completed stream never became eligible
-			}
-			var base sim.Time
-			if k > 0 {
-				base = done[k-1]
-			}
-			if g.pace.think != nil {
-				base = base.Add(g.pace.think[k])
-			}
-			eligible[t][k] = base
-		}
-	}
-}
-
-// collectTenants verifies a finished shard's groups and summarizes
-// each tenant's stream, emitting one span per op when the cluster is
-// traced. plans supply the workload-wide tenant indices, so a shard
-// reporting a subset of tenants labels them by their global identity.
-// It also returns the shard's last completion instant.
-func collectTenants(c *Cluster, spec WorkloadSpec, plans []tenantPlan,
-	groups []*Group, eligible [][]sim.Time) ([]TenantResult, sim.Time, error) {
-	out := make([]TenantResult, 0, len(groups))
+// collectTenants verifies a finished shard's groups and summarizes each
+// tenant's stream under its workload-wide index. It also returns the
+// shard's last completion instant.
+func collectTenants(runs []TenantRun) ([]TenantResult, sim.Time, error) {
+	out := make([]TenantResult, 0, len(runs))
 	var makespan sim.Time
-	lat := make([]float64, 0, spec.OpsPerTenant)
-	for i, g := range groups {
+	var lat []float64
+	for i := range runs {
+		r, g := &runs[i], runs[i].Group
 		if err := g.CheckResults(); err != nil {
 			return nil, 0, err
 		}
-		st := g.Recovery()
-		done := tenantDone(g)
 		tr := TenantResult{
-			Tenant:  plans[i].idx,
+			Tenant:  r.Index,
 			GroupID: g.ID,
 			Size:    g.Size(),
 			Kind:    g.Kind,
-			Ops:     len(done),
+			Ops:     len(r.Done),
 		}
-		if st != nil {
+		if st := g.Recovery(); st != nil {
 			tr.Failed = st.Err != nil
 			tr.Evicted = len(st.Evicted)
 			tr.Retries = st.Retries
 		}
-		if c.tr != nil && (st == nil || st.Retries == 0) {
-			// Emit one span per op: queue wait (eligible to first post)
-			// and in-flight time (first post to global completion). A
-			// tenant that retried relaunched on fresh sessions, so the
-			// post record no longer lines up with the tenant-global op
-			// index — its spans are skipped.
-			startAt := g.StartAt()
-			for k, at := range done {
-				c.tr.OpSpan(int(g.ID), g.Kind.String(), eligible[i][k], startAt[k], at)
-			}
-		}
-		if len(done) == 0 {
+		if len(r.Done) == 0 {
 			// Terminal failure before the first completion: the zeroed,
 			// Failed-flagged row keeps the tenant visible in the report.
 			out = append(out, tr)
 			continue
 		}
-		last := done[len(done)-1]
-		if last > makespan {
-			makespan = last
-		}
+		last := r.Done[len(r.Done)-1]
+		makespan = max(makespan, last)
 		lat = lat[:0]
 		var sum, maxL float64
-		for k, at := range done {
-			l := at.Sub(eligible[i][k]).Micros()
+		for k, at := range r.Done {
+			l := at.Sub(r.eligible(k)).Micros()
 			lat = append(lat, l)
 			sum += l
-			if l > maxL {
-				maxL = l
-			}
+			maxL = max(maxL, l)
 		}
 		sort.Float64s(lat)
-		tr.MeanUS = sum / float64(len(done))
+		tr.MeanUS = sum / float64(len(lat))
 		tr.P50US = percentile(lat, 0.50)
 		tr.P95US = percentile(lat, 0.95)
 		tr.P99US = percentile(lat, 0.99)
 		tr.MaxUS = maxL
-		tr.OpsPerSec = float64(len(done)) / (last.Micros() / 1e6)
+		tr.OpsPerSec = float64(len(lat)) / (last.Micros() / 1e6)
 		out = append(out, tr)
 	}
 	return out, makespan, nil
@@ -589,48 +500,44 @@ type ChurnResult struct {
 	Sent, Dropped uint64
 }
 
-// churnTenant is one tenant's precomputed lifecycle.
-type churnTenant struct {
-	idx       int
-	arriveAt  sim.Time
-	members   []int
-	newMembrs []int // reconfiguration target; nil when the tenant never swaps
-	think     []sim.Duration
-	g         *Group
-	target    int // run-local final iteration of the current run
-	swapped   bool
-	// lastDone tracks the previous completion (arrival before the first)
-	// for the pre/post-swap latency histograms and the op spans.
-	lastDone sim.Time
-}
-
-// planChurn draws every churn tenant's lifecycle (arrival instant,
-// size, membership, optional reconfiguration target, think times) from
-// spec.Seed.
-func planChurn(nodes int, spec ChurnSpec) []*churnTenant {
+// planChurn draws every churn tenant's record (arrival instant, size,
+// membership, optional reconfiguration target, think times) from
+// spec.Seed. A reconfiguring tenant swaps after half its operations.
+func planChurn(nodes int, spec ChurnSpec) []Tenant {
 	rng := sim.NewRNG(spec.Seed ^ 0xc42917)
 	minSize, maxSize := spec.sizeBounds(nodes)
 
-	tenants := make([]*churnTenant, spec.Tenants)
+	ts := make([]Tenant, spec.Tenants)
 	var at sim.Time
-	for t := range tenants {
+	for t := range ts {
 		if spec.MeanArrivalGapUS > 0 {
 			at = at.Add(expGap(rng, spec.MeanArrivalGapUS))
 		}
 		size := minSize + rng.Intn(maxSize-minSize+1)
-		tn := &churnTenant{idx: t, arriveAt: at, members: rng.Perm(nodes)[:size], lastDone: at}
+		tn := Tenant{
+			Index: t,
+			At:    at,
+			Config: GroupConfig{
+				Members:       rng.Perm(nodes)[:size],
+				Kind:          OpBarrier,
+				Algorithm:     spec.Algorithm,
+				MyrinetScheme: myrinet.SchemeCollective,
+			},
+			Ops:     spec.OpsPerTenant,
+			Departs: true,
+		}
 		if spec.ReconfigureEvery > 0 && (t+1)%spec.ReconfigureEvery == 0 && spec.OpsPerTenant >= 2 {
-			tn.newMembrs = rng.Perm(nodes)[:size]
+			tn.SwapAt, tn.SwapTo = spec.OpsPerTenant/2, rng.Perm(nodes)[:size]
 		}
 		if spec.MeanThinkUS > 0 {
-			tn.think = make([]sim.Duration, spec.OpsPerTenant)
-			for k := range tn.think {
-				tn.think[k] = expGap(rng, spec.MeanThinkUS)
+			tn.Think = make([]sim.Duration, spec.OpsPerTenant)
+			for k := range tn.Think {
+				tn.Think[k] = expGap(rng, spec.MeanThinkUS)
 			}
 		}
-		tenants[t] = tn
+		ts[t] = tn
 	}
-	return tenants
+	return ts
 }
 
 // RunChurn executes spec's tenant churn on the cluster and reports
@@ -639,124 +546,43 @@ func planChurn(nodes int, spec ChurnSpec) []*churnTenant {
 // tenant's install fails under the configured policy (AdmitError on a
 // full NIC, a queued install that can never be served) — under
 // AdmitQueue with departing tenants the run completes by construction.
-// On a traced cluster every completed op emits a span: eligible at the
-// tenant's arrival (op 0) or at the previous completion plus think
-// time, started at its first post.
+// On a traced cluster every completed op emits a span (see RunTenants).
 func RunChurn(c *Cluster, spec ChurnSpec) (ChurnResult, error) {
 	nodes := c.Nodes()
 	if err := spec.validate(nodes); err != nil {
 		return ChurnResult{}, err
 	}
-	tenants := planChurn(nodes, spec)
 	c.SetAdmission(AdmissionConfig{Policy: spec.Policy, ChargeSetupCosts: spec.ChargeSetupCosts})
+	runs, err := RunTenants(c, planChurn(nodes, spec))
+	if err != nil {
+		return ChurnResult{}, err
+	}
 
-	res := ChurnResult{Tenants: spec.Tenants}
-	var failure error
+	res := ChurnResult{Tenants: spec.Tenants, Completed: len(runs)}
 	var lastDepart sim.Time
 	// Per-op latency (completion gap) of reconfiguring tenants, split at
 	// their membership swap — the apples-to-apples SLO comparison.
 	var preLat, postLat obs.Histogram
-
-	for _, tn := range tenants {
-		tn := tn
-		c.Eng.Schedule(tn.arriveAt, func() {
-			if failure != nil {
-				return
+	for i := range runs {
+		r := &runs[i]
+		lastDepart = max(lastDepart, r.Done[len(r.Done)-1])
+		if r.SwapAt == 0 {
+			continue
+		}
+		if r.swapErr != nil {
+			res.ReconfigsFailed++ // kept the old membership
+		} else {
+			res.Reconfigs++
+		}
+		prev := r.arrived
+		for k, at := range r.Done {
+			h := &preLat
+			if k >= r.SwapAt {
+				h = &postLat
 			}
-			g, err := c.NewGroup(GroupConfig{
-				Members:       tn.members,
-				Kind:          OpBarrier,
-				Algorithm:     spec.Algorithm,
-				MyrinetScheme: myrinet.SchemeCollective,
-				ElanScheme:    0, // SchemeChained
-			})
-			if err != nil {
-				failure = fmt.Errorf("comm: churn tenant %d: %w", tn.idx, err)
-				return
-			}
-			tn.g = g
-			if c.tr != nil {
-				c.tr.BindGroupTenant(int(g.ID), tn.idx)
-			}
-			if tn.think != nil {
-				g.pace = pacer{eng: c.Eng, think: tn.think}
-				g.applyPace()
-			}
-			firstRun := spec.OpsPerTenant
-			if tn.newMembrs != nil {
-				firstRun = spec.OpsPerTenant / 2
-			}
-			tn.target = firstRun
-			g.SetOnIterDone(func(iter int, doneAt sim.Time) {
-				if c.tr != nil {
-					op, eligible := iter, tn.lastDone
-					if tn.swapped {
-						op += firstRun
-					}
-					if op > 0 && tn.think != nil {
-						eligible = eligible.Add(tn.think[op])
-					}
-					c.tr.OpSpan(int(g.ID), OpBarrier.String(), eligible, g.StartAt()[iter], doneAt)
-				}
-				if tn.newMembrs != nil {
-					gap := doneAt.Sub(tn.lastDone)
-					if tn.swapped {
-						postLat.Observe(gap)
-					} else {
-						preLat.Observe(gap)
-					}
-				}
-				tn.lastDone = doneAt
-				if iter != tn.target-1 {
-					return
-				}
-				if tn.newMembrs != nil && !tn.swapped {
-					// Halfway point: swap membership, hand the sequence
-					// over, run the rest on the new group incarnation.
-					tn.swapped = true
-					g.Reset()
-					if err := g.Reconfigure(tn.newMembrs); err != nil {
-						res.ReconfigsFailed++ // keep the old membership
-					} else {
-						res.Reconfigs++
-						if c.tr != nil {
-							c.tr.BindGroupTenant(int(g.ID), tn.idx) // the swap drew a new group ID
-						}
-					}
-					if tn.think != nil {
-						// The pacer indexes by run-local iteration, which
-						// restarts at 0: hand it the second half of the
-						// precomputed draws so post-swap gaps stay fresh.
-						g.pace = pacer{eng: c.Eng, think: tn.think[firstRun:]}
-						g.applyPace()
-					}
-					tn.target = spec.OpsPerTenant - firstRun
-					g.Launch(tn.target)
-					return
-				}
-				// Departure: free the slots; queued installs drain now.
-				g.Close()
-				res.Completed++
-				if doneAt > lastDepart {
-					lastDepart = doneAt
-				}
-			})
-			g.Launch(firstRun)
-		})
-	}
-
-	finished := func() bool { return failure != nil || res.Completed == len(tenants) }
-	if !c.Eng.RunCondition(finished) && failure == nil {
-		return ChurnResult{}, fmt.Errorf(
-			"comm: churn deadlocked with %d of %d tenants complete (%d installs still queued)",
-			res.Completed, len(tenants), c.AdmissionStats().QueueLen)
-	}
-	if failure != nil {
-		return ChurnResult{}, failure
-	}
-	c.Eng.Run() // drain trailing teardown charges and wire traffic
-	if c.tr != nil {
-		c.tr.PublishFinal(c.Eng.Now())
+			h.Observe(at.Sub(prev))
+			prev = at
+		}
 	}
 
 	st := c.AdmissionStats()

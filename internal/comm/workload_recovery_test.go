@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nicbarrier/internal/fault"
+	"nicbarrier/internal/obs"
 )
 
 // A multi-tenant workload with one crashed node must finish every
@@ -124,5 +125,53 @@ func TestWorkloadReportsTerminalFailure(t *testing.T) {
 	}
 	if res.Fairness <= 0 || res.Fairness > 1 {
 		t.Fatalf("fairness %v not in (0, 1] with an empty tenant stream", res.Fairness)
+	}
+}
+
+// crashedWorkloadRows runs TestWorkloadSurvivesPermanentCrash's workload
+// on a traced cluster and returns its tenant-merged snapshot rows.
+func crashedWorkloadRows(t *testing.T) []obs.GroupSnapshot {
+	t.Helper()
+	sc := obs.NewTracer().NewScope("crash")
+	c := tracedXpComm(16, sc)
+	c.My.SetFaults(fault.NewPlan(21, fault.Crash(0, fault.Window{})))
+	res, err := RunWorkload(c, WorkloadSpec{
+		Tenants:      4,
+		OpsPerTenant: 8,
+		Mix:          OpMix{Allreduce: 1},
+		Seed:         9,
+		Recovery:     quickRecovery(),
+	})
+	if err != nil {
+		t.Fatalf("RunWorkload: %v", err)
+	}
+	if res.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", res.Evictions)
+	}
+	rows := sc.Snapshot().MergeTenants()
+	if len(rows) != 4 {
+		t.Fatalf("tenant-merged rows = %d, want 4: %+v", len(rows), rows)
+	}
+	return rows
+}
+
+// The eviction rebuilds the victim tenant's group under a new ID; the
+// rebuild binds that ID to the tenant, so the victim's row counts every
+// completed op instead of leaving them under an unbound group.
+func TestRecoveryRebuildKeepsTenantLabel(t *testing.T) {
+	for _, r := range crashedWorkloadRows(t) {
+		if r.Done != 8 {
+			t.Errorf("tenant %d: done = %d, want 8", r.Tenant, r.Done)
+		}
+	}
+}
+
+// A tenant that retried still emits one span per completed op: every
+// row's span count and latency histogram cover all 8 ops.
+func TestRetriedTenantEmitsSpans(t *testing.T) {
+	for _, r := range crashedWorkloadRows(t) {
+		if r.Ops != 8 || r.Latency.Count != 8 {
+			t.Errorf("tenant %d: ops = %d, latency count = %d, want 8 each", r.Tenant, r.Ops, r.Latency.Count)
+		}
 	}
 }

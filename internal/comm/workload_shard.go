@@ -51,7 +51,7 @@ func RunWorkloadSharded(cs []*Cluster, spec WorkloadSpec) (WorkloadResult, error
 	if err := spec.validate(nodes); err != nil {
 		return WorkloadResult{}, err
 	}
-	plans, err := planTenants(nodes, spec, cs[0].be)
+	ts, err := planTenants(nodes, spec, cs[0].be)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
@@ -59,11 +59,11 @@ func RunWorkloadSharded(cs []*Cluster, spec WorkloadSpec) (WorkloadResult, error
 	shards := make([]workloadShard, len(cs))
 	errs := make([]error, len(cs))
 	run := func(s int) {
-		var mine []tenantPlan
-		for t := s; t < len(plans); t += len(cs) {
-			mine = append(mine, plans[t])
+		var mine []Tenant
+		for t := s; t < len(ts); t += len(cs) {
+			mine = append(mine, ts[t])
 		}
-		shards[s], errs[s] = runWorkloadShard(cs[s], spec, mine)
+		shards[s], errs[s] = runWorkloadShard(cs[s], mine)
 	}
 	if len(cs) == 1 {
 		run(0)
@@ -94,34 +94,16 @@ type workloadShard struct {
 	tr       *obs.Scope
 }
 
-// runWorkloadShard installs, launches, drives and collects the given
-// plans on one cluster. Under a sharded run it runs on the shard's
-// goroutine and touches only shard-local state.
-func runWorkloadShard(c *Cluster, spec WorkloadSpec, plans []tenantPlan) (workloadShard, error) {
-	groups := make([]*Group, len(plans))
-	eligible := make([][]sim.Time, len(plans)) // per tenant, per op
-	for i, p := range plans {
-		g, elig, err := installTenant(c, spec, p)
-		if err != nil {
-			return workloadShard{}, err
-		}
-		groups[i], eligible[i] = g, elig
+// runWorkloadShard drives the given tenants on one cluster and collects
+// them. Under a sharded run it runs on the shard's goroutine and touches
+// only shard-local state.
+func runWorkloadShard(c *Cluster, ts []Tenant) (workloadShard, error) {
+	runs, err := RunTenants(c, ts)
+	if err != nil {
+		return workloadShard{}, err
 	}
-	for _, g := range groups {
-		g.Launch(spec.OpsPerTenant)
-	}
-	c.DriveAll()
-	c.Eng.Run() // drain trailing traffic so counters are complete
-
-	deriveClosedLoopEligibility(spec, groups, eligible)
 	out := workloadShard{counters: c.Counters(), tr: c.tr}
-	var err error
-	out.tenants, out.makespan, err = collectTenants(c, spec, plans, groups, eligible)
-	if c.tr != nil {
-		// After collection, so the last live snapshot carries the
-		// span-fed latency histograms alongside the live counters.
-		c.tr.PublishFinal(c.Eng.Now())
-	}
+	out.tenants, out.makespan, err = collectTenants(runs)
 	return out, err
 }
 

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -223,4 +224,26 @@ func (l *lossEveryNth) Inject(netsim.Packet, sim.Time) netsim.Outcome {
 
 func (*lossEveryNth) Hop(netsim.Packet, int, int, int, sim.Time) netsim.Outcome {
 	return netsim.Outcome{}
+}
+
+// A workload whose tenant can never install (a foreign group holds
+// every slot it needs, and nothing will free them) returns an error
+// naming the stalled tenant and the queued install, on one cluster and
+// sharded, where a panic on a shard goroutine would end the process.
+func TestWorkloadStallReturnsError(t *testing.T) {
+	blocked := func() *Cluster {
+		c := xpCommSlots(4, 1)
+		c.SetAdmission(AdmissionConfig{Policy: AdmitQueue})
+		barrierGroup(t, c, 0, 1, 2, 3)
+		return c
+	}
+	for _, cs := range [][]*Cluster{{blocked()}, {blocked(), blocked()}} {
+		_, err := RunWorkloadSharded(cs, WorkloadSpec{Tenants: len(cs), OpsPerTenant: 3})
+		if !errors.Is(err, ErrStalled) {
+			t.Fatalf("%d shard(s): err = %v, want ErrStalled", len(cs), err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "tenants [0]") || !strings.Contains(msg, "1 still queued") {
+			t.Fatalf("%d shard(s): stall error %q does not name tenant 0 and its queued install", len(cs), msg)
+		}
+	}
 }

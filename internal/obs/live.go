@@ -80,7 +80,7 @@ func (s *Scope) Publish(at sim.Time) uint64 {
 }
 
 // PublishFinal publishes the scope's end-of-run state if the metronome
-// is armed — the workload engines call it when a run drains, so the
+// is armed — the tenant driver calls it when a run drains, so the
 // last live snapshot always reflects completion, not the final partial
 // tick. A disarmed scope stays unpublished (the caller never opted into
 // live observation).

@@ -203,8 +203,8 @@ func (t *Track) emit(rec Record) { t.ring.add(rec) }
 type groupStats struct {
 	kind string // op label ("barrier", ...), set by the first span
 	ops  uint64
-	// done counts globally completed operations live (OpDone), so
-	// mid-run snapshots report progress before spans are emitted.
+	// done counts globally completed operations live (OpDone), also
+	// for groups that emit no spans.
 	done    uint64
 	queueNS int64
 	wireNS  int64
@@ -409,9 +409,10 @@ func (s *Scope) OpSpan(gid int, opKind string, eligible, start, done sim.Time) {
 }
 
 // OpDone counts one globally completed operation of group gid, live at
-// the completion instant. Workload engines emit full OpSpan records
-// only at collection time (closed-loop queue phases are derived after
-// the run), so OpDone is what lets a mid-run snapshot report progress.
+// the completion instant, for every communicator group. Tenant runs
+// also emit an OpSpan for each op at the same instant; groups driven
+// outside them (measurement sessions, hand-launched groups) emit none,
+// so OpDone is what reports their progress.
 func (s *Scope) OpDone(gid int) {
 	s.group(gid).done++
 }

@@ -82,8 +82,9 @@ type GroupSnapshot struct {
 	Tenant int    `json:"tenant"`
 	Kind   string `json:"kind,omitempty"` // op label ("barrier", ...); empty when no span was recorded
 	Ops    uint64 `json:"ops"`
-	// Done counts globally completed operations live (see Scope.OpDone):
-	// it advances mid-run, while Ops (span-fed) fills at collection.
+	// Done counts globally completed operations live (see Scope.OpDone).
+	// Ops counts span-fed ones: for a driven tenant it advances with
+	// Done, for a group without spans it stays 0.
 	Done uint64 `json:"done"`
 	// Decomposition attribution sums, microseconds. These sum
 	// concurrent activity, so they can exceed the group's wall-clock.
