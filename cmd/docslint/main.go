@@ -19,7 +19,9 @@
 //     package under internal/ where X is neither a top-level identifier
 //     declared in that package nor one of its files ("comm.go"), or a
 //     ```go block sets a field that nicbarrier.T{…} or <pkg>.T{…} does
-//     not have.
+//     not have, or calls x.M(…), x not a package of the module or of
+//     the standard library, where no non-test type in the module
+//     declares a method M.
 //
 // Usage:
 //
@@ -36,14 +38,17 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"nicbarrier/internal/harness"
 )
@@ -416,8 +421,8 @@ type pkgDecls struct {
 // is neither declared at top level in that package's non-test files
 // nor the name of one of its files. A citation preceded by a path or
 // identifier character ("internal/comm.X", "x.comm.Y") is not one.
-// Fields set in composite literals of the package's struct types inside
-// ```go blocks are checked too.
+// Fields set in composite literals of the package's struct types and
+// method calls inside ```go blocks are checked too.
 func lintCitations(root string) []string {
 	pkgs := map[string]*pkgDecls{"nicbarrier": {dir: root}}
 	entries, _ := os.ReadDir(filepath.Join(root, "internal"))
@@ -434,6 +439,7 @@ func lintCitations(root string) []string {
 		return p
 	}
 	var out []string
+	methods := moduleMethods(root)
 	for _, name := range citeFiles {
 		data, err := os.ReadFile(filepath.Join(root, name))
 		if os.IsNotExist(err) {
@@ -460,10 +466,69 @@ func lintCitations(root string) []string {
 				out = append(out, fmt.Sprintf("%s:%d: %s.%s is not declared in package %s", name, i+1, pkg, id, pkg))
 			}
 		}
-		out = append(out, lintLiteralFields(name, lines, lookup)...)
+		out = append(out, lintGoBlocks(name, lines, lookup, methods)...)
 	}
 	return out
 }
+
+// moduleMethods lists the method names non-test types declare anywhere
+// in the module rooted at root, interface methods included. Directories
+// holding a module of their own, testdata and dot-directories are
+// skipped.
+func moduleMethods(root string) map[string]bool {
+	methods := map[string]bool{}
+	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return nil
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
+				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+		}
+		parsed, _ := parser.ParseDir(token.NewFileSet(), path, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		for _, pkg := range parsed {
+			ast.Inspect(pkg, func(n ast.Node) bool {
+				switch v := n.(type) {
+				case *ast.FuncDecl:
+					if v.Recv != nil {
+						methods[v.Name.Name] = true
+					}
+				case *ast.InterfaceType:
+					for _, f := range v.Methods.List {
+						for _, name := range f.Names {
+							methods[name.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	return methods
+}
+
+// stdlibNames holds the name of every standard library package: the
+// base name of each directory under GOROOT/src, so nested packages
+// ("rand", "filepath") count. Built on first use.
+var stdlibNames = sync.OnceValue(func() map[string]bool {
+	names := map[string]bool{}
+	src := filepath.Join(build.Default.GOROOT, "src")
+	filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != src {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			names[d.Name()] = true
+		}
+		return nil
+	})
+	return names
+})
 
 // scan parses the package's non-test files and records its top-level
 // declarations.
@@ -525,10 +590,12 @@ func structFields(st *ast.StructType) map[string]bool {
 	return fields
 }
 
-// lintLiteralFields parses each ```go block of a document as a function
-// body and reports keys of pkg.T{…} literals that are not fields of
-// struct type T. A block that does not parse is skipped.
-func lintLiteralFields(name string, lines []string, lookup func(string) *pkgDecls) []string {
+// lintGoBlocks parses each ```go block of a document as a function body
+// and reports keys of pkg.T{…} literals that are not fields of struct
+// type T, and calls x.M(…) whose x is not a package name (of the module
+// or the standard library) and whose M no type of the module declares
+// as a method. A block that does not parse is skipped.
+func lintGoBlocks(name string, lines []string, lookup func(string) *pkgDecls, methods map[string]bool) []string {
 	var out []string
 	for i := 0; i < len(lines); i++ {
 		if strings.TrimSpace(lines[i]) != "```go" {
@@ -544,6 +611,21 @@ func lintLiteralFields(name string, lines []string, lookup func(string) *pkgDecl
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && (lookup(x.Name) != nil || stdlibNames()[x.Name]) {
+					return true
+				}
+				if !methods[sel.Sel.Name] {
+					line := start + fset.Position(sel.Sel.Pos()).Line - 2
+					out = append(out, fmt.Sprintf("%s:%d: %s.%s: no type in the module declares method %s",
+						name, line, types.ExprString(sel.X), sel.Sel.Name, sel.Sel.Name))
+				}
+				return true
+			}
 			lit, ok := n.(*ast.CompositeLit)
 			if !ok {
 				return true

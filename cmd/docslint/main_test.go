@@ -114,10 +114,12 @@ func TestRepositoryCommands(t *testing.T) {
 }
 
 // A fixture tree with the root package and one internal package:
-// citations of undeclared identifiers and literal keys that are not
-// fields are reported with their line; declared functions, types and
-// const-block members (iota continuations included), package files,
-// paths, unknown packages and method chains on declared types are not.
+// citations of undeclared identifiers, literal keys that are not fields
+// and calls of methods no type declares are reported with their line;
+// declared functions, types and const-block members (iota continuations
+// included), package files, paths, unknown packages, method chains on
+// declared types, declared and interface methods and standard library
+// calls are not.
 func TestLintCitations(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -130,7 +132,7 @@ type Config struct {
 
 type Trace struct{}
 `,
-		"nicbarrier_test.go": "package nicbarrier\n\nfunc TestOnly() {}\n",
+		"nicbarrier_test.go": "package nicbarrier\n\nfunc TestOnly() {}\n\nfunc (t *Trace) OnlyInTest() {}\n",
 		"internal/comm/comm.go": `package comm
 
 type Kind int
@@ -144,6 +146,8 @@ type Cluster struct{}
 
 func (c *Cluster) SetTracer() {}
 
+type Impairment interface{ Inject() }
+
 func RunWorkload() {}
 `,
 		"README.md": "Use `nicbarrier.Config` with `comm.RunWorkload` and `comm.OpBroadcast`.\n" +
@@ -153,6 +157,13 @@ func RunWorkload() {}
 			"    Nodes:      8,\n" +
 			"    Partitions: 4,\n" +
 			"})\n" +
+			"```\n" +
+			"```go\n" +
+			"c.SetTracer()\n" +
+			"imp.Inject()\n" +
+			"fmt.Println(filepath.Base(\"x\"))\n" +
+			"c.SetTracer().RunForever(5)\n" +
+			"tr.OnlyInTest()\n" +
 			"```\n",
 		"ARCHITECTURE.md": "See internal/comm/comm.go, `comm.go`, nicbarrier/internal/comm.Cluster, " +
 			"`comm.Cluster.SetTracer`, `other.Thing` and `nicbarrier.Trace`.\n",
@@ -172,6 +183,8 @@ func RunWorkload() {}
 		"README.md:2: comm.SetTracer is not declared in package comm",
 		"README.md:4: nicbarrier.NewCluster is not declared in package nicbarrier",
 		"README.md:6: nicbarrier.Config has no field Partitions",
+		"README.md:13: c.SetTracer().RunForever: no type in the module declares method RunForever",
+		"README.md:14: tr.OnlyInTest: no type in the module declares method OnlyInTest",
 	}
 	if got := lintCitations(root); !slices.Equal(got, want) {
 		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)

@@ -63,16 +63,16 @@ func BenchmarkPacerNextAt(b *testing.B) {
 // tests.)
 func TestDeferredPostDrivesEveryOp(t *testing.T) {
 	c := xpComm(8)
-	g := barrierGroup(t, c, 0, 1, 2, 3)
 	// Uniform 1us think per op defers every chained post.
 	think := make([]sim.Duration, 4000)
 	for i := range think {
 		think[i] = sim.Micros(1)
 	}
-	g.pace = pacer{eng: c.Eng, think: think}
-	g.applyPace()
-	g.Launch(len(think))
-	c.DriveAll()
+	runs, err := RunTenants(c, []Tenant{{Config: barrierConfig(0, 1, 2, 3), Ops: len(think), Think: think}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := runs[0].Group
 	if !g.Done() {
 		t.Fatal("deferred workload incomplete")
 	}

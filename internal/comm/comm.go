@@ -27,11 +27,14 @@
 // error, queue until a departure frees them, or re-place the group on
 // members with capacity (see AdmissionConfig).
 //
-// On top, the tenant driver (driver.go) runs every multi-tenant load
-// from Tenant records planned up front: planTenants for RunWorkload's
-// open- and closed-loop streams and planChurn for RunChurn's
-// arrive/run/reconfigure/depart lifecycles (workload.go), and the chaos
-// soak's own planner. A stalled run returns an error, never a panic.
+// A group runs in one of two ways. Group.Run drives one group
+// exclusively, as the measurement sessions do. Everything else (several
+// groups at once, recovery, pacing, swaps, departures) goes through the
+// tenant driver RunTenants (driver.go), from Tenant records planned up
+// front: planTenants for RunWorkload's open- and closed-loop streams and
+// planChurn for RunChurn's arrive/run/reconfigure/depart lifecycles
+// (workload.go), the chaos soak's own planner, and hand-written records.
+// A stalled run returns an error, never a panic.
 //
 // workload_shard.go holds the one workload run path: RunWorkloadSharded
 // plans the full tenant population once, deals tenants round-robin
@@ -151,7 +154,7 @@ type Cluster struct {
 	tr *obs.Scope
 
 	// hbRoute routes heartbeat deliveries and NACK-stall signals to the
-	// recovery that owns each group ID; nil until the first SetRecovery
+	// recovery that owns each group ID; nil until the first setRecovery
 	// (see recovery.go).
 	hbRoute map[core.GroupID]*recovery
 }
@@ -231,11 +234,11 @@ type GroupConfig struct {
 // Group is one communicator: a subset of nodes with its own NIC
 // group-queue slot, bit-vector records and sequence space. Groups on one
 // Cluster run concurrently; each is driven either exclusively (Run) or
-// with others (Launch + DriveAll, or the tenant driver RunTenants).
+// with others by the tenant driver RunTenants, which installs it.
 //
 // A group's lifecycle is install -> run(s) -> Close (or Reconfigure
 // between runs). Under the queueing admission policy a group may exist
-// before it is installed: ID stays 0 and Launch is deferred until a
+// before it is installed: ID stays 0 and its launch is deferred until a
 // departure frees the slots it needs.
 type Group struct {
 	c       *Cluster
@@ -260,7 +263,7 @@ type Group struct {
 	tenant int
 	run    *TenantRun
 
-	// pendingIters holds a Launch that arrived while the install was
+	// pendingIters holds a launch that arrived while the install was
 	// still queued; it replays when the scheduler installs the group.
 	pendingIters int
 	// queuedAt/installedAt record admission timing for the queueing
@@ -280,8 +283,8 @@ type Group struct {
 	// pace shapes the group's operation stream during workloads.
 	pace pacer
 
-	// rec is the group's fail-stop survival machinery; nil unless
-	// SetRecovery was called (see recovery.go).
+	// rec is the group's fail-stop survival machinery; nil unless the
+	// driver armed it (setRecovery, recovery.go).
 	rec *recovery
 	// evictedNodes lists node IDs removed by Evict, in order.
 	evictedNodes []int
@@ -377,26 +380,26 @@ func (g *Group) Run(iters int) []sim.Time {
 		panic("comm: Run on a queued group (drive the cluster until it installs)")
 	}
 	if g.rec != nil {
-		panic("comm: Run on a recovery-enabled group (use RunDeadline)")
+		panic("comm: Run on a recovery-enabled group (run it as a Tenant with Recovery through RunTenants)")
 	}
 	g.launched = true
 	return g.sess.Run(iters)
 }
 
-// Launch posts the group's first operation without driving the engine;
-// the caller multiplexes several launched groups with DriveAll. On a
+// launch posts the group's first operation without driving the engine;
+// the tenant driver multiplexes launched groups on one engine. On a
 // group whose install is still queued, the launch is recorded and
 // replayed the moment the scheduler installs it.
-func (g *Group) Launch(iters int) {
+func (g *Group) launch(iters int) {
 	if g.closed {
-		panic("comm: Launch on a closed group")
+		panic("comm: launch on a closed group")
 	}
 	if iters < 1 {
-		panic(fmt.Sprintf("comm: Launch iterations %d", iters))
+		panic(fmt.Sprintf("comm: launch iterations %d", iters))
 	}
 	if g.sess == nil {
 		// Same loud double-launch contract as the installed path: a
-		// second Launch would silently overwrite the recorded replay.
+		// second launch would silently overwrite the recorded replay.
 		if g.launched {
 			panic("comm: group launched twice (Reset between runs)")
 		}
@@ -433,10 +436,9 @@ func (g *Group) DoneAt() []sim.Time { return g.sess.DoneAt() }
 // (-1 where not yet posted); see core.Session.StartAt.
 func (g *Group) StartAt() []sim.Time { return g.sess.StartAt() }
 
-// Reset readies a finished group for another Run or Launch: the NIC
-// group-queue entry stays installed and its sequence space continues,
-// only the run bookkeeping clears (DriveAll no longer waits on the
-// group until it launches again).
+// Reset readies a finished group for another run: the NIC group-queue
+// entry stays installed and its sequence space continues, only the run
+// bookkeeping clears.
 func (g *Group) Reset() {
 	if g.sess == nil {
 		panic("comm: Reset on a queued group (its install has not been served)")
@@ -564,47 +566,4 @@ func (g *Group) CheckResults() error {
 		}
 	}
 	return nil
-}
-
-// DriveAll runs the engine until every *launched* group completes,
-// panicking with a per-group diagnostic if the simulation deadlocks
-// (e.g. a fault plan crashed a member for good, or queued installs wait
-// on slots nothing will free). It is the drive loop for groups launched
-// by hand; tenant loads go through RunTenants, which returns an error
-// instead. Groups that were created but never launched — e.g. one
-// installed to hold slots — are not waited on; neither are closed
-// groups.
-func (c *Cluster) DriveAll() {
-	// A recovering group is waited on through its whole deadline run
-	// (rec.inFlight), including abort/backoff windows where it is
-	// momentarily not launched; a terminally failed one clears
-	// inFlight and is abandoned — its error is on Err().
-	waiting := func(g *Group) bool {
-		if g.rec != nil {
-			return g.rec.inFlight
-		}
-		return g.launched && !g.closed && !g.Done()
-	}
-	done := func() bool {
-		for _, g := range c.groups {
-			if waiting(g) {
-				return false
-			}
-		}
-		return true
-	}
-	if !c.Eng.RunCondition(done) {
-		var stuck []core.GroupID
-		var queued int
-		for _, g := range c.groups {
-			if waiting(g) {
-				stuck = append(stuck, g.ID)
-				if g.sess == nil {
-					queued++
-				}
-			}
-		}
-		panic(fmt.Sprintf("comm: workload deadlocked; groups %v incomplete (%d still queued for slots)",
-			stuck, queued))
-	}
 }

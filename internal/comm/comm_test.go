@@ -24,18 +24,45 @@ func elanComm(n int) *Cluster {
 	return OverElan(elan.NewCluster(eng, hwprofile.Elan3Cluster(), n))
 }
 
-func barrierGroup(t *testing.T, c *Cluster, members ...int) *Group {
-	t.Helper()
-	g, err := c.NewGroup(GroupConfig{
+// barrierConfig is a NIC-collective dissemination barrier over members.
+func barrierConfig(members ...int) GroupConfig {
+	return GroupConfig{
 		Members:       members,
 		Kind:          OpBarrier,
 		MyrinetScheme: myrinet.SchemeCollective,
 		Algorithm:     barrier.Dissemination,
-	})
+	}
+}
+
+func barrierGroup(t *testing.T, c *Cluster, members ...int) *Group {
+	t.Helper()
+	g, err := c.NewGroup(barrierConfig(members...))
 	if err != nil {
 		t.Fatalf("NewGroup(%v): %v", members, err)
 	}
 	return g
+}
+
+// drive runs one tenant per config through RunTenants, each running ops
+// operations. All arrive at 0 and install in config order, so group IDs
+// follow that order. A driver error fails the test.
+func drive(t *testing.T, c *Cluster, ops int, gcs ...GroupConfig) []TenantRun {
+	t.Helper()
+	runs, err := RunTenants(c, tenants(ops, gcs...))
+	if err != nil {
+		t.Fatalf("RunTenants: %v", err)
+	}
+	return runs
+}
+
+// tenants is one Tenant per config, indexed in order, each running ops
+// operations from an arrival at 0.
+func tenants(ops int, gcs ...GroupConfig) []Tenant {
+	ts := make([]Tenant, len(gcs))
+	for i, gc := range gcs {
+		ts[i] = Tenant{Index: i, Config: gc, Ops: ops}
+	}
+	return ts
 }
 
 // Hardware-barrier groups claim no NIC slot, so admission never blocks
@@ -93,24 +120,20 @@ func TestSingleGroupMatchesSession(t *testing.T) {
 // prove no cross-group state contamination on the shared NICs.
 func TestOverlappingGroupsComplete(t *testing.T) {
 	c := xpComm(8)
-	a := barrierGroup(t, c, 0, 1, 2, 3)
-	b := barrierGroup(t, c, 2, 3, 4, 5) // shares nodes 2 and 3 with a
 	contrib := func(rank, iter int) int64 { return int64(rank + iter) }
-	r, err := c.NewGroup(GroupConfig{
-		Members: []int{3, 6, 7, 0}, // shares 3 with both, 0 with a
-		Kind:    OpAllreduce,
-		Reduce:  core.ReduceMax,
-		Contrib: contrib,
-	})
-	if err != nil {
-		t.Fatalf("allreduce group: %v", err)
-	}
 	const iters = 15
-	a.Launch(iters)
-	b.Launch(iters)
-	r.Launch(iters)
-	c.DriveAll()
-	for name, g := range map[string]*Group{"a": a, "b": b, "r": r} {
+	runs := drive(t, c, iters,
+		barrierConfig(0, 1, 2, 3), // a
+		barrierConfig(2, 3, 4, 5), // b: shares nodes 2 and 3 with a
+		GroupConfig{ // r
+			Members: []int{3, 6, 7, 0}, // shares 3 with both, 0 with a
+			Kind:    OpAllreduce,
+			Reduce:  core.ReduceMax,
+			Contrib: contrib,
+		})
+	r := runs[2].Group
+	for k, name := range []string{"a", "b", "r"} {
+		g := runs[k].Group
 		if !g.Done() {
 			t.Fatalf("group %s incomplete", name)
 		}
@@ -149,12 +172,9 @@ func TestSharedNodeContention(t *testing.T) {
 	aloneDone := g.Run(10)[9]
 
 	shared := xpComm(8)
-	a := barrierGroup(t, shared, 0, 1, 2, 3)
-	b := barrierGroup(t, shared, 0, 1, 2, 3) // same nodes, second slot
-	a.Launch(10)
-	b.Launch(10)
-	shared.DriveAll()
-	if got := a.DoneAt()[9]; got <= aloneDone {
+	// Same nodes twice: the second group takes a second slot.
+	runs := drive(t, shared, 10, barrierConfig(0, 1, 2, 3), barrierConfig(0, 1, 2, 3))
+	if got := runs[0].Done[9]; got <= aloneDone {
 		t.Fatalf("contended group finished at %v, not later than solo %v", got, aloneDone)
 	}
 }
@@ -164,15 +184,16 @@ func TestSharedNodeContention(t *testing.T) {
 func TestSlotExhaustionCleanError(t *testing.T) {
 	c := xpComm(4)
 	slots := hwprofile.LANaiXPCluster().NIC.GroupQueueSlots
-	var groups []*Group
+	var gcs []GroupConfig
 	for i := 0; i < slots; i++ {
-		groups = append(groups, barrierGroup(t, c, 0, 1, 2, 3))
+		gcs = append(gcs, barrierConfig(0, 1, 2, 3))
 	}
-	_, err := c.NewGroup(GroupConfig{
+	gcs = append(gcs, GroupConfig{
 		Members:       []int{0, 1},
 		Kind:          OpBarrier,
 		MyrinetScheme: myrinet.SchemeCollective,
 	})
+	runs, err := RunTenants(c, tenants(3, gcs...))
 	if err == nil {
 		t.Fatal("slot exhaustion did not error")
 	}
@@ -182,10 +203,11 @@ func TestSlotExhaustionCleanError(t *testing.T) {
 	if len(c.Groups()) != slots {
 		t.Fatalf("failed creation left %d groups registered, want %d", len(c.Groups()), slots)
 	}
-	for _, g := range groups {
-		g.Launch(3)
+	for i, r := range runs[:slots] {
+		if len(r.Done) != 3 || !r.Group.Done() {
+			t.Fatalf("tenant %d completed %d of 3 ops beside the refused install", i, len(r.Done))
+		}
 	}
-	c.DriveAll()
 }
 
 // The same exhaustion path on Quadrics chain slots.
@@ -205,18 +227,10 @@ func TestElanSlotExhaustion(t *testing.T) {
 // Elan groups run the chained-RDMA barrier concurrently too.
 func TestElanConcurrentGroups(t *testing.T) {
 	c := elanComm(8)
-	a, err := c.NewGroup(GroupConfig{Members: []int{0, 1, 2, 3}, Kind: OpBarrier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.NewGroup(GroupConfig{Members: []int{2, 3, 4, 5}, Kind: OpBarrier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Launch(10)
-	b.Launch(10)
-	c.DriveAll()
-	if !a.Done() || !b.Done() {
+	runs := drive(t, c, 10,
+		GroupConfig{Members: []int{0, 1, 2, 3}, Kind: OpBarrier},
+		GroupConfig{Members: []int{2, 3, 4, 5}, Kind: OpBarrier})
+	if !runs[0].Group.Done() || !runs[1].Group.Done() {
 		t.Fatal("elan groups incomplete")
 	}
 }
@@ -241,14 +255,10 @@ func TestGroupScopedFaultTargeting(t *testing.T) {
 		if plan != nil {
 			cl.SetFaults(plan)
 		}
-		c := OverMyrinet(cl)
-		ga := barrierGroup(t, c, 0, 1, 2, 3) // group ID 1
-		gb := barrierGroup(t, c, 2, 3, 4, 5) // group ID 2, shares 2 and 3
-		ga.Launch(12)
-		gb.Launch(12)
-		c.DriveAll()
-		eng.Run()
-		return ga.DoneAt(), gb.DoneAt(), cl.Net.Counters().Dropped
+		runs := drive(t, OverMyrinet(cl), 12,
+			barrierConfig(0, 1, 2, 3), // group ID 1
+			barrierConfig(2, 3, 4, 5)) // group ID 2, shares 2 and 3
+		return runs[0].Done, runs[1].Done, cl.Net.Counters().Dropped
 	}
 	scoped := fault.DropEveryNth(5)
 	scoped.Match.Groups = fault.Groups(1)

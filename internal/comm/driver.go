@@ -47,7 +47,7 @@ type TenantRun struct {
 	Done []sim.Time
 
 	arrived sim.Time // when the arrival event fired
-	swapErr error    // the swap's Reconfigure error; nil if it took
+	swapErr error    // the swap's rebuild error; nil if it took
 	d       *driver
 }
 
@@ -114,7 +114,7 @@ func (r *TenantRun) arrive() {
 	}
 	g, err := d.c.newGroup(r.Config, r.Index)
 	if err == nil && r.Recovery.OpDeadline > 0 {
-		if err = g.SetRecovery(r.Recovery); err != nil {
+		if err = g.setRecovery(r.Recovery); err != nil {
 			g.Close()
 		}
 	}
@@ -129,7 +129,7 @@ func (r *TenantRun) arrive() {
 	if r.SwapAt > 0 {
 		ops = r.SwapAt
 	}
-	g.Launch(ops)
+	g.launch(ops)
 }
 
 // opDone is the group's completion hook: it ledgers the op, emits its
@@ -143,8 +143,8 @@ func (r *TenantRun) opDone(iter int, at sim.Time) {
 	switch len(r.Done) {
 	case r.SwapAt:
 		g.Reset()
-		r.swapErr = g.Reconfigure(r.SwapTo)
-		g.Launch(r.Ops - r.SwapAt)
+		r.swapErr = g.rebuild(r.SwapTo)
+		g.launch(r.Ops - r.SwapAt)
 	case r.Ops:
 		if r.Departs {
 			g.Close() // frees the slots; queued installs drain now

@@ -38,16 +38,14 @@ func TestSlotReclamationMyrinet(t *testing.T) {
 	cap := hwprofile.LANaiXPCluster().NIC.GroupQueueSlots
 	c := xpComm(4)
 	for wave := 0; wave < 3; wave++ {
-		var groups []*Group
+		var gcs []GroupConfig
 		for i := 0; i < cap; i++ {
-			groups = append(groups, barrierGroup(t, c, 0, 1, 2, 3))
+			gcs = append(gcs, barrierConfig(0, 1, 2, 3))
 		}
+		runs := drive(t, c, 3, gcs...)
 		allSlotsFree(t, c, 0)
-		for _, g := range groups {
-			g.Launch(3)
-		}
-		c.DriveAll()
-		for _, g := range groups {
+		for _, r := range runs {
+			g := r.Group
 			if err := g.Close(); err != nil {
 				t.Fatalf("wave %d close: %v", wave, err)
 			}
@@ -68,21 +66,14 @@ func TestSlotReclamationElan(t *testing.T) {
 	cap := hwprofile.Elan3Cluster().NIC.ChainSlots
 	c := elanComm(4)
 	for wave := 0; wave < 3; wave++ {
-		var groups []*Group
+		var gcs []GroupConfig
 		for i := 0; i < cap; i++ {
-			g, err := c.NewGroup(GroupConfig{Members: []int{0, 1, 2, 3}, Kind: OpBarrier})
-			if err != nil {
-				t.Fatalf("wave %d group %d: %v", wave, i, err)
-			}
-			groups = append(groups, g)
+			gcs = append(gcs, GroupConfig{Members: []int{0, 1, 2, 3}, Kind: OpBarrier})
 		}
+		runs := drive(t, c, 3, gcs...)
 		allSlotsFree(t, c, 0)
-		for _, g := range groups {
-			g.Launch(3)
-		}
-		c.DriveAll()
-		for _, g := range groups {
-			g.Close()
+		for _, r := range runs {
+			r.Group.Close()
 		}
 		c.Eng.Run()
 		allSlotsFree(t, c, cap)
@@ -117,18 +108,20 @@ func TestHostSchemeCloseReleasesBinding(t *testing.T) {
 func TestCloseDefersUntilDrain(t *testing.T) {
 	cap := hwprofile.LANaiXPCluster().NIC.GroupQueueSlots
 	c := xpComm(4)
-	g := barrierGroup(t, c, 0, 1, 2, 3)
-	g.Launch(10)
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if g.Closed() {
-		t.Fatal("close finalized while the run was in flight")
-	}
-	if free := c.SlotsFree(0); free != cap-1 {
-		t.Fatalf("slot freed before drain: %d free", free)
-	}
-	c.DriveAll()
+	// 1 ns into the run, all 10 operations are in flight.
+	c.Eng.Schedule(1, func() {
+		g := c.Groups()[0]
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if g.Closed() {
+			t.Fatal("close finalized while the run was in flight")
+		}
+		if free := c.SlotsFree(0); free != cap-1 {
+			t.Fatalf("slot freed before drain: %d free", free)
+		}
+	})
+	g := drive(t, c, 10, barrierConfig(0, 1, 2, 3))[0].Group
 	if !g.Closed() {
 		t.Fatal("deferred close did not finalize at drain")
 	}
@@ -141,7 +134,7 @@ func TestCloseDefersUntilDrain(t *testing.T) {
 }
 
 // Under AdmitQueue, a cluster accepts more groups than its NICs have
-// slots: the overflow installs wait, a Launch issued while waiting
+// slots: the overflow installs wait, a launch issued while waiting
 // replays at install time, and departures drain the queue strictly FIFO.
 func TestQueuePolicyOversubscription(t *testing.T) {
 	const slots = 2
@@ -152,7 +145,7 @@ func TestQueuePolicyOversubscription(t *testing.T) {
 	for i := 0; i < 3*slots; i++ {
 		g := barrierGroup(t, c, 0, 1, 2, 3)
 		groups = append(groups, g)
-		g.Launch(5)
+		g.launch(5)
 	}
 	for i, g := range groups {
 		if i < slots && !g.Installed() {
@@ -167,7 +160,7 @@ func TestQueuePolicyOversubscription(t *testing.T) {
 		t.Fatalf("queued = %d (len %d), want %d", st.Queued, st.QueueLen, 2*slots)
 	}
 	// Drive each installed wave to completion, then depart it: each
-	// Close must admit the next waiter. (DriveAll would wait on the
+	// Close must admit the next waiter. (RunTenants would drain the
 	// whole queue at once — valid, but here the waves are the point.)
 	wave := func(ws []*Group) {
 		t.Helper()
@@ -228,23 +221,27 @@ func TestWithdrawnHeadUnblocksQueue(t *testing.T) {
 	a := barrierGroup(t, c, 0, 1)    // fills nodes 0 and 1
 	b := barrierGroup(t, c, 2, 3)    // fills nodes 2 and 3
 	head := barrierGroup(t, c, 0, 2) // queued: 0 and 2 full
-	tail := barrierGroup(t, c, 2, 3) // queued behind head
-	tail.Launch(3)
-	// b departs: the release-drain stops at the head (node 0 still full
-	// under a), leaving the tail FIFO-blocked with its slots free.
-	b.Close()
-	if head.Installed() || tail.Installed() {
-		t.Fatal("queue shape not established")
-	}
-	// Closing the still-queued head withdraws it; the drain must then
-	// serve the tail from the already-free slots on nodes 2 and 3.
-	head.Close()
-	if !tail.Installed() {
-		t.Fatal("withdrawing the queued head did not unblock the tail")
-	}
-	c.DriveAll()
-	if !tail.Done() {
-		t.Fatal("tail's replayed Launch never completed")
+	// The tail tenant arrives at 0, queues behind head and records its
+	// launch; 1 ns later b departs and head is withdrawn.
+	c.Eng.Schedule(1, func() {
+		tail := c.Groups()[3]
+		// b departs: the release-drain stops at the head (node 0 still
+		// full under a), leaving the tail FIFO-blocked with its slots free.
+		b.Close()
+		if head.Installed() || tail.Installed() {
+			t.Fatal("queue shape not established")
+		}
+		// Closing the still-queued head withdraws it; the drain must then
+		// serve the tail from the already-free slots on nodes 2 and 3.
+		head.Close()
+		if !tail.Installed() {
+			t.Fatal("withdrawing the queued head did not unblock the tail")
+		}
+	})
+	run := drive(t, c, 3, barrierConfig(2, 3))[0]
+	tail := run.Group
+	if !tail.Done() || len(run.Done) != 3 {
+		t.Fatal("tail's replayed launch never completed")
 	}
 	a.Close()
 	tail.Close()
@@ -276,11 +273,12 @@ func TestDrainBlockedHeadAllocsNothing(t *testing.T) {
 	allSlotsFree(t, c, 1)
 }
 
-// Launch guards apply to queued groups exactly as to installed ones.
+// Launch guards apply to queued groups exactly as to installed ones, and
+// the one launch they let through replays once the group installs.
 func TestQueuedLaunchGuards(t *testing.T) {
 	c := xpCommSlots(2, 1)
 	c.SetAdmission(AdmissionConfig{Policy: AdmitQueue})
-	barrierGroup(t, c, 0, 1)
+	first := barrierGroup(t, c, 0, 1)
 	q := barrierGroup(t, c, 0, 1) // queued
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -291,9 +289,14 @@ func TestQueuedLaunchGuards(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("Launch(0) on queued group", func() { q.Launch(0) })
-	q.Launch(3)
-	mustPanic("double Launch on queued group", func() { q.Launch(3) })
+	mustPanic("launch(0) on queued group", func() { q.launch(0) })
+	q.launch(3)
+	mustPanic("double launch on queued group", func() { q.launch(3) })
+	first.Close()
+	c.Eng.Run()
+	if !q.Done() {
+		t.Fatal("queued group's launch did not replay at install")
+	}
 }
 
 // The spread and pack placement policies re-home a group whose requested
@@ -448,12 +451,15 @@ func TestReconfigureAllreduceExact(t *testing.T) {
 func TestReconfigureGuards(t *testing.T) {
 	const slots = 1
 	c := xpCommSlots(8, slots)
-	g := barrierGroup(t, c, 0, 1, 2, 3)
-	g.Launch(5)
-	if err := g.Reconfigure([]int{4, 5, 6, 7}); err == nil {
+	refused := false
+	// 1 ns into the run, all 5 operations are in flight.
+	c.Eng.Schedule(1, func() {
+		refused = c.Groups()[0].Reconfigure([]int{4, 5, 6, 7}) != nil
+	})
+	g := drive(t, c, 5, barrierConfig(0, 1, 2, 3))[0].Group
+	if !refused {
 		t.Fatal("mid-run reconfigure accepted")
 	}
-	c.DriveAll()
 	g.Reset()
 	// Fill the target nodes so the install-new step must fail.
 	blocker := barrierGroup(t, c, 4, 5, 6, 7)

@@ -13,7 +13,7 @@ import (
 // lost packets, not dead endpoints: a permanently crashed member stalls
 // every collective on its groups forever, because the bit-vector
 // records wait for an arrival that will never come. This file bounds
-// that hang. A group configured with SetRecovery gets
+// that hang. A group run as a Tenant with Recovery set gets
 //
 //   - an operation deadline: a watchdog re-armed on every globally
 //     completed operation; when no operation completes for OpDeadline
@@ -40,7 +40,7 @@ import (
 // direct schemes ride the point-to-point machinery, whose per-packet
 // retransmission timers against a dead peer would re-arm forever and
 // leak past the abort. Everything here is strictly opt-in — a group
-// without SetRecovery schedules no timers, sends no heartbeats, and
+// without recovery schedules no timers, sends no heartbeats, and
 // draws no randomness, leaving default timelines bit-identical.
 
 // RecoveryConfig tunes fail-stop survival for one group. All durations
@@ -65,7 +65,7 @@ type RecoveryConfig struct {
 	// sender; clamp to group size - 1. Raise it when a schedule must
 	// survive more simultaneous crashes.
 	Fanout int
-	// MaxRetries bounds abort/relaunch cycles per Launch. Default 3.
+	// MaxRetries bounds abort/relaunch cycles per run. Default 3.
 	MaxRetries int
 	// RetryBackoff is the virtual-time delay before a relaunch.
 	// Default OpDeadline/4.
@@ -125,11 +125,11 @@ type recovery struct {
 	g   *Group
 	cfg RecoveryConfig
 
-	// inFlight spans from the first Launch to settle (run complete) or
-	// terminal failure; DriveAll waits on it so backoff windows (group
-	// momentarily not launched) don't end the drive early.
+	// inFlight spans from a fresh launch to settle (run complete) or
+	// terminal failure, backoff windows (group momentarily not launched)
+	// included; heartbeats, deadline and relaunch act only while it is set.
 	inFlight bool
-	target   int // operations the current Launch must complete in total
+	target   int // operations the current launch must complete in total
 
 	doneTimes []sim.Time
 	rows      [][]int64
@@ -150,22 +150,22 @@ type recovery struct {
 	lastHeard []sim.Time // per current rank, last delivery seen anywhere
 }
 
-// SetRecovery arms fail-stop survival on the group. It must be called
-// before Launch, on an idle group; the configuration applies to every
+// setRecovery arms fail-stop survival on the group. It must be called
+// before launch, on an idle group; the configuration applies to every
 // subsequent run. Only the NIC-resident collective schemes support
-// recovery (see the package comment above); others error.
-func (g *Group) SetRecovery(cfg RecoveryConfig) error {
+// recovery (see the comment above); others error.
+func (g *Group) setRecovery(cfg RecoveryConfig) error {
 	if cfg.OpDeadline <= 0 {
 		return fmt.Errorf("comm: recovery needs a positive OpDeadline")
 	}
 	if g.closed {
-		return fmt.Errorf("comm: SetRecovery on a closed group")
+		return fmt.Errorf("comm: recovery on a closed group")
 	}
 	if g.rec != nil {
 		return fmt.Errorf("comm: recovery already configured")
 	}
 	if g.launched {
-		return fmt.Errorf("comm: SetRecovery on a launched group")
+		return fmt.Errorf("comm: recovery on a launched group")
 	}
 	if err := g.c.be.checkRecovery(g.gc); err != nil {
 		return err
@@ -186,7 +186,7 @@ func (g *Group) SetRecovery(cfg RecoveryConfig) error {
 }
 
 // Recovery returns a snapshot of the group's fail-stop survival state,
-// or nil when SetRecovery was never called.
+// or nil when the group runs without recovery.
 func (g *Group) Recovery() *RecoveryStatus {
 	if g.rec == nil {
 		return nil
@@ -213,23 +213,6 @@ func (g *Group) Err() error {
 		return nil
 	}
 	return g.rec.err
-}
-
-// RunDeadline is Run with fail-stop survival: it drives the engine
-// until the group either completes iters operations (counting across
-// evictions and retries) or fails terminally. The returned times cover
-// every completed operation; on terminal failure they are the
-// operations completed before the failure and err unwraps to
-// core.ErrOpTimeout. SetRecovery must have been called.
-func (g *Group) RunDeadline(iters int) ([]sim.Time, error) {
-	if g.rec == nil {
-		panic("comm: RunDeadline without SetRecovery")
-	}
-	g.Launch(iters)
-	if !g.c.Eng.RunCondition(func() bool { return !g.rec.inFlight }) {
-		panic("comm: deadline run stalled with no pending events (watchdog lost)")
-	}
-	return slices.Clone(g.rec.doneTimes), g.rec.err
 }
 
 // Evict removes the given ranks from the group's membership via the
@@ -294,7 +277,7 @@ func (g *Group) rebuild(members []int) error {
 
 // ensureFailureRouting lazily installs the cluster-wide heartbeat and
 // NACK-stall dispatchers on every NIC, routing by group ID to the
-// owning recovery. Installed once, on the first SetRecovery; clusters
+// owning recovery. Installed once, on the first setRecovery; clusters
 // that never configure recovery never touch the NIC hooks.
 func (c *Cluster) ensureFailureRouting() {
 	if c.hbRoute != nil {
@@ -314,12 +297,12 @@ func (c *Cluster) ensureFailureRouting() {
 	c.be.setFailureHooks(onHB, onStall)
 }
 
-// onLaunch arms the machinery for a fresh Launch (not a relaunch): the
+// onLaunch arms the machinery for a fresh launch (not a relaunch): the
 // completion ledger resets, the watchdog arms, and the heartbeat ring
 // starts ticking.
 func (rec *recovery) onLaunch(iters int) {
 	if rec.inFlight {
-		// A relaunch inside an ongoing deadline run: target stands.
+		// A relaunch inside an ongoing run: target stands.
 		rec.armRun()
 		return
 	}
@@ -408,8 +391,8 @@ func (rec *recovery) onProgress(iter int, at sim.Time) {
 	rec.armWatchdog()
 }
 
-// settle ends a deadline run successfully: timers stop, heartbeats
-// stop, inFlight clears (releasing RunDeadline and DriveAll).
+// settle ends a recovering run successfully: timers stop, heartbeats
+// stop, inFlight clears.
 func (rec *recovery) settle() {
 	rec.inFlight = false
 	rec.stopTimers()
@@ -422,7 +405,7 @@ func (rec *recovery) stopTimers() {
 	rec.hbTimer = sim.Timer{}
 }
 
-// fail ends a deadline run terminally.
+// fail ends a recovering run terminally.
 func (rec *recovery) fail(suspects []int) {
 	rec.err = &core.OpTimeoutError{Group: rec.g.ID, Op: rec.g.opsDone, Suspects: suspects}
 	rec.inFlight = false

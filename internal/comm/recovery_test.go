@@ -2,6 +2,7 @@ package comm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"nicbarrier/internal/barrier"
@@ -23,6 +24,18 @@ func quickRecovery() RecoveryConfig {
 		MaxRetries:     3,
 		RetryBackoff:   sim.Micros(100),
 	}
+}
+
+// runRecovering runs gc as one tenant with quickRecovery armed for ops
+// operations. A driver error fails the test; the group's terminal
+// recovery error is returned.
+func runRecovering(t *testing.T, c *Cluster, gc GroupConfig, ops int) (TenantRun, error) {
+	t.Helper()
+	runs, err := RunTenants(c, []Tenant{{Config: gc, Ops: ops, Recovery: quickRecovery()}})
+	if err != nil {
+		t.Fatalf("RunTenants: %v", err)
+	}
+	return runs[0], runs[0].Group.Err()
 }
 
 func slotsInUse(c *Cluster) int {
@@ -47,18 +60,15 @@ func TestPermanentCrashEvictedMyrinet(t *testing.T) {
 	c := xpComm(8)
 	const victim = 5
 	c.My.SetFaults(fault.NewPlan(7, fault.Crash(victim, fault.Window{})))
-	g := barrierGroup(t, c, 0, 1, 2, 3, 4, 5, 6, 7)
-	if err := g.SetRecovery(quickRecovery()); err != nil {
-		t.Fatal(err)
-	}
 	const iters = 10
-	doneAt, err := g.RunDeadline(iters)
+	r, err := runRecovering(t, c, barrierConfig(0, 1, 2, 3, 4, 5, 6, 7), iters)
 	if err != nil {
-		t.Fatalf("RunDeadline: %v", err)
+		t.Fatalf("recovering run: %v", err)
 	}
-	if len(doneAt) != iters {
-		t.Fatalf("completed %d of %d operations", len(doneAt), iters)
+	if len(r.Done) != iters {
+		t.Fatalf("completed %d of %d operations", len(r.Done), iters)
 	}
+	g := r.Group
 	st := g.Recovery()
 	if len(st.Evicted) != 1 || st.Evicted[0] != victim {
 		t.Fatalf("evicted %v, want [%d]", st.Evicted, victim)
@@ -95,25 +105,19 @@ func TestPermanentCrashEvictedElan(t *testing.T) {
 	c := elanComm(8)
 	const victim = 2
 	c.El.SetFaults(fault.NewPlan(7, fault.Crash(victim, fault.Window{})))
-	g, err := c.NewGroup(GroupConfig{
+	r, err := runRecovering(t, c, GroupConfig{
 		Members:    []int{0, 1, 2, 3, 4, 5, 6, 7},
 		Kind:       OpBarrier,
 		ElanScheme: elan.SchemeChained,
 		Algorithm:  barrier.Dissemination,
-	})
+	}, 8)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("recovering run: %v", err)
 	}
-	if err := g.SetRecovery(quickRecovery()); err != nil {
-		t.Fatal(err)
+	if len(r.Done) != 8 {
+		t.Fatalf("completed %d of 8 operations", len(r.Done))
 	}
-	doneAt, err := g.RunDeadline(8)
-	if err != nil {
-		t.Fatalf("RunDeadline: %v", err)
-	}
-	if len(doneAt) != 8 {
-		t.Fatalf("completed %d of 8 operations", len(doneAt))
-	}
+	g := r.Group
 	st := g.Recovery()
 	if len(st.Evicted) != 1 || st.Evicted[0] != victim {
 		t.Fatalf("evicted %v, want [%d]", st.Evicted, victim)
@@ -139,25 +143,19 @@ func TestPermanentCrashEvictedElan(t *testing.T) {
 func TestWindowedCrashRetriesWithoutEviction(t *testing.T) {
 	c := elanComm(4)
 	c.El.SetFaults(fault.NewPlan(7, fault.Crash(1, fault.Window{From: 0, To: sim.Time(0).Add(sim.Micros(200))})))
-	g, err := c.NewGroup(GroupConfig{
+	r, err := runRecovering(t, c, GroupConfig{
 		Members:    []int{0, 1, 2, 3},
 		Kind:       OpBarrier,
 		ElanScheme: elan.SchemeChained,
 		Algorithm:  barrier.Dissemination,
-	})
+	}, 6)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("recovering run: %v", err)
 	}
-	if err := g.SetRecovery(quickRecovery()); err != nil {
-		t.Fatal(err)
+	if len(r.Done) != 6 {
+		t.Fatalf("completed %d of 6 operations", len(r.Done))
 	}
-	doneAt, err := g.RunDeadline(6)
-	if err != nil {
-		t.Fatalf("RunDeadline: %v", err)
-	}
-	if len(doneAt) != 6 {
-		t.Fatalf("completed %d of 6 operations", len(doneAt))
-	}
+	g := r.Group
 	st := g.Recovery()
 	if len(st.Evicted) != 0 {
 		t.Fatalf("healed node evicted: %v", st.Evicted)
@@ -172,15 +170,23 @@ func TestWindowedCrashRetriesWithoutEviction(t *testing.T) {
 
 // When eviction would leave fewer than 2 members, recovery fails
 // terminally with *core.OpTimeoutError naming the suspects — a bounded
-// error, never a hang.
+// error, never a hang. The driver ledgers the operations completed
+// before the failure and does not report the failed tenant as stalled.
 func TestRecoveryTerminalFailure(t *testing.T) {
 	c := xpComm(4)
 	c.My.SetFaults(fault.NewPlan(7, fault.Crash(1, fault.Window{})))
-	g := barrierGroup(t, c, 0, 1)
-	if err := g.SetRecovery(quickRecovery()); err != nil {
-		t.Fatal(err)
+	runs, runErr := RunTenants(c, []Tenant{{Config: barrierConfig(0, 1), Ops: 5, Recovery: quickRecovery()}})
+	if runErr != nil {
+		t.Fatalf("driver error for a terminal failure (wraps ErrStalled: %v): %v",
+			errors.Is(runErr, ErrStalled), runErr)
 	}
-	_, err := g.RunDeadline(5)
+	r := runs[0]
+	g := r.Group
+	if len(r.Done) >= 5 || !slices.Equal(r.Done, g.Recovery().DoneTimes) {
+		t.Fatalf("ledger %v, recovery ledger %v: want the ops completed before the failure",
+			r.Done, g.Recovery().DoneTimes)
+	}
+	err := g.Err()
 	if err == nil {
 		t.Fatal("2-member group with a dead member reported success")
 	}
@@ -190,6 +196,9 @@ func TestRecoveryTerminalFailure(t *testing.T) {
 	var ote *core.OpTimeoutError
 	if !errors.As(err, &ote) {
 		t.Fatalf("error %T is not *core.OpTimeoutError", err)
+	}
+	if ote.Op != len(r.Done) {
+		t.Fatalf("failure at op %d after %d completions", ote.Op, len(r.Done))
 	}
 	// With only 2 members, silence is symmetric: node 0 cannot be
 	// heard either (its only listener is dead), so the detector cannot
@@ -235,8 +244,8 @@ func TestRecoverySchemeRestrictions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.SetRecovery(quickRecovery()); err == nil {
-			t.Fatalf("SetRecovery accepted %v", scheme)
+		if err := g.setRecovery(quickRecovery()); err == nil {
+			t.Fatalf("setRecovery accepted %v", scheme)
 		}
 		if err := g.Close(); err != nil {
 			t.Fatal(err)
@@ -253,8 +262,8 @@ func TestRecoverySchemeRestrictions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.SetRecovery(quickRecovery()); err == nil {
-			t.Fatalf("SetRecovery accepted %v", scheme)
+		if err := g.setRecovery(quickRecovery()); err == nil {
+			t.Fatalf("setRecovery accepted %v", scheme)
 		}
 		if err := g.Close(); err != nil {
 			t.Fatal(err)
@@ -262,8 +271,8 @@ func TestRecoverySchemeRestrictions(t *testing.T) {
 	}
 	zero := xpComm(4)
 	g := barrierGroup(t, zero, 0, 1, 2, 3)
-	if err := g.SetRecovery(RecoveryConfig{}); err == nil {
-		t.Fatal("SetRecovery accepted a zero OpDeadline")
+	if err := g.setRecovery(RecoveryConfig{}); err == nil {
+		t.Fatal("setRecovery accepted a zero OpDeadline")
 	}
 }
 
@@ -277,24 +286,19 @@ func TestAllreduceExactAcrossEviction(t *testing.T) {
 	const victim = 3
 	c.My.SetFaults(fault.NewPlan(7, fault.Crash(victim, fault.Window{})))
 	contrib := func(rank, iter int) int64 { return int64(rank*1000 + iter) }
-	g, err := c.NewGroup(GroupConfig{
+	const iters = 10
+	r, err := runRecovering(t, c, GroupConfig{
 		Members:       []int{0, 1, 2, 3, 4, 5, 6, 7},
 		Kind:          OpAllreduce,
 		MyrinetScheme: myrinet.SchemeCollective,
 		Algorithm:     barrier.Dissemination,
 		Reduce:        core.ReduceMax,
 		Contrib:       contrib,
-	})
+	}, iters)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("recovering run: %v", err)
 	}
-	if err := g.SetRecovery(quickRecovery()); err != nil {
-		t.Fatal(err)
-	}
-	const iters = 10
-	if _, err := g.RunDeadline(iters); err != nil {
-		t.Fatalf("RunDeadline: %v", err)
-	}
+	g := r.Group
 	st := g.Recovery()
 	if len(st.Evicted) != 1 || st.Evicted[0] != victim {
 		t.Fatalf("evicted %v, want [%d]", st.Evicted, victim)
@@ -341,40 +345,37 @@ func TestAllreduceExactAcrossEviction(t *testing.T) {
 	}
 }
 
-// A crash racing a Reconfigure: the swap onto a membership containing
-// an already-dead node succeeds (installs are local SRAM writes), the
-// subsequent run times out and evicts the victim, the group-global
-// operation sequence carries across both swaps, and no slot leaks.
+// A crash racing a Reconfigure: the tenant's swap onto a membership
+// containing an already-dead node succeeds (installs are local SRAM
+// writes), the post-swap run times out and evicts the victim, the
+// group-global operation sequence carries across both swaps, and no
+// slot leaks.
 func TestCrashDuringReconfigure(t *testing.T) {
 	c := xpComm(8)
 	const victim = 6
-	g := barrierGroup(t, c, 0, 1, 2, 3)
-	if err := g.SetRecovery(quickRecovery()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.RunDeadline(5); err != nil {
-		t.Fatal(err)
-	}
-	if g.OpsCompleted() != 5 {
-		t.Fatalf("OpsCompleted = %d, want 5", g.OpsCompleted())
-	}
-	// The node dies, and the group reconfigures onto it before anyone
-	// can know.
+	// The node is dead from the start; the first membership never
+	// touches it, and the swap moves onto it before anyone can know.
 	c.My.SetFaults(fault.NewPlan(7, fault.Crash(victim, fault.Window{})))
-	if err := g.rebuild([]int{0, 1, 2, victim}); err != nil {
-		t.Fatalf("Reconfigure onto a crashed node must succeed (installs are local): %v", err)
-	}
-	doneAt, err := g.RunDeadline(5)
+	runs, err := RunTenants(c, []Tenant{{Config: barrierConfig(0, 1, 2, 3), Ops: 10,
+		SwapAt: 5, SwapTo: []int{0, 1, 2, victim}, Recovery: quickRecovery()}})
 	if err != nil {
-		t.Fatalf("RunDeadline after reconfigure: %v", err)
+		t.Fatal(err)
 	}
-	if len(doneAt) != 5 {
-		t.Fatalf("completed %d of 5 operations", len(doneAt))
+	r := runs[0]
+	g := r.Group
+	if r.swapErr != nil {
+		t.Fatalf("Reconfigure onto a crashed node must succeed (installs are local): %v", r.swapErr)
+	}
+	if err := g.Err(); err != nil {
+		t.Fatalf("recovering run after reconfigure: %v", err)
+	}
+	st := g.Recovery()
+	if len(r.Done) != 10 || !slices.Equal(st.DoneTimes, r.Done[5:]) {
+		t.Fatalf("completed %d of 10 operations; post-swap ledger %v", len(r.Done), st.DoneTimes)
 	}
 	if g.OpsCompleted() != 10 {
 		t.Fatalf("sequence did not carry over: OpsCompleted = %d, want 10", g.OpsCompleted())
 	}
-	st := g.Recovery()
 	if len(st.Evicted) != 1 || st.Evicted[0] != victim {
 		t.Fatalf("evicted %v, want [%d]", st.Evicted, victim)
 	}
@@ -406,7 +407,7 @@ func TestExplicitEvict(t *testing.T) {
 	}
 	st := g.Recovery()
 	if st != nil {
-		t.Fatal("Recovery() non-nil without SetRecovery")
+		t.Fatal("Recovery() non-nil without recovery")
 	}
 	g.Run(3)
 	if g.OpsCompleted() != 7 {
@@ -433,17 +434,14 @@ func TestExplicitEvict(t *testing.T) {
 // that path sends no probes at all.)
 func TestRecoveryNoopWhenHealthy(t *testing.T) {
 	c := xpComm(8)
-	g := barrierGroup(t, c, 0, 1, 2, 3, 4, 5, 6, 7)
-	if err := g.SetRecovery(quickRecovery()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.RunDeadline(12)
+	r, err := runRecovering(t, c, barrierConfig(0, 1, 2, 3, 4, 5, 6, 7), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 12 {
-		t.Fatalf("completed %d of 12 operations", len(got))
+	if len(r.Done) != 12 {
+		t.Fatalf("completed %d of 12 operations", len(r.Done))
 	}
+	g := r.Group
 	st := g.Recovery()
 	if st.Timeouts != 0 || st.Retries != 0 || len(st.Evicted) != 0 {
 		t.Fatalf("healthy run triggered recovery: %+v", st)

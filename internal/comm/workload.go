@@ -82,7 +82,7 @@ type WorkloadSpec struct {
 	// Seed drives membership, mix assignment and arrival draws.
 	Seed uint64
 	// Recovery, when its OpDeadline is nonzero, arms fail-stop
-	// survival on every tenant group (see Group.SetRecovery): op
+	// survival on every tenant group (see RecoveryConfig): op
 	// deadlines, heartbeat failure detection, eviction and
 	// retry-with-backoff. Tenants whose recovery fails terminally end
 	// their stream early and report Failed instead of hanging the

@@ -154,7 +154,7 @@ func TestWorkloadValidation(t *testing.T) {
 // A workload whose setup fails partway (here: disjoint placement
 // overflow after two groups are already created) must not poison the
 // cluster: a subsequent workload on the same cluster runs to completion
-// instead of DriveAll waiting forever on the never-launched leftovers.
+// instead of waiting forever on the never-launched leftovers.
 func TestFailedWorkloadLeavesClusterUsable(t *testing.T) {
 	c := xpComm(8)
 	_, err := RunWorkload(c, WorkloadSpec{

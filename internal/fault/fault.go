@@ -228,9 +228,6 @@ func (p *Plan) Add(r Rule) *Plan {
 	return p
 }
 
-// Rules reports how many rules the plan holds.
-func (p *Plan) Rules() int { return len(p.rules) }
-
 // Inject implements netsim.Impairment.
 func (p *Plan) Inject(pkt netsim.Packet, now sim.Time) netsim.Outcome {
 	return p.apply(AtInject, pkt, now)

@@ -5,6 +5,7 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/elan"
+	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/model"
 	"nicbarrier/internal/myrinet"
@@ -15,20 +16,49 @@ import (
 // on a clusterSize-node cluster with the given scheme and algorithm.
 func MeasureMyrinet(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
 	scheme myrinet.Scheme, alg barrier.Algorithm) float64 {
-	cl, p := cfg.myrinet(prof, clusterSize, fmt.Sprintf("%dn/%d %v %v", clusterSize, n, scheme, alg))
-	defer p.drained()
-	ids := permutedIDs(cfg, clusterSize, n, uint64(scheme)<<8|uint64(alg))
-	s := myrinet.NewSession(cl, ids, scheme, alg, barrier.Options{})
-	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
+	return measureMyrinet(cfg, prof, clusterSize, n, scheme, alg, false, nil, 0)
 }
 
 // MeasureElan runs one Quadrics data point.
 func MeasureElan(cfg Config, clusterSize, n int, scheme elan.Scheme, alg barrier.Algorithm) float64 {
-	cl, p := cfg.elan(clusterSize, fmt.Sprintf("%dn/%d %v %v", clusterSize, n, scheme, alg))
+	return measureElan(cfg, clusterSize, n, scheme, alg, false, nil, 0)
+}
+
+// measureMyrinet is the one body of MeasureMyrinet and
+// MeasureMyrinetFaulted. A faulted point names its rule set in its
+// scope label, draws its rank layout from a permutation stream of its
+// own, and runs under a plan built from rules seeded by salt (when there
+// are rules).
+func measureMyrinet(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
+	scheme myrinet.Scheme, alg barrier.Algorithm, faulted bool, rules []fault.Rule, salt uint64) float64 {
+	label, perm := fmt.Sprintf("%dn/%d %v %v", clusterSize, n, scheme, alg), uint64(scheme)<<8|uint64(alg)
+	if faulted {
+		label, perm = label+" ["+fault.Describe(rules)+"]", perm|0xf000
+	}
+	cl, p := cfg.myrinet(prof, clusterSize, label)
 	defer p.drained()
-	ids := permutedIDs(cfg, clusterSize, n, 0x9000|uint64(scheme)<<8|uint64(alg))
-	s := elan.NewSession(cl, ids, scheme, alg, barrier.Options{})
+	if len(rules) > 0 {
+		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
+	}
+	s := myrinet.NewSession(cl, permutedIDs(cfg, clusterSize, n, perm), scheme, alg, barrier.Options{})
+	warmup, iters := cfg.itersFor(n)
+	return s.MeanLatency(warmup, iters).Micros()
+}
+
+// measureElan is the one body of MeasureElan and MeasureElanFaulted,
+// with measureMyrinet's faulted rules.
+func measureElan(cfg Config, clusterSize, n int,
+	scheme elan.Scheme, alg barrier.Algorithm, faulted bool, rules []fault.Rule, salt uint64) float64 {
+	label, perm := fmt.Sprintf("%dn/%d %v %v", clusterSize, n, scheme, alg), 0x9000|uint64(scheme)<<8|uint64(alg)
+	if faulted {
+		label, perm = label+" ["+fault.Describe(rules)+"]", perm|0xf900
+	}
+	cl, p := cfg.elan(clusterSize, label)
+	defer p.drained()
+	if len(rules) > 0 {
+		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
+	}
+	s := elan.NewSession(cl, permutedIDs(cfg, clusterSize, n, perm), scheme, alg, barrier.Options{})
 	warmup, iters := cfg.itersFor(n)
 	return s.MeanLatency(warmup, iters).Micros()
 }

@@ -43,15 +43,7 @@ func faultSeed(cfg Config, salt uint64) uint64 {
 // built from rules (nil rules = fault-free).
 func MeasureMyrinetFaulted(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
 	scheme myrinet.Scheme, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
-	cl, p := cfg.myrinet(prof, clusterSize, fmt.Sprintf("%dn/%d %v %v [%s]", clusterSize, n, scheme, alg, fault.Describe(rules)))
-	defer p.drained()
-	if len(rules) > 0 {
-		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
-	}
-	ids := permutedIDs(cfg, clusterSize, n, 0xf000|uint64(scheme)<<8|uint64(alg))
-	s := myrinet.NewSession(cl, ids, scheme, alg, barrier.Options{})
-	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
+	return measureMyrinet(cfg, prof, clusterSize, n, scheme, alg, true, rules, salt)
 }
 
 // MeasureElanFaulted runs one Quadrics data point under a fault plan built
@@ -59,15 +51,7 @@ func MeasureMyrinetFaulted(cfg Config, prof hwprofile.MyrinetProfile, clusterSiz
 // reliability), so loss-only rule sets leave the latency untouched.
 func MeasureElanFaulted(cfg Config, clusterSize, n int,
 	scheme elan.Scheme, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
-	cl, p := cfg.elan(clusterSize, fmt.Sprintf("%dn/%d %v %v [%s]", clusterSize, n, scheme, alg, fault.Describe(rules)))
-	defer p.drained()
-	if len(rules) > 0 {
-		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
-	}
-	ids := permutedIDs(cfg, clusterSize, n, 0xf900|uint64(scheme)<<8|uint64(alg))
-	s := elan.NewSession(cl, ids, scheme, alg, barrier.Options{})
-	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
+	return measureElan(cfg, clusterSize, n, scheme, alg, true, rules, salt)
 }
 
 // FaultLossSweep sweeps random loss rate (percent) at a fixed cluster

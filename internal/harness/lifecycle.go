@@ -192,27 +192,27 @@ func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats
 	}
 	c, p := cfg.commCluster(false, 8, fmt.Sprintf("victim 8n drop-every-%d", dropNth), plan)
 	defer p.drained()
-	mk := func(members ...int) *comm.Group {
-		g, err := c.NewGroup(comm.GroupConfig{
+	// All three arrive at 0 and install in this order, so the victim is
+	// group 1, the fault's target.
+	layout := [][]int{
+		{0, 1, 2, 3}, // the victim
+		{0, 1, 4, 5}, // shares nodes 0,1 with the victim
+		{2, 3, 6, 7}, // shares nodes 2,3
+	}
+	ts := make([]comm.Tenant, len(layout))
+	for i, members := range layout {
+		ts[i] = comm.Tenant{Index: i, Ops: victimOps, Config: comm.GroupConfig{
 			Members:       members,
 			Kind:          comm.OpBarrier,
 			Algorithm:     barrier.Dissemination,
 			MyrinetScheme: myrinet.SchemeCollective,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("harness: victim layout: %v", err))
-		}
-		return g
+		}}
 	}
-	vg := mk(0, 1, 2, 3)  // group 1: the fault's target
-	byA := mk(0, 1, 4, 5) // group 2: shares nodes 0,1 with the victim
-	byB := mk(2, 3, 6, 7) // group 3: shares nodes 2,3
-	for _, g := range []*comm.Group{vg, byA, byB} {
-		g.Launch(victimOps)
+	runs, err := comm.RunTenants(c, ts)
+	if err != nil {
+		panic(fmt.Sprintf("harness: victim layout: %v", err))
 	}
-	c.DriveAll()
-	stats := func(g *comm.Group) victimStats {
-		done := g.DoneAt()
+	stats := func(done []sim.Time) victimStats {
 		lats := make([]float64, len(done))
 		var sum float64
 		prev := sim.Time(0)
@@ -227,9 +227,9 @@ func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats
 			p95US:  lats[(len(lats)*95+99)/100-1],
 		}
 	}
-	victim = stats(vg)
-	bystander = stats(byA)
-	if b := stats(byB); b.meanUS > bystander.meanUS {
+	victim = stats(runs[0].Done)
+	bystander = stats(runs[1].Done)
+	if b := stats(runs[2].Done); b.meanUS > bystander.meanUS {
 		bystander = b
 	}
 	return victim, bystander

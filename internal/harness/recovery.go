@@ -47,27 +47,23 @@ func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64,
 	for i := range members {
 		members[i] = i
 	}
-	g, err := c.NewGroup(comm.GroupConfig{
+	runs, err := comm.RunTenants(c, []comm.Tenant{{Ops: recoveryOps, Config: comm.GroupConfig{
 		Members:       members,
 		Kind:          comm.OpBarrier,
 		Algorithm:     barrier.Dissemination,
 		MyrinetScheme: myrinet.SchemeCollective,
 		ElanScheme:    elan.SchemeChained,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("harness: recovery point: %v", err))
-	}
-	if err := g.SetRecovery(comm.RecoveryConfig{
+	}, Recovery: comm.RecoveryConfig{
 		OpDeadline: sim.Micros(deadlineUS),
 		MaxRetries: 4,
-	}); err != nil {
-		panic(fmt.Sprintf("harness: recovery point: %v", err))
+	}}})
+	if err == nil {
+		err = runs[0].Group.Err()
 	}
-	done, err := g.RunDeadline(recoveryOps)
 	if err != nil {
 		panic(fmt.Sprintf("harness: recovery point (%d nodes, crash=%v): %v", n, crash, err))
 	}
-	return done[len(done)-1].Micros()
+	return runs[0].Done[recoveryOps-1].Micros()
 }
 
 // CrashRecovery compares the makespan of a deadline-armed barrier

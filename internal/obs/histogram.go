@@ -145,21 +145,3 @@ func (h *Histogram) addBin(v int64, n uint64) {
 	h.counts[histBucket(v)] += n
 	h.n += n
 }
-
-// Merge folds other into h. Exactness of Mean/Max is preserved.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.n == 0 {
-		return
-	}
-	if h.counts == nil {
-		h.counts = make([]uint64, histBuckets)
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}

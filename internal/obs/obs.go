@@ -447,17 +447,6 @@ func (s *Scope) BindGroupTenant(gid, tenant int) {
 	s.group(gid).tenant = tenant + 1
 }
 
-// GroupPhases reports the wire and NIC time attributed to group gid so
-// far. Attribution sums concurrent activity, so the totals can exceed
-// wall-clock for pipelined traffic.
-func (s *Scope) GroupPhases(gid int) (wire, nic sim.Duration) {
-	if gid < 0 || gid >= len(s.groups) {
-		return 0, 0
-	}
-	g := &s.groups[gid]
-	return sim.Duration(g.wireNS), sim.Duration(g.nicNS)
-}
-
 // Tracer is the collector behind every Scope. The zero value is not
 // usable; construct with NewTracer.
 type Tracer struct {

@@ -37,19 +37,24 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// A zero histogram reports zeros, and pools through snapshots (the path
+// tenant merging takes) like any other.
 func TestHistogramZeroValueAndMerge(t *testing.T) {
 	var a, b Histogram
 	if a.Quantile(0.5) != 0 || a.Mean() != 0 || a.Max() != 0 {
 		t.Fatal("zero histogram should report zeros")
 	}
-	a.Observe(sim.Microsecond)
 	b.Observe(3 * sim.Microsecond)
-	a.Merge(&b)
-	if a.Count() != 2 {
-		t.Fatalf("merged count = %d", a.Count())
+	if m := MergeHistSnapshots(SnapshotHistogram(&a), SnapshotHistogram(&b)); m.Count != 1 || m.MaxUS != 3 {
+		t.Fatalf("zero merged with one observation: %+v", m)
 	}
-	if a.Max() != 3*sim.Microsecond {
-		t.Fatalf("merged max = %v", a.Max())
+	a.Observe(sim.Microsecond)
+	m := MergeHistSnapshots(SnapshotHistogram(&a), SnapshotHistogram(&b))
+	if m.Count != 2 {
+		t.Fatalf("merged count = %d", m.Count)
+	}
+	if m.MaxUS != 3 {
+		t.Fatalf("merged max = %vus", m.MaxUS)
 	}
 }
 
