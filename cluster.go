@@ -197,21 +197,18 @@ func (c *Cluster) commSchemes() (myrinet.Scheme, elan.Scheme, error) {
 
 // Barrier runs warmup+iters consecutive barriers on this group, using
 // the cluster Config's Scheme and Algorithm, and returns latency
-// statistics over the measured iterations. Other groups on the cluster
-// are untouched and may run their own operations concurrently via
-// MeasureWorkload-style driving.
+// statistics over the measured iterations. HostBased on Quadrics is
+// elan_gsync, a gather-broadcast tree whatever the Algorithm. Other
+// groups on the cluster are untouched and may run their own operations
+// concurrently via MeasureWorkload-style driving.
 func (g *Group) Barrier(warmup, iters int) (Result, error) {
 	ms, es, err := g.c.commSchemes()
 	if err != nil {
 		return Result{}, err
 	}
-	alg := g.c.cfg.Algorithm.internal()
-	if g.c.cfg.Interconnect == QuadricsElan3 && g.c.cfg.Scheme == HostBased {
-		alg = barrier.GatherBroadcast
-	}
 	return g.run(comm.GroupConfig{
 		Kind:          comm.OpBarrier,
-		Algorithm:     alg,
+		Algorithm:     g.c.cfg.Algorithm.internal(),
 		Options:       barrier.Options{TreeDegree: g.c.cfg.TreeDegree},
 		MyrinetScheme: ms,
 		ElanScheme:    es,

@@ -55,7 +55,8 @@ import (
 
 // docPackages are the packages whose exported surface must be fully
 // documented: the public facade and the layers ARCHITECTURE.md leans on.
-var docPackages = []string{".", "internal/sim", "internal/netsim", "internal/core", "internal/comm", "internal/chaos", "internal/obs"}
+var docPackages = []string{".", "internal/sim", "internal/netsim", "internal/core", "internal/comm", "internal/chaos", "internal/obs",
+	"internal/harness", "internal/shard", "internal/myrinet", "internal/elan", "internal/barrier", "internal/fault"}
 
 // linkFiles are the markdown documents whose relative links must resolve.
 var linkFiles = []string{"README.md", "ARCHITECTURE.md", "ROADMAP.md"}

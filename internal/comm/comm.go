@@ -1,7 +1,9 @@
-// Package comm is the multi-tenant communicator subsystem layered over
-// the simulated interconnects. Where the measurement sessions in
-// internal/myrinet and internal/elan drive one process group at a time,
-// a comm.Cluster multiplexes many Groups over one cluster: each group
+// Package comm is the communicator subsystem layered over the simulated
+// interconnects. The harness's paper-figure points (all but the skew
+// figure), the facade, the benchmark and the multi-tenant workloads run
+// their groups through it. A backend session of internal/myrinet or
+// internal/elan is one process group bound to its cluster; a
+// comm.Cluster multiplexes many Groups over one cluster: each group
 // claims its own NIC group-queue slot (a hard SRAM resource), owns its
 // own bit-vector records and sequence space, and completes independently,
 // exactly the concurrency the paper's per-group queues were designed for.
@@ -28,7 +30,8 @@
 // members with capacity (see AdmissionConfig).
 //
 // A group runs in one of two ways. Group.Run drives one group
-// exclusively, as the measurement sessions do. Everything else (several
+// exclusively: the paper's measurement loop of consecutive barriers.
+// Everything else (several
 // groups at once, recovery, pacing, swaps, departures) goes through the
 // tenant driver RunTenants (driver.go), from Tenant records planned up
 // front: planTenants for RunWorkload's open- and closed-loop streams and

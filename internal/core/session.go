@@ -341,14 +341,15 @@ func (s *Session) Run(iters int) []sim.Time {
 	return s.doneAt
 }
 
-// MeanLatency runs warmup+iters consecutive operations and reports the
-// mean per-operation latency over the measured iterations, mirroring the
-// paper's methodology (first iterations warm up, the rest are averaged).
-func (s *Session) MeanLatency(warmup, iters int) sim.Duration {
-	doneAt := s.Run(warmup + iters)
+// MeanLatency reduces a run's per-iteration completion times to the
+// mean per-operation latency after warmup iterations, the paper's
+// methodology (the first iterations warm up, the rest are averaged):
+// the span from the last warmup completion (time 0 without warmup) to
+// the last completion, over the measured iteration count.
+func MeanLatency(doneAt []sim.Time, warmup int) sim.Duration {
 	var start sim.Time
 	if warmup > 0 {
 		start = doneAt[warmup-1]
 	}
-	return doneAt[warmup+iters-1].Sub(start) / sim.Duration(iters)
+	return doneAt[len(doneAt)-1].Sub(start) / sim.Duration(len(doneAt)-warmup)
 }

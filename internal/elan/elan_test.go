@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/sim"
 )
@@ -21,7 +22,7 @@ func meanLatency(t *testing.T, n int, scheme Scheme, alg barrier.Algorithm, iter
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.Elan3Cluster(), n)
 	s := NewSession(cl, identity(n), scheme, alg, barrier.Options{})
-	return s.MeanLatency(5, iters)
+	return core.MeanLatency(s.Run(5+iters), 5)
 }
 
 func TestRemoteEventDelivery(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
@@ -120,7 +121,7 @@ func TestQuadricsFeelsDelayFaults(t *testing.T) {
 		}
 		s := elan.NewSession(cl, identityIDs(8), elan.SchemeChained,
 			barrier.Dissemination, barrier.Options{})
-		return s.MeanLatency(2, 20)
+		return core.MeanLatency(s.Run(2+20), 2)
 	}
 	clean := measure(nil)
 	delayed := measure(fault.NewPlan(3, fault.Latency(sim.Micros(5), 0)))
@@ -220,7 +221,7 @@ func TestSlowNICSlowsBarrier(t *testing.T) {
 		}
 		s := myrinet.NewSession(cl, identityIDs(8), myrinet.SchemeCollective,
 			barrier.Dissemination, barrier.Options{})
-		return s.MeanLatency(2, 20)
+		return core.MeanLatency(s.Run(2+20), 2)
 	}
 	clean := measure(nil)
 	slowed := measure(fault.NewPlan(3, fault.SlowNIC(0, sim.Micros(4))))

@@ -33,41 +33,22 @@ func (c Config) newPoint(label string) point {
 	return p
 }
 
-// myrinet builds one data point's n-node Myrinet cluster.
-func (c Config) myrinet(prof hwprofile.MyrinetProfile, n int, label string) (*myrinet.Cluster, point) {
-	p := c.newPoint("myrinet " + label)
-	cl := myrinet.NewCluster(p.eng, prof, n, nil)
-	if p.sc != nil {
-		cl.SetTracer(p.sc)
-	}
-	return cl, p
-}
-
-// elan builds one data point's n-node Quadrics/Elan3 cluster.
-func (c Config) elan(n int, label string) (*elan.Cluster, point) {
-	p := c.newPoint("elan " + label)
-	cl := elan.NewCluster(p.eng, hwprofile.Elan3Cluster(), n)
-	if p.sc != nil {
-		cl.SetTracer(p.sc)
-	}
-	return cl, p
-}
-
-// commCluster builds one data point's communicator layer over a fresh n-node
-// LANai-XP or Elan3 cluster with plan (nil: fault-free) installed.
-func (c Config) commCluster(quadrics bool, n int, label string, plan *fault.Plan) (*comm.Cluster, point) {
+// commCluster builds one data point's communicator layer over a fresh
+// n-node cluster, Myrinet with profile myri or Quadrics/Elan3 when myri
+// is nil, with plan (nil: fault-free) installed.
+func (c Config) commCluster(myri *hwprofile.MyrinetProfile, n int, label string, plan *fault.Plan) (*comm.Cluster, point) {
 	var cc *comm.Cluster
 	var p point
-	if quadrics {
-		var cl *elan.Cluster
-		cl, p = c.elan(n, label)
+	if myri == nil {
+		p = c.newPoint("elan " + label)
+		cl := elan.NewCluster(p.eng, hwprofile.Elan3Cluster(), n)
 		if plan != nil {
 			cl.SetFaults(plan)
 		}
 		cc = comm.OverElan(cl)
 	} else {
-		var cl *myrinet.Cluster
-		cl, p = c.myrinet(hwprofile.LANaiXPCluster(), n, label)
+		p = c.newPoint("myrinet " + label)
+		cl := myrinet.NewCluster(p.eng, *myri, n, nil)
 		if plan != nil {
 			cl.SetFaults(plan)
 		}
@@ -77,6 +58,16 @@ func (c Config) commCluster(quadrics bool, n int, label string, plan *fault.Plan
 		cc.SetTracer(p.sc)
 	}
 	return cc, p
+}
+
+// xpUnless is the cluster of a point that runs LANai-XP on Myrinet:
+// its profile, or nil (Quadrics/Elan3) when quadrics.
+func xpUnless(quadrics bool) *hwprofile.MyrinetProfile {
+	if quadrics {
+		return nil
+	}
+	prof := hwprofile.LANaiXPCluster()
+	return &prof
 }
 
 // drained publishes the point's final live snapshot once its run has

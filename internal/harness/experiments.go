@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/comm"
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
@@ -12,56 +14,51 @@ import (
 	"nicbarrier/internal/sim"
 )
 
-// MeasureMyrinet runs one Myrinet data point: an n-rank barrier session
-// on a clusterSize-node cluster with the given scheme and algorithm.
-func MeasureMyrinet(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
-	scheme myrinet.Scheme, alg barrier.Algorithm) float64 {
-	return measureMyrinet(cfg, prof, clusterSize, n, scheme, alg, false, nil, 0)
+// faulted marks a fault-sweep data point: the rules its plan is built
+// from (none at a sweep's clean point) and the salt of the plan's seed.
+type faulted struct {
+	rules []fault.Rule
+	salt  uint64
 }
 
-// MeasureElan runs one Quadrics data point.
-func MeasureElan(cfg Config, clusterSize, n int, scheme elan.Scheme, alg barrier.Algorithm) float64 {
-	return measureElan(cfg, clusterSize, n, scheme, alg, false, nil, 0)
-}
-
-// measureMyrinet is the one body of MeasureMyrinet and
-// MeasureMyrinetFaulted. A faulted point names its rule set in its
-// scope label, draws its rank layout from a permutation stream of its
-// own, and runs under a plan built from rules seeded by salt (when there
-// are rules).
-func measureMyrinet(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
-	scheme myrinet.Scheme, alg barrier.Algorithm, faulted bool, rules []fault.Rule, salt uint64) float64 {
-	label, perm := fmt.Sprintf("%dn/%d %v %v", clusterSize, n, scheme, alg), uint64(scheme)<<8|uint64(alg)
-	if faulted {
-		label, perm = label+" ["+fault.Describe(rules)+"]", perm|0xf000
+// measureBarrier runs one data point of the paper's measurement loop
+// (Section 8): a barrier group of gc's scheme and algorithm over n ranks
+// of a fresh size-node cluster (Myrinet with profile myri, Quadrics/Elan3
+// when myri is nil), placed by permutedIDs and driven by comm.Group.Run.
+// It returns the mean latency after warmup, in microseconds. A faulted
+// point (f non-nil) names its rule set in its scope label, draws its
+// rank layout from a permutation stream of its own, and runs under a
+// plan built from its rules, when there are any.
+func measureBarrier(cfg Config, myri *hwprofile.MyrinetProfile, size, n int, gc comm.GroupConfig, f *faulted) float64 {
+	scheme, perm, faultedPerm := fmt.Stringer(gc.ElanScheme), 0x9000|uint64(gc.ElanScheme)<<8, uint64(0xf900)
+	if myri != nil {
+		scheme, perm, faultedPerm = gc.MyrinetScheme, uint64(gc.MyrinetScheme)<<8, 0xf000
 	}
-	cl, p := cfg.myrinet(prof, clusterSize, label)
+	label, perm := fmt.Sprintf("%dn/%d %v %v", size, n, scheme, gc.Algorithm), perm|uint64(gc.Algorithm)
+	var plan *fault.Plan
+	if f != nil {
+		label, perm = label+" ["+fault.Describe(f.rules)+"]", perm|faultedPerm
+		if len(f.rules) > 0 {
+			plan = fault.NewPlan(faultSeed(cfg, f.salt), f.rules...)
+		}
+	}
+	cc, p := cfg.commCluster(myri, size, label, plan)
 	defer p.drained()
-	if len(rules) > 0 {
-		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
+	gc.Kind, gc.Members = comm.OpBarrier, permutedIDs(cfg, size, n, perm)
+	g, err := cc.NewGroup(gc)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s: %v", label, err))
 	}
-	s := myrinet.NewSession(cl, permutedIDs(cfg, clusterSize, n, perm), scheme, alg, barrier.Options{})
 	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
+	return core.MeanLatency(g.Run(warmup+iters), warmup).Micros()
 }
 
-// measureElan is the one body of MeasureElan and MeasureElanFaulted,
-// with measureMyrinet's faulted rules.
-func measureElan(cfg Config, clusterSize, n int,
-	scheme elan.Scheme, alg barrier.Algorithm, faulted bool, rules []fault.Rule, salt uint64) float64 {
-	label, perm := fmt.Sprintf("%dn/%d %v %v", clusterSize, n, scheme, alg), 0x9000|uint64(scheme)<<8|uint64(alg)
-	if faulted {
-		label, perm = label+" ["+fault.Describe(rules)+"]", perm|0xf900
-	}
-	cl, p := cfg.elan(clusterSize, label)
-	defer p.drained()
-	if len(rules) > 0 {
-		cl.SetFaults(fault.NewPlan(faultSeed(cfg, salt), rules...))
-	}
-	s := elan.NewSession(cl, permutedIDs(cfg, clusterSize, n, perm), scheme, alg, barrier.Options{})
-	warmup, iters := cfg.itersFor(n)
-	return s.MeanLatency(warmup, iters).Micros()
-}
+// nicDS and chainedDS are the paper's NIC-based dissemination barrier:
+// Myrinet's collective protocol and Quadrics' chained RDMA.
+var (
+	nicDS     = comm.GroupConfig{MyrinetScheme: myrinet.SchemeCollective, Algorithm: barrier.Dissemination}
+	chainedDS = comm.GroupConfig{ElanScheme: elan.SchemeChained, Algorithm: barrier.Dissemination}
+)
 
 func rangeInts(from, to int) []int {
 	var out []int
@@ -79,20 +76,18 @@ func powersOfTwo(from, to int) []int {
 	return out
 }
 
-// Fig5 reproduces Fig. 5: NIC-based and host-based barriers, both
-// algorithms, on the 16-node 700 MHz cluster with LANai 9.1 cards.
-func Fig5(cfg Config) Figure {
-	prof := hwprofile.LANai91Cluster()
-	const size = 16
+// nicVsHost is the figure of Figs. 5 and 6: NIC-based and host-based
+// barriers, both algorithms, on every group size of a Myrinet cluster.
+func nicVsHost(cfg Config, id, title, note string, prof hwprofile.MyrinetProfile, size int) Figure {
 	ns := rangeInts(2, size)
 	mk := func(scheme myrinet.Scheme, alg barrier.Algorithm) Measure {
 		return func(n int) float64 {
-			return MeasureMyrinet(cfg, prof, size, n, scheme, alg)
+			return measureBarrier(cfg, &prof, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: alg}, nil)
 		}
 	}
 	return Figure{
-		ID:     "fig5",
-		Title:  "NIC-based vs host-based barrier, Myrinet LANai 9.1, 16-node 700MHz cluster",
+		ID:     id,
+		Title:  title,
 		XLabel: "Number of Nodes",
 		YLabel: "Latency",
 		Series: []Series{
@@ -101,34 +96,22 @@ func Fig5(cfg Config) Figure {
 			sweep(cfg, "Host-DS", ns, mk(myrinet.SchemeHost, barrier.Dissemination)),
 			sweep(cfg, "Host-PE", ns, mk(myrinet.SchemeHost, barrier.PairwiseExchange)),
 		},
-		Notes: []string{"paper: 25.72us NIC-based at 16 nodes, 3.38x over host-based"},
+		Notes: []string{note},
 	}
+}
+
+// Fig5 reproduces Fig. 5: NIC-based and host-based barriers, both
+// algorithms, on the 16-node 700 MHz cluster with LANai 9.1 cards.
+func Fig5(cfg Config) Figure {
+	return nicVsHost(cfg, "fig5", "NIC-based vs host-based barrier, Myrinet LANai 9.1, 16-node 700MHz cluster",
+		"paper: 25.72us NIC-based at 16 nodes, 3.38x over host-based", hwprofile.LANai91Cluster(), 16)
 }
 
 // Fig6 reproduces Fig. 6: the same comparison on the 8-node 2.4 GHz Xeon
 // cluster with LANai-XP cards.
 func Fig6(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
-	const size = 8
-	ns := rangeInts(2, size)
-	mk := func(scheme myrinet.Scheme, alg barrier.Algorithm) Measure {
-		return func(n int) float64 {
-			return MeasureMyrinet(cfg, prof, size, n, scheme, alg)
-		}
-	}
-	return Figure{
-		ID:     "fig6",
-		Title:  "NIC-based vs host-based barrier, Myrinet LANai-XP, 8-node 2.4GHz cluster",
-		XLabel: "Number of Nodes",
-		YLabel: "Latency",
-		Series: []Series{
-			sweep(cfg, "NIC-DS", ns, mk(myrinet.SchemeCollective, barrier.Dissemination)),
-			sweep(cfg, "NIC-PE", ns, mk(myrinet.SchemeCollective, barrier.PairwiseExchange)),
-			sweep(cfg, "Host-DS", ns, mk(myrinet.SchemeHost, barrier.Dissemination)),
-			sweep(cfg, "Host-PE", ns, mk(myrinet.SchemeHost, barrier.PairwiseExchange)),
-		},
-		Notes: []string{"paper: 14.20us NIC-based at 8 nodes, 2.64x over host-based"},
-	}
+	return nicVsHost(cfg, "fig6", "NIC-based vs host-based barrier, Myrinet LANai-XP, 8-node 2.4GHz cluster",
+		"paper: 14.20us NIC-based at 8 nodes, 2.64x over host-based", hwprofile.LANaiXPCluster(), 8)
 }
 
 // Fig7 reproduces Fig. 7: barrier implementations over Quadrics/Elan3 on
@@ -136,8 +119,10 @@ func Fig6(cfg Config) Figure {
 func Fig7(cfg Config) Figure {
 	const size = 8
 	ns := rangeInts(2, size)
-	mkChained := func(alg barrier.Algorithm) Measure {
-		return func(n int) float64 { return MeasureElan(cfg, size, n, elan.SchemeChained, alg) }
+	mk := func(scheme elan.Scheme, alg barrier.Algorithm) Measure {
+		return func(n int) float64 {
+			return measureBarrier(cfg, nil, size, n, comm.GroupConfig{ElanScheme: scheme, Algorithm: alg}, nil)
+		}
 	}
 	return Figure{
 		ID:     "fig7",
@@ -145,14 +130,10 @@ func Fig7(cfg Config) Figure {
 		XLabel: "Number of Nodes",
 		YLabel: "Latency",
 		Series: []Series{
-			sweep(cfg, "NIC-Barrier-DS", ns, mkChained(barrier.Dissemination)),
-			sweep(cfg, "NIC-Barrier-PE", ns, mkChained(barrier.PairwiseExchange)),
-			sweep(cfg, "Elan-Barrier", ns, func(n int) float64 {
-				return MeasureElan(cfg, size, n, elan.SchemeGsync, barrier.GatherBroadcast)
-			}),
-			sweep(cfg, "Elan-HW-Barrier", ns, func(n int) float64 {
-				return MeasureElan(cfg, size, n, elan.SchemeHW, barrier.Dissemination)
-			}),
+			sweep(cfg, "NIC-Barrier-DS", ns, mk(elan.SchemeChained, barrier.Dissemination)),
+			sweep(cfg, "NIC-Barrier-PE", ns, mk(elan.SchemeChained, barrier.PairwiseExchange)),
+			sweep(cfg, "Elan-Barrier", ns, mk(elan.SchemeGsync, barrier.GatherBroadcast)),
+			sweep(cfg, "Elan-HW-Barrier", ns, mk(elan.SchemeHW, barrier.Dissemination)),
 		},
 		Notes: []string{
 			"paper: 5.60us NIC-based at 8 nodes, 2.48x over elan_gsync; elan_hgsync 4.20us",
@@ -161,68 +142,95 @@ func Fig7(cfg Config) Figure {
 	}
 }
 
-// fig8 builds one panel of Fig. 8: measured dissemination NIC barrier
-// latency vs the analytical model, 2..1024 nodes.
-func fig8(cfg Config, id, title string, paper model.Model, measure Measure) Figure {
-	ns := powersOfTwo(2, 1024)
-	measured := sweep(cfg, "Measured", ns, measure)
+// ScalabilityFit is the paper's Section 8.3 model fitted to the measured
+// latency of the NIC-based dissemination barrier.
+type ScalabilityFit struct {
+	// Measured holds the latency at n = 2, 4, ..., the fit's largest size.
+	Measured Series
+	Model    model.Model
+}
 
-	xs := make([]int, len(measured.Points))
-	ys := make([]float64, len(measured.Points))
-	for i, p := range measured.Points {
-		xs[i], ys[i] = p.N, p.LatencyUS
+// FitScalability measures the NIC-based dissemination barrier (Myrinet's
+// collective protocol on profile myri, Quadrics' chained RDMA when myri
+// is nil) on n-node clusters, n = 2, 4, ..., maxNodes, and fits the
+// Section 8.3 model to the measurements. It is the one fit behind
+// fig8a, fig8b, the summary's model rows and the facade's
+// FitScalabilityModel.
+func FitScalability(cfg Config, myri *hwprofile.MyrinetProfile, maxNodes int) (ScalabilityFit, error) {
+	nic := chainedDS
+	if myri != nil {
+		nic = nicDS
 	}
-	fitted, err := model.Fit(xs, ys)
+	fit := ScalabilityFit{Measured: sweep(cfg, "Measured", powersOfTwo(2, maxNodes), func(n int) float64 {
+		return measureBarrier(cfg, myri, n, n, nic, nil)
+	})}
+	var err error
+	fit.Model, err = model.Fit(fit.points(2))
+	return fit, err
+}
+
+// points returns the measured sizes n >= from and their latencies.
+func (f ScalabilityFit) points(from int) (xs []int, ys []float64) {
+	for _, p := range f.Measured.Points {
+		if p.N >= from {
+			xs, ys = append(xs, p.N), append(ys, p.LatencyUS)
+		}
+	}
+	return xs, ys
+}
+
+// MaxRelativeError reports the fit's worst relative error against the
+// measured sizes n >= from.
+func (f ScalabilityFit) MaxRelativeError(from int) float64 {
+	return f.Model.MaxRelativeError(f.points(from))
+}
+
+// mustFitScalability is FitScalability for the scenarios, whose sweeps
+// always hold enough sizes to fit.
+func mustFitScalability(cfg Config, myri *hwprofile.MyrinetProfile) ScalabilityFit {
+	fit, err := FitScalability(cfg, myri, 1024)
 	if err != nil {
 		panic(fmt.Sprintf("harness: model fit failed: %v", err))
 	}
+	return fit
+}
+
+// fig8 builds one panel of Fig. 8: measured dissemination NIC barrier
+// latency vs the analytical model, 2..1024 nodes.
+func fig8(cfg Config, id, title string, paper model.Model, myri *hwprofile.MyrinetProfile) Figure {
+	fit := mustFitScalability(cfg, myri)
 	modelSeries := Series{Name: "Model"}
 	paperSeries := Series{Name: "Paper-Model"}
-	for _, n := range ns {
-		modelSeries.Points = append(modelSeries.Points, Point{N: n, LatencyUS: fitted.Predict(n)})
-		paperSeries.Points = append(paperSeries.Points, Point{N: n, LatencyUS: paper.Predict(n)})
-	}
-	// Fit quality over the extrapolation range (n >= 8); like the
-	// paper's model, the straight line misses at n=2 by construction
-	// (their model predicts 1.25us there against ~2us measured).
-	var bigXs []int
-	var bigYs []float64
-	for i, n := range xs {
-		if n >= 8 {
-			bigXs = append(bigXs, n)
-			bigYs = append(bigYs, ys[i])
-		}
+	for _, p := range fit.Measured.Points {
+		modelSeries.Points = append(modelSeries.Points, Point{N: p.N, LatencyUS: fit.Model.Predict(p.N)})
+		paperSeries.Points = append(paperSeries.Points, Point{N: p.N, LatencyUS: paper.Predict(p.N)})
 	}
 	return Figure{
 		ID:     id,
 		Title:  title,
 		XLabel: "Number of Nodes",
 		YLabel: "Latency",
-		Series: []Series{modelSeries, measured, paperSeries},
+		Series: []Series{modelSeries, fit.Measured, paperSeries},
 		Notes: []string{
-			"fitted: " + fitted.String(),
+			"fitted: " + fit.Model.String(),
 			"paper:  " + paper.String(),
-			fmt.Sprintf("fit max relative error vs measured (n>=8): %.1f%%",
-				fitted.MaxRelativeError(bigXs, bigYs)*100),
+			// Fit quality over the extrapolation range: like the paper's
+			// model, the straight line misses at n=2 by construction (their
+			// model predicts 1.25us there against ~2us measured).
+			fmt.Sprintf("fit max relative error vs measured (n>=8): %.1f%%", fit.MaxRelativeError(8)*100),
 		},
 	}
 }
 
 // Fig8a reproduces Fig. 8(a): Quadrics barrier scalability model.
 func Fig8a(cfg Config) Figure {
-	return fig8(cfg, "fig8a", "Barrier scalability over 700MHz Quadrics-Elan3 cluster",
-		model.PaperQuadrics(), func(n int) float64 {
-			return MeasureElan(cfg, n, n, elan.SchemeChained, barrier.Dissemination)
-		})
+	return fig8(cfg, "fig8a", "Barrier scalability over 700MHz Quadrics-Elan3 cluster", model.PaperQuadrics(), nil)
 }
 
 // Fig8b reproduces Fig. 8(b): Myrinet barrier scalability model.
 func Fig8b(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
-	return fig8(cfg, "fig8b", "Barrier scalability over 2.4GHz Myrinet LANai-XP cluster",
-		model.PaperMyrinetXP(), func(n int) float64 {
-			return MeasureMyrinet(cfg, prof, n, n, myrinet.SchemeCollective, barrier.Dissemination)
-		})
+	xp := hwprofile.LANaiXPCluster()
+	return fig8(cfg, "fig8b", "Barrier scalability over 2.4GHz Myrinet LANai-XP cluster", model.PaperMyrinetXP(), &xp)
 }
 
 // Ablation reproduces the paper's Section 8.1 argument against the
@@ -233,9 +241,9 @@ func Ablation(cfg Config) Figure {
 	l9 := hwprofile.LANai91Cluster()
 	nsXP := rangeInts(2, 8)
 	ns91 := rangeInts(2, 16)
-	mk := func(prof hwprofile.MyrinetProfile, size int, scheme myrinet.Scheme) Measure {
+	mk := func(prof *hwprofile.MyrinetProfile, size int, scheme myrinet.Scheme) Measure {
 		return func(n int) float64 {
-			return MeasureMyrinet(cfg, prof, size, n, scheme, barrier.Dissemination)
+			return measureBarrier(cfg, prof, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: barrier.Dissemination}, nil)
 		}
 	}
 	return Figure{
@@ -244,12 +252,12 @@ func Ablation(cfg Config) Figure {
 		XLabel: "Number of Nodes",
 		YLabel: "Latency",
 		Series: []Series{
-			sweep(cfg, "XP-Collective", nsXP, mk(xp, 8, myrinet.SchemeCollective)),
-			sweep(cfg, "XP-Direct", nsXP, mk(xp, 8, myrinet.SchemeDirect)),
-			sweep(cfg, "XP-Host", nsXP, mk(xp, 8, myrinet.SchemeHost)),
-			sweep(cfg, "9.1-Collective", ns91, mk(l9, 16, myrinet.SchemeCollective)),
-			sweep(cfg, "9.1-Direct", ns91, mk(l9, 16, myrinet.SchemeDirect)),
-			sweep(cfg, "9.1-Host", ns91, mk(l9, 16, myrinet.SchemeHost)),
+			sweep(cfg, "XP-Collective", nsXP, mk(&xp, 8, myrinet.SchemeCollective)),
+			sweep(cfg, "XP-Direct", nsXP, mk(&xp, 8, myrinet.SchemeDirect)),
+			sweep(cfg, "XP-Host", nsXP, mk(&xp, 8, myrinet.SchemeHost)),
+			sweep(cfg, "9.1-Collective", ns91, mk(&l9, 16, myrinet.SchemeCollective)),
+			sweep(cfg, "9.1-Direct", ns91, mk(&l9, 16, myrinet.SchemeDirect)),
+			sweep(cfg, "9.1-Host", ns91, mk(&l9, 16, myrinet.SchemeHost)),
 		},
 		Notes: []string{
 			"paper (on older LANai 7.2/GM-1.2.3 hardware): direct scheme improved 1.86x over host;",
@@ -266,14 +274,18 @@ func Packets(cfg Config) Figure {
 	const size = 16
 	count := func(scheme myrinet.Scheme) Measure {
 		return func(n int) float64 {
-			cl, p := cfg.myrinet(prof, size, fmt.Sprintf("packets %dn/%d %v", size, n, scheme))
+			cc, p := cfg.commCluster(&prof, size, fmt.Sprintf("packets %dn/%d %v", size, n, scheme), nil)
 			defer p.drained()
-			ids := permutedIDs(cfg, size, n, 0x7000|uint64(scheme))
-			s := myrinet.NewSession(cl, ids, scheme, barrier.Dissemination, barrier.Options{})
+			gc := comm.GroupConfig{MyrinetScheme: scheme, Algorithm: barrier.Dissemination}
+			gc.Members = permutedIDs(cfg, size, n, 0x7000|uint64(scheme))
+			g, err := cc.NewGroup(gc)
+			if err != nil {
+				panic(fmt.Sprintf("harness: packets: %v", err))
+			}
 			const iters = 10
-			s.Run(iters)
-			cl.Eng.Run() // drain trailing ACKs
-			c := cl.Net.Counters()
+			g.Run(iters)
+			cc.Eng.Run() // drain trailing ACKs
+			c := cc.Counters()
 			pkts := c.ByKind["barrier-coll"] + c.ByKind["barrier-direct"] +
 				c.ByKind["ack"] + c.ByKind["barrier-nack"]
 			return float64(pkts) / iters
@@ -299,16 +311,18 @@ func Packets(cfg Config) Figure {
 // (rank r enters at r/(n-1) of the skew span); the reported latency is
 // from the last entry to global completion. The NIC-based barrier buffers
 // early notifications in its bit vector and stays flat; the hardware
-// test-and-set retries once the skew exceeds its sync window.
+// test-and-set retries once the skew exceeds its sync window. Staggered
+// entry is an Elan session's own run (RunSkewed), so this figure alone
+// builds its session on the communicator layer's cluster directly.
 func Skew(cfg Config) Figure {
 	const size = 8
 	spansUS := []int{0, 10, 20, 40, 80, 160, 320}
 	run := func(scheme elan.Scheme) Measure {
 		return func(spanUS int) float64 {
-			cl, p := cfg.elan(size, fmt.Sprintf("skew %dn span%dus %v", size, spanUS, scheme))
+			cc, p := cfg.commCluster(nil, size, fmt.Sprintf("skew %dn span%dus %v", size, spanUS, scheme), nil)
 			defer p.drained()
 			ids := permutedIDs(cfg, size, size, 0x5e00|uint64(scheme))
-			s := elan.NewSession(cl, ids, scheme, barrier.Dissemination, barrier.Options{})
+			s := elan.NewSession(cc.El, ids, scheme, barrier.Dissemination, barrier.Options{})
 			skew := make([]sim.Duration, size)
 			for r := range skew {
 				skew[r] = sim.Micros(float64(spanUS) * float64(r) / float64(size-1))

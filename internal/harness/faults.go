@@ -5,7 +5,6 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/comm"
-	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
@@ -39,21 +38,6 @@ func faultSeed(cfg Config, salt uint64) uint64 {
 	return cfg.Seed ^ 0xfa17<<32 ^ salt
 }
 
-// MeasureMyrinetFaulted runs one Myrinet data point under a fault plan
-// built from rules (nil rules = fault-free).
-func MeasureMyrinetFaulted(cfg Config, prof hwprofile.MyrinetProfile, clusterSize, n int,
-	scheme myrinet.Scheme, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
-	return measureMyrinet(cfg, prof, clusterSize, n, scheme, alg, true, rules, salt)
-}
-
-// MeasureElanFaulted runs one Quadrics data point under a fault plan built
-// from rules. The Elan substrate strips loss-type effects (hardware
-// reliability), so loss-only rule sets leave the latency untouched.
-func MeasureElanFaulted(cfg Config, clusterSize, n int,
-	scheme elan.Scheme, alg barrier.Algorithm, rules []fault.Rule, salt uint64) float64 {
-	return measureElan(cfg, clusterSize, n, scheme, alg, true, rules, salt)
-}
-
 // FaultLossSweep sweeps random loss rate (percent) at a fixed cluster
 // size: the Myrinet collective barrier absorbs loss through
 // receiver-driven NACK retransmission (latency climbs with the NACK
@@ -71,13 +55,12 @@ func FaultLossSweep(cfg Config) Figure {
 	}
 	myri := func(alg barrier.Algorithm) Measure {
 		return func(pct int) float64 {
-			return MeasureMyrinetFaulted(cfg, prof, size, size,
-				myrinet.SchemeCollective, alg, rulesFor(pct), uint64(pct))
+			return measureBarrier(cfg, &prof, size, size, comm.GroupConfig{MyrinetScheme: myrinet.SchemeCollective, Algorithm: alg},
+				&faulted{rulesFor(pct), uint64(pct)})
 		}
 	}
 	quad := func(pct int) float64 {
-		return MeasureElanFaulted(cfg, size, size,
-			elan.SchemeChained, barrier.Dissemination, rulesFor(pct), uint64(pct))
+		return measureBarrier(cfg, nil, size, size, chainedDS, &faulted{rulesFor(pct), uint64(pct)})
 	}
 	return Figure{
 		ID:     "faults",
@@ -116,12 +99,10 @@ func FaultBurstSweep(cfg Config) Figure {
 		YLabel: "Latency",
 		Series: []Series{
 			sweep(cfg, "Myrinet-DS", bursts, func(b int) float64 {
-				return MeasureMyrinetFaulted(cfg, prof, size, size,
-					myrinet.SchemeCollective, barrier.Dissemination, rulesFor(b), uint64(b))
+				return measureBarrier(cfg, &prof, size, size, nicDS, &faulted{rulesFor(b), uint64(b)})
 			}),
 			sweep(cfg, "Quadrics-DS", bursts, func(b int) float64 {
-				return MeasureElanFaulted(cfg, size, size,
-					elan.SchemeChained, barrier.Dissemination, rulesFor(b), uint64(b))
+				return measureBarrier(cfg, nil, size, size, chainedDS, &faulted{rulesFor(b), uint64(b)})
 			}),
 		},
 		Notes: []string{
@@ -152,12 +133,10 @@ func FaultJitterSweep(cfg Config) Figure {
 		YLabel: "Latency",
 		Series: []Series{
 			sweep(cfg, "Myrinet-DS", jitters, func(us int) float64 {
-				return MeasureMyrinetFaulted(cfg, prof, size, size,
-					myrinet.SchemeCollective, barrier.Dissemination, rulesFor(us), uint64(us))
+				return measureBarrier(cfg, &prof, size, size, nicDS, &faulted{rulesFor(us), uint64(us)})
 			}),
 			sweep(cfg, "Quadrics-DS", jitters, func(us int) float64 {
-				return MeasureElanFaulted(cfg, size, size,
-					elan.SchemeChained, barrier.Dissemination, rulesFor(us), uint64(us))
+				return measureBarrier(cfg, nil, size, size, chainedDS, &faulted{rulesFor(us), uint64(us)})
 			}),
 		},
 		Notes: []string{
@@ -181,8 +160,7 @@ func FaultImpairments(cfg Config) Figure {
 		c := cfg
 		c.Permute = permute
 		return func(n int) float64 {
-			return MeasureMyrinetFaulted(c, prof, n, n, myrinet.SchemeCollective, barrier.Dissemination,
-				rules, 0x1a<<16|salt<<8|uint64(n))
+			return measureBarrier(c, &prof, n, n, nicDS, &faulted{rules, 0x1a<<16 | salt<<8 | uint64(n)})
 		}
 	}
 	everyNth := fault.DropEveryNth(50)

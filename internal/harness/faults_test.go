@@ -3,10 +3,8 @@ package harness
 import (
 	"testing"
 
-	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/myrinet"
 )
 
 func faultCfg() Config {
@@ -61,10 +59,9 @@ func TestFaultJitterSweepReachesBothInterconnects(t *testing.T) {
 func TestFaultedMeasurementsAreDeterministic(t *testing.T) {
 	cfg := faultCfg()
 	rules := []fault.Rule{fault.BurstLoss(0.05, 4)}
-	prof := hwprofile.LANaiXPCluster()
+	xp := hwprofile.LANaiXPCluster()
 	measure := func(salt uint64) float64 {
-		return MeasureMyrinetFaulted(cfg, prof, 8, 8,
-			myrinet.SchemeCollective, barrier.Dissemination, rules, salt)
+		return measureBarrier(cfg, &xp, 8, 8, nicDS, &faulted{rules, salt})
 	}
 	a := measure(1)
 	b := measure(1)

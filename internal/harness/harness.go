@@ -1,10 +1,18 @@
 // Package harness defines and runs the paper's experiments: one
 // constructor per figure (Figs. 5-8), the Section-8 headline summary
 // table, and the two ablations the paper argues from (direct-scheme
-// comparison and packet-count halving). Each experiment builds fresh
-// simulated clusters per data point, runs the paper's measurement loop
-// (warmup + averaged consecutive barriers, random node permutation), and
-// renders results as aligned tables or TSV for plotting.
+// comparison and packet-count halving), plus the reproduction's own
+// scenario families, all in one registry (scenarios.go).
+//
+// Each data point builds a fresh simulated cluster through one
+// constructor, Config.commCluster, and runs its groups on the
+// communicator layer (internal/comm). A single-group barrier point goes
+// through measureBarrier: node placement by permutedIDs, comm.Group.Run
+// for warmup plus measured iterations, and core.MeanLatency over the
+// completion times, the paper's Section 8 loop. FitScalability fits the
+// Section 8.3 model once, for fig8a, fig8b, the summary and the facade.
+// Only the skew figure drives a backend session itself, for its
+// staggered per-rank entry (elan.Session.RunSkewed).
 //
 // Data points are independent simulations, so sweeps fan out over a
 // bounded pool of goroutines — the one place this repository uses real

@@ -7,6 +7,7 @@ import (
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/comm"
 	"nicbarrier/internal/fault"
+	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
 )
@@ -56,7 +57,7 @@ func MeasureChurnPoint(cfg Config, quadrics bool, tenants int) comm.ChurnResult 
 // runChurn runs one churn data point on a fresh nodes-node cluster of
 // the named backend.
 func runChurn(cfg Config, quadrics bool, nodes int, spec comm.ChurnSpec) comm.ChurnResult {
-	c, p := cfg.commCluster(quadrics, nodes, fmt.Sprintf("churn %dn T=%d %v", nodes, spec.Tenants, spec.Policy), nil)
+	c, p := cfg.commCluster(xpUnless(quadrics), nodes, fmt.Sprintf("churn %dn T=%d %v", nodes, spec.Tenants, spec.Policy), nil)
 	defer p.drained()
 	res, err := comm.RunChurn(c, spec)
 	if err != nil {
@@ -105,7 +106,7 @@ func GroupChurn(cfg Config) Figure {
 // post-swap completion (uninstall + install charges + the first barrier
 // on cold NICs), reported next to the steady per-barrier latency.
 func MeasureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS float64) {
-	c, p := cfg.commCluster(quadrics, 2*n, fmt.Sprintf("reconfigure %dn/%d", 2*n, n), nil)
+	c, p := cfg.commCluster(xpUnless(quadrics), 2*n, fmt.Sprintf("reconfigure %dn/%d", 2*n, n), nil)
 	defer p.drained()
 	c.SetAdmission(comm.AdmissionConfig{ChargeSetupCosts: true})
 	perm := permutedIDs(cfg, 2*n, 2*n, 0x9ec0|uint64(n))
@@ -190,7 +191,8 @@ func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats
 		rule.Match.Kinds = fault.Kinds("barrier-coll")
 		plan = fault.NewPlan(faultSeed(cfg, 0x71c<<8|uint64(dropNth)), rule)
 	}
-	c, p := cfg.commCluster(false, 8, fmt.Sprintf("victim 8n drop-every-%d", dropNth), plan)
+	xp := hwprofile.LANaiXPCluster()
+	c, p := cfg.commCluster(&xp, 8, fmt.Sprintf("victim 8n drop-every-%d", dropNth), plan)
 	defer p.drained()
 	// All three arrive at 0 and install in this order, so the victim is
 	// group 1, the fault's target.

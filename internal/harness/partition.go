@@ -91,12 +91,12 @@ type partPoint struct {
 // region, so the wall series measures the parallel simulation itself.
 func measurePartitionedTenants(cfg Config, parts int) partPoint {
 	tenants, nodes := partTenantScale(cfg)
-	cs := make([]*comm.Cluster, parts)
+	cs, xp := make([]*comm.Cluster, parts), hwprofile.LANaiXPCluster()
 	for s := range cs {
 		// One scope per shard: each replica's engine runs on its own
 		// goroutine, the single writer its scope requires.
 		var p point
-		cs[s], p = cfg.commCluster(false, nodes, fmt.Sprintf("tenants %dn T=%d P=%d/shard%d", nodes, tenants, parts, s), nil)
+		cs[s], p = cfg.commCluster(&xp, nodes, fmt.Sprintf("tenants %dn T=%d P=%d/shard%d", nodes, tenants, parts, s), nil)
 		defer p.drained()
 	}
 	spec := comm.WorkloadSpec{

@@ -41,7 +41,7 @@ func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64,
 	if crash {
 		plan = fault.NewPlan(faultSeed(cfg, salt), fault.Crash(n/2, fault.Window{}))
 	}
-	c, p := cfg.commCluster(onElan, n, fmt.Sprintf("recovery %dn deadline%.0fus crash=%v", n, deadlineUS, crash), plan)
+	c, p := cfg.commCluster(xpUnless(onElan), n, fmt.Sprintf("recovery %dn deadline%.0fus crash=%v", n, deadlineUS, crash), plan)
 	defer p.drained()
 	members := make([]int, n)
 	for i := range members {

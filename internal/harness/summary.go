@@ -6,9 +6,9 @@ import (
 	"strings"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/comm"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/model"
 	"nicbarrier/internal/myrinet"
 )
 
@@ -61,37 +61,21 @@ func (t Table) Render() string {
 func Summary(cfg Config) Table {
 	xp := hwprofile.LANaiXPCluster()
 	l9 := hwprofile.LANai91Cluster()
+	hostDS := comm.GroupConfig{MyrinetScheme: myrinet.SchemeHost, Algorithm: barrier.Dissemination}
 
-	quadNIC := MeasureElan(cfg, 8, 8, elan.SchemeChained, barrier.Dissemination)
-	quadGsync := MeasureElan(cfg, 8, 8, elan.SchemeGsync, barrier.GatherBroadcast)
-	quadHW := MeasureElan(cfg, 8, 8, elan.SchemeHW, barrier.Dissemination)
+	quadNIC := measureBarrier(cfg, nil, 8, 8, chainedDS, nil)
+	quadGsync := measureBarrier(cfg, nil, 8, 8, comm.GroupConfig{ElanScheme: elan.SchemeGsync, Algorithm: barrier.GatherBroadcast}, nil)
+	quadHW := measureBarrier(cfg, nil, 8, 8, comm.GroupConfig{ElanScheme: elan.SchemeHW, Algorithm: barrier.Dissemination}, nil)
 
-	xpNIC := MeasureMyrinet(cfg, xp, 8, 8, myrinet.SchemeCollective, barrier.Dissemination)
-	xpHost := MeasureMyrinet(cfg, xp, 8, 8, myrinet.SchemeHost, barrier.Dissemination)
+	xpNIC := measureBarrier(cfg, &xp, 8, 8, nicDS, nil)
+	xpHost := measureBarrier(cfg, &xp, 8, 8, hostDS, nil)
 
-	l9NIC := MeasureMyrinet(cfg, l9, 16, 16, myrinet.SchemeCollective, barrier.Dissemination)
-	l9Host := MeasureMyrinet(cfg, l9, 16, 16, myrinet.SchemeHost, barrier.Dissemination)
+	l9NIC := measureBarrier(cfg, &l9, 16, 16, nicDS, nil)
+	l9Host := measureBarrier(cfg, &l9, 16, 16, hostDS, nil)
 
 	// Fit the scalability models from measured sweeps and extrapolate.
-	fitOver := func(measure Measure) model.Model {
-		ns := powersOfTwo(2, 1024)
-		xs := make([]int, len(ns))
-		ys := make([]float64, len(ns))
-		for i, n := range ns {
-			xs[i], ys[i] = n, measure(n)
-		}
-		m, err := model.Fit(xs, ys)
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-		return m
-	}
-	quadModel := fitOver(func(n int) float64 {
-		return MeasureElan(cfg, n, n, elan.SchemeChained, barrier.Dissemination)
-	})
-	myriModel := fitOver(func(n int) float64 {
-		return MeasureMyrinet(cfg, xp, n, n, myrinet.SchemeCollective, barrier.Dissemination)
-	})
+	quadModel := mustFitScalability(cfg, nil).Model
+	myriModel := mustFitScalability(cfg, &xp).Model
 
 	return Table{
 		ID:    "summary",

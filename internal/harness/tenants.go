@@ -46,7 +46,7 @@ func runWorkload(cfg Config, quadrics bool, nodes int, spec comm.WorkloadSpec, p
 	if spec.OpsPerTenant == 0 {
 		spec.OpsPerTenant = tenantOps(cfg)
 	}
-	c, p := cfg.commCluster(quadrics, nodes, fmt.Sprintf("workload %dn T=%d", nodes, spec.Tenants), plan)
+	c, p := cfg.commCluster(xpUnless(quadrics), nodes, fmt.Sprintf("workload %dn T=%d", nodes, spec.Tenants), plan)
 	defer p.drained()
 	res, err := comm.RunWorkload(c, spec)
 	if err != nil {

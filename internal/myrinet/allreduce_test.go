@@ -112,7 +112,7 @@ func TestAllreduceCostsLikeBarrier(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 8, nil)
 	bs := NewSession(cl, identity(8), SchemeCollective, barrier.PairwiseExchange, barrier.Options{})
-	barrierLat := bs.MeanLatency(5, 50)
+	barrierLat := core.MeanLatency(bs.Run(5+50), 5)
 
 	eng2 := sim.NewEngine()
 	cl2 := NewCluster(eng2, hwprofile.LANaiXPCluster(), 8, nil)
@@ -120,7 +120,7 @@ func TestAllreduceCostsLikeBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduceLat := rs.MeanLatency(5, 50)
+	reduceLat := core.MeanLatency(rs.Run(5+50), 5)
 
 	ratio := float64(reduceLat) / float64(barrierLat)
 	if ratio < 0.95 || ratio > 1.10 {

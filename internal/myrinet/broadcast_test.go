@@ -3,6 +3,7 @@ package myrinet
 import (
 	"testing"
 
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/sim"
 )
@@ -42,7 +43,7 @@ func TestBroadcastLatencyScalesWithDepth(t *testing.T) {
 		eng := sim.NewEngine()
 		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), n, nil)
 		s := newBroadcast(cl, identity(n), 0, degree)
-		return s.MeanLatency(3, 20)
+		return core.MeanLatency(s.Run(3+20), 3)
 	}
 	// Classic fan-out trade-off: a binary tree pays depth (more
 	// store-and-forward hops), an 8-ary tree pays root serialization

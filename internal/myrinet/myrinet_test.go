@@ -76,7 +76,7 @@ func meanLatency(t *testing.T, prof hwprofile.MyrinetProfile, n int, scheme Sche
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, prof, n, nil)
 	s := NewSession(cl, identity(n), scheme, alg, barrier.Options{})
-	return s.MeanLatency(5, iters)
+	return core.MeanLatency(s.Run(5+iters), 5)
 }
 
 func TestPointToPointDelivery(t *testing.T) {
@@ -430,7 +430,7 @@ func TestPermutationInvariance(t *testing.T) {
 		cl := NewCluster(eng, prof, 8, nil)
 		perm := rng.Perm(8)
 		s := NewSession(cl, perm, SchemeCollective, barrier.Dissemination, barrier.Options{})
-		got := s.MeanLatency(5, 30)
+		got := core.MeanLatency(s.Run(5+30), 5)
 		if diff := float64(got-base) / float64(base); diff > 0.05 || diff < -0.05 {
 			t.Errorf("permutation %v latency %v deviates from %v", perm, got, base)
 		}

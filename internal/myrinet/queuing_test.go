@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nicbarrier/internal/barrier"
+	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/sim"
 )
@@ -53,7 +54,7 @@ func barrierUnderLoad(t *testing.T, scheme Scheme, load bool) sim.Duration {
 		// Installing flood traffic wraps the session's event hooks.
 		floodTraffic(cl, 1024, nil)
 	}
-	return s.MeanLatency(5, 40)
+	return core.MeanLatency(s.Run(5+40), 5)
 }
 
 // The paper's queuing argument (Sections 3 and 6.1): with a dedicated

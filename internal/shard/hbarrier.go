@@ -160,10 +160,6 @@ func MeasureHierBarrier(spec HierSpec) HierResult {
 			}
 		}
 	}
-	var from sim.Time
-	if spec.Warmup > 0 {
-		from = done[spec.Warmup-1]
-	}
 	return HierResult{
 		Nodes:       spec.Nodes,
 		Parts:       spec.Parts,
@@ -171,7 +167,7 @@ func MeasureHierBarrier(spec HierSpec) HierResult {
 		Windows:     h.runner.Windows(),
 		Tokens:      h.runner.Delivered(),
 		DoneAt:      done,
-		MeanLatency: done[h.total-1].Sub(from) / sim.Duration(spec.Iters),
+		MeanLatency: core.MeanLatency(done, spec.Warmup),
 		WallTime:    wall,
 		MemBytes:    memBytes,
 	}

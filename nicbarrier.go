@@ -30,11 +30,9 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
-	"nicbarrier/internal/elan"
 	"nicbarrier/internal/harness"
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/model"
-	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
 )
 
@@ -337,12 +335,25 @@ const (
 // title.
 func Experiments() []string { return harness.Experiments() }
 
+// config maps f onto the harness's measurement loop, rejecting an
+// unknown fidelity.
+func (f Fidelity) config() (harness.Config, error) {
+	switch f {
+	case Quick:
+		return harness.Quick(), nil
+	case PaperFidelity:
+		return harness.PaperFidelity(), nil
+	default:
+		return harness.Config{}, fmt.Errorf("nicbarrier: unknown fidelity %d", int(f))
+	}
+}
+
 // RunExperiment regenerates one paper artifact and returns its rendered
 // table.
 func RunExperiment(id string, f Fidelity) (string, error) {
-	cfg := harness.Quick()
-	if f == PaperFidelity {
-		cfg = harness.PaperFidelity()
+	cfg, err := f.config()
+	if err != nil {
+		return "", err
 	}
 	return harness.Run(id, cfg)
 }
@@ -362,35 +373,29 @@ func (m ScalabilityModel) Predict(n int) float64 {
 
 // FitScalabilityModel measures the NIC-based dissemination barrier at
 // power-of-two sizes up to maxNodes and fits the paper's analytical
-// model to the results.
+// model to the results, as fig8a and fig8b do.
 func FitScalabilityModel(ic Interconnect, maxNodes int, f Fidelity) (ScalabilityModel, error) {
 	if maxNodes < 4 {
 		return ScalabilityModel{}, fmt.Errorf("nicbarrier: need maxNodes >= 4, got %d", maxNodes)
 	}
-	cfg := harness.Quick()
-	if f == PaperFidelity {
-		cfg = harness.PaperFidelity()
-	}
-	var ns []int
-	var ys []float64
-	for n := 2; n <= maxNodes; n *= 2 {
-		var lat float64
-		switch ic {
-		case QuadricsElan3:
-			lat = harness.MeasureElan(cfg, n, n, elan.SchemeChained, barrier.Dissemination)
-		case MyrinetLANai91, MyrinetLANaiXP:
-			lat = harness.MeasureMyrinet(cfg, myrinetProfile(ic), n, n,
-				myrinet.SchemeCollective, barrier.Dissemination)
-		default:
-			return ScalabilityModel{}, fmt.Errorf("nicbarrier: unknown interconnect %d", int(ic))
-		}
-		ns = append(ns, n)
-		ys = append(ys, lat)
-	}
-	m, err := model.Fit(ns, ys)
+	cfg, err := f.config()
 	if err != nil {
 		return ScalabilityModel{}, err
 	}
+	var myri *hwprofile.MyrinetProfile
+	switch ic {
+	case QuadricsElan3:
+	case MyrinetLANai91, MyrinetLANaiXP:
+		prof := myrinetProfile(ic)
+		myri = &prof
+	default:
+		return ScalabilityModel{}, fmt.Errorf("nicbarrier: unknown interconnect %d", int(ic))
+	}
+	fit, err := harness.FitScalability(cfg, myri, maxNodes)
+	if err != nil {
+		return ScalabilityModel{}, err
+	}
+	m := fit.Model
 	return ScalabilityModel{Tinit: m.Tinit, Ttrig: m.Ttrig, Tadj: m.Tadj, Equation: m.String()}, nil
 }
 

@@ -160,6 +160,40 @@ func TestFitScalabilityModelFacade(t *testing.T) {
 	}
 }
 
+// A Fidelity outside Quick and PaperFidelity is an error, not a silent
+// quick run.
+func TestUnknownFidelityRejected(t *testing.T) {
+	if _, err := RunExperiment("fig6", Fidelity(7)); err == nil {
+		t.Error("RunExperiment accepted Fidelity(7)")
+	}
+	if _, err := FitScalabilityModel(QuadricsElan3, 8, Fidelity(-1)); err == nil {
+		t.Error("FitScalabilityModel accepted Fidelity(-1)")
+	}
+}
+
+// HostBased on Quadrics is elan_gsync, a gather-broadcast tree whatever
+// the configured algorithm: a dissemination and a gather-broadcast
+// configuration run the same tree and give the same Result.
+func TestQuadricsHostBasedIsGsyncTree(t *testing.T) {
+	for _, degree := range []int{0, 2} {
+		cfg := Config{Interconnect: QuadricsElan3, Nodes: 7, Scheme: HostBased,
+			TreeDegree: degree, Permute: true, Seed: 3}
+		cfg.Algorithm = Dissemination
+		ds, err := MeasureBarrier(cfg, 5, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Algorithm = GatherBroadcast
+		gb, err := MeasureBarrier(cfg, 5, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds != gb {
+			t.Errorf("degree %d: DS %+v != GB %+v", degree, ds, gb)
+		}
+	}
+}
+
 func TestPaperModel(t *testing.T) {
 	m, ok := PaperModel(QuadricsElan3)
 	if !ok || m.Predict(1024) < 22.12 || m.Predict(1024) > 22.14 {
