@@ -21,7 +21,10 @@
 //     ```go block sets a field that nicbarrier.T{…} or <pkg>.T{…} does
 //     not have, or calls x.M(…), x not a package of the module or of
 //     the standard library, where no non-test type in the module
-//     declares a method M.
+//     declares a method M, or
+//   - a non-test Go source file cites a *.md file that exists neither
+//     at that path from the repository root nor from the file's own
+//     directory.
 //
 // Usage:
 //
@@ -75,6 +78,7 @@ func main() {
 	violations = append(violations, lintMetricCounts(*root)...)
 	violations = append(violations, lintCommands(*root, harness.Experiments())...)
 	violations = append(violations, lintCitations(*root)...)
+	violations = append(violations, lintDocRefs(*root)...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -216,6 +220,54 @@ func lintLinks(root, name string) []string {
 		}
 	}
 	return out
+}
+
+// mdName matches a markdown file name cited in Go source.
+var mdName = regexp.MustCompile(`[\w./-]+\.md\b`)
+
+// lintDocRefs reports every *.md file cited in a non-test Go source file
+// under root that resolves neither from root nor from the citing file's
+// directory. Hidden directories and testdata are not scanned.
+func lintDocRefs(root string) []string {
+	var out []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, ref := range mdName.FindAllString(line, -1) {
+				if exists(filepath.Join(root, ref)) || exists(filepath.Join(filepath.Dir(path), ref)) {
+					continue
+				}
+				out = append(out, fmt.Sprintf("%s:%d: cites %s, which does not exist", rel, i+1, ref))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		out = append(out, fmt.Sprintf("%s: %v", root, err))
+	}
+	return out
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // metricCount matches a quoted metric count: "530-metric", or "530

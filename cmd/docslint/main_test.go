@@ -198,3 +198,40 @@ func TestRepositoryCitations(t *testing.T) {
 		t.Fatalf("stale citations: %q", got)
 	}
 }
+
+// A fixture tree citing markdown files from Go source: a name missing
+// from the repository is reported with its file and line, also in the
+// fig7 table note that cited a nonexistent EXPERIMENTS.md; names that
+// resolve from the root or the citing file's directory, and citations
+// in tests and testdata, are not.
+func TestLintDocRefs(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"README.md":                "",
+		"internal/x/NOTES.md":      "",
+		"internal/x/testdata/a.go": "// see MISSING.md\n",
+		"internal/x/x_test.go":     "package x // see MISSING.md\n",
+		"internal/x/x.go": "package x\n\n// See README.md and NOTES.md.\n" +
+			"var note = \"divergence: PE is not faster than DS at non-power-of-two sizes here; see EXPERIMENTS.md\"\n",
+	}
+	for name, text := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{filepath.Join("internal", "x", "x.go") + ":4: cites EXPERIMENTS.md, which does not exist"}
+	if got := lintDocRefs(root); !slices.Equal(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// The repository's Go sources cite only markdown files that exist.
+func TestRepositoryDocRefs(t *testing.T) {
+	if got := lintDocRefs("../.."); len(got) != 0 {
+		t.Fatalf("dangling markdown citations: %q", got)
+	}
+}

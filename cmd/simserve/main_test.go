@@ -142,7 +142,7 @@ func TestServeScrapesEndToEnd(t *testing.T) {
 	if infos[0].State != "done" {
 		t.Fatalf("run ended %q (%s):\n%s", infos[0].State, infos[0].Error, out.String())
 	}
-	if infos[0].Progress.Done == 0 || infos[0].Progress.Epoch == 0 {
+	if infos[0].Progress.Ops == 0 || infos[0].Progress.Epoch == 0 {
 		t.Fatalf("finished run has empty progress: %+v", infos[0].Progress)
 	}
 

@@ -67,7 +67,7 @@ func TestGoldenSnapshotValidates(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}
-	if !strings.Contains(out, "ok, schema v2, 1 scopes") {
+	if !strings.Contains(out, "ok, schema v3, 1 scopes") {
 		t.Fatalf("output: %s", out)
 	}
 }
@@ -76,8 +76,8 @@ func TestInvalidSnapshots(t *testing.T) {
 	cases := map[string]string{
 		"not-json.json":     `nope`,
 		"wrong-ver.json":    `{"schemaVersion":99,"epoch":0,"atUS":0,"scopes":[]}`,
-		"bad-epoch.json":    `{"schemaVersion":2,"epoch":7,"atUS":0,"scopes":[{"name":"s","epoch":1,"atUS":0,"eventsFired":0,"eventsCancelled":0,"records":0,"groups":[]}]}`,
-		"noname-scope.json": `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"","epoch":0,"atUS":0,"eventsFired":0,"eventsCancelled":0,"records":0,"groups":[]}]}`,
+		"bad-epoch.json":    `{"schemaVersion":3,"epoch":7,"atUS":0,"scopes":[{"name":"s","epoch":1,"atUS":0,"eventsFired":0,"eventsCancelled":0,"records":0,"groups":[]}]}`,
+		"noname-scope.json": `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":"","epoch":0,"atUS":0,"eventsFired":0,"eventsCancelled":0,"records":0,"groups":[]}]}`,
 	}
 	for name, content := range cases {
 		if code, _, errb := tc(t, "-snapshot", write(t, name, content)); code != 1 {

@@ -274,7 +274,7 @@ func Soak(spec Spec) (Report, error) {
 	for i, r := range runs {
 		g := r.Group
 		st := g.Recovery()
-		rep.OpsCompleted += len(st.DoneTimes)
+		rep.OpsCompleted += g.OpsCompleted()
 		rep.Evictions += len(st.Evicted)
 		rep.Retries += st.Retries
 		rep.Timeouts += st.Timeouts

@@ -48,12 +48,16 @@
 // partitioning model and its fidelity trade. Churn runs one driver on
 // one cluster.
 //
-// Cluster.Counters and Group.CheckResults are the wire accounting and
-// the allreduce reference check every caller shares.
+// Every Group keeps one completion ledger (see ledger), written by its
+// completion hook for exclusive and driven runs alike; the same hook
+// emits each op's span on a traced cluster. Cluster.Counters and
+// Group.CheckResults are the wire accounting and the allreduce
+// reference check every caller shares.
 package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
@@ -152,8 +156,8 @@ type Cluster struct {
 	groups  []*Group
 	sched   *sched
 
-	// tr, when non-nil, is the observability scope the tenant driver
-	// emits per-operation spans and per-tenant metrics into.
+	// tr, when non-nil, is the observability scope every group emits
+	// its per-operation spans and per-tenant metrics into.
 	tr *obs.Scope
 
 	// hbRoute routes heartbeat deliveries and NACK-stall signals to the
@@ -164,26 +168,10 @@ type Cluster struct {
 
 // SetTracer attaches an observability scope to the communicator layer
 // and its backend cluster (network packet lifecycle, NIC firmware
-// events, per-op spans from the tenant driver). nil detaches.
+// events, every group's per-op spans). nil detaches.
 func (c *Cluster) SetTracer(sc *obs.Scope) {
 	c.tr = sc
 	c.be.setTracer(sc)
-}
-
-// SetMetronome arms periodic live snapshot publication on the attached
-// observability scope: every `every` of virtual time (checked as engine
-// events fire), the scope publishes an epoch-stamped snapshot that
-// other goroutines may read mid-run (obs.Scope.Live). The metronome is
-// observational only — it schedules nothing and charges no simulated
-// time, so virtual-time results stay bit-identical. It requires a
-// tracer (SetTracer) and installs the scope as the engine's observer;
-// without a tracer it is a no-op. 0 disarms.
-func (c *Cluster) SetMetronome(every sim.Duration) {
-	if c.tr == nil {
-		return
-	}
-	c.tr.SetMetronome(every)
-	c.Eng.SetObserver(c.tr)
 }
 
 // OverMyrinet builds a communicator layer over a Myrinet cluster.
@@ -262,9 +250,12 @@ type Group struct {
 
 	// tenant is the workload-wide tenant index every ID the group is
 	// installed under is bound to on a traced cluster (-1: none); run is
-	// the tenant driver's ledger while a driven run is in progress.
+	// the driven tenant while a RunTenants call is in progress.
 	tenant int
 	run    *TenantRun
+
+	// led is the group's completion ledger (see ledger).
+	led ledger
 
 	// pendingIters holds a launch that arrived while the install was
 	// still queued; it replays when the scheduler installs the group.
@@ -277,20 +268,12 @@ type Group struct {
 	installedAt sim.Time
 	queueWaitUS float64
 
-	// opsDone counts globally completed operations across runs AND
-	// reconfigurations — the group-level sequence the handoff preserves
-	// when membership swaps (each backend session numbers its own
-	// operations from 0; the group keeps the cumulative count).
-	opsDone int
-
 	// pace shapes the group's operation stream during workloads.
 	pace pacer
 
 	// rec is the group's fail-stop survival machinery; nil unless the
 	// driver armed it (setRecovery, recovery.go).
 	rec *recovery
-	// evictedNodes lists node IDs removed by Evict, in order.
-	evictedNodes []int
 }
 
 // NewGroup creates a communicator over the given members, installing its
@@ -313,31 +296,143 @@ func (c *Cluster) newGroup(gc GroupConfig, tenant int) (*Group, error) {
 	return g, nil
 }
 
+// ledger is a group's one record of the operations it completed, in
+// group-level op order across every run, Reset, swap, eviction and
+// rebuild: completion instants, fold results and membership epochs.
+// The session's current run keeps its own completions until the run is
+// reset or aborted or the session replaced; fold then moves them here,
+// so an exclusive run stores each op once. The current run's iteration
+// i is therefore always group op len(done)+i.
+type ledger struct {
+	ops      int        // completed operations, folded or still in the run
+	done     []sim.Time // completion instant of every folded op
+	launches []launch   // one entry per launch
+	// fold holds a fold kind's results and epochs; nil for other kinds
+	// and until the first install.
+	fold *foldLedger
+}
+
+// foldLedger is the part of a folding group's ledger that checks its
+// results: every folded op's result per rank and one membership epoch
+// per install.
+type foldLedger struct {
+	rows   [][]int64
+	epochs []epoch
+}
+
+// epoch is one install's membership, which ran the ops from group op
+// index from up to the next epoch's.
+type epoch struct {
+	from    int
+	members []int
+}
+
+// launch is one launch's instant: a closed-loop launch's first op,
+// group op index from, is eligible at it.
+type launch struct {
+	from int
+	at   sim.Time
+}
+
 // attach wires the group's completion multiplexer and pacing hooks into
-// a freshly bound session; called after every install (initial, queued,
-// or reconfiguration).
+// a freshly bound session and opens a folding group's membership epoch;
+// called after every install (initial, queued, or reconfiguration).
 func (g *Group) attach() {
 	g.sess.OnIterDone = g.onIterDone
+	if g.Kind.collective().fold {
+		if g.led.fold == nil {
+			g.led.fold = new(foldLedger)
+		}
+		g.led.fold.epochs = append(g.led.fold.epochs, epoch{from: g.led.ops, members: g.Members})
+	}
 	g.applyPace()
 }
 
-// onIterDone observes every globally completed operation: it advances
-// the group-level sequence, forwards to the tenant driver, and finalizes
-// a deferred Close once the run has drained.
+// onIterDone observes every globally completed operation: it ledgers
+// it, emits its span on a traced cluster, forwards to recovery and the
+// tenant driver, and finalizes a deferred Close once the run has
+// drained.
 func (g *Group) onIterDone(iter int, at sim.Time) {
-	g.opsDone++
-	if g.c.tr != nil {
-		g.c.tr.OpDone(int(g.ID))
-	}
+	k := g.led.ops
+	g.led.ops++
 	if g.rec != nil {
-		g.rec.onProgress(iter, at)
+		g.rec.onProgress()
+	}
+	if tr := g.c.tr; tr != nil {
+		tr.OpSpan(int(g.ID), g.Kind.String(), g.eligible(k), g.sess.StartAt()[iter], at)
 	}
 	if g.run != nil {
-		g.run.opDone(iter, at)
+		g.run.opDone()
 	}
 	if g.closing && g.sess.Done() {
 		g.finalizeClose()
 	}
+}
+
+// fold moves the current run's completions into the ledger. It runs
+// before the run's bookkeeping is cleared (Reset, Abort) or its session
+// replaced (Reconfigure); folding again is a no-op.
+func (g *Group) fold() {
+	l := &g.led
+	tail := l.ops - len(l.done)
+	if tail == 0 {
+		return
+	}
+	l.done = append(l.done, g.sess.DoneAt()[:tail]...)
+	if f := l.fold; f != nil {
+		f.rows = append(f.rows, g.sess.Results()[:tail]...)
+	}
+}
+
+// doneAt is op k's completion instant.
+func (g *Group) doneAt(k int) sim.Time {
+	if k < len(g.led.done) {
+		return g.led.done[k]
+	}
+	return g.sess.DoneAt()[k-len(g.led.done)]
+}
+
+// row is fold op k's result per rank.
+func (g *Group) row(k int) []int64 {
+	if rows := g.led.fold.rows; k < len(rows) {
+		return rows[k]
+	}
+	return g.sess.Results()[k-len(g.led.done)]
+}
+
+// contrib is the contribution a folding group's session posts: the
+// configured Contrib at the group-level op index, so the stream runs on
+// across swaps and rebuilds.
+func (g *Group) contrib(rank, iter int) int64 {
+	return g.gc.Contrib(rank, len(g.led.done)+iter)
+}
+
+// eligible is the instant op k became eligible to post, where its span
+// and its latency start: an open-loop op's arrival; for a closed loop,
+// its launch instant if it is a launch's first op, else the previous
+// completion (recovery relaunches included), plus the op's think time.
+func (g *Group) eligible(k int) sim.Time {
+	if a := g.pace.arrivals; a != nil {
+		return a[k]
+	}
+	ls := g.led.launches
+	i := len(ls) - 1
+	for ls[i].from > k {
+		i--
+	}
+	at := ls[i].at
+	if ls[i].from < k {
+		at = g.doneAt(k - 1)
+	}
+	if t := g.pace.think; t != nil {
+		at = at.Add(t[k])
+	}
+	return at
+}
+
+// markLaunch records a launch at the current instant.
+func (g *Group) markLaunch() {
+	g.led.launches = append(g.led.launches, launch{from: g.led.ops, at: g.c.Eng.Now()})
 }
 
 // applyPace (re)installs the group's pacer as the session's NextAt gate;
@@ -363,7 +458,22 @@ func (g *Group) Closed() bool { return g.closed }
 // operations completed globally across runs and reconfigurations. The
 // membership handoff preserves it — a group that runs 10 ops,
 // reconfigures, and runs 10 more reports 20.
-func (g *Group) OpsCompleted() int { return g.opsDone }
+func (g *Group) OpsCompleted() int { return g.led.ops }
+
+// Completions returns every completed operation's completion instant in
+// group-level op order, across runs, swaps and recovery rebuilds. The
+// slice may alias the ledger: callers must not modify it.
+func (g *Group) Completions() []sim.Time {
+	l := &g.led
+	if l.ops == len(l.done) {
+		return l.done
+	}
+	tail := g.sess.DoneAt()[:l.ops-len(l.done)]
+	if len(l.done) == 0 {
+		return tail
+	}
+	return append(slices.Clip(l.done), tail...)
+}
 
 // QueueWaitUS reports how long the group's install waited in the
 // admission queue, in simulated microseconds (0 for immediate installs;
@@ -386,6 +496,7 @@ func (g *Group) Run(iters int) []sim.Time {
 		panic("comm: Run on a recovery-enabled group (run it as a Tenant with Recovery through RunTenants)")
 	}
 	g.launched = true
+	g.markLaunch()
 	return g.sess.Run(iters)
 }
 
@@ -407,10 +518,12 @@ func (g *Group) launch(iters int) {
 			panic("comm: group launched twice (Reset between runs)")
 		}
 		g.launched = true
+		g.markLaunch()
 		g.pendingIters = iters
 		return
 	}
 	g.launched = true
+	g.markLaunch()
 	g.launchSess(iters)
 }
 
@@ -420,7 +533,7 @@ func (g *Group) launch(iters int) {
 // session numbers its operations from 0, so the pacer's schedule is
 // shifted to continue at the group-level operation index.
 func (g *Group) launchSess(iters int) {
-	g.pace.off = g.opsDone
+	g.pace.off = g.led.ops
 	g.sess.Launch(iters)
 	if g.rec != nil {
 		g.rec.onLaunch(iters)
@@ -432,20 +545,18 @@ func (g *Group) Done() bool {
 	return g.sess != nil && g.pendingIters == 0 && g.sess.Done()
 }
 
-// DoneAt returns per-iteration completion times (valid once Done).
+// DoneAt returns the current run's per-iteration completion times
+// (valid once Done); Completions holds every run's.
 func (g *Group) DoneAt() []sim.Time { return g.sess.DoneAt() }
-
-// StartAt returns per-iteration first-post times for the current run
-// (-1 where not yet posted); see core.Session.StartAt.
-func (g *Group) StartAt() []sim.Time { return g.sess.StartAt() }
 
 // Reset readies a finished group for another run: the NIC group-queue
 // entry stays installed and its sequence space continues, only the run
-// bookkeeping clears.
+// bookkeeping clears (the group's ledger keeps the run's completions).
 func (g *Group) Reset() {
 	if g.sess == nil {
 		panic("comm: Reset on a queued group (its install has not been served)")
 	}
+	g.fold()
 	g.sess.Reset()
 	g.launched = false
 }
@@ -513,6 +624,7 @@ func (g *Group) Reconfigure(newMembers []int) error {
 		return err
 	}
 	oldSess, oldGC, oldMembers := g.sess, g.gc, g.Members
+	g.fold()
 	if err := g.c.sched.install(g, gc, plan); err != nil {
 		return err // install leaves g on its old session
 	}
@@ -522,8 +634,8 @@ func (g *Group) Reconfigure(newMembers []int) error {
 	return nil
 }
 
-// Results returns allreduce outcomes per iteration and rank; nil for
-// other group kinds.
+// Results returns the current run's allreduce outcomes per iteration
+// and rank; nil for other group kinds.
 func (g *Group) Results() [][]int64 {
 	if g.sess == nil {
 		return nil
@@ -531,35 +643,30 @@ func (g *Group) Results() [][]int64 {
 	return g.sess.Results()
 }
 
-// CheckResults verifies every completed operation's result on every
+// CheckResults verifies every ledgered operation's result on every
 // rank of a folding group (allreduce) against the reference reduction:
-// the group's own operator folded over its members' contributions for
-// that operation. It is the cheap invariant that proves concurrent
-// groups did not contaminate each other's NIC state. A group with
-// recovery armed checks its recovery ledger instead, epoch by epoch,
-// since each eviction shrinks the membership and so changes the
-// expected reduction. Other kinds have nothing to check.
+// the group's own operator folded over the contributions of the
+// membership epoch that ran that operation. It is the cheap invariant
+// that proves concurrent groups did not contaminate each other's NIC
+// state, across swaps and evictions alike. Other kinds have nothing to
+// check.
 func (g *Group) CheckResults() error {
-	if !g.Kind.collective().fold {
+	if g.led.fold == nil {
 		return nil
 	}
-	rows, epochs, contrib := g.Results(), []MembershipEpoch{{Members: g.Members}}, g.gc.Contrib
-	if g.rec != nil {
-		rows, epochs, contrib = g.rec.rows, g.rec.epochs, g.rec.contrib
-	}
-	e := 0
-	for op, row := range rows {
-		for e+1 < len(epochs) && epochs[e+1].FromOp <= op {
+	epochs, e := g.led.fold.epochs, 0
+	for op := range g.led.ops {
+		for e+1 < len(epochs) && epochs[e+1].from <= op {
 			e++
 		}
-		size := len(epochs[e].Members)
+		row, size := g.row(op), len(epochs[e].members)
 		if len(row) != size {
 			return fmt.Errorf("comm: group %d %v op %d: %d results for a membership of %d",
 				g.ID, g.Kind, op, len(row), size)
 		}
-		want := contrib(0, op)
+		want := g.gc.Contrib(0, op)
 		for r := 1; r < size; r++ {
-			want = g.gc.Reduce.Combine(want, contrib(r, op))
+			want = g.gc.Reduce.Combine(want, g.gc.Contrib(r, op))
 		}
 		for rank, got := range row {
 			if got != want {

@@ -174,7 +174,7 @@ func TestSharedNodeContention(t *testing.T) {
 	shared := xpComm(8)
 	// Same nodes twice: the second group takes a second slot.
 	runs := drive(t, shared, 10, barrierConfig(0, 1, 2, 3), barrierConfig(0, 1, 2, 3))
-	if got := runs[0].Done[9]; got <= aloneDone {
+	if got := runs[0].Group.Completions()[9]; got <= aloneDone {
 		t.Fatalf("contended group finished at %v, not later than solo %v", got, aloneDone)
 	}
 }
@@ -204,8 +204,8 @@ func TestSlotExhaustionCleanError(t *testing.T) {
 		t.Fatalf("failed creation left %d groups registered, want %d", len(c.Groups()), slots)
 	}
 	for i, r := range runs[:slots] {
-		if len(r.Done) != 3 || !r.Group.Done() {
-			t.Fatalf("tenant %d completed %d of 3 ops beside the refused install", i, len(r.Done))
+		if r.Group.OpsCompleted() != 3 || !r.Group.Done() {
+			t.Fatalf("tenant %d completed %d of 3 ops beside the refused install", i, r.Group.OpsCompleted())
 		}
 	}
 }
@@ -258,7 +258,7 @@ func TestGroupScopedFaultTargeting(t *testing.T) {
 		runs := drive(t, OverMyrinet(cl), 12,
 			barrierConfig(0, 1, 2, 3), // group ID 1
 			barrierConfig(2, 3, 4, 5)) // group ID 2, shares 2 and 3
-		return runs[0].Done, runs[1].Done, cl.Net.Counters().Dropped
+		return runs[0].Group.Completions(), runs[1].Group.Completions(), cl.Net.Counters().Dropped
 	}
 	scoped := fault.DropEveryNth(5)
 	scoped.Match.Groups = fault.Groups(1)

@@ -37,17 +37,14 @@ type Tenant struct {
 	Recovery RecoveryConfig
 }
 
-// TenantRun is one tenant's ledger of a driven run.
+// TenantRun is one tenant of a driven run: its record and the group it
+// ran on, whose ledger (Group.Completions) holds what it completed.
 type TenantRun struct {
 	Tenant
 	// Group is the tenant's group; nil if its install never ran.
 	Group *Group
-	// Done holds every completed op's completion instant in op order,
-	// across swaps and recovery rebuilds.
-	Done []sim.Time
 
-	arrived sim.Time // when the arrival event fired
-	swapErr error    // the swap's rebuild error; nil if it took
+	swapErr error // the swap's rebuild error; nil if it took
 	d       *driver
 }
 
@@ -60,11 +57,10 @@ type driver struct {
 // RunTenants is the tenant driver: it runs ts on c, each tenant
 // installing its group from its own engine event at its arrival
 // instant, then launching, pacing, swapping membership at its swap
-// point and departing if it departs. Every completed op is ledgered and,
-// on a traced cluster, emitted as a span at its completion. The run
-// drives the engine until it drains, so every tenant has completed its
-// ops, failed terminally, departed or stalled. It returns one ledger per
-// tenant, in ts order. An install failure installs no later tenant and
+// point and departing if it departs. The run drives the engine until
+// it drains, so every tenant has completed its ops, failed terminally,
+// departed or stalled. It returns one TenantRun per tenant, in ts
+// order. An install failure installs no later tenant and
 // returns that tenant's error. If tenants stalled, the error wraps
 // ErrStalled and names them and how many of them still wait for NIC
 // slots.
@@ -73,7 +69,7 @@ func RunTenants(c *Cluster, ts []Tenant) ([]TenantRun, error) {
 	runs := make([]TenantRun, len(ts))
 	for i, t := range ts {
 		r := &runs[i]
-		*r = TenantRun{Tenant: t, Done: make([]sim.Time, 0, t.Ops), d: d}
+		*r = TenantRun{Tenant: t, d: d}
 		c.Eng.Schedule(max(t.At, c.Eng.Now()), r.arrive)
 	}
 	c.Eng.Run()
@@ -91,7 +87,7 @@ func RunTenants(c *Cluster, ts []Tenant) ([]TenantRun, error) {
 	var stalled []int
 	queued := 0
 	for _, r := range runs {
-		if len(r.Done) < r.Ops && !r.Group.Failed() {
+		if r.Group.OpsCompleted() < r.Ops && !r.Group.Failed() {
 			stalled = append(stalled, r.Index)
 			if !r.Group.Installed() {
 				queued++
@@ -122,7 +118,7 @@ func (r *TenantRun) arrive() {
 		d.err = fmt.Errorf("comm: tenant %d: %w", r.Index, err)
 		return
 	}
-	r.Group, r.arrived, g.run = g, d.c.Eng.Now(), r
+	r.Group, g.run = g, r
 	g.pace = pacer{eng: d.c.Eng, arrivals: r.Arrivals, think: r.Think}
 	g.applyPace()
 	ops := r.Ops
@@ -132,15 +128,11 @@ func (r *TenantRun) arrive() {
 	g.launch(ops)
 }
 
-// opDone is the group's completion hook: it ledgers the op, emits its
-// span, and at the end of a run swaps the tenant or retires it.
-func (r *TenantRun) opDone(iter int, at sim.Time) {
+// opDone is the driver's part of the group's completion hook: at the
+// end of a run it swaps the tenant or retires it.
+func (r *TenantRun) opDone() {
 	g := r.Group
-	if tr := g.c.tr; tr != nil {
-		tr.OpSpan(int(g.ID), g.Kind.String(), r.eligible(len(r.Done)), g.StartAt()[iter], at)
-	}
-	r.Done = append(r.Done, at)
-	switch len(r.Done) {
+	switch g.OpsCompleted() {
 	case r.SwapAt:
 		g.Reset()
 		r.swapErr = g.rebuild(r.SwapTo)
@@ -150,22 +142,4 @@ func (r *TenantRun) opDone(iter int, at sim.Time) {
 			g.Close() // frees the slots; queued installs drain now
 		}
 	}
-}
-
-// eligible is the instant op k became eligible to post, where its span
-// and its latency start: an open-loop op's arrival, a closed-loop op's
-// think time after the previous completion (op 0: after the tenant's
-// arrival).
-func (r *TenantRun) eligible(k int) sim.Time {
-	if r.Arrivals != nil {
-		return r.Arrivals[k]
-	}
-	at := r.arrived
-	if k > 0 {
-		at = r.Done[k-1]
-	}
-	if r.Think != nil {
-		at = at.Add(r.Think[k])
-	}
-	return at
 }

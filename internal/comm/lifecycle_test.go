@@ -240,7 +240,7 @@ func TestWithdrawnHeadUnblocksQueue(t *testing.T) {
 	})
 	run := drive(t, c, 3, barrierConfig(2, 3))[0]
 	tail := run.Group
-	if !tail.Done() || len(run.Done) != 3 {
+	if !tail.Done() || tail.OpsCompleted() != 3 {
 		t.Fatal("tail's replayed launch never completed")
 	}
 	a.Close()
@@ -410,7 +410,8 @@ func TestReconfigureHandoff(t *testing.T) {
 }
 
 // Reconfiguring an allreduce group stays exact on the new membership —
-// the collective state reinstalls from scratch, so results verify.
+// the collective state reinstalls from scratch, so results verify — and
+// the contribution stream runs on at the group-level op index.
 func TestReconfigureAllreduceExact(t *testing.T) {
 	c := xpComm(8)
 	contrib := func(rank, iter int) int64 { return int64(rank*3 + iter) }
@@ -435,12 +436,15 @@ func TestReconfigureAllreduceExact(t *testing.T) {
 		if len(row) != 5 {
 			t.Fatalf("iter %d: %d ranks", iter, len(row))
 		}
-		want := int64(4*3 + iter) // max rank is 4 on the new membership
+		want := int64(4*3 + 5 + iter) // max rank is 4 on the new membership, op 5+iter
 		for rank, got := range row {
 			if got != want {
 				t.Fatalf("iter %d rank %d: got %d want %d", iter, rank, got, want)
 			}
 		}
+	}
+	if err := g.CheckResults(); err != nil {
+		t.Fatalf("CheckResults across the swap: %v", err)
 	}
 	g.Close()
 }
@@ -695,5 +699,34 @@ func BenchmarkSchedDispatch(b *testing.B) {
 			s.used[id]++
 		}
 		s.release(g.gc, g.Members)
+	}
+}
+
+// An allreduce tenant that swaps membership mid-stream is checked on
+// every op: the ledger keeps the pre-swap rows, each is checked against
+// the membership that produced it, and a corrupted pre-swap row is
+// reported.
+func TestSwappedAllreduceTenantChecksEveryRow(t *testing.T) {
+	c := xpComm(8)
+	runs, err := RunTenants(c, []Tenant{{Ops: 10, SwapAt: 5, SwapTo: []int{4, 5, 6, 7, 0},
+		Config: GroupConfig{Members: []int{0, 1, 2, 3}, Kind: OpAllreduce, Reduce: core.ReduceMax,
+			Contrib: func(rank, iter int) int64 { return int64(rank*10 + iter) }}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := runs[0].Group
+	if runs[0].swapErr != nil || g.Size() != 5 {
+		t.Fatalf("swap did not take: %v, %d members", runs[0].swapErr, g.Size())
+	}
+	if g.OpsCompleted() != 10 || len(g.led.fold.rows) != 5 || len(g.Results()) != 5 {
+		t.Fatalf("%d ops, %d folded rows, %d current rows; want 10, 5, 5",
+			g.OpsCompleted(), len(g.led.fold.rows), len(g.Results()))
+	}
+	if err := g.CheckResults(); err != nil {
+		t.Fatalf("CheckResults on exact rows: %v", err)
+	}
+	g.led.fold.rows[2][1]++
+	if err := g.CheckResults(); err == nil || !strings.Contains(err.Error(), "op 2 rank 1") {
+		t.Fatalf("corrupted pre-swap row: CheckResults = %v", err)
 	}
 }

@@ -43,13 +43,12 @@ func TestMetronomeNeutralAndPublishes(t *testing.T) {
 		t.Fatalf("final publication not time-stamped: %+v", ls)
 	}
 	want := uint64(spec.Tenants * spec.OpsPerTenant)
-	var done, ops uint64
+	var ops uint64
 	for _, g := range ls.Groups {
-		done += g.Done
 		ops += g.Ops
 	}
-	if done != want || ops != want {
-		t.Fatalf("final snapshot: done=%d ops=%d, want %d of each", done, ops, want)
+	if ops != want {
+		t.Fatalf("final snapshot: ops=%d, want %d", ops, want)
 	}
 	rows := tr.LiveSnapshot().MergeTenants()
 	if len(rows) != spec.Tenants {
@@ -91,8 +90,8 @@ func TestShardedSnapshotTenantView(t *testing.T) {
 		if r.Tenant != i {
 			t.Fatalf("row %d is tenant %d", i, r.Tenant)
 		}
-		if r.Done != uint64(spec.OpsPerTenant) || r.Ops != uint64(spec.OpsPerTenant) {
-			t.Fatalf("tenant %d: done=%d ops=%d, want %d", i, r.Done, r.Ops, spec.OpsPerTenant)
+		if r.Ops != uint64(spec.OpsPerTenant) {
+			t.Fatalf("tenant %d: ops=%d, want %d", i, r.Ops, spec.OpsPerTenant)
 		}
 		if r.Latency.Count != uint64(spec.OpsPerTenant) {
 			t.Fatalf("tenant %d pooled latency count = %d", i, r.Latency.Count)
@@ -105,7 +104,7 @@ func TestShardedSnapshotTenantView(t *testing.T) {
 		t.Fatalf("quiescent merge rows = %d, live = %d", len(quiet), len(rows))
 	}
 	for i := range rows {
-		if quiet[i].Done != rows[i].Done || quiet[i].Latency.Count != rows[i].Latency.Count {
+		if quiet[i].Ops != rows[i].Ops || quiet[i].Latency.Count != rows[i].Latency.Count {
 			t.Fatalf("tenant %d: quiescent %+v vs live %+v", i, quiet[i], rows[i])
 		}
 	}
@@ -152,7 +151,7 @@ func TestConcurrentLiveScrape(t *testing.T) {
 			}
 			var done uint64
 			for _, g := range s.Groups {
-				done += g.Done
+				done += g.Ops
 			}
 			if done < lastDone {
 				t.Errorf("done ops regressed: %d after %d", done, lastDone)
@@ -176,7 +175,7 @@ func TestConcurrentLiveScrape(t *testing.T) {
 	ls := sc.Live()
 	var done uint64
 	for _, g := range ls.Groups {
-		done += g.Done
+		done += g.Ops
 	}
 	if want := uint64(spec.Tenants * spec.OpsPerTenant); done != want {
 		t.Fatalf("final done = %d, want %d", done, want)

@@ -102,22 +102,6 @@ type RecoveryStatus struct {
 	// Err is the terminal error (*core.OpTimeoutError), nil while the
 	// group is healthy or recovered.
 	Err error
-	// DoneTimes holds the completion time of every operation that
-	// completed under recovery, across aborts and memberships.
-	DoneTimes []sim.Time
-	// Rows holds allreduce results per completed operation (nil for
-	// other kinds). Row width follows the membership that produced it.
-	Rows [][]int64
-	// Epochs records the membership that produced each segment of
-	// DoneTimes/Rows: epoch e covers operations Epochs[e].FromOp up to
-	// the next epoch's FromOp.
-	Epochs []MembershipEpoch
-}
-
-// MembershipEpoch is one segment of a recovering group's life.
-type MembershipEpoch struct {
-	FromOp  int
-	Members []int
 }
 
 // recovery is the per-group fail-stop survival machinery.
@@ -129,21 +113,12 @@ type recovery struct {
 	// terminal failure, backoff windows (group momentarily not launched)
 	// included; heartbeats, deadline and relaunch act only while it is set.
 	inFlight bool
-	target   int // operations the current launch must complete in total
+	target   int // the group's completed-op count that settles the run
 
-	doneTimes []sim.Time
-	rows      [][]int64
-	epochs    []MembershipEpoch
-	retries   int
-	timeouts  int
-	err       error
-
-	// offset maps the current session's run-local iteration to the
-	// group-global operation index the allreduce contrib sees; bumped
-	// to opsDone at every rebuild. contrib is the group's original
-	// contribution function, indexed by that global index.
-	offset  int
-	contrib func(rank, op int) int64
+	evicted  []int // node IDs removed by Evict, in order
+	retries  int
+	timeouts int
+	err      error
 
 	watchdog  sim.Timer
 	hbTimer   sim.Timer
@@ -171,14 +146,6 @@ func (g *Group) setRecovery(cfg RecoveryConfig) error {
 		return err
 	}
 	rec := &recovery{g: g, cfg: cfg.withDefaults()}
-	if g.Kind.collective().fold {
-		// Rebuilt sessions number operations from 0 again; keep the
-		// tenant's contribution stream continuous across rebuilds by
-		// offsetting the run-local iteration. Always wraps the
-		// ORIGINAL contrib, so repeated rebuilds don't stack offsets.
-		rec.contrib = g.gc.Contrib
-		g.gc.Contrib = func(rank, iter int) int64 { return rec.contrib(rank, iter+rec.offset) }
-	}
 	g.rec = rec
 	g.c.ensureFailureRouting()
 	g.c.hbRoute[g.ID] = rec
@@ -193,13 +160,10 @@ func (g *Group) Recovery() *RecoveryStatus {
 	}
 	rec := g.rec
 	return &RecoveryStatus{
-		Evicted:   slices.Clone(g.evictedNodes),
-		Retries:   rec.retries,
-		Timeouts:  rec.timeouts,
-		Err:       rec.err,
-		DoneTimes: slices.Clone(rec.doneTimes),
-		Rows:      slices.Clone(rec.rows),
-		Epochs:    slices.Clone(rec.epochs),
+		Evicted:  slices.Clone(rec.evicted),
+		Retries:  rec.retries,
+		Timeouts: rec.timeouts,
+		Err:      rec.err,
 	}
 }
 
@@ -247,7 +211,9 @@ func (g *Group) Evict(ranks ...int) error {
 	if err := g.rebuild(survivors); err != nil {
 		return err
 	}
-	g.evictedNodes = append(g.evictedNodes, victims...)
+	if g.rec != nil {
+		g.rec.evicted = append(g.rec.evicted, victims...)
+	}
 	if g.c.tr != nil {
 		for _, node := range victims {
 			g.c.tr.Lifecycle(g.c.Eng.Now(), int(g.ID), obs.KindEvict, int64(node))
@@ -257,20 +223,15 @@ func (g *Group) Evict(ranks ...int) error {
 }
 
 // rebuild swaps the group onto members via Reconfigure, keeping the
-// heartbeat routing and contrib offset coherent across the ID change.
+// heartbeat routing coherent across the ID change.
 func (g *Group) rebuild(members []int) error {
 	oldID := g.ID
-	if g.rec != nil {
-		g.rec.offset = g.opsDone
-	}
 	if err := g.Reconfigure(members); err != nil {
 		return err
 	}
 	if g.rec != nil {
 		delete(g.c.hbRoute, oldID)
 		g.c.hbRoute[g.ID] = g.rec
-		g.rec.epochs = append(g.rec.epochs, MembershipEpoch{
-			FromOp: len(g.rec.doneTimes), Members: slices.Clone(g.Members)})
 	}
 	return nil
 }
@@ -298,8 +259,8 @@ func (c *Cluster) ensureFailureRouting() {
 }
 
 // onLaunch arms the machinery for a fresh launch (not a relaunch): the
-// completion ledger resets, the watchdog arms, and the heartbeat ring
-// starts ticking.
+// run's target is set, the watchdog arms, and the heartbeat ring starts
+// ticking.
 func (rec *recovery) onLaunch(iters int) {
 	if rec.inFlight {
 		// A relaunch inside an ongoing run: target stands.
@@ -307,11 +268,8 @@ func (rec *recovery) onLaunch(iters int) {
 		return
 	}
 	rec.inFlight = true
-	rec.target = iters
+	rec.target = rec.g.led.ops + iters
 	rec.err = nil
-	rec.doneTimes = rec.doneTimes[:0]
-	rec.rows = rec.rows[:0]
-	rec.epochs = append(rec.epochs[:0], MembershipEpoch{FromOp: 0, Members: slices.Clone(rec.g.Members)})
 	rec.armRun()
 	rec.tickHeartbeats()
 }
@@ -376,15 +334,10 @@ func (rec *recovery) tickHeartbeats() {
 	rec.hbTimer = g.c.Eng.After(rec.cfg.HeartbeatEvery, rec.tickHeartbeats)
 }
 
-// onProgress observes one globally completed operation: ledger the
-// completion, settle if the target is reached, else push the deadline
-// out.
-func (rec *recovery) onProgress(iter int, at sim.Time) {
-	rec.doneTimes = append(rec.doneTimes, at)
-	if res := rec.g.Results(); res != nil && iter < len(res) {
-		rec.rows = append(rec.rows, slices.Clone(res[iter]))
-	}
-	if len(rec.doneTimes) >= rec.target {
+// onProgress observes one globally completed operation: settle if the
+// target is reached, else push the deadline out.
+func (rec *recovery) onProgress() {
+	if rec.g.led.ops >= rec.target {
 		rec.settle()
 		return
 	}
@@ -407,7 +360,7 @@ func (rec *recovery) stopTimers() {
 
 // fail ends a recovering run terminally.
 func (rec *recovery) fail(suspects []int) {
-	rec.err = &core.OpTimeoutError{Group: rec.g.ID, Op: rec.g.opsDone, Suspects: suspects}
+	rec.err = &core.OpTimeoutError{Group: rec.g.ID, Op: rec.g.led.ops, Suspects: suspects}
 	rec.inFlight = false
 	rec.stopTimers()
 }
@@ -443,8 +396,9 @@ func (rec *recovery) onDeadline() {
 		suspectNodes = append(suspectNodes, g.Members[r])
 	}
 	if g.c.tr != nil {
-		g.c.tr.Lifecycle(g.c.Eng.Now(), int(g.ID), obs.KindOpTimeout, int64(g.opsDone))
+		g.c.tr.Lifecycle(g.c.Eng.Now(), int(g.ID), obs.KindOpTimeout, int64(g.led.ops))
 	}
+	g.fold()
 	g.sess.Abort()
 	g.launched = false
 	if rec.retries >= rec.cfg.MaxRetries {
@@ -481,7 +435,7 @@ func (rec *recovery) relaunch() {
 	if g.closed || !rec.inFlight {
 		return
 	}
-	remaining := rec.target - len(rec.doneTimes)
+	remaining := rec.target - g.led.ops
 	if remaining <= 0 {
 		rec.settle()
 		return

@@ -2,7 +2,8 @@ package comm
 
 import (
 	"errors"
-	"slices"
+	"fmt"
+	"strings"
 	"testing"
 
 	"nicbarrier/internal/barrier"
@@ -65,8 +66,8 @@ func TestPermanentCrashEvictedMyrinet(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovering run: %v", err)
 	}
-	if len(r.Done) != iters {
-		t.Fatalf("completed %d of %d operations", len(r.Done), iters)
+	if n := r.Group.OpsCompleted(); n != iters {
+		t.Fatalf("completed %d of %d operations", n, iters)
 	}
 	g := r.Group
 	st := g.Recovery()
@@ -114,8 +115,8 @@ func TestPermanentCrashEvictedElan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovering run: %v", err)
 	}
-	if len(r.Done) != 8 {
-		t.Fatalf("completed %d of 8 operations", len(r.Done))
+	if n := r.Group.OpsCompleted(); n != 8 {
+		t.Fatalf("completed %d of 8 operations", n)
 	}
 	g := r.Group
 	st := g.Recovery()
@@ -152,8 +153,8 @@ func TestWindowedCrashRetriesWithoutEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovering run: %v", err)
 	}
-	if len(r.Done) != 6 {
-		t.Fatalf("completed %d of 6 operations", len(r.Done))
+	if n := r.Group.OpsCompleted(); n != 6 {
+		t.Fatalf("completed %d of 6 operations", n)
 	}
 	g := r.Group
 	st := g.Recovery()
@@ -182,9 +183,9 @@ func TestRecoveryTerminalFailure(t *testing.T) {
 	}
 	r := runs[0]
 	g := r.Group
-	if len(r.Done) >= 5 || !slices.Equal(r.Done, g.Recovery().DoneTimes) {
-		t.Fatalf("ledger %v, recovery ledger %v: want the ops completed before the failure",
-			r.Done, g.Recovery().DoneTimes)
+	done := g.Completions()
+	if len(done) >= 5 {
+		t.Fatalf("ledger %v: want only the ops completed before the failure", done)
 	}
 	err := g.Err()
 	if err == nil {
@@ -197,8 +198,8 @@ func TestRecoveryTerminalFailure(t *testing.T) {
 	if !errors.As(err, &ote) {
 		t.Fatalf("error %T is not *core.OpTimeoutError", err)
 	}
-	if ote.Op != len(r.Done) {
-		t.Fatalf("failure at op %d after %d completions", ote.Op, len(r.Done))
+	if ote.Op != len(done) {
+		t.Fatalf("failure at op %d after %d completions", ote.Op, len(done))
 	}
 	// With only 2 members, silence is symmetric: node 0 cannot be
 	// heard either (its only listener is dead), so the detector cannot
@@ -277,9 +278,10 @@ func TestRecoverySchemeRestrictions(t *testing.T) {
 }
 
 // Allreduce results stay exact across an eviction: the rebuilt session
-// numbers its operations from 0, but the contrib wrapper offsets by the
-// group-global sequence, so operation k always combines contributions
-// for iteration k — before and after the membership shrinks. ReduceMax
+// numbers its operations from 0, but the group posts contributions at
+// the group-level op index, so operation k always combines
+// contributions for iteration k — before and after the membership
+// shrinks. ReduceMax
 // stays exact at any group size, so the 8->7 rebuild installs cleanly.
 func TestAllreduceExactAcrossEviction(t *testing.T) {
 	c := xpComm(8)
@@ -303,18 +305,19 @@ func TestAllreduceExactAcrossEviction(t *testing.T) {
 	if len(st.Evicted) != 1 || st.Evicted[0] != victim {
 		t.Fatalf("evicted %v, want [%d]", st.Evicted, victim)
 	}
-	if len(st.Rows) != iters {
-		t.Fatalf("%d result rows for %d operations", len(st.Rows), iters)
+	if g.OpsCompleted() != iters {
+		t.Fatalf("%d ledgered operations, want %d", g.OpsCompleted(), iters)
 	}
-	if len(st.Epochs) < 2 {
-		t.Fatalf("expected at least 2 membership epochs, got %+v", st.Epochs)
+	if len(g.led.fold.epochs) < 2 {
+		t.Fatalf("expected at least 2 membership epochs, got %+v", g.led.fold.epochs)
 	}
-	for op, row := range st.Rows {
+	for op := range iters {
+		row := g.row(op)
 		// The membership that produced operation op.
-		members := st.Epochs[0].Members
-		for _, e := range st.Epochs {
-			if e.FromOp <= op {
-				members = e.Members
+		members := g.led.fold.epochs[0].members
+		for _, e := range g.led.fold.epochs {
+			if e.from <= op {
+				members = e.members
 			}
 		}
 		if len(row) != len(members) {
@@ -333,13 +336,14 @@ func TestAllreduceExactAcrossEviction(t *testing.T) {
 	if err := g.CheckResults(); err != nil {
 		t.Fatalf("CheckResults on exact ledger: %v", err)
 	}
-	last := g.rec.rows[iters-1]
+	g.Reset() // folds the last run's rows into the ledger
+	last := g.led.fold.rows[iters-1]
 	last[0]++
 	if err := g.CheckResults(); err == nil {
 		t.Fatal("CheckResults accepted a corrupted result")
 	}
 	last[0]--
-	g.rec.rows[iters-1] = append(last, last[0])
+	g.led.fold.rows[iters-1] = append(last, last[0])
 	if err := g.CheckResults(); err == nil {
 		t.Fatal("CheckResults accepted a row wider than its epoch's membership")
 	}
@@ -370,8 +374,8 @@ func TestCrashDuringReconfigure(t *testing.T) {
 		t.Fatalf("recovering run after reconfigure: %v", err)
 	}
 	st := g.Recovery()
-	if len(r.Done) != 10 || !slices.Equal(st.DoneTimes, r.Done[5:]) {
-		t.Fatalf("completed %d of 10 operations; post-swap ledger %v", len(r.Done), st.DoneTimes)
+	if n := len(g.Completions()); n != 10 {
+		t.Fatalf("ledger holds %d of 10 operations", n)
 	}
 	if g.OpsCompleted() != 10 {
 		t.Fatalf("sequence did not carry over: OpsCompleted = %d, want 10", g.OpsCompleted())
@@ -438,8 +442,8 @@ func TestRecoveryNoopWhenHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Done) != 12 {
-		t.Fatalf("completed %d of 12 operations", len(r.Done))
+	if n := r.Group.OpsCompleted(); n != 12 {
+		t.Fatalf("completed %d of 12 operations", n)
 	}
 	g := r.Group
 	st := g.Recovery()
@@ -452,5 +456,45 @@ func TestRecoveryNoopWhenHealthy(t *testing.T) {
 	c.Eng.Run()
 	if n := c.Eng.Pending(); n != 0 {
 		t.Fatalf("%d leaked timers/events", n)
+	}
+}
+
+// A recovering allreduce tenant that swaps onto a dead node and then
+// evicts it is checked over its whole stream, epoch by epoch: rows
+// before the swap, between the swap and the eviction, and after it
+// each combine their own membership's contributions, and a corrupted
+// row in the first and the last epoch is reported.
+func TestRecoveringAllreduceChecksEveryEpoch(t *testing.T) {
+	c := xpComm(8)
+	const victim = 6
+	c.My.SetFaults(fault.NewPlan(7, fault.Crash(victim, fault.Window{})))
+	runs, err := RunTenants(c, []Tenant{{Ops: 10, SwapAt: 4, SwapTo: []int{0, 1, 2, 3, 4, victim},
+		Recovery: quickRecovery(),
+		Config: GroupConfig{Members: []int{0, 1, 2, 3}, Kind: OpAllreduce,
+			MyrinetScheme: myrinet.SchemeCollective, Reduce: core.ReduceMax,
+			Contrib: func(rank, iter int) int64 { return int64(rank*1000 + iter) }}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := runs[0].Group
+	if err := g.Err(); err != nil {
+		t.Fatalf("recovering run: %v", err)
+	}
+	if st := g.Recovery(); len(st.Evicted) != 1 || st.Evicted[0] != victim {
+		t.Fatalf("evicted %v, want [%d]", st.Evicted, victim)
+	}
+	if g.OpsCompleted() != 10 || len(g.led.fold.epochs) < 3 {
+		t.Fatalf("%d ops over epochs %+v; want 10 over at least 3", g.OpsCompleted(), g.led.fold.epochs)
+	}
+	if err := g.CheckResults(); err != nil {
+		t.Fatalf("CheckResults on exact rows: %v", err)
+	}
+	g.Reset() // folds the last run's rows into the ledger
+	for _, op := range []int{1, 9} {
+		g.led.fold.rows[op][0]--
+		if err := g.CheckResults(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("op %d rank 0", op)) {
+			t.Fatalf("corrupted op %d: CheckResults = %v", op, err)
+		}
+		g.led.fold.rows[op][0]++
 	}
 }

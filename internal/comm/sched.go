@@ -178,7 +178,11 @@ func (s *sched) install(g *Group, gc GroupConfig, plan *barrier.Plan) error {
 	gid := s.c.nextGID
 	g.ID = gid
 	g.Members = gc.Members
-	sess, err := s.c.be.bind(gc, gid, plan, gc.Kind.collective().mode)
+	bound := gc
+	if gc.Contrib != nil {
+		bound.Contrib = g.contrib
+	}
+	sess, err := s.c.be.bind(bound, gid, plan, gc.Kind.collective().mode)
 	if err != nil {
 		g.ID, g.Members = prevID, prevMembers
 		return err

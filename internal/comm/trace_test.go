@@ -191,8 +191,8 @@ func TestChurnQueuedInstallsBindTenants(t *testing.T) {
 	}
 	snap := sc.Snapshot()
 	for _, g := range snap.Groups {
-		if g.Tenant < 0 && g.Done > 0 {
-			t.Errorf("group %d completed %d ops unbound", g.Group, g.Done)
+		if g.Tenant < 0 && g.Ops > 0 {
+			t.Errorf("group %d completed %d ops unbound", g.Group, g.Ops)
 		}
 	}
 	rows := snap.MergeTenants()
@@ -200,8 +200,45 @@ func TestChurnQueuedInstallsBindTenants(t *testing.T) {
 		t.Fatalf("tenant-merged rows = %d, want %d", len(rows), spec.Tenants)
 	}
 	for _, r := range rows {
-		if r.Done != uint64(spec.OpsPerTenant) || r.Latency.Count != uint64(spec.OpsPerTenant) {
-			t.Errorf("tenant %d: done = %d, latency count = %d, want %d", r.Tenant, r.Done, r.Latency.Count, spec.OpsPerTenant)
+		if r.Ops != uint64(spec.OpsPerTenant) || r.Latency.Count != uint64(spec.OpsPerTenant) {
+			t.Errorf("tenant %d: ops = %d, latency count = %d, want %d", r.Tenant, r.Ops, r.Latency.Count, spec.OpsPerTenant)
 		}
+	}
+}
+
+// An exclusive run spans every op as a driven tenant does: a traced
+// Group.Run of 20 barriers records 20 spans, and since each op becomes
+// eligible at the previous completion and a run's first op at its
+// launch, the spans' latencies sum to the run's makespan. A second run
+// launched after an idle gap adds its own makespan, not the gap.
+func TestExclusiveRunEmitsSpans(t *testing.T) {
+	sc := obs.NewTracer().NewScope("run")
+	c := tracedXpComm(8, sc)
+	g := barrierGroup(t, c, 0, 1, 2, 3, 4, 5, 6, 7)
+	span := func() obs.GroupSnapshot {
+		t.Helper()
+		for _, row := range sc.Snapshot().Groups {
+			if row.Group == int(g.ID) {
+				return row
+			}
+		}
+		t.Fatalf("group %d has no snapshot row", g.ID)
+		return obs.GroupSnapshot{}
+	}
+	first := g.Run(20)[19]
+	if row := span(); row.Ops != 20 || row.Latency.Count != 20 || row.Kind != "barrier" ||
+		row.Latency.SumNS != int64(first) {
+		t.Fatalf("after one run: %+v, want 20 barrier spans summing to %v", row, first)
+	}
+	g.Reset()
+	c.Eng.Schedule(first.Add(sim.Micros(100)), func() {})
+	c.Eng.Run()
+	launch := c.Eng.Now()
+	second := g.Run(20)[19]
+	if row := span(); row.Ops != 40 || row.Latency.SumNS != int64(first)+int64(second.Sub(launch)) {
+		t.Fatalf("after two runs: %+v, want 40 spans summing to %v + %v", row, first, second.Sub(launch))
+	}
+	if done := g.Completions(); len(done) != 40 || done[19] != first || done[39] != second {
+		t.Fatalf("ledger %v, want both runs' 40 completions", done)
 	}
 }

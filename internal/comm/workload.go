@@ -344,30 +344,31 @@ func collectTenants(runs []TenantRun) ([]TenantResult, sim.Time, error) {
 		if err := g.CheckResults(); err != nil {
 			return nil, 0, err
 		}
+		n := g.OpsCompleted()
 		tr := TenantResult{
 			Tenant:  r.Index,
 			GroupID: g.ID,
 			Size:    g.Size(),
 			Kind:    g.Kind,
-			Ops:     len(r.Done),
+			Ops:     n,
 		}
 		if st := g.Recovery(); st != nil {
 			tr.Failed = st.Err != nil
 			tr.Evicted = len(st.Evicted)
 			tr.Retries = st.Retries
 		}
-		if len(r.Done) == 0 {
+		if n == 0 {
 			// Terminal failure before the first completion: the zeroed,
 			// Failed-flagged row keeps the tenant visible in the report.
 			out = append(out, tr)
 			continue
 		}
-		last := r.Done[len(r.Done)-1]
+		last := g.doneAt(n - 1)
 		makespan = max(makespan, last)
 		lat = lat[:0]
 		var sum, maxL float64
-		for k, at := range r.Done {
-			l := at.Sub(r.eligible(k)).Micros()
+		for k := range n {
+			l := g.doneAt(k).Sub(g.eligible(k)).Micros()
 			lat = append(lat, l)
 			sum += l
 			maxL = max(maxL, l)
@@ -564,8 +565,9 @@ func RunChurn(c *Cluster, spec ChurnSpec) (ChurnResult, error) {
 	// their membership swap — the apples-to-apples SLO comparison.
 	var preLat, postLat obs.Histogram
 	for i := range runs {
-		r := &runs[i]
-		lastDepart = max(lastDepart, r.Done[len(r.Done)-1])
+		r, g := &runs[i], runs[i].Group
+		n := g.OpsCompleted()
+		lastDepart = max(lastDepart, g.doneAt(n-1))
 		if r.SwapAt == 0 {
 			continue
 		}
@@ -574,8 +576,9 @@ func RunChurn(c *Cluster, spec ChurnSpec) (ChurnResult, error) {
 		} else {
 			res.Reconfigs++
 		}
-		prev := r.arrived
-		for k, at := range r.Done {
+		prev := g.led.launches[0].at
+		for k := range n {
+			at := g.doneAt(k)
 			h := &preLat
 			if k >= r.SwapAt {
 				h = &postLat

@@ -160,8 +160,8 @@ func crashedWorkloadRows(t *testing.T) []obs.GroupSnapshot {
 // completed op instead of leaving them under an unbound group.
 func TestRecoveryRebuildKeepsTenantLabel(t *testing.T) {
 	for _, r := range crashedWorkloadRows(t) {
-		if r.Done != 8 {
-			t.Errorf("tenant %d: done = %d, want 8", r.Tenant, r.Done)
+		if r.Ops != 8 {
+			t.Errorf("tenant %d: ops = %d, want 8", r.Tenant, r.Ops)
 		}
 	}
 }

@@ -137,7 +137,7 @@ func Fig7(cfg Config) Figure {
 		},
 		Notes: []string{
 			"paper: 5.60us NIC-based at 8 nodes, 2.48x over elan_gsync; elan_hgsync 4.20us",
-			"divergence: PE is not faster than DS at non-power-of-two sizes here; see EXPERIMENTS.md",
+			"divergence: PE is not faster than DS at non-power-of-two sizes here",
 		},
 	}
 }

@@ -229,9 +229,9 @@ func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats
 			p95US:  lats[(len(lats)*95+99)/100-1],
 		}
 	}
-	victim = stats(runs[0].Done)
-	bystander = stats(runs[1].Done)
-	if b := stats(runs[2].Done); b.meanUS > bystander.meanUS {
+	victim = stats(runs[0].Group.Completions())
+	bystander = stats(runs[1].Group.Completions())
+	if b := stats(runs[2].Group.Completions()); b.meanUS > bystander.meanUS {
 		bystander = b
 	}
 	return victim, bystander

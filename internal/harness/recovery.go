@@ -63,7 +63,7 @@ func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64,
 	if err != nil {
 		panic(fmt.Sprintf("harness: recovery point (%d nodes, crash=%v): %v", n, crash, err))
 	}
-	return runs[0].Done[recoveryOps-1].Micros()
+	return runs[0].Group.Completions()[recoveryOps-1].Micros()
 }
 
 // CrashRecovery compares the makespan of a deadline-armed barrier

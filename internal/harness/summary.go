@@ -97,7 +97,7 @@ func Summary(cfg Config) Table {
 			{"Model: Myrinet barrier at 1024 nodes", "us", 38.94, myriModel.Predict(1024)},
 		},
 		Notes: []string{
-			"measured on the simulated substrates described in DESIGN.md",
+			"measured on the simulated substrates described in ARCHITECTURE.md",
 			"fitted models: quadrics " + quadModel.String() + "; myrinet " + myriModel.String(),
 		},
 	}

@@ -71,8 +71,6 @@ var promFamilies = []promFamily{
 	{"nicbarrier_records_total", "Trace records emitted across the scope's tracks.", "counter",
 		func(sc obs.ScopeSnapshot) any { return sc.Records }, nil},
 	{"nicbarrier_ops_total", "Globally completed operations per tenant (live count).", "counter",
-		nil, tenantValue(func(g obs.GroupSnapshot) any { return g.Done })},
-	{"nicbarrier_ops_spanned_total", "Operations with emitted spans per tenant (fills at collection).", "counter",
 		nil, tenantValue(func(g obs.GroupSnapshot) any { return g.Ops })},
 	{"nicbarrier_packets_sent_total", "Packets injected for the tenant's traffic.", "counter",
 		nil, tenantValue(func(g obs.GroupSnapshot) any { return g.Sent })},

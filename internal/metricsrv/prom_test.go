@@ -106,9 +106,9 @@ func TestFamiliesContiguous(t *testing.T) {
 	if len(started) != len(promFamilies) {
 		t.Errorf("%d families written, want %d", len(started), len(promFamilies))
 	}
-	// 5 scope families × 4 scopes; per tenant 10 one-sample families,
+	// 5 scope families × 4 scopes; per tenant 9 one-sample families,
 	// 4 drop reasons and 3 quantiles + sum + count + max, × 8 tenants.
-	if want := 5*4 + (10+4+6)*8; samples != want {
+	if want := 5*4 + (9+4+6)*8; samples != want {
 		t.Errorf("%d samples, want %d", samples, want)
 	}
 }

@@ -298,7 +298,6 @@ type RunProgress struct {
 	AtUS        float64        `json:"atUS"`
 	Scopes      int            `json:"scopes"`
 	EventsFired uint64         `json:"eventsFired"`
-	Done        uint64         `json:"done"`
 	Ops         uint64         `json:"ops"`
 	Sent        uint64         `json:"sent"`
 	Dropped     uint64         `json:"dropped"`
@@ -331,7 +330,6 @@ func (r *Run) Info() RunInfo {
 		}
 		p.EventsFired += sc.EventsFired
 		for _, g := range sc.Groups {
-			p.Done += g.Done
 			p.Ops += g.Ops
 			p.Sent += g.Sent
 			p.Dropped += g.Dropped

@@ -86,7 +86,7 @@ func TestScrapeDuringChurnMonotone(t *testing.T) {
 		var done, sent uint64
 		for _, sc := range doc.Scopes {
 			for _, g := range sc.Groups {
-				done += g.Done
+				done += g.Ops
 				sent += g.Sent
 			}
 		}
@@ -160,7 +160,7 @@ func TestEndpointsAndRunRegistry(t *testing.T) {
 		t.Fatalf("/runs rows: %+v", infos)
 	}
 	p := infos[0].Progress
-	if p.Done != 40 || p.Epoch == 0 || p.Sent == 0 {
+	if p.Ops != 40 || p.Epoch == 0 || p.Sent == 0 {
 		t.Fatalf("run progress: %+v", p)
 	}
 
@@ -206,7 +206,7 @@ func TestDisarmedRunServesQuiescentAfterDone(t *testing.T) {
 	}
 	var done uint64
 	for _, g := range doc.Scopes[0].Groups {
-		done += g.Done
+		done += g.Ops
 	}
 	if done != 10 {
 		t.Fatalf("quiescent done = %d, want 10", done)

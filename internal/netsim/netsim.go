@@ -57,9 +57,9 @@ type Outcome struct {
 	// Drop silently discards the packet (the blocked-port "drop"
 	// semantics: the sender learns nothing).
 	Drop bool
-	// Reject discards the packet and notifies the network's reject
-	// observer (the blocked-port "reject" semantics: the network refuses
-	// the worm and the source side can observe the refusal).
+	// Reject discards the packet with the blocked-port "reject"
+	// semantics (the network refuses the worm); it counts in Rejected
+	// as well as Dropped.
 	Reject bool
 	// FailStop marks a discard caused by a whole-node (fail-stop)
 	// failure rather than a link-level impairment. Hardware-reliable
@@ -149,11 +149,7 @@ type Counters struct {
 //
 // Route-slice lifetime: a slice returned by topo.Route is only valid
 // until the next Route call on the same topology, so every route here
-// is consumed before anything can re-enter Route. That discipline
-// holds even under reentrancy — an impairment's OnReject callback may
-// Send or Multicast inline (a NACK turnaround), nesting a Route call
-// inside a hop walk — because both walk sites stop touching the route
-// the moment they record the drop that triggers the callback.
+// is consumed before the next one is composed.
 type Network struct {
 	eng       *sim.Engine
 	topo      topo.Topology
@@ -161,7 +157,6 @@ type Network struct {
 	busyUntil []sim.Time
 	recv      []func(Packet)
 	imp       Impairment
-	onReject  func(Packet)
 	// counters holds the scalar totals; per-kind counts live in
 	// kindCounts, indexed by the interned kind ID.
 	counters   Counters
@@ -193,7 +188,6 @@ const (
 	opDeliver uint8 = iota
 	opTransmit
 	opMulticastBody
-	opReject
 )
 
 // Fire implements sim.Event. The event returns to the pool before its
@@ -209,10 +203,6 @@ func (pe *pktEvent) Fire() {
 		n.transmit(pkt)
 	case opMulticastBody:
 		n.multicastBody(pkt, dsts)
-	case opReject:
-		if n.onReject != nil {
-			n.onReject(pkt)
-		}
 	}
 }
 
@@ -237,12 +227,8 @@ func (n *Network) putEvent(pe *pktEvent) {
 // mcastScratch is the reusable multicast bookkeeping: per-link head
 // times and dead-link outcomes, validity-stamped with the epoch of the
 // multicast that wrote them so nothing needs clearing between calls.
-// inUse guards against reentrancy: an OnReject observer that fires
-// inline mid-replication may issue another Multicast, and that nested
-// replication must not stamp over the outer one's entries.
 type mcastScratch struct {
 	epoch   uint64
-	inUse   bool
 	headSet []uint64 // headAt[link] is valid iff headSet[link] == epoch
 	headAt  []sim.Time
 	deadSet []uint64 // deadOut[link] is valid iff deadSet[link] == epoch
@@ -298,10 +284,6 @@ func (n *Network) SetTracer(sc *obs.Scope) { n.tr = sc }
 // windows, so they are typically installed once up front.
 func (n *Network) SetImpairment(imp Impairment) { n.imp = imp }
 
-// OnReject registers an observer for reject-semantics discards (at most
-// one). The observer runs at the virtual time of the rejection.
-func (n *Network) OnReject(fn func(Packet)) { n.onReject = fn }
-
 // Topology exposes the underlying topology.
 func (n *Network) Topology() topo.Topology { return n.topo }
 
@@ -354,7 +336,7 @@ func (n *Network) serialization(pkt Packet) sim.Duration {
 // impairment drop or reject, injection-time or mid-route — funnels
 // through here. at is the virtual time the discard decision is made (the
 // current time for injection discards, the hop's head time for mid-route
-// ones); reject observers fire then, not before.
+// ones).
 func (n *Network) recordDrop(pkt Packet, out Outcome, midRoute bool, at sim.Time) {
 	n.counters.Dropped++
 	if midRoute {
@@ -377,13 +359,6 @@ func (n *Network) recordDrop(pkt Packet, out Outcome, midRoute bool, at sim.Time
 	}
 	if out.Reject {
 		n.counters.Rejected++
-		if n.onReject != nil {
-			if at > n.eng.Now() {
-				n.eng.ScheduleEvent(at, n.getEvent(opReject, pkt, nil))
-			} else {
-				n.onReject(pkt)
-			}
-		}
 	}
 }
 
@@ -418,8 +393,7 @@ func (n *Network) Send(pkt Packet) {
 
 // transmit walks the route and schedules delivery unless a per-hop
 // impairment discards the packet mid-route. The route lives in the
-// topology's scratch buffer; headArrival finishes with it before any
-// reentrant Send can overwrite it (see the Network comment).
+// topology's scratch buffer, which headArrival consumes whole.
 func (n *Network) transmit(pkt Packet) {
 	arrival, ok := n.headArrival(pkt, n.topo.Route(pkt.Src, pkt.Dst))
 	if !ok {
@@ -536,23 +510,12 @@ func (n *Network) multicastBody(pkt Packet, dsts []int) {
 	// link decides for everyone behind it, mirroring how the worm forks
 	// once per switch. The bookkeeping lives in epoch-stamped scratch
 	// arrays indexed by link ID: bumping the epoch invalidates the
-	// previous multicast's entries without clearing anything. A nested
-	// replication (an inline OnReject observer re-multicasting) gets a
-	// fresh allocation instead — rare enough not to matter, and the
-	// shared scratch must keep serving the outer loop it is mid-way
-	// through. The shared scratch itself is allocated by the first
-	// multicast, so networks that never replicate (Myrinet's) never pay
-	// for its four per-link arrays.
+	// previous multicast's entries without clearing anything. The
+	// scratch is allocated by the first multicast, so networks that
+	// never replicate (Myrinet's) never pay for its four per-link arrays.
 	sc := &n.mcast
-	if sc.inUse {
-		fresh := newMcastScratch(len(n.busyUntil))
-		sc = &fresh
-	} else {
-		if sc.headSet == nil {
-			*sc = newMcastScratch(len(n.busyUntil))
-		}
-		sc.inUse = true
-		defer func() { sc.inUse = false }()
+	if sc.headSet == nil {
+		*sc = newMcastScratch(len(n.busyUntil))
 	}
 	sc.epoch++
 	ep := sc.epoch
@@ -563,9 +526,6 @@ func (n *Network) multicastBody(pkt Packet, dsts []int) {
 		p := pkt
 		p.Dst = dst
 		t := n.eng.Now()
-		// Scratch-backed route: each recordDrop below may re-enter
-		// Route through an inline OnReject, so the walk must (and does)
-		// abandon the slice immediately after recording the drop.
 		route := n.topo.Route(pkt.Src, dst)
 		lost := false
 		for i, link := range route {

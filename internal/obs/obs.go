@@ -2,8 +2,10 @@
 // simulated substrate: the engine (event fire/cancel), the wire
 // simulator (packet lifecycle: inject, per-hop arrival, drop with
 // reason, delivery), the NIC models (doorbells, NACKs, resends, stale
-// duplicates, group install/uninstall) and the communicator (per-op
-// spans with queue-wait vs in-flight phases, per-tenant histograms).
+// duplicates, group install/uninstall) and the communicator (one span
+// per completed op of every group, split into queue-wait and in-flight
+// phases, which also feeds the per-group op count and latency
+// histogram).
 //
 // The hot-path contract is strict: a disabled tracer is a nil pointer,
 // and every instrumented site costs exactly one nil check. An enabled
@@ -201,11 +203,8 @@ func (t *Track) emit(rec Record) { t.ring.add(rec) }
 // counts, the latency histogram, and the queue/wire/NIC attribution
 // sums behind the latency-decomposition table.
 type groupStats struct {
-	kind string // op label ("barrier", ...), set by the first span
-	ops  uint64
-	// done counts globally completed operations live (OpDone), also
-	// for groups that emit no spans.
-	done    uint64
+	kind    string // op label ("barrier", ...), set by the first span
+	ops     uint64
 	queueNS int64
 	wireNS  int64
 	nicNS   int64
@@ -383,10 +382,11 @@ func (s *Scope) EventCancelled(at sim.Time) {
 
 // --- communicator layer ---
 
-// OpSpan records one completed operation of group gid: a queue-wait
-// phase from eligible to start and an in-flight phase from start to
-// done, and feeds the group's latency histogram and decomposition
-// queue bucket. opKind must be a long-lived string ("barrier", ...).
+// OpSpan records one completed operation of group gid, live at its
+// completion instant: a queue-wait phase from eligible to start and an
+// in-flight phase from start to done. It counts the op and feeds the
+// group's latency histogram and decomposition queue bucket. opKind must
+// be a long-lived string ("barrier", ...).
 func (s *Scope) OpSpan(gid int, opKind string, eligible, start, done sim.Time) {
 	if start < eligible {
 		start = eligible
@@ -406,15 +406,6 @@ func (s *Scope) OpSpan(gid int, opKind string, eligible, start, done sim.Time) {
 	}
 	tr.emit(Record{At: start, Dur: done.Sub(start), Kind: KindOpRun,
 		Group: int32(gid), Label: opKind})
-}
-
-// OpDone counts one globally completed operation of group gid, live at
-// the completion instant, for every communicator group. Tenant runs
-// also emit an OpSpan for each op at the same instant; groups driven
-// outside them (measurement sessions, hand-launched groups) emit none,
-// so OpDone is what reports their progress.
-func (s *Scope) OpDone(gid int) {
-	s.group(gid).done++
 }
 
 // Lifecycle records a recovery-layer event for group gid on its tenant

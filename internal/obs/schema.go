@@ -8,7 +8,7 @@ import (
 // SnapshotSchemaVersion is the version stamped into every serialized
 // SnapshotDoc. Bump it on any field change that is not
 // backward-compatible; ValidateSnapshotJSON rejects other versions.
-const SnapshotSchemaVersion = 2
+const SnapshotSchemaVersion = 3
 
 // SnapshotDoc is the wire form of a metrics snapshot: what the metrics
 // service's /snapshot endpoint serves and what cmd/tracecheck

@@ -47,15 +47,15 @@ func TestValidateSnapshotRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"not json":       `nope`,
 		"wrong version":  `{"schemaVersion":99,"epoch":0,"atUS":0,"scopes":[]}`,
-		"unnamed scope":  `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":""}]}`,
-		"epoch mismatch": `{"schemaVersion":2,"epoch":5,"atUS":0,"scopes":[{"name":"a","epoch":2}]}`,
-		"unbound tenant": `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":0,"group":0,"tenant":-1}]}`,
-		"tenant scope":   `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":1,"group":0,"tenant":0}]}`,
-		"tenant repeat":  `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":0,"group":0,"tenant":0},{"scope":0,"group":1,"tenant":0}]}`,
-		"drop sum":       `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"dropped":2,"drops":{"injected":1}}]}]}`,
-		"bin sum":        `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":3,"bins":[{"v":10,"n":1}]}}]}]}`,
-		"empty bin":      `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":0,"bins":[{"v":10,"n":0}]}}]}]}`,
-		"quantile order": `{"schemaVersion":2,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":1,"p50US":9,"p95US":5,"p99US":9,"maxUS":9,"bins":[{"v":10,"n":1}]}}]}]}`,
+		"unnamed scope":  `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":""}]}`,
+		"epoch mismatch": `{"schemaVersion":3,"epoch":5,"atUS":0,"scopes":[{"name":"a","epoch":2}]}`,
+		"unbound tenant": `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":0,"group":0,"tenant":-1}]}`,
+		"tenant scope":   `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":1,"group":0,"tenant":0}]}`,
+		"tenant repeat":  `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":"a"}],"tenants":[{"scope":0,"group":0,"tenant":0},{"scope":0,"group":1,"tenant":0}]}`,
+		"drop sum":       `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"dropped":2,"drops":{"injected":1}}]}]}`,
+		"bin sum":        `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":3,"bins":[{"v":10,"n":1}]}}]}]}`,
+		"empty bin":      `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":0,"bins":[{"v":10,"n":0}]}}]}]}`,
+		"quantile order": `{"schemaVersion":3,"epoch":0,"atUS":0,"scopes":[{"name":"a","groups":[{"group":0,"tenant":-1,"latency":{"count":1,"p50US":9,"p95US":5,"p99US":9,"maxUS":9,"bins":[{"v":10,"n":1}]}}]}]}`,
 	}
 	for name, c := range cases {
 		if _, err := ValidateSnapshotJSON([]byte(c)); err == nil {

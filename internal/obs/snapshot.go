@@ -81,11 +81,9 @@ type GroupSnapshot struct {
 	// sessions, single-group measurements).
 	Tenant int    `json:"tenant"`
 	Kind   string `json:"kind,omitempty"` // op label ("barrier", ...); empty when no span was recorded
-	Ops    uint64 `json:"ops"`
-	// Done counts globally completed operations live (see Scope.OpDone).
-	// Ops counts span-fed ones: for a driven tenant it advances with
-	// Done, for a group without spans it stays 0.
-	Done uint64 `json:"done"`
+	// Ops counts globally completed operations, live: every group emits
+	// one span per op at its completion (see Scope.OpSpan).
+	Ops uint64 `json:"ops"`
 	// Decomposition attribution sums, microseconds. These sum
 	// concurrent activity, so they can exceed the group's wall-clock.
 	QueueUS float64 `json:"queueUS"`
@@ -163,7 +161,6 @@ func mergeTenants(scopes ...ScopeSnapshot) []GroupSnapshot {
 				acc.Kind = g.Kind
 			}
 			acc.Ops += g.Ops
-			acc.Done += g.Done
 			acc.QueueUS += g.QueueUS
 			acc.WireUS += g.WireUS
 			acc.NICUS += g.NICUS
@@ -211,7 +208,7 @@ func (s *Scope) Snapshot() ScopeSnapshot {
 	}
 	for gid := range s.groups {
 		g := &s.groups[gid]
-		if g.ops == 0 && g.done == 0 && g.sent == 0 && g.dropped == 0 && g.wireNS == 0 &&
+		if g.ops == 0 && g.sent == 0 && g.dropped == 0 && g.wireNS == 0 &&
 			g.nicNS == 0 && g.timeouts == 0 && g.evictions == 0 && g.retries == 0 {
 			continue
 		}
@@ -220,7 +217,6 @@ func (s *Scope) Snapshot() ScopeSnapshot {
 			Tenant:  g.tenant - 1,
 			Kind:    g.kind,
 			Ops:     g.ops,
-			Done:    g.done,
 			QueueUS: float64(g.queueNS) / 1e3,
 			WireUS:  float64(g.wireNS) / 1e3,
 			NICUS:   float64(g.nicNS) / 1e3,

@@ -2,6 +2,7 @@ package nicbarrier
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -69,6 +70,29 @@ func TestTraceNeutrality(t *testing.T) {
 			traced.MeanMicros, plain.MeanMicros, traced.MaxMicros, plain.MaxMicros,
 			traced.DroppedPackets, plain.DroppedPackets)
 	}
+}
+
+// A traced barrier measurement spans every op it runs, like a driven
+// workload: without warmup, the decomposition table counts exactly the
+// measured iterations.
+func TestTracedMeasureBarrierCountsOps(t *testing.T) {
+	tr := NewTrace()
+	cfg := xpConfig(8)
+	cfg.Trace = tr
+	res, err := MeasureBarrier(cfg, 0, 20)
+	if err != nil {
+		t.Fatalf("MeasureBarrier: %v", err)
+	}
+	table := tr.DecompositionTable()
+	for _, line := range strings.Split(table, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "barrier" {
+			if f[1] != strconv.Itoa(res.Iterations) {
+				t.Fatalf("decomposition counts %s barrier ops, want %d:\n%s", f[1], res.Iterations, table)
+			}
+			return
+		}
+	}
+	t.Fatalf("decomposition table has no barrier row:\n%s", table)
 }
 
 // Result.Drops partitions every discard by cause: injection-time loss
