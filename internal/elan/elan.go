@@ -191,23 +191,36 @@ type chainOp struct {
 	frozen bool
 }
 
-// newNode builds one node attached to net, scheduling its per-message
-// handlers from the cluster's pool.
-func newNode(eng *sim.Engine, id int, prof *hwprofile.QuadricsProfile, net *netsim.Network, pl *pool) *Node {
-	n := &Node{
-		ID:   id,
-		Prof: prof,
-		Bus:  pci.New(eng, prof.PCI),
+// port is a NIC seen as its host's receiver on the network.
+type port NIC
+
+// Receive implements netsim.Receiver.
+func (p *port) Receive(pkt netsim.Packet) { (*NIC)(p).onPacket(pkt) }
+
+// newNodes builds the cluster's nodes attached to its network,
+// scheduling their per-message handlers from the cluster's pool. The
+// nodes, hosts, NICs and buses are one slice each, and every node points
+// into them, so a cluster's per-node records cost four allocations in
+// all.
+func newNodes(cl *Cluster, n int) []*Node {
+	eng, prof := cl.Eng, &cl.Prof
+	nodes, hosts, nics := make([]Node, n), make([]Host, n), make([]NIC, n)
+	buses := pci.NewBuses(eng, prof.PCI, n)
+	ptrs := make([]*Node, n)
+	for i := range nodes {
+		node := &nodes[i]
+		*node = Node{ID: i, Prof: prof, Bus: &buses[i], Host: &hosts[i], NIC: &nics[i], cluster: cl}
+		hosts[i] = Host{Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz}, node: node}
+		nics[i] = NIC{
+			Proc: sim.Proc{Eng: eng, ClockMHz: prof.NIC.ClockMHz},
+			node: node,
+			net:  cl.Net,
+			pool: &cl.pool,
+		}
+		cl.Net.Attach(i, (*port)(&nics[i]))
+		ptrs[i] = node
 	}
-	n.Host = &Host{Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz}, node: n}
-	n.NIC = &NIC{
-		Proc: sim.Proc{Eng: eng, ClockMHz: prof.NIC.ClockMHz},
-		node: n,
-		net:  net,
-		pool: pl,
-	}
-	net.Attach(id, n.NIC.onPacket)
-	return n
+	return ptrs
 }
 
 // deliver hands an event the card wrote to the host, charging the
@@ -493,13 +506,9 @@ func NewCluster(eng *sim.Engine, prof hwprofile.QuadricsProfile, n int) *Cluster
 		panic(fmt.Sprintf("elan: cluster size %d", n))
 	}
 	t := topo.MinFatTree(prof.FatTreeArity, n)
-	net := netsim.New(eng, t, prof.Net)
-	cl := &Cluster{Eng: eng, Prof: prof, Net: net}
-	for i := 0; i < n; i++ {
-		node := newNode(eng, i, &cl.Prof, net, &cl.pool)
-		node.cluster = cl
-		cl.Nodes = append(cl.Nodes, node)
-	}
+	eng.Reserve(n)
+	cl := &Cluster{Eng: eng, Prof: prof, Net: netsim.New(eng, t, prof.Net)}
+	cl.Nodes = newNodes(cl, n)
 	cl.hw = newHWBarrier(cl)
 	return cl
 }

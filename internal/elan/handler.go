@@ -39,7 +39,10 @@ const (
 
 // pool holds the free lists of one cluster: handler records and RDMA
 // payloads. All nodes of a cluster share one engine, so one pool serves
-// them all and its size tracks the cluster's peak in flight.
+// them all and its size tracks the cluster's peak in flight. Handler
+// records always come back, so they are carved from chunks; payloads are
+// allocated one per record, because one lost with a packet would pin its
+// whole chunk.
 //
 // RDMA payloads follow the Myrinet model's ownership rule: each Send
 // carries its own payload, the receiving card copies it out and returns
@@ -48,7 +51,7 @@ const (
 // The hardware barrier's multicast payload stays boxed: every receiver
 // shares it.
 type pool struct {
-	handlers sim.FreeList[handler]
+	handlers sim.ChunkedFreeList[handler]
 	payloads sim.FreeList[rdmaMsg]
 }
 

@@ -232,7 +232,7 @@ func TestRandomLossRate(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, topo.NewCrossbar(4), netsim.Params{BandwidthMBps: 250})
 	net.SetImpairment(NewPlan(1, Rule{Match: Match{Kinds: Kinds("data")}, Effect: RandomLoss{Rate: 0.3}}))
-	net.Attach(1, func(netsim.Packet) {})
+	net.Attach(1, netsim.ReceiverFunc(func(netsim.Packet) {}))
 	const total = 20000
 	for i := 0; i < total; i++ {
 		net.Send(netsim.Packet{Src: 0, Dst: 1, Size: 1, Kind: "data"})

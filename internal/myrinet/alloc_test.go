@@ -280,3 +280,18 @@ func TestSessionSharesPlan(t *testing.T) {
 		t.Fatal("broadcast members read different plans")
 	}
 }
+
+// Building a cluster allocates its node, host, NIC and bus records as
+// one slice each, so NewCluster's allocation count grows with the node
+// count only by the O(log n) growth of the network's and topology's
+// tables, not by one record per node.
+func TestClusterBuildAllocsIndependentOfSize(t *testing.T) {
+	const slack = 16
+	build := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() { xpCluster(n, nil) })
+	}
+	if small, large := build(64), build(1024); large-small > slack {
+		t.Errorf("NewCluster allocates %.0f objects at 64 nodes and %.0f at 1024, want at most %d more",
+			small, large, slack)
+	}
+}

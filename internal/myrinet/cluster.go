@@ -38,11 +38,9 @@ func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, imp netsi
 	} else {
 		t = topo.MinFatTree(8, n)
 	}
-	net := netsim.New(eng, t, prof.Net)
-	cl := &Cluster{Eng: eng, Prof: prof, Net: net}
-	for i := 0; i < n; i++ {
-		cl.Nodes = append(cl.Nodes, newNode(eng, i, &cl.Prof, net, &cl.pool))
-	}
+	eng.Reserve(n)
+	cl := &Cluster{Eng: eng, Prof: prof, Net: netsim.New(eng, t, prof.Net)}
+	cl.Nodes = newNodes(cl, n)
 	cl.SetFaults(imp)
 	return cl
 }

@@ -70,7 +70,9 @@ const (
 // and GM wire payloads (GM send tokens among them) and GM send records.
 // All nodes of a cluster share one engine, so one pool serves them all
 // and its size tracks the cluster's peak in flight, not its endpoint
-// count.
+// count. Handler records always come back, so they are carved from
+// chunks; wire payloads are allocated one per record, because a payload
+// lost with a dropped packet would pin its whole chunk.
 //
 // Wire payloads follow one ownership rule. Ownership passes with the
 // packet: each Send carries its own payload (a NACK's duplicated reply
@@ -82,7 +84,7 @@ const (
 // netsim never duplicates a unicast packet and this model never
 // multicasts.
 type pool struct {
-	handlers sim.FreeList[handler]
+	handlers sim.ChunkedFreeList[handler]
 	payloads sim.FreeList[collPayload]
 	data     sim.FreeList[dataMsg]
 	acks     sim.FreeList[ackMsg]
@@ -153,6 +155,7 @@ func (h *handler) Fire() {
 	case hRecvTokenDoorbell:
 		n.Exec(n.node.Prof.NIC.TokenPost, 0, n.pool.get(hRecvToken, n))
 	case hRecvToken:
+		n.gm()
 		n.recvTokens++
 	case hDataRecv:
 		n.checkData(r.data)

@@ -148,20 +148,10 @@ type NIC struct {
 	net  *netsim.Network
 	pool *pool // the cluster's shared free lists
 
-	// p2p send side. The GM maps (queues, nextSeq, records, expectSeq)
-	// are built on the NIC's first p2p send or receive (see gm): most
-	// NICs of a collective-only run never touch them.
-	queues      map[int]*tokenQueue
-	rr          []int // destinations with queued tokens, sorted
-	lastDst     int   // round-robin cursor over the destination space
-	dispatching bool
-	freePackets int
-	nextSeq     map[int]uint32
-	records     map[recordKey]*sendRecord
-
-	// p2p receive side.
-	expectSeq  map[int]uint32
-	recvTokens int
+	// *gmState is the GM point-to-point protocol state, built on the
+	// NIC's first p2p send, receive or receive-buffer post (see gm): most
+	// NICs of a collective-only run never touch it.
+	*gmState
 
 	coll   collModule
 	direct directModule
@@ -192,6 +182,28 @@ type NIC struct {
 	Stats NICStats
 }
 
+// gmState is one NIC's GM point-to-point protocol state.
+type gmState struct {
+	// Send side.
+	queues      map[int]*tokenQueue
+	rr          []int // destinations with queued tokens, sorted
+	lastDst     int   // round-robin cursor over the destination space
+	dispatching bool
+	freePackets int
+	nextSeq     map[int]uint32
+	records     map[recordKey]*sendRecord
+
+	// Receive side.
+	expectSeq  map[int]uint32
+	recvTokens int
+}
+
+// port is a NIC seen as its host's receiver on the network.
+type port NIC
+
+// Receive implements netsim.Receiver.
+func (p *port) Receive(pkt netsim.Packet) { (*NIC)(p).onPacket(pkt) }
+
 // traceEvent records a firmware-level event on this NIC's trace track.
 func (n *NIC) traceEvent(group int, k obs.Kind, arg int64) {
 	if n.tr != nil {
@@ -208,25 +220,16 @@ func (n *NIC) traceTime(group int, cycles int64, fixed sim.Duration) {
 	}
 }
 
-func newNIC(eng *sim.Engine, node *Node, net *netsim.Network, pl *pool) *NIC {
-	n := &NIC{
-		Proc:        sim.Proc{Eng: eng, ClockMHz: node.Prof.NIC.ClockMHz},
-		node:        node,
-		net:         net,
-		pool:        pl,
-		freePackets: node.Prof.NIC.SendPacketPool,
-	}
-	n.coll.nic, n.direct.nic = n, n
-	return n
-}
-
-// gm builds the point-to-point protocol's maps on first use.
+// gm builds the point-to-point protocol state on first use.
 func (n *NIC) gm() {
-	if n.queues == nil {
-		n.queues = make(map[int]*tokenQueue)
-		n.nextSeq = make(map[int]uint32)
-		n.records = make(map[recordKey]*sendRecord)
-		n.expectSeq = make(map[int]uint32)
+	if n.gmState == nil {
+		n.gmState = &gmState{
+			queues:      make(map[int]*tokenQueue),
+			freePackets: n.node.Prof.NIC.SendPacketPool,
+			nextSeq:     make(map[int]uint32),
+			records:     make(map[recordKey]*sendRecord),
+			expectSeq:   make(map[int]uint32),
+		}
 	}
 }
 

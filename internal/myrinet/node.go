@@ -22,7 +22,6 @@ import (
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/pci"
 	"nicbarrier/internal/sim"
 )
@@ -105,21 +104,32 @@ func (h *Host) Unbind(groupID int) {
 	}
 }
 
-// newNode builds a node attached to net, scheduling its per-message
-// handlers from the cluster's pool.
-func newNode(eng *sim.Engine, id int, prof *hwprofile.MyrinetProfile, net *netsim.Network, pl *pool) *Node {
-	n := &Node{
-		ID:   id,
-		Prof: prof,
-		Bus:  pci.New(eng, prof.PCI),
+// newNodes builds the cluster's nodes attached to its network,
+// scheduling their per-message handlers from the cluster's pool. The
+// nodes, hosts, NICs and buses are one slice each, and every node points
+// into them, so a cluster's per-node records cost four allocations in
+// all.
+func newNodes(cl *Cluster, n int) []*Node {
+	eng, prof := cl.Eng, &cl.Prof
+	nodes, hosts, nics := make([]Node, n), make([]Host, n), make([]NIC, n)
+	buses := pci.NewBuses(eng, prof.PCI, n)
+	ptrs := make([]*Node, n)
+	for i := range nodes {
+		node := &nodes[i]
+		*node = Node{ID: i, Prof: prof, Bus: &buses[i], Host: &hosts[i], NIC: &nics[i]}
+		hosts[i] = Host{Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz}, node: node}
+		nic := &nics[i]
+		*nic = NIC{
+			Proc: sim.Proc{Eng: eng, ClockMHz: prof.NIC.ClockMHz},
+			node: node,
+			net:  cl.Net,
+			pool: &cl.pool,
+		}
+		nic.coll.nic, nic.direct.nic = nic, nic
+		cl.Net.Attach(i, (*port)(nic))
+		ptrs[i] = node
 	}
-	n.Host = &Host{
-		Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz},
-		node: n,
-	}
-	n.NIC = newNIC(eng, n, net, pl)
-	net.Attach(id, n.NIC.onPacket)
-	return n
+	return ptrs
 }
 
 // deliver hands a DMAed event record to the host, charging the host's

@@ -16,7 +16,7 @@ func warmNet(t testing.TB) (*sim.Engine, *Network) {
 	net := New(eng, topo.NewFatTree(4, 2), testParams())
 	sink := func(Packet) {}
 	for h := 0; h < 16; h++ {
-		net.Attach(h, sink)
+		net.Attach(h, ReceiverFunc(sink))
 	}
 	for dst := 1; dst < 16; dst++ {
 		net.Send(Packet{Src: 0, Dst: dst, Size: 64, Kind: "data"})
@@ -71,7 +71,7 @@ func TestSendDropZeroAlloc(t *testing.T) {
 		seen++
 		return Outcome{Drop: seen%2 == 0} // every other packet
 	}})
-	net.Attach(1, func(Packet) {})
+	net.Attach(1, ReceiverFunc(func(Packet) {}))
 	for i := 0; i < 32; i++ {
 		net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "data"})
 		eng.Run()

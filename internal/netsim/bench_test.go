@@ -17,7 +17,7 @@ func benchNet(b *testing.B) (*sim.Engine, *Network) {
 	net := New(eng, topo.NewFatTree(4, 2), testParams())
 	sink := func(Packet) {}
 	for h := 0; h < 16; h++ {
-		net.Attach(h, sink)
+		net.Attach(h, ReceiverFunc(sink))
 	}
 	for dst := 1; dst < 16; dst++ {
 		net.Send(Packet{Src: 0, Dst: dst, Size: 64, Kind: "data"})

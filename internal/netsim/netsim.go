@@ -155,7 +155,7 @@ type Network struct {
 	topo      topo.Topology
 	params    Params
 	busyUntil []sim.Time
-	recv      []func(Packet)
+	recv      []Receiver
 	imp       Impairment
 	// counters holds the scalar totals; per-kind counts live in
 	// kindCounts, indexed by the interned kind ID.
@@ -165,7 +165,9 @@ type Network struct {
 	kindCounts []uint64
 	// freeEvents is the pool of packet events; events return here after
 	// firing, so steady-state scheduling recycles instead of allocating.
+	// When it is empty, events are carved from newEvents.
 	freeEvents *pktEvent
+	newEvents  sim.Chunk[pktEvent]
 	mcast      mcastScratch
 	// tr, when non-nil, receives packet-lifecycle records (inject,
 	// per-hop arrival, drop with reason, delivery) and per-group wire
@@ -209,7 +211,8 @@ func (pe *pktEvent) Fire() {
 func (n *Network) getEvent(op uint8, pkt Packet, dsts []int) *pktEvent {
 	pe := n.freeEvents
 	if pe == nil {
-		pe = &pktEvent{n: n}
+		pe = n.newEvents.New()
+		pe.n = n
 	} else {
 		n.freeEvents = pe.next
 	}
@@ -256,7 +259,7 @@ func New(eng *sim.Engine, t topo.Topology, p Params) *Network {
 		topo:      t,
 		params:    p,
 		busyUntil: make([]sim.Time, links),
-		recv:      make([]func(Packet), t.Hosts()),
+		recv:      make([]Receiver, t.Hosts()),
 		kindIDs:   make(map[string]int),
 	}
 }
@@ -311,20 +314,33 @@ func (n *Network) ResetCounters() {
 	}
 }
 
-// Attach registers the receive callback for a host. It panics when the
-// host already has a receiver: silently replacing one would desynchronize
-// a NIC model from its traffic.
-func (n *Network) Attach(host int, fn func(Packet)) {
+// Receiver takes the packets delivered to one host. A NIC model attaches
+// a pointer to itself (or to a named view of itself), which, unlike a
+// method value, costs no allocation per host.
+type Receiver interface {
+	Receive(Packet)
+}
+
+// ReceiverFunc adapts a plain function to Receiver.
+type ReceiverFunc func(Packet)
+
+// Receive calls f(pkt).
+func (f ReceiverFunc) Receive(pkt Packet) { f(pkt) }
+
+// Attach registers the receiver for a host. It panics when the host
+// already has a receiver: silently replacing one would desynchronize a
+// NIC model from its traffic.
+func (n *Network) Attach(host int, r Receiver) {
 	if host < 0 || host >= len(n.recv) {
 		panic(fmt.Sprintf("netsim: attach host %d out of range", host))
 	}
 	if n.recv[host] != nil {
 		panic(fmt.Sprintf("netsim: host %d already attached", host))
 	}
-	if fn == nil {
+	if r == nil {
 		panic("netsim: nil receiver")
 	}
-	n.recv[host] = fn
+	n.recv[host] = r
 }
 
 // serialization is the body transfer time of pkt on one link.
@@ -457,15 +473,15 @@ func (n *Network) headArrival(pkt Packet, route []int) (sim.Time, bool) {
 }
 
 func (n *Network) deliver(pkt Packet) {
-	fn := n.recv[pkt.Dst]
-	if fn == nil {
+	r := n.recv[pkt.Dst]
+	if r == nil {
 		panic(fmt.Sprintf("netsim: packet for unattached host %d", pkt.Dst))
 	}
 	n.counters.Delivered++
 	if n.tr != nil {
 		n.tr.PktDeliver(n.eng.Now(), pkt.Src, pkt.Dst, pkt.Group, pkt.Kind)
 	}
-	fn(pkt)
+	r.Receive(pkt)
 }
 
 // Multicast models hardware replication in the switches (the QsNet

@@ -20,7 +20,7 @@ func TestSendLatencyCrossbar(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng, topo.NewCrossbar(4), testParams())
 	var at sim.Time
-	net.Attach(1, func(Packet) { at = eng.Now() })
+	net.Attach(1, ReceiverFunc(func(Packet) { at = eng.Now() }))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 100, Kind: "data"})
 	eng.Run()
 	// Route has 2 links: head = 25 + 50 (switch) + 25 = 100ns;
@@ -35,8 +35,8 @@ func TestSendLatencyScalesWithHops(t *testing.T) {
 	ft := topo.NewFatTree(4, 2)
 	net := New(eng, ft, testParams())
 	var near, far sim.Time
-	net.Attach(1, func(Packet) { near = eng.Now() })
-	net.Attach(15, func(Packet) { far = eng.Now() })
+	net.Attach(1, ReceiverFunc(func(Packet) { near = eng.Now() }))
+	net.Attach(15, ReceiverFunc(func(Packet) { far = eng.Now() }))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "x"})
 	eng.Run()
 	base := eng.Now()
@@ -59,7 +59,7 @@ func TestOutputPortContention(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng, topo.NewCrossbar(4), testParams())
 	var arrivals []sim.Time
-	net.Attach(3, func(Packet) { arrivals = append(arrivals, eng.Now()) })
+	net.Attach(3, ReceiverFunc(func(Packet) { arrivals = append(arrivals, eng.Now()) }))
 	// Two senders target host 3 at the same instant; the second worm must
 	// queue behind the first on host 3's down-link.
 	net.Send(Packet{Src: 0, Dst: 3, Size: 100, Kind: "a"})
@@ -85,8 +85,8 @@ func TestDistinctDestinationsDoNotContend(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng, topo.NewCrossbar(4), testParams())
 	var a2, a3 sim.Time
-	net.Attach(2, func(Packet) { a2 = eng.Now() })
-	net.Attach(3, func(Packet) { a3 = eng.Now() })
+	net.Attach(2, ReceiverFunc(func(Packet) { a2 = eng.Now() }))
+	net.Attach(3, ReceiverFunc(func(Packet) { a3 = eng.Now() }))
 	net.Send(Packet{Src: 0, Dst: 2, Size: 100, Kind: "a"})
 	net.Send(Packet{Src: 1, Dst: 3, Size: 100, Kind: "b"})
 	eng.Run()
@@ -98,8 +98,8 @@ func TestDistinctDestinationsDoNotContend(t *testing.T) {
 func TestCountersAndKinds(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng, topo.NewCrossbar(4), testParams())
-	net.Attach(1, func(Packet) {})
-	net.Attach(2, func(Packet) {})
+	net.Attach(1, ReceiverFunc(func(Packet) {}))
+	net.Attach(2, ReceiverFunc(func(Packet) {}))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 10, Kind: "data"})
 	net.Send(Packet{Src: 0, Dst: 2, Size: 20, Kind: "ack"})
 	net.Send(Packet{Src: 0, Dst: 1, Size: 30, Kind: "data"})
@@ -125,7 +125,7 @@ func TestScriptedLoss(t *testing.T) {
 	net := New(eng, topo.NewCrossbar(4), testParams())
 	net.SetImpairment(dropNth("data", 1))
 	var got []string
-	net.Attach(1, func(p Packet) { got = append(got, p.Kind) })
+	net.Attach(1, ReceiverFunc(func(p Packet) { got = append(got, p.Kind) }))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "data"}) // idx 0: kept
 	net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "ack"})  // not matching
 	net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "data"}) // idx 1: dropped
@@ -147,7 +147,7 @@ func TestMulticastSharedTrunk(t *testing.T) {
 	arrivals := map[int]sim.Time{}
 	for h := 0; h < 16; h++ {
 		h := h
-		net.Attach(h, func(Packet) { arrivals[h] = eng.Now() })
+		net.Attach(h, ReceiverFunc(func(Packet) { arrivals[h] = eng.Now() }))
 	}
 	dsts := make([]int, 16)
 	for i := range dsts {
@@ -184,7 +184,7 @@ func TestMulticastSharedTrunkCachedRoutes(t *testing.T) {
 	arrivals := map[int]sim.Time{}
 	for h := 0; h < 16; h++ {
 		h := h
-		net.Attach(h, func(Packet) { arrivals[h] = eng.Now() })
+		net.Attach(h, ReceiverFunc(func(Packet) { arrivals[h] = eng.Now() }))
 	}
 	dsts := make([]int, 16)
 	for i := range dsts {
@@ -234,7 +234,7 @@ func TestMulticastDeadLinkPrunesCachedRoutes(t *testing.T) {
 	delivered := map[int]bool{}
 	for h := 0; h < 16; h++ {
 		h := h
-		net.Attach(h, func(Packet) { delivered[h] = true })
+		net.Attach(h, ReceiverFunc(func(Packet) { delivered[h] = true }))
 	}
 	dsts := make([]int, 16)
 	for i := range dsts {
@@ -285,10 +285,10 @@ func (d dropLink) Hop(_ Packet, link, _, _ int, _ sim.Time) Outcome {
 func TestAttachGuards(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng, topo.NewCrossbar(2), testParams())
-	net.Attach(0, func(Packet) {})
+	net.Attach(0, ReceiverFunc(func(Packet) {}))
 	for name, fn := range map[string]func(){
-		"double attach":  func() { net.Attach(0, func(Packet) {}) },
-		"range":          func() { net.Attach(5, func(Packet) {}) },
+		"double attach":  func() { net.Attach(0, ReceiverFunc(func(Packet) {})) },
+		"range":          func() { net.Attach(5, ReceiverFunc(func(Packet) {})) },
 		"nil receiver":   func() { net.Attach(1, nil) },
 		"loopback":       func() { net.Send(Packet{Src: 1, Dst: 1, Size: 1}) },
 		"zero bandwidth": func() { New(eng, topo.NewCrossbar(2), Params{}) },
@@ -330,7 +330,7 @@ func TestLatencyMonotoneProperty(t *testing.T) {
 			eng := sim.NewEngine()
 			net := New(eng, topo.NewFatTree(4, 2), testParams())
 			var at sim.Time
-			net.Attach(dst, func(Packet) { at = eng.Now() })
+			net.Attach(dst, ReceiverFunc(func(Packet) { at = eng.Now() }))
 			net.Send(Packet{Src: src, Dst: dst, Size: sz, Kind: "p"})
 			eng.Run()
 			return sim.Duration(at)

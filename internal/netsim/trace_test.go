@@ -106,7 +106,7 @@ func TestTraceDropReasons(t *testing.T) {
 	net := New(eng, topo.NewFatTree(4, 2), testParams())
 	net.SetImpairment(dropNth("data", 0))
 	for h := 0; h < net.Topology().Hosts(); h++ {
-		net.Attach(h, func(Packet) {})
+		net.Attach(h, ReceiverFunc(func(Packet) {}))
 	}
 	tr := obs.NewTracer()
 	sc := tr.NewScope("drops")

@@ -46,11 +46,19 @@ type Bus struct {
 }
 
 // New builds a bus on the engine.
-func New(eng *sim.Engine, p Params) *Bus {
+func New(eng *sim.Engine, p Params) *Bus { return &NewBuses(eng, p, 1)[0] }
+
+// NewBuses builds n buses on the engine as one slice, one per host of a
+// cluster, so a cluster's buses cost one allocation.
+func NewBuses(eng *sim.Engine, p Params, n int) []Bus {
 	if p.BandwidthMBps <= 0 {
 		panic("pci: non-positive bandwidth")
 	}
-	return &Bus{eng: eng, params: p}
+	buses := make([]Bus, n)
+	for i := range buses {
+		buses[i] = Bus{eng: eng, params: p}
+	}
+	return buses
 }
 
 // Counters returns a snapshot of usage counters.

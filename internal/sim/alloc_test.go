@@ -77,3 +77,32 @@ func TestEngineRefillZeroAlloc(t *testing.T) {
 		t.Fatalf("deep-queue schedule+fire allocates %.1f objects per event, want 0", allocs)
 	}
 }
+
+// Reserve sizes the slot table for a burst: n events scheduled at one
+// instant fit without regrowing it, and the key and payload arrays
+// always grow together to one capacity.
+func TestEngineReserveBurst(t *testing.T) {
+	const n = 1000
+	eng := NewEngine()
+	eng.Reserve(n)
+	if cap(eng.keys) < n || cap(eng.payload) != cap(eng.keys) {
+		t.Fatalf("Reserve(%d): key capacity %d, payload capacity %d", n, cap(eng.keys), cap(eng.payload))
+	}
+	keys, payload := &eng.keys[:1][0], &eng.payload[:1][0]
+	fn := func() {}
+	for i := 0; i < cap(eng.keys); i++ {
+		eng.After(0, fn)
+	}
+	if &eng.keys[0] != keys || &eng.payload[0] != payload {
+		t.Fatal("the slot table regrew within its reserved capacity")
+	}
+	eng.After(0, fn)
+	if cap(eng.payload) != cap(eng.keys) || len(eng.keys) != len(eng.payload) {
+		t.Fatalf("after growth: keys %d/%d, payload %d/%d",
+			len(eng.keys), cap(eng.keys), len(eng.payload), cap(eng.payload))
+	}
+	eng.Run()
+	if eng.Executed() != uint64(len(eng.keys)) {
+		t.Fatalf("executed %d events, want %d", eng.Executed(), len(eng.keys))
+	}
+}

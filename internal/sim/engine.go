@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -153,9 +154,34 @@ func (e *Engine) acquireSlot() int32 {
 		e.keys[s].state = slotLive
 		return s
 	}
+	s := len(e.keys)
+	if s == cap(e.keys) {
+		e.growSlots(s + 1)
+	}
+	// Slots past len were never used: payload[s] is still zero.
 	e.keys = append(e.keys, key{state: slotLive})
-	e.payload = append(e.payload, payload{})
-	return int32(len(e.keys) - 1)
+	e.payload = e.payload[:s+1]
+	return int32(s)
+}
+
+// Reserve grows the timer slot table to hold n pending entries, so a
+// burst of n schedules at one instant grows it once instead of doubling
+// its way there. Cluster builders reserve one slot per endpoint: a
+// session launch posts every rank at one instant.
+func (e *Engine) Reserve(n int) {
+	if n > cap(e.keys) {
+		e.growSlots(n)
+	}
+}
+
+// growSlots grows the key and payload arrays together to one capacity,
+// at least n: the capacity append would give the larger payload array,
+// so its allocation fills its size class.
+func (e *Engine) growSlots(n int) {
+	payload := slices.Grow(e.payload, n-len(e.payload))
+	keys := make([]key, len(e.keys), cap(payload))
+	copy(keys, e.keys)
+	e.keys, e.payload = keys, payload
 }
 
 // releaseSlot returns a slot to the free list and bumps its generation,

@@ -11,9 +11,18 @@ type FreeList[T any] struct {
 // Get returns a record from the list, or a new zero one when the list is
 // empty. A reused record holds whatever Put left in it: the zero value.
 func (f *FreeList[T]) Get() *T {
+	if x := f.pop(); x != nil {
+		return x
+	}
+	return new(T)
+}
+
+// pop takes the most recently put record, or returns nil when the list
+// is empty.
+func (f *FreeList[T]) pop() *T {
 	k := len(f.free)
 	if k == 0 {
-		return new(T)
+		return nil
 	}
 	x := f.free[k-1]
 	f.free = f.free[:k-1]
@@ -30,3 +39,54 @@ func (f *FreeList[T]) Put(x *T) {
 
 // Len reports how many records the list holds.
 func (f *FreeList[T]) Len() int { return len(f.free) }
+
+// Chunk hands out zeroed *T records carved from shared backing arrays,
+// so a pool that grows by many records at once (every rank of a large
+// group posting at one instant) allocates once per chunk instead of
+// once per record. Each new chunk holds half as many records as the
+// chunk has made so far, between chunkMin and chunkMax, so the unused
+// tail stays a bounded fraction of the pool.
+//
+// A chunk stays reachable while any record carved from it is, so only
+// pools whose records always come back belong on one: a payload lost
+// with a dropped packet would pin its whole chunk. The zero value is
+// ready to use.
+type Chunk[T any] struct {
+	spare []T
+	made  int
+}
+
+// Chunk sizes, in records.
+const (
+	chunkMin = 4
+	chunkMax = 256
+)
+
+// New returns a zero record carved from the current chunk, starting a
+// new chunk when it is used up.
+func (c *Chunk[T]) New() *T {
+	if len(c.spare) == 0 {
+		c.spare = make([]T, min(max(c.made/2, chunkMin), chunkMax))
+	}
+	x := &c.spare[0]
+	c.spare = c.spare[1:]
+	c.made++
+	return x
+}
+
+// ChunkedFreeList is a FreeList whose Get carves from a Chunk instead of
+// allocating when the list is empty. Len still counts only the records
+// put back, not the chunk's unused tail.
+type ChunkedFreeList[T any] struct {
+	FreeList[T]
+	chunk Chunk[T]
+}
+
+// Get returns a record from the list, or a zero one carved from the
+// chunk when the list is empty.
+func (f *ChunkedFreeList[T]) Get() *T {
+	if x := f.pop(); x != nil {
+		return x
+	}
+	return f.chunk.New()
+}
