@@ -26,27 +26,29 @@ import (
 // the next Start, Arrive or Missing call on any member of the arena.
 type OpState struct {
 	sched barrier.Schedule
+	// a is the arena the state machine lives in: it holds the arrival
+	// words, the result buffer of Start, Arrive and Missing, and the
+	// NACK counts.
+	a *Arena
 
-	seq    int // active or most recently completed operation; -1 before first
+	// Small integers, so that a member's state stays 56 bytes: a group
+	// has fewer than 2^31 ranks, steps and operations.
+	off    int32 // first of this state's words in a.words
+	seq    int32 // active or most recently completed operation; -1 before first
+	step   int32 // current step of the active operation
+	bit    int32 // first arrival bit not yet seen set (all below it are)
+	sentTo int32 // steps of the active operation whose sends have fired
+	dups   int32 // see Duplicates
+	stale  int32 // see Stale
 	active bool
-	step   int // current step of the active operation
-	bit    int // first arrival bit not yet seen set (all below it are)
-	sentTo int // steps of the active operation whose sends have fired
-
-	// Arrival bits are numbered in schedule (wait-list) order. arrived
-	// holds the active operation's arrivals, early the buffered arrivals
-	// for seq+1; the two are carved from the arena's word array, and
-	// Start swaps them.
-	arrived, early []uint64
-
-	buf *[]int // the arena's result buffer of Start, Arrive and Missing
-
-	// Duplicates counts arrivals that were already recorded (retransmits
-	// that raced the original); they are ignored but visible for tests.
-	Duplicates int
-	// Stale counts arrivals for operations already completed.
-	Stale int
 }
+
+// Arrival bits are numbered in schedule (wait-list) order, and each
+// operation's bits live in the vector of its parity: word i of
+// operation seq's vector is a.words[off+2i+seq&1]. The active
+// operation's arrivals are in its own vector, the buffered arrivals of
+// seq+1 in the other, so Start swaps nothing: it clears the other
+// vector, which held seq-1's arrivals, for seq+1 to buffer into.
 
 // NewOpState builds the state machine for one rank's schedule as a
 // one-member arena: four allocations whatever the group size. Sessions
@@ -56,38 +58,35 @@ func NewOpState(sched barrier.Schedule) *OpState {
 	return a.Op(0)
 }
 
-// init builds o in place over words, which holds two bit vectors of
-// len(words)/2 words each.
-func (o *OpState) init(sched barrier.Schedule, words []uint64, buf *[]int) {
-	half := len(words) / 2
-	*o = OpState{
-		sched:   sched,
-		seq:     -1,
-		arrived: words[:half:half],
-		early:   words[half:],
-		buf:     buf,
-	}
-}
+// words reports how many words each of sched's two arrival vectors
+// takes.
+func words(sched barrier.Schedule) int { return (sched.TotalWaits() + 63) / 64 }
 
-// setBit sets bit i of w, reporting whether it was previously clear.
-func setBit(w []uint64, i int) bool {
-	m := uint64(1) << (i % 64)
-	if w[i/64]&m != 0 {
+// word returns the index in a.words of word i of operation seq's
+// vector.
+func (o *OpState) word(seq, i int) int { return int(o.off) + 2*i + seq&1 }
+
+// setBit sets arrival bit i of operation seq, reporting whether it was
+// previously clear.
+func (o *OpState) setBit(seq, i int) bool {
+	w, m := &o.a.words[o.word(seq, i/64)], uint64(1)<<(i%64)
+	if *w&m != 0 {
 		return false
 	}
-	w[i/64] |= m
+	*w |= m
 	return true
 }
 
-// getBit reports bit i of w.
-func getBit(w []uint64, i int) bool { return w[i/64]&(uint64(1)<<(i%64)) != 0 }
+// getBit reports arrival bit i of operation seq.
+func (o *OpState) getBit(seq, i int) bool {
+	return o.a.words[o.word(seq, i/64)]&(uint64(1)<<(i%64)) != 0
+}
 
-// SendIndex reports the position of toRank among this rank's
-// destinations, in schedule send order; ok is false when the schedule
-// never sends to toRank. Callers key per-destination records by it.
-func (o *OpState) SendIndex(toRank int) (idx int, ok bool) {
-	idx, _, ok = o.sched.Dest(toRank)
-	return idx, ok
+// clearBits clears operation seq's arrival vector.
+func (o *OpState) clearBits(seq int) {
+	for i := range words(o.sched) {
+		o.a.words[o.word(seq, i)] = 0
+	}
 }
 
 // Schedule returns the schedule this state machine executes.
@@ -95,13 +94,51 @@ func (o *OpState) Schedule() barrier.Schedule { return o.sched }
 
 // Seq reports the active (or most recently completed) operation sequence;
 // -1 before the first Start.
-func (o *OpState) Seq() int { return o.seq }
+func (o *OpState) Seq() int { return int(o.seq) }
 
 // Active reports whether an operation is in flight.
 func (o *OpState) Active() bool { return o.active }
 
 // Step reports the current step index of the active operation.
-func (o *OpState) Step() int { return o.step }
+func (o *OpState) Step() int { return int(o.step) }
+
+// Duplicates counts arrivals that were already recorded (retransmits
+// that raced the original); they are ignored but visible for tests.
+func (o *OpState) Duplicates() int { return int(o.dups) }
+
+// Stale counts arrivals for operations already completed.
+func (o *OpState) Stale() int { return int(o.stale) }
+
+// Reduce returns the allreduce state machine wrapping o, nil for a
+// barrier or broadcast state machine.
+func (o *OpState) Reduce() *ReduceState {
+	if o.a.reds == nil {
+		return nil
+	}
+	return &o.a.reds[o.a.index(o)]
+}
+
+// CountNack records one more NACK answered for this rank's operation seq
+// notification to toRank, a destination of its schedule, and returns
+// how many it has answered. Counts are kept for the current and the
+// previous operation only: operation seq+2 takes over seq's. The arena
+// builds every member's counts on the first NACK any of them answers.
+func (o *OpState) CountNack(seq, toRank int) int {
+	i, _, ok := o.sched.Dest(toRank)
+	if !ok {
+		panic(fmt.Sprintf("core: rank %d never sends to rank %d", o.sched.Rank(), toRank))
+	}
+	a := o.a
+	if a.nacks == nil {
+		a.nacks = make([]nackCount, 2*a.sends*max(len(a.ops), len(a.reds)))
+	}
+	c := &a.nacks[(2*a.index(o)+seq&1)*a.sends+i]
+	if c.seq != seq {
+		*c = nackCount{seq: seq}
+	}
+	c.n++
+	return c.n
+}
 
 // Start activates operation seq (which must be exactly the successor of
 // the previous operation), replays any buffered early arrivals, and
@@ -111,14 +148,13 @@ func (o *OpState) Start(seq int) (sends []int, completed bool, err error) {
 	if o.active {
 		return nil, false, fmt.Errorf("core: Start(%d) while op %d active", seq, o.seq)
 	}
-	if seq != o.seq+1 {
+	if seq != int(o.seq)+1 {
 		return nil, false, fmt.Errorf("core: Start(%d) after op %d", seq, o.seq)
 	}
-	o.seq = seq
+	o.seq = int32(seq)
 	o.active = true
 	o.step, o.bit, o.sentTo = 0, 0, 0
-	o.arrived, o.early = o.early, o.arrived
-	clear(o.early)
+	o.clearBits(seq + 1)
 	sends, completed = o.advance()
 	return sends, completed, nil
 }
@@ -136,28 +172,29 @@ func (o *OpState) Arrive(seq, fromRank int) (sends []int, completed bool, err er
 // when the arrival was recorded, for the active operation or buffered
 // for the next one, and bit -1 when it was not.
 func (o *OpState) arrive(seq, fromRank int) (bit, step int, sends []int, completed bool, err error) {
+	cur := int(o.seq)
 	switch {
-	case seq <= o.seq-1 || (seq == o.seq && !o.active):
-		o.Stale++
+	case seq <= cur-1 || (seq == cur && !o.active):
+		o.stale++
 		return -1, 0, nil, false, nil
-	case seq == o.seq && o.active:
+	case seq == cur && o.active:
 		bit, step, ok := o.sched.Arrival(fromRank)
 		if !ok {
 			return -1, 0, nil, false, fmt.Errorf("core: arrival from unexpected rank %d", fromRank)
 		}
-		if !setBit(o.arrived, bit) {
-			o.Duplicates++
+		if !o.setBit(seq, bit) {
+			o.dups++
 			return -1, 0, nil, false, nil
 		}
 		sends, completed = o.advance()
 		return bit, step, sends, completed, nil
-	case seq == o.seq+1:
+	case seq == cur+1:
 		bit, step, ok := o.sched.Arrival(fromRank)
 		if !ok {
 			return -1, 0, nil, false, fmt.Errorf("core: early arrival from unexpected rank %d", fromRank)
 		}
-		if !setBit(o.early, bit) {
-			o.Duplicates++
+		if !o.setBit(seq, bit) {
+			o.dups++
 			return -1, 0, nil, false, nil
 		}
 		return bit, step, nil, false, nil
@@ -170,15 +207,16 @@ func (o *OpState) arrive(seq, fromRank int) (bit, step int, sends []int, complet
 // steps whose waits are satisfied, returning newly issued sends (nil when
 // there are none) in the shared buffer.
 func (o *OpState) advance() (sends []int, completed bool) {
-	buf := (*o.buf)[:0]
+	buf := o.a.buf[:0]
+	seq, step, bit := int(o.seq), int(o.step), int(o.bit)
 	completed = true
-	for steps := o.sched.Steps(); o.step < steps; o.step++ {
-		if o.sentTo == o.step {
+	for steps := o.sched.Steps(); step < steps; step++ {
+		if int(o.sentTo) == step {
 			o.sentTo++
-			buf = o.sched.AppendSends(buf, o.step)
+			buf = o.sched.AppendSends(buf, step)
 		}
-		for end := o.sched.WaitEnd(o.step); o.bit < end; o.bit++ {
-			if !getBit(o.arrived, o.bit) {
+		for end := o.sched.WaitEnd(step); bit < end; bit++ {
+			if !o.getBit(seq, bit) {
 				completed = false
 				break
 			}
@@ -187,10 +225,11 @@ func (o *OpState) advance() (sends []int, completed bool) {
 			break
 		}
 	}
+	o.step, o.bit = int32(step), int32(bit)
 	if completed {
 		o.active = false
 	}
-	*o.buf = buf
+	o.a.buf = buf
 	if len(buf) == 0 {
 		return nil, completed
 	}
@@ -206,8 +245,8 @@ func (o *OpState) advance() (sends []int, completed bool) {
 // installs a fresh group (new ID, fresh records) instead.
 func (o *OpState) Abort() {
 	o.active = false
-	o.step = o.sched.Steps()
-	clear(o.early)
+	o.step = int32(o.sched.Steps())
+	o.clearBits(int(o.seq) + 1)
 }
 
 // Missing lists the peer ranks whose notifications for the active
@@ -219,13 +258,13 @@ func (o *OpState) Missing() []int {
 		return nil
 	}
 	// Arrival bits follow the schedule's wait lists, step by step.
-	buf := (*o.buf)[:0]
+	buf := o.a.buf[:0]
 	for bit := range o.sched.TotalWaits() {
-		if !getBit(o.arrived, bit) {
+		if !o.getBit(int(o.seq), bit) {
 			buf = append(buf, o.sched.Sender(bit))
 		}
 	}
-	*o.buf = buf
+	o.a.buf = buf
 	if len(buf) == 0 {
 		return nil
 	}
@@ -241,11 +280,11 @@ func (o *OpState) HasSent(seq, toRank int) bool {
 	if !sendsToRank {
 		return false
 	}
-	switch {
-	case seq < o.seq || (seq == o.seq && !o.active):
+	switch cur := int(o.seq); {
+	case seq < cur || (seq == cur && !o.active):
 		return true
-	case seq == o.seq:
-		return step < o.sentTo
+	case seq == cur:
+		return step < int(o.sentTo)
 	default:
 		return false
 	}

@@ -522,9 +522,9 @@ func compareOpState(got *OpState, want *refOpState, red *ReduceState, refRed *re
 		return fmt.Errorf("seq/active/step %d %v %d; reference %d %v %d",
 			got.Seq(), got.Active(), got.Step(), want.Seq(), want.Active(), want.Step())
 	}
-	if got.Duplicates != want.Duplicates || got.Stale != want.Stale {
+	if got.Duplicates() != want.Duplicates || got.Stale() != want.Stale {
 		return fmt.Errorf("duplicates/stale %d %d; reference %d %d",
-			got.Duplicates, got.Stale, want.Duplicates, want.Stale)
+			got.Duplicates(), got.Stale(), want.Duplicates, want.Stale)
 	}
 	if m, ref := slices.Clone(got.Missing()), want.Missing(); !slices.Equal(m, ref) {
 		return fmt.Errorf("Missing %v; reference %v", m, ref)

@@ -130,20 +130,20 @@ func TestOpDuplicateAndStale(t *testing.T) {
 	mustArrive(t, o, 0, 1)
 	// Duplicate of a completed op: stale.
 	mustArrive(t, o, 0, 1)
-	if o.Stale != 1 {
-		t.Fatalf("stale = %d", o.Stale)
+	if o.Stale() != 1 {
+		t.Fatalf("stale = %d", o.Stale())
 	}
 	mustStart(t, o, 1)
 	mustArrive(t, o, 1, 1)
-	if o.Duplicates != 0 {
-		t.Fatalf("duplicates = %d", o.Duplicates)
+	if o.Duplicates() != 0 {
+		t.Fatalf("duplicates = %d", o.Duplicates())
 	}
 	// Op 1 completed; op 2 not started. A retransmit for op 2 buffers,
 	// then its duplicate counts.
 	mustArrive(t, o, 2, 1)
 	mustArrive(t, o, 2, 1)
-	if o.Duplicates != 1 {
-		t.Fatalf("duplicates = %d", o.Duplicates)
+	if o.Duplicates() != 1 {
+		t.Fatalf("duplicates = %d", o.Duplicates())
 	}
 }
 
@@ -339,5 +339,28 @@ func BenchmarkOpStateArrive32k(b *testing.B) {
 		if !done {
 			b.Fatalf("operation %d did not complete", i)
 		}
+	}
+}
+
+// CountNack counts per destination and operation, for the current and
+// the previous operation: operation seq+2 starts its destination's count
+// afresh. Members of one arena keep their own counts.
+func TestCountNack(t *testing.T) {
+	plan := barrier.NewPlan(barrier.Dissemination, 4, barrier.Options{})
+	a := NewArena(plan)
+	o, p := a.Op(0), a.Op(1)
+	for i, c := range []struct{ seq, to, want int }{
+		{0, 1, 1}, {0, 1, 2}, {0, 2, 1}, {1, 1, 1}, {0, 1, 3}, {2, 1, 1}, {1, 1, 2},
+	} {
+		if got := o.CountNack(c.seq, c.to); got != c.want {
+			t.Fatalf("step %d: CountNack(%d, %d) = %d, want %d", i, c.seq, c.to, got, c.want)
+		}
+	}
+	if got := p.CountNack(0, 2); got != 1 {
+		t.Fatalf("rank 1's first NACK to rank 2 counts %d, want 1", got)
+	}
+	// A one-member arena holds a rank other than 0.
+	if got := NewOpState(plan.Rank(3)).CountNack(5, 0); got != 1 {
+		t.Fatalf("one-member arena: CountNack = %d, want 1", got)
 	}
 }

@@ -150,12 +150,13 @@ func (r *ReduceState) Inner() *OpState { return &r.st }
 func (r *ReduceState) fold(uptoStep int) int64 {
 	val := r.local
 	sched := r.st.sched
-	vals := r.vals[(r.st.seq&1)*len(r.vals)/2:]
+	seq := int(r.st.seq)
+	vals := r.vals[(seq&1)*len(r.vals)/2:]
 	bit := 0
 	for s, steps := 0, min(uptoStep, sched.Steps()); s < steps; s++ {
 		result := sched.ResultWait(s)
 		for end := sched.WaitEnd(s); bit < end; bit++ {
-			if getBit(r.st.arrived, bit) {
+			if r.st.getBit(seq, bit) {
 				if result {
 					val = vals[bit]
 				} else {

@@ -49,6 +49,49 @@ func (e *entries[T]) remove(id GroupID) bool {
 	return true
 }
 
+// reserve makes room for one more entry in each of the n lists at
+// returns: every full list of k entries moves to a backing array of
+// max(2k, 1), as append would grow it, and all those arrays are carved
+// from one allocation. A carve is capacity-bounded, so a later append to
+// a full list reallocates instead of overwriting its neighbour's carve.
+// A list that moves clears the array it leaves, which its neighbours
+// may keep alive, so that the array pins none of its values.
+func reserve[T any](n int, at func(i int) *entries[T]) {
+	need := 0
+	for i := range n {
+		if e := at(i); len(*e) == cap(*e) {
+			need += max(2*len(*e), 1)
+		}
+	}
+	if need == 0 {
+		return
+	}
+	slab := make(entries[T], need)
+	for i := range n {
+		e := at(i)
+		if k := len(*e); k == cap(*e) {
+			c := max(2*k, 1)
+			grown := slab[:k:c]
+			copy(grown, *e)
+			clear(*e)
+			*e, slab = grown, slab[c:]
+		}
+	}
+}
+
+// ReserveTables makes room for one more entry in each of n group
+// tables, table(i) returning the i-th, from one allocation shared by
+// all of them. A session installing a group on n NICs calls it before
+// claiming, so the install allocates once, not once per NIC.
+func ReserveTables[T any](n int, table func(i int) *Table[T]) {
+	reserve(n, func(i int) *entries[T] { return &table(i).entries })
+}
+
+// ReserveBindings is ReserveTables for n hosts' bindings.
+func ReserveBindings[H any](n int, bindings func(i int) *Bindings[H]) {
+	reserve(n, func(i int) *entries[H] { return &bindings(i).entries })
+}
+
 // Table is a NIC's group table, the per-group entry the paper's protocol
 // looks up by group ID: a Myrinet group queue, an Elan chained-descriptor
 // list. It holds at most the capacity its caller passes (the NIC's SRAM

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -282,4 +283,50 @@ func FuzzGroupTable(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// ReserveTables gives every full table room for more entries, twice its
+// length or one, keeps its entries, clears the array it left, and
+// carves all the new room from one allocation; a table with room is
+// left alone. A carve is capacity-bounded, so claiming past it moves
+// that table alone and leaves its neighbour's entries intact.
+func TestReserveTables(t *testing.T) {
+	tables := make([]Table[int], 4)
+	for i := range tables[:3] {
+		if err := tables[i].Claim(GroupID(i+1), 10*(i+1), 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables[2].Release(3, 0, 1) // empty, with room for one
+	left := tables[0].entries
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ReserveTables(len(tables), func(i int) *Table[int] { return &tables[i] })
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 1 {
+		t.Fatalf("reserving room in %d tables took %d allocations, want 1", len(tables), n)
+	}
+	for i, want := range []int{2, 2, 1, 1} {
+		if c := cap(tables[i].entries); c != want {
+			t.Fatalf("table %d has room for %d entries, want %d", i, c, want)
+		}
+	}
+	if left[0] != (entry[int]{}) {
+		t.Fatalf("the array table 0 left still holds %+v", left[0])
+	}
+	for i := range 2 {
+		if v, ok := tables[i].Get(GroupID(i + 1)); !ok || v != 10*(i+1) {
+			t.Fatalf("table %d lost its entry: %d, %v", i, v, ok)
+		}
+	}
+	// Table 0 is full again after one claim; a second claim must not
+	// spill into table 1's carve.
+	for _, id := range []GroupID{5, 6, 7} {
+		if err := tables[0].Claim(id, int(id), 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := tables[1].Get(2); !ok || v != 20 || tables[1].Len() != 1 {
+		t.Fatalf("a claim on table 0 overwrote table 1: %d, %v, %d entries", v, ok, tables[1].Len())
+	}
 }

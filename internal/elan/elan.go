@@ -506,7 +506,7 @@ func NewCluster(eng *sim.Engine, prof hwprofile.QuadricsProfile, n int) *Cluster
 		panic(fmt.Sprintf("elan: cluster size %d", n))
 	}
 	t := topo.MinFatTree(prof.FatTreeArity, n)
-	eng.Reserve(n)
+	eng.Reserve(2 * n)
 	cl := &Cluster{Eng: eng, Prof: prof, Net: netsim.New(eng, t, prof.Net)}
 	cl.Nodes = newNodes(cl, n)
 	cl.hw = newHWBarrier(cl)

@@ -139,6 +139,15 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 	}
 	s.members = make([]member, len(nodeIDs))
 	group := core.NewGroup(gid, nodeIDs)
+	if scheme != SchemeHW {
+		// Room for the new entry in every member's chain table and host
+		// bindings, from one allocation each.
+		node := func(rank int) *Node { return cl.Nodes[group.Nodes[rank]] }
+		if scheme == SchemeChained {
+			core.ReserveTables(len(nodeIDs), func(r int) *core.Table[*chainOp] { return &node(r).NIC.chains })
+		}
+		core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[EventHandler] { return &node(r).Host.groups })
+	}
 	for rank, id := range group.Nodes {
 		m := &s.members[rank]
 		m.s, m.node = s, cl.Nodes[id]

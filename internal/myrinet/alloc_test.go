@@ -1,6 +1,8 @@
 package myrinet
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"nicbarrier/internal/barrier"
@@ -217,11 +219,15 @@ func TestReinstallReusesGroupTable(t *testing.T) {
 	eng, cl := xpCluster(4, nil)
 	nic := cl.Nodes[0].NIC
 	arena := core.NewArena(barrier.NewPlan(barrier.Dissemination, 4, barrier.Options{}))
-	ops := make([]*groupOp, 4)
+	ops := make([]*member, 4)
 	for i := range ops {
-		ops[i] = &groupOp{nic: nic, group: core.NewGroup(core.GroupID(i+1), identity(4)), state: arena.Op(0), direct: i%2 == 1}
+		s := &Session{scheme: SchemeCollective}
+		if i%2 == 1 {
+			s.scheme = SchemeDirect
+		}
+		ops[i] = &member{nic: nic, s: s, group: core.NewGroup(core.GroupID(i+1), identity(4)), state: arena.Op(0)}
 	}
-	install := func(op *groupOp) {
+	install := func(op *member) {
 		if err := nic.install(op); err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +274,7 @@ func TestSessionSharesPlan(t *testing.T) {
 			if state != m.state || !state.Schedule().Shares(first) {
 				t.Fatalf("%v: rank %d reads its own schedule", scheme, m.rank)
 			}
-			if state.Schedule().Rank() != m.rank {
+			if state.Schedule().Rank() != int(m.rank) {
 				t.Fatalf("%v: rank %d holds rank %d's view", scheme, m.rank, state.Schedule().Rank())
 			}
 		}
@@ -292,6 +298,41 @@ func TestClusterBuildAllocsIndependentOfSize(t *testing.T) {
 	}
 	if small, large := build(64), build(1024); large-small > slack {
 		t.Errorf("NewCluster allocates %.0f objects at 64 nodes and %.0f at 1024, want at most %d more",
+			small, large, slack)
+	}
+}
+
+// Installing a group costs the same allocations at any group size: the
+// members' group-table entries and host bindings take their room from
+// one allocation each (core.ReserveTables, core.ReserveBindings), and
+// the session's members and state machines are a fixed number more. Two
+// groups per node, as the hierarchical barrier installs, make every
+// table and binding list grow twice. The count is the fewest of a few
+// tries, since the process-wide counter also sees the runtime's own
+// allocations.
+func TestGroupInstallAllocsIndependentOfSize(t *testing.T) {
+	const slack = 4
+	install := func(n int) uint64 {
+		fewest := uint64(math.MaxUint64)
+		for range 3 {
+			_, cl := xpCluster(n, nil)
+			nodes := identity(n)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for gid := core.GroupID(1); gid <= 2; gid++ {
+				_, err := NewGroupSession(cl, gid, nodes, SchemeCollective,
+					barrier.NewPlan(barrier.Dissemination, n, barrier.Options{}), core.Chained, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			fewest = min(fewest, m1.Mallocs-m0.Mallocs)
+		}
+		return fewest
+	}
+	if small, large := install(64), install(1024); large > small+slack {
+		t.Errorf("installing two groups allocates %d objects on 64 nodes and %d on 1024, want at most %d more",
 			small, large, slack)
 	}
 }

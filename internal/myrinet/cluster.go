@@ -17,9 +17,10 @@ type Cluster struct {
 	Net   *netsim.Network
 	Nodes []*Node
 
-	// pool is the one free list of handler records and wire payloads
-	// that every node's NIC and host schedule from.
-	pool pool
+	// nicShared is what every NIC points to: the network, the one
+	// free list of handler records and wire payloads that every node's
+	// NIC and host schedule from, the tracer and the failure hooks.
+	nicShared
 }
 
 // NewCluster builds an n-node Myrinet cluster: a single 16-port crossbar
@@ -38,8 +39,9 @@ func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, imp netsi
 	} else {
 		t = topo.MinFatTree(8, n)
 	}
-	eng.Reserve(n)
+	eng.Reserve(2 * n)
 	cl := &Cluster{Eng: eng, Prof: prof, Net: netsim.New(eng, t, prof.Net)}
+	cl.net = cl.Net
 	cl.Nodes = newNodes(cl, n)
 	cl.SetFaults(imp)
 	return cl
@@ -52,9 +54,7 @@ func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, imp netsi
 // timeline; with no tracer the cost is one nil check per site.
 func (cl *Cluster) SetTracer(sc *obs.Scope) {
 	cl.Net.SetTracer(sc)
-	for _, node := range cl.Nodes {
-		node.NIC.tr = sc
-	}
+	cl.tr = sc
 }
 
 // SetFaults installs a fault-injection impairment (e.g. a fault.Plan) on
@@ -66,19 +66,27 @@ func (cl *Cluster) SetFaults(imp netsim.Impairment) {
 	cl.Net.SetImpairment(imp)
 }
 
+// Stats is a cluster's NIC statistics: the GM point-to-point counters
+// and the NIC-level ones.
+type Stats struct {
+	GMStats
+	NICStats
+}
+
 // Stats sums the NIC statistics over all nodes.
-func (cl *Cluster) Stats() NICStats {
-	var total NICStats
+func (cl *Cluster) Stats() Stats {
+	var total Stats
 	for _, node := range cl.Nodes {
+		g := node.NIC.GMStats()
+		total.TokensEnqueued += g.TokensEnqueued
+		total.DataSent += g.DataSent
+		total.AcksSent += g.AcksSent
+		total.AcksRecv += g.AcksRecv
+		total.Retransmits += g.Retransmits
+		total.SeqDrops += g.SeqDrops
+		total.TokenDrops += g.TokenDrops
+		total.DupAcks += g.DupAcks
 		s := node.NIC.Stats
-		total.TokensEnqueued += s.TokensEnqueued
-		total.DataSent += s.DataSent
-		total.AcksSent += s.AcksSent
-		total.AcksRecv += s.AcksRecv
-		total.Retransmits += s.Retransmits
-		total.SeqDrops += s.SeqDrops
-		total.TokenDrops += s.TokenDrops
-		total.DupAcks += s.DupAcks
 		total.EventsPosted += s.EventsPosted
 		total.CollSent += s.CollSent
 		total.CollRecvd += s.CollRecvd

@@ -9,63 +9,15 @@ import (
 	"nicbarrier/internal/sim"
 )
 
-// collModule is the paper's NIC-based collective message passing protocol
-// as resident on one NIC. Compared with the p2p path it:
+// The paper's NIC-based collective message passing protocol, as
+// resident on one NIC. Compared with the p2p path it:
 //
-//   - keeps one dedicated queue entry per group (groupOp), so barrier
-//     traffic never waits behind per-destination data queues;
+//   - keeps one dedicated queue entry per group (a session member), so
+//     barrier traffic never waits behind per-destination data queues;
 //   - transmits from the static (padded-ACK) packet: no packet claim,
 //     no fill DMA, no per-packet send record;
 //   - tracks the whole operation in one core.OpState (bit vector);
 //   - uses receiver-driven NACK retransmission instead of ACK+timeout.
-type collModule struct {
-	nic *NIC
-}
-
-// groupOp is one group's queue entry, served by the collective module or,
-// when direct is set, by the direct scheme's module. Session members
-// embed it, so the group table points into their session's member slice.
-// It is also the sim.Event of its own NACK timer (collective entries
-// only; at most one is armed at a time), for operation nackSeq.
-type groupOp struct {
-	nic       *NIC
-	group     *core.Group // shared by every member of the session
-	rank      int         // this member's rank in group
-	state     *core.OpState
-	reduce    *core.ReduceState // non-nil for allreduce groups
-	nextSeq   int
-	nackTimer sim.Timer
-	nackSeq   int
-	// nackServed counts NACKs answered per requesting rank for the
-	// current and previous operation: entry (seq%2)*dests+i, tagged with
-	// its seq, belongs to destination i in schedule send order. It is
-	// built on the first NACK served. A repeat NACK means the first
-	// retransmission was lost too, so the reply escalates to two
-	// back-to-back copies: under random loss that squares the residual
-	// failure probability, and under deterministic every-Nth impairments
-	// it breaks retransmission resonance outright (a one-in-N filter
-	// cannot discard two consecutive packets on a flow). Peers lag at
-	// most one operation behind, so a NACK for an older operation is a
-	// delayed duplicate: it gets one copy and is not counted.
-	nackServed []nackCount
-	// nackRound counts consecutive fruitless NACK timer rounds for the
-	// active operation (reset by any accepted arrival); past
-	// nackStallRounds the NIC raises OnNackStall — NACK recovery repairs
-	// lost packets, not dead peers, so an escalating count is the
-	// protocol-level smell of a fail-stop failure.
-	nackRound int
-	// frozen marks an aborted entry: the slot stays claimed until
-	// UninstallGroup, but late doorbells, arrivals and NACKs count as
-	// stale instead of touching protocol state — an aborted operation
-	// must not restart from a straggler packet.
-	frozen bool
-	// direct marks an entry of the direct scheme (Buntinas et al.),
-	// which rides the point-to-point machinery and never NACKs.
-	direct bool
-}
-
-// nackCount is one destination's NACK count for operation seq.
-type nackCount struct{ seq, n int }
 
 // nackStallRounds is how many consecutive fruitless NACK rounds raise
 // OnNackStall. Transient loss is repaired in one or two rounds (the
@@ -76,21 +28,22 @@ const nackStallRounds = 4
 // sendValue is the integer the static packet carries to toRank for
 // operation seq: the recorded partial snapshot for allreduce, zero for
 // barriers/broadcasts.
-func (op *groupOp) sendValue(seq, toRank int) int64 {
-	if op.reduce == nil {
+func (m *member) sendValue(seq, toRank int) int64 {
+	red := m.reduce()
+	if red == nil {
 		return 0
 	}
-	v, ok := op.reduce.SentValue(seq, toRank)
+	v, ok := red.SentValue(seq, toRank)
 	if !ok {
 		panic(fmt.Sprintf("myrinet: no reduce snapshot for op %d to rank %d", seq, toRank))
 	}
 	return v
 }
 
-// install claims a group-queue entry for op, failing when the NIC's
-// slots are exhausted or op's group is already installed.
-func (n *NIC) install(op *groupOp) error {
-	if err := n.groups.Claim(op.group.ID, op, n.node.Prof.NIC.GroupQueueSlots); err != nil {
+// install claims a group-queue entry for m, failing when the NIC's
+// slots are exhausted or m's group is already installed.
+func (n *NIC) install(m *member) error {
+	if err := n.groups.Claim(m.group.ID, m, n.node.Prof.NIC.GroupQueueSlots); err != nil {
 		return fmt.Errorf("myrinet: node %d: %w", n.node.ID, err)
 	}
 	return nil
@@ -109,14 +62,14 @@ func (n *NIC) GroupSlotsFree() int {
 // vector still expects arrivals. Unknown IDs panic too: freeing a slot
 // twice is the host-side bug the real firmware would corrupt SRAM over.
 func (n *NIC) UninstallGroup(id core.GroupID) {
-	op, ok := n.groups.Get(id)
+	m, ok := n.groups.Get(id)
 	if !ok {
 		panic(fmt.Sprintf("myrinet: node %d: uninstalling unknown group %d", n.node.ID, id))
 	}
-	if op.state.Active() {
+	if m.state.Active() {
 		panic(fmt.Sprintf("myrinet: node %d: uninstalling group %d mid-operation", n.node.ID, id))
 	}
-	op.nackTimer.Cancel()
+	m.nackTimer.Cancel()
 	// The longest-lived stale traffic is a NACK-resent duplicate, bounded
 	// by a handful of NackTimeout rounds; a 16x horizon is far beyond any
 	// recovery the protocol can stretch to.
@@ -134,14 +87,14 @@ func (n *NIC) UninstallGroup(id core.GroupID) {
 // (which becomes legal, the state no longer being active); recovery
 // installs a fresh group rather than restarting a frozen one.
 func (n *NIC) AbortGroup(id core.GroupID) {
-	op, ok := n.groups.Get(id)
+	m, ok := n.groups.Get(id)
 	if !ok {
 		panic(fmt.Sprintf("myrinet: node %d: aborting unknown group %d", n.node.ID, id))
 	}
-	op.nackTimer.Cancel()
-	op.nackTimer = sim.Timer{}
-	op.state.Abort()
-	op.frozen = true
+	m.nackTimer.Cancel()
+	m.nackTimer = sim.Timer{}
+	m.state.Abort()
+	m.frozen = true
 	n.Stats.AbortedOps++
 	n.traceEvent(int(id), obs.KindOpTimeout, 0)
 }
@@ -157,70 +110,71 @@ func (n *NIC) ChargeGroupInstall(id core.GroupID) {
 	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})
 }
 
-func (c *collModule) mustOp(id core.GroupID) *groupOp {
-	if op, ok := c.nic.groups.Get(id); ok && !op.direct {
-		return op
+// collMember returns the collective-scheme entry of group id.
+func (n *NIC) collMember(id core.GroupID) *member {
+	if m, ok := n.groups.Get(id); ok && !m.direct() {
+		return m
 	}
-	panic(fmt.Sprintf("myrinet: node %d: collective message for unknown group %d", c.nic.node.ID, id))
+	panic(fmt.Sprintf("myrinet: node %d: collective message for unknown group %d", n.node.ID, id))
 }
 
 // start handles the operation doorbell: one enqueue charge creates the
 // operation's send record (begin), then the first sends fire from the
 // static packet. value is the allreduce contribution (ignored for
 // barriers).
-func (c *collModule) start(op *groupOp, value int64) {
-	n := c.nic
-	n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollEnqueue, 0)
+func (m *member) start(value int64) {
+	n := m.nic
+	n.traceTime(int(m.group.ID), n.node.Prof.NIC.CollEnqueue, 0)
 	h := n.pool.get(hCollStart, n)
-	h.op, h.msg.value = op, value
+	h.m, h.msg.value = m, value
 	n.Exec(n.node.Prof.NIC.CollEnqueue, 0, h)
 }
 
-// begin is the doorbell's handler body.
-func (c *collModule) begin(op *groupOp, value int64) {
-	n := c.nic
-	id := op.group.ID
-	if op.frozen {
+// begin is the doorbell's handler body. The operation it starts is the
+// successor of the state machine's last one.
+func (m *member) begin(value int64) {
+	n := m.nic
+	id := m.group.ID
+	seq := m.state.Seq() + 1
+	if m.frozen {
 		// The group was aborted while this doorbell sat in the handler
 		// queue; the host-side run is void.
 		n.Stats.StaleColl++
-		n.traceEvent(int(id), obs.KindStale, int64(op.nextSeq))
+		n.traceEvent(int(id), obs.KindStale, int64(seq))
 		return
 	}
-	seq := op.nextSeq
-	op.nextSeq++
-	op.nackRound = 0
+	m.nackRound = 0
 	var sends []int
 	var done bool
 	var err error
-	if op.reduce != nil {
-		sends, done, err = op.reduce.Start(seq, value)
+	if red := m.reduce(); red != nil {
+		sends, done, err = red.Start(seq, value)
 	} else {
-		sends, done, err = op.state.Start(seq)
+		sends, done, err = m.state.Start(seq)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("myrinet: node %d group %d: %v", n.node.ID, int(id), err))
 	}
-	c.armNack(op, seq)
-	c.sendAll(op, seq, sends)
+	m.armNack(seq)
+	m.sendAll(seq, sends)
 	if done {
-		c.complete(op, seq)
+		m.complete(seq)
 	}
 }
 
 // sendAll fires one CollTrigger handler per outgoing notification; the
 // NIC processor serializes them, the static packet eliminates all
 // claim/fill work.
-func (c *collModule) sendAll(op *groupOp, seq int, ranks []int) {
-	n := c.nic
+func (m *member) sendAll(seq int, ranks []int) {
+	n, g := m.nic, m.group
 	for _, r := range ranks {
 		h := n.pool.get(hCollSend, n)
-		h.dst = op.group.NodeOf(r)
+		h.dst = g.NodeOf(r)
 		h.msg = collPayload{
-			group: op.group.ID, seq: seq, fromRank: op.rank,
-			value: op.sendValue(seq, r),
+			group: g.ID, seq: seq, fromRank: int(m.rank),
+			value: m.sendValue(seq, r),
 		}
-		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
+		n.traceTime(int(g.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
 		n.Exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, h)
 	}
 }
@@ -238,20 +192,18 @@ func (n *NIC) sendColl(dst int, m collPayload) {
 	})
 }
 
-// onMsg handles an arrived collective notification: one slim handler
+// onColl handles an arrived collective notification: one slim handler
 // (arrive) updates the bit vector and triggers whatever the schedule
 // unblocks.
-func (c *collModule) onMsg(m collPayload) {
-	n := c.nic
+func (n *NIC) onColl(m collPayload) {
 	n.traceTime(int(m.group), n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed)
 	h := n.pool.get(hCollRecv, n)
 	h.msg = m
 	n.Exec(n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed, h)
 }
 
-// arrive is onMsg's handler body.
-func (c *collModule) arrive(m collPayload) {
-	n := c.nic
+// arrive is onColl's handler body.
+func (n *NIC) arrive(m collPayload) {
 	if n.groups.Retired(m.group) {
 		// A NACK-resent duplicate outlived its group: the operation
 		// completed (which is why the group could tear down), so the
@@ -260,88 +212,87 @@ func (c *collModule) arrive(m collPayload) {
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return
 	}
-	op := c.mustOp(m.group)
-	if op.frozen {
+	e := n.collMember(m.group)
+	if e.frozen {
 		n.Stats.StaleColl++
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return
 	}
 	n.Stats.CollRecvd++
-	staleBefore := op.state.Stale + op.state.Duplicates
+	staleBefore := e.state.Stale() + e.state.Duplicates()
 	var sends []int
 	var done bool
 	var err error
-	if op.reduce != nil {
-		sends, done, err = op.reduce.Arrive(m.seq, m.fromRank, m.value)
+	if red := e.reduce(); red != nil {
+		sends, done, err = red.Arrive(m.seq, m.fromRank, m.value)
 	} else {
-		sends, done, err = op.state.Arrive(m.seq, m.fromRank)
+		sends, done, err = e.state.Arrive(m.seq, m.fromRank)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
 	}
-	if op.state.Stale+op.state.Duplicates > staleBefore {
+	if e.state.Stale()+e.state.Duplicates() > staleBefore {
 		n.Stats.StaleColl++
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 	} else {
-		op.nackRound = 0 // progress: the NACK rounds were not fruitless
+		e.nackRound = 0 // progress: the NACK rounds were not fruitless
 	}
-	c.sendAll(op, op.state.Seq(), sends)
+	e.sendAll(e.state.Seq(), sends)
 	if done {
-		c.complete(op, op.state.Seq())
+		e.complete(e.state.Seq())
 	}
 }
 
-func (c *collModule) complete(op *groupOp, seq int) {
-	op.nackTimer.Cancel() // no-op when never armed or already fired
-	op.nackTimer = sim.Timer{}
-	n := c.nic
+func (m *member) complete(seq int) {
+	m.nackTimer.Cancel() // no-op when never armed or already fired
+	m.nackTimer = sim.Timer{}
+	n, id := m.nic, m.group.ID
 	n.Stats.BarriersRun++
 	var value int64
-	if op.reduce != nil {
-		value = op.reduce.Value()
+	if red := m.reduce(); red != nil {
+		value = red.Value()
 	}
-	n.traceEvent(int(op.group.ID), obs.KindComplete, int64(seq))
-	n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollComplete, 0)
+	n.traceEvent(int(id), obs.KindComplete, int64(seq))
+	n.traceTime(int(id), n.node.Prof.NIC.CollComplete, 0)
 	h := n.pool.get(hComplete, n)
-	h.ev = Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq, Value: value}
+	h.setDone(id, seq, value)
 	n.Exec(n.node.Prof.NIC.CollComplete, 0, h)
 }
 
 // armNack starts the receiver-driven retransmission timer: if the
 // operation has not completed when it fires, NACK every sender whose
 // notification is missing and re-arm.
-func (c *collModule) armNack(op *groupOp, seq int) {
-	if !op.state.Active() {
+func (m *member) armNack(seq int) {
+	if !m.state.Active() {
 		return
 	}
-	op.nackSeq = seq
-	op.nackTimer = c.nic.Eng.AfterEvent(c.nic.node.Prof.NIC.NackTimeout, op)
+	m.nackSeq = int32(seq)
+	m.nackTimer = m.nic.Eng.AfterEvent(m.nic.node.Prof.NIC.NackTimeout, m)
 }
 
 // Fire implements sim.Event: the NACK timer armed for operation nackSeq
 // expired.
-func (op *groupOp) Fire() {
-	c, seq := &op.nic.coll, op.nackSeq
-	n := c.nic
-	if !op.state.Active() || op.state.Seq() != seq {
+func (m *member) Fire() {
+	n, g, seq := m.nic, m.group, int(m.nackSeq)
+	if !m.state.Active() || m.state.Seq() != seq {
 		return
 	}
-	op.nackRound++
-	if n.OnNackStall != nil && op.nackRound >= nackStallRounds {
-		n.OnNackStall(op.group.ID, op.nackRound)
-		if op.frozen {
+	m.nackRound++
+	if n.OnNackStall != nil && m.nackRound >= nackStallRounds {
+		n.OnNackStall(g.ID, int(m.nackRound))
+		if m.frozen {
 			return // the stall hook aborted the group
 		}
 	}
-	for _, r := range op.state.Missing() {
+	for _, r := range m.state.Missing() {
 		h := n.pool.get(hNackSend, n)
-		h.dst = op.group.NodeOf(r)
-		h.msg = collPayload{group: op.group.ID, seq: seq, fromRank: op.rank}
-		n.traceEvent(int(op.group.ID), obs.KindNack, int64(r))
-		n.traceTime(int(op.group.ID), n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed)
+		h.dst = g.NodeOf(r)
+		h.msg = collPayload{group: g.ID, seq: seq, fromRank: int(m.rank)}
+		n.traceEvent(int(g.ID), obs.KindNack, int64(r))
+		n.traceTime(int(g.ID), n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed)
 		n.Exec(n.node.Prof.NIC.AckBuild, n.node.Prof.NIC.SendFixed, h)
 	}
-	c.armNack(op, seq) // re-arm until the operation completes
+	m.armNack(seq) // re-arm until the operation completes
 }
 
 // sendNack asks node dst to resend its operation m.seq notification to
@@ -360,8 +311,7 @@ func (n *NIC) sendNack(dst int, m collPayload) {
 
 // onNack queues a retransmission request (rank m.fromRank on node
 // fromNode wants its operation m.seq notification again) for serveNack.
-func (c *collModule) onNack(m collPayload, fromNode int) {
-	n := c.nic
+func (n *NIC) onNack(m collPayload, fromNode int) {
 	n.traceTime(int(m.group), n.node.Prof.NIC.CollRecv, n.node.Prof.NIC.RecvFixed)
 	h := n.pool.get(hNackRecv, n)
 	h.dst, h.msg = fromNode, m
@@ -370,47 +320,44 @@ func (c *collModule) onNack(m collPayload, fromNode int) {
 
 // serveNack serves a retransmission request: if this rank already sent
 // the requested notification, fire it again from the static packet.
-// Repeat NACKs for the same notification escalate to a duplicated reply
-// (see groupOp.nackServed), each copy with its own payload.
-func (c *collModule) serveNack(m collPayload, fromNode int) {
-	n := c.nic
+// Repeat NACKs for the same notification escalate to a duplicated
+// reply, each copy with its own payload.
+func (n *NIC) serveNack(m collPayload, fromNode int) {
 	if n.groups.Retired(m.group) {
 		n.Stats.StaleColl++ // NACK for a drained, torn-down group
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return
 	}
-	op := c.mustOp(m.group)
-	if op.frozen {
+	e := n.collMember(m.group)
+	if e.frozen {
 		n.Stats.StaleColl++
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return
 	}
 	n.Stats.NacksRecvd++
-	if !op.state.HasSent(m.seq, m.fromRank) {
+	if !e.state.HasSent(m.seq, m.fromRank) {
 		return // not sent yet; the normal path will deliver it
 	}
+	// A repeat NACK means the first retransmission was lost too, so
+	// the reply escalates to two back-to-back copies: under random loss
+	// that squares the residual failure probability, and under
+	// deterministic every-Nth impairments it breaks retransmission
+	// resonance outright (a one-in-N filter cannot discard two
+	// consecutive packets on a flow). Peers lag at most one operation
+	// behind, so a NACK for an older operation is a delayed duplicate:
+	// it gets one copy and is not counted.
 	copies := 1
-	if m.seq >= op.state.Seq()-1 {
-		if op.nackServed == nil {
-			op.nackServed = make([]nackCount, 2*op.state.Schedule().TotalSends())
-		}
-		i, _ := op.state.SendIndex(m.fromRank)
-		served := &op.nackServed[(m.seq&1)*(len(op.nackServed)/2)+i]
-		if served.seq != m.seq {
-			*served = nackCount{seq: m.seq}
-		}
-		served.n++
-		if served.n > 1 {
-			copies = 2
-		}
+	if m.seq >= e.state.Seq()-1 && e.state.CountNack(m.seq, m.fromRank) > 1 {
+		copies = 2
 	}
+	id := e.group.ID
 	payload := collPayload{
-		group: op.group.ID, seq: m.seq, fromRank: op.rank,
-		value: op.sendValue(m.seq, m.fromRank),
+		group: id, seq: m.seq, fromRank: int(e.rank),
+		value: e.sendValue(m.seq, m.fromRank),
 	}
 	for i := 0; i < copies; i++ {
-		n.traceEvent(int(op.group.ID), obs.KindResend, int64(m.seq))
-		n.traceTime(int(op.group.ID), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
+		n.traceEvent(int(id), obs.KindResend, int64(m.seq))
+		n.traceTime(int(id), n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed)
 		h := n.pool.get(hCollResend, n)
 		h.dst, h.msg = fromNode, payload
 		n.Exec(n.node.Prof.NIC.CollTrigger, n.node.Prof.NIC.SendFixed, h)

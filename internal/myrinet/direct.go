@@ -6,63 +6,61 @@ import (
 	"nicbarrier/internal/core"
 )
 
-// directModule is the earlier NIC-based barrier scheme of Buntinas et al.
+// The direct scheme is the earlier NIC-based barrier of Buntinas et al.
 // (IPDPS'01), kept as the paper's ablation baseline: the NIC detects
 // arrived barrier messages and triggers the next ones without host
 // involvement, but every message still traverses the point-to-point
 // machinery — per-destination queues, packet claim and fill, per-packet
 // send records, ACKs and sender timeouts.
-type directModule struct {
-	nic *NIC
-}
 
-func (d *directModule) mustOp(id core.GroupID) *groupOp {
-	if op, ok := d.nic.groups.Get(id); ok && op.direct {
-		return op
+// directMember returns the direct-scheme entry of group id.
+func (n *NIC) directMember(id core.GroupID) *member {
+	if m, ok := n.groups.Get(id); ok && m.direct() {
+		return m
 	}
-	panic(fmt.Sprintf("myrinet: node %d: direct barrier message for unknown group %d", d.nic.node.ID, id))
+	panic(fmt.Sprintf("myrinet: node %d: direct barrier message for unknown group %d", n.node.ID, id))
 }
 
-func (d *directModule) start(op *groupOp) {
-	// The doorbell is translated like a regular send event.
-	h := d.nic.pool.get(hDirectStart, d.nic)
-	h.op = op
-	d.nic.Exec(d.nic.node.Prof.NIC.TokenTranslate, 0, h)
+// startDirect handles the operation doorbell: it is translated like a
+// regular send event.
+func (m *member) startDirect() {
+	n := m.nic
+	h := n.pool.get(hDirectStart, n)
+	h.m = m
+	n.Exec(n.node.Prof.NIC.TokenTranslate, 0, h)
 }
 
-// begin is the translated doorbell's handler body: it starts the
+// beginDirect is the translated doorbell's handler body: it starts the
 // group's next operation.
-func (d *directModule) begin(op *groupOp) {
-	n := d.nic
-	if op.frozen {
+func (m *member) beginDirect() {
+	n := m.nic
+	if m.frozen {
 		n.Stats.StaleColl++
 		return
 	}
-	seq := op.nextSeq
-	op.nextSeq++
-	sends, done, err := op.state.Start(seq)
+	seq := m.state.Seq() + 1
+	sends, done, err := m.state.Start(seq)
 	if err != nil {
 		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
 	}
-	d.enqueueSends(op, seq, sends)
+	m.enqueueSends(seq, sends)
 	if done {
-		d.complete(op, seq)
+		m.completeDirect(seq)
 	}
 }
 
 // enqueueSends pushes one regular send token per notification into the
 // per-destination p2p queues — the exact queuing/packetizing overhead the
 // collective protocol bypasses.
-func (d *directModule) enqueueSends(op *groupOp, seq int, ranks []int) {
-	n := d.nic
+func (m *member) enqueueSends(seq int, ranks []int) {
+	n, g := m.nic, m.group
 	for _, r := range ranks {
-		n.Stats.TokensEnqueued++
 		tok := n.pool.data.Get()
 		*tok = dataMsg{
-			dst:     op.group.NodeOf(r),
+			dst:     g.NodeOf(r),
 			size:    8, // the barrier integer, NIC-generated
 			route:   routeDirect,
-			barrier: collPayload{group: op.group.ID, seq: seq, fromRank: op.rank},
+			barrier: collPayload{group: g.ID, seq: seq, fromRank: int(m.rank)},
 		}
 		n.enqueueToken(tok)
 	}
@@ -71,41 +69,39 @@ func (d *directModule) enqueueSends(op *groupOp, seq int, ranks []int) {
 	}
 }
 
-// onArrive is called from the p2p receive path after the sequence check
+// onDirect is called from the p2p receive path after the sequence check
 // accepted a barrier-tagged data packet.
-func (d *directModule) onArrive(m collPayload) {
-	n := d.nic
+func (n *NIC) onDirect(m collPayload) {
 	h := n.pool.get(hDirectRecv, n)
 	h.msg = m
 	n.Exec(n.node.Prof.NIC.CollRecv, 0, h)
 }
 
-// arrive is onArrive's handler body.
-func (d *directModule) arrive(m collPayload) {
-	n := d.nic
+// arriveDirect is onDirect's handler body.
+func (n *NIC) arriveDirect(m collPayload) {
 	if n.groups.Retired(m.group) {
 		n.Stats.StaleColl++ // p2p retransmit outlived the group
 		return
 	}
-	op := d.mustOp(m.group)
-	if op.frozen {
+	e := n.directMember(m.group)
+	if e.frozen {
 		n.Stats.StaleColl++
 		return
 	}
-	sends, done, err := op.state.Arrive(m.seq, m.fromRank)
+	sends, done, err := e.state.Arrive(m.seq, m.fromRank)
 	if err != nil {
 		panic(fmt.Sprintf("myrinet: node %d: %v", n.node.ID, err))
 	}
-	d.enqueueSends(op, op.state.Seq(), sends)
+	e.enqueueSends(e.state.Seq(), sends)
 	if done {
-		d.complete(op, op.state.Seq())
+		e.completeDirect(e.state.Seq())
 	}
 }
 
-func (d *directModule) complete(op *groupOp, seq int) {
-	n := d.nic
+func (m *member) completeDirect(seq int) {
+	n := m.nic
 	n.Stats.BarriersRun++
 	h := n.pool.get(hComplete, n)
-	h.ev = Event{Kind: EvBarrierDone, Group: int(op.group.ID), Seq: seq}
+	h.setDone(m.group.ID, seq, 0)
 	n.Exec(n.node.Prof.NIC.CollComplete, 0, h)
 }

@@ -1,23 +1,30 @@
 package myrinet
 
-import "nicbarrier/internal/sim"
+import (
+	"nicbarrier/internal/core"
+	"nicbarrier/internal/sim"
+)
 
 // handler is the pooled, closure-free form of one per-message handler of
 // the NIC firmware and the host: the NIC, bus and host schedule a
 // handler record through sim.Event instead of a closure built per
 // message, and kind selects what runs when it fires. The fields are what
 // the handlers read: the NIC (the host is its node's), the group entry,
-// a GM send token or arrived data payload, a node, a collective
-// notification (or a GM sequence number in msg.seq) and a host event
-// record.
+// a GM send token or arrived data payload, a node, and a collective
+// notification (or a GM sequence number in msg.seq).
+//
+// A host event record rides in the same fields rather than as an Event
+// (see event): its kind in evKind, the node it came from in dst, its
+// group, sequence and value in msg, and an EvRecv's received message,
+// which holds its tag, in data. TestRecordSizes pins the record's size.
 type handler struct {
-	kind handlerKind
-	nic  *NIC
-	op   *groupOp
-	data *dataMsg
-	dst  int
-	msg  collPayload
-	ev   Event
+	kind   handlerKind
+	evKind EventKind
+	nic    *NIC
+	m      *member
+	data   *dataMsg
+	dst    int
+	msg    collPayload
 }
 
 type handlerKind uint8
@@ -28,10 +35,10 @@ const (
 	hCollSend                      // static-packet notification msg to node dst
 	hCollResend                    // NACK-served copy of msg to node dst
 	hCollRecv                      // arrived notification msg
-	hComplete                      // operation done: post ev to the host
+	hComplete                      // operation done: post the event to the host
 	hNackSend                      // NACK msg (this NIC's rank wants a resend) to node dst
 	hNackRecv                      // arrived NACK msg from node dst
-	// The direct scheme's translated doorbell of entry op, and its
+	// The direct scheme's translated doorbell of entry m, and its
 	// arrived notification msg.
 	hDirectStart
 	hDirectRecv
@@ -79,7 +86,8 @@ const (
 // takes two, and every GM injection, retransmissions included, takes
 // its own copy of the send record's message), the receiving NIC copies
 // it out or holds it until its handlers are done and then returns it,
-// also when it drops the packet, and a payload lost with a dropped
+// also when it drops the packet (a received data message is held until
+// the host consumes its EvRecv event), and a payload lost with a dropped
 // packet is left to the garbage collector. This is sound only because
 // netsim never duplicates a unicast packet and this model never
 // multicasts.
@@ -99,6 +107,31 @@ func (p *pool) get(k handlerKind, n *NIC) *handler {
 	return h
 }
 
+// next returns a handler record of kind k carrying what r carries: the
+// next handler of r's chain.
+func (p *pool) next(k handlerKind, r *handler) *handler {
+	h := p.handlers.Get()
+	*h = *r
+	h.kind = k
+	return h
+}
+
+// setDone makes h carry the EvBarrierDone event of group id's operation
+// seq, with allreduce result value.
+func (h *handler) setDone(id core.GroupID, seq int, value int64) {
+	h.evKind = EvBarrierDone
+	h.msg = collPayload{group: id, seq: seq, value: value}
+}
+
+// event returns the host event record h carries.
+func (h *handler) event() Event {
+	ev := Event{Kind: h.evKind, FromNode: h.dst, Group: int(h.msg.group), Seq: h.msg.seq, Value: h.msg.value}
+	if h.data != nil {
+		ev.Tag = h.data.tag
+	}
+	return ev
+}
+
 // payload returns a wire payload holding m, for a collective
 // notification or (converted to *nackMsg) a NACK.
 func (p *pool) payload(m collPayload) *collPayload {
@@ -114,10 +147,9 @@ func (h *handler) Fire() {
 	r := *h
 	n := r.nic
 	n.pool.handlers.Put(h)
-	c := &n.coll
 	switch r.kind {
 	case hCollStart:
-		c.begin(r.op, r.msg.value)
+		r.m.begin(r.msg.value)
 	case hCollSend:
 		n.sendColl(r.dst, r.msg)
 		n.Stats.CollSent++
@@ -125,23 +157,22 @@ func (h *handler) Fire() {
 		n.sendColl(r.dst, r.msg)
 		n.Stats.CollResent++
 	case hCollRecv:
-		c.arrive(r.msg)
+		n.arrive(r.msg)
 	case hComplete:
-		n.postEvent(r.ev)
+		n.postEvent(n.pool.next(hPostEvent, &r))
 	case hNackSend:
 		n.sendNack(r.dst, r.msg)
 	case hNackRecv:
-		c.serveNack(r.msg, r.dst)
+		n.serveNack(r.msg, r.dst)
 	case hDirectStart:
-		n.direct.begin(r.op)
+		r.m.beginDirect()
 	case hDirectRecv:
-		n.direct.arrive(r.msg)
+		n.arriveDirect(r.msg)
 	case hSendPost:
-		n.node.Bus.PIOWrite(n.with(hSendDoorbell, r.data))
+		n.node.Bus.PIOWrite(n.pool.next(hSendDoorbell, &r))
 	case hSendDoorbell:
-		n.Exec(n.node.Prof.NIC.TokenTranslate, 0, n.with(hTokenEnqueue, r.data))
+		n.Exec(n.node.Prof.NIC.TokenTranslate, 0, n.pool.next(hTokenEnqueue, &r))
 	case hTokenEnqueue:
-		n.Stats.TokensEnqueued++
 		n.enqueueToken(r.data)
 		n.kick()
 	case hClaim:
@@ -160,9 +191,7 @@ func (h *handler) Fire() {
 	case hDataRecv:
 		n.checkData(r.data)
 	case hRecvMatch:
-		dma := n.pool.get(hRecvDMA, n)
-		dma.data = r.data
-		n.node.Bus.DMA(r.data.size, dma)
+		n.node.Bus.DMA(r.data.size, n.pool.next(hRecvDMA, &r))
 	case hRecvDMA:
 		n.deliverData(r.data)
 	case hAckSend:
@@ -173,17 +202,19 @@ func (h *handler) Fire() {
 		n.reinject(recordKey{r.dst, uint32(r.msg.seq)})
 	case hPostEvent:
 		n.Stats.EventsPosted++
-		dma := n.pool.get(hEventDMA, n)
-		dma.ev = r.ev
-		n.node.Bus.DMA(n.node.Prof.EventBytes, dma)
+		n.node.Bus.DMA(n.node.Prof.EventBytes, n.pool.next(hEventDMA, &r))
 	case hEventDMA:
-		n.node.Host.deliver(r.ev)
+		n.node.Host.Exec(n.node.Prof.Host.RecvPollCycles, 0, n.pool.next(hDeliver, &r))
 	case hDeliver:
-		n.node.Host.dispatch(r.ev)
+		// An EvRecv's message was held for its tag; the host has
+		// consumed the event, so the message goes back to the pool.
+		ev := r.event()
+		if r.data != nil {
+			n.pool.data.Put(r.data)
+		}
+		n.node.Host.dispatch(ev)
 	case hPost:
-		db := n.pool.get(hDoorbell, n)
-		db.msg = r.msg
-		n.node.Bus.PIOWrite(db)
+		n.node.Bus.PIOWrite(n.pool.next(hDoorbell, &r))
 	case hDoorbell:
 		n.onBarrierDoorbell(int(r.msg.group), r.msg.value)
 	}

@@ -113,10 +113,9 @@ type sendRecord struct {
 // Fire implements sim.Event: the retransmit timeout expired.
 func (r *sendRecord) Fire() { r.nic.retransmit(r.key) }
 
-// NICStats counts NIC-level protocol activity; experiments and tests read
-// these to verify claims like "receiver-driven retransmission halves the
-// packet count".
-type NICStats struct {
+// GMStats counts one NIC's GM point-to-point protocol activity. It lives
+// in the NIC's GM state, so a NIC that never uses GM carries none of it.
+type GMStats struct {
 	TokensEnqueued uint64
 	DataSent       uint64
 	AcksSent       uint64
@@ -125,7 +124,14 @@ type NICStats struct {
 	SeqDrops       uint64
 	TokenDrops     uint64
 	DupAcks        uint64
-	EventsPosted   uint64
+}
+
+// NICStats counts the NIC-level activity every NIC may see: host events,
+// the collective protocol and failure detection. Experiments and tests
+// read these to verify claims like "receiver-driven retransmission
+// halves the packet count".
+type NICStats struct {
+	EventsPosted uint64
 
 	CollSent    uint64
 	CollRecvd   uint64
@@ -141,34 +147,49 @@ type NICStats struct {
 }
 
 // NIC is the LANai model: one sequential firmware processor plus the MCP
-// protocol state.
+// protocol state. A NIC record holds only what is its own and what the
+// collective protocol touches: what all NICs of a cluster share is one
+// record they point to, and the GM point-to-point state is built on
+// first use. TestRecordSizes pins its size.
 type NIC struct {
 	sim.Proc
 	node *Node
-	net  *netsim.Network
-	pool *pool // the cluster's shared free lists
+
+	// *nicShared is the cluster's network, handler pool, tracer and
+	// failure hooks, one record for all its NICs.
+	*nicShared
 
 	// *gmState is the GM point-to-point protocol state, built on the
 	// NIC's first p2p send, receive or receive-buffer post (see gm): most
 	// NICs of a collective-only run never touch it.
 	*gmState
 
-	coll   collModule
-	direct directModule
-	// groups is the group table both modules share: the SRAM-resident
-	// group-queue entries, at most GroupQueueSlots. Its tombstones let
-	// late traffic — NACK-resent duplicates still in flight when the last
-	// member completed and the group tore down — count as stale instead
-	// of panicking as "unknown group".
-	groups core.Table[*groupOp]
+	// groups is the group table both NIC-based schemes share: the
+	// SRAM-resident group-queue entries, at most GroupQueueSlots. Its
+	// tombstones let late traffic — NACK-resent duplicates still in
+	// flight when the last member completed and the group tore down —
+	// count as stale instead of panicking as "unknown group".
+	groups core.Table[*member]
+
+	Stats NICStats
+}
+
+// nicShared is what every NIC of a cluster shares, kept once in the
+// cluster.
+type nicShared struct {
+	net  *netsim.Network
+	pool pool // the free lists every node schedules from
 
 	// tr, when non-nil, receives firmware-level trace events
 	// (doorbells, NACKs, resends, stale duplicates, installs) and
 	// per-group NIC-time attribution. Disabled cost: one nil check.
 	tr *obs.Scope
 
+	// The failure hooks are the cluster's: setting one through any of
+	// its NICs sets it for all of them, as the communicator layer does.
+	//
 	// OnHeartbeat, when set, receives failure-detector keepalives
-	// addressed to this node. The communicator layer installs it when a
+	// addressed to a node. The communicator layer installs it when a
 	// group enables recovery; nil (the default) drops heartbeats, and no
 	// heartbeat traffic exists unless a detector is sending it.
 	OnHeartbeat func(group core.GroupID, fromRank int)
@@ -178,8 +199,6 @@ type NIC struct {
 	// signal the failure detector uses to check suspicions early instead
 	// of waiting out the full op deadline.
 	OnNackStall func(group core.GroupID, round int)
-
-	Stats NICStats
 }
 
 // gmState is one NIC's GM point-to-point protocol state.
@@ -196,6 +215,17 @@ type gmState struct {
 	// Receive side.
 	expectSeq  map[int]uint32
 	recvTokens int
+
+	stats GMStats
+}
+
+// GMStats returns the NIC's GM point-to-point counters, zero for a NIC
+// that never used GM.
+func (n *NIC) GMStats() GMStats {
+	if n.gmState == nil {
+		return GMStats{}
+	}
+	return n.gmState.stats
 }
 
 // port is a NIC seen as its host's receiver on the network.
@@ -237,14 +267,14 @@ func (n *NIC) gm() {
 
 func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 	n.traceEvent(groupID, obs.KindDoorbell, value)
-	op, ok := n.groups.Get(core.GroupID(groupID))
+	m, ok := n.groups.Get(core.GroupID(groupID))
 	switch {
 	case !ok:
 		panic(fmt.Sprintf("myrinet: node %d: barrier doorbell for unknown group %d", n.node.ID, groupID))
-	case op.direct:
-		n.direct.start(op)
+	case m.direct():
+		m.startDirect()
 	default:
-		n.coll.start(op, value)
+		m.start(value)
 	}
 }
 
@@ -252,6 +282,7 @@ func (n *NIC) onBarrierDoorbell(groupID int, value int64) {
 
 func (n *NIC) enqueueToken(t *dataMsg) {
 	n.gm()
+	n.gmState.stats.TokensEnqueued++
 	dst := t.dst
 	q := n.queues[dst]
 	if q == nil {
@@ -345,7 +376,7 @@ func (n *NIC) inject(tok *dataMsg) {
 	n.records[rec.key] = rec
 	rec.timer = n.Eng.AfterEvent(n.node.Prof.NIC.RetransmitTimeout, rec)
 	n.sendData(m)
-	n.Stats.DataSent++
+	n.gmState.stats.DataSent++
 	n.dispatching = false
 	n.kick()
 }
@@ -377,7 +408,7 @@ func (n *NIC) retransmit(key recordKey) {
 		return
 	}
 	p := n.node.Prof.NIC
-	n.Stats.Retransmits++
+	n.gmState.stats.Retransmits++
 	h := n.pool.get(hRetransmit, n)
 	h.dst, h.msg.seq = key.dst, int(key.seq)
 	n.Exec(p.SendRecord, p.SendFixed, h)
@@ -414,11 +445,11 @@ func (n *NIC) onPacket(pkt netsim.Packet) {
 	case *collPayload:
 		msg := *m
 		n.pool.payloads.Put(m)
-		n.coll.onMsg(msg)
+		n.onColl(msg)
 	case *nackMsg:
 		msg := collPayload(*m)
 		n.pool.payloads.Put((*collPayload)(m))
-		n.coll.onNack(msg, pkt.Src)
+		n.onNack(msg, pkt.Src)
 	case core.Heartbeat:
 		// Keepalive filtering is a header compare in the firmware's
 		// receive fast path; its cost is negligible next to a handler
@@ -439,15 +470,15 @@ func (n *NIC) checkData(m *dataMsg) {
 	switch {
 	case m.seq != n.expectSeq[m.src]:
 		// "An unexpected packet is dropped immediately."
-		n.Stats.SeqDrops++
+		n.gmState.stats.SeqDrops++
 	case m.route == routeDirect:
 		n.expectSeq[m.src] = m.seq + 1
 		n.sendAck(m)
-		n.direct.onArrive(m.barrier)
+		n.onDirect(m.barrier)
 	case n.recvTokens == 0:
 		// No posted receive buffer: drop without bumping the sequence;
 		// the sender's timeout recovers.
-		n.Stats.TokenDrops++
+		n.gmState.stats.TokenDrops++
 	default:
 		n.recvTokens--
 		n.expectSeq[m.src] = m.seq + 1
@@ -460,14 +491,18 @@ func (n *NIC) checkData(m *dataMsg) {
 }
 
 // deliverData runs once an accepted packet's payload has been DMAed into
-// host memory: ACK it and post the receive event.
+// host memory: ACK it and post the receive event. An EvRecv event keeps
+// the message, which holds its tag, until the host consumes it.
 func (n *NIC) deliverData(m *dataMsg) {
 	n.sendAck(m)
-	ev := Event{Kind: EvRecv, FromNode: m.src, Tag: m.tag}
+	ev := n.pool.get(hPostEvent, n)
+	ev.dst = m.src
 	if m.route == routeHost {
-		ev = Event{Kind: EvBarrierMsg, FromNode: m.src, Group: int(m.barrier.group), Seq: m.barrier.seq}
+		ev.evKind, ev.msg = EvBarrierMsg, collPayload{group: m.barrier.group, seq: m.barrier.seq}
+		n.pool.data.Put(m)
+	} else {
+		ev.evKind, ev.data = EvRecv, m
 	}
-	n.pool.data.Put(m)
 	n.postEvent(ev)
 }
 
@@ -497,7 +532,7 @@ func (n *NIC) sendAckPacket(dst int, seq uint32, group core.GroupID) {
 		Group:   int(group),
 		Payload: a,
 	})
-	n.Stats.AcksSent++
+	n.gmState.stats.AcksSent++
 }
 
 // ackRecord is the handler body of an arrived ACK: retire its send
@@ -506,16 +541,18 @@ func (n *NIC) sendAckPacket(dst int, seq uint32, group core.GroupID) {
 func (n *NIC) ackRecord(key recordKey) {
 	rec, ok := n.records[key]
 	if !ok {
-		n.Stats.DupAcks++ // retransmission already acked
+		n.gmState.stats.DupAcks++ // retransmission already acked
 		return
 	}
 	rec.timer.Cancel()
 	delete(n.records, key)
 	n.pool.records.Put(rec)
 	n.freePackets++
-	n.Stats.AcksRecv++
+	n.gmState.stats.AcksRecv++
 	// GM passes the send token back to the host.
-	n.postEvent(Event{Kind: EvSendDone})
+	ev := n.pool.get(hPostEvent, n)
+	ev.evKind = EvSendDone
+	n.postEvent(ev)
 	n.kick()
 }
 
@@ -537,10 +574,9 @@ func (n *NIC) SendHeartbeat(group core.GroupID, fromRank, dstNode int) {
 	n.Stats.HeartbeatsSent++
 }
 
-// postEvent DMAs an event record into host memory for the host to poll
-// (the hPostEvent and hEventDMA handlers).
-func (n *NIC) postEvent(ev Event) {
-	h := n.pool.get(hPostEvent, n)
-	h.ev = ev
-	n.Exec(n.node.Prof.NIC.EventPost, 0, h)
+// postEvent DMAs the event record ev carries into host memory for the
+// host to poll (the hPostEvent, hEventDMA and hDeliver handlers). ev is
+// a handler record of kind hPostEvent.
+func (n *NIC) postEvent(ev *handler) {
+	n.Exec(n.node.Prof.NIC.EventPost, 0, ev)
 }

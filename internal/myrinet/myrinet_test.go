@@ -103,7 +103,7 @@ func TestPointToPointDelivery(t *testing.T) {
 		t.Fatalf("wrong sender %d", recvs[0].FromNode)
 	}
 	// Sender should have gotten ACKs and freed its packets.
-	s := cl.Nodes[0].NIC.Stats
+	s := cl.Nodes[0].NIC.GMStats()
 	if s.DataSent != 2 || s.AcksRecv != 2 || s.Retransmits != 0 {
 		t.Fatalf("sender stats %+v", s)
 	}
@@ -127,7 +127,7 @@ func TestPointToPointNoTokenDrops(t *testing.T) {
 	if recvs != 0 {
 		t.Fatal("message delivered without a receive token")
 	}
-	if cl.Nodes[1].NIC.Stats.TokenDrops == 0 {
+	if cl.Nodes[1].NIC.GMStats().TokenDrops == 0 {
 		t.Fatal("no token drop recorded")
 	}
 	cl.Nodes[1].Host.PostRecvTokens(1)
@@ -135,7 +135,7 @@ func TestPointToPointNoTokenDrops(t *testing.T) {
 	if recvs != 1 {
 		t.Fatalf("retransmission did not deliver (recvs=%d)", recvs)
 	}
-	if cl.Nodes[0].NIC.Stats.Retransmits == 0 {
+	if cl.Nodes[0].NIC.GMStats().Retransmits == 0 {
 		t.Fatal("no retransmission recorded")
 	}
 }
@@ -155,7 +155,7 @@ func TestPointToPointLossRecovery(t *testing.T) {
 	if recvs != 1 {
 		t.Fatalf("lost packet never recovered (recvs=%d)", recvs)
 	}
-	if cl.Nodes[0].NIC.Stats.Retransmits == 0 {
+	if cl.Nodes[0].NIC.GMStats().Retransmits == 0 {
 		t.Fatal("recovery without retransmission?")
 	}
 }

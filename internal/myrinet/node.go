@@ -28,7 +28,7 @@ import (
 
 // EventKind classifies host events (the records the NIC DMAs into host
 // memory for the host to poll).
-type EventKind int
+type EventKind uint8
 
 // Host event kinds.
 const (
@@ -108,7 +108,7 @@ func (h *Host) Unbind(groupID int) {
 // scheduling their per-message handlers from the cluster's pool. The
 // nodes, hosts, NICs and buses are one slice each, and every node points
 // into them, so a cluster's per-node records cost four allocations in
-// all.
+// all; every NIC points at the cluster's one nicShared record.
 func newNodes(cl *Cluster, n int) []*Node {
 	eng, prof := cl.Eng, &cl.Prof
 	nodes, hosts, nics := make([]Node, n), make([]Host, n), make([]NIC, n)
@@ -120,24 +120,14 @@ func newNodes(cl *Cluster, n int) []*Node {
 		hosts[i] = Host{Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz}, node: node}
 		nic := &nics[i]
 		*nic = NIC{
-			Proc: sim.Proc{Eng: eng, ClockMHz: prof.NIC.ClockMHz},
-			node: node,
-			net:  cl.Net,
-			pool: &cl.pool,
+			Proc:      sim.Proc{Eng: eng, ClockMHz: prof.NIC.ClockMHz},
+			node:      node,
+			nicShared: &cl.nicShared,
 		}
-		nic.coll.nic, nic.direct.nic = nic, nic
 		cl.Net.Attach(i, (*port)(nic))
 		ptrs[i] = node
 	}
 	return ptrs
-}
-
-// deliver hands a DMAed event record to the host, charging the host's
-// poll-and-consume cost before dispatch sees it.
-func (h *Host) deliver(ev Event) {
-	r := h.node.NIC.pool.get(hDeliver, h.node.NIC)
-	r.ev = ev
-	h.Exec(h.node.Prof.Host.RecvPollCycles, 0, r)
 }
 
 // dispatch routes a consumed event record. Group-addressed events go to

@@ -5,6 +5,7 @@ import (
 
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
+	"nicbarrier/internal/sim"
 )
 
 // Scheme selects how barriers are executed on a Myrinet cluster.
@@ -59,14 +60,45 @@ type Session struct {
 
 // member is one rank of a session: its group-queue entry, installed on
 // its node's NIC by the NIC-based schemes, whose state machine drives
-// the host-side schedule under SchemeHost instead.
+// the host-side schedule under SchemeHost instead. The NIC group table
+// points at it, and it is the sim.Event of its own NACK timer
+// (collective entries only; at most one is armed at a time), for
+// operation nackSeq. It holds only what differs between the members of
+// a session and what every operation writes: the scheme is its
+// session's, and the allreduce state and NACK counts live with its
+// state machine in the session's arena. TestRecordSizes pins its size.
 type member struct {
-	s *Session
-	groupOp
+	nic       *NIC
+	s         *Session
+	group     *core.Group // shared by every member of the session
+	state     *core.OpState
+	nackTimer sim.Timer
+	nackSeq   int32
+	rank      int32 // this member's rank in group
+	// nackRound counts consecutive fruitless NACK timer rounds for the
+	// active operation (reset by any accepted arrival); past
+	// nackStallRounds the NIC raises OnNackStall — NACK recovery repairs
+	// lost packets, not dead peers, so an escalating count is the
+	// protocol-level smell of a fail-stop failure.
+	nackRound int32
+	// frozen marks an aborted entry: the slot stays claimed until
+	// UninstallGroup, but late doorbells, arrivals and NACKs count as
+	// stale instead of touching protocol state — an aborted operation
+	// must not restart from a straggler packet.
+	frozen bool
 }
 
 // node returns the member's node.
 func (m *member) node() *Node { return m.nic.node }
+
+// direct reports whether the member is an entry of the direct scheme
+// (Buntinas et al.), which rides the point-to-point machinery and never
+// NACKs.
+func (m *member) direct() bool { return m.s.scheme == SchemeDirect }
+
+// reduce returns the member's allreduce state machine, nil unless the
+// session folds.
+func (m *member) reduce() *core.ReduceState { return m.state.Reduce() }
 
 // SessionGroupID is the group ID NewSession installs, mirroring
 // MPI_COMM_WORLD. Multi-group callers pass their own IDs to
@@ -128,25 +160,24 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 	} else {
 		arena = core.NewArena(plan)
 	}
+	group := core.NewGroup(gid, nodeIDs)
 	s := &Session{cl: cl, gid: gid, scheme: scheme, members: make([]member, len(nodeIDs)), contrib: contrib}
 	s.Session = core.NewSession(cl.Eng, len(nodeIDs), hooks{s}, mode)
-	group := core.NewGroup(gid, nodeIDs)
-	for rank, id := range group.Nodes {
+	// Room for the new entry in every member's group table and host
+	// bindings, from one allocation each.
+	node := func(rank int) *Node { return cl.Nodes[group.Nodes[rank]] }
+	if scheme != SchemeHost {
+		core.ReserveTables(len(nodeIDs), func(r int) *core.Table[*member] { return &node(r).NIC.groups })
+	}
+	core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[EventHandler] { return &node(r).Host.groups })
+	for rank := range s.members {
 		m := &s.members[rank]
-		m.s = s
-		m.groupOp = groupOp{
-			nic:    cl.Nodes[id].NIC,
-			group:  group,
-			rank:   rank,
-			state:  arena.Op(rank),
-			reduce: arena.Reduce(rank),
-			direct: scheme == SchemeDirect,
-		}
+		*m = member{nic: node(rank).NIC, s: s, group: group, state: arena.Op(rank), rank: int32(rank)}
 		if scheme == SchemeHost {
 			// Pre-post a pool of receive buffers; each consumed event
 			// is replenished during the run.
 			m.node().Host.PostRecvTokens(m.state.Schedule().TotalWaits() + 4)
-		} else if err := m.nic.install(&m.groupOp); err != nil {
+		} else if err := m.nic.install(m); err != nil {
 			return nil, err
 		}
 		m.node().Host.Bind(int(gid), m)
@@ -224,8 +255,9 @@ func (h hooks) ChargeInstall() {
 }
 
 func (m *member) hostSend(seq int, ranks []int) {
+	g := m.group
 	for _, r := range ranks {
-		m.node().Host.sendBarrier(m.group.NodeOf(r), collPayload{group: m.group.ID, seq: seq})
+		m.node().Host.sendBarrier(g.NodeOf(r), collPayload{group: g.ID, seq: seq})
 	}
 }
 
@@ -234,8 +266,8 @@ func (m *member) hostSend(seq int, ranks []int) {
 func (m *member) HandleEvent(ev Event) {
 	switch ev.Kind {
 	case EvBarrierDone:
-		m.s.SetResult(m.rank, ev.Seq, ev.Value)
-		m.s.Complete(m.rank, ev.Seq)
+		m.s.SetResult(int(m.rank), ev.Seq, ev.Value)
+		m.s.Complete(int(m.rank), ev.Seq)
 	case EvBarrierMsg:
 		// Replenish the receive buffer consumed by this message.
 		m.node().Host.PostRecvTokens(1)
@@ -249,7 +281,7 @@ func (m *member) HandleEvent(ev Event) {
 		}
 		m.hostSend(m.state.Seq(), sends)
 		if done {
-			m.s.Complete(m.rank, m.state.Seq())
+			m.s.Complete(int(m.rank), m.state.Seq())
 		}
 	}
 }

@@ -137,3 +137,19 @@ func BenchmarkEngineWindowed(b *testing.B) {
 		step()
 	}
 }
+
+// BenchmarkChunkedFreeListGetPut measures a warm Get/Put pair on the
+// chunked free list the NIC models take their handler records from. The
+// steady state is 0 allocs/op (gated in CI); Get inlines into its
+// callers (go build -gcflags=-m ./internal/myrinet).
+func BenchmarkChunkedFreeListGetPut(b *testing.B) {
+	var f ChunkedFreeList[poolRec]
+	f.Put(f.Get())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := f.Get()
+		x.a = i
+		f.Put(x)
+	}
+}

@@ -29,9 +29,11 @@ const (
 // A live or cancelled slot also holds its queued entry, split across
 // two parallel arrays that grow together. The key array holds what the
 // bucket walk, Cancel and the free list read, 16 bytes a slot; the
-// payload array holds the FIFO tie-breaker, the generation and exactly
-// one of fn and ev. The queue keeps no copy of the callback, only slot
-// indices (see queue.go).
+// payload array holds the FIFO tie-breaker, the generation and the
+// event, 32 bytes a slot. A closure scheduled with Schedule or After
+// rides as a closureEvent, so a slot needs no second callback field. The
+// queue keeps no copy of the callback, only slot indices (see
+// queue.go).
 type key struct {
 	at    Time
 	next  int32 // bucket-chain link while queued, free-list link while free
@@ -41,9 +43,15 @@ type key struct {
 type payload struct {
 	seq uint64 // tie-breaker: FIFO among events at the same instant
 	gen uint64
-	fn  func()
 	ev  Event
 }
+
+// closureEvent is a closure scheduled as an Event. A func value fits in an
+// interface's data word, so the conversion allocates nothing.
+type closureEvent func()
+
+// Fire implements Event.
+func (f closureEvent) Fire() { f() }
 
 // compactMin is the queue size below which cancelled entries are left
 // for lazy removal; compacting tiny queues is churn for no benefit.
@@ -166,8 +174,9 @@ func (e *Engine) acquireSlot() int32 {
 
 // Reserve grows the timer slot table to hold n pending entries, so a
 // burst of n schedules at one instant grows it once instead of doubling
-// its way there. Cluster builders reserve one slot per endpoint: a
-// session launch posts every rank at one instant.
+// its way there. Cluster builders reserve two slots per endpoint: a
+// session launch posts every rank at one instant, and a 1,024-rank
+// barrier peaks at two pending events per rank.
 func (e *Engine) Reserve(n int) {
 	if n > cap(e.keys) {
 		e.growSlots(n)
@@ -189,7 +198,7 @@ func (e *Engine) growSlots(n int) {
 // The callback references are dropped so a free slot pins no garbage.
 func (e *Engine) releaseSlot(s int32) {
 	p := &e.payload[s]
-	p.fn, p.ev = nil, nil
+	p.ev = nil
 	p.gen++
 	k := &e.keys[s]
 	k.state = slotFree
@@ -204,7 +213,7 @@ func (e *Engine) Schedule(at Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	return e.schedule(at, fn, nil)
+	return e.schedule(at, closureEvent(fn))
 }
 
 // ScheduleEvent is Schedule for pooled Event values: no closure, and no
@@ -213,17 +222,17 @@ func (e *Engine) ScheduleEvent(at Time, ev Event) Timer {
 	if ev == nil {
 		panic("sim: nil event")
 	}
-	return e.schedule(at, nil, ev)
+	return e.schedule(at, ev)
 }
 
-func (e *Engine) schedule(at Time, fn func(), ev Event) Timer {
+func (e *Engine) schedule(at Time, ev Event) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
 	s := e.acquireSlot()
 	e.keys[s].at = at
 	p := &e.payload[s]
-	p.seq, p.fn, p.ev = e.seq, fn, ev
+	p.seq, p.ev = e.seq, ev
 	e.push(s)
 	e.seq++
 	e.live++
@@ -260,8 +269,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) fire() {
 	s := e.front[e.head]
 	e.head++
-	p := &e.payload[s]
-	fn, ev := p.fn, p.ev
+	ev := e.payload[s].ev
 	e.releaseSlot(s)
 	e.now = e.last
 	e.executed++
@@ -269,11 +277,7 @@ func (e *Engine) fire() {
 	if e.obs != nil {
 		e.obs.EventFired(e.now)
 	}
-	if fn != nil {
-		fn()
-	} else {
-		ev.Fire()
-	}
+	ev.Fire()
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -350,7 +354,7 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	k.state = slotCancelled
-	p.fn, p.ev = nil, nil // a cancelled entry never fires; pin nothing
+	p.ev = nil // a cancelled entry never fires; pin nothing
 	e.cancelled++
 	e.live--
 	if e.obs != nil {

@@ -74,19 +74,48 @@ func (c *Chunk[T]) New() *T {
 	return x
 }
 
-// ChunkedFreeList is a FreeList whose Get carves from a Chunk instead of
-// allocating when the list is empty. Len still counts only the records
-// put back, not the chunk's unused tail.
+// ChunkedFreeList is a free list whose Get carves from a Chunk instead
+// of allocating when the list is empty. Len counts only the records put
+// back, not the chunk's unused tail.
+//
+// Only records that always come back belong on it (see Chunk), so Get
+// leaves a taken record's pointer behind in free[n:] instead of
+// clearing it: the record stays reachable through its chunk either way.
+// Keeping the count in n, and carving out of line, is what keeps Get
+// within the compiler's inlining budget.
 type ChunkedFreeList[T any] struct {
-	FreeList[T]
+	free  []*T // free[:n] holds the records put back
+	n     int
 	chunk Chunk[T]
 }
 
 // Get returns a record from the list, or a zero one carved from the
 // chunk when the list is empty.
 func (f *ChunkedFreeList[T]) Get() *T {
-	if x := f.pop(); x != nil {
-		return x
+	if f.n > 0 {
+		f.n--
+		return f.free[f.n]
 	}
-	return f.chunk.New()
+	return f.carve()
 }
+
+// carve is Get's cold path: a new record from the chunk.
+//
+//go:noinline
+func (f *ChunkedFreeList[T]) carve() *T { return f.chunk.New() }
+
+// Put zeroes x and keeps it for reuse. The caller must hold no other
+// reference to x.
+func (f *ChunkedFreeList[T]) Put(x *T) {
+	var zero T
+	*x = zero
+	if f.n < len(f.free) {
+		f.free[f.n] = x
+	} else {
+		f.free = append(f.free, x)
+	}
+	f.n++
+}
+
+// Len reports how many records the list holds.
+func (f *ChunkedFreeList[T]) Len() int { return f.n }
