@@ -30,7 +30,7 @@ func benchCfg() harness.Config {
 func BenchmarkFig5(b *testing.B) {
 	var fig harness.Figure
 	for i := 0; i < b.N; i++ {
-		fig = harness.Fig5(benchCfg())
+		fig = scenario(b, "fig5").Figure(benchCfg())
 	}
 	reportPoint(b, fig, "NIC-DS", 16, "nic_ds_16_sim_us")
 	reportPoint(b, fig, "Host-DS", 16, "host_ds_16_sim_us")
@@ -41,7 +41,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	var fig harness.Figure
 	for i := 0; i < b.N; i++ {
-		fig = harness.Fig6(benchCfg())
+		fig = scenario(b, "fig6").Figure(benchCfg())
 	}
 	reportPoint(b, fig, "NIC-DS", 8, "nic_ds_8_sim_us")
 	reportPoint(b, fig, "Host-DS", 8, "host_ds_8_sim_us")
@@ -52,7 +52,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	var fig harness.Figure
 	for i := 0; i < b.N; i++ {
-		fig = harness.Fig7(benchCfg())
+		fig = scenario(b, "fig7").Figure(benchCfg())
 	}
 	reportPoint(b, fig, "NIC-Barrier-DS", 8, "nic_ds_8_sim_us")
 	reportPoint(b, fig, "Elan-Barrier", 8, "gsync_8_sim_us")
@@ -64,7 +64,7 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig8a(b *testing.B) {
 	var fig harness.Figure
 	for i := 0; i < b.N; i++ {
-		fig = harness.Fig8a(benchCfg())
+		fig = scenario(b, "fig8a").Figure(benchCfg())
 	}
 	reportPoint(b, fig, "Measured", 1024, "measured_1024_sim_us")
 	reportPoint(b, fig, "Paper-Model", 1024, "paper_1024_us")
@@ -75,7 +75,7 @@ func BenchmarkFig8a(b *testing.B) {
 func BenchmarkFig8b(b *testing.B) {
 	var fig harness.Figure
 	for i := 0; i < b.N; i++ {
-		fig = harness.Fig8b(benchCfg())
+		fig = scenario(b, "fig8b").Figure(benchCfg())
 	}
 	reportPoint(b, fig, "Measured", 1024, "measured_1024_sim_us")
 	reportPoint(b, fig, "Paper-Model", 1024, "paper_1024_us")
@@ -86,7 +86,7 @@ func BenchmarkFig8b(b *testing.B) {
 func BenchmarkSummary(b *testing.B) {
 	var table harness.Table
 	for i := 0; i < b.N; i++ {
-		table = harness.Summary(benchCfg())
+		table = scenario(b, "summary").Table(benchCfg())
 	}
 	for _, row := range table.Rows {
 		if row.Metric == "Quadrics NIC-based barrier, 8 nodes" {
@@ -103,7 +103,7 @@ func BenchmarkSummary(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	var fig harness.Figure
 	for i := 0; i < b.N; i++ {
-		fig = harness.Ablation(benchCfg())
+		fig = scenario(b, "ablation").Figure(benchCfg())
 	}
 	reportPoint(b, fig, "XP-Collective", 8, "xp_coll_8_sim_us")
 	reportPoint(b, fig, "XP-Direct", 8, "xp_direct_8_sim_us")
@@ -115,10 +115,20 @@ func BenchmarkAblation(b *testing.B) {
 func BenchmarkPackets(b *testing.B) {
 	var fig harness.Figure
 	for i := 0; i < b.N; i++ {
-		fig = harness.Packets(benchCfg())
+		fig = scenario(b, "packets").Figure(benchCfg())
 	}
 	reportPoint(b, fig, "Collective", 16, "coll_pkts_per_barrier")
 	reportPoint(b, fig, "Direct(ACKed)", 16, "direct_pkts_per_barrier")
+}
+
+// scenario looks a paper figure or table up in the registry, the path
+// every front end takes to it.
+func scenario(b *testing.B, id string) harness.Scenario {
+	s, ok := harness.ScenarioByID(id)
+	if !ok {
+		b.Fatalf("scenario %q not registered", id)
+	}
+	return s
 }
 
 func reportPoint(b *testing.B, fig harness.Figure, series string, n int, metric string) {
@@ -238,7 +248,7 @@ func BenchmarkOpStateBarrierRound(b *testing.B) {
 }
 
 func BenchmarkFatTreeRoute1024(b *testing.B) {
-	ft := topo.NewFatTree(4, 5)
+	ft := topo.MinFatTree(4, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ft.Route(i%1024, (i*37+11)%1024)

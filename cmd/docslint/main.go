@@ -24,7 +24,13 @@
 //     declares a method M, or
 //   - a non-test Go source file cites a *.md file that exists neither
 //     at that path from the repository root nor from the file's own
-//     directory.
+//     directory, or
+//   - a package under internal/ exports a top-level name that no
+//     non-test Go file of another package names (the root package,
+//     cmd/, the other internal packages and perfbench/ all count),
+//     unless an exported signature, field or method of a used name
+//     reaches it, it is a constant of such a type, or it is an Err*
+//     sentinel variable.
 //
 // Usage:
 //
@@ -45,6 +51,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -79,6 +86,7 @@ func main() {
 	violations = append(violations, lintCommands(*root, harness.Experiments())...)
 	violations = append(violations, lintCitations(*root)...)
 	violations = append(violations, lintDocRefs(*root)...)
+	violations = append(violations, lintExports(*root)...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -172,22 +180,8 @@ func declWhat(tok token.Token) string {
 // exported surface: free functions always are; methods only when their
 // receiver's base type is exported.
 func exportedReceiver(d *ast.FuncDecl) bool {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch v := t.(type) {
-		case *ast.StarExpr:
-			t = v.X
-		case *ast.IndexExpr: // generic receiver T[P]
-			t = v.X
-		case *ast.Ident:
-			return v.IsExported()
-		default:
-			return true
-		}
-	}
+	name := receiverType(d)
+	return name == "" || ast.IsExported(name)
 }
 
 // mdLink matches inline markdown links; the first group is the target.
@@ -709,4 +703,201 @@ func lintGoBlocks(name string, lines []string, lookup func(string) *pkgDecls, me
 		})
 	}
 	return out
+}
+
+// lintExports reports each exported top-level name declared in a
+// non-test file of a package under root/internal that no non-test Go
+// file of another package names. The root package, cmd/, the other
+// internal packages and nested modules such as perfbench/ all count. A
+// name stays exempt when an exported signature, field or method of a
+// used name reaches it (followed transitively), when it is a constant
+// of such a type, or when it is an Err* sentinel variable.
+func lintExports(root string) []string {
+	modfile, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return []string{fmt.Sprintf("go.mod: %v", err)}
+	}
+	module, _, _ := strings.Cut(strings.TrimPrefix(string(modfile), "module "), "\n")
+	prefix := strings.TrimSpace(module) + "/internal/"
+	fset := token.NewFileSet()
+	pkgs := map[string]*ast.Package{} // by directory under internal/
+	used := map[string]bool{}         // "<dir>.<Name>" selectors
+	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return nil
+		}
+		if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		parsed, _ := parser.ParseDir(fset, path, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		rel, _ := filepath.Rel(root, path)
+		for _, pkg := range parsed {
+			if dir, ok := strings.CutPrefix(filepath.ToSlash(rel), "internal/"); ok {
+				pkgs[dir] = pkg
+			}
+			for _, f := range pkg.Files {
+				imported := map[string]string{}
+				for _, imp := range f.Imports {
+					p, _ := strconv.Unquote(imp.Path.Value)
+					if dir, ok := strings.CutPrefix(p, prefix); ok {
+						name := filepath.Base(dir)
+						if imp.Name != nil {
+							name = imp.Name.Name
+						}
+						imported[name] = dir
+					}
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && imported[x.Name] != "" {
+							used[imported[x.Name]+"."+sel.Sel.Name] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	})
+	var out []string
+	for _, dir := range slices.Sorted(maps.Keys(pkgs)) {
+		out = append(out, unusedExports(fset, root, dir, pkgs[dir], used)...)
+	}
+	return out
+}
+
+// unusedExports applies lintExports' rule to the package in
+// root/internal/dir; used holds the "<dir>.<Name>" selectors other
+// packages write.
+func unusedExports(fset *token.FileSet, root, dir string, pkg *ast.Package, used map[string]bool) []string {
+	decls := map[string]token.Pos{}    // exported top-level names
+	surface := map[string][]ast.Node{} // what keeping a name keeps
+	enumOf := map[string]string{}      // constant -> its type
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				name := receiverType(d)
+				if d.Recv == nil {
+					name = d.Name.Name
+					decls[name] = d.Name.Pos()
+				}
+				if d.Name.IsExported() {
+					surface[name] = append(surface[name], d.Type)
+				}
+			case *ast.GenDecl:
+				typ := ""
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						decls[s.Name.Name] = s.Name.Pos()
+						surface[s.Name.Name] = append(surface[s.Name.Name], s)
+					case *ast.ValueSpec:
+						// A constant's type is its own, the previous spec's
+						// (implicit repetition) or that of a typed constant
+						// its value names ("Second = 1000 * Millisecond").
+						if id, ok := s.Type.(*ast.Ident); ok {
+							typ = id.Name
+						} else if s.Type != nil || len(s.Values) > 0 {
+							typ = ""
+							for _, v := range s.Values {
+								ast.Inspect(v, func(n ast.Node) bool {
+									if id, ok := n.(*ast.Ident); ok && typ == "" {
+										typ = enumOf[id.Name]
+									}
+									return typ == ""
+								})
+							}
+						}
+						for _, n := range s.Names {
+							if d.Tok == token.CONST {
+								enumOf[n.Name] = typ
+							} else if strings.HasPrefix(n.Name, "Err") {
+								continue // an error sentinel
+							}
+							decls[n.Name] = n.Pos()
+							if s.Type != nil {
+								surface[n.Name] = append(surface[n.Name], s.Type)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	keep := map[string]bool{}
+	var visit func(name string)
+	var mark func(n ast.Node)
+	visit = func(name string) {
+		if _, ok := decls[name]; ok && ast.IsExported(name) && !keep[name] {
+			keep[name] = true
+			for _, n := range surface[name] {
+				mark(n)
+			}
+		}
+	}
+	// mark keeps every name of the package a type expression or
+	// signature shows another package: a struct's exported and embedded
+	// fields, not its unexported ones, and types, not parameter names.
+	mark = func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.SelectorExpr: // another package's name
+				return false
+			case *ast.StructType:
+				for _, f := range v.Fields.List {
+					if len(f.Names) == 0 || slices.ContainsFunc(f.Names, (*ast.Ident).IsExported) {
+						mark(f.Type)
+					}
+				}
+				return false
+			case *ast.Field:
+				mark(v.Type)
+				return false
+			case *ast.Ident:
+				visit(v.Name)
+			}
+			return true
+		})
+	}
+	for name := range decls {
+		if used[dir+"."+name] {
+			visit(name)
+		}
+	}
+	var out []string
+	for name, pos := range decls {
+		if ast.IsExported(name) && !keep[name] && !keep[enumOf[name]] {
+			p := fset.Position(pos)
+			rel, _ := filepath.Rel(root, p.Filename)
+			out = append(out, fmt.Sprintf("%s:%d: %s.%s is exported but no other package uses it", rel, p.Line, filepath.Base(dir), name))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// receiverType names a method's receiver base type; it is empty for a
+// function or a receiver of another form.
+func receiverType(d *ast.FuncDecl) string {
+	if d.Recv == nil || len(d.Recv.List) == 0 {
+		return ""
+	}
+	t := d.Recv.List[0].Type
+	for {
+		switch v := t.(type) {
+		case *ast.StarExpr:
+			t = v.X
+		case *ast.IndexExpr: // generic receiver T[P]
+			t = v.X
+		case *ast.IndexListExpr:
+			t = v.X
+		case *ast.Ident:
+			return v.Name
+		default:
+			return ""
+		}
+	}
 }

@@ -235,3 +235,94 @@ func TestRepositoryDocRefs(t *testing.T) {
 		t.Fatalf("dangling markdown citations: %q", got)
 	}
 }
+
+// A fixture module with one internal package: an export no other
+// package names is reported, also when only its own tests use it; a
+// type reached only through a used signature, the constants of a kept
+// type (typed, implicitly repeated and derived), an error sentinel and
+// a name only a nested module such as perfbench/ uses are not.
+func TestLintExports(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module m\n\ngo 1.23\n",
+		"internal/p/p.go": `package p
+
+import "errors"
+
+type Kind int
+
+const (
+	KindA Kind = iota
+	KindB
+)
+
+type Duration int64
+
+const (
+	Unit Duration = 1
+	Big           = 1000 * Unit
+)
+
+var ErrGone = errors.New("gone")
+
+type Options struct {
+	Shape Shape
+	extra Extra
+}
+
+type Shape struct{ Wait Duration }
+
+type Extra struct{}
+
+type Planted struct{}
+
+func Used(o Options) Kind { return KindA }
+
+func OnlyPerfbench() {}
+
+func Unused() {}
+
+func helper() {}
+`,
+		"internal/p/p_test.go": "package p\n\nvar _ = Unused\n",
+		"cmd/x/main.go": `package main
+
+import "m/internal/p"
+
+func main() { p.Used(p.Options{}) }
+`,
+		"perfbench/go.mod": "module m/perfbench\n\nrequire m v0.0.0\n\nreplace m => ../\n",
+		"perfbench/main.go": `package main
+
+import alias "m/internal/p"
+
+func main() { alias.OnlyPerfbench() }
+`,
+	}
+	for name, text := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := filepath.Join("internal", "p", "p.go")
+	want := []string{
+		p + ":28: p.Extra is exported but no other package uses it",
+		p + ":30: p.Planted is exported but no other package uses it",
+		p + ":36: p.Unused is exported but no other package uses it",
+	}
+	if got := lintExports(root); !slices.Equal(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// Every export of the repository's internal packages is used across a
+// package boundary.
+func TestRepositoryExports(t *testing.T) {
+	if got := lintExports("../.."); len(got) != 0 {
+		t.Fatalf("unused internal exports: %q", got)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"slices"
 	"strings"
@@ -180,10 +181,10 @@ func TestMetricsSeriesUnique(t *testing.T) {
 		s.Points(cfg)
 		run.Finish("", nil)
 	}
-	var buf strings.Builder
-	metricsrv.WritePrometheus(&buf, srv.Runs())
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	seen := map[string]int{}
-	for i, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+	for i, line := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}

@@ -1,12 +1,4 @@
-// NIC-based allreduce (the paper's Section 9 asks whether collectives
-// beyond barrier benefit from the NIC-level protocol — this answers it
-// for single-word reductions): the operand rides the same static packet
-// as the barrier integer, combining happens in the operation's bit-vector
-// send record, and receiver-driven NACK retransmission resends the
-// recorded snapshot so values are never double-counted.
-//
-//	go run ./examples/allreduce
-package main
+package nicbarrier_test
 
 import (
 	"fmt"
@@ -15,7 +7,15 @@ import (
 	"nicbarrier"
 )
 
-func main() {
+// NIC-based allreduce (the paper's Section 9 asks whether collectives
+// beyond barrier benefit from the NIC-level protocol — this answers it
+// for single-word reductions): the operand rides the same static packet
+// as the barrier integer, combining happens in the operation's bit-vector
+// send record, and receiver-driven NACK retransmission resends the
+// recorded snapshot so values are never double-counted.
+//
+//	go test -run Example_allreduce -v .
+func Example_allreduce() {
 	const nodes = 8
 	barrierRes, err := nicbarrier.MeasureBarrier(nicbarrier.Config{
 		Interconnect: nicbarrier.MyrinetLANaiXP,
@@ -60,4 +60,19 @@ func main() {
 	fmt.Println("every result still exact (self-checked against the reference reduction).")
 	fmt.Println("\nA single-word allreduce costs the same as a barrier: the NIC protocol")
 	fmt.Println("generalizes beyond synchronization, answering the paper's future work.")
+
+	// Output:
+	// NIC collectives over 8 Myrinet LANai-XP nodes (recursive doubling)
+	//
+	//    operation   latency (us)     vs plain barrier
+	//      barrier          13.93                1.00x
+	// allreduce-sum          13.93                1.00x
+	// allreduce-min          13.93                1.00x
+	// allreduce-max          13.93                1.00x
+	//
+	// under 5% packet loss: 1932 retransmissions over 500 allreduces,
+	// every result still exact (self-checked against the reference reduction).
+	//
+	// A single-word allreduce costs the same as a barrier: the NIC protocol
+	// generalizes beyond synchronization, answering the paper's future work.
 }

@@ -1,3 +1,12 @@
+package nicbarrier_test
+
+import (
+	"fmt"
+	"log"
+
+	"nicbarrier"
+)
+
 // NIC-based broadcast (the extension from the paper's future work,
 // following Yu et al.'s NIC-based multicast): a root's notification fans
 // down a d-ary tree entirely on the NICs, using the same collective
@@ -8,17 +17,8 @@
 // trade-off: deep trees pay store-and-forward hops, wide trees serialize
 // at the root's NIC.
 //
-//	go run ./examples/broadcast
-package main
-
-import (
-	"fmt"
-	"log"
-
-	"nicbarrier"
-)
-
-func main() {
+//	go test -run Example_broadcast -v .
+func Example_broadcast() {
 	const nodes = 16
 	cfg := nicbarrier.Config{
 		Interconnect: nicbarrier.MyrinetLANaiXP,
@@ -42,4 +42,18 @@ func main() {
 	fmt.Println("NIC fires 15 sends back to back; degree 2 pays four store-and-forward")
 	fmt.Println("levels. The sweet spot balances the two — the same trade-off real")
 	fmt.Println("NIC-multicast implementations tune.")
+
+	// Output:
+	// NIC-based broadcast over 16 Myrinet LANai-XP nodes
+	//   degree   latency (us)  packets/broadcast
+	//        2          19.12               15.0
+	//        3          17.39               15.0
+	//        4          17.38               15.0
+	//        8          20.84               15.0
+	//       15          31.22               15.0
+	//
+	// best degree: 4 (17.38us). Degree 15 is a flat fan-out where the root's
+	// NIC fires 15 sends back to back; degree 2 pays four store-and-forward
+	// levels. The sweet spot balances the two — the same trade-off real
+	// NIC-multicast implementations tune.
 }

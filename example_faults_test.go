@@ -1,12 +1,4 @@
-// Fault-injection study: the paper's reliability contrast, under
-// impairments richer than uniform random loss. Myrinet leaves reliability
-// to the NIC control program, so every fault is recovered by
-// receiver-driven NACK retransmission; Quadrics provides hardware
-// reliability, so loss-type faults cannot touch it at all — while
-// latency-type faults (a slow network, not a lossy one) reach both.
-//
-//	go run ./examples/faults
-package main
+package nicbarrier_test
 
 import (
 	"fmt"
@@ -15,7 +7,15 @@ import (
 	"nicbarrier"
 )
 
-func main() {
+// Fault-injection study: the paper's reliability contrast, under
+// impairments richer than uniform random loss. Myrinet leaves reliability
+// to the NIC control program, so every fault is recovered by
+// receiver-driven NACK retransmission; Quadrics provides hardware
+// reliability, so loss-type faults cannot touch it at all — while
+// latency-type faults (a slow network, not a lossy one) reach both.
+//
+//	go test -run Example_faults -v .
+func Example_faults() {
 	const nodes = 16
 
 	measure := func(ic nicbarrier.Interconnect, faults ...nicbarrier.Fault) nicbarrier.Result {
@@ -72,4 +72,23 @@ func main() {
 	fmt.Println("\nLoss-type faults are stripped by QsNet's hardware reliability (identical")
 	fmt.Println("rows), latency-type faults are not: the contrast the paper draws between")
 	fmt.Println("the two interconnects' reliability models, now as a runnable experiment.")
+
+	// Output:
+	// composable faults on a 16-node Myrinet barrier (LANai-XP, dissemination):
+	//   clean                              mean    17.40us  max     17.40us      0 drops      0 retransmissions
+	//   10% random loss                    mean   740.80us  max   2016.98us   2674 drops   2817 retransmissions
+	//   5% loss in bursts of 4             mean   324.82us  max   1611.88us   1100 drops   1639 retransmissions
+	//   partition 3<->7, healed at 200us   mean    19.84us  max     26.50us      2 drops     35 retransmissions
+	//   node 5 crashed until 300us         mean    19.80us  max     19.80us      5 drops      5 retransmissions
+	//   node 0 NIC +5us per packet         mean    22.41us  max     25.37us      0 drops      0 retransmissions
+	//   loss + jitter composed             mean   281.16us  max   1218.57us    358 drops   1454 retransmissions
+	//
+	// the same fault plans on Quadrics (hardware reliability):
+	//   clean                              mean     7.47us  max      7.50us      0 drops
+	//   20% random loss (stripped)         mean     7.47us  max      7.50us      0 drops
+	//   2us jitter (latency passes through) mean    12.60us  max     16.28us      0 drops
+	//
+	// Loss-type faults are stripped by QsNet's hardware reliability (identical
+	// rows), latency-type faults are not: the contrast the paper draws between
+	// the two interconnects' reliability models, now as a runnable experiment.
 }

@@ -1,13 +1,4 @@
-// Fine-grained application study: the paper's introduction motivates
-// NIC-based barriers with application granularity — "to support
-// fine-grained parallel applications, an efficient barrier primitive
-// must be provided". This example quantifies that: an iterative
-// bulk-synchronous kernel alternates a compute phase of G microseconds
-// with a global barrier; the barrier's share of each iteration decides
-// how small G can get before synchronization dominates.
-//
-//	go run ./examples/fine_grained_app
-package main
+package nicbarrier_test
 
 import (
 	"fmt"
@@ -16,7 +7,16 @@ import (
 	"nicbarrier"
 )
 
-func main() {
+// Fine-grained application study: the paper's introduction motivates
+// NIC-based barriers with application granularity — "to support
+// fine-grained parallel applications, an efficient barrier primitive
+// must be provided". This example quantifies that: an iterative
+// bulk-synchronous kernel alternates a compute phase of G microseconds
+// with a global barrier; the barrier's share of each iteration decides
+// how small G can get before synchronization dominates.
+//
+//	go test -run Example_fine_grained_app -v .
+func Example_fine_grained_app() {
 	const nodes = 8
 	schemes := []struct {
 		name   string
@@ -63,4 +63,20 @@ func main() {
 	fmt.Println("\nAt 10us grains the host-based barrier eats ~79% of every iteration;")
 	fmt.Println("the collective NIC barrier keeps the application usable at grain sizes")
 	fmt.Println("3-4x smaller — the granularity argument of the paper's introduction.")
+
+	// Output:
+	// bulk-synchronous kernel on 8 Myrinet LANai-XP nodes
+	// barrier latencies: host 37.67us, direct 31.84us, collective 13.93us
+	//
+	//   grain (us) | barrier share of one iteration
+	//              |         host       direct     collective | speedup(coll vs host)
+	//         1000 |         3.6%         3.1%           1.4% | 1.02x
+	//          300 |        11.2%         9.6%           4.4% | 1.08x
+	//          100 |        27.4%        24.1%          12.2% | 1.21x
+	//           30 |        55.7%        51.5%          31.7% | 1.54x
+	//           10 |        79.0%        76.1%          58.2% | 1.99x
+	//
+	// At 10us grains the host-based barrier eats ~79% of every iteration;
+	// the collective NIC barrier keeps the application usable at grain sizes
+	// 3-4x smaller — the granularity argument of the paper's introduction.
 }

@@ -1,3 +1,12 @@
+package nicbarrier_test
+
+import (
+	"fmt"
+	"log"
+
+	"nicbarrier"
+)
+
 // Quadrics chained-RDMA barrier (the paper's Section 7): the NIC-based
 // barrier on Elan3 is a list of chained RDMA descriptors armed from user
 // level — each zero-byte RDMA fires a remote event, and that event
@@ -9,30 +18,21 @@
 // the paper describes (hardware barrier loses below ~8 nodes, wins
 // beyond).
 //
-//	go run ./examples/quadrics_chained_rdma
-package main
-
-import (
-	"fmt"
-	"log"
-
-	"nicbarrier"
-)
-
-func measure(n int, scheme nicbarrier.Scheme) float64 {
-	res, err := nicbarrier.MeasureBarrier(nicbarrier.Config{
-		Interconnect: nicbarrier.QuadricsElan3,
-		Nodes:        n,
-		Scheme:       scheme,
-		Algorithm:    nicbarrier.Dissemination,
-	}, 50, 500)
-	if err != nil {
-		log.Fatal(err)
+//	go test -run Example_quadrics_chained_rdma -v .
+func Example_quadrics_chained_rdma() {
+	measure := func(n int, scheme nicbarrier.Scheme) float64 {
+		res, err := nicbarrier.MeasureBarrier(nicbarrier.Config{
+			Interconnect: nicbarrier.QuadricsElan3,
+			Nodes:        n,
+			Scheme:       scheme,
+			Algorithm:    nicbarrier.Dissemination,
+		}, 50, 500)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.MeanMicros
 	}
-	return res.MeanMicros
-}
 
-func main() {
 	fmt.Println("Quadrics/Elan3 barrier latency (us) — cf. paper Fig. 7")
 	fmt.Printf("%6s %16s %14s %16s\n", "N", "NIC-chained-RDMA", "elan_gsync", "elan_hgsync(HW)")
 	for _, n := range []int{2, 4, 6, 8, 16, 64} {
@@ -51,4 +51,20 @@ func main() {
 	fmt.Println("at small scale, where the HW transaction's fixed cost dominates. At 8+")
 	fmt.Println("nodes the hardware barrier takes over — exactly the paper's reading,")
 	fmt.Println("with the caveat that it requires well-synchronized processes.")
+
+	// Output:
+	// Quadrics/Elan3 barrier latency (us) — cf. paper Fig. 7
+	//      N NIC-chained-RDMA     elan_gsync  elan_hgsync(HW)
+	//      2             2.25           6.25             3.97
+	//      4             3.89           7.81             3.97
+	//      6             5.72          12.72             4.53  <- HW wins
+	//      8             5.72          14.28             4.53  <- HW wins
+	//     16             7.47          16.96             4.53  <- HW wins
+	//     64            11.28          25.99             5.09  <- HW wins
+	//
+	// The chained-RDMA barrier beats the host-driven tree everywhere (the
+	// paper's 2.48x at 8 nodes) and beats the hardware test-and-set barrier
+	// at small scale, where the HW transaction's fixed cost dominates. At 8+
+	// nodes the hardware barrier takes over — exactly the paper's reading,
+	// with the caveat that it requires well-synchronized processes.
 }

@@ -1,12 +1,4 @@
-// Quickstart: reproduce the paper's headline numbers in a few lines.
-//
-//	go run ./examples/quickstart
-//
-// Expected output (within a few percent):
-//
-//	Myrinet LANai-XP, 8 nodes:  NIC-based 13.9us, host-based 37.7us (2.7x)
-//	Quadrics Elan3,   8 nodes:  NIC-based  5.7us, elan_gsync 14.3us (2.5x)
-package main
+package nicbarrier_test
 
 import (
 	"fmt"
@@ -15,7 +7,10 @@ import (
 	"nicbarrier"
 )
 
-func main() {
+// Quickstart: reproduce the paper's headline numbers in a few lines.
+//
+//	go test -run Example_quickstart -v .
+func Example_quickstart() {
 	const warmup, iters = 100, 2000
 
 	measure := func(ic nicbarrier.Interconnect, scheme nicbarrier.Scheme) float64 {
@@ -43,4 +38,10 @@ func main() {
 	fmt.Printf("Quadrics Elan3,   8 nodes:  NIC-based %5.2fus, elan_gsync %5.2fus (%.2fx)\n",
 		nicQ, gsyncQ, gsyncQ/nicQ)
 	fmt.Println("   paper reports:           NIC-based  5.60us,              (2.48x)")
+
+	// Output:
+	// Myrinet LANai-XP, 8 nodes:  NIC-based 13.93us, host-based 37.66us (2.70x)
+	//    paper reports:           NIC-based 14.20us,              (2.64x)
+	// Quadrics Elan3,   8 nodes:  NIC-based  5.64us, elan_gsync 14.44us (2.56x)
+	//    paper reports:           NIC-based  5.60us,              (2.48x)
 }

@@ -52,20 +52,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm converts a name ("DS", "PE", "GB", or the long names)
-// into an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "DS", "ds", "dissemination":
-		return Dissemination, nil
-	case "PE", "pe", "pairwise-exchange", "pairwise":
-		return PairwiseExchange, nil
-	case "GB", "gb", "gather-broadcast", "tree":
-		return GatherBroadcast, nil
-	}
-	return 0, fmt.Errorf("barrier: unknown algorithm %q", s)
-}
-
 // Options tunes schedule construction.
 type Options struct {
 	// TreeDegree is the arity d of the gather-broadcast tree; 0 means
@@ -94,7 +80,7 @@ func NewPlan(alg Algorithm, n int, opts Options) *Plan {
 	case Dissemination:
 		p.log = Log2Ceil(n)
 	case PairwiseExchange:
-		p.log = Log2Floor(n)
+		p.log = log2Floor(n)
 	case GatherBroadcast:
 		p.degree = TreeDegree(opts.TreeDegree)
 		if p.degree < 2 {
@@ -120,8 +106,8 @@ func Log2Ceil(n int) int {
 	return steps
 }
 
-// Log2Floor returns ⌊log2 n⌋ for n >= 1.
-func Log2Floor(n int) int {
+// log2Floor returns ⌊log2 n⌋ for n >= 1.
+func log2Floor(n int) int {
 	if n < 1 {
 		panic("barrier: Log2Floor of non-positive")
 	}
@@ -135,30 +121,3 @@ func Log2Floor(n int) int {
 
 // IsPowerOfTwo reports whether n is a power of two (n >= 1).
 func IsPowerOfTwo(n int) bool { return n >= 1 && n&(n-1) == 0 }
-
-// CriticalSteps reports the number of communication steps on the critical
-// path, matching the paper's Section 5 formulas.
-func CriticalSteps(alg Algorithm, n int, opts Options) int {
-	if n <= 1 {
-		return 0
-	}
-	switch alg {
-	case Dissemination:
-		return Log2Ceil(n)
-	case PairwiseExchange:
-		if IsPowerOfTwo(n) {
-			return Log2Floor(n)
-		}
-		return Log2Floor(n) + 2
-	case GatherBroadcast:
-		d := TreeDegree(opts.TreeDegree)
-		steps, p := 0, 1
-		for p < n {
-			p *= d
-			steps++
-		}
-		return 2 * steps
-	default:
-		panic(fmt.Sprintf("barrier: unknown algorithm %d", int(alg)))
-	}
-}

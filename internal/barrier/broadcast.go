@@ -31,9 +31,9 @@ func NewBroadcastPlan(n, root, degree int) *Plan {
 // arithmetic (position·degree) from overflowing on huge degrees.
 func starDegree(degree, n int) int { return min(degree, max(n-1, 2)) }
 
-// VerifyBroadcast abstractly executes broadcast schedules and checks that
+// verifyBroadcast abstractly executes broadcast schedules and checks that
 // every rank completes and has transitively heard from the root.
-func VerifyBroadcast(n, root, degree int) error {
+func verifyBroadcast(n, root, degree int) error {
 	// Reuse the barrier executor's progress machinery, then check the
 	// weaker knowledge property (heard from root, not from everyone).
 	return verifyKnowledge(NewBroadcastPlan(n, root, degree).all(), "broadcast", func(rank int, knowledge []bool) error {

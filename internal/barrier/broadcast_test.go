@@ -30,7 +30,7 @@ func TestBroadcastTreeShapes(t *testing.T) {
 
 func TestBroadcastNonZeroRoot(t *testing.T) {
 	// Root 5 in a group of 8, degree 2: position space rotates.
-	if err := VerifyBroadcast(8, 5, 2); err != nil {
+	if err := verifyBroadcast(8, 5, 2); err != nil {
 		t.Fatal(err)
 	}
 	r := resolve(NewBroadcastPlan(8, 5, 2).Rank(5))
@@ -47,7 +47,7 @@ func TestVerifyBroadcastMatrix(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16, 33, 100} {
 		for _, d := range []int{2, 4, 8} {
 			for _, root := range []int{0, n / 2, n - 1} {
-				if err := VerifyBroadcast(n, root, d); err != nil {
+				if err := verifyBroadcast(n, root, d); err != nil {
 					t.Fatalf("n=%d d=%d root=%d: %v", n, d, root, err)
 				}
 			}
@@ -57,7 +57,7 @@ func TestVerifyBroadcastMatrix(t *testing.T) {
 
 func TestBroadcastIsNotABarrier(t *testing.T) {
 	// The full-knowledge check must fail for a broadcast (leaves never
-	// hear from each other) — guarding against silently weakening Verify.
+	// hear from each other) — guarding against silently weakening verify.
 	if err := verifySchedules(NewBroadcastPlan(4, 0, 2).all(), "broadcast"); err == nil {
 		t.Fatal("broadcast schedules passed the barrier synchronization check")
 	}
@@ -88,7 +88,7 @@ func TestBroadcastProperty(t *testing.T) {
 		n := int(nRaw)%60 + 1
 		root := int(rootRaw) % n
 		d := int(dRaw)%6 + 2
-		if VerifyBroadcast(n, root, d) != nil {
+		if verifyBroadcast(n, root, d) != nil {
 			return false
 		}
 		total := 0

@@ -89,9 +89,6 @@ func (s Schedule) Size() int { return s.p.n }
 // Rank reports the rank the schedule belongs to.
 func (s Schedule) Rank() int { return s.rank }
 
-// Shares reports whether s and o are views of the same plan.
-func (s Schedule) Shares(o Schedule) bool { return s.p == o.p }
-
 // Steps reports the number of steps.
 func (s Schedule) Steps() int {
 	switch s.p.alg {

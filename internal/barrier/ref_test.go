@@ -61,7 +61,7 @@ func refDisseminationSteps(n, rank int) []refStep {
 
 func refPairwiseSteps(n, rank int) []refStep {
 	if IsPowerOfTwo(n) {
-		k := Log2Floor(n)
+		k := log2Floor(n)
 		steps := make([]refStep, 0, k)
 		peers := make(refPeerLists, k)
 		for m := 1; m < n; m <<= 1 {
@@ -70,7 +70,7 @@ func refPairwiseSteps(n, rank int) []refStep {
 		}
 		return steps
 	}
-	m := 1 << Log2Floor(n)
+	m := 1 << log2Floor(n)
 	if rank >= m {
 		partner := []int{rank - m}
 		return []refStep{
@@ -80,7 +80,7 @@ func refPairwiseSteps(n, rank int) []refStep {
 	}
 	partner := rank + m
 	hasPartner := partner < n
-	k := Log2Floor(m)
+	k := log2Floor(m)
 	if hasPartner {
 		k++
 	}

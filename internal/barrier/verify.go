@@ -2,7 +2,7 @@ package barrier
 
 import "fmt"
 
-// Verify executes the schedules of an n-rank group abstractly (no timing,
+// verify executes the schedules of an n-rank group abstractly (no timing,
 // FIFO message delivery) and checks the two properties that make a barrier
 // a barrier:
 //
@@ -12,7 +12,7 @@ import "fmt"
 //     at completion each rank must have (transitively) heard from all.
 //
 // It returns nil when both hold.
-func Verify(alg Algorithm, n int, opts Options) error {
+func verify(alg Algorithm, n int, opts Options) error {
 	return verifySchedules(NewPlan(alg, n, opts).all(), alg.String())
 }
 

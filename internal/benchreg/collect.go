@@ -32,8 +32,8 @@ func Collect(cfg harness.Config, fidelity string, repeats int, scens []harness.S
 		return nil, fmt.Errorf("benchreg: no scenarios to collect")
 	}
 	r := &Report{
-		Schema: Schema,
-		GitRev: GitRev(),
+		Schema: schema,
+		GitRev: gitRev(),
 		Seed:   cfg.Seed,
 		Config: RunConfig{
 			Fidelity: fidelity,
@@ -87,14 +87,14 @@ func Collect(cfg harness.Config, fidelity string, repeats int, scens []harness.S
 			r.Metrics = append(r.Metrics, Metric{
 				Name:   name,
 				Unit:   units[name],
-				Value:  Median(vals),
+				Value:  median(vals),
 				Spread: spread(vals),
 			})
 		}
 		r.Metrics = append(r.Metrics, Metric{
 			Name:   s.ID + "/wall_ns",
 			Unit:   "ns/op",
-			Value:  Median(wall),
+			Value:  median(wall),
 			Spread: spread(wall),
 		})
 		// Scenarios that never touch the event engine (pure analytic
@@ -104,13 +104,13 @@ func Collect(cfg harness.Config, fidelity string, repeats int, scens []harness.S
 				Metric{
 					Name:   s.ID + "/ns_per_event",
 					Unit:   "ns/ev",
-					Value:  Median(nsPerEvent),
+					Value:  median(nsPerEvent),
 					Spread: spread(nsPerEvent),
 				},
 				Metric{
 					Name:   s.ID + "/allocs_per_event",
 					Unit:   "allocs/ev",
-					Value:  Median(allocsPerEvent),
+					Value:  median(allocsPerEvent),
 					Spread: spread(allocsPerEvent),
 				})
 		}

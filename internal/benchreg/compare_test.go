@@ -9,7 +9,7 @@ import (
 // mkReport builds a minimal valid report around the given metrics.
 func mkReport(rev string, ms ...Metric) *Report {
 	return &Report{
-		Schema:  Schema,
+		Schema:  schema,
 		GitRev:  rev,
 		Seed:    1,
 		Config:  RunConfig{Fidelity: "quick", Warmup: 1, Iters: 1, Repeats: 1, Scenarios: []string{"t"}},

@@ -22,9 +22,9 @@ import (
 	"strings"
 )
 
-// Schema identifies the report format. Bump on incompatible changes so a
+// schema identifies the report format. Bump on incompatible changes so a
 // stale baseline fails loudly instead of comparing garbage.
-const Schema = "nicbarrier-bench/v1"
+const schema = "nicbarrier-bench/v1"
 
 // Metric is one named measurement, aggregated over the run's repeats.
 type Metric struct {
@@ -92,8 +92,8 @@ var knownUnits = map[string]bool{
 // consistent: correct schema string, at least one metric, no duplicate
 // names, known units, finite values.
 func (r *Report) Validate() error {
-	if r.Schema != Schema {
-		return fmt.Errorf("benchreg: schema %q, want %q", r.Schema, Schema)
+	if r.Schema != schema {
+		return fmt.Errorf("benchreg: schema %q, want %q", r.Schema, schema)
 	}
 	if len(r.Metrics) == 0 {
 		return fmt.Errorf("benchreg: report has no metrics")
@@ -167,10 +167,10 @@ func ReadFile(path string) (*Report, error) {
 	return &r, nil
 }
 
-// GitRev returns the abbreviated HEAD revision of the working tree, or
+// gitRev returns the abbreviated HEAD revision of the working tree, or
 // "unknown" outside a git checkout. Reports are tagged with it so a
 // directory of BENCH_*.json files reads as a perf history.
-func GitRev() string {
+func gitRev() string {
 	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
 	if err != nil {
 		return "unknown"
@@ -182,10 +182,10 @@ func GitRev() string {
 	return rev
 }
 
-// Median returns the median of xs (mean of the middle pair for even
+// median returns the median of xs (mean of the middle pair for even
 // lengths). It is the aggregation the collector applies across repeats:
 // robust to a single noisy run in a way the mean is not.
-func Median(xs []float64) float64 {
+func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}

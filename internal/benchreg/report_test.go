@@ -87,16 +87,16 @@ func TestMedian(t *testing.T) {
 		{[]float64{4, 1, 3, 2}, 2.5},
 	}
 	for _, c := range cases {
-		if got := Median(c.xs); got != c.want {
+		if got := median(c.xs); got != c.want {
 			t.Errorf("Median(%v) = %v, want %v", c.xs, got, c.want)
 		}
 	}
-	if !math.IsNaN(Median(nil)) {
+	if !math.IsNaN(median(nil)) {
 		t.Error("Median(nil) not NaN")
 	}
-	// Median must not mutate its argument.
+	// median must not mutate its argument.
 	xs := []float64{3, 1, 2}
-	Median(xs)
+	median(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Median reordered input: %v", xs)
 	}
@@ -200,7 +200,7 @@ func TestCollectRealScenario(t *testing.T) {
 }
 
 func TestGitRev(t *testing.T) {
-	rev := GitRev()
+	rev := gitRev()
 	if rev == "" {
 		t.Fatal("GitRev returned empty string")
 	}

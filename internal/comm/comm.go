@@ -261,12 +261,9 @@ type Group struct {
 	// still queued; it replays when the scheduler installs the group.
 	pendingIters int
 	// queuedAt/installedAt record admission timing for the queueing
-	// policy's wait statistics; queueWaitUS is the served wait, frozen
-	// when the deferred install lands (installedAt moves again on
-	// Reconfigure, the wait must not).
+	// policy's wait statistics.
 	queuedAt    sim.Time
 	installedAt sim.Time
-	queueWaitUS float64
 
 	// pace shapes the group's operation stream during workloads.
 	pace pacer
@@ -474,11 +471,6 @@ func (g *Group) Completions() []sim.Time {
 	}
 	return append(slices.Clip(l.done), tail...)
 }
-
-// QueueWaitUS reports how long the group's install waited in the
-// admission queue, in simulated microseconds (0 for immediate installs;
-// valid once Installed).
-func (g *Group) QueueWaitUS() float64 { return g.queueWaitUS }
 
 // Run executes iters consecutive operations exclusively: the engine is
 // driven until the group finishes. It returns per-iteration completion

@@ -99,8 +99,12 @@ func TestSingleGroupMatchesSession(t *testing.T) {
 
 	eng := sim.NewEngine()
 	cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), 8, nil)
-	want := myrinet.NewSession(cl, ids, myrinet.SchemeCollective,
-		barrier.Dissemination, barrier.Options{}).Run(20)
+	s, err := myrinet.NewGroupSession(cl, myrinet.SessionGroupID, ids, myrinet.SchemeCollective,
+		barrier.NewPlan(barrier.Dissemination, len(ids), barrier.Options{}), core.Chained, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.Run(20)
 
 	c := xpComm(8)
 	g := barrierGroup(t, c, ids...)

@@ -262,8 +262,7 @@ func (s *sched) drain() {
 		}
 		s.queue = s.queue[1:]
 		head.queuedPlan = nil
-		head.queueWaitUS = head.installedAt.Sub(head.queuedAt).Micros()
-		s.stats.WaitsUS = append(s.stats.WaitsUS, head.queueWaitUS)
+		s.stats.WaitsUS = append(s.stats.WaitsUS, head.installedAt.Sub(head.queuedAt).Micros())
 		if head.pendingIters > 0 {
 			iters := head.pendingIters
 			head.pendingIters = 0

@@ -1,3 +1,24 @@
+// Package core implements the paper's primary contribution: the NIC-based
+// collective message passing protocol. It contains the pieces the paper
+// identifies as the collective replacements for point-to-point processing:
+//
+//   - groups (Group) whose members the NIC models install into their
+//     group-queue slot tables, one dedicated queue entry per group
+//     (queuing done collectively — Section 3 "Queuing" and Section 6.1);
+//   - a single send record per collective operation holding a bit vector
+//     over peer messages (bookkeeping done collectively — Section 3
+//     "Bookkeeping" and Section 6.3);
+//   - the operation state machine that advances a barrier.Schedule as
+//     notifications arrive, buffering one barrier ahead (the consecutive-
+//     barrier case), with a session's state machines kept in one Arena;
+//   - receiver-driven retransmission support: Missing() lists the peers
+//     to NACK, HasSent() answers whether a NACK can be served (error
+//     control done collectively — Section 3 "Flow/Error Control" and
+//     Section 6.3).
+//
+// The package is engine-agnostic and cost-free: the Myrinet MCP model
+// (internal/myrinet) and the Quadrics chained-RDMA model (internal/elan)
+// both drive these state machines, charging their own processing costs.
 package core
 
 import (

@@ -61,7 +61,7 @@ type refOpState struct {
 	step   int
 	sent   []bool
 
-	arrived  *BitVector
+	arrived  []bool
 	rankBit  map[int]int
 	sendStep map[int]int
 
@@ -96,7 +96,7 @@ func newRefOpState(sched refSchedule) *refOpState {
 			o.sendStep[dst] = i
 		}
 	}
-	o.arrived = NewBitVector(len(o.rankBit))
+	o.arrived = make([]bool, len(o.rankBit))
 	return o
 }
 
@@ -119,13 +119,13 @@ func (o *refOpState) Start(seq int) (sends []int, completed bool, err error) {
 	for i := range o.sent {
 		o.sent[i] = false
 	}
-	o.arrived.Clear()
+	clear(o.arrived)
 	for r := range o.early {
 		bit, ok := o.rankBit[r]
 		if !ok {
 			return nil, false, fmt.Errorf("core: buffered arrival from unexpected rank %d", r)
 		}
-		o.arrived.Set(bit)
+		o.arrived[bit] = true
 	}
 	clear(o.early)
 	sends, completed = o.advance()
@@ -142,10 +142,11 @@ func (o *refOpState) Arrive(seq, fromRank int) (sends []int, completed bool, err
 		if !ok {
 			return nil, false, fmt.Errorf("core: arrival from unexpected rank %d", fromRank)
 		}
-		if !o.arrived.Set(bit) {
+		if o.arrived[bit] {
 			o.Duplicates++
 			return nil, false, nil
 		}
+		o.arrived[bit] = true
 		sends, completed = o.advance()
 		return sends, completed, nil
 	case seq == o.seq+1:
@@ -174,7 +175,7 @@ func (o *refOpState) advance() (sends []int, completed bool) {
 		}
 		done := true
 		for _, w := range st.Wait {
-			if !o.arrived.Get(o.rankBit[w]) {
+			if !o.arrived[o.rankBit[w]] {
 				done = false
 				break
 			}
@@ -208,7 +209,7 @@ func (o *refOpState) Missing() []int {
 	bit := 0
 	for _, st := range o.sched.Steps {
 		for _, r := range st.Wait {
-			if !o.arrived.Get(bit) {
+			if !o.arrived[bit] {
 				o.buf = append(o.buf, r)
 			}
 			bit++
@@ -435,7 +436,7 @@ func runOpScript(data []byte) error {
 		got, want = NewOpState(sched), newRefOpState(ref)
 	} else {
 		var err, refErr error
-		red, err = NewReduceState(ReduceOp(mode-1), sched)
+		red, err = newReduceState(ReduceOp(mode-1), sched)
 		refRed, refErr = newRefReduceState(ReduceOp(mode-1), ref)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			return fmt.Errorf("NewReduceState: error %v, reference %v", err, refErr)

@@ -290,7 +290,7 @@ func TestInstallAllocsConstant(t *testing.T) {
 		build func(barrier.Schedule)
 	}{
 		{"NewOpState", 4, func(s barrier.Schedule) { installSink = NewOpState(s) }},
-		{"NewReduceState", 6, func(s barrier.Schedule) { installSink, _ = NewReduceState(ReduceSum, s) }},
+		{"NewReduceState", 6, func(s barrier.Schedule) { installSink, _ = newReduceState(ReduceSum, s) }},
 	} {
 		for _, n := range []int{8, 32768} {
 			for _, alg := range []barrier.Algorithm{barrier.PairwiseExchange, barrier.Dissemination} {

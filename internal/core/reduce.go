@@ -51,9 +51,6 @@ func CheckReduce(op ReduceOp, sched barrier.Schedule) error {
 	return nil
 }
 
-// Idempotent reports whether combining a value twice is harmless.
-func (op ReduceOp) Idempotent() bool { return op == ReduceMin || op == ReduceMax }
-
 // Combine applies the operator.
 func (op ReduceOp) Combine(a, b int64) int64 {
 	switch op {
@@ -97,7 +94,7 @@ func (op ReduceOp) Combine(a, b int64) int64 {
 // Exactness holds for pairwise exchange at any size, gather-broadcast,
 // and dissemination at powers of two (each step combines a disjoint
 // window of predecessors); dissemination at other sizes wraps its windows
-// and double-counts, so NewReduceState rejects sum there. Idempotent
+// and double-counts, so NewReduceArena rejects sum there. Idempotent
 // operators work over any complete schedule.
 type ReduceState struct {
 	op ReduceOp
@@ -123,19 +120,6 @@ type ReduceState struct {
 type sentVal struct {
 	seq int
 	val int64
-}
-
-// NewReduceState builds an allreduce state machine over a schedule as a
-// one-member arena. It returns an error when the (operator, schedule)
-// combination cannot be exact. It makes six allocations whatever the
-// group size; sessions build every member's state at once with
-// NewReduceArena instead.
-func NewReduceState(op ReduceOp, sched barrier.Schedule) (*ReduceState, error) {
-	a, err := newArena(1, func(int) barrier.Schedule { return sched }, &op)
-	if err != nil {
-		return nil, err
-	}
-	return a.Reduce(0), nil
 }
 
 // Op reports the combining operator.

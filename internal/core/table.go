@@ -100,7 +100,22 @@ func ReserveBindings[H any](n int, bindings func(i int) *Bindings[H]) {
 // for a group that never existed. The zero Table is empty.
 type Table[T any] struct {
 	entries[T]
-	retired map[GroupID]sim.Time
+	// retired holds the tombstones, built on the first release; behind a
+	// pointer, a table that never releases pays one word for them.
+	retired *tombstones
+}
+
+// tombstones is a table's released group IDs with their release times.
+// Room for the first eight comes in the same record, so a table that
+// releases a few groups allocates once for them.
+type tombstones struct {
+	list  []tombstone
+	first [8]tombstone
+}
+
+type tombstone struct {
+	id GroupID
+	at sim.Time
 }
 
 // tombstoneSweepLen bounds the tombstones: a release sweeps them only
@@ -129,7 +144,9 @@ func (t *Table[T]) Claim(id GroupID, v T, capacity int) error {
 	if err := t.Check(id, capacity); err != nil {
 		return err
 	}
-	delete(t.retired, id)
+	if i := t.tombstone(id); i >= 0 {
+		t.retired.list = slices.Delete(t.retired.list, i, i+1)
+	}
 	t.entries = append(t.entries, entry[T]{id, v})
 	return nil
 }
@@ -143,24 +160,30 @@ func (t *Table[T]) Release(id GroupID, now sim.Time, horizon sim.Duration) bool 
 		return false
 	}
 	if t.retired == nil {
-		t.retired = make(map[GroupID]sim.Time)
+		t.retired = &tombstones{}
+		t.retired.list = t.retired.first[:0]
 	}
-	t.retired[id] = now
-	if len(t.retired) > tombstoneSweepLen {
-		for old, at := range t.retired {
-			if now.Sub(at) > horizon {
-				delete(t.retired, old)
-			}
-		}
+	// A live ID holds no tombstone (Claim cleared it), so this is the
+	// ID's only one.
+	r := t.retired
+	r.list = append(r.list, tombstone{id, now})
+	if len(r.list) > tombstoneSweepLen {
+		r.list = slices.DeleteFunc(r.list, func(ts tombstone) bool { return now.Sub(ts.at) > horizon })
 	}
 	return true
 }
 
 // Retired reports whether group id holds a tombstone: it was released
-// and has not been reclaimed or swept since.
-func (t *Table[T]) Retired(id GroupID) bool {
-	_, gone := t.retired[id]
-	return gone
+// and has not been reclaimed or swept since. A live group never does,
+// so callers look the live entry up first and consult Retired on a miss.
+func (t *Table[T]) Retired(id GroupID) bool { return t.tombstone(id) >= 0 }
+
+// tombstone returns the index of group id's tombstone, or -1.
+func (t *Table[T]) tombstone(id GroupID) int {
+	if t.retired == nil {
+		return -1
+	}
+	return slices.IndexFunc(t.retired.list, func(ts tombstone) bool { return ts.id == id })
 }
 
 // Bindings routes a host's group-addressed events: one handler per bound

@@ -432,13 +432,13 @@ func (n *NIC) fireEvent(m rdmaMsg, fromNode int) {
 		n.Exec(0, p.HostEventWrite, h)
 		return
 	}
-	if n.chains.Retired(m.group) {
-		n.Stats.StaleRDMAs++
-		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-		return
+	// A live chain is never retired, so the tombstones are read only
+	// on a miss.
+	op, ok := n.chains.Get(m.group)
+	if !ok && !n.chains.Retired(m.group) {
+		panic(fmt.Sprintf("elan: node %d: no chain for group %d", n.node.ID, m.group))
 	}
-	op := n.mustChain(m.group)
-	if op.frozen {
+	if !ok || op.frozen {
 		n.Stats.StaleRDMAs++
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return

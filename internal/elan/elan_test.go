@@ -1,6 +1,7 @@
 package elan
 
 import (
+	"reflect"
 	"testing"
 
 	"nicbarrier/internal/barrier"
@@ -134,11 +135,11 @@ func TestHWBarrierSkewRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.Elan3Cluster(), 4)
 	s := NewSession(cl, identity(4), SchemeHW, barrier.Dissemination, barrier.Options{})
-	// Stagger the posts far beyond HWSyncLimit; RunSkewed panics if the
+	// Stagger the posts far beyond hwSyncLimit; RunSkewed panics if the
 	// barrier never completes.
 	skew := make([]sim.Duration, len(s.members))
 	for i := range skew {
-		skew[i] = sim.Duration(i) * 3 * HWSyncLimit
+		skew[i] = sim.Duration(i) * 3 * hwSyncLimit
 	}
 	if lat := s.RunSkewed(skew); lat <= 0 {
 		t.Fatalf("skewed HW barrier completed %v after the last entry", lat)
@@ -267,13 +268,40 @@ func TestArmChainTwicePanics(t *testing.T) {
 func TestSessionSharesPlan(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.Elan3Cluster(), 16)
-	s := NewSession(cl, identity(16), SchemeChained, barrier.Dissemination, barrier.Options{})
-	first := cl.Nodes[0].NIC.mustChain(s.gid).state.Schedule()
+	plan := barrier.NewPlan(barrier.Dissemination, 16, barrier.Options{})
+	s, err := NewGroupSession(cl, SessionGroupID, identity(16), SchemeChained, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for rank, m := range s.members {
-		sched := m.node.NIC.mustChain(s.gid).state.Schedule()
-		if !sched.Shares(first) || sched.Rank() != rank {
+		if sched := m.node.NIC.mustChain(s.gid).state.Schedule(); sched != plan.Rank(rank) {
 			t.Fatalf("rank %d arms its own table (view of rank %d)", rank, sched.Rank())
 		}
 	}
 	s.Run(3)
+}
+
+// Cluster.Stats sums every counter of every NIC: each NIC gets distinct
+// counts in every uint64 field of its Stats, and each cluster total must
+// equal their sum, so a counter added but not summed fails here.
+func TestClusterStatsSumsEveryCounter(t *testing.T) {
+	cl := NewCluster(sim.NewEngine(), hwprofile.Elan3Cluster(), 3)
+	want := map[string]uint64{}
+	k := uint64(0)
+	for _, node := range cl.Nodes {
+		v := reflect.ValueOf(&node.NIC.Stats).Elem()
+		for f := range v.NumField() {
+			if v.Field(f).Kind() == reflect.Uint64 {
+				k++
+				v.Field(f).SetUint(k)
+				want[v.Type().Field(f).Name] += k
+			}
+		}
+	}
+	total := reflect.ValueOf(cl.Stats())
+	for name, sum := range want {
+		if got := total.FieldByName(name).Uint(); got != sum {
+			t.Errorf("Stats().%s = %d, want %d", name, got, sum)
+		}
+	}
 }

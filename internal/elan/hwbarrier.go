@@ -33,9 +33,9 @@ type hwBarrier struct {
 	fireMembers []int
 }
 
-// HWSyncLimit is the skew between the first and last arrival above which
+// hwSyncLimit is the skew between the first and last arrival above which
 // the test-and-set probe fails and is retried.
-const HWSyncLimit = sim.Duration(40 * 1000) // 40us
+const hwSyncLimit = sim.Duration(40 * 1000) // 40us
 
 func newHWBarrier(cl *Cluster) *hwBarrier {
 	return &hwBarrier{cl: cl, posted: make(map[int]bool)}
@@ -75,14 +75,14 @@ func (n *Node) hwPost() {
 }
 
 // fire runs the test-and-set transaction once every participant has
-// arrived. Skew beyond HWSyncLimit models failed probes as retry delay.
+// arrived. Skew beyond hwSyncLimit models failed probes as retry delay.
 func (hw *hwBarrier) fire() {
 	eng := hw.cl.Eng
 	prof := hw.cl.Prof.NIC
 	skew := eng.Now().Sub(hw.firstAt)
 	delay := prof.HWBarrierBase +
 		sim.Duration(hw.cl.Levels())*prof.HWBarrierPerLevel
-	for s := skew; s > HWSyncLimit; s -= HWSyncLimit {
+	for s := skew; s > hwSyncLimit; s -= hwSyncLimit {
 		// Each failed probe costs one more transaction.
 		delay += prof.HWBarrierBase
 		hw.retries++

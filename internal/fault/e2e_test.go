@@ -20,6 +20,18 @@ func identityIDs(n int) []int {
 	return ids
 }
 
+// collectiveSession installs a collective dissemination barrier over
+// nodes 0..n-1 as the cluster's first group.
+func collectiveSession(t *testing.T, cl *myrinet.Cluster, n int) *myrinet.Session {
+	t.Helper()
+	s, err := myrinet.NewGroupSession(cl, myrinet.SessionGroupID, identityIDs(n), myrinet.SchemeCollective,
+		barrier.NewPlan(barrier.Dissemination, n, barrier.Options{}), core.Chained, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // The satellite acceptance test: a Myrinet barrier completes under 20%
 // random loss because the MCP's receiver-driven NACK retransmission
 // recovers every lost notification.
@@ -28,8 +40,7 @@ func TestMyrinetBarrierSurvives20PercentLoss(t *testing.T) {
 	cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), 16, nil)
 	plan := fault.NewPlan(3, fault.Loss(0.20))
 	cl.SetFaults(plan)
-	s := myrinet.NewSession(cl, identityIDs(16), myrinet.SchemeCollective,
-		barrier.Dissemination, barrier.Options{})
+	s := collectiveSession(t, cl, 16)
 	const iters = 30
 	doneAt := s.Run(iters) // panics on deadlock: completion IS the assertion
 	eng.Run()
@@ -140,8 +151,7 @@ func TestPartitionHealsAndBarrierRecovers(t *testing.T) {
 	// distance 2, so the pair really exchanges traffic every barrier.
 	plan := fault.NewPlan(3, fault.Partition(1, 3, fault.Between(30, 150)))
 	cl.SetFaults(plan)
-	s := myrinet.NewSession(cl, identityIDs(8), myrinet.SchemeCollective,
-		barrier.Dissemination, barrier.Options{})
+	s := collectiveSession(t, cl, 8)
 	s.Run(40)
 	eng.Run()
 	net := cl.Net.Counters()
@@ -165,8 +175,7 @@ func TestCrashRecovery(t *testing.T) {
 	cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), 8, nil)
 	plan := fault.NewPlan(3, fault.Crash(5, fault.Between(0, 200)))
 	cl.SetFaults(plan)
-	s := myrinet.NewSession(cl, identityIDs(8), myrinet.SchemeCollective,
-		barrier.Dissemination, barrier.Options{})
+	s := collectiveSession(t, cl, 8)
 	doneAt := s.Run(20)
 	eng.Run()
 	if cl.Net.Counters().Dropped == 0 {
@@ -195,8 +204,7 @@ func TestDeterministicLossResonanceBroken(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), 4, nil)
 	cl.SetFaults(fault.NewPlan(5, fault.DropEveryNth(2)))
-	s := myrinet.NewSession(cl, identityIDs(4), myrinet.SchemeCollective,
-		barrier.Dissemination, barrier.Options{})
+	s := collectiveSession(t, cl, 4)
 	s.Run(11) // panics on deadlock; pre-fix this livelocked instead
 	eng.Run()
 	net := cl.Net.Counters()
@@ -219,8 +227,7 @@ func TestSlowNICSlowsBarrier(t *testing.T) {
 		if plan != nil {
 			cl.SetFaults(plan)
 		}
-		s := myrinet.NewSession(cl, identityIDs(8), myrinet.SchemeCollective,
-			barrier.Dissemination, barrier.Options{})
+		s := collectiveSession(t, cl, 8)
 		return core.MeanLatency(s.Run(2+20), 2)
 	}
 	clean := measure(nil)

@@ -73,18 +73,18 @@ func Groups(ids ...int) map[int]bool {
 	return s
 }
 
-// Link scopes a match to both directions of the host pair a<->b.
-func Link(a, b int) Match {
+// link scopes a match to both directions of the host pair a<->b.
+func link(a, b int) Match {
 	return Match{Src: Nodes(a), Dst: Nodes(b), Bidirectional: true}
 }
 
-// Node scopes a match to every packet sent or received by one host.
-func Node(id int) Match {
+// node scopes a match to every packet sent or received by one host.
+func node(id int) Match {
 	return Match{Src: Nodes(id), Bidirectional: true}
 }
 
-// From scopes a match to packets sent by the given hosts.
-func From(ids ...int) Match { return Match{Src: Nodes(ids...)} }
+// from scopes a match to packets sent by the given hosts.
+func from(ids ...int) Match { return Match{Src: Nodes(ids...)} }
 
 // Matches reports whether the packet falls in scope.
 func (m Match) Matches(pkt netsim.Packet) bool {
@@ -281,7 +281,7 @@ func (p *Plan) Validate() []string {
 	var warns []string
 	for i := range p.rules {
 		r := &p.rules[i]
-		if _, blocking := r.Effect.(Block); !blocking {
+		if _, blocking := r.Effect.(block); !blocking {
 			continue
 		}
 		if r.Window.To != 0 {
@@ -369,14 +369,14 @@ func (e *EveryNth) Apply(pkt netsim.Packet, _ sim.Time, _ *sim.RNG) netsim.Outco
 // Clone implements Effect.
 func (e *EveryNth) Clone() Effect { return &EveryNth{N: e.N, Offset: e.Offset} }
 
-// GilbertElliott is the classic two-state burst-loss channel: the channel
+// gilbertElliott is the classic two-state burst-loss channel: the channel
 // flips between a good and a bad state with per-packet transition
 // probabilities, and drops with a state-dependent probability. Mean burst
 // length is 1/PBadToGood packets; stationary bad-state occupancy is
 // PGoodToBad/(PGoodToBad+PBadToGood). The state transition is evaluated
 // before the drop decision, so PGoodToBad=1, PBadToGood=1 alternates
 // deterministically starting in the bad state.
-type GilbertElliott struct {
+type gilbertElliott struct {
 	PGoodToBad, PBadToGood float64
 	// DropGood/DropBad are per-state drop probabilities (classic GE:
 	// DropGood=0, DropBad=1).
@@ -404,20 +404,20 @@ func BurstParams(lossRate, meanBurstLen float64) error {
 	return nil
 }
 
-// Burst builds a Gilbert–Elliott effect with an overall loss rate and a
+// burst builds a Gilbert–Elliott effect with an overall loss rate and a
 // mean burst length (in packets), using the classic drop-all-in-bad-state
 // parameterization. It panics on parameters BurstParams rejects.
-func Burst(lossRate, meanBurstLen float64) *GilbertElliott {
+func burst(lossRate, meanBurstLen float64) *gilbertElliott {
 	if err := BurstParams(lossRate, meanBurstLen); err != nil {
 		panic(err)
 	}
 	pBG := 1 / meanBurstLen
 	pGB := lossRate / (meanBurstLen * (1 - lossRate))
-	return &GilbertElliott{PGoodToBad: pGB, PBadToGood: pBG, DropBad: 1}
+	return &gilbertElliott{PGoodToBad: pGB, PBadToGood: pBG, DropBad: 1}
 }
 
 // Apply implements Effect.
-func (e *GilbertElliott) Apply(_ netsim.Packet, _ sim.Time, rng *sim.RNG) netsim.Outcome {
+func (e *gilbertElliott) Apply(_ netsim.Packet, _ sim.Time, rng *sim.RNG) netsim.Outcome {
 	if e.bad {
 		if rng.Bool(e.PBadToGood) {
 			e.bad = false
@@ -433,8 +433,8 @@ func (e *GilbertElliott) Apply(_ netsim.Packet, _ sim.Time, rng *sim.RNG) netsim
 }
 
 // Clone implements Effect.
-func (e *GilbertElliott) Clone() Effect {
-	return &GilbertElliott{
+func (e *gilbertElliott) Clone() Effect {
+	return &gilbertElliott{
 		PGoodToBad: e.PGoodToBad, PBadToGood: e.PBadToGood,
 		DropGood: e.DropGood, DropBad: e.DropBad,
 	}
@@ -485,10 +485,10 @@ func (e Throttle) Apply(pkt netsim.Packet, _ sim.Time, _ *sim.RNG) netsim.Outcom
 // Clone implements Effect.
 func (e Throttle) Clone() Effect { return e }
 
-// Block unconditionally discards matching packets, with drop semantics by
+// block unconditionally discards matching packets, with drop semantics by
 // default or reject semantics when Reject is set (the network notifies its
 // reject observer).
-type Block struct {
+type block struct {
 	Reject bool
 	// FailStop marks the discard as a whole-node failure rather than a
 	// link impairment. Only Crash sets it: hardware-reliable networks
@@ -498,7 +498,7 @@ type Block struct {
 }
 
 // Apply implements Effect.
-func (e Block) Apply(netsim.Packet, sim.Time, *sim.RNG) netsim.Outcome {
+func (e block) Apply(netsim.Packet, sim.Time, *sim.RNG) netsim.Outcome {
 	if e.Reject {
 		return netsim.Outcome{Reject: true, FailStop: e.FailStop}
 	}
@@ -506,7 +506,7 @@ func (e Block) Apply(netsim.Packet, sim.Time, *sim.RNG) netsim.Outcome {
 }
 
 // Clone implements Effect.
-func (e Block) Clone() Effect { return e }
+func (e block) Clone() Effect { return e }
 
 // --- rule constructors for the common fault shapes ---
 
@@ -524,7 +524,7 @@ func DropEveryNth(n int) Rule {
 func BurstLoss(lossRate, meanBurstLen float64) Rule {
 	return Rule{
 		Name:   fmt.Sprintf("burst-%.3g-len%.3g", lossRate, meanBurstLen),
-		Effect: Burst(lossRate, meanBurstLen),
+		Effect: burst(lossRate, meanBurstLen),
 	}
 }
 
@@ -552,42 +552,42 @@ func Bandwidth(limitMBps, lineMBps float64) Rule {
 func Partition(a, b int, w Window) Rule {
 	return Rule{
 		Name:   fmt.Sprintf("partition-%d<->%d", a, b),
-		Match:  Link(a, b),
+		Match:  link(a, b),
 		Window: w,
 		Where:  PerHop,
-		Effect: Block{},
+		Effect: block{},
 	}
 }
 
-// BlockPort builds an injection-time blocking rule for everything the node
+// BlockPort builds an injection-time blocking rule for everything the host
 // sends or receives; reject selects reject semantics.
-func BlockPort(node int, reject bool, w Window) Rule {
+func BlockPort(host int, reject bool, w Window) Rule {
 	mode := "drop"
 	if reject {
 		mode = "reject"
 	}
 	return Rule{
-		Name:   fmt.Sprintf("block-%d-%s", node, mode),
-		Match:  Node(node),
+		Name:   fmt.Sprintf("block-%d-%s", host, mode),
+		Match:  node(host),
 		Window: w,
-		Effect: Block{Reject: reject},
+		Effect: block{Reject: reject},
 	}
 }
 
 // Crash models a whole-node (fail-stop) failure during w: everything the
-// node sends or receives is silently dropped, on Myrinet and — unlike
+// host sends or receives is silently dropped, on Myrinet and — unlike
 // link-level loss — on hardware-reliable Quadrics too (the FailStop mark
 // survives netsim.DelayOnly). A crash with no end (w.To == 0) will
 // deadlock any barrier the node participates in unless the communicator
 // layer runs with an operation deadline (comm.RecoveryConfig), which
 // detects the silence and evicts the member; Plan.Validate flags such
 // windows so deadline-less runs do not hang silently.
-func Crash(node int, w Window) Rule {
+func Crash(host int, w Window) Rule {
 	return Rule{
-		Name:   fmt.Sprintf("crash-%d", node),
-		Match:  Node(node),
+		Name:   fmt.Sprintf("crash-%d", host),
+		Match:  node(host),
 		Window: w,
-		Effect: Block{FailStop: true},
+		Effect: block{FailStop: true},
 	}
 }
 
@@ -597,7 +597,7 @@ func Crash(node int, w Window) Rule {
 func SlowNIC(node int, perPacket sim.Duration) Rule {
 	return Rule{
 		Name:   fmt.Sprintf("slow-nic-%d", node),
-		Match:  From(node),
+		Match:  from(node),
 		Effect: Delay{Fixed: perPacket},
 	}
 }

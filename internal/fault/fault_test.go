@@ -27,15 +27,15 @@ func TestMatchScoping(t *testing.T) {
 		{"zero matches all", Match{}, pkt(0, 1, "data"), true},
 		{"kind hit", Match{Kinds: Kinds("ack")}, pkt(0, 1, "ack"), true},
 		{"kind miss", Match{Kinds: Kinds("ack")}, pkt(0, 1, "data"), false},
-		{"src hit", From(3), pkt(3, 9, "x"), true},
-		{"src miss", From(3), pkt(4, 9, "x"), false},
+		{"src hit", from(3), pkt(3, 9, "x"), true},
+		{"src miss", from(3), pkt(4, 9, "x"), false},
 		{"dst only", Match{Dst: Nodes(9)}, pkt(4, 9, "x"), true},
-		{"link forward", Link(3, 7), pkt(3, 7, "x"), true},
-		{"link reverse", Link(3, 7), pkt(7, 3, "x"), true},
-		{"link miss", Link(3, 7), pkt(3, 8, "x"), false},
-		{"node sends", Node(5), pkt(5, 1, "x"), true},
-		{"node receives", Node(5), pkt(1, 5, "x"), true},
-		{"node uninvolved", Node(5), pkt(1, 2, "x"), false},
+		{"link forward", link(3, 7), pkt(3, 7, "x"), true},
+		{"link reverse", link(3, 7), pkt(7, 3, "x"), true},
+		{"link miss", link(3, 7), pkt(3, 8, "x"), false},
+		{"node sends", node(5), pkt(5, 1, "x"), true},
+		{"node receives", node(5), pkt(1, 5, "x"), true},
+		{"node uninvolved", node(5), pkt(1, 2, "x"), false},
 		{"group hit", Match{Groups: Groups(2)}, gpkt(0, 1, 2), true},
 		{"group miss", Match{Groups: Groups(2)}, gpkt(0, 1, 3), false},
 		{"group and src", Match{Groups: Groups(2), Src: Nodes(0)}, gpkt(4, 1, 2), false},
@@ -157,7 +157,7 @@ func TestEveryNthCountsPerGroupFlow(t *testing.T) {
 // decision, so the first packet lands in the bad state and the channel
 // alternates from there.
 func TestGilbertElliottDeterministicAlternation(t *testing.T) {
-	ge := &GilbertElliott{PGoodToBad: 1, PBadToGood: 1, DropBad: 1}
+	ge := &gilbertElliott{PGoodToBad: 1, PBadToGood: 1, DropBad: 1}
 	rng := sim.NewRNG(42)
 	for i := 0; i < 10; i++ {
 		got := ge.Apply(pkt(0, 1, "x"), 0, rng).Drop
@@ -170,7 +170,7 @@ func TestGilbertElliottDeterministicAlternation(t *testing.T) {
 
 func TestGilbertElliottBurstStatistics(t *testing.T) {
 	const lossRate, meanBurst = 0.1, 4.0
-	ge := Burst(lossRate, meanBurst)
+	ge := burst(lossRate, meanBurst)
 	rng := sim.NewRNG(7)
 	const total = 200000
 	drops, bursts, run := 0, 0, 0
@@ -192,7 +192,7 @@ func TestGilbertElliottBurstStatistics(t *testing.T) {
 		t.Fatalf("mean burst length %v, want ~%v", meanLen, meanBurst)
 	}
 	// Same seed, same sequence: the channel is reproducible.
-	a, b := Burst(lossRate, meanBurst), Burst(lossRate, meanBurst)
+	a, b := burst(lossRate, meanBurst), burst(lossRate, meanBurst)
 	ra, rb := sim.NewRNG(9), sim.NewRNG(9)
 	for i := 0; i < 1000; i++ {
 		if a.Apply(pkt(0, 1, "x"), 0, ra).Drop != b.Apply(pkt(0, 1, "x"), 0, rb).Drop {
@@ -226,13 +226,18 @@ func TestDelayAndThrottle(t *testing.T) {
 	}
 }
 
+// discard is a host receiver that drops every packet it is handed.
+type discard struct{}
+
+func (discard) Receive(netsim.Packet) {}
+
 // A kind-scoped random-loss plan on a live network drops its kinds at
 // the configured rate and leaves every other kind alone.
 func TestRandomLossRate(t *testing.T) {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, topo.NewCrossbar(4), netsim.Params{BandwidthMBps: 250})
 	net.SetImpairment(NewPlan(1, Rule{Match: Match{Kinds: Kinds("data")}, Effect: RandomLoss{Rate: 0.3}}))
-	net.Attach(1, netsim.ReceiverFunc(func(netsim.Packet) {}))
+	net.Attach(1, discard{})
 	const total = 20000
 	for i := 0; i < total; i++ {
 		net.Send(netsim.Packet{Src: 0, Dst: 1, Size: 1, Kind: "data"})
@@ -265,7 +270,7 @@ func TestPlanComposesAndAccounts(t *testing.T) {
 	p := NewPlan(1,
 		Rule{Name: "d1", Effect: Delay{Fixed: 100}},
 		Rule{Name: "d2", Effect: Delay{Fixed: 200}, Match: Match{Kinds: Kinds("data")}},
-		Rule{Name: "blk", Effect: Block{Reject: true}, Match: From(9)},
+		Rule{Name: "blk", Effect: block{Reject: true}, Match: from(9)},
 	)
 	out := p.Inject(pkt(0, 1, "data"), 0)
 	if out.Delay != 300 || out.Drop || out.Reject {
@@ -311,7 +316,7 @@ func TestPlanClonesEffects(t *testing.T) {
 
 func TestPlanStageAndWindowGating(t *testing.T) {
 	p := NewPlan(1,
-		Rule{Name: "part", Match: Link(0, 1), Window: Between(1, 2), Where: PerHop, Effect: Block{}},
+		Rule{Name: "part", Match: link(0, 1), Window: Between(1, 2), Where: PerHop, Effect: block{}},
 	)
 	// Inject-stage consultation never sees a PerHop rule.
 	if out := p.Inject(pkt(0, 1, "x"), 1500); out.Drop {
@@ -331,9 +336,9 @@ func TestPlanStageAndWindowGating(t *testing.T) {
 
 func TestBurstConstructorValidation(t *testing.T) {
 	for _, bad := range []func(){
-		func() { Burst(0, 4) },
-		func() { Burst(1, 4) },
-		func() { Burst(0.1, 0.5) },
+		func() { burst(0, 4) },
+		func() { burst(1, 4) },
+		func() { burst(0.1, 0.5) },
 	} {
 		func() {
 			defer func() {

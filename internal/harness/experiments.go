@@ -80,7 +80,7 @@ func powersOfTwo(from, to int) []int {
 // barriers, both algorithms, on every group size of a Myrinet cluster.
 func nicVsHost(cfg Config, id, title, note string, prof hwprofile.MyrinetProfile, size int) Figure {
 	ns := rangeInts(2, size)
-	mk := func(scheme myrinet.Scheme, alg barrier.Algorithm) Measure {
+	mk := func(scheme myrinet.Scheme, alg barrier.Algorithm) measure {
 		return func(n int) float64 {
 			return measureBarrier(cfg, &prof, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: alg}, nil)
 		}
@@ -100,26 +100,26 @@ func nicVsHost(cfg Config, id, title, note string, prof hwprofile.MyrinetProfile
 	}
 }
 
-// Fig5 reproduces Fig. 5: NIC-based and host-based barriers, both
+// fig5 reproduces Fig. 5: NIC-based and host-based barriers, both
 // algorithms, on the 16-node 700 MHz cluster with LANai 9.1 cards.
-func Fig5(cfg Config) Figure {
+func fig5(cfg Config) Figure {
 	return nicVsHost(cfg, "fig5", "NIC-based vs host-based barrier, Myrinet LANai 9.1, 16-node 700MHz cluster",
 		"paper: 25.72us NIC-based at 16 nodes, 3.38x over host-based", hwprofile.LANai91Cluster(), 16)
 }
 
-// Fig6 reproduces Fig. 6: the same comparison on the 8-node 2.4 GHz Xeon
+// fig6 reproduces Fig. 6: the same comparison on the 8-node 2.4 GHz Xeon
 // cluster with LANai-XP cards.
-func Fig6(cfg Config) Figure {
+func fig6(cfg Config) Figure {
 	return nicVsHost(cfg, "fig6", "NIC-based vs host-based barrier, Myrinet LANai-XP, 8-node 2.4GHz cluster",
 		"paper: 14.20us NIC-based at 8 nodes, 2.64x over host-based", hwprofile.LANaiXPCluster(), 8)
 }
 
-// Fig7 reproduces Fig. 7: barrier implementations over Quadrics/Elan3 on
+// fig7 reproduces Fig. 7: barrier implementations over Quadrics/Elan3 on
 // the 8-node 700 MHz cluster.
-func Fig7(cfg Config) Figure {
+func fig7(cfg Config) Figure {
 	const size = 8
 	ns := rangeInts(2, size)
-	mk := func(scheme elan.Scheme, alg barrier.Algorithm) Measure {
+	mk := func(scheme elan.Scheme, alg barrier.Algorithm) measure {
 		return func(n int) float64 {
 			return measureBarrier(cfg, nil, size, n, comm.GroupConfig{ElanScheme: scheme, Algorithm: alg}, nil)
 		}
@@ -222,26 +222,26 @@ func fig8(cfg Config, id, title string, paper model.Model, myri *hwprofile.Myrin
 	}
 }
 
-// Fig8a reproduces Fig. 8(a): Quadrics barrier scalability model.
-func Fig8a(cfg Config) Figure {
+// fig8a reproduces Fig. 8(a): Quadrics barrier scalability model.
+func fig8a(cfg Config) Figure {
 	return fig8(cfg, "fig8a", "Barrier scalability over 700MHz Quadrics-Elan3 cluster", model.PaperQuadrics(), nil)
 }
 
-// Fig8b reproduces Fig. 8(b): Myrinet barrier scalability model.
-func Fig8b(cfg Config) Figure {
+// fig8b reproduces Fig. 8(b): Myrinet barrier scalability model.
+func fig8b(cfg Config) Figure {
 	xp := hwprofile.LANaiXPCluster()
 	return fig8(cfg, "fig8b", "Barrier scalability over 2.4GHz Myrinet LANai-XP cluster", model.PaperMyrinetXP(), &xp)
 }
 
-// Ablation reproduces the paper's Section 8.1 argument against the
+// ablation reproduces the paper's Section 8.1 argument against the
 // direct scheme: collective-protocol vs direct vs host-based barriers on
 // both Myrinet clusters.
-func Ablation(cfg Config) Figure {
+func ablation(cfg Config) Figure {
 	xp := hwprofile.LANaiXPCluster()
 	l9 := hwprofile.LANai91Cluster()
 	nsXP := rangeInts(2, 8)
 	ns91 := rangeInts(2, 16)
-	mk := func(prof *hwprofile.MyrinetProfile, size int, scheme myrinet.Scheme) Measure {
+	mk := func(prof *hwprofile.MyrinetProfile, size int, scheme myrinet.Scheme) measure {
 		return func(n int) float64 {
 			return measureBarrier(cfg, prof, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: barrier.Dissemination}, nil)
 		}
@@ -266,13 +266,13 @@ func Ablation(cfg Config) Figure {
 	}
 }
 
-// Packets reproduces the Section 6.3 packet accounting: wire packets per
+// packets reproduces the Section 6.3 packet accounting: wire packets per
 // barrier for the collective protocol (no ACKs) vs the direct scheme
 // (data + ACK per message).
-func Packets(cfg Config) Figure {
+func packets(cfg Config) Figure {
 	prof := hwprofile.LANaiXPCluster()
 	const size = 16
-	count := func(scheme myrinet.Scheme) Measure {
+	count := func(scheme myrinet.Scheme) measure {
 		return func(n int) float64 {
 			cc, p := cfg.commCluster(&prof, size, fmt.Sprintf("packets %dn/%d %v", size, n, scheme), nil)
 			defer p.drained()
@@ -306,7 +306,7 @@ func Packets(cfg Config) Figure {
 	}
 }
 
-// Skew quantifies the paper's synchronization argument against the
+// skew quantifies the paper's synchronization argument against the
 // hardware barrier: one barrier is entered with a linear per-rank stagger
 // (rank r enters at r/(n-1) of the skew span); the reported latency is
 // from the last entry to global completion. The NIC-based barrier buffers
@@ -314,10 +314,10 @@ func Packets(cfg Config) Figure {
 // test-and-set retries once the skew exceeds its sync window. Staggered
 // entry is an Elan session's own run (RunSkewed), so this figure alone
 // builds its session on the communicator layer's cluster directly.
-func Skew(cfg Config) Figure {
+func skew(cfg Config) Figure {
 	const size = 8
 	spansUS := []int{0, 10, 20, 40, 80, 160, 320}
-	run := func(scheme elan.Scheme) Measure {
+	run := func(scheme elan.Scheme) measure {
 		return func(spanUS int) float64 {
 			cc, p := cfg.commCluster(nil, size, fmt.Sprintf("skew %dn span%dus %v", size, spanUS, scheme), nil)
 			defer p.drained()
@@ -353,33 +353,33 @@ func Skew(cfg Config) Figure {
 // scenarios are appended. A registered scenario automatically appears
 // in the CLI listings and in benchgate reports.
 func init() {
-	RegisterScenario(Scenario{ID: "fig5",
-		Title: "Fig. 5: NIC vs host barrier, Myrinet LANai 9.1, 16 nodes", Figure: Fig5})
-	RegisterScenario(Scenario{ID: "fig6",
-		Title: "Fig. 6: NIC vs host barrier, Myrinet LANai-XP, 8 nodes", Figure: Fig6})
-	RegisterScenario(Scenario{ID: "fig7",
-		Title: "Fig. 7: barrier implementations over Quadrics/Elan3", Figure: Fig7})
-	RegisterScenario(Scenario{ID: "fig8a",
-		Title: "Fig. 8(a): Quadrics barrier scalability model to 1024 nodes", Figure: Fig8a})
-	RegisterScenario(Scenario{ID: "fig8b",
-		Title: "Fig. 8(b): Myrinet barrier scalability model to 1024 nodes", Figure: Fig8b})
-	RegisterScenario(Scenario{ID: "summary",
-		Title: "Section 8 headline numbers, paper vs this reproduction", Table: Summary})
-	RegisterScenario(Scenario{ID: "ablation",
-		Title: "Ablation: collective protocol vs direct scheme vs host-based", Figure: Ablation})
-	RegisterScenario(Scenario{ID: "packets",
-		Title: "Section 6.3 packet accounting: receiver-driven retransmission halves traffic", Figure: Packets})
-	RegisterScenario(Scenario{ID: "skew",
-		Title: "Section 8.2: barrier cost under process entry skew", Figure: Skew})
+	registerScenario(Scenario{ID: "fig5",
+		Title: "Fig. 5: NIC vs host barrier, Myrinet LANai 9.1, 16 nodes", Figure: fig5})
+	registerScenario(Scenario{ID: "fig6",
+		Title: "Fig. 6: NIC vs host barrier, Myrinet LANai-XP, 8 nodes", Figure: fig6})
+	registerScenario(Scenario{ID: "fig7",
+		Title: "Fig. 7: barrier implementations over Quadrics/Elan3", Figure: fig7})
+	registerScenario(Scenario{ID: "fig8a",
+		Title: "Fig. 8(a): Quadrics barrier scalability model to 1024 nodes", Figure: fig8a})
+	registerScenario(Scenario{ID: "fig8b",
+		Title: "Fig. 8(b): Myrinet barrier scalability model to 1024 nodes", Figure: fig8b})
+	registerScenario(Scenario{ID: "summary",
+		Title: "Section 8 headline numbers, paper vs this reproduction", Table: summary})
+	registerScenario(Scenario{ID: "ablation",
+		Title: "Ablation: collective protocol vs direct scheme vs host-based", Figure: ablation})
+	registerScenario(Scenario{ID: "packets",
+		Title: "Section 6.3 packet accounting: receiver-driven retransmission halves traffic", Figure: packets})
+	registerScenario(Scenario{ID: "skew",
+		Title: "Section 8.2: barrier cost under process entry skew", Figure: skew})
 	registerFaultScenarios()
 	registerRecoveryScenarios()
 	registerTenantScenarios()
 	registerLifecycleScenarios()
 	registerPartitionScenarios()
-	RegisterScenario(Scenario{ID: "faults-impair",
-		Title: "Barrier latency under every-Nth, partition, crash, slow-NIC, throttle and chaos faults", Figure: FaultImpairments})
-	RegisterScenario(Scenario{ID: "tenant-shapes",
-		Title: "Open-loop, overlapping-group and Quadrics multi-tenant workloads", Figure: TenantShapes})
-	RegisterScenario(Scenario{ID: "churn-policies",
-		Title: "Tenant churn under reconfiguration, spreading admission, think time and live-service pacing", Figure: ChurnPolicies})
+	registerScenario(Scenario{ID: "faults-impair",
+		Title: "Barrier latency under every-Nth, partition, crash, slow-NIC, throttle and chaos faults", Figure: faultImpairments})
+	registerScenario(Scenario{ID: "tenant-shapes",
+		Title: "Open-loop, overlapping-group and Quadrics multi-tenant workloads", Figure: tenantShapes})
+	registerScenario(Scenario{ID: "churn-policies",
+		Title: "Tenant churn under reconfiguration, spreading admission, think time and live-service pacing", Figure: churnPolicies})
 }

@@ -24,12 +24,12 @@ import (
 // registry; called from the experiments init so registration order
 // matches the evaluation's presentation order.
 func registerFaultScenarios() {
-	RegisterScenario(Scenario{ID: "faults",
-		Title: "Barrier latency vs random loss rate (Myrinet recovers, Quadrics flat)", Figure: FaultLossSweep})
-	RegisterScenario(Scenario{ID: "faults-burst",
-		Title: "Barrier latency vs Gilbert–Elliott burst length at fixed loss", Figure: FaultBurstSweep})
-	RegisterScenario(Scenario{ID: "faults-jitter",
-		Title: "Barrier latency vs per-packet jitter (reaches both interconnects)", Figure: FaultJitterSweep})
+	registerScenario(Scenario{ID: "faults",
+		Title: "Barrier latency vs random loss rate (Myrinet recovers, Quadrics flat)", Figure: faultLossSweep})
+	registerScenario(Scenario{ID: "faults-burst",
+		Title: "Barrier latency vs Gilbert–Elliott burst length at fixed loss", Figure: faultBurstSweep})
+	registerScenario(Scenario{ID: "faults-jitter",
+		Title: "Barrier latency vs per-packet jitter (reaches both interconnects)", Figure: faultJitterSweep})
 }
 
 // faultSeed derives the plan seed for one data point so that points are
@@ -38,12 +38,12 @@ func faultSeed(cfg Config, salt uint64) uint64 {
 	return cfg.Seed ^ 0xfa17<<32 ^ salt
 }
 
-// FaultLossSweep sweeps random loss rate (percent) at a fixed cluster
+// faultLossSweep sweeps random loss rate (percent) at a fixed cluster
 // size: the Myrinet collective barrier absorbs loss through
 // receiver-driven NACK retransmission (latency climbs with the NACK
 // timeout), while Quadrics' hardware reliability makes its curve exactly
 // flat under a loss-only plan.
-func FaultLossSweep(cfg Config) Figure {
+func faultLossSweep(cfg Config) Figure {
 	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	rates := []int{0, 1, 2, 5, 10, 20}
@@ -53,7 +53,7 @@ func FaultLossSweep(cfg Config) Figure {
 		}
 		return []fault.Rule{fault.Loss(float64(pct) / 100)}
 	}
-	myri := func(alg barrier.Algorithm) Measure {
+	myri := func(alg barrier.Algorithm) measure {
 		return func(pct int) float64 {
 			return measureBarrier(cfg, &prof, size, size, comm.GroupConfig{MyrinetScheme: myrinet.SchemeCollective, Algorithm: alg},
 				&faulted{rulesFor(pct), uint64(pct)})
@@ -80,11 +80,11 @@ func FaultLossSweep(cfg Config) Figure {
 	}
 }
 
-// FaultBurstSweep sweeps the mean burst length of a Gilbert–Elliott
+// faultBurstSweep sweeps the mean burst length of a Gilbert–Elliott
 // channel at a fixed overall loss rate: bursty loss concentrates drops in
 // fewer barriers, so each recovery round re-requests more messages at
 // once.
-func FaultBurstSweep(cfg Config) Figure {
+func faultBurstSweep(cfg Config) Figure {
 	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	const lossRate = 0.05
@@ -112,11 +112,11 @@ func FaultBurstSweep(cfg Config) Figure {
 	}
 }
 
-// FaultJitterSweep sweeps uniform per-packet jitter on every packet: a
+// faultJitterSweep sweeps uniform per-packet jitter on every packet: a
 // latency-type impairment, so it reaches both interconnects (hardware
 // reliability does not protect Quadrics from a slow network, only from a
 // lossy one).
-func FaultJitterSweep(cfg Config) Figure {
+func faultJitterSweep(cfg Config) Figure {
 	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	jitters := []int{0, 2, 5, 10, 20}
@@ -146,17 +146,17 @@ func FaultJitterSweep(cfg Config) Figure {
 	}
 }
 
-// FaultImpairments runs the NIC-collective dissemination barrier under
+// faultImpairments runs the NIC-collective dissemination barrier under
 // one impairment per series, one point per cluster size: the fault
 // shapes the sweeps above do not cover, each against the clean line.
 // Partition and crash name physical nodes, so those series place rank r
 // on node r (in dissemination, rank 3 notifies rank 7 at distance 4).
 // The Chaos series is a multi-tenant workload, one tenant per 4 nodes,
 // under burst loss, a healing partition and a slow NIC at once.
-func FaultImpairments(cfg Config) Figure {
+func faultImpairments(cfg Config) Figure {
 	prof := hwprofile.LANaiXPCluster()
 	ns := []int{8, 16, 32}
-	barrierUnder := func(salt uint64, permute bool, rules ...fault.Rule) Measure {
+	barrierUnder := func(salt uint64, permute bool, rules ...fault.Rule) measure {
 		c := cfg
 		c.Permute = permute
 		return func(n int) float64 {

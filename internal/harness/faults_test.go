@@ -12,7 +12,7 @@ func faultCfg() Config {
 }
 
 func TestFaultLossSweepShape(t *testing.T) {
-	fig := FaultLossSweep(faultCfg())
+	fig := faultLossSweep(faultCfg())
 	if len(fig.Series) != 3 {
 		t.Fatalf("%d series", len(fig.Series))
 	}
@@ -43,7 +43,7 @@ func TestFaultLossSweepShape(t *testing.T) {
 }
 
 func TestFaultJitterSweepReachesBothInterconnects(t *testing.T) {
-	fig := FaultJitterSweep(faultCfg())
+	fig := faultJitterSweep(faultCfg())
 	for _, s := range fig.Series {
 		clean, ok0 := s.value(0)
 		jittery, ok1 := s.value(20)

@@ -122,8 +122,8 @@ type Figure struct {
 	Notes  []string
 }
 
-// Measure produces the latency (in microseconds) for one cluster size.
-type Measure func(n int) float64
+// measure produces the latency (in microseconds) for one cluster size.
+type measure func(n int) float64
 
 // forEach runs fn(i) for i in [0, n), fanning out over a GOMAXPROCS
 // worker pool when cfg.Parallel is set — the one parallel-dispatch
@@ -177,7 +177,7 @@ func seriesOf[T any](name, unit string, xs []int, pts []T, val func(T) float64) 
 
 // sweep evaluates fn over ns, optionally in parallel. Results keep the
 // order of ns.
-func sweep(cfg Config, name string, ns []int, fn Measure) Series {
+func sweep(cfg Config, name string, ns []int, fn measure) Series {
 	return seriesOf(name, "", ns, measureAll(cfg, ns, fn), func(v float64) float64 { return v })
 }
 

@@ -244,7 +244,7 @@ func TestSummaryWithinBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("summary sweep in -short mode")
 	}
-	table := Summary(tinyCfg())
+	table := summary(tinyCfg())
 	for _, r := range table.Rows {
 		band := 0.15
 		if strings.HasPrefix(r.Metric, "Model:") {
@@ -261,7 +261,7 @@ func TestSummaryWithinBands(t *testing.T) {
 // packets of collective at every size. Its table is headed in packets,
 // not in the latency figures' microseconds.
 func TestPacketHalving(t *testing.T) {
-	fig := Packets(tinyCfg())
+	fig := packets(tinyCfg())
 	if header := strings.Split(fig.Table(), "\n")[1]; header != "Packets/barrier vs Number of Nodes (pkts)" {
 		t.Errorf("packets header = %q", header)
 	}
@@ -279,7 +279,7 @@ func TestFig8FitQuality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8 sweep in -short mode")
 	}
-	for _, fig := range []Figure{Fig8a(tinyCfg()), Fig8b(tinyCfg())} {
+	for _, fig := range []Figure{fig8a(tinyCfg()), fig8b(tinyCfg())} {
 		var note string
 		for _, n := range fig.Notes {
 			if strings.HasPrefix(n, "fit max relative error") {

@@ -21,12 +21,12 @@ import (
 
 // registerLifecycleScenarios adds the family to the scenario registry.
 func registerLifecycleScenarios() {
-	RegisterScenario(Scenario{ID: "group-churn",
-		Title: "Tenant churn under the queueing admission policy, both interconnects", Figure: GroupChurn})
-	RegisterScenario(Scenario{ID: "reconfigure-cost",
-		Title: "Cost of reconfiguring a group's membership (install-new/uninstall-old)", Figure: ReconfigureCost})
-	RegisterScenario(Scenario{ID: "faults-victim-tenant",
-		Title: "One tenant under every-Nth loss: victim recovery vs bystander interference", Figure: FaultVictimTenant})
+	registerScenario(Scenario{ID: "group-churn",
+		Title: "Tenant churn under the queueing admission policy, both interconnects", Figure: groupChurn})
+	registerScenario(Scenario{ID: "reconfigure-cost",
+		Title: "Cost of reconfiguring a group's membership (install-new/uninstall-old)", Figure: reconfigureCost})
+	registerScenario(Scenario{ID: "faults-victim-tenant",
+		Title: "One tenant under every-Nth loss: victim recovery vs bystander interference", Figure: faultVictimTenant})
 }
 
 // churnClusterNodes is the cluster the churn sweep oversubscribes; small
@@ -49,8 +49,8 @@ func churnSpecFor(cfg Config, tenants int) comm.ChurnSpec {
 	}
 }
 
-// MeasureChurnPoint runs one churn data point on the named backend.
-func MeasureChurnPoint(cfg Config, quadrics bool, tenants int) comm.ChurnResult {
+// measureChurnPoint runs one churn data point on the named backend.
+func measureChurnPoint(cfg Config, quadrics bool, tenants int) comm.ChurnResult {
 	return runChurn(cfg, quadrics, churnClusterNodes, churnSpecFor(cfg, tenants))
 }
 
@@ -69,15 +69,15 @@ func runChurn(cfg Config, quadrics bool, nodes int, spec comm.ChurnSpec) comm.Ch
 func churnKops(r comm.ChurnResult) float64    { return r.AggOpsPerSec / 1e3 }
 func churnWaitP95(r comm.ChurnResult) float64 { return r.QueueWaitP95US }
 
-// GroupChurn sweeps tenant count on a 16-node cluster under the
+// groupChurn sweeps tenant count on a 16-node cluster under the
 // queueing admission policy: cumulative installs far exceed the per-NIC
 // slot count, so the curve only exists because teardown reclaims slots
 // and the queue serves deferred installs. Reported per backend:
 // aggregate throughput and the p95 wait of queued installs.
-func GroupChurn(cfg Config) Figure {
+func groupChurn(cfg Config) Figure {
 	tenants := []int{8, 16, 32}
 	measure := func(quadrics bool) []comm.ChurnResult {
-		return measureAll(cfg, tenants, func(t int) comm.ChurnResult { return MeasureChurnPoint(cfg, quadrics, t) })
+		return measureAll(cfg, tenants, func(t int) comm.ChurnResult { return measureChurnPoint(cfg, quadrics, t) })
 	}
 	myri := measure(false)
 	quad := measure(true)
@@ -100,12 +100,12 @@ func GroupChurn(cfg Config) Figure {
 	}
 }
 
-// MeasureReconfigure measures one reconfiguration data point: a group of
+// measureReconfigure measures one reconfiguration data point: a group of
 // n ranks runs to steady state, then swaps to a disjoint membership; the
 // swap cost is the gap from the last pre-swap completion to the first
 // post-swap completion (uninstall + install charges + the first barrier
 // on cold NICs), reported next to the steady per-barrier latency.
-func MeasureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS float64) {
+func measureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS float64) {
 	c, p := cfg.commCluster(xpUnless(quadrics), 2*n, fmt.Sprintf("reconfigure %dn/%d", 2*n, n), nil)
 	defer p.drained()
 	c.SetAdmission(comm.AdmissionConfig{ChargeSetupCosts: true})
@@ -135,16 +135,16 @@ func MeasureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS floa
 	return swapUS, steadyUS
 }
 
-// ReconfigureCost sweeps group size for the membership swap on both
+// reconfigureCost sweeps group size for the membership swap on both
 // backends: the swap pays the modeled uninstall cost on the old members,
 // the install cost on the new ones, and a first barrier whose NIC state
 // is cold — against the steady-state barrier as the reference line.
-func ReconfigureCost(cfg Config) Figure {
+func reconfigureCost(cfg Config) Figure {
 	sizes := []int{4, 8, 16}
 	type cost struct{ swap, steady float64 }
 	measure := func(quadrics bool) []cost {
 		return measureAll(cfg, sizes, func(n int) cost {
-			sw, steady := MeasureReconfigure(cfg, quadrics, n)
+			sw, steady := measureReconfigure(cfg, quadrics, n)
 			return cost{sw, steady}
 		})
 	}
@@ -180,10 +180,10 @@ type victimStats struct {
 	meanUS, p95US float64
 }
 
-// MeasureVictimTenant runs the shared-node victim layout under an
+// measureVictimTenant runs the shared-node victim layout under an
 // every-Nth drop scoped to the victim group (dropNth 0 = clean run) and
 // returns the victim's and the worst bystander's per-op latency stats.
-func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats) {
+func measureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats) {
 	var plan *fault.Plan
 	if dropNth > 0 {
 		rule := fault.DropEveryNth(dropNth)
@@ -237,17 +237,17 @@ func MeasureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats
 	return victim, bystander
 }
 
-// FaultVictimTenant puts one tenant under deterministic every-Nth loss
+// faultVictimTenant puts one tenant under deterministic every-Nth loss
 // while its neighbors — clean tenants sharing its nodes — run the same
 // stream: the victim pays NACK-timeout recovery, the bystanders pay only
 // the firmware-level interference of the victim's recovery traffic on
 // the shared NICs. X is the drop period (every Nth victim packet lost;
 // 0 = clean reference).
-func FaultVictimTenant(cfg Config) Figure {
+func faultVictimTenant(cfg Config) Figure {
 	periods := []int{0, 32, 16, 8, 4}
 	type layout struct{ victim, bystander victimStats }
 	pts := measureAll(cfg, periods, func(n int) layout {
-		v, b := MeasureVictimTenant(cfg, n)
+		v, b := measureVictimTenant(cfg, n)
 		return layout{v, b}
 	})
 	series := func(name string, val func(layout) float64) Series {
@@ -275,7 +275,7 @@ func FaultVictimTenant(cfg Config) Figure {
 	}
 }
 
-// ChurnPolicies sweeps tenant count over four churn shapes group-churn
+// churnPolicies sweeps tenant count over four churn shapes group-churn
 // does not cover, all on Myrinet LANai-XP under charged install costs
 // unless noted: every 2nd tenant reconfiguring mid-run (16 nodes), the
 // spreading admission policy that re-places over-capacity tenants
@@ -283,7 +283,7 @@ func FaultVictimTenant(cfg Config) Figure {
 // holds slots longer (8 nodes), and the long-lived live-service shape —
 // sparse arrivals, short think time, every 3rd tenant reconfiguring,
 // setup costs uncharged (16 nodes).
-func ChurnPolicies(cfg Config) Figure {
+func churnPolicies(cfg Config) Figure {
 	tenants := []int{8, 16, 32}
 	shape := func(nodes int, salt uint64, spec comm.ChurnSpec) []comm.ChurnResult {
 		return measureAll(cfg, tenants, func(t int) comm.ChurnResult {

@@ -16,7 +16,7 @@ import (
 )
 
 // measureBarrier runs the paper's loop through the communicator layer.
-// It must equal the backend's own barrier session (NewSession: group ID
+// It must equal the backend's own barrier session (NewGroupSession: group ID
 // SessionGroupID, no install charge, the algorithm's plan) on the same
 // node IDs of a bare cluster, reduced by core.MeanLatency. There is no
 // warmup, so the mean runs from time 0 and an install charged on the
@@ -46,7 +46,11 @@ func TestMeasureBarrierMatchesBackendSession(t *testing.T) {
 					},
 					want: func() float64 {
 						cl := myrinet.NewCluster(sim.NewEngine(), prof, size, nil)
-						s := myrinet.NewSession(cl, ids, scheme, alg, barrier.Options{})
+						s, err := myrinet.NewGroupSession(cl, myrinet.SessionGroupID, ids, scheme,
+							barrier.NewPlan(alg, len(ids), barrier.Options{}), core.Chained, 0, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
 						return core.MeanLatency(s.Run(cfg.Iters), 0).Micros()
 					},
 				})
@@ -78,7 +82,11 @@ func TestMeasureBarrierMatchesBackendSession(t *testing.T) {
 		want: func() float64 {
 			cl := myrinet.NewCluster(sim.NewEngine(), xp, size, nil)
 			cl.SetFaults(fault.NewPlan(faultSeed(cfg, f.salt), f.rules...))
-			s := myrinet.NewSession(cl, ids, myrinet.SchemeCollective, barrier.Dissemination, barrier.Options{})
+			s, err := myrinet.NewGroupSession(cl, myrinet.SessionGroupID, ids, myrinet.SchemeCollective,
+				barrier.NewPlan(barrier.Dissemination, len(ids), barrier.Options{}), core.Chained, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return core.MeanLatency(s.Run(cfg.Iters), 0).Micros()
 		},
 	})

@@ -127,11 +127,11 @@ func measurePartitionedTenants(cfg Config, parts int) partPoint {
 	}
 }
 
-// PartitionSweep is the 1024-tenant scenario: the same seeded workload
+// partitionSweep is the 1024-tenant scenario: the same seeded workload
 // at 1, 2, 4 and 8 partitions. Partition counts run sequentially (each
 // point is internally parallel across its shards), so the wall-clock
 // series is not polluted by concurrent points competing for cores.
-func PartitionSweep(cfg Config) Figure {
+func partitionSweep(cfg Config) Figure {
 	pts := make([]partPoint, len(partCounts))
 	for i, parts := range partCounts {
 		pts[i] = measurePartitionedTenants(cfg, parts)
@@ -170,7 +170,7 @@ type shardScalePoint struct {
 	bytesPerEP  float64 // live-heap growth per endpoint (host-side)
 }
 
-// ShardScale is the endpoint sweep: a hierarchical global barrier
+// shardScale is the endpoint sweep: a hierarchical global barrier
 // (intra-shard NIC-collective gather, log2(P) inter-shard rounds,
 // NIC broadcast release) over 4 shards. Quick and paper sweeps both
 // measure 4k, 16k and the paper's 64k target. Virtual-time latency,
@@ -178,7 +178,7 @@ type shardScalePoint struct {
 // bytes-per-endpoint footprint are informational (host-side). Points
 // run sequentially to bound memory (the 64k point holds four 16k-node
 // clusters at once).
-func ShardScale(cfg Config) Figure {
+func shardScale(cfg Config) Figure {
 	sweep := shardScaleSweep(cfg)
 	pts := make([]shardScalePoint, len(sweep))
 	for i, n := range sweep {
@@ -223,8 +223,8 @@ func ShardScale(cfg Config) Figure {
 // registerPartitionScenarios adds the partitioned-simulation family to
 // the registry.
 func registerPartitionScenarios() {
-	RegisterScenario(Scenario{ID: "multi-tenant-1024",
-		Title: "1024 tenants on sharded replica clusters, partition sweep 1-8", Figure: PartitionSweep})
-	RegisterScenario(Scenario{ID: "shard-scale",
-		Title: "Hierarchical cross-shard barrier at 4k-64k endpoints", Figure: ShardScale})
+	registerScenario(Scenario{ID: "multi-tenant-1024",
+		Title: "1024 tenants on sharded replica clusters, partition sweep 1-8", Figure: partitionSweep})
+	registerScenario(Scenario{ID: "shard-scale",
+		Title: "Hierarchical cross-shard barrier at 4k-64k endpoints", Figure: shardScale})
 }

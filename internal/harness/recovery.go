@@ -20,10 +20,10 @@ import (
 // registerRecoveryScenarios adds the crash-recovery family to the
 // scenario registry; called from the experiments init.
 func registerRecoveryScenarios() {
-	RegisterScenario(Scenario{ID: "crash-recovery",
-		Title: "Makespan of a deadline-armed barrier stream, healthy vs one crashed member", Figure: CrashRecovery})
-	RegisterScenario(Scenario{ID: "recovery-deadline",
-		Title: "Crash-recovery makespan vs operation deadline (detection is deadline-bound)", Figure: RecoveryDeadlineSweep})
+	registerScenario(Scenario{ID: "crash-recovery",
+		Title: "Makespan of a deadline-armed barrier stream, healthy vs one crashed member", Figure: crashRecovery})
+	registerScenario(Scenario{ID: "recovery-deadline",
+		Title: "Crash-recovery makespan vs operation deadline (detection is deadline-bound)", Figure: recoveryDeadlineSweep})
 }
 
 // recoveryOps is the stream length every recovery data point runs: long
@@ -66,15 +66,15 @@ func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64,
 	return runs[0].Group.Completions()[recoveryOps-1].Micros()
 }
 
-// CrashRecovery compares the makespan of a deadline-armed barrier
+// crashRecovery compares the makespan of a deadline-armed barrier
 // stream on a healthy cluster against the same stream with one member
 // permanently crashed, on both interconnects. The gap between the
 // curves is the survival bill: one deadline expiry to detect, one
 // eviction/rebuild, and the retried operations on the survivors.
-func CrashRecovery(cfg Config) Figure {
+func crashRecovery(cfg Config) Figure {
 	ns := []int{8, 16, 32}
 	const deadlineUS = 1000.0
-	point := func(onElan, crash bool) Measure {
+	point := func(onElan, crash bool) measure {
 		return func(n int) float64 {
 			salt := 0x4ec0<<16 | uint64(n)<<2
 			if onElan {
@@ -105,14 +105,14 @@ func CrashRecovery(cfg Config) Figure {
 	}
 }
 
-// RecoveryDeadlineSweep sweeps the operation deadline with one member
+// recoveryDeadlineSweep sweeps the operation deadline with one member
 // permanently crashed at a fixed cluster size: detection cannot finish
 // before the deadline expires, so the makespan is deadline-bound — the
 // knob trades failure-free overhead headroom against recovery latency.
-func RecoveryDeadlineSweep(cfg Config) Figure {
+func recoveryDeadlineSweep(cfg Config) Figure {
 	const size = 16
 	deadlines := []int{500, 1000, 2000, 4000}
-	point := func(onElan bool) Measure {
+	point := func(onElan bool) measure {
 		return func(us int) float64 {
 			salt := 0x4ec1<<16 | uint64(us)<<1
 			if onElan {

@@ -6,7 +6,7 @@ import "testing"
 // survival bill is real — but stay bounded: one detection is roughly
 // one deadline, so the gap must not balloon past a few deadlines.
 func TestCrashRecoveryShape(t *testing.T) {
-	fig := CrashRecovery(faultCfg())
+	fig := crashRecovery(faultCfg())
 	if len(fig.Series) != 4 {
 		t.Fatalf("%d series", len(fig.Series))
 	}
@@ -36,7 +36,7 @@ func TestCrashRecoveryShape(t *testing.T) {
 // On Quadrics nothing accelerates detection (no NACK traffic to stall),
 // so the makespan must grow strictly with the deadline.
 func TestRecoveryDeadlineSweepMonotoneOnQuadrics(t *testing.T) {
-	fig := RecoveryDeadlineSweep(faultCfg())
+	fig := recoveryDeadlineSweep(faultCfg())
 	for _, s := range fig.Series {
 		if s.Name != "Quadrics" {
 			continue

@@ -59,11 +59,11 @@ var (
 	registry   []Scenario
 )
 
-// RegisterScenario adds a scenario to the global registry. It panics on
+// registerScenario adds a scenario to the global registry. It panics on
 // a duplicate or ambiguous registration — scenario IDs name metrics in
 // committed baselines, so collisions are programmer errors worth
 // failing loudly on.
-func RegisterScenario(s Scenario) {
+func registerScenario(s Scenario) {
 	if s.ID == "" {
 		panic("harness: scenario with empty ID")
 	}

@@ -48,7 +48,7 @@ func TestRegisterScenarioRejectsBadInput(t *testing.T) {
 				t.Errorf("%s: no panic", name)
 			}
 		}()
-		RegisterScenario(s)
+		registerScenario(s)
 	}
 	fig := func(Config) Figure { return Figure{} }
 	expectPanic("empty ID", Scenario{Figure: fig})

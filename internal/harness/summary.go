@@ -56,9 +56,9 @@ func (t Table) Render() string {
 	return b.String()
 }
 
-// Summary regenerates every headline number from the paper's Section 8
+// summary regenerates every headline number from the paper's Section 8
 // prose and abstract, next to this reproduction's measurements.
-func Summary(cfg Config) Table {
+func summary(cfg Config) Table {
 	xp := hwprofile.LANaiXPCluster()
 	l9 := hwprofile.LANai91Cluster()
 	hostDS := comm.GroupConfig{MyrinetScheme: myrinet.SchemeHost, Algorithm: barrier.Dissemination}

@@ -30,10 +30,10 @@ func tenantOps(cfg Config) int {
 	return iters
 }
 
-// MeasureTenants runs one multi-tenant data point: T tenants partitioning
+// measureTenants runs one multi-tenant data point: T tenants partitioning
 // a 64-node LANai-XP cluster into even disjoint groups, every tenant
 // issuing back-to-back barriers over the NIC-collective protocol.
-func MeasureTenants(cfg Config, tenants int, spec comm.WorkloadSpec) comm.WorkloadResult {
+func measureTenants(cfg Config, tenants int, spec comm.WorkloadSpec) comm.WorkloadResult {
 	spec.Tenants = tenants
 	spec.Seed = cfg.Seed ^ 0x7e0a<<16 ^ uint64(tenants)
 	return runWorkload(cfg, false, tenantClusterNodes, spec, nil)
@@ -85,7 +85,7 @@ func workloadP99Worst(r comm.WorkloadResult) float64 {
 // in the family, so their names and units — which the committed
 // baseline's metric names embed — live in exactly one place.
 func tenantFigure(cfg Config, id, title string, spec comm.WorkloadSpec, notes []string) Figure {
-	pts := measureAll(cfg, tenantCounts, func(t int) comm.WorkloadResult { return MeasureTenants(cfg, t, spec) })
+	pts := measureAll(cfg, tenantCounts, func(t int) comm.WorkloadResult { return measureTenants(cfg, t, spec) })
 	return Figure{
 		ID:     id,
 		Title:  title,
@@ -101,12 +101,12 @@ func tenantFigure(cfg Config, id, title string, spec comm.WorkloadSpec, notes []
 	}
 }
 
-// MultiTenant reproduces the throughput story: as the 64-node cluster is
+// multiTenant reproduces the throughput story: as the 64-node cluster is
 // carved into more concurrent groups, aggregate operations per second
 // climb (smaller groups, more independent streams, per-group NIC queues
 // keeping them from serializing behind each other), per-tenant latency
 // falls, and service stays fair.
-func MultiTenant(cfg Config) Figure {
+func multiTenant(cfg Config) Figure {
 	return tenantFigure(cfg, "multi-tenant",
 		"Concurrent tenant groups over a 64-node Myrinet LANai-XP cluster (barriers, back-to-back)",
 		comm.WorkloadSpec{Mix: comm.OpMix{Barrier: 1}},
@@ -117,11 +117,11 @@ func MultiTenant(cfg Config) Figure {
 		})
 }
 
-// MultiTenantMixed runs the same sweep with an operation mix (barriers,
+// multiTenantMixed runs the same sweep with an operation mix (barriers,
 // broadcasts, allreduces) under a closed loop with think time — the
 // heavy-concurrent-traffic shape of the ROADMAP's north star rather
 // than a synchronized benchmark loop.
-func MultiTenantMixed(cfg Config) Figure {
+func multiTenantMixed(cfg Config) Figure {
 	return tenantFigure(cfg, "multi-tenant-mixed",
 		"Mixed collective workload (2:1:1 barrier:broadcast:allreduce), closed loop, 5us mean think",
 		comm.WorkloadSpec{
@@ -136,19 +136,19 @@ func MultiTenantMixed(cfg Config) Figure {
 
 // registerTenantScenarios adds the multi-tenant family to the registry.
 func registerTenantScenarios() {
-	RegisterScenario(Scenario{ID: "multi-tenant",
-		Title: "Multi-tenant throughput: 1-32 concurrent groups over 64 nodes", Figure: MultiTenant})
-	RegisterScenario(Scenario{ID: "multi-tenant-mixed",
-		Title: "Multi-tenant mixed op workload under closed-loop think time", Figure: MultiTenantMixed})
+	registerScenario(Scenario{ID: "multi-tenant",
+		Title: "Multi-tenant throughput: 1-32 concurrent groups over 64 nodes", Figure: multiTenant})
+	registerScenario(Scenario{ID: "multi-tenant-mixed",
+		Title: "Multi-tenant mixed op workload under closed-loop think time", Figure: multiTenantMixed})
 }
 
-// TenantShapes sweeps tenant count over three workload shapes the
+// tenantShapes sweeps tenant count over three workload shapes the
 // even-partition sweeps above do not cover: open-loop Poisson arrivals
 // faster than service on 32 Myrinet nodes (ops queue behind a busy
 // group, which shows in the worst p99), random overlapping groups of
 // 4-8 ranks contending for 16 Myrinet nodes, and concurrent
 // chained-RDMA barrier groups on 32 Quadrics nodes.
-func TenantShapes(cfg Config) Figure {
+func tenantShapes(cfg Config) Figure {
 	tenants := []int{2, 4, 8}
 	shape := func(quadrics bool, nodes int, salt uint64, spec comm.WorkloadSpec) []comm.WorkloadResult {
 		return measureAll(cfg, tenants, func(t int) comm.WorkloadResult {

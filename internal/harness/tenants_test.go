@@ -14,7 +14,7 @@ func tenantCfg() Config {
 // aggregate ops/sec strictly climbing as the cluster is carved into more
 // concurrent groups, with per-tenant latency falling and fairness high.
 func TestMultiTenantScalesAggregate(t *testing.T) {
-	fig := MultiTenant(tenantCfg())
+	fig := multiTenant(tenantCfg())
 	var prevKops float64
 	for i, n := range tenantCounts {
 		kops, ok := fig.Point("Agg-kops-per-sec", n)
@@ -65,7 +65,7 @@ func TestMultiTenantMixedRegistered(t *testing.T) {
 	if _, ok := ScenarioByID("multi-tenant-mixed"); !ok {
 		t.Fatal("multi-tenant-mixed scenario not registered")
 	}
-	res := MeasureTenants(tenantCfg(), 8, comm.WorkloadSpec{
+	res := measureTenants(tenantCfg(), 8, comm.WorkloadSpec{
 		Mix:     comm.OpMix{Barrier: 2, Broadcast: 1, Allreduce: 1},
 		Arrival: comm.ArrivalSpec{Kind: comm.ClosedLoop, MeanGapUS: 5},
 	})

@@ -127,11 +127,11 @@ type promScope struct {
 	tenants []obs.GroupSnapshot
 }
 
-// WritePrometheus writes every run's published metric state to w in
+// writePrometheus writes every run's published metric state to w in
 // the Prometheus text exposition format: family by family, each
 // family's # HELP and # TYPE directly before all of its samples, so
 // one family's samples are never split by another's.
-func WritePrometheus(w io.Writer, runs []*Run) {
+func writePrometheus(w io.Writer, runs []*Run) {
 	var scopes []promScope
 	for _, run := range runs {
 		rl := fmt.Sprintf(`run="%s"`, promEscape(run.Name))

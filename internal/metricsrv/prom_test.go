@@ -43,7 +43,7 @@ func TestTenantSeriesPerScope(t *testing.T) {
 	run := New().Register("pts", "test", tr)
 	run.Finish("", nil)
 	var buf strings.Builder
-	WritePrometheus(&buf, []*Run{run})
+	writePrometheus(&buf, []*Run{run})
 	text := buf.String()
 	for _, want := range []string{
 		`nicbarrier_latency_us_count{run="pts",scope="point a",scope_index="0",tenant="0",kind="barrier"} 3` + "\n",
@@ -79,7 +79,7 @@ func TestFamiliesContiguous(t *testing.T) {
 		runs = append(runs, run)
 	}
 	var buf strings.Builder
-	WritePrometheus(&buf, runs)
+	writePrometheus(&buf, runs)
 	started := map[string]bool{}
 	family, samples := "", 0
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")

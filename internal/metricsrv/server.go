@@ -76,8 +76,9 @@ func (r *Run) State() RunState {
 	return r.state
 }
 
-// finish records the workload goroutine's outcome.
-func (r *Run) finish(summary string, err error) {
+// Finish marks a run complete: err nil means done, non-nil failed;
+// summary is the human-readable one-liner /runs shows.
+func (r *Run) Finish(summary string, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.summary = summary
@@ -106,8 +107,8 @@ func (r *Run) snap() obs.Snapshot {
 }
 
 // Server is the metrics service: a run registry plus the HTTP handlers.
-// Construct with New, register workloads with StartRun (or Register for
-// externally-driven ones), and mount Handler on any http.Server.
+// Construct with New, register runs with Register, and mount Handler on
+// any http.Server.
 type Server struct {
 	mu   sync.Mutex
 	runs []*Run
@@ -121,30 +122,12 @@ type Server struct {
 func New() *Server { return &Server{StreamInterval: 200 * time.Millisecond} }
 
 // Register adds a run whose workload the caller drives itself; mark it
-// complete with the returned Run's Finish. StartRun is the common path
-// (register + launch on a goroutine in one call).
+// complete with the returned Run's Finish.
 func (s *Server) Register(name, scenario string, tr *obs.Tracer) *Run {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := &Run{ID: len(s.runs), Name: name, Scenario: scenario, tr: tr}
 	s.runs = append(s.runs, r)
-	return r
-}
-
-// Finish marks an externally-driven run complete: err nil means done,
-// non-nil failed; summary is the human-readable one-liner /runs shows.
-func (r *Run) Finish(summary string, err error) { r.finish(summary, err) }
-
-// StartRun registers a run and launches its workload on a fresh
-// goroutine. fn drives the simulation (typically building clusters
-// bound to tr and running a workload to completion) and returns a
-// summary line; the run's state flips to done/failed when it returns.
-func (s *Server) StartRun(name, scenario string, tr *obs.Tracer, fn func() (string, error)) *Run {
-	r := s.Register(name, scenario, tr)
-	go func() {
-		summary, err := fn()
-		r.finish(summary, err)
-	}()
 	return r
 }
 
@@ -201,7 +184,7 @@ func (s *Server) runFromQuery(r *http.Request) (*Run, error) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WritePrometheus(w, s.Runs())
+	writePrometheus(w, s.Runs())
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -54,17 +54,19 @@ func TestScrapeDuringChurnMonotone(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	run := srv.StartRun("churn-soak", "churn", tr.Tracer(), func() (string, error) {
+	run := srv.Register("churn-soak", "churn", tr.Tracer())
+	go func() {
 		res, err := nicbarrier.MeasureChurn(cfg, nicbarrier.ChurnSpec{
 			Tenants: 24, OpsPerTenant: 12,
 			ReconfigureEvery: 3,
 			Policy:           nicbarrier.AdmitQueue,
 		})
 		if err != nil {
-			return "", err
+			run.Finish("", err)
+			return
 		}
-		return fmt.Sprintf("%d tenants, %d ops", res.Completed, res.TotalOps), nil
-	})
+		run.Finish(fmt.Sprintf("%d tenants, %d ops", res.Completed, res.TotalOps), nil)
+	}()
 
 	var lastEpoch, lastDone, lastSent uint64
 	scrapes := 0
@@ -238,12 +240,13 @@ func TestStreamDeliversEpochs(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	srv.StartRun("streamed", "workload", tr.Tracer(), func() (string, error) {
+	run := srv.Register("streamed", "workload", tr.Tracer())
+	go func() {
 		// Delay launch so the stream attaches while the run is active.
 		time.Sleep(50 * time.Millisecond)
 		_, err := nicbarrier.MeasureWorkload(cfg, nicbarrier.WorkloadSpec{Tenants: 6, OpsPerTenant: 30})
-		return "ok", err
-	})
+		run.Finish("ok", err)
+	}()
 
 	resp, err := http.Get(ts.URL + "/stream")
 	if err != nil {

@@ -40,7 +40,7 @@ func barrierSession(n int) *Session { return schemeSession(n, SchemeCollective) 
 
 func schemeSession(n int, scheme Scheme) *Session {
 	_, cl := xpCluster(n, nil)
-	return NewSession(cl, identity(n), scheme, barrier.PairwiseExchange, barrier.Options{})
+	return newSession(cl, identity(n), scheme, barrier.PairwiseExchange, barrier.Options{})
 }
 
 func broadcastSession(n int) *Session {
@@ -257,33 +257,34 @@ func TestReinstallReusesGroupTable(t *testing.T) {
 // host-side schedule) runs.
 func TestSessionSharesPlan(t *testing.T) {
 	_, cl := xpCluster(16, nil)
-	for _, scheme := range []Scheme{SchemeHost, SchemeDirect, SchemeCollective} {
-		s, err := NewGroupSession(cl, core.GroupID(10+scheme), identity(16), scheme,
-			barrier.NewPlan(barrier.Dissemination, 16, barrier.Options{}), core.Chained, 0, nil)
+	ds := barrier.NewPlan(barrier.Dissemination, 16, barrier.Options{})
+	for i, c := range []struct {
+		scheme Scheme
+		plan   *barrier.Plan
+		mode   core.Mode
+	}{
+		{SchemeHost, ds, core.Chained},
+		{SchemeDirect, ds, core.Chained},
+		{SchemeCollective, ds, core.Chained},
+		{SchemeCollective, barrier.NewBroadcastPlan(16, 0, barrier.DefaultTreeDegree), core.Gated},
+	} {
+		s, err := NewGroupSession(cl, core.GroupID(10+i), identity(16), c.scheme, c.plan, c.mode, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := s.members[0].state.Schedule()
 		for i := range s.members {
 			m := &s.members[i]
 			state := m.state
-			if scheme != SchemeHost {
+			if c.scheme != SchemeHost {
 				op, _ := m.nic.groups.Get(s.gid)
 				state = op.state
 			}
-			if state != m.state || !state.Schedule().Shares(first) {
-				t.Fatalf("%v: rank %d reads its own schedule", scheme, m.rank)
-			}
-			if state.Schedule().Rank() != int(m.rank) {
-				t.Fatalf("%v: rank %d holds rank %d's view", scheme, m.rank, state.Schedule().Rank())
+			if state != m.state || state.Schedule() != c.plan.Rank(int(m.rank)) {
+				t.Fatalf("%v: rank %d does not read its view of the session plan", c.scheme, m.rank)
 			}
 		}
 		s.Run(3)
 		s.Close()
-	}
-	b := broadcastSession(16)
-	if !b.members[1].state.Schedule().Shares(b.members[2].state.Schedule()) {
-		t.Fatal("broadcast members read different plans")
 	}
 }
 

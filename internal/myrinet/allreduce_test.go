@@ -111,7 +111,7 @@ func TestAllreduceRandomLossTorture(t *testing.T) {
 func TestAllreduceCostsLikeBarrier(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 8, nil)
-	bs := NewSession(cl, identity(8), SchemeCollective, barrier.PairwiseExchange, barrier.Options{})
+	bs := newSession(cl, identity(8), SchemeCollective, barrier.PairwiseExchange, barrier.Options{})
 	barrierLat := core.MeanLatency(bs.Run(5+50), 5)
 
 	eng2 := sim.NewEngine()

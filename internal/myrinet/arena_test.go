@@ -17,7 +17,7 @@ var arenaKinds = []struct {
 	build func(cl *Cluster, nodes []int) *Session
 }{
 	{"barrier", func(cl *Cluster, nodes []int) *Session {
-		return NewSession(cl, nodes, SchemeCollective, barrier.Dissemination, barrier.Options{})
+		return newSession(cl, nodes, SchemeCollective, barrier.Dissemination, barrier.Options{})
 	}},
 	{"broadcast", func(cl *Cluster, nodes []int) *Session {
 		return newBroadcast(cl, nodes, 0, barrier.DefaultTreeDegree)

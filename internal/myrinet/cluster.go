@@ -95,6 +95,9 @@ func (cl *Cluster) Stats() Stats {
 		total.NacksRecvd += s.NacksRecvd
 		total.StaleColl += s.StaleColl
 		total.BarriersRun += s.BarriersRun
+		total.HeartbeatsSent += s.HeartbeatsSent
+		total.HeartbeatsRecvd += s.HeartbeatsRecvd
+		total.AbortedOps += s.AbortedOps
 	}
 	return total
 }

@@ -110,12 +110,18 @@ func (n *NIC) ChargeGroupInstall(id core.GroupID) {
 	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})
 }
 
-// collMember returns the collective-scheme entry of group id.
-func (n *NIC) collMember(id core.GroupID) *member {
-	if m, ok := n.groups.Get(id); ok && !m.direct() {
+// liveMember returns group id's entry, whose scheme must be direct or
+// collective as direct says, or nil when the group is retired. A live
+// group never is, so the tombstones are read only on a miss.
+func (n *NIC) liveMember(id core.GroupID, direct bool) *member {
+	m, ok := n.groups.Get(id)
+	if ok && m.direct() == direct {
 		return m
 	}
-	panic(fmt.Sprintf("myrinet: node %d: collective message for unknown group %d", n.node.ID, id))
+	if !ok && n.groups.Retired(id) {
+		return nil
+	}
+	panic(fmt.Sprintf("myrinet: node %d: message for unknown group %d (direct scheme %v)", n.node.ID, id, direct))
 }
 
 // start handles the operation doorbell: one enqueue charge creates the
@@ -204,16 +210,11 @@ func (n *NIC) onColl(m collPayload) {
 
 // arrive is onColl's handler body.
 func (n *NIC) arrive(m collPayload) {
-	if n.groups.Retired(m.group) {
-		// A NACK-resent duplicate outlived its group: the operation
-		// completed (which is why the group could tear down), so the
-		// copy is stale by construction.
-		n.Stats.StaleColl++
-		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-		return
-	}
-	e := n.collMember(m.group)
-	if e.frozen {
+	// A retired group (nil) means a NACK-resent duplicate outlived its
+	// group: the operation completed (which is why the group could tear
+	// down), so the copy is stale by construction.
+	e := n.liveMember(m.group, false)
+	if e == nil || e.frozen {
 		n.Stats.StaleColl++
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return
@@ -323,13 +324,8 @@ func (n *NIC) onNack(m collPayload, fromNode int) {
 // Repeat NACKs for the same notification escalate to a duplicated
 // reply, each copy with its own payload.
 func (n *NIC) serveNack(m collPayload, fromNode int) {
-	if n.groups.Retired(m.group) {
-		n.Stats.StaleColl++ // NACK for a drained, torn-down group
-		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
-		return
-	}
-	e := n.collMember(m.group)
-	if e.frozen {
+	e := n.liveMember(m.group, false)
+	if e == nil || e.frozen { // nil: a NACK for a drained, torn-down group
 		n.Stats.StaleColl++
 		n.traceEvent(int(m.group), obs.KindStale, int64(m.seq))
 		return

@@ -1,10 +1,6 @@
 package myrinet
 
-import (
-	"fmt"
-
-	"nicbarrier/internal/core"
-)
+import "fmt"
 
 // The direct scheme is the earlier NIC-based barrier of Buntinas et al.
 // (IPDPS'01), kept as the paper's ablation baseline: the NIC detects
@@ -12,14 +8,6 @@ import (
 // involvement, but every message still traverses the point-to-point
 // machinery — per-destination queues, packet claim and fill, per-packet
 // send records, ACKs and sender timeouts.
-
-// directMember returns the direct-scheme entry of group id.
-func (n *NIC) directMember(id core.GroupID) *member {
-	if m, ok := n.groups.Get(id); ok && m.direct() {
-		return m
-	}
-	panic(fmt.Sprintf("myrinet: node %d: direct barrier message for unknown group %d", n.node.ID, id))
-}
 
 // startDirect handles the operation doorbell: it is translated like a
 // regular send event.
@@ -79,12 +67,8 @@ func (n *NIC) onDirect(m collPayload) {
 
 // arriveDirect is onDirect's handler body.
 func (n *NIC) arriveDirect(m collPayload) {
-	if n.groups.Retired(m.group) {
-		n.Stats.StaleColl++ // p2p retransmit outlived the group
-		return
-	}
-	e := n.directMember(m.group)
-	if e.frozen {
+	e := n.liveMember(m.group, true)
+	if e == nil || e.frozen { // nil: a p2p retransmit outlived the group
 		n.Stats.StaleColl++
 		return
 	}

@@ -51,7 +51,7 @@ func TestGMPayloadOwnershipUnderLoss(t *testing.T) {
 	}
 	loss := &rescripted{lossScript: dropNth("", 3, 10), lost: map[string]int{}}
 	_, cl := xpCluster(nodes, loss)
-	s := NewSession(cl, identity(nodes), SchemeHost, barrier.Dissemination, barrier.Options{})
+	s := newSession(cl, identity(nodes), SchemeHost, barrier.Dissemination, barrier.Options{})
 	var size [3]int // each pool's size after the first run
 	for run := 0; run < runs; run++ {
 		loss.seen = 0 // replay the script

@@ -1,6 +1,7 @@
 package myrinet
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -52,6 +53,18 @@ func identity(n int) []int {
 	return ids
 }
 
+// newSession installs a barrier session running alg on group
+// SessionGroupID over nodeIDs (rank order). It panics on installation
+// failure.
+func newSession(cl *Cluster, nodeIDs []int, scheme Scheme, alg barrier.Algorithm, opts barrier.Options) *Session {
+	s, err := NewGroupSession(cl, SessionGroupID, nodeIDs, scheme,
+		barrier.NewPlan(alg, len(nodeIDs), opts), core.Chained, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // newBroadcast installs a broadcast session from root down a degree-ary
 // tree on group SessionGroupID, panicking on installation failure.
 func newBroadcast(cl *Cluster, nodeIDs []int, root, degree int) *Session {
@@ -75,7 +88,7 @@ func meanLatency(t *testing.T, prof hwprofile.MyrinetProfile, n int, scheme Sche
 	t.Helper()
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, prof, n, nil)
-	s := NewSession(cl, identity(n), scheme, alg, barrier.Options{})
+	s := newSession(cl, identity(n), scheme, alg, barrier.Options{})
 	return core.MeanLatency(s.Run(5+iters), 5)
 }
 
@@ -223,7 +236,7 @@ func TestBarrierCompletionMatrix(t *testing.T) {
 		for _, alg := range barrierAlgs() {
 			for _, n := range []int{1, 2, 3, 5, 8, 11, 16} {
 				eng, cl := xpCluster(n, nil)
-				s := NewSession(cl, identity(n), scheme, alg, barrier.Options{})
+				s := newSession(cl, identity(n), scheme, alg, barrier.Options{})
 				doneAt := s.Run(5)
 				for i, at := range doneAt {
 					if i == 0 {
@@ -261,7 +274,7 @@ func TestCollectiveBarrierLossRecovery(t *testing.T) {
 	for drop := 0; drop < 12; drop++ {
 		eng := sim.NewEngine()
 		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, dropNth("barrier-coll", drop))
-		s := NewSession(cl, identity(4), SchemeCollective, barrier.Dissemination, barrier.Options{})
+		s := newSession(cl, identity(4), SchemeCollective, barrier.Dissemination, barrier.Options{})
 		s.Run(3) // panics on deadlock
 		stats := cl.Stats()
 		if stats.NacksSent == 0 || stats.CollResent == 0 {
@@ -274,7 +287,7 @@ func TestCollectiveBarrierLossRecovery(t *testing.T) {
 func TestDirectBarrierLossRecovery(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, dropNth("barrier-direct", 2))
-	s := NewSession(cl, identity(4), SchemeDirect, barrier.Dissemination, barrier.Options{})
+	s := newSession(cl, identity(4), SchemeDirect, barrier.Dissemination, barrier.Options{})
 	s.Run(3)
 	if cl.Stats().Retransmits == 0 {
 		t.Fatal("direct barrier recovered without retransmission")
@@ -285,7 +298,7 @@ func TestDirectBarrierLossRecovery(t *testing.T) {
 func TestHostBarrierLossRecovery(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 4, dropNth("data", 1, 5))
-	s := NewSession(cl, identity(4), SchemeHost, barrier.Dissemination, barrier.Options{})
+	s := newSession(cl, identity(4), SchemeHost, barrier.Dissemination, barrier.Options{})
 	s.Run(3)
 	if cl.Stats().Retransmits == 0 {
 		t.Fatal("host barrier recovered without retransmission")
@@ -297,7 +310,7 @@ func TestBarrierRandomLossTorture(t *testing.T) {
 	for _, scheme := range barrierSchemes() {
 		eng := sim.NewEngine()
 		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 5, fault.NewPlan(99, fault.Loss(0.15)))
-		s := NewSession(cl, identity(5), scheme, barrier.Dissemination, barrier.Options{})
+		s := newSession(cl, identity(5), scheme, barrier.Dissemination, barrier.Options{})
 		s.Run(4)
 	}
 }
@@ -308,7 +321,7 @@ func TestBarrierRandomLossTorture(t *testing.T) {
 func TestCollectiveHalvesPackets(t *testing.T) {
 	counters := func(scheme Scheme) (barrierPkts, ackPkts uint64) {
 		eng, cl := xpCluster(8, nil)
-		s := NewSession(cl, identity(8), scheme, barrier.Dissemination, barrier.Options{})
+		s := newSession(cl, identity(8), scheme, barrier.Dissemination, barrier.Options{})
 		s.Run(1)
 		eng.Run() // drain trailing ACKs/events
 		c := cl.Net.Counters()
@@ -429,7 +442,7 @@ func TestPermutationInvariance(t *testing.T) {
 		eng := sim.NewEngine()
 		cl := NewCluster(eng, prof, 8, nil)
 		perm := rng.Perm(8)
-		s := NewSession(cl, perm, SchemeCollective, barrier.Dissemination, barrier.Options{})
+		s := newSession(cl, perm, SchemeCollective, barrier.Dissemination, barrier.Options{})
 		got := core.MeanLatency(s.Run(5+30), 5)
 		if diff := float64(got-base) / float64(base); diff > 0.05 || diff < -0.05 {
 			t.Errorf("permutation %v latency %v deviates from %v", perm, got, base)
@@ -451,8 +464,8 @@ func TestSessionGuards(t *testing.T) {
 	eng, cl := xpCluster(4, nil)
 	_ = eng
 	for name, fn := range map[string]func(){
-		"empty session": func() { NewSession(cl, nil, SchemeHost, barrier.Dissemination, barrier.Options{}) },
-		"bad node":      func() { NewSession(cl, []int{0, 9}, SchemeHost, barrier.Dissemination, barrier.Options{}) },
+		"empty session": func() { newSession(cl, nil, SchemeHost, barrier.Dissemination, barrier.Options{}) },
+		"bad node":      func() { newSession(cl, []int{0, 9}, SchemeHost, barrier.Dissemination, barrier.Options{}) },
 		"bad cluster":   func() { NewCluster(eng, hwprofile.LANaiXPCluster(), 0, nil) },
 	} {
 		func() {
@@ -464,7 +477,7 @@ func TestSessionGuards(t *testing.T) {
 			fn()
 		}()
 	}
-	s := NewSession(cl, identity(4), SchemeCollective, barrier.Dissemination, barrier.Options{})
+	s := newSession(cl, identity(4), SchemeCollective, barrier.Dissemination, barrier.Options{})
 	defer func() {
 		if recover() == nil {
 			t.Error("Run(0) did not panic")
@@ -487,5 +500,33 @@ func TestSchemeString(t *testing.T) {
 	if SchemeHost.String() != "host" || SchemeCollective.String() != "nic-collective" ||
 		SchemeDirect.String() != "nic-direct" || Scheme(9).String() != "Scheme(9)" {
 		t.Fatal("Scheme.String wrong")
+	}
+}
+
+// Cluster.Stats sums every counter of every NIC: each NIC gets distinct
+// counts in every uint64 field of its GMStats and NICStats, and each
+// cluster total must equal their sum, so a counter added to either but
+// not summed fails here.
+func TestClusterStatsSumsEveryCounter(t *testing.T) {
+	_, cl := xpCluster(3, nil)
+	want := map[string]uint64{}
+	k := uint64(0)
+	for _, node := range cl.Nodes {
+		node.NIC.gm()
+		for _, v := range []reflect.Value{reflect.ValueOf(&node.NIC.gmState.stats).Elem(), reflect.ValueOf(&node.NIC.Stats).Elem()} {
+			for f := range v.NumField() {
+				if v.Field(f).Kind() == reflect.Uint64 {
+					k++
+					v.Field(f).SetUint(k)
+					want[v.Type().Field(f).Name] += k
+				}
+			}
+		}
+	}
+	total := reflect.ValueOf(cl.Stats())
+	for name, sum := range want {
+		if got := total.FieldByName(name).Uint(); got != sum {
+			t.Errorf("Stats().%s = %d, want %d", name, got, sum)
+		}
 	}
 }

@@ -49,7 +49,7 @@ func barrierUnderLoad(t *testing.T, scheme Scheme, load bool) sim.Duration {
 	t.Helper()
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 8, nil)
-	s := NewSession(cl, identity(8), scheme, barrier.Dissemination, barrier.Options{})
+	s := newSession(cl, identity(8), scheme, barrier.Dissemination, barrier.Options{})
 	if load {
 		// Installing flood traffic wraps the session's event hooks.
 		floodTraffic(cl, 1024, nil)
@@ -94,7 +94,7 @@ func TestBarrierCoexistsWithTraffic(t *testing.T) {
 	for _, scheme := range barrierSchemes() {
 		eng := sim.NewEngine()
 		cl := NewCluster(eng, hwprofile.LANaiXPCluster(), 6, nil)
-		s := NewSession(cl, identity(6), scheme, barrier.Dissemination, barrier.Options{})
+		s := newSession(cl, identity(6), scheme, barrier.Dissemination, barrier.Options{})
 		floodTraffic(cl, 256, nil)
 		s.Run(10) // panics on deadlock or protocol error
 		if drops := cl.Stats().SeqDrops; drops != 0 {

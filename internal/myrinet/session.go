@@ -100,25 +100,10 @@ func (m *member) direct() bool { return m.s.scheme == SchemeDirect }
 // session folds.
 func (m *member) reduce() *core.ReduceState { return m.state.Reduce() }
 
-// SessionGroupID is the group ID NewSession installs, mirroring
+// SessionGroupID is the group ID of a cluster's first group, mirroring
 // MPI_COMM_WORLD. Multi-group callers pass their own IDs to
 // NewGroupSession.
 const SessionGroupID = 1
-
-// NewSession prepares a barrier session on group SessionGroupID. nodeIDs
-// lists the participating node IDs in rank order (the harness passes a
-// random permutation, as the paper does); alg and opts pick the barrier
-// algorithm. It panics on installation failure — it exists for the
-// one-group measurement loops, where a full group table is a
-// programming error.
-func NewSession(cl *Cluster, nodeIDs []int, scheme Scheme, alg barrier.Algorithm, opts barrier.Options) *Session {
-	s, err := NewGroupSession(cl, SessionGroupID, nodeIDs, scheme,
-		barrier.NewPlan(alg, len(nodeIDs), opts), core.Chained, 0, nil)
-	if err != nil {
-		panic(fmt.Sprintf("myrinet: %v", err))
-	}
-	return s
-}
 
 // NewGroupSession prepares a session running plan on group gid, one
 // member per node of nodeIDs (rank order). scheme picks who executes the

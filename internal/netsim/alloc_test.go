@@ -13,10 +13,10 @@ import (
 func warmNet(t testing.TB) (*sim.Engine, *Network) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewFatTree(4, 2), testParams())
+	net := New(eng, topo.MinFatTree(4, 16), testParams())
 	sink := func(Packet) {}
 	for h := 0; h < 16; h++ {
-		net.Attach(h, ReceiverFunc(sink))
+		net.Attach(h, receiverFunc(sink))
 	}
 	for dst := 1; dst < 16; dst++ {
 		net.Send(Packet{Src: 0, Dst: dst, Size: 64, Kind: "data"})
@@ -71,7 +71,7 @@ func TestSendDropZeroAlloc(t *testing.T) {
 		seen++
 		return Outcome{Drop: seen%2 == 0} // every other packet
 	}})
-	net.Attach(1, ReceiverFunc(func(Packet) {}))
+	net.Attach(1, receiverFunc(func(Packet) {}))
 	for i := 0; i < 32; i++ {
 		net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "data"})
 		eng.Run()

@@ -14,10 +14,10 @@ import (
 func benchNet(b *testing.B) (*sim.Engine, *Network) {
 	b.Helper()
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewFatTree(4, 2), testParams())
+	net := New(eng, topo.MinFatTree(4, 16), testParams())
 	sink := func(Packet) {}
 	for h := 0; h < 16; h++ {
-		net.Attach(h, ReceiverFunc(sink))
+		net.Attach(h, receiverFunc(sink))
 	}
 	for dst := 1; dst < 16; dst++ {
 		net.Send(Packet{Src: 0, Dst: dst, Size: 64, Kind: "data"})

@@ -49,7 +49,7 @@ func TestInjectDelayPostponesWholeTransmission(t *testing.T) {
 		return Outcome{Delay: 1000}
 	}})
 	var at sim.Time
-	net.Attach(1, ReceiverFunc(func(Packet) { at = eng.Now() }))
+	net.Attach(1, receiverFunc(func(Packet) { at = eng.Now() }))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 100, Kind: "data"})
 	eng.Run()
 	// Unimpaired arrival is 500ns (see TestSendLatencyCrossbar); the
@@ -69,7 +69,7 @@ func TestHopDelayAddsAtThatHop(t *testing.T) {
 		return Outcome{}
 	}})
 	var at sim.Time
-	net.Attach(1, ReceiverFunc(func(Packet) { at = eng.Now() }))
+	net.Attach(1, receiverFunc(func(Packet) { at = eng.Now() }))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 100, Kind: "data"})
 	eng.Run()
 	if at != 1200 {
@@ -90,8 +90,8 @@ func TestHopDropKeepsUpstreamOccupancy(t *testing.T) {
 		return Outcome{}
 	}})
 	var arrivals []sim.Time
-	net.Attach(1, ReceiverFunc(func(Packet) { arrivals = append(arrivals, eng.Now()) }))
-	net.Attach(2, ReceiverFunc(func(Packet) { arrivals = append(arrivals, eng.Now()) }))
+	net.Attach(1, receiverFunc(func(Packet) { arrivals = append(arrivals, eng.Now()) }))
+	net.Attach(2, receiverFunc(func(Packet) { arrivals = append(arrivals, eng.Now()) }))
 	// 1000B doomed packet: occupies host 0's uplink for 4000ns, then dies
 	// at hop 1 (host 1's downlink) without delivery.
 	net.Send(Packet{Src: 0, Dst: 1, Size: 1000, Kind: "doomed"})
@@ -117,7 +117,7 @@ func TestRejectSemanticsNotifyObserver(t *testing.T) {
 	net.SetImpairment(hookImp{inject: func(pkt Packet, _ sim.Time) Outcome {
 		return Outcome{Reject: pkt.Kind == "blocked"}
 	}})
-	net.Attach(1, ReceiverFunc(func(Packet) {}))
+	net.Attach(1, receiverFunc(func(Packet) {}))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "blocked"})
 	net.Send(Packet{Src: 0, Dst: 1, Size: 8, Kind: "ok"})
 	eng.Run()
@@ -145,7 +145,7 @@ func TestDelayOnlyStripsDiscards(t *testing.T) {
 // it; the rest deliver.
 func TestMulticastHopDropPrunesSubtree(t *testing.T) {
 	eng := sim.NewEngine()
-	ft := topo.NewFatTree(4, 2)
+	ft := topo.MinFatTree(4, 16)
 	net := New(eng, ft, testParams())
 	// Kill host 5's final downlink: route hop == last for dst 5 only.
 	net.SetImpairment(hookImp{hop: func(pkt Packet, _ int, hop, hops int, _ sim.Time) Outcome {
@@ -154,7 +154,7 @@ func TestMulticastHopDropPrunesSubtree(t *testing.T) {
 	delivered := map[int]bool{}
 	for h := 0; h < 16; h++ {
 		h := h
-		net.Attach(h, ReceiverFunc(func(Packet) { delivered[h] = true }))
+		net.Attach(h, receiverFunc(func(Packet) { delivered[h] = true }))
 	}
 	// First, sanity: all 15 deliver unimpaired.
 	dsts := make([]int, 16)
@@ -171,7 +171,7 @@ func TestMulticastHopDropPrunesSubtree(t *testing.T) {
 	// links as the ones only 4..7 routes use: drop per-destination is not
 	// expressible per-link here, so cut at the last hop for those hosts.
 	eng2 := sim.NewEngine()
-	net2 := New(eng2, topo.NewFatTree(4, 2), testParams())
+	net2 := New(eng2, topo.MinFatTree(4, 16), testParams())
 	cut := map[int]bool{}
 	for _, h := range []int{4, 5, 6, 7} {
 		r := net2.Topology().Route(0, h)
@@ -183,7 +183,7 @@ func TestMulticastHopDropPrunesSubtree(t *testing.T) {
 	delivered2 := map[int]bool{}
 	for h := 0; h < 16; h++ {
 		h := h
-		net2.Attach(h, ReceiverFunc(func(Packet) { delivered2[h] = true }))
+		net2.Attach(h, receiverFunc(func(Packet) { delivered2[h] = true }))
 	}
 	net2.Multicast(Packet{Src: 0, Dst: -1, Size: 8, Kind: "bcast"}, dsts)
 	eng2.Run()
@@ -214,7 +214,7 @@ func TestMulticastHopSeesPerDestinationPacket(t *testing.T) {
 	delivered := map[int]bool{}
 	for h := 0; h < 4; h++ {
 		h := h
-		net.Attach(h, ReceiverFunc(func(Packet) { delivered[h] = true }))
+		net.Attach(h, receiverFunc(func(Packet) { delivered[h] = true }))
 	}
 	net.Multicast(Packet{Src: 0, Dst: -1, Size: 8, Kind: "bcast"}, []int{1, 2, 3})
 	eng.Run()

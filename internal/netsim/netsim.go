@@ -292,7 +292,7 @@ func (n *Network) Topology() topo.Topology { return n.topo }
 
 // Counters returns a snapshot of the traffic counters. The ByKind map
 // is built on demand from the interned per-kind counters; kinds with a
-// zero count (possible after ResetCounters) are omitted.
+// zero count are omitted.
 func (n *Network) Counters() Counters {
 	snap := n.counters
 	snap.ByKind = make(map[string]uint64, len(n.kindNames))
@@ -304,28 +304,12 @@ func (n *Network) Counters() Counters {
 	return snap
 }
 
-// ResetCounters zeroes the traffic accounting (e.g. after warmup). The
-// kind interning table survives: IDs are stable for the network's
-// lifetime, only the counts reset.
-func (n *Network) ResetCounters() {
-	n.counters = Counters{}
-	for i := range n.kindCounts {
-		n.kindCounts[i] = 0
-	}
-}
-
 // Receiver takes the packets delivered to one host. A NIC model attaches
 // a pointer to itself (or to a named view of itself), which, unlike a
 // method value, costs no allocation per host.
 type Receiver interface {
 	Receive(Packet)
 }
-
-// ReceiverFunc adapts a plain function to Receiver.
-type ReceiverFunc func(Packet)
-
-// Receive calls f(pkt).
-func (f ReceiverFunc) Receive(pkt Packet) { f(pkt) }
 
 // Attach registers the receiver for a host. It panics when the host
 // already has a receiver: silently replacing one would desynchronize a

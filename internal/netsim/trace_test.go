@@ -103,10 +103,10 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 // the trace as one drop classified as injected.
 func TestTraceDropReasons(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewFatTree(4, 2), testParams())
+	net := New(eng, topo.MinFatTree(4, 16), testParams())
 	net.SetImpairment(dropNth("data", 0))
 	for h := 0; h < net.Topology().Hosts(); h++ {
-		net.Attach(h, ReceiverFunc(func(Packet) {}))
+		net.Attach(h, receiverFunc(func(Packet) {}))
 	}
 	tr := obs.NewTracer()
 	sc := tr.NewScope("drops")

@@ -28,7 +28,7 @@ type chromeEvent struct {
 
 func f64(v float64) *float64 { return &v }
 
-func (rec *Record) chromeEvent(pid, tid int) chromeEvent {
+func (rec *record) chromeEvent(pid, tid int) chromeEvent {
 	ev := chromeEvent{
 		Name: rec.Kind.String(),
 		Pid:  pid,

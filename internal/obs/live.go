@@ -49,9 +49,6 @@ func (s *Scope) SetMetronome(every sim.Duration) {
 	s.metroNext = 0
 }
 
-// MetronomeArmed reports whether the scope publishes on a metronome.
-func (s *Scope) MetronomeArmed() bool { return s.metroEvery > 0 }
-
 // metroTick publishes and advances the next tick past at. Called from
 // the engine goroutine (the scope's single writer) only.
 func (s *Scope) metroTick(at sim.Time) {

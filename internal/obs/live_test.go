@@ -10,7 +10,7 @@ func TestMetronomePublishesOnVirtualTime(t *testing.T) {
 	tr := NewTracer()
 	tr.SetMetronome(10 * sim.Microsecond)
 	sc := tr.NewScope("run")
-	if !sc.MetronomeArmed() {
+	if sc.metroEvery <= 0 {
 		t.Fatal("scope did not inherit the tracer metronome")
 	}
 	if sc.Live() != nil {
@@ -139,7 +139,7 @@ func TestMergeHistSnapshotsExact(t *testing.T) {
 		b.Observe(d)
 		both.Observe(d)
 	}
-	got := MergeHistSnapshots(SnapshotHistogram(&a), SnapshotHistogram(&b))
+	got := mergeHistSnapshots(SnapshotHistogram(&a), SnapshotHistogram(&b))
 	want := SnapshotHistogram(&both)
 	if got.Count != want.Count || got.SumNS != want.SumNS || got.MaxNS != want.MaxNS {
 		t.Fatalf("merge exact fields: got %+v want %+v", got, want)

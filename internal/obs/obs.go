@@ -138,9 +138,9 @@ func (r DropReason) String() string {
 	}
 }
 
-// Record is one fixed-size trace record. Label must be a constant (or
+// record is one fixed-size trace record. Label must be a constant (or
 // otherwise long-lived) string: records only reference it.
-type Record struct {
+type record struct {
 	At     sim.Time
 	Dur    sim.Duration // nonzero only for span kinds (OpQueue/OpRun)
 	Kind   Kind
@@ -155,12 +155,12 @@ type Record struct {
 // ring is a fixed-capacity record buffer that overwrites its oldest
 // entries when full; total counts every record ever written.
 type ring struct {
-	recs  []Record
+	recs  []record
 	next  int
 	total uint64
 }
 
-func (r *ring) add(rec Record) {
+func (r *ring) add(rec record) {
 	r.recs[r.next] = rec
 	r.next++
 	if r.next == len(r.recs) {
@@ -170,13 +170,13 @@ func (r *ring) add(rec Record) {
 }
 
 // snapshot returns the retained records oldest-first.
-func (r *ring) snapshot() []Record {
+func (r *ring) snapshot() []record {
 	if r.total <= uint64(len(r.recs)) {
-		out := make([]Record, r.next)
+		out := make([]record, r.next)
 		copy(out, r.recs[:r.next])
 		return out
 	}
-	out := make([]Record, 0, len(r.recs))
+	out := make([]record, 0, len(r.recs))
 	out = append(out, r.recs[r.next:]...)
 	out = append(out, r.recs[:r.next]...)
 	return out
@@ -193,11 +193,7 @@ type Track struct {
 // Name reports the track's display name.
 func (t *Track) Name() string { return t.name }
 
-// Total reports how many records were ever written to the track
-// (retained plus overwritten).
-func (t *Track) Total() uint64 { return t.ring.total }
-
-func (t *Track) emit(rec Record) { t.ring.add(rec) }
+func (t *Track) emit(rec record) { t.ring.add(rec) }
 
 // groupStats accumulates per-group (per-tenant) metrics: operation
 // counts, the latency histogram, and the queue/wire/NIC attribution
@@ -252,7 +248,7 @@ func (s *Scope) Name() string { return s.name }
 
 func (s *Scope) newTrack(name string) *Track {
 	s.tids++
-	return &Track{name: name, tid: s.tids, ring: ring{recs: make([]Record, s.tr.perTrack)}}
+	return &Track{name: name, tid: s.tids, ring: ring{recs: make([]record, s.tr.perTrack)}}
 }
 
 // trackAt returns (lazily creating) the i-th track of a family. The
@@ -303,7 +299,7 @@ func (s *Scope) PktInject(at sim.Time, src, dst, group int, kind string) {
 		return
 	}
 	s.group(group).sent++
-	s.NodeTrack(src).emit(Record{At: at, Kind: KindPktInject,
+	s.NodeTrack(src).emit(record{At: at, Kind: KindPktInject,
 		Src: int32(src), Dst: int32(dst), Group: int32(group), Label: kind})
 }
 
@@ -312,7 +308,7 @@ func (s *Scope) PktHop(at sim.Time, src, dst, group, link, hop int) {
 	if src < 0 {
 		return
 	}
-	s.NodeTrack(src).emit(Record{At: at, Kind: KindPktHop,
+	s.NodeTrack(src).emit(record{At: at, Kind: KindPktHop,
 		Src: int32(src), Dst: int32(dst), Group: int32(group), Arg: int64(link)<<16 | int64(hop)})
 }
 
@@ -321,7 +317,7 @@ func (s *Scope) PktDeliver(at sim.Time, src, dst, group int, kind string) {
 	if dst < 0 {
 		return
 	}
-	s.NodeTrack(dst).emit(Record{At: at, Kind: KindPktDeliver,
+	s.NodeTrack(dst).emit(record{At: at, Kind: KindPktDeliver,
 		Src: int32(src), Dst: int32(dst), Group: int32(group), Label: kind})
 }
 
@@ -333,7 +329,7 @@ func (s *Scope) PktDrop(at sim.Time, src, dst, group int, kind string, reason Dr
 	if src < 0 {
 		return
 	}
-	s.NodeTrack(src).emit(Record{At: at, Kind: KindPktDrop, Reason: reason,
+	s.NodeTrack(src).emit(record{At: at, Kind: KindPktDrop, Reason: reason,
 		Src: int32(src), Dst: int32(dst), Group: int32(group), Label: kind})
 }
 
@@ -351,7 +347,7 @@ func (s *Scope) NICEvent(at sim.Time, node, group int, k Kind, arg int64) {
 	if node < 0 {
 		return
 	}
-	s.NICTrack(node).emit(Record{At: at, Kind: k,
+	s.NICTrack(node).emit(record{At: at, Kind: k,
 		Src: int32(node), Group: int32(group), Arg: arg})
 }
 
@@ -368,7 +364,7 @@ func (s *Scope) NICTime(group int, d sim.Duration) {
 // disarmed and allocates nothing between ticks when armed.
 func (s *Scope) EventFired(at sim.Time) {
 	s.eventsFired++
-	s.EngineTrack().emit(Record{At: at, Kind: KindEventFired})
+	s.EngineTrack().emit(record{At: at, Kind: KindEventFired})
 	if s.metroEvery > 0 && at >= s.metroNext {
 		s.metroTick(at)
 	}
@@ -377,7 +373,7 @@ func (s *Scope) EventFired(at sim.Time) {
 // EventCancelled implements sim.EventObserver.
 func (s *Scope) EventCancelled(at sim.Time) {
 	s.eventsCancelled++
-	s.EngineTrack().emit(Record{At: at, Kind: KindEventCancelled})
+	s.EngineTrack().emit(record{At: at, Kind: KindEventCancelled})
 }
 
 // --- communicator layer ---
@@ -401,10 +397,10 @@ func (s *Scope) OpSpan(gid int, opKind string, eligible, start, done sim.Time) {
 	g.lat.Observe(done.Sub(eligible))
 	tr := s.TenantTrack(gid)
 	if start > eligible {
-		tr.emit(Record{At: eligible, Dur: start.Sub(eligible), Kind: KindOpQueue,
+		tr.emit(record{At: eligible, Dur: start.Sub(eligible), Kind: KindOpQueue,
 			Group: int32(gid), Label: opKind})
 	}
-	tr.emit(Record{At: start, Dur: done.Sub(start), Kind: KindOpRun,
+	tr.emit(record{At: start, Dur: done.Sub(start), Kind: KindOpRun,
 		Group: int32(gid), Label: opKind})
 }
 
@@ -423,7 +419,7 @@ func (s *Scope) Lifecycle(at sim.Time, gid int, k Kind, arg int64) {
 	case KindRetry:
 		g.retries++
 	}
-	s.TenantTrack(gid).emit(Record{At: at, Kind: k, Group: int32(gid), Arg: arg})
+	s.TenantTrack(gid).emit(record{At: at, Kind: k, Group: int32(gid), Arg: arg})
 }
 
 // BindGroupTenant labels group gid with its workload-wide tenant

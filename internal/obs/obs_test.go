@@ -45,11 +45,11 @@ func TestHistogramZeroValueAndMerge(t *testing.T) {
 		t.Fatal("zero histogram should report zeros")
 	}
 	b.Observe(3 * sim.Microsecond)
-	if m := MergeHistSnapshots(SnapshotHistogram(&a), SnapshotHistogram(&b)); m.Count != 1 || m.MaxUS != 3 {
+	if m := mergeHistSnapshots(SnapshotHistogram(&a), SnapshotHistogram(&b)); m.Count != 1 || m.MaxUS != 3 {
 		t.Fatalf("zero merged with one observation: %+v", m)
 	}
 	a.Observe(sim.Microsecond)
-	m := MergeHistSnapshots(SnapshotHistogram(&a), SnapshotHistogram(&b))
+	m := mergeHistSnapshots(SnapshotHistogram(&a), SnapshotHistogram(&b))
 	if m.Count != 2 {
 		t.Fatalf("merged count = %d", m.Count)
 	}
@@ -91,8 +91,8 @@ func TestRingWrap(t *testing.T) {
 		sc.PktInject(sim.Time(i), 0, 1, 0, "data")
 	}
 	track := sc.NodeTrack(0)
-	if track.Total() != 20 {
-		t.Fatalf("total = %d", track.Total())
+	if track.ring.total != 20 {
+		t.Fatalf("total = %d", track.ring.total)
 	}
 	recs := track.ring.snapshot()
 	if len(recs) != 8 {

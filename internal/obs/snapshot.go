@@ -39,11 +39,11 @@ func SnapshotHistogram(h *Histogram) HistSnapshot {
 	}
 }
 
-// MergeHistSnapshots pools two exported histograms exactly: bucket
+// mergeHistSnapshots pools two exported histograms exactly: bucket
 // counts add bin by bin, the sum and maximum stay exact, and the
 // quantiles are recomputed over the pooled buckets — the same numbers
 // a single histogram fed both streams would report.
-func MergeHistSnapshots(a, b HistSnapshot) HistSnapshot {
+func mergeHistSnapshots(a, b HistSnapshot) HistSnapshot {
 	var h Histogram
 	for _, bin := range a.Bins {
 		h.addBin(bin.V, bin.N)
@@ -173,7 +173,7 @@ func mergeTenants(scopes ...ScopeSnapshot) []GroupSnapshot {
 			acc.Timeouts += g.Timeouts
 			acc.Evictions += g.Evictions
 			acc.Retries += g.Retries
-			acc.Latency = MergeHistSnapshots(acc.Latency, g.Latency)
+			acc.Latency = mergeHistSnapshots(acc.Latency, g.Latency)
 		}
 	}
 	sort.Ints(order)

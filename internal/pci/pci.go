@@ -45,9 +45,6 @@ type Bus struct {
 	counters  Counters
 }
 
-// New builds a bus on the engine.
-func New(eng *sim.Engine, p Params) *Bus { return &NewBuses(eng, p, 1)[0] }
-
 // NewBuses builds n buses on the engine as one slice, one per host of a
 // cluster, so a cluster's buses cost one allocation.
 func NewBuses(eng *sim.Engine, p Params, n int) []Bus {
@@ -63,9 +60,6 @@ func NewBuses(eng *sim.Engine, p Params, n int) []Bus {
 
 // Counters returns a snapshot of usage counters.
 func (b *Bus) Counters() Counters { return b.counters }
-
-// ResetCounters zeroes the usage counters (e.g. after warmup).
-func (b *Bus) ResetCounters() { b.counters = Counters{} }
 
 // acquire reserves the bus for d starting no earlier than now, returning
 // the completion time.

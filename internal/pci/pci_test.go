@@ -7,11 +7,11 @@ import (
 )
 
 func testBus(eng *sim.Engine) *Bus {
-	return New(eng, Params{
+	return &NewBuses(eng, Params{
 		PIOWrite:      sim.Nanos(400),
 		DMASetup:      sim.Nanos(600),
 		BandwidthMBps: 528, // 66 MHz * 64 bit PCI
-	})
+	}, 1)[0]
 }
 
 // fn adapts a closure to sim.Event for tests; the bus itself takes only
@@ -116,10 +116,6 @@ func TestCounters(t *testing.T) {
 	if c.BusyTime <= 0 {
 		t.Fatalf("busy time %v", c.BusyTime)
 	}
-	bus.ResetCounters()
-	if got := bus.Counters(); got != (Counters{}) {
-		t.Fatalf("reset failed: %+v", got)
-	}
 }
 
 func TestGuards(t *testing.T) {
@@ -129,7 +125,7 @@ func TestGuards(t *testing.T) {
 		"nil pio":      func() { bus.PIOWrite(nil) },
 		"nil dma":      func() { bus.DMA(1, nil) },
 		"negative dma": func() { bus.DMA(-1, sim.Nop{}) },
-		"bad params":   func() { New(eng, Params{}) },
+		"bad params":   func() { NewBuses(eng, Params{}, 1) },
 	} {
 		func() {
 			defer func() {
@@ -147,7 +143,7 @@ func TestGuards(t *testing.T) {
 func TestPCIvsPCIX(t *testing.T) {
 	lat := func(bw float64) sim.Duration {
 		eng := sim.NewEngine()
-		bus := New(eng, Params{PIOWrite: 400, DMASetup: 600, BandwidthMBps: bw})
+		bus := &NewBuses(eng, Params{PIOWrite: 400, DMASetup: 600, BandwidthMBps: bw}, 1)[0]
 		var done sim.Time
 		bus.DMA(4096, fn(func() { done = eng.Now() }))
 		eng.Run()

@@ -51,7 +51,7 @@ const (
 // hierShard is one shard's slice of the hierarchical barrier: a
 // full-fidelity Myrinet sub-cluster running a NIC-collective gather
 // barrier and a NIC-based release broadcast, plus this shard's rank of
-// the cross-shard dissemination plan, whose tokens travel as Runner
+// the cross-shard dissemination plan, whose tokens travel as runner
 // messages.
 type hierShard struct {
 	h      *hier
@@ -81,8 +81,8 @@ func (t *hierToken) Fire() {
 
 type hier struct {
 	spec   HierSpec
-	plan   Plan
-	runner *Runner
+	plan   plan
+	runner *runner
 	shards []*hierShard
 	cross  [][]sim.Duration // cross[a][b]: token flight time shard a → b
 	total  int              // Warmup + Iters
@@ -94,11 +94,11 @@ type hier struct {
 // barrier is three phases: an intra-shard NIC-collective dissemination
 // barrier (the paper's protocol, unchanged), a dissemination
 // barrier.Plan over the Parts shard representatives — one
-// core.OpState per shard, its tokens carried as cross-shard Runner
+// core.OpState per shard, its tokens carried as cross-shard runner
 // messages — and an intra-shard NIC broadcast that releases the local
 // ranks. Token flight times come from representative routes on the
 // fat-tree topology a flat cluster of spec.Nodes would use, so the
-// lookahead derivation (MinCrossLatency over the same topology) is
+// lookahead derivation (minCrossLatency over the same topology) is
 // anchored to the hardware profile rather than invented.
 //
 // Virtual-time results are deterministic per spec; the shards
@@ -117,7 +117,7 @@ func MeasureHierBarrier(spec HierSpec) HierResult {
 
 	h := &hier{
 		spec:  spec,
-		plan:  NewPlan(spec.Nodes, spec.Parts),
+		plan:  newPlan(spec.Nodes, spec.Parts),
 		total: spec.Warmup + spec.Iters,
 	}
 	look := h.deriveLatencies()
@@ -128,7 +128,7 @@ func MeasureHierBarrier(spec HierSpec) HierResult {
 		engines[s] = sim.NewEngine()
 		h.shards = append(h.shards, h.newShard(s, engines[s], dissem))
 	}
-	h.runner = NewRunner(look, engines, h.deliver)
+	h.runner = newRunner(look, engines, h.deliver)
 
 	for _, sh := range h.shards {
 		sh.gather.Launch(1)
@@ -190,7 +190,7 @@ func (h *hier) deriveLatencies() sim.Duration {
 	h.cross = make([][]sim.Duration, h.plan.Parts())
 	look := sim.Duration(0)
 	if h.plan.Parts() > 1 {
-		look = MinCrossLatency(t, h.plan, params)
+		look = minCrossLatency(t, h.plan, params)
 	}
 	for a := 0; a < h.plan.Parts(); a++ {
 		h.cross[a] = make([]sim.Duration, h.plan.Parts())
@@ -242,9 +242,9 @@ func (h *hier) newShard(id int, eng *sim.Engine, dissem *barrier.Plan) *hierShar
 	return sh
 }
 
-// deliver is the Runner's per-message callback: schedule the token on
+// deliver is the runner's per-message callback: schedule the token on
 // the destination shard's engine at its arrival time.
-func (h *hier) deliver(shard int, m Msg) {
+func (h *hier) deliver(shard int, m msg) {
 	sh := h.shards[shard]
 	tok := sh.tokens.Get()
 	*tok = hierToken{sh: sh, seq: m.Op, from: m.From}

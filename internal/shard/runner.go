@@ -10,7 +10,7 @@ import (
 	"nicbarrier/internal/sim"
 )
 
-// Msg is one cross-shard message: an event the destination shard must
+// msg is one cross-shard message: an event the destination shard must
 // schedule at virtual time At. The (From, At, Seq) triple totally
 // orders all messages a shard receives in a window — Seq is a
 // per-source running counter, so two messages from the same shard at
@@ -18,15 +18,15 @@ import (
 // messages from different shards are ordered by shard ID. That total
 // order is what makes multi-partition runs reproducible: delivery
 // order never depends on goroutine interleaving.
-type Msg struct {
+type msg struct {
 	From int      // source shard ID
 	At   sim.Time // virtual delivery time (≥ the window end it was sent in)
-	Seq  uint64   // per-source sequence number, assigned by Runner.Send
+	Seq  uint64   // per-source sequence number, assigned by runner.Send
 	Op   int      // sequence number of the collective operation it belongs to
 }
 
 // compareMsg orders messages by (From, At, Seq).
-func compareMsg(a, b Msg) int {
+func compareMsg(a, b msg) int {
 	if c := cmp.Compare(a.From, b.From); c != 0 {
 		return c
 	}
@@ -36,7 +36,7 @@ func compareMsg(a, b Msg) int {
 	return cmp.Compare(a.Seq, b.Seq)
 }
 
-// Runner drives one sim.Engine per shard through conservative
+// runner drives one sim.Engine per shard through conservative
 // lookahead windows. Each window [W, W+L) — L being the lookahead —
 // runs the engines of all participating shards concurrently, one
 // persistent worker goroutine per shard; the conservative invariant
@@ -67,10 +67,10 @@ func compareMsg(a, b Msg) int {
 // their engine's clock inside event context (where it equals the event
 // time) and cross-shard deliveries are scheduled at absolute times.
 //
-// A Runner is not safe for concurrent use by multiple coordinators;
+// A runner is not safe for concurrent use by multiple coordinators;
 // Send is safe exactly where the model needs it to be: from shard
 // goroutines during a window.
-type Runner struct {
+type runner struct {
 	look   sim.Duration
 	winEnd sim.Time // end of the window currently (or last) executed
 	shards []runnerShard
@@ -82,10 +82,10 @@ type Runner struct {
 
 type runnerShard struct {
 	eng     *sim.Engine
-	deliver func(Msg)
+	deliver func(msg)
 	seq     uint64  // per-source sequence; touched only by this shard's goroutine
-	out     [][]Msg // out[to]: sent this window; written only by this shard's goroutine
-	pending []Msg   // barrier-collected batch, reused across windows
+	out     [][]msg // out[to]: sent this window; written only by this shard's goroutine
+	pending []msg   // barrier-collected batch, reused across windows
 
 	// wake carries the window end to this shard's persistent worker.
 	// Capacity 1 so the coordinator never blocks: the worker has always
@@ -109,41 +109,41 @@ type runnerShard struct {
 	delivered atomic.Uint64
 }
 
-// NewRunner builds a runner over one engine per shard. lookahead must
-// be positive (use MinCrossLatency); deliver is invoked on the
+// newRunner builds a runner over one engine per shard. lookahead must
+// be positive (use minCrossLatency); deliver is invoked on the
 // destination shard's goroutine at the start of a window, once per
 // inbound message in (From, At, Seq) order, and must only touch that
 // shard's state — typically it schedules a handler on engines[shard]
 // at m.At.
-func NewRunner(lookahead sim.Duration, engines []*sim.Engine, deliver func(shard int, m Msg)) *Runner {
+func newRunner(lookahead sim.Duration, engines []*sim.Engine, deliver func(shard int, m msg)) *runner {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("shard: non-positive lookahead %v", lookahead))
 	}
 	if len(engines) == 0 {
 		panic("shard: runner with no shards")
 	}
-	r := &Runner{look: lookahead, shards: make([]runnerShard, len(engines))}
+	r := &runner{look: lookahead, shards: make([]runnerShard, len(engines))}
 	for i, e := range engines {
 		i := i
 		sh := &r.shards[i]
 		sh.eng = e
-		sh.deliver = func(m Msg) { deliver(i, m) }
-		sh.out = make([][]Msg, len(engines))
+		sh.deliver = func(m msg) { deliver(i, m) }
+		sh.out = make([][]msg, len(engines))
 	}
 	return r
 }
 
 // Lookahead reports the window length the runner synchronizes on.
-func (r *Runner) Lookahead() sim.Duration { return r.look }
+func (r *runner) Lookahead() sim.Duration { return r.look }
 
 // Windows reports how many lookahead windows have been executed.
-func (r *Runner) Windows() uint64 { return r.windows }
+func (r *runner) Windows() uint64 { return r.windows }
 
 // Delivered reports how many cross-shard messages have been handed to
 // deliver callbacks. Counting happens at delivery, so a read from
 // inside a deliver callback sees the in-flight message already counted
 // and none of the batch still waiting behind it.
-func (r *Runner) Delivered() uint64 {
+func (r *runner) Delivered() uint64 {
 	var n uint64
 	for i := range r.shards {
 		n += r.shards[i].delivered.Load()
@@ -159,21 +159,21 @@ func (r *Runner) Delivered() uint64 {
 // conservative invariant. A violation panics: it means the claimed
 // lookahead was larger than the model's true minimum cross-shard
 // latency, which would silently corrupt causality if allowed through.
-func (r *Runner) Send(from, to int, at sim.Time, op int) {
+func (r *runner) Send(from, to int, at sim.Time, op int) {
 	if at < r.winEnd {
 		panic(fmt.Sprintf("shard: lookahead violation: %d→%d at %v inside window ending %v",
 			from, to, at, r.winEnd))
 	}
 	sh := &r.shards[from]
 	sh.seq++
-	sh.out[to] = append(sh.out[to], Msg{From: from, At: at, Seq: sh.seq, Op: op})
+	sh.out[to] = append(sh.out[to], msg{From: from, At: at, Seq: sh.seq, Op: op})
 }
 
 // worker is one shard's persistent goroutine: deliver the barrier-fixed
 // batch, run the engine through the window, refresh the next-event
 // cache, ack. It exits when the coordinator closes the wake channel at
 // the end of Run.
-func (r *Runner) worker(sh *runnerShard) {
+func (r *runner) worker(sh *runnerShard) {
 	defer r.workers.Done()
 	for end := range sh.wake {
 		for _, m := range sh.pending {
@@ -195,7 +195,7 @@ func (r *Runner) worker(sh *runnerShard) {
 // event or message time W across shards (cached next-event times make
 // an idle shard one comparison), wake the workers of shards with work
 // before W+lookahead, wait for their acks, repeat.
-func (r *Runner) Run(stop func() bool) {
+func (r *runner) Run(stop func() bool) {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.wake = make(chan sim.Time, 1)

@@ -17,8 +17,8 @@ import (
 func TestDeliveredCountsAtDelivery(t *testing.T) {
 	engines := []*sim.Engine{sim.NewEngine()}
 	var seen []uint64
-	var r *Runner
-	r = NewRunner(10, engines, func(int, Msg) {
+	var r *runner
+	r = newRunner(10, engines, func(int, msg) {
 		seen = append(seen, r.Delivered())
 	})
 	// Post a batch before the run: the outboxes are collected in one
@@ -48,7 +48,7 @@ func TestDeliveredCountsAtDelivery(t *testing.T) {
 // where a bare panic would be undebuggable.
 func TestSendLookaheadViolationMessage(t *testing.T) {
 	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-	r := NewRunner(100, engines, func(int, Msg) {})
+	r := newRunner(100, engines, func(int, msg) {})
 	engines[0].Schedule(0, func() {
 		defer func() {
 			v := recover()
@@ -70,15 +70,15 @@ func TestSendLookaheadViolationMessage(t *testing.T) {
 // is delivered sorted by (From, At, Seq).
 func TestRunnerBatchOrder(t *testing.T) {
 	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-	var got []Msg
-	r := NewRunner(10, engines, func(_ int, m Msg) { got = append(got, m) })
+	var got []msg
+	r := newRunner(10, engines, func(_ int, m msg) { got = append(got, m) })
 	r.Send(1, 0, 200, 0)
 	r.Send(0, 0, 300, 1)
 	r.Send(1, 0, 100, 2)
 	r.Send(0, 0, 300, 3)
 	r.Send(0, 0, 100, 4)
 	r.Run(nil)
-	want := []Msg{
+	want := []msg{
 		{From: 0, At: 100, Seq: 3, Op: 4},
 		{From: 0, At: 300, Seq: 1, Op: 1},
 		{From: 0, At: 300, Seq: 2, Op: 3},
@@ -120,7 +120,7 @@ func BenchmarkRunnerWindow(b *testing.B) {
 	for i := range engines {
 		engines[i] = sim.NewEngine()
 	}
-	r := NewRunner(100, engines, func(int, Msg) {})
+	r := newRunner(100, engines, func(int, msg) {})
 	tick := &benchTick{eng: engines[0], gap: 1000, left: b.N}
 	engines[0].ScheduleEvent(0, tick)
 	// Idle shards with a far-future event each: their cached next-event
@@ -138,7 +138,7 @@ func BenchmarkRunnerWindow(b *testing.B) {
 // shard 1 one cross-shard message per firing, one lookahead apart, so
 // every window carries exactly one message.
 type benchSender struct {
-	r    *Runner
+	r    *runner
 	eng  *sim.Engine
 	left int
 }
@@ -159,7 +159,7 @@ func (s *benchSender) Fire() {
 // steady message stream allocates nothing per message.
 func BenchmarkRunnerSend(b *testing.B) {
 	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
-	r := NewRunner(100, engines, func(int, Msg) {})
+	r := newRunner(100, engines, func(int, msg) {})
 	engines[0].ScheduleEvent(0, &benchSender{r: r, eng: engines[0], left: b.N})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,17 +15,17 @@
 // The window length is the lookahead: the minimum virtual latency any
 // cross-shard interaction can have, derived from the minimum
 // inter-partition link latency of the underlying topology and hardware
-// profile (see MinCrossLatency). A message sent at time t arrives no
+// profile (see minCrossLatency). A message sent at time t arrives no
 // earlier than t+lookahead, so while every shard executes the window
 // [W, W+L) no message generated inside the window can land inside it —
-// the conservative invariant Runner.Send enforces with a panic.
+// the conservative invariant runner.Send enforces with a panic.
 //
 // Three layers build on this runtime:
 //
-//   - the partitioner (Plan) assigns nodes to shards in contiguous
+//   - the partitioner (plan) assigns nodes to shards in contiguous
 //     blocks (the communicator layer deals whole tenants to partitions
 //     round-robin instead, see comm.RunWorkloadSharded);
-//   - the Runner coordinates per-shard engines through windows;
+//   - the runner coordinates per-shard engines through windows;
 //   - MeasureHierBarrier simulates shard-spanning collectives (a
 //     hierarchical barrier toward 64k endpoints): full-fidelity
 //     NIC-collective barriers inside each shard, and between shard
@@ -41,38 +41,38 @@ import (
 	"nicbarrier/internal/topo"
 )
 
-// Plan is a deterministic assignment of cluster nodes to shards:
+// plan is a deterministic assignment of cluster nodes to shards:
 // contiguous blocks of near-equal size, in node order. Contiguity keeps
 // partition boundaries aligned with the block placement the topologies
 // and workload generators already use, and makes Range O(1)
 // arithmetic rather than a lookup.
-type Plan struct {
+type plan struct {
 	nodes, parts int
 }
 
-// NewPlan partitions nodes into parts contiguous shards. parts is
+// newPlan partitions nodes into parts contiguous shards. parts is
 // clamped to nodes (a shard needs at least one node); parts < 1 or
 // nodes < 1 panics.
-func NewPlan(nodes, parts int) Plan {
+func newPlan(nodes, parts int) plan {
 	if nodes < 1 || parts < 1 {
 		panic(fmt.Sprintf("shard: plan with %d nodes in %d parts", nodes, parts))
 	}
 	if parts > nodes {
 		parts = nodes
 	}
-	return Plan{nodes: nodes, parts: parts}
+	return plan{nodes: nodes, parts: parts}
 }
 
 // Nodes reports the total node count the plan partitions.
-func (p Plan) Nodes() int { return p.nodes }
+func (p plan) Nodes() int { return p.nodes }
 
 // Parts reports the number of shards.
-func (p Plan) Parts() int { return p.parts }
+func (p plan) Parts() int { return p.parts }
 
 // Range reports shard s's contiguous node range [lo, hi). Shards 0
 // through nodes%parts-1 hold one extra node, so sizes differ by at
 // most one.
-func (p Plan) Range(s int) (lo, hi int) {
+func (p plan) Range(s int) (lo, hi int) {
 	if s < 0 || s >= p.parts {
 		panic(fmt.Sprintf("shard: shard %d outside [0,%d)", s, p.parts))
 	}
@@ -86,12 +86,12 @@ func (p Plan) Range(s int) (lo, hi int) {
 }
 
 // Size reports the number of nodes in shard s.
-func (p Plan) Size(s int) int {
+func (p plan) Size(s int) int {
 	lo, hi := p.Range(s)
 	return hi - lo
 }
 
-// MinCrossLatency derives the conservative lookahead window from the
+// minCrossLatency derives the conservative lookahead window from the
 // topology and wire parameters: the minimum head latency of any packet
 // whose route crosses a partition boundary. Every route between
 // distinct hosts traverses at least one switch, so the scan only needs
@@ -100,7 +100,7 @@ func (p Plan) Size(s int) int {
 // which covers the minimum because per-link costs are uniform within a
 // topology. The serialization term is omitted (payload-dependent), so
 // the result is a true lower bound for any packet size.
-func MinCrossLatency(t topo.Topology, p Plan, params netsim.Params) sim.Duration {
+func minCrossLatency(t topo.Topology, p plan, params netsim.Params) sim.Duration {
 	if p.Parts() < 2 {
 		return 0
 	}

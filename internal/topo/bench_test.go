@@ -6,7 +6,7 @@ import "testing"
 // tree: the closed-form composition into the route scratch, the wire
 // simulator's per-packet hot path (0 allocs/op).
 func BenchmarkFatTreeRoute(b *testing.B) {
-	ft := NewFatTree(4, 3)
+	ft := newFatTree(4, 3)
 	for src := 0; src < ft.Hosts(); src++ {
 		for dst := 0; dst < ft.Hosts(); dst++ {
 			ft.Route(src, dst)
@@ -25,7 +25,7 @@ func BenchmarkFatTreeRoute(b *testing.B) {
 // memoized route table needs, and routing must stay 0 allocs/op — the
 // CI zero-alloc gate runs this benchmark.
 func BenchmarkFatTreeRoute64k(b *testing.B) {
-	ft := NewFatTree(4, 8)
+	ft := newFatTree(4, 8)
 	h := ft.Hosts()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -40,7 +40,7 @@ func BenchmarkFatTreeRoute64k(b *testing.B) {
 func BenchmarkFatTreeRouteCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ft := NewFatTree(4, 2)
+		ft := newFatTree(4, 2)
 		for dst := 1; dst < 16; dst++ {
 			ft.Route(0, dst)
 		}
@@ -62,7 +62,7 @@ func BenchmarkCrossbarRoute(b *testing.B) {
 }
 
 func TestRouteMemoZeroAlloc(t *testing.T) {
-	ft := NewFatTree(4, 2)
+	ft := newFatTree(4, 2)
 	c := NewCrossbar(16)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
@@ -83,8 +83,8 @@ func TestRouteMemoZeroAlloc(t *testing.T) {
 // answer is composed into the topology's fixed scratch buffer — and
 // identical to what a fresh topology computes.
 func TestRouteMemoStable(t *testing.T) {
-	ft := NewFatTree(4, 2)
-	fresh := NewFatTree(4, 2)
+	ft := newFatTree(4, 2)
+	fresh := newFatTree(4, 2)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			first := ft.Route(src, dst)

@@ -106,7 +106,7 @@ func TestFatTreeMatchesReferenceConstruction(t *testing.T) {
 	for _, dims := range [][2]int{{4, 2}, {2, 3}, {3, 2}, {8, 2}, {4, 3}, {2, 4}} {
 		k, n := dims[0], dims[1]
 		t.Run(fmt.Sprintf("k%d-n%d", k, n), func(t *testing.T) {
-			ft := NewFatTree(k, n)
+			ft := newFatTree(k, n)
 			ref := newRefTree(k, n)
 			if ft.LinkCount() != len(ref.ends) {
 				t.Fatalf("link count %d, reference %d", ft.LinkCount(), len(ref.ends))
@@ -145,7 +145,7 @@ func TestFatTreeMatchesReferenceConstruction(t *testing.T) {
 // but a call for a different pair overwrites them. This pins the
 // documented lifetime contract the wire simulator relies on.
 func TestRouteScratchLifetime(t *testing.T) {
-	ft := NewFatTree(4, 3)
+	ft := newFatTree(4, 3)
 	first := ft.Route(3, 47)
 	want := append([]int(nil), first...)
 	ft.Route(61, 2) // overwrites the scratch

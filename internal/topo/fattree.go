@@ -52,9 +52,9 @@ type FatTree struct {
 	scratch []int
 }
 
-// NewFatTree constructs a k-ary n-tree. It panics for k < 2 or n < 1;
+// newFatTree constructs a k-ary n-tree. It panics for k < 2 or n < 1;
 // use MinFatTree to size a tree for a host count.
-func NewFatTree(k, n int) *FatTree {
+func newFatTree(k, n int) *FatTree {
 	if k < 2 {
 		panic("topo: fat tree arity must be >= 2")
 	}
@@ -88,7 +88,7 @@ func MinFatTree(k, hosts int) *FatTree {
 	for cap := k; cap < hosts; cap *= k {
 		n++
 	}
-	return NewFatTree(k, n)
+	return newFatTree(k, n)
 }
 
 func pow(b, e int) int {
@@ -149,9 +149,6 @@ func (t *FatTree) Hosts() int { return t.hosts }
 func (t *FatTree) LinkCount() int { return 2 * t.hosts * t.n }
 
 func (t *FatTree) Levels() int { return t.n }
-
-// Arity reports k.
-func (t *FatTree) Arity() int { return t.k }
 
 // ncaLevel reports the most significant base-k digit position where src
 // and dst differ; routing must ascend to switch level ncaLevel.

@@ -112,15 +112,15 @@ func TestFatTreeGeometry(t *testing.T) {
 		{8, 2, 64, 256, "myrinet clos"},
 	}
 	for _, c := range cases {
-		ft := NewFatTree(c.k, c.n)
+		ft := newFatTree(c.k, c.n)
 		if ft.Hosts() != c.hosts {
 			t.Errorf("%s: hosts = %d, want %d", c.description, ft.Hosts(), c.hosts)
 		}
 		if ft.Levels() != c.n {
 			t.Errorf("%s: levels = %d, want %d", c.description, ft.Levels(), c.n)
 		}
-		if ft.Arity() != c.k {
-			t.Errorf("%s: arity = %d, want %d", c.description, ft.Arity(), c.k)
+		if ft.k != c.k {
+			t.Errorf("%s: arity = %d, want %d", c.description, ft.k, c.k)
 		}
 		// 2*k^n host links plus 2*k^n per inter-level boundary.
 		want := 2*c.hosts + 2*c.hosts*(c.n-1)
@@ -135,7 +135,7 @@ func TestFatTreeGeometry(t *testing.T) {
 
 func TestFatTreeRoutesExhaustive(t *testing.T) {
 	for _, dims := range [][2]int{{4, 2}, {2, 3}, {3, 2}} {
-		ft := NewFatTree(dims[0], dims[1])
+		ft := newFatTree(dims[0], dims[1])
 		for src := 0; src < ft.Hosts(); src++ {
 			for dst := 0; dst < ft.Hosts(); dst++ {
 				routeIsConnected(t, ft, src, dst)
@@ -145,7 +145,7 @@ func TestFatTreeRoutesExhaustive(t *testing.T) {
 }
 
 func TestFatTreeHopCounts(t *testing.T) {
-	ft := NewFatTree(4, 2) // hosts 0..15, digits d1 d0
+	ft := newFatTree(4, 2) // hosts 0..15, digits d1 d0
 	cases := []struct{ src, dst, hops int }{
 		{0, 0, 0},
 		{0, 1, 1},  // same leaf (differ in d0)
@@ -162,7 +162,7 @@ func TestFatTreeHopCounts(t *testing.T) {
 }
 
 func TestFatTreeHopSymmetry(t *testing.T) {
-	ft := NewFatTree(4, 3)
+	ft := newFatTree(4, 3)
 	for src := 0; src < ft.Hosts(); src += 7 {
 		for dst := 0; dst < ft.Hosts(); dst += 5 {
 			if ft.SwitchHops(src, dst) != ft.SwitchHops(dst, src) {
@@ -193,11 +193,11 @@ func TestMinFatTree(t *testing.T) {
 
 func TestFatTreePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"arity 1":     func() { NewFatTree(1, 2) },
-		"dim 0":       func() { NewFatTree(4, 0) },
+		"arity 1":     func() { newFatTree(1, 2) },
+		"dim 0":       func() { newFatTree(4, 0) },
 		"zero hosts":  func() { MinFatTree(4, 0) },
-		"route range": func() { NewFatTree(4, 2).Route(0, 16) },
-		"link range":  func() { NewFatTree(4, 2).LinkEnds(-1) },
+		"route range": func() { newFatTree(4, 2).Route(0, 16) },
+		"link range":  func() { newFatTree(4, 2).LinkEnds(-1) },
 	} {
 		func() {
 			defer func() {
@@ -213,7 +213,7 @@ func TestFatTreePanics(t *testing.T) {
 // Property: on any modest fat tree, every route is connected, visits
 // 2m+1 switches for some m < n, and never repeats a link.
 func TestFatTreeRouteProperty(t *testing.T) {
-	trees := []*FatTree{NewFatTree(2, 4), NewFatTree(4, 3), NewFatTree(5, 2)}
+	trees := []*FatTree{newFatTree(2, 4), newFatTree(4, 3), newFatTree(5, 2)}
 	f := func(ti, srcRaw, dstRaw uint16) bool {
 		ft := trees[int(ti)%len(trees)]
 		src := int(srcRaw) % ft.Hosts()
@@ -243,7 +243,7 @@ func TestFatTreeRouteProperty(t *testing.T) {
 // The paper's 1024-node extrapolation needs a 4-ary 5-tree; make sure
 // construction and routing stay correct and fast at that size.
 func TestFatTree1024(t *testing.T) {
-	ft := NewFatTree(4, 5)
+	ft := newFatTree(4, 5)
 	if ft.Hosts() != 1024 {
 		t.Fatalf("hosts = %d", ft.Hosts())
 	}
