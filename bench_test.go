@@ -133,11 +133,15 @@ func scenario(b *testing.B, id string) harness.Scenario {
 
 func reportPoint(b *testing.B, fig harness.Figure, series string, n int, metric string) {
 	b.Helper()
-	v, ok := fig.Point(series, n)
-	if !ok {
-		b.Fatalf("series %q point n=%d not found in %s", series, n, fig.ID)
+	for _, s := range fig.Series {
+		for _, p := range s.Points {
+			if s.Name == series && p.N == n {
+				b.ReportMetric(p.LatencyUS, metric)
+				return
+			}
+		}
 	}
-	b.ReportMetric(v, metric)
+	b.Fatalf("series %q point n=%d not found in %s", series, n, fig.ID)
 }
 
 // --- headline single-point benchmarks (fast, per-barrier granularity) ---
@@ -208,7 +212,7 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng.After(1, func() {})
-		eng.Step()
+		eng.Run()
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/harness"
-	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
+	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
 
@@ -83,26 +83,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
-	var cc *comm.Cluster
-	switch cfg.Interconnect {
-	case MyrinetLANai91, MyrinetLANaiXP:
-		prof := myrinetProfile(cfg.Interconnect)
-		imp := compileFaults(cfg.faults(), cfg.Seed, prof.Net.BandwidthMBps)
-		cc = comm.OverMyrinet(myrinet.NewCluster(eng, prof, cfg.Nodes, imp))
-	case QuadricsElan3:
-		cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), cfg.Nodes)
-		cl.SetFaults(compileFaults(cfg.faults(), cfg.Seed, cl.Prof.Net.BandwidthMBps))
-		cc = comm.OverElan(cl)
-	default:
-		return nil, fmt.Errorf("nicbarrier: unknown interconnect %d", int(cfg.Interconnect))
-	}
-	cc.SetAdmission(cfg.Admission.internal())
+	var sc *obs.Scope
 	if cfg.Trace != nil {
-		sc := cfg.Trace.newScope(fmt.Sprintf("%v %dn %v", cfg.Interconnect, cfg.Nodes, cfg.Scheme))
-		eng.SetObserver(sc)
-		cc.SetTracer(sc)
+		sc = cfg.Trace.newScope(fmt.Sprintf("%v %dn %v", cfg.Interconnect, cfg.Nodes, cfg.Scheme))
 	}
+	tb := cfg.Interconnect.testbed()
+	cc := comm.NewCluster(tb, cfg.Nodes, compileFaults(cfg.faults(), cfg.Seed, tb.LineRateMBps()), sc)
+	cc.SetAdmission(cfg.Admission.internal())
 	return &Cluster{cfg: cfg, c: cc}, nil
 }
 

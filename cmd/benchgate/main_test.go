@@ -44,10 +44,14 @@ func TestRunEmitsValidReport(t *testing.T) {
 	if !strings.Contains(out, "wrote ") || !strings.Contains(out, "2 scenarios") {
 		t.Fatalf("run output %q", out)
 	}
-	if _, ok := rep.Metric("packets/Collective/n16"); !ok {
+	names := map[string]bool{}
+	for _, m := range rep.Metrics {
+		names[m.Name] = true
+	}
+	if !names["packets/Collective/n16"] {
 		t.Fatal("report missing packets metric")
 	}
-	if _, ok := rep.Metric("fig6/NIC-DS/n8"); !ok {
+	if !names["fig6/NIC-DS/n8"] {
 		t.Fatal("report missing fig6 metric")
 	}
 	if rep.Config.Warmup != 0 || rep.Config.Iters != 10 {

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"nicbarrier/internal/chaos"
+	"nicbarrier/internal/hwprofile"
 )
 
 func main() {
@@ -50,14 +51,20 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "chaossoak: "+format+"\n", a...)
 		return 1
 	}
-	var backends []chaos.Backend
+	// Each backend name soaks one testbed: Myrinet on LANai-XP.
+	type testbed struct {
+		name string
+		tb   hwprofile.Testbed
+	}
+	myri, quad := testbed{"myrinet", hwprofile.LANaiXP}, testbed{"quadrics", hwprofile.Elan3}
+	var backends []testbed
 	switch *backend {
 	case "myrinet":
-		backends = []chaos.Backend{chaos.Myrinet}
+		backends = []testbed{myri}
 	case "quadrics", "elan":
-		backends = []chaos.Backend{chaos.Elan}
+		backends = []testbed{quad}
 	case "both":
-		backends = []chaos.Backend{chaos.Myrinet, chaos.Elan}
+		backends = []testbed{myri, quad}
 	default:
 		return fail("unknown backend %q (myrinet, quadrics, both)", *backend)
 	}
@@ -70,7 +77,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	for _, b := range backends {
 		for i := 0; i < *seeds; i++ {
 			spec := chaos.Spec{
-				Backend:       b,
+				Backend:       b.tb,
 				Nodes:         *nodes,
 				Groups:        *groups,
 				OpsPerGroup:   *ops,
@@ -82,7 +89,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			}
 			rep, err := chaos.Soak(spec)
 			if err != nil {
-				return fail("%v seed %d: %v", b, spec.Seed, err)
+				return fail("%s seed %d: %v", b.name, spec.Seed, err)
 			}
 			runs++
 			evictions += rep.Evictions
@@ -90,7 +97,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			failedGroups += rep.FailedGroups
 			if *verbose || !rep.OK() {
 				fmt.Fprintf(stdout, "%-8s seed %-4d ops=%-4d evict=%d retry=%d timeout=%d failed=%d  [%s]\n",
-					rep.Backend, rep.Seed, rep.OpsCompleted, rep.Evictions, rep.Retries,
+					b.name, rep.Seed, rep.OpsCompleted, rep.Evictions, rep.Retries,
 					rep.Timeouts, rep.FailedGroups, rep.Schedule)
 			}
 			if !rep.OK() {
@@ -99,7 +106,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 					fmt.Fprintf(stdout, "  VIOLATION: %s\n", v)
 				}
 				fmt.Fprintf(stdout, "  replay: chaossoak -backend %s -seed0 %d -seeds 1 -v\n",
-					rep.Backend, rep.Seed)
+					b.name, rep.Seed)
 			}
 		}
 	}

@@ -30,7 +30,12 @@
 //     cmd/, the other internal packages and perfbench/ all count),
 //     unless an exported signature, field or method of a used name
 //     reaches it, it is a constant of such a type, or it is an Err*
-//     sentinel variable.
+//     sentinel variable, or
+//   - a concrete type of a package under internal/ has an exported
+//     method that no non-test Go file of another package calls or takes
+//     as a value (type-checked with go/types), unless an interface of
+//     the module or of an imported standard package, error, or errors'
+//     Unwrap requires it.
 //
 // Usage:
 //
@@ -87,6 +92,7 @@ func main() {
 	violations = append(violations, lintCitations(*root)...)
 	violations = append(violations, lintDocRefs(*root)...)
 	violations = append(violations, lintExports(*root)...)
+	violations = append(violations, lintMethods(*root)...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -713,12 +719,11 @@ func lintGoBlocks(name string, lines []string, lookup func(string) *pkgDecls, me
 // used name reaches it (followed transitively), when it is a constant
 // of such a type, or when it is an Err* sentinel variable.
 func lintExports(root string) []string {
-	modfile, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	module, err := modulePath(root)
 	if err != nil {
-		return []string{fmt.Sprintf("go.mod: %v", err)}
+		return []string{err.Error()}
 	}
-	module, _, _ := strings.Cut(strings.TrimPrefix(string(modfile), "module "), "\n")
-	prefix := strings.TrimSpace(module) + "/internal/"
+	prefix := module + "/internal/"
 	fset := token.NewFileSet()
 	pkgs := map[string]*ast.Package{} // by directory under internal/
 	used := map[string]bool{}         // "<dir>.<Name>" selectors

@@ -9,6 +9,20 @@ import (
 	"nicbarrier/internal/harness"
 )
 
+// writeFiles writes a fixture tree under root: file contents by path.
+func writeFiles(t *testing.T, root string, files map[string]string) {
+	t.Helper()
+	for name, text := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // A fixture tree whose baseline holds three metrics: every quote of
 // another count is reported with its line, hyphenated, qualified or
 // broken across lines; quotes of three and unrelated numbers are not.
@@ -20,15 +34,7 @@ func TestLintMetricCounts(t *testing.T) {
 		"ARCHITECTURE.md":     "Runs 12 scenarios.\nThe 4\ngated simulated metrics.\n",
 		"ROADMAP.md":          "All 3 baseline metrics, 1,024 nodes, a 2-metric toy.\n",
 	}
-	for name, text := range files {
-		path := filepath.Join(root, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeFiles(t, root, files)
 	want := []string{
 		"README.md:2: quotes 530 baseline metrics, bench/baseline.json has 3",
 		"ARCHITECTURE.md:2: quotes 4 baseline metrics, bench/baseline.json has 3",
@@ -83,15 +89,7 @@ var _ = flag.Bool("testonly", false, "")
 		"ARCHITECTURE.md":                "Run `go run ./cmd/barrier-bench -fig fig5,packets,gone` or `go build ./cmd/gone`.\n",
 		".claude/skills/verify/SKILL.md": "- `go run ./cmd/barrier-bench -list | -fig <id>` and [-seed 3] ok; `go run ./cmd/barrier-bench -tsv`\n",
 	}
-	for name, text := range files {
-		path := filepath.Join(root, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeFiles(t, root, files)
 	want := []string{
 		"README.md:4: go run ./cmd/nosuch: no such command directory",
 		"README.md:5: go run ./cmd/barrier-bench: -fig nope is not a registered scenario",
@@ -168,15 +166,7 @@ func RunWorkload() {}
 		"ARCHITECTURE.md": "See internal/comm/comm.go, `comm.go`, nicbarrier/internal/comm.Cluster, " +
 			"`comm.Cluster.SetTracer`, `other.Thing` and `nicbarrier.Trace`.\n",
 	}
-	for name, text := range files {
-		path := filepath.Join(root, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeFiles(t, root, files)
 	want := []string{
 		"README.md:2: comm.RunChurnSharded is not declared in package comm",
 		"README.md:2: nicbarrier.TestOnly is not declared in package nicbarrier",
@@ -214,15 +204,7 @@ func TestLintDocRefs(t *testing.T) {
 		"internal/x/x.go": "package x\n\n// See README.md and NOTES.md.\n" +
 			"var note = \"divergence: PE is not faster than DS at non-power-of-two sizes here; see EXPERIMENTS.md\"\n",
 	}
-	for name, text := range files {
-		path := filepath.Join(root, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeFiles(t, root, files)
 	want := []string{filepath.Join("internal", "x", "x.go") + ":4: cites EXPERIMENTS.md, which does not exist"}
 	if got := lintDocRefs(root); !slices.Equal(got, want) {
 		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
@@ -299,15 +281,7 @@ import alias "m/internal/p"
 func main() { alias.OnlyPerfbench() }
 `,
 	}
-	for name, text := range files {
-		path := filepath.Join(root, name)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeFiles(t, root, files)
 	p := filepath.Join("internal", "p", "p.go")
 	want := []string{
 		p + ":28: p.Extra is exported but no other package uses it",
@@ -324,5 +298,78 @@ func main() { alias.OnlyPerfbench() }
 func TestRepositoryExports(t *testing.T) {
 	if got := lintExports("../.."); len(got) != 0 {
 		t.Fatalf("unused internal exports: %q", got)
+	}
+}
+
+// A fixture module with one internal package: an exported method no
+// other package calls is reported, on an exported or an unexported
+// type, also when its own tests call it; a method another package calls
+// (a nested module such as perfbench/ counts) or takes as a value, and
+// one an interface requires (one of the module's, fmt.Stringer's String,
+// error's Error) are not.
+func TestLintMethods(t *testing.T) {
+	root := t.TempDir()
+	writeFiles(t, root, map[string]string{
+		"go.mod": "module m\n\ngo 1.23\n",
+		"internal/p/p.go": `package p
+
+type Event interface{ Fire() }
+
+type T struct{}
+
+func (T) Called()           {}
+func (T) Value()            {}
+func (T) ByPerfbench()      {}
+func (T) Fire()             {}
+func (T) String() string    { return "" }
+func (*T) Error() string    { return "" }
+func (T) OnlyTests()        {}
+func (*T) Unused()          {}
+func (T) unexported()       {}
+
+type hidden struct{}
+
+func (hidden) Exported() {}
+`,
+		"internal/p/p_test.go": "package p\n\nvar _ = T.OnlyTests\n",
+		"cmd/x/main.go": `package main
+
+import (
+	"fmt"
+
+	"m/internal/p"
+)
+
+func main() {
+	var t p.T
+	t.Called()
+	f := t.Value
+	fmt.Println(t, f)
+}
+`,
+		"perfbench/go.mod": "module m/perfbench\n\nrequire m v0.0.0\n\nreplace m => ../\n",
+		"perfbench/main.go": `package main
+
+import "m/internal/p"
+
+func main() { p.T{}.ByPerfbench() }
+`,
+	})
+	p := filepath.Join("internal", "p", "p.go")
+	want := []string{
+		p + ":13: p.T.OnlyTests is exported but no other package calls it",
+		p + ":14: p.T.Unused is exported but no other package calls it",
+		p + ":19: p.hidden.Exported is exported but no other package calls it",
+	}
+	if got := lintMethods(root); !slices.Equal(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// Every exported method of the repository's internal packages is
+// called across a package boundary or required by an interface.
+func TestRepositoryMethods(t *testing.T) {
+	if got := lintMethods("../.."); len(got) != 0 {
+		t.Fatalf("unused internal methods: %q", got)
 	}
 }

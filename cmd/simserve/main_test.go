@@ -119,7 +119,10 @@ func TestServeScrapesEndToEnd(t *testing.T) {
 
 	// Poll /runs until the scenario completes, scraping the other
 	// endpoints along the way.
-	var infos []metricsrv.RunInfo
+	var infos []struct {
+		State, Error string
+		Progress     struct{ Epoch, Ops uint64 }
+	}
 	for {
 		code, body := get("/runs")
 		if code != http.StatusOK {

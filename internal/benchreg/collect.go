@@ -115,7 +115,7 @@ func Collect(cfg harness.Config, fidelity string, repeats int, scens []harness.S
 				})
 		}
 	}
-	if err := r.Validate(); err != nil {
+	if err := r.validate(); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -150,8 +150,8 @@ func (r Result) Failed() bool {
 	return false
 }
 
-// Regressions returns the failing deltas, worst relative move first.
-func (r Result) Regressions() []Delta {
+// regressions returns the failing deltas, worst relative move first.
+func (r Result) regressions() []Delta {
 	var out []Delta
 	for _, d := range r.Deltas {
 		if d.Regressed {
@@ -170,10 +170,10 @@ func (r Result) Regressions() []Delta {
 // only when the value moves beyond it in the worse direction for its
 // unit.
 func Compare(baseline, current *Report, pol Policy) (Result, error) {
-	if err := baseline.Validate(); err != nil {
+	if err := baseline.validate(); err != nil {
 		return Result{}, fmt.Errorf("baseline: %w", err)
 	}
-	if err := current.Validate(); err != nil {
+	if err := current.validate(); err != nil {
 		return Result{}, fmt.Errorf("current: %w", err)
 	}
 	// Reports measured under different configs differ everywhere for
@@ -281,7 +281,7 @@ func (r Result) Render(all bool) string {
 		fmt.Fprintf(&b, "  %-8s %-40s %12.3f -> %12.3f %-6s %8s (tol ±%.3f)\n",
 			tag, d.Name, d.Base, d.Cur, d.Unit, rel, d.Tolerance)
 	}
-	for _, d := range r.Regressions() {
+	for _, d := range r.regressions() {
 		row("FAIL", d)
 	}
 	for _, d := range r.Deltas {
@@ -303,7 +303,7 @@ func (r Result) Render(all bool) string {
 	}
 	if r.Failed() {
 		fmt.Fprintf(&b, "perf gate: FAIL (%d regressions, %d missing)\n",
-			len(r.Regressions()), len(r.Missing))
+			len(r.regressions()), len(r.Missing))
 	} else {
 		fmt.Fprintf(&b, "perf gate: ok\n")
 	}

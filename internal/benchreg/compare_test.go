@@ -110,7 +110,7 @@ func TestCompareThresholdBoundary(t *testing.T) {
 	if !res.Failed() {
 		t.Fatal("move beyond tolerance passed")
 	}
-	regs := res.Regressions()
+	regs := res.regressions()
 	if len(regs) != 1 || regs[0].Name != "m" {
 		t.Fatalf("regressions = %+v", regs)
 	}
@@ -217,7 +217,7 @@ func TestComparePerMetricOverrides(t *testing.T) {
 		Metric{Name: "fig8a/Measured/n2", Unit: "sim_us", Value: 100.2},  // +0.2%, over exact 0.1%
 	)
 	res := mustCompare(t, base, cur, pol)
-	regs := res.Regressions()
+	regs := res.regressions()
 	if len(regs) != 1 || regs[0].Name != "fig8a/Measured/n2" {
 		t.Fatalf("exact override did not beat prefix override: %+v", regs)
 	}

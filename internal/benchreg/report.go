@@ -88,10 +88,10 @@ var knownUnits = map[string]bool{
 	"B/ep": true,
 }
 
-// Validate checks the report is schema-compatible and internally
+// validate checks the report is schema-compatible and internally
 // consistent: correct schema string, at least one metric, no duplicate
 // names, known units, finite values.
-func (r *Report) Validate() error {
+func (r *Report) validate() error {
 	if r.Schema != schema {
 		return fmt.Errorf("benchreg: schema %q, want %q", r.Schema, schema)
 	}
@@ -120,8 +120,8 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// Metric returns the named metric, if present.
-func (r *Report) Metric(name string) (Metric, bool) {
+// metric returns the named metric, if present.
+func (r *Report) metric(name string) (Metric, bool) {
 	for _, m := range r.Metrics {
 		if m.Name == name {
 			return m, true
@@ -141,7 +141,7 @@ func (r *Report) Filename() string {
 
 // WriteFile validates and writes the report as indented JSON.
 func (r *Report) WriteFile(path string) error {
-	if err := r.Validate(); err != nil {
+	if err := r.validate(); err != nil {
 		return err
 	}
 	data, err := json.MarshalIndent(r, "", "  ")
@@ -161,7 +161,7 @@ func ReadFile(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("benchreg: %s: %w", path, err)
 	}
-	if err := r.Validate(); err != nil {
+	if err := r.validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &r, nil

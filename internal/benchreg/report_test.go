@@ -11,7 +11,7 @@ import (
 
 func TestValidate(t *testing.T) {
 	ok := mkReport("aaa", Metric{Name: "m", Unit: "sim_us", Value: 1})
-	if err := ok.Validate(); err != nil {
+	if err := ok.validate(); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	cases := []struct {
@@ -30,7 +30,7 @@ func TestValidate(t *testing.T) {
 	for _, c := range cases {
 		r := mkReport("aaa", Metric{Name: "m", Unit: "sim_us", Value: 1})
 		c.mut(r)
-		if err := r.Validate(); err == nil {
+		if err := r.validate(); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -124,17 +124,17 @@ func TestCollect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	if err := rep.Validate(); err != nil {
+	if err := rep.validate(); err != nil {
 		t.Fatalf("collected report invalid: %v", err)
 	}
 	if rep.Seed != 7 || rep.Config.Repeats != 3 || rep.Config.Fidelity != "quick" {
 		t.Fatalf("config not recorded: %+v", rep.Config)
 	}
-	m, ok := rep.Metric("stub/s/n2")
+	m, ok := rep.metric("stub/s/n2")
 	if !ok || m.Value != 1.5 || m.Unit != "sim_us" || m.Spread != 0 {
 		t.Fatalf("point metric: %+v (ok=%v)", m, ok)
 	}
-	wall, ok := rep.Metric("stub/wall_ns")
+	wall, ok := rep.metric("stub/wall_ns")
 	if !ok || wall.Unit != "ns/op" || wall.Value < 0 {
 		t.Fatalf("wall metric: %+v (ok=%v)", wall, ok)
 	}
@@ -167,16 +167,16 @@ func TestCollectRealScenario(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	m, ok := rep.Metric("packets/Collective/n16")
+	m, ok := rep.metric("packets/Collective/n16")
 	if !ok || m.Unit != "pkts" || m.Value <= 0 {
 		t.Fatalf("packets metric: %+v (ok=%v)", m, ok)
 	}
 	// A simulation-backed scenario reports its per-event simulator cost.
-	perEv, ok := rep.Metric("packets/ns_per_event")
+	perEv, ok := rep.metric("packets/ns_per_event")
 	if !ok || perEv.Unit != "ns/ev" || perEv.Value <= 0 {
 		t.Fatalf("ns_per_event metric: %+v (ok=%v)", perEv, ok)
 	}
-	allocsEv, ok := rep.Metric("packets/allocs_per_event")
+	allocsEv, ok := rep.metric("packets/allocs_per_event")
 	if !ok || allocsEv.Unit != "allocs/ev" || allocsEv.Value < 0 {
 		t.Fatalf("allocs_per_event metric: %+v (ok=%v)", allocsEv, ok)
 	}

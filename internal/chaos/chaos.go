@@ -32,31 +32,11 @@ import (
 	"nicbarrier/internal/sim"
 )
 
-// Backend selects the simulated interconnect under test.
-type Backend int
-
-// Backends.
-const (
-	Myrinet Backend = iota
-	Elan
-)
-
-// String implements fmt.Stringer.
-func (b Backend) String() string {
-	switch b {
-	case Myrinet:
-		return "myrinet"
-	case Elan:
-		return "quadrics"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
 // Spec parameterizes one soak run. The zero value is not runnable; use
 // the documented defaults via fields left zero where noted.
 type Spec struct {
-	Backend Backend
+	// Backend is the testbed under test.
+	Backend hwprofile.Testbed
 	// Nodes is the cluster size (default 16).
 	Nodes int
 	// Groups is the number of concurrent tenant groups (default 4);
@@ -104,7 +84,7 @@ func (s Spec) withDefaults() Spec {
 // Report is one soak run's outcome. Violations empty means every
 // invariant held.
 type Report struct {
-	Backend      Backend
+	Backend      hwprofile.Testbed
 	Seed         uint64
 	Nodes        int
 	Groups       int
@@ -169,7 +149,7 @@ func genSchedule(rng *sim.RNG, spec Spec) schedule {
 		dur := 100 + float64(rng.Intn(200)) // < SuspectAfter: survived, not evicted
 		sc.rules = append(sc.rules, fault.Partition(a, b, fault.Between(from, from+dur)))
 	}
-	if spec.BurstLoss && spec.Backend == Myrinet {
+	if spec.BurstLoss && spec.Backend != hwprofile.Elan3 {
 		sc.rules = append(sc.rules, fault.BurstLoss(0.05+0.10*rng.Float64(), 4))
 	}
 	if spec.SlowNIC && len(healthy) > 0 {
@@ -196,7 +176,7 @@ func planTenants(rng *sim.RNG, spec Spec, rec comm.RecoveryConfig) []comm.Tenant
 		}
 		// Quadrics groups run barriers only; on Myrinet alternate in
 		// allreduce tenants to exercise the epoch-aware exactness check.
-		if spec.Backend == Myrinet && rng.Intn(2) == 0 {
+		if spec.Backend != hwprofile.Elan3 && rng.Intn(2) == 0 {
 			gc.Kind = comm.OpAllreduce
 			gc.Reduce = core.ReduceMax
 			gc.Contrib = chaosContrib
@@ -225,22 +205,10 @@ func Soak(spec Spec) (Report, error) {
 	}
 	sort.Ints(rep.CrashTargets)
 
-	eng := sim.NewEngine()
-	var c *comm.Cluster
-	var slotCap int
-	switch spec.Backend {
-	case Myrinet:
-		my := myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), spec.Nodes, nil)
-		my.SetFaults(fault.NewPlan(spec.Seed^0xfa17, sc.rules...))
-		slotCap = my.Prof.NIC.GroupQueueSlots
-		c = comm.OverMyrinet(my)
-	case Elan:
-		el := elan.NewCluster(eng, hwprofile.Elan3Cluster(), spec.Nodes)
-		el.SetFaults(fault.NewPlan(spec.Seed^0xfa17, sc.rules...))
-		slotCap = el.Prof.NIC.ChainSlots
-		c = comm.OverElan(el)
-	default:
-		return Report{}, fmt.Errorf("chaos: unknown backend %v", spec.Backend)
+	c := comm.NewCluster(spec.Backend, spec.Nodes, fault.NewPlan(spec.Seed^0xfa17, sc.rules...), nil)
+	freeAtBuild := make([]int, spec.Nodes)
+	for node := range freeAtBuild {
+		freeAtBuild[node] = c.SlotsFree(node)
 	}
 
 	rec := comm.RecoveryConfig{
@@ -304,13 +272,13 @@ func Soak(spec Spec) (Report, error) {
 			violate("close: %v", err)
 		}
 	}
-	eng.Run()
-	if n := eng.Pending(); n != 0 {
+	c.Eng.Run()
+	if n := c.Eng.Pending(); n != 0 {
 		violate("%d events/timers leaked after closing every group", n)
 	}
 	for node := 0; node < spec.Nodes; node++ {
-		if free := c.SlotsFree(node); free != slotCap {
-			violate("node %d: %d of %d NIC slots free after teardown", node, free, slotCap)
+		if free := c.SlotsFree(node); free != freeAtBuild[node] {
+			violate("node %d: %d of %d NIC slots free after teardown", node, free, freeAtBuild[node])
 		}
 	}
 	return rep, nil

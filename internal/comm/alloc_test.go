@@ -73,7 +73,7 @@ func TestDeferredPostDrivesEveryOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := runs[0].Group
-	if !g.Done() {
+	if !g.done() {
 		t.Fatal("deferred workload incomplete")
 	}
 	done := g.DoneAt()

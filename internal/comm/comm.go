@@ -17,9 +17,10 @@
 // NIC collective protocol, which schemes claim slots or can recover,
 // install, tracer and heartbeat hooks, network counters — goes through
 // the unexported backend interface (backend.go), one adapter per model.
-// No code here branches on which model a Cluster runs, nor, outside the
-// collective table (collectives), on which op kind a group runs: a new
-// collective is one table entry plus its barrier.Plan.
+// No code here branches on which model a Cluster runs (only NewCluster
+// picks it), nor, outside the collective table (collectives), on which
+// op kind a group runs: a new collective is one table entry plus its
+// barrier.Plan.
 //
 // Groups are a full lifecycle, not a one-way allocation: Close drains
 // and uninstalls a group, returning its slots (teardown cost charged on
@@ -62,7 +63,9 @@ import (
 	"nicbarrier/internal/barrier"
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/elan"
+	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
+	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
@@ -188,8 +191,38 @@ func OverElan(cl *elan.Cluster) *Cluster {
 	return c
 }
 
-// Nodes reports the underlying cluster size.
-func (c *Cluster) Nodes() int { return c.be.nodes() }
+// NewCluster builds a communicator layer over a fresh n-node cluster
+// of testbed tb on its own engine, for the facade, the harness and the
+// chaos soak alike (internal/shard and the benchmark build their model
+// clusters themselves). imp (an untyped nil: fault-free; never a
+// nil *fault.Plan) is installed the way each model takes impairments:
+// Myrinet at construction, Elan through its SetFaults, which strips
+// link loss. A non-nil sc becomes the engine's observer and the
+// cluster's tracer.
+func NewCluster(tb hwprofile.Testbed, n int, imp netsim.Impairment, sc *obs.Scope) *Cluster {
+	eng := sim.NewEngine()
+	var c *Cluster
+	switch tb {
+	case hwprofile.LANai91:
+		c = OverMyrinet(myrinet.NewCluster(eng, hwprofile.LANai91Cluster(), n, imp))
+	case hwprofile.LANaiXP:
+		c = OverMyrinet(myrinet.NewCluster(eng, hwprofile.LANaiXPCluster(), n, imp))
+	case hwprofile.Elan3:
+		cl := elan.NewCluster(eng, hwprofile.Elan3Cluster(), n)
+		cl.SetFaults(imp)
+		c = OverElan(cl)
+	default:
+		panic(fmt.Sprintf("comm: unknown testbed %v", tb))
+	}
+	if sc != nil {
+		eng.SetObserver(sc)
+		c.SetTracer(sc)
+	}
+	return c
+}
+
+// nodes reports the underlying cluster size.
+func (c *Cluster) nodes() int { return c.be.nodes() }
 
 // Groups returns every group created so far, in creation order
 // (including closed and still-queued ones).
@@ -532,8 +565,8 @@ func (g *Group) launchSess(iters int) {
 	}
 }
 
-// Done reports whether every launched operation completed.
-func (g *Group) Done() bool {
+// done reports whether every launched operation completed.
+func (g *Group) done() bool {
 	return g.sess != nil && g.pendingIters == 0 && g.sess.Done()
 }
 

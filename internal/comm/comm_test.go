@@ -138,7 +138,7 @@ func TestOverlappingGroupsComplete(t *testing.T) {
 	r := runs[2].Group
 	for k, name := range []string{"a", "b", "r"} {
 		g := runs[k].Group
-		if !g.Done() {
+		if !g.done() {
 			t.Fatalf("group %s incomplete", name)
 		}
 		done := g.DoneAt()
@@ -208,7 +208,7 @@ func TestSlotExhaustionCleanError(t *testing.T) {
 		t.Fatalf("failed creation left %d groups registered, want %d", len(c.Groups()), slots)
 	}
 	for i, r := range runs[:slots] {
-		if r.Group.OpsCompleted() != 3 || !r.Group.Done() {
+		if r.Group.OpsCompleted() != 3 || !r.Group.done() {
 			t.Fatalf("tenant %d completed %d of 3 ops beside the refused install", i, r.Group.OpsCompleted())
 		}
 	}
@@ -234,7 +234,7 @@ func TestElanConcurrentGroups(t *testing.T) {
 	runs := drive(t, c, 10,
 		GroupConfig{Members: []int{0, 1, 2, 3}, Kind: OpBarrier},
 		GroupConfig{Members: []int{2, 3, 4, 5}, Kind: OpBarrier})
-	if !runs[0].Group.Done() || !runs[1].Group.Done() {
+	if !runs[0].Group.done() || !runs[1].Group.done() {
 		t.Fatal("elan groups incomplete")
 	}
 }

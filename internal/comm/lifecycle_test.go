@@ -23,7 +23,7 @@ func xpCommSlots(n, slots int) *Cluster {
 
 func allSlotsFree(t *testing.T, c *Cluster, wantCap int) {
 	t.Helper()
-	for node := 0; node < c.Nodes(); node++ {
+	for node := 0; node < c.nodes(); node++ {
 		if free := c.SlotsFree(node); free != wantCap {
 			t.Fatalf("node %d: %d slots free after teardown, want %d", node, free, wantCap)
 		}
@@ -166,7 +166,7 @@ func TestQueuePolicyOversubscription(t *testing.T) {
 		t.Helper()
 		if !c.Eng.RunCondition(func() bool {
 			for _, g := range ws {
-				if !g.Done() {
+				if !g.done() {
 					return false
 				}
 			}
@@ -242,7 +242,7 @@ func TestWithdrawnHeadUnblocksQueue(t *testing.T) {
 	})
 	run := drive(t, c, 3, barrierConfig(2, 3))[0]
 	tail := run.Group
-	if !tail.Done() || tail.OpsCompleted() != 3 {
+	if !tail.done() || tail.OpsCompleted() != 3 {
 		t.Fatal("tail's replayed launch never completed")
 	}
 	a.Close()
@@ -296,7 +296,7 @@ func TestQueuedLaunchGuards(t *testing.T) {
 	mustPanic("double launch on queued group", func() { q.launch(3) })
 	first.Close()
 	c.Eng.Run()
-	if !q.Done() {
+	if !q.done() {
 		t.Fatal("queued group's launch did not replay at install")
 	}
 }

@@ -2,11 +2,34 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
+
+// published is the latest publication of tr's one scope.
+func published(t *testing.T, tr *obs.Tracer) obs.ScopeSnapshot {
+	t.Helper()
+	snap := tr.LiveSnapshot()
+	if len(snap.Scopes) != 1 {
+		t.Fatalf("%d scopes published, want 1", len(snap.Scopes))
+	}
+	return snap.Scopes[0]
+}
+
+// tenantRows is the tenant-merged view of every scope of snap, in tenant
+// order. A sharded run deals each tenant to one shard, so the scopes'
+// own views concatenate: a tenant listed twice was split across shards.
+func tenantRows(snap obs.Snapshot) []obs.GroupSnapshot {
+	var rows []obs.GroupSnapshot
+	for _, sc := range snap.Scopes {
+		rows = append(rows, sc.MergeTenants()...)
+	}
+	slices.SortStableFunc(rows, func(a, b obs.GroupSnapshot) int { return a.Tenant - b.Tenant })
+	return rows
+}
 
 // The metronome is observational only: arming it must not move a single
 // virtual-time result, and the final published snapshot must carry the
@@ -32,10 +55,7 @@ func TestMetronomeNeutralAndPublishes(t *testing.T) {
 			live.MakespanUS, plain.MakespanUS)
 	}
 
-	ls := sc.Live()
-	if ls == nil {
-		t.Fatal("armed scope never published")
-	}
+	ls := published(t, tr)
 	if ls.Epoch < 2 {
 		t.Fatalf("final epoch %d; expected metronome ticks plus the final publish", ls.Epoch)
 	}
@@ -50,7 +70,7 @@ func TestMetronomeNeutralAndPublishes(t *testing.T) {
 	if ops != want {
 		t.Fatalf("final snapshot: ops=%d, want %d", ops, want)
 	}
-	rows := tr.LiveSnapshot().MergeTenants()
+	rows := tenantRows(tr.LiveSnapshot())
 	if len(rows) != spec.Tenants {
 		t.Fatalf("tenant-merged rows = %d, want %d: %+v", len(rows), spec.Tenants, rows)
 	}
@@ -82,7 +102,7 @@ func TestShardedSnapshotTenantView(t *testing.T) {
 	if len(snap.Scopes) != 3 {
 		t.Fatalf("published scopes = %d, want one per shard", len(snap.Scopes))
 	}
-	rows := snap.MergeTenants()
+	rows := tenantRows(snap)
 	if len(rows) != spec.Tenants {
 		t.Fatalf("tenant-merged rows = %d, want %d", len(rows), spec.Tenants)
 	}
@@ -99,7 +119,7 @@ func TestShardedSnapshotTenantView(t *testing.T) {
 	}
 	// The quiescent Snapshot agrees with the published view on the
 	// merged tenants (epochs aside, which only the live path stamps).
-	quiet := tr.Snapshot().MergeTenants()
+	quiet := tenantRows(tr.Snapshot())
 	if len(quiet) != len(rows) {
 		t.Fatalf("quiescent merge rows = %d, live = %d", len(quiet), len(rows))
 	}
@@ -172,7 +192,7 @@ func TestConcurrentLiveScrape(t *testing.T) {
 	if n := <-scraped; n == 0 {
 		t.Fatal("scraper never ran")
 	}
-	ls := sc.Live()
+	ls := published(t, tr)
 	var done uint64
 	for _, g := range ls.Groups {
 		done += g.Ops

@@ -179,13 +179,13 @@ func (g *Group) Err() error {
 	return g.rec.err
 }
 
-// Evict removes the given ranks from the group's membership via the
+// evict removes the given ranks from the group's membership via the
 // make-before-break Reconfigure machinery: the survivors get a fresh
 // group (new ID, fresh NIC slots), the group-level operation sequence
 // carries over, and the old slots are released. The group must be idle
 // (between runs or after an abort). Evicting down to fewer than 2
 // members errors, as the substrates do not model self-collectives.
-func (g *Group) Evict(ranks ...int) error {
+func (g *Group) evict(ranks ...int) error {
 	if len(ranks) == 0 {
 		return nil
 	}
@@ -406,7 +406,7 @@ func (rec *recovery) onDeadline() {
 		return
 	}
 	if len(suspects) > 0 {
-		if err := g.Evict(suspects...); err != nil {
+		if err := g.evict(suspects...); err != nil {
 			// Too few survivors, or no slots for the make-before-break
 			// swap: nothing left to retry on.
 			rec.fail(suspectNodes)

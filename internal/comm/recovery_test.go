@@ -41,7 +41,7 @@ func runRecovering(t *testing.T, c *Cluster, gc GroupConfig, ops int) (TenantRun
 
 func slotsInUse(c *Cluster) int {
 	total := 0
-	for node := 0; node < c.Nodes(); node++ {
+	for node := 0; node < c.nodes(); node++ {
 		free := c.SlotsFree(node)
 		if c.My != nil {
 			total += c.My.Prof.NIC.GroupQueueSlots - free
@@ -403,7 +403,7 @@ func TestExplicitEvict(t *testing.T) {
 	g := barrierGroup(t, c, 0, 1, 2, 3, 4, 5)
 	g.Run(4)
 	g.Reset()
-	if err := g.Evict(2, 4); err != nil {
+	if err := g.evict(2, 4); err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Members) != 4 {
@@ -417,7 +417,7 @@ func TestExplicitEvict(t *testing.T) {
 	if g.OpsCompleted() != 7 {
 		t.Fatalf("OpsCompleted = %d, want 7", g.OpsCompleted())
 	}
-	if err := g.Evict(0, 1, 2); err == nil {
+	if err := g.evict(0, 1, 2); err == nil {
 		t.Fatal("eviction below 2 members accepted")
 	}
 	g.Reset()

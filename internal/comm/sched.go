@@ -99,7 +99,7 @@ type sched struct {
 }
 
 func newSched(c *Cluster, slotCap int) *sched {
-	return &sched{c: c, cfg: AdmissionConfig{}, slotCap: slotCap, used: make([]int, c.Nodes()), seen: make([]uint64, c.Nodes())}
+	return &sched{c: c, cfg: AdmissionConfig{}, slotCap: slotCap, used: make([]int, c.nodes()), seen: make([]uint64, c.nodes())}
 }
 
 // SetAdmission configures the admission controller. Changing the policy
@@ -111,9 +111,6 @@ func (c *Cluster) SetAdmission(cfg AdmissionConfig) {
 	}
 	c.sched.cfg = cfg
 }
-
-// Admission returns the current admission configuration.
-func (c *Cluster) Admission() AdmissionConfig { return c.sched.cfg }
 
 // AdmissionStats snapshots the controller's counters. The WaitsUS slice
 // is shared; callers must not mutate it.
@@ -278,7 +275,7 @@ func (s *sched) drain() {
 func (s *sched) place(size int, spread bool) ([]int, error) {
 	type cand struct{ node, free int }
 	var cands []cand
-	for node := 0; node < s.c.Nodes(); node++ {
+	for node := 0; node < s.c.nodes(); node++ {
 		if free := s.c.SlotsFree(node); free > 0 {
 			cands = append(cands, cand{node, free})
 		}

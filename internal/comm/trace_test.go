@@ -164,7 +164,7 @@ func TestChurnOpSpans(t *testing.T) {
 	if ops != uint64(res.TotalOps) {
 		t.Fatalf("barrier decomposition ops = %d, want TotalOps %d", ops, res.TotalOps)
 	}
-	rows := obs.Snapshot{Scopes: []obs.ScopeSnapshot{sc.Snapshot()}}.MergeTenants()
+	rows := sc.Snapshot().MergeTenants()
 	if len(rows) != spec.Tenants {
 		t.Fatalf("tenant-merged rows = %d, want %d", len(rows), spec.Tenants)
 	}

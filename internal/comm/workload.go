@@ -549,7 +549,7 @@ func planChurn(nodes int, spec ChurnSpec) []Tenant {
 // AdmitQueue with departing tenants the run completes by construction.
 // On a traced cluster every completed op emits a span (see RunTenants).
 func RunChurn(c *Cluster, spec ChurnSpec) (ChurnResult, error) {
-	nodes := c.Nodes()
+	nodes := c.nodes()
 	if err := spec.validate(nodes); err != nil {
 		return ChurnResult{}, err
 	}

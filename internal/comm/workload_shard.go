@@ -41,11 +41,11 @@ func RunWorkloadSharded(cs []*Cluster, spec WorkloadSpec) (WorkloadResult, error
 	if len(cs) == 0 {
 		return WorkloadResult{}, fmt.Errorf("comm: sharded workload with no clusters")
 	}
-	nodes := cs[0].Nodes()
+	nodes := cs[0].nodes()
 	for s, c := range cs {
-		if c.Nodes() != nodes {
+		if c.nodes() != nodes {
 			return WorkloadResult{}, fmt.Errorf("comm: shard %d has %d nodes, shard 0 has %d (replicas must match)",
-				s, c.Nodes(), nodes)
+				s, c.nodes(), nodes)
 		}
 	}
 	if err := spec.validate(nodes); err != nil {

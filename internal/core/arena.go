@@ -114,11 +114,3 @@ func (a *Arena) Op(rank int) *OpState {
 	}
 	return &a.ops[rank]
 }
-
-// Reduce returns rank's allreduce state machine, nil on a barrier arena.
-func (a *Arena) Reduce(rank int) *ReduceState {
-	if a.reds == nil {
-		return nil
-	}
-	return &a.reds[rank]
-}

@@ -53,9 +53,6 @@ func NewGroup(id GroupID, nodes []int) *Group {
 	return g
 }
 
-// Size reports the number of ranks.
-func (g *Group) Size() int { return len(g.Nodes) }
-
 // NodeOf maps a rank to its network address.
 func (g *Group) NodeOf(rank int) int {
 	if rank < 0 || rank >= len(g.Nodes) {

@@ -4,8 +4,8 @@ import "testing"
 
 func TestGroupMapping(t *testing.T) {
 	g := NewGroup(1, []int{5, 2, 9, 0})
-	if g.Size() != 4 {
-		t.Fatalf("size = %d", g.Size())
+	if len(g.Nodes) != 4 {
+		t.Fatalf("size = %d", len(g.Nodes))
 	}
 	if g.NodeOf(2) != 9 || g.NodeOf(0) != 5 {
 		t.Fatal("NodeOf wrong")

@@ -120,9 +120,6 @@ func (o *OpState) Seq() int { return int(o.seq) }
 // Active reports whether an operation is in flight.
 func (o *OpState) Active() bool { return o.active }
 
-// Step reports the current step index of the active operation.
-func (o *OpState) Step() int { return int(o.step) }
-
 // Duplicates counts arrivals that were already recorded (retransmits
 // that raced the original); they are ignored but visible for tests.
 func (o *OpState) Duplicates() int { return int(o.dups) }

@@ -444,7 +444,7 @@ func runOpScript(data []byte) error {
 		if err != nil {
 			return nil
 		}
-		got, want = red.Inner(), refRed.Inner()
+		got, want = &red.st, refRed.Inner()
 	}
 	waits := ref.ExpectedArrivals()
 	for step := 0; len(s.data) > 0 && step < 300; step++ {
@@ -519,9 +519,9 @@ func runOpScript(data []byte) error {
 
 // compareOpState checks every observable of the two state machines.
 func compareOpState(got *OpState, want *refOpState, red *ReduceState, refRed *refReduceState, sched refSchedule) error {
-	if got.Seq() != want.Seq() || got.Active() != want.Active() || got.Step() != want.Step() {
+	if got.Seq() != want.Seq() || got.Active() != want.Active() || int(got.step) != want.Step() {
 		return fmt.Errorf("seq/active/step %d %v %d; reference %d %v %d",
-			got.Seq(), got.Active(), got.Step(), want.Seq(), want.Active(), want.Step())
+			got.Seq(), got.Active(), got.step, want.Seq(), want.Active(), want.Step())
 	}
 	if got.Duplicates() != want.Duplicates || got.Stale() != want.Stale {
 		return fmt.Errorf("duplicates/stale %d %d; reference %d %d",

@@ -122,12 +122,6 @@ type sentVal struct {
 	val int64
 }
 
-// Op reports the combining operator.
-func (r *ReduceState) Op() ReduceOp { return r.op }
-
-// Inner exposes the wrapped OpState (sequence numbers, NACK bookkeeping).
-func (r *ReduceState) Inner() *OpState { return &r.st }
-
 // fold combines the local contribution with the (arrived) values of all
 // steps before uptoStep, in schedule order, honoring ResultWait replace
 // semantics.

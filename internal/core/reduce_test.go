@@ -16,7 +16,7 @@ func newReduceState(op ReduceOp, sched barrier.Schedule) (*ReduceState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.Reduce(0), nil
+	return &a.reds[0], nil
 }
 
 func TestReduceOpBasics(t *testing.T) {
@@ -104,7 +104,7 @@ func driveReduce(t *testing.T, op ReduceOp, alg barrier.Algorithm, values []int6
 			// NACK recovery: resend the recorded snapshot (never the
 			// current partial, which could double-count).
 			for r := 0; r < n; r++ {
-				for _, from := range states[r].Inner().Missing() {
+				for _, from := range states[r].st.Missing() {
 					if v, ok := states[from].SentValue(0, r); ok {
 						inflight = append(inflight, msg{from, r, v})
 					}

@@ -1,6 +1,7 @@
 package elan
 
 import (
+	"reflect"
 	"testing"
 
 	"nicbarrier/internal/barrier"
@@ -98,7 +99,9 @@ func TestStaleRDMAReturnsPayload(t *testing.T) {
 	if got := cl.Stats().StaleRDMAs; got != 1 {
 		t.Fatalf("StaleRDMAs %d, want 1 (the held RDMA)", got)
 	}
-	if free, sent := cl.pool.payloads.Len(), len(imp.payloads); free != sent {
+	// The free list exports no length; only this test needs it.
+	free := reflect.ValueOf(&cl.pool.payloads).Elem().FieldByName("free").Len()
+	if sent := len(imp.payloads); free != sent {
 		t.Fatalf("%d of %d RDMA payloads returned to the pool", free, sent)
 	}
 }

@@ -84,19 +84,19 @@ type Host struct {
 	// groups routes group-addressed events (chain completions, gsync
 	// remote events) to the session driving that group, so concurrent
 	// communicators can share one node.
-	groups core.Bindings[EventHandler]
+	groups core.Bindings[eventHandler]
 }
 
-// EventHandler consumes the host events of one bound group. Session
+// eventHandler consumes the host events of one bound group. Session
 // members implement it, so binding a member stores the member itself
 // rather than a method value built per bind.
-type EventHandler interface {
+type eventHandler interface {
 	HandleEvent(Event)
 }
 
-// Bind routes this node's events for one group ID to eh; duplicate
+// bind routes this node's events for one group ID to eh; duplicate
 // bindings panic (two drivers for one group is a programming error).
-func (h *Host) Bind(groupID int, eh EventHandler) {
+func (h *Host) bind(groupID int, eh eventHandler) {
 	if eh == nil {
 		panic("elan: nil group event handler")
 	}
@@ -105,10 +105,10 @@ func (h *Host) Bind(groupID int, eh EventHandler) {
 	}
 }
 
-// Unbind releases a group's event routing (the host half of teardown).
+// unbind releases a group's event routing (the host half of teardown).
 // Unbinding a group that was never bound panics. Late events for the
 // group fall through to OnEvent afterwards, like any unbound group's.
-func (h *Host) Unbind(groupID int) {
+func (h *Host) unbind(groupID int) {
 	if !h.groups.Unbind(core.GroupID(groupID)) {
 		panic(fmt.Sprintf("elan: node %d: unbinding group %d that is not bound", h.node.ID, groupID))
 	}
@@ -262,12 +262,12 @@ func (n *NIC) ChainSlotsFree() int {
 	return n.node.Prof.NIC.ChainSlots - n.chains.Len()
 }
 
-// DisarmChain retires a group's chained-descriptor list, freeing its
+// disarmChain retires a group's chained-descriptor list, freeing its
 // Elan SRAM slot, and charges the disarm cost on the card (descriptor
 // invalidation serializes with the event unit). The chain must be idle:
 // disarming mid-operation panics, as armed descriptors still wait on
 // remote events. Disarming an unknown chain panics — a double free.
-func (n *NIC) DisarmChain(id core.GroupID) {
+func (n *NIC) disarmChain(id core.GroupID) {
 	op, ok := n.chains.Get(id)
 	if !ok {
 		panic(fmt.Sprintf("elan: node %d: disarming unknown chain %d", n.node.ID, id))
@@ -284,18 +284,18 @@ func (n *NIC) DisarmChain(id core.GroupID) {
 	n.Exec(0, n.node.Prof.NIC.GroupUninstallCost, sim.Nop{})
 }
 
-// ChargeChainInstall charges the cost of arming a descriptor list on the
+// chargeChainInstall charges the cost of arming a descriptor list on the
 // simulated timeline; see the Myrinet NIC's ChargeGroupInstall for the
 // setup-phase-vs-lifecycle distinction.
-func (n *NIC) ChargeChainInstall(id core.GroupID) {
+func (n *NIC) chargeChainInstall(id core.GroupID) {
 	n.traceEvent(int(id), obs.KindInstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupInstallCost)
 	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})
 }
 
-// TriggerChain is the host-side barrier entry: post the doorbell that
+// triggerChain is the host-side barrier entry: post the doorbell that
 // fires the first RDMA descriptor of the armed chain.
-func (h *Host) TriggerChain(groupID int) {
+func (h *Host) triggerChain(groupID int) {
 	r := h.node.NIC.get(hTrigger)
 	r.msg.group = core.GroupID(groupID)
 	h.Exec(h.node.Prof.Host.SendPostCycles, 0, r)
@@ -309,12 +309,12 @@ func (n *NIC) mustChain(id core.GroupID) *chainOp {
 	return op
 }
 
-// AbortChain cancels a group's in-flight chained operation: the
+// abortChain cancels a group's in-flight chained operation: the
 // schedule state is quiesced (so DisarmChain's idle check passes) and
 // the chain frozen — late doorbells and arrivals for it count stale.
 // The SRAM slot stays occupied until DisarmChain, exactly as in the
 // orderly path. Aborting an unknown chain panics.
-func (n *NIC) AbortChain(id core.GroupID) {
+func (n *NIC) abortChain(id core.GroupID) {
 	op, ok := n.chains.Get(id)
 	if !ok {
 		panic(fmt.Sprintf("elan: node %d: aborting unknown chain %d", n.node.ID, id))
@@ -471,11 +471,11 @@ func (n *NIC) completeChain(op *chainOp, seq int) {
 	n.Exec(0, p.HostEventWrite, h)
 }
 
-// SendRemoteEvent issues one host-initiated zero-byte RDMA that fires a
+// sendRemoteEvent issues one host-initiated zero-byte RDMA that fires a
 // host-visible event on the destination — the building block of the
 // host-driven gsync tree barrier. It charges Elanlib's heavier gsync
 // post cost.
-func (h *Host) SendRemoteEvent(dstNode int, groupID, seq int) {
+func (h *Host) sendRemoteEvent(dstNode int, groupID, seq int) {
 	if dstNode == h.node.ID {
 		panic("elan: self RDMA not modeled")
 	}
@@ -541,9 +541,9 @@ func (cl *Cluster) SetFaults(imp netsim.Impairment) {
 	cl.Net.SetImpairment(netsim.DelayOnly{Inner: imp})
 }
 
-// Levels reports the fat-tree depth, which the hardware barrier's cost
+// levels reports the fat-tree depth, which the hardware barrier's cost
 // scales with.
-func (cl *Cluster) Levels() int { return cl.Net.Topology().Levels() }
+func (cl *Cluster) levels() int { return cl.Net.Topology().Levels() }
 
 // Stats sums NIC statistics over all nodes.
 func (cl *Cluster) Stats() Stats {

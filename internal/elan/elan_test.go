@@ -31,7 +31,7 @@ func TestRemoteEventDelivery(t *testing.T) {
 	cl := NewCluster(eng, hwprofile.Elan3Cluster(), 4)
 	var got []Event
 	cl.Nodes[2].Host.OnEvent = func(ev Event) { got = append(got, ev) }
-	cl.Nodes[0].Host.SendRemoteEvent(2, 7, 3)
+	cl.Nodes[0].Host.sendRemoteEvent(2, 7, 3)
 	eng.Run()
 	if len(got) != 1 {
 		t.Fatalf("events: %+v", got)
@@ -144,7 +144,7 @@ func TestHWBarrierSkewRetries(t *testing.T) {
 	if lat := s.RunSkewed(skew); lat <= 0 {
 		t.Fatalf("skewed HW barrier completed %v after the last entry", lat)
 	}
-	if cl.hw.Retries() == 0 {
+	if cl.hw.retries == 0 {
 		t.Fatal("no retries recorded despite heavy skew")
 	}
 }
@@ -155,8 +155,8 @@ func TestHWBarrierNoSpuriousRetries(t *testing.T) {
 	cl := NewCluster(eng, hwprofile.Elan3Cluster(), 8)
 	s := NewSession(cl, identity(8), SchemeHW, barrier.Dissemination, barrier.Options{})
 	s.Run(50)
-	if cl.hw.Retries() != 0 {
-		t.Fatalf("%d spurious retries in a synchronized loop", cl.hw.Retries())
+	if cl.hw.retries != 0 {
+		t.Fatalf("%d spurious retries in a synchronized loop", cl.hw.retries)
 	}
 }
 

@@ -51,9 +51,9 @@ func (hw *hwBarrier) configure(members []int) {
 	hw.held = true
 }
 
-// PostHWBarrier enters the hardware barrier from one host. Completion is
+// postHWBarrier enters the hardware barrier from one host. Completion is
 // delivered as an EvHWBarrier host event on every participant.
-func (h *Host) PostHWBarrier() {
+func (h *Host) postHWBarrier() {
 	h.Exec(h.node.Prof.Host.SendPostCycles, 0, h.node.NIC.get(hHWPost))
 }
 
@@ -81,7 +81,7 @@ func (hw *hwBarrier) fire() {
 	prof := hw.cl.Prof.NIC
 	skew := eng.Now().Sub(hw.firstAt)
 	delay := prof.HWBarrierBase +
-		sim.Duration(hw.cl.Levels())*prof.HWBarrierPerLevel
+		sim.Duration(hw.cl.levels())*prof.HWBarrierPerLevel
 	for s := skew; s > hwSyncLimit; s -= hwSyncLimit {
 		// Each failed probe costs one more transaction.
 		delay += prof.HWBarrierBase
@@ -109,9 +109,6 @@ func (hw *hwBarrier) Fire() {
 	// The root does not hear its own multicast; complete it directly.
 	hw.cl.Nodes[root].NIC.completeHW(m)
 }
-
-// Retries reports how many failed probes (sync fallback penalty) occurred.
-func (hw *hwBarrier) Retries() uint64 { return hw.retries }
 
 // completeHW charges the card's event write of a completed round and
 // hands the completion to the host.

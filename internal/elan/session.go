@@ -146,7 +146,7 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 		if scheme == SchemeChained {
 			core.ReserveTables(len(nodeIDs), func(r int) *core.Table[*chainOp] { return &node(r).NIC.chains })
 		}
-		core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[EventHandler] { return &node(r).Host.groups })
+		core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[eventHandler] { return &node(r).Host.groups })
 	}
 	for rank, id := range group.Nodes {
 		m := &s.members[rank]
@@ -165,7 +165,7 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 				return nil, err
 			}
 		}
-		m.node.Host.Bind(int(gid), m)
+		m.node.Host.bind(int(gid), m)
 	}
 	return s, nil
 }
@@ -212,9 +212,9 @@ func (h hooks) Start(rank, seq, _ int) {
 	m := &h.s.members[rank]
 	switch h.s.scheme {
 	case SchemeChained:
-		m.node.Host.TriggerChain(int(h.s.gid))
+		m.node.Host.triggerChain(int(h.s.gid))
 	case SchemeHW:
-		m.node.Host.PostHWBarrier()
+		m.node.Host.postHWBarrier()
 	case SchemeGsync:
 		sends, done, err := m.state.Start(seq)
 		if err != nil {
@@ -234,7 +234,7 @@ func (h hooks) Abort(rank int) {
 	m := &h.s.members[rank]
 	switch h.s.scheme {
 	case SchemeChained:
-		m.node.NIC.AbortChain(h.s.gid)
+		m.node.NIC.abortChain(h.s.gid)
 	case SchemeGsync:
 		m.state.Abort()
 	}
@@ -252,10 +252,10 @@ func (h hooks) Uninstall() {
 		m := &h.s.members[i]
 		switch h.s.scheme {
 		case SchemeChained:
-			m.node.NIC.DisarmChain(h.s.gid)
-			m.node.Host.Unbind(int(h.s.gid))
+			m.node.NIC.disarmChain(h.s.gid)
+			m.node.Host.unbind(int(h.s.gid))
 		case SchemeGsync:
-			m.node.Host.Unbind(int(h.s.gid))
+			m.node.Host.unbind(int(h.s.gid))
 		case SchemeHW:
 			m.node.Host.OnEvent = nil
 		}
@@ -274,13 +274,13 @@ func (h hooks) ChargeInstall() {
 		return
 	}
 	for i := range h.s.members {
-		h.s.members[i].node.NIC.ChargeChainInstall(h.s.gid)
+		h.s.members[i].node.NIC.chargeChainInstall(h.s.gid)
 	}
 }
 
 func (m *member) gsyncSend(seq int, ranks []int) {
 	for _, r := range ranks {
-		m.node.Host.SendRemoteEvent(m.group.NodeOf(r), int(m.s.gid), seq)
+		m.node.Host.sendRemoteEvent(m.group.NodeOf(r), int(m.s.gid), seq)
 	}
 }
 

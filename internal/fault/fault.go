@@ -86,8 +86,8 @@ func node(id int) Match {
 // from scopes a match to packets sent by the given hosts.
 func from(ids ...int) Match { return Match{Src: Nodes(ids...)} }
 
-// Matches reports whether the packet falls in scope.
-func (m Match) Matches(pkt netsim.Packet) bool {
+// matches reports whether the packet falls in scope.
+func (m Match) matches(pkt netsim.Packet) bool {
 	if m.Kinds != nil && !m.Kinds[pkt.Kind] {
 		return false
 	}
@@ -125,8 +125,8 @@ func Between(fromUS, toUS float64) Window {
 	return w
 }
 
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t sim.Time) bool {
+// contains reports whether t falls inside the window.
+func (w Window) contains(t sim.Time) bool {
 	if t < w.From {
 		return false
 	}
@@ -242,7 +242,7 @@ func (p *Plan) apply(stage Stage, pkt netsim.Packet, t sim.Time) netsim.Outcome 
 	var out netsim.Outcome
 	for i := range p.rules {
 		r := &p.rules[i]
-		if r.Where != stage || !r.Window.Contains(t) || !r.Match.Matches(pkt) {
+		if r.Where != stage || !r.Window.contains(t) || !r.Match.matches(pkt) {
 			continue
 		}
 		o := r.Effect.Apply(pkt, t, p.rng)

@@ -41,7 +41,7 @@ func TestMatchScoping(t *testing.T) {
 		{"group and src", Match{Groups: Groups(2), Src: Nodes(0)}, gpkt(4, 1, 2), false},
 	}
 	for _, c := range cases {
-		if got := c.m.Matches(c.pkt); got != c.want {
+		if got := c.m.matches(c.pkt); got != c.want {
 			t.Errorf("%s: Matches = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -52,19 +52,19 @@ func TestWindowActivation(t *testing.T) {
 	for at, want := range map[sim.Time]bool{
 		0: false, 999: false, 1000: true, 1999: true, 2000: false, 5000: false,
 	} {
-		if got := w.Contains(at); got != want {
+		if got := w.contains(at); got != want {
 			t.Errorf("Contains(%v) = %v, want %v", at, got, want)
 		}
 	}
 	// Zero window is always active; open-ended window never deactivates.
-	if !(Window{}).Contains(12345) {
+	if !(Window{}).contains(12345) {
 		t.Error("zero window inactive")
 	}
 	open := Between(1, 0)
-	if !open.Contains(sim.Time(sim.Micros(1e9))) {
+	if !open.contains(sim.Time(sim.Micros(1e9))) {
 		t.Error("open-ended window deactivated")
 	}
-	if open.Contains(0) {
+	if open.contains(0) {
 		t.Error("open-ended window active before From")
 	}
 }

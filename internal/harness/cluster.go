@@ -2,20 +2,18 @@ package harness
 
 import (
 	"nicbarrier/internal/comm"
-	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/myrinet"
+	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
 	"nicbarrier/internal/sim"
 )
 
 // Every data point of every scenario builds its simulated cluster
-// through the constructors below, so every scenario honours cfg.Trace
-// the same way: one scope per cluster, installed as the engine's
-// observer (which drives the metronome of live-served runs) and as the
-// cluster's tracer, and handed to the comm layer when the point runs
-// groups, so per-op spans and tenant metrics appear too.
+// through commCluster, so every scenario honours cfg.Trace the same
+// way: one scope per cluster, installed as the engine's observer (which
+// drives the metronome of live-served runs) and as the cluster's
+// tracer, so per-op spans and tenant metrics appear too.
 
 // point is one data point's engine and its trace scope (nil when the
 // config is untraced).
@@ -24,50 +22,24 @@ type point struct {
 	sc  *obs.Scope
 }
 
-func (c Config) newPoint(label string) point {
-	p := point{eng: sim.NewEngine()}
-	if c.Trace != nil {
-		p.sc = c.Trace.NewScope(label)
-		p.eng.SetObserver(p.sc)
-	}
-	return p
-}
-
 // commCluster builds one data point's communicator layer over a fresh
-// n-node cluster, Myrinet with profile myri or Quadrics/Elan3 when myri
-// is nil, with plan (nil: fault-free) installed.
-func (c Config) commCluster(myri *hwprofile.MyrinetProfile, n int, label string, plan *fault.Plan) (*comm.Cluster, point) {
-	var cc *comm.Cluster
+// n-node cluster of testbed tb with plan (nil: fault-free) installed.
+func (c Config) commCluster(tb hwprofile.Testbed, n int, label string, plan *fault.Plan) (*comm.Cluster, point) {
 	var p point
-	if myri == nil {
-		p = c.newPoint("elan " + label)
-		cl := elan.NewCluster(p.eng, hwprofile.Elan3Cluster(), n)
-		if plan != nil {
-			cl.SetFaults(plan)
+	if c.Trace != nil {
+		prefix := "myrinet "
+		if tb == hwprofile.Elan3 {
+			prefix = "elan "
 		}
-		cc = comm.OverElan(cl)
-	} else {
-		p = c.newPoint("myrinet " + label)
-		cl := myrinet.NewCluster(p.eng, *myri, n, nil)
-		if plan != nil {
-			cl.SetFaults(plan)
-		}
-		cc = comm.OverMyrinet(cl)
+		p.sc = c.Trace.NewScope(prefix + label)
 	}
-	if p.sc != nil {
-		cc.SetTracer(p.sc)
+	var imp netsim.Impairment
+	if plan != nil {
+		imp = plan
 	}
+	cc := comm.NewCluster(tb, n, imp, p.sc)
+	p.eng = cc.Eng
 	return cc, p
-}
-
-// xpUnless is the cluster of a point that runs LANai-XP on Myrinet:
-// its profile, or nil (Quadrics/Elan3) when quadrics.
-func xpUnless(quadrics bool) *hwprofile.MyrinetProfile {
-	if quadrics {
-		return nil
-	}
-	prof := hwprofile.LANaiXPCluster()
-	return &prof
 }
 
 // drained publishes the point's final live snapshot once its run has

@@ -23,15 +23,15 @@ type faulted struct {
 
 // measureBarrier runs one data point of the paper's measurement loop
 // (Section 8): a barrier group of gc's scheme and algorithm over n ranks
-// of a fresh size-node cluster (Myrinet with profile myri, Quadrics/Elan3
-// when myri is nil), placed by permutedIDs and driven by comm.Group.Run.
+// of a fresh size-node cluster of testbed tb, placed by permutedIDs and
+// driven by comm.Group.Run.
 // It returns the mean latency after warmup, in microseconds. A faulted
 // point (f non-nil) names its rule set in its scope label, draws its
 // rank layout from a permutation stream of its own, and runs under a
 // plan built from its rules, when there are any.
-func measureBarrier(cfg Config, myri *hwprofile.MyrinetProfile, size, n int, gc comm.GroupConfig, f *faulted) float64 {
+func measureBarrier(cfg Config, tb hwprofile.Testbed, size, n int, gc comm.GroupConfig, f *faulted) float64 {
 	scheme, perm, faultedPerm := fmt.Stringer(gc.ElanScheme), 0x9000|uint64(gc.ElanScheme)<<8, uint64(0xf900)
-	if myri != nil {
+	if tb != hwprofile.Elan3 {
 		scheme, perm, faultedPerm = gc.MyrinetScheme, uint64(gc.MyrinetScheme)<<8, 0xf000
 	}
 	label, perm := fmt.Sprintf("%dn/%d %v %v", size, n, scheme, gc.Algorithm), perm|uint64(gc.Algorithm)
@@ -42,7 +42,7 @@ func measureBarrier(cfg Config, myri *hwprofile.MyrinetProfile, size, n int, gc 
 			plan = fault.NewPlan(faultSeed(cfg, f.salt), f.rules...)
 		}
 	}
-	cc, p := cfg.commCluster(myri, size, label, plan)
+	cc, p := cfg.commCluster(tb, size, label, plan)
 	defer p.drained()
 	gc.Kind, gc.Members = comm.OpBarrier, permutedIDs(cfg, size, n, perm)
 	g, err := cc.NewGroup(gc)
@@ -78,11 +78,11 @@ func powersOfTwo(from, to int) []int {
 
 // nicVsHost is the figure of Figs. 5 and 6: NIC-based and host-based
 // barriers, both algorithms, on every group size of a Myrinet cluster.
-func nicVsHost(cfg Config, id, title, note string, prof hwprofile.MyrinetProfile, size int) Figure {
+func nicVsHost(cfg Config, id, title, note string, tb hwprofile.Testbed, size int) Figure {
 	ns := rangeInts(2, size)
 	mk := func(scheme myrinet.Scheme, alg barrier.Algorithm) measure {
 		return func(n int) float64 {
-			return measureBarrier(cfg, &prof, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: alg}, nil)
+			return measureBarrier(cfg, tb, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: alg}, nil)
 		}
 	}
 	return Figure{
@@ -104,14 +104,14 @@ func nicVsHost(cfg Config, id, title, note string, prof hwprofile.MyrinetProfile
 // algorithms, on the 16-node 700 MHz cluster with LANai 9.1 cards.
 func fig5(cfg Config) Figure {
 	return nicVsHost(cfg, "fig5", "NIC-based vs host-based barrier, Myrinet LANai 9.1, 16-node 700MHz cluster",
-		"paper: 25.72us NIC-based at 16 nodes, 3.38x over host-based", hwprofile.LANai91Cluster(), 16)
+		"paper: 25.72us NIC-based at 16 nodes, 3.38x over host-based", hwprofile.LANai91, 16)
 }
 
 // fig6 reproduces Fig. 6: the same comparison on the 8-node 2.4 GHz Xeon
 // cluster with LANai-XP cards.
 func fig6(cfg Config) Figure {
 	return nicVsHost(cfg, "fig6", "NIC-based vs host-based barrier, Myrinet LANai-XP, 8-node 2.4GHz cluster",
-		"paper: 14.20us NIC-based at 8 nodes, 2.64x over host-based", hwprofile.LANaiXPCluster(), 8)
+		"paper: 14.20us NIC-based at 8 nodes, 2.64x over host-based", hwprofile.LANaiXP, 8)
 }
 
 // fig7 reproduces Fig. 7: barrier implementations over Quadrics/Elan3 on
@@ -121,7 +121,7 @@ func fig7(cfg Config) Figure {
 	ns := rangeInts(2, size)
 	mk := func(scheme elan.Scheme, alg barrier.Algorithm) measure {
 		return func(n int) float64 {
-			return measureBarrier(cfg, nil, size, n, comm.GroupConfig{ElanScheme: scheme, Algorithm: alg}, nil)
+			return measureBarrier(cfg, hwprofile.Elan3, size, n, comm.GroupConfig{ElanScheme: scheme, Algorithm: alg}, nil)
 		}
 	}
 	return Figure{
@@ -151,18 +151,18 @@ type ScalabilityFit struct {
 }
 
 // FitScalability measures the NIC-based dissemination barrier (Myrinet's
-// collective protocol on profile myri, Quadrics' chained RDMA when myri
-// is nil) on n-node clusters, n = 2, 4, ..., maxNodes, and fits the
+// collective protocol, Quadrics' chained RDMA) on n-node clusters of
+// testbed tb, n = 2, 4, ..., maxNodes, and fits the
 // Section 8.3 model to the measurements. It is the one fit behind
 // fig8a, fig8b, the summary's model rows and the facade's
 // FitScalabilityModel.
-func FitScalability(cfg Config, myri *hwprofile.MyrinetProfile, maxNodes int) (ScalabilityFit, error) {
+func FitScalability(cfg Config, tb hwprofile.Testbed, maxNodes int) (ScalabilityFit, error) {
 	nic := chainedDS
-	if myri != nil {
+	if tb != hwprofile.Elan3 {
 		nic = nicDS
 	}
 	fit := ScalabilityFit{Measured: sweep(cfg, "Measured", powersOfTwo(2, maxNodes), func(n int) float64 {
-		return measureBarrier(cfg, myri, n, n, nic, nil)
+		return measureBarrier(cfg, tb, n, n, nic, nil)
 	})}
 	var err error
 	fit.Model, err = model.Fit(fit.points(2))
@@ -179,16 +179,16 @@ func (f ScalabilityFit) points(from int) (xs []int, ys []float64) {
 	return xs, ys
 }
 
-// MaxRelativeError reports the fit's worst relative error against the
+// maxRelativeError reports the fit's worst relative error against the
 // measured sizes n >= from.
-func (f ScalabilityFit) MaxRelativeError(from int) float64 {
+func (f ScalabilityFit) maxRelativeError(from int) float64 {
 	return f.Model.MaxRelativeError(f.points(from))
 }
 
 // mustFitScalability is FitScalability for the scenarios, whose sweeps
 // always hold enough sizes to fit.
-func mustFitScalability(cfg Config, myri *hwprofile.MyrinetProfile) ScalabilityFit {
-	fit, err := FitScalability(cfg, myri, 1024)
+func mustFitScalability(cfg Config, tb hwprofile.Testbed) ScalabilityFit {
+	fit, err := FitScalability(cfg, tb, 1024)
 	if err != nil {
 		panic(fmt.Sprintf("harness: model fit failed: %v", err))
 	}
@@ -197,8 +197,8 @@ func mustFitScalability(cfg Config, myri *hwprofile.MyrinetProfile) ScalabilityF
 
 // fig8 builds one panel of Fig. 8: measured dissemination NIC barrier
 // latency vs the analytical model, 2..1024 nodes.
-func fig8(cfg Config, id, title string, paper model.Model, myri *hwprofile.MyrinetProfile) Figure {
-	fit := mustFitScalability(cfg, myri)
+func fig8(cfg Config, id, title string, paper model.Model, tb hwprofile.Testbed) Figure {
+	fit := mustFitScalability(cfg, tb)
 	modelSeries := Series{Name: "Model"}
 	paperSeries := Series{Name: "Paper-Model"}
 	for _, p := range fit.Measured.Points {
@@ -217,33 +217,30 @@ func fig8(cfg Config, id, title string, paper model.Model, myri *hwprofile.Myrin
 			// Fit quality over the extrapolation range: like the paper's
 			// model, the straight line misses at n=2 by construction (their
 			// model predicts 1.25us there against ~2us measured).
-			fmt.Sprintf("fit max relative error vs measured (n>=8): %.1f%%", fit.MaxRelativeError(8)*100),
+			fmt.Sprintf("fit max relative error vs measured (n>=8): %.1f%%", fit.maxRelativeError(8)*100),
 		},
 	}
 }
 
 // fig8a reproduces Fig. 8(a): Quadrics barrier scalability model.
 func fig8a(cfg Config) Figure {
-	return fig8(cfg, "fig8a", "Barrier scalability over 700MHz Quadrics-Elan3 cluster", model.PaperQuadrics(), nil)
+	return fig8(cfg, "fig8a", "Barrier scalability over 700MHz Quadrics-Elan3 cluster", model.PaperQuadrics(), hwprofile.Elan3)
 }
 
 // fig8b reproduces Fig. 8(b): Myrinet barrier scalability model.
 func fig8b(cfg Config) Figure {
-	xp := hwprofile.LANaiXPCluster()
-	return fig8(cfg, "fig8b", "Barrier scalability over 2.4GHz Myrinet LANai-XP cluster", model.PaperMyrinetXP(), &xp)
+	return fig8(cfg, "fig8b", "Barrier scalability over 2.4GHz Myrinet LANai-XP cluster", model.PaperMyrinetXP(), hwprofile.LANaiXP)
 }
 
 // ablation reproduces the paper's Section 8.1 argument against the
 // direct scheme: collective-protocol vs direct vs host-based barriers on
 // both Myrinet clusters.
 func ablation(cfg Config) Figure {
-	xp := hwprofile.LANaiXPCluster()
-	l9 := hwprofile.LANai91Cluster()
 	nsXP := rangeInts(2, 8)
 	ns91 := rangeInts(2, 16)
-	mk := func(prof *hwprofile.MyrinetProfile, size int, scheme myrinet.Scheme) measure {
+	mk := func(tb hwprofile.Testbed, size int, scheme myrinet.Scheme) measure {
 		return func(n int) float64 {
-			return measureBarrier(cfg, prof, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: barrier.Dissemination}, nil)
+			return measureBarrier(cfg, tb, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: barrier.Dissemination}, nil)
 		}
 	}
 	return Figure{
@@ -252,12 +249,12 @@ func ablation(cfg Config) Figure {
 		XLabel: "Number of Nodes",
 		YLabel: "Latency",
 		Series: []Series{
-			sweep(cfg, "XP-Collective", nsXP, mk(&xp, 8, myrinet.SchemeCollective)),
-			sweep(cfg, "XP-Direct", nsXP, mk(&xp, 8, myrinet.SchemeDirect)),
-			sweep(cfg, "XP-Host", nsXP, mk(&xp, 8, myrinet.SchemeHost)),
-			sweep(cfg, "9.1-Collective", ns91, mk(&l9, 16, myrinet.SchemeCollective)),
-			sweep(cfg, "9.1-Direct", ns91, mk(&l9, 16, myrinet.SchemeDirect)),
-			sweep(cfg, "9.1-Host", ns91, mk(&l9, 16, myrinet.SchemeHost)),
+			sweep(cfg, "XP-Collective", nsXP, mk(hwprofile.LANaiXP, 8, myrinet.SchemeCollective)),
+			sweep(cfg, "XP-Direct", nsXP, mk(hwprofile.LANaiXP, 8, myrinet.SchemeDirect)),
+			sweep(cfg, "XP-Host", nsXP, mk(hwprofile.LANaiXP, 8, myrinet.SchemeHost)),
+			sweep(cfg, "9.1-Collective", ns91, mk(hwprofile.LANai91, 16, myrinet.SchemeCollective)),
+			sweep(cfg, "9.1-Direct", ns91, mk(hwprofile.LANai91, 16, myrinet.SchemeDirect)),
+			sweep(cfg, "9.1-Host", ns91, mk(hwprofile.LANai91, 16, myrinet.SchemeHost)),
 		},
 		Notes: []string{
 			"paper (on older LANai 7.2/GM-1.2.3 hardware): direct scheme improved 1.86x over host;",
@@ -270,11 +267,10 @@ func ablation(cfg Config) Figure {
 // barrier for the collective protocol (no ACKs) vs the direct scheme
 // (data + ACK per message).
 func packets(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	count := func(scheme myrinet.Scheme) measure {
 		return func(n int) float64 {
-			cc, p := cfg.commCluster(&prof, size, fmt.Sprintf("packets %dn/%d %v", size, n, scheme), nil)
+			cc, p := cfg.commCluster(hwprofile.LANaiXP, size, fmt.Sprintf("packets %dn/%d %v", size, n, scheme), nil)
 			defer p.drained()
 			gc := comm.GroupConfig{MyrinetScheme: scheme, Algorithm: barrier.Dissemination}
 			gc.Members = permutedIDs(cfg, size, n, 0x7000|uint64(scheme))
@@ -319,7 +315,7 @@ func skew(cfg Config) Figure {
 	spansUS := []int{0, 10, 20, 40, 80, 160, 320}
 	run := func(scheme elan.Scheme) measure {
 		return func(spanUS int) float64 {
-			cc, p := cfg.commCluster(nil, size, fmt.Sprintf("skew %dn span%dus %v", size, spanUS, scheme), nil)
+			cc, p := cfg.commCluster(hwprofile.Elan3, size, fmt.Sprintf("skew %dn span%dus %v", size, spanUS, scheme), nil)
 			defer p.drained()
 			ids := permutedIDs(cfg, size, size, 0x5e00|uint64(scheme))
 			s := elan.NewSession(cc.El, ids, scheme, barrier.Dissemination, barrier.Options{})

@@ -44,7 +44,6 @@ func faultSeed(cfg Config, salt uint64) uint64 {
 // timeout), while Quadrics' hardware reliability makes its curve exactly
 // flat under a loss-only plan.
 func faultLossSweep(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	rates := []int{0, 1, 2, 5, 10, 20}
 	rulesFor := func(pct int) []fault.Rule {
@@ -55,12 +54,12 @@ func faultLossSweep(cfg Config) Figure {
 	}
 	myri := func(alg barrier.Algorithm) measure {
 		return func(pct int) float64 {
-			return measureBarrier(cfg, &prof, size, size, comm.GroupConfig{MyrinetScheme: myrinet.SchemeCollective, Algorithm: alg},
+			return measureBarrier(cfg, hwprofile.LANaiXP, size, size, comm.GroupConfig{MyrinetScheme: myrinet.SchemeCollective, Algorithm: alg},
 				&faulted{rulesFor(pct), uint64(pct)})
 		}
 	}
 	quad := func(pct int) float64 {
-		return measureBarrier(cfg, nil, size, size, chainedDS, &faulted{rulesFor(pct), uint64(pct)})
+		return measureBarrier(cfg, hwprofile.Elan3, size, size, chainedDS, &faulted{rulesFor(pct), uint64(pct)})
 	}
 	return Figure{
 		ID:     "faults",
@@ -85,7 +84,6 @@ func faultLossSweep(cfg Config) Figure {
 // fewer barriers, so each recovery round re-requests more messages at
 // once.
 func faultBurstSweep(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	const lossRate = 0.05
 	bursts := []int{1, 2, 4, 8, 16}
@@ -99,10 +97,10 @@ func faultBurstSweep(cfg Config) Figure {
 		YLabel: "Latency",
 		Series: []Series{
 			sweep(cfg, "Myrinet-DS", bursts, func(b int) float64 {
-				return measureBarrier(cfg, &prof, size, size, nicDS, &faulted{rulesFor(b), uint64(b)})
+				return measureBarrier(cfg, hwprofile.LANaiXP, size, size, nicDS, &faulted{rulesFor(b), uint64(b)})
 			}),
 			sweep(cfg, "Quadrics-DS", bursts, func(b int) float64 {
-				return measureBarrier(cfg, nil, size, size, chainedDS, &faulted{rulesFor(b), uint64(b)})
+				return measureBarrier(cfg, hwprofile.Elan3, size, size, chainedDS, &faulted{rulesFor(b), uint64(b)})
 			}),
 		},
 		Notes: []string{
@@ -117,7 +115,6 @@ func faultBurstSweep(cfg Config) Figure {
 // reliability does not protect Quadrics from a slow network, only from a
 // lossy one).
 func faultJitterSweep(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
 	const size = 16
 	jitters := []int{0, 2, 5, 10, 20}
 	rulesFor := func(us int) []fault.Rule {
@@ -133,10 +130,10 @@ func faultJitterSweep(cfg Config) Figure {
 		YLabel: "Latency",
 		Series: []Series{
 			sweep(cfg, "Myrinet-DS", jitters, func(us int) float64 {
-				return measureBarrier(cfg, &prof, size, size, nicDS, &faulted{rulesFor(us), uint64(us)})
+				return measureBarrier(cfg, hwprofile.LANaiXP, size, size, nicDS, &faulted{rulesFor(us), uint64(us)})
 			}),
 			sweep(cfg, "Quadrics-DS", jitters, func(us int) float64 {
-				return measureBarrier(cfg, nil, size, size, chainedDS, &faulted{rulesFor(us), uint64(us)})
+				return measureBarrier(cfg, hwprofile.Elan3, size, size, chainedDS, &faulted{rulesFor(us), uint64(us)})
 			}),
 		},
 		Notes: []string{
@@ -154,13 +151,12 @@ func faultJitterSweep(cfg Config) Figure {
 // The Chaos series is a multi-tenant workload, one tenant per 4 nodes,
 // under burst loss, a healing partition and a slow NIC at once.
 func faultImpairments(cfg Config) Figure {
-	prof := hwprofile.LANaiXPCluster()
 	ns := []int{8, 16, 32}
 	barrierUnder := func(salt uint64, permute bool, rules ...fault.Rule) measure {
 		c := cfg
 		c.Permute = permute
 		return func(n int) float64 {
-			return measureBarrier(c, &prof, n, n, nicDS, &faulted{rules, 0x1a<<16 | salt<<8 | uint64(n)})
+			return measureBarrier(c, hwprofile.LANaiXP, n, n, nicDS, &faulted{rules, 0x1a<<16 | salt<<8 | uint64(n)})
 		}
 	}
 	everyNth := fault.DropEveryNth(50)
@@ -170,7 +166,7 @@ func faultImpairments(cfg Config) Figure {
 			fault.BurstLoss(0.03, 3),
 			fault.Partition(3, 7, fault.Between(100, 400)),
 			fault.SlowNIC(5, sim.Micros(0.5)))
-		return runWorkload(cfg, false, n, comm.WorkloadSpec{
+		return runWorkload(cfg, hwprofile.LANaiXP, n, comm.WorkloadSpec{
 			Tenants: n / 4,
 			Mix:     comm.OpMix{Barrier: 1},
 			Seed:    cfg.Seed ^ 0xc4a05<<16 ^ uint64(n),
@@ -187,7 +183,7 @@ func faultImpairments(cfg Config) Figure {
 			sweep(cfg, "Partition-heal", ns, barrierUnder(2, false, fault.Partition(3, 7, fault.Between(100, 250)))),
 			sweep(cfg, "Crash-recover", ns, barrierUnder(3, false, fault.Crash(5, fault.Between(100, 400)))),
 			sweep(cfg, "Slow-NIC", ns, barrierUnder(4, true, fault.SlowNIC(0, sim.Micros(5)))),
-			sweep(cfg, "Throttled-25MBps", ns, barrierUnder(5, true, fault.Bandwidth(25, prof.Net.BandwidthMBps))),
+			sweep(cfg, "Throttled-25MBps", ns, barrierUnder(5, true, fault.Bandwidth(25, hwprofile.LANaiXP.LineRateMBps()))),
 			seriesOf("Chaos-p99-worst", "", ns, measureAll(cfg, ns, chaos), workloadP99Worst),
 		},
 		Notes: []string{

@@ -59,9 +59,8 @@ func TestFaultJitterSweepReachesBothInterconnects(t *testing.T) {
 func TestFaultedMeasurementsAreDeterministic(t *testing.T) {
 	cfg := faultCfg()
 	rules := []fault.Rule{fault.BurstLoss(0.05, 4)}
-	xp := hwprofile.LANaiXPCluster()
 	measure := func(salt uint64) float64 {
-		return measureBarrier(cfg, &xp, 8, 8, nicDS, &faulted{rules, salt})
+		return measureBarrier(cfg, hwprofile.LANaiXP, 8, 8, nicDS, &faulted{rules, salt})
 	}
 	a := measure(1)
 	b := measure(1)

@@ -213,10 +213,10 @@ func (f Figure) displayUnit(s Series) string {
 	return u
 }
 
-// Table renders the figure as an aligned text table, one row per cluster
+// table renders the figure as an aligned text table, one row per cluster
 // size, one column per series. The header names the unit when every
 // series shares one; otherwise a unit row under the series names does.
-func (f Figure) Table() string {
+func (f Figure) table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", f.ID, f.Title)
 	unit, mixed := f.displayUnit(Series{}), false
@@ -262,8 +262,8 @@ func (f Figure) Table() string {
 	return b.String()
 }
 
-// TSV renders the figure as tab-separated values for plotting tools.
-func (f Figure) TSV() string {
+// tsv renders the figure as tab-separated values for plotting tools.
+func (f Figure) tsv() string {
 	var b strings.Builder
 	b.WriteString("N")
 	for _, s := range f.Series {

@@ -92,7 +92,7 @@ func TestFigureTableAndTSV(t *testing.T) {
 		},
 		Notes: []string{"hello"},
 	}
-	table := f.Table()
+	table := f.table()
 	for _, want := range []string{"figX", "a", "b", "1.50", "2.50", "3.00", "hello", "-"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
@@ -104,12 +104,12 @@ func TestFigureTableAndTSV(t *testing.T) {
 	// A series with its own unit turns the header's unit into a unit row.
 	mixed := f
 	mixed.Series = []Series{f.Series[0], {Name: "c", Unit: "kops/s", Points: []Point{{2, 9}}}}
-	mt := strings.Split(mixed.Table(), "\n")
+	mt := strings.Split(mixed.table(), "\n")
 	if mt[1] != "lat vs N" || strings.Fields(mt[3])[0] != "unit" ||
 		!slices.Equal(strings.Fields(mt[3])[1:], []string{"us", "kops/s"}) {
-		t.Errorf("mixed-unit table header:\n%s", mixed.Table())
+		t.Errorf("mixed-unit table header:\n%s", mixed.table())
 	}
-	tsv := f.TSV()
+	tsv := f.tsv()
 	lines := strings.Split(strings.TrimSpace(tsv), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("tsv lines: %v", lines)
@@ -137,7 +137,7 @@ func TestFigureTableDisjointSeries(t *testing.T) {
 			{Name: "only-eights", Points: []Point{{8, 3}}},
 		},
 	}
-	lines := strings.Split(strings.TrimSpace(f.Table()), "\n")
+	lines := strings.Split(strings.TrimSpace(f.table()), "\n")
 	// title line + axis line + column line + 3 data rows
 	if len(lines) != 6 {
 		t.Fatalf("table lines: %v", lines)
@@ -152,7 +152,7 @@ func TestFigureTableDisjointSeries(t *testing.T) {
 	if row := strings.Fields(lines[5]); row[1] != "-" || row[2] != "3.00" {
 		t.Fatalf("row 8 = %v", row)
 	}
-	tsvLines := strings.Split(strings.TrimSpace(f.TSV()), "\n")
+	tsvLines := strings.Split(strings.TrimSpace(f.tsv()), "\n")
 	if tsvLines[3] != "8\t\t3.000" {
 		t.Fatalf("tsv row 8 = %q", tsvLines[3])
 	}
@@ -161,11 +161,11 @@ func TestFigureTableDisjointSeries(t *testing.T) {
 // An empty figure still renders its header without panicking.
 func TestFigureTableEmpty(t *testing.T) {
 	f := Figure{ID: "figZ", Title: "empty", XLabel: "N", YLabel: "lat", Notes: []string{"n"}}
-	out := f.Table()
+	out := f.table()
 	if !strings.Contains(out, "figZ") || !strings.Contains(out, "note: n") {
 		t.Fatalf("empty table rendering:\n%s", out)
 	}
-	if got := f.TSV(); got != "N\n" {
+	if got := f.tsv(); got != "N\n" {
 		t.Fatalf("empty tsv %q", got)
 	}
 }
@@ -250,7 +250,7 @@ func TestSummaryWithinBands(t *testing.T) {
 		if strings.HasPrefix(r.Metric, "Model:") {
 			band = 0.20
 		}
-		if d := r.Delta(); d < -band || d > band {
+		if d := r.delta(); d < -band || d > band {
 			t.Errorf("%s: measured %.2f vs paper %.2f (%+.1f%%) outside %.0f%% band",
 				r.Metric, r.Measured, r.Paper, d*100, band*100)
 		}
@@ -262,7 +262,7 @@ func TestSummaryWithinBands(t *testing.T) {
 // not in the latency figures' microseconds.
 func TestPacketHalving(t *testing.T) {
 	fig := packets(tinyCfg())
-	if header := strings.Split(fig.Table(), "\n")[1]; header != "Packets/barrier vs Number of Nodes (pkts)" {
+	if header := strings.Split(fig.table(), "\n")[1]; header != "Packets/barrier vs Number of Nodes (pkts)" {
 		t.Errorf("packets header = %q", header)
 	}
 	coll, direct := fig.Series[0], fig.Series[1]

@@ -50,18 +50,18 @@ func churnSpecFor(cfg Config, tenants int) comm.ChurnSpec {
 }
 
 // measureChurnPoint runs one churn data point on the named backend.
-func measureChurnPoint(cfg Config, quadrics bool, tenants int) comm.ChurnResult {
-	return runChurn(cfg, quadrics, churnClusterNodes, churnSpecFor(cfg, tenants))
+func measureChurnPoint(cfg Config, tb hwprofile.Testbed, tenants int) comm.ChurnResult {
+	return runChurn(cfg, tb, churnClusterNodes, churnSpecFor(cfg, tenants))
 }
 
 // runChurn runs one churn data point on a fresh nodes-node cluster of
 // the named backend.
-func runChurn(cfg Config, quadrics bool, nodes int, spec comm.ChurnSpec) comm.ChurnResult {
-	c, p := cfg.commCluster(xpUnless(quadrics), nodes, fmt.Sprintf("churn %dn T=%d %v", nodes, spec.Tenants, spec.Policy), nil)
+func runChurn(cfg Config, tb hwprofile.Testbed, nodes int, spec comm.ChurnSpec) comm.ChurnResult {
+	c, p := cfg.commCluster(tb, nodes, fmt.Sprintf("churn %dn T=%d %v", nodes, spec.Tenants, spec.Policy), nil)
 	defer p.drained()
 	res, err := comm.RunChurn(c, spec)
 	if err != nil {
-		panic(fmt.Sprintf("harness: churn point (quadrics=%v, %d nodes, T=%d): %v", quadrics, nodes, spec.Tenants, err))
+		panic(fmt.Sprintf("harness: churn point (%v, %d nodes, T=%d): %v", tb, nodes, spec.Tenants, err))
 	}
 	return res
 }
@@ -76,11 +76,11 @@ func churnWaitP95(r comm.ChurnResult) float64 { return r.QueueWaitP95US }
 // aggregate throughput and the p95 wait of queued installs.
 func groupChurn(cfg Config) Figure {
 	tenants := []int{8, 16, 32}
-	measure := func(quadrics bool) []comm.ChurnResult {
-		return measureAll(cfg, tenants, func(t int) comm.ChurnResult { return measureChurnPoint(cfg, quadrics, t) })
+	measure := func(tb hwprofile.Testbed) []comm.ChurnResult {
+		return measureAll(cfg, tenants, func(t int) comm.ChurnResult { return measureChurnPoint(cfg, tb, t) })
 	}
-	myri := measure(false)
-	quad := measure(true)
+	myri := measure(hwprofile.LANaiXP)
+	quad := measure(hwprofile.Elan3)
 	return Figure{
 		ID:     "group-churn",
 		Title:  fmt.Sprintf("Tenant churn over %d nodes, queueing admission, install/uninstall costs charged", churnClusterNodes),
@@ -105,8 +105,8 @@ func groupChurn(cfg Config) Figure {
 // swap cost is the gap from the last pre-swap completion to the first
 // post-swap completion (uninstall + install charges + the first barrier
 // on cold NICs), reported next to the steady per-barrier latency.
-func measureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS float64) {
-	c, p := cfg.commCluster(xpUnless(quadrics), 2*n, fmt.Sprintf("reconfigure %dn/%d", 2*n, n), nil)
+func measureReconfigure(cfg Config, tb hwprofile.Testbed, n int) (swapUS, steadyUS float64) {
+	c, p := cfg.commCluster(tb, 2*n, fmt.Sprintf("reconfigure %dn/%d", 2*n, n), nil)
 	defer p.drained()
 	c.SetAdmission(comm.AdmissionConfig{ChargeSetupCosts: true})
 	perm := permutedIDs(cfg, 2*n, 2*n, 0x9ec0|uint64(n))
@@ -142,14 +142,14 @@ func measureReconfigure(cfg Config, quadrics bool, n int) (swapUS, steadyUS floa
 func reconfigureCost(cfg Config) Figure {
 	sizes := []int{4, 8, 16}
 	type cost struct{ swap, steady float64 }
-	measure := func(quadrics bool) []cost {
+	measure := func(tb hwprofile.Testbed) []cost {
 		return measureAll(cfg, sizes, func(n int) cost {
-			sw, steady := measureReconfigure(cfg, quadrics, n)
+			sw, steady := measureReconfigure(cfg, tb, n)
 			return cost{sw, steady}
 		})
 	}
-	myri := measure(false)
-	quad := measure(true)
+	myri := measure(hwprofile.LANaiXP)
+	quad := measure(hwprofile.Elan3)
 	swapUS := func(c cost) float64 { return c.swap }
 	steadyUS := func(c cost) float64 { return c.steady }
 	return Figure{
@@ -191,8 +191,7 @@ func measureVictimTenant(cfg Config, dropNth int) (victim, bystander victimStats
 		rule.Match.Kinds = fault.Kinds("barrier-coll")
 		plan = fault.NewPlan(faultSeed(cfg, 0x71c<<8|uint64(dropNth)), rule)
 	}
-	xp := hwprofile.LANaiXPCluster()
-	c, p := cfg.commCluster(&xp, 8, fmt.Sprintf("victim 8n drop-every-%d", dropNth), plan)
+	c, p := cfg.commCluster(hwprofile.LANaiXP, 8, fmt.Sprintf("victim 8n drop-every-%d", dropNth), plan)
 	defer p.drained()
 	// All three arrive at 0 and install in this order, so the victim is
 	// group 1, the fault's target.
@@ -290,7 +289,7 @@ func churnPolicies(cfg Config) Figure {
 			s := spec
 			s.Tenants = t
 			s.Seed = cfg.Seed ^ 0xc40c<<16 ^ salt<<8 ^ uint64(t)
-			return runChurn(cfg, false, nodes, s)
+			return runChurn(cfg, hwprofile.LANaiXP, nodes, s)
 		})
 	}
 	reconfig := shape(16, 1, comm.ChurnSpec{

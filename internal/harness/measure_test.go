@@ -36,16 +36,19 @@ func TestMeasureBarrierMatchesBackendSession(t *testing.T) {
 		want func() float64
 	}
 	var points []point
-	for _, prof := range []hwprofile.MyrinetProfile{hwprofile.LANaiXPCluster(), hwprofile.LANai91Cluster()} {
+	for _, tc := range []struct {
+		tb   hwprofile.Testbed
+		prof hwprofile.MyrinetProfile
+	}{{hwprofile.LANaiXP, hwprofile.LANaiXPCluster()}, {hwprofile.LANai91, hwprofile.LANai91Cluster()}} {
 		for _, scheme := range []myrinet.Scheme{myrinet.SchemeHost, myrinet.SchemeDirect, myrinet.SchemeCollective} {
 			for _, alg := range algs {
 				points = append(points, point{
-					name: fmt.Sprintf("%s %v %v", prof.Name, scheme, alg),
+					name: fmt.Sprintf("%v %v %v", tc.tb, scheme, alg),
 					got: func() float64 {
-						return measureBarrier(cfg, &prof, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: alg}, nil)
+						return measureBarrier(cfg, tc.tb, size, n, comm.GroupConfig{MyrinetScheme: scheme, Algorithm: alg}, nil)
 					},
 					want: func() float64 {
-						cl := myrinet.NewCluster(sim.NewEngine(), prof, size, nil)
+						cl := myrinet.NewCluster(sim.NewEngine(), tc.prof, size, nil)
 						s, err := myrinet.NewGroupSession(cl, myrinet.SessionGroupID, ids, scheme,
 							barrier.NewPlan(alg, len(ids), barrier.Options{}), core.Chained, 0, nil)
 						if err != nil {
@@ -64,7 +67,7 @@ func TestMeasureBarrierMatchesBackendSession(t *testing.T) {
 	} {
 		points = append(points, point{
 			name: fmt.Sprintf("elan3 %v", gc.ElanScheme),
-			got:  func() float64 { return measureBarrier(cfg, nil, size, n, gc, nil) },
+			got:  func() float64 { return measureBarrier(cfg, hwprofile.Elan3, size, n, gc, nil) },
 			want: func() float64 {
 				cl := elan.NewCluster(sim.NewEngine(), hwprofile.Elan3Cluster(), size)
 				s := elan.NewSession(cl, ids, gc.ElanScheme, gc.Algorithm, barrier.Options{})
@@ -75,12 +78,12 @@ func TestMeasureBarrierMatchesBackendSession(t *testing.T) {
 	drop := fault.DropEveryNth(7)
 	drop.Match.Groups = fault.Groups(myrinet.SessionGroupID)
 	drop.Match.Kinds = fault.Kinds("barrier-coll")
-	xp, f := hwprofile.LANaiXPCluster(), &faulted{[]fault.Rule{drop}, 5}
+	f := &faulted{[]fault.Rule{drop}, 5}
 	points = append(points, point{
 		name: "lanai-xp collective DS, every 7th packet of group 1 dropped",
-		got:  func() float64 { return measureBarrier(cfg, &xp, size, n, nicDS, f) },
+		got:  func() float64 { return measureBarrier(cfg, hwprofile.LANaiXP, size, n, nicDS, f) },
 		want: func() float64 {
-			cl := myrinet.NewCluster(sim.NewEngine(), xp, size, nil)
+			cl := myrinet.NewCluster(sim.NewEngine(), hwprofile.LANaiXPCluster(), size, nil)
 			cl.SetFaults(fault.NewPlan(faultSeed(cfg, f.salt), f.rules...))
 			s, err := myrinet.NewGroupSession(cl, myrinet.SessionGroupID, ids, myrinet.SchemeCollective,
 				barrier.NewPlan(barrier.Dissemination, len(ids), barrier.Options{}), core.Chained, 0, nil)
@@ -98,7 +101,7 @@ func TestMeasureBarrierMatchesBackendSession(t *testing.T) {
 	}
 	// The faulted point must really lose packets, or it could not tell
 	// group IDs apart.
-	if clean, lossy := measureBarrier(cfg, &xp, size, n, nicDS, nil), points[len(points)-1].got(); lossy <= clean {
+	if clean, lossy := measureBarrier(cfg, hwprofile.LANaiXP, size, n, nicDS, nil), points[len(points)-1].got(); lossy <= clean {
 		t.Errorf("drop rule left the faulted point clean: %v us vs %v us", lossy, clean)
 	}
 }
@@ -109,10 +112,9 @@ func TestFitScalabilityAgainstPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node sweeps in -short mode")
 	}
-	xp := hwprofile.LANaiXPCluster()
 	for _, tc := range []struct {
 		name      string
-		myri      *hwprofile.MyrinetProfile
+		tb        hwprofile.Testbed
 		paper1024 float64 // the paper's model at 1024 nodes (Section 8.3)
 		maxFitErr float64 // bound on the fit's relative error, n >= 8
 		tol1024   float64 // bound on measured-vs-paper at 1024 nodes
@@ -125,19 +127,19 @@ func TestFitScalabilityAgainstPaper(t *testing.T) {
 		// measures 21.18us, -4.3% off the paper's extrapolation from its
 		// 8-node testbed; 6% holds that and fails a drift of one trigger
 		// step (2.32us) either way: 23.50us is +6.2%, 18.86us -14.8%.
-		{"Elan3", nil, 22.13, 0.065, 0.06},
+		{"Elan3", hwprofile.Elan3, 22.13, 0.065, 0.06},
 		// Fit error 3.85% today, bounded at 5% on the same argument. The
 		// 1024-node barrier measures 42.49us, +9.1% off the paper's
 		// extrapolation; 12% holds that and fails a drift of one trigger
 		// step (3.50us) further from the paper (45.99us, +18.1%). A drift
 		// toward the paper moves the reproduction closer, not away.
-		{"LANai-XP", &xp, 38.94, 0.05, 0.12},
+		{"LANai-XP", hwprofile.LANaiXP, 38.94, 0.05, 0.12},
 	} {
-		fit, err := FitScalability(Quick(), tc.myri, 1024)
+		fit, err := FitScalability(Quick(), tc.tb, 1024)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if e := fit.MaxRelativeError(8); e > tc.maxFitErr {
+		if e := fit.maxRelativeError(8); e > tc.maxFitErr {
 			t.Errorf("%s: fit max relative error %.1f%% > %.1f%%", tc.name, e*100, tc.maxFitErr*100)
 		}
 		got, ok := fit.Measured.value(1024)
@@ -149,6 +151,6 @@ func TestFitScalabilityAgainstPaper(t *testing.T) {
 				tc.name, got, d*100, tc.paper1024, tc.tol1024*100)
 		}
 		t.Logf("%s: fit error %.2f%%, 1024 nodes %.2fus (%+.2f%%)", tc.name,
-			fit.MaxRelativeError(8)*100, got, (got-tc.paper1024)/tc.paper1024*100)
+			fit.maxRelativeError(8)*100, got, (got-tc.paper1024)/tc.paper1024*100)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"nicbarrier/internal/comm"
 	"nicbarrier/internal/elan"
 	"nicbarrier/internal/fault"
+	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
 )
@@ -36,12 +37,12 @@ const recoveryOps = 10
 // n/2 permanently crashed, and reports the virtual-time makespan in
 // microseconds. Node IDs are identity-mapped (no permutation) because
 // the crash rule names a physical node.
-func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64, crash bool, salt uint64) float64 {
+func measureRecoveryMakespan(cfg Config, tb hwprofile.Testbed, n int, deadlineUS float64, crash bool, salt uint64) float64 {
 	var plan *fault.Plan
 	if crash {
 		plan = fault.NewPlan(faultSeed(cfg, salt), fault.Crash(n/2, fault.Window{}))
 	}
-	c, p := cfg.commCluster(xpUnless(onElan), n, fmt.Sprintf("recovery %dn deadline%.0fus crash=%v", n, deadlineUS, crash), plan)
+	c, p := cfg.commCluster(tb, n, fmt.Sprintf("recovery %dn deadline%.0fus crash=%v", n, deadlineUS, crash), plan)
 	defer p.drained()
 	members := make([]int, n)
 	for i := range members {
@@ -74,16 +75,16 @@ func measureRecoveryMakespan(cfg Config, onElan bool, n int, deadlineUS float64,
 func crashRecovery(cfg Config) Figure {
 	ns := []int{8, 16, 32}
 	const deadlineUS = 1000.0
-	point := func(onElan, crash bool) measure {
+	point := func(tb hwprofile.Testbed, crash bool) measure {
 		return func(n int) float64 {
 			salt := 0x4ec0<<16 | uint64(n)<<2
-			if onElan {
+			if tb == hwprofile.Elan3 {
 				salt |= 1
 			}
 			if crash {
 				salt |= 2
 			}
-			return measureRecoveryMakespan(cfg, onElan, n, deadlineUS, crash, salt)
+			return measureRecoveryMakespan(cfg, tb, n, deadlineUS, crash, salt)
 		}
 	}
 	return Figure{
@@ -92,10 +93,10 @@ func crashRecovery(cfg Config) Figure {
 		XLabel: "Cluster size (nodes)",
 		YLabel: "Stream makespan",
 		Series: []Series{
-			sweep(cfg, "Myrinet-clean", ns, point(false, false)),
-			sweep(cfg, "Myrinet-crash", ns, point(false, true)),
-			sweep(cfg, "Quadrics-clean", ns, point(true, false)),
-			sweep(cfg, "Quadrics-crash", ns, point(true, true)),
+			sweep(cfg, "Myrinet-clean", ns, point(hwprofile.LANaiXP, false)),
+			sweep(cfg, "Myrinet-crash", ns, point(hwprofile.LANaiXP, true)),
+			sweep(cfg, "Quadrics-clean", ns, point(hwprofile.Elan3, false)),
+			sweep(cfg, "Quadrics-crash", ns, point(hwprofile.Elan3, true)),
 		},
 		Notes: []string{
 			"a permanent fail-stop crash would hang either backend forever without the deadline;",
@@ -112,13 +113,13 @@ func crashRecovery(cfg Config) Figure {
 func recoveryDeadlineSweep(cfg Config) Figure {
 	const size = 16
 	deadlines := []int{500, 1000, 2000, 4000}
-	point := func(onElan bool) measure {
+	point := func(tb hwprofile.Testbed) measure {
 		return func(us int) float64 {
 			salt := 0x4ec1<<16 | uint64(us)<<1
-			if onElan {
+			if tb == hwprofile.Elan3 {
 				salt |= 1
 			}
-			return measureRecoveryMakespan(cfg, onElan, size, float64(us), true, salt)
+			return measureRecoveryMakespan(cfg, tb, size, float64(us), true, salt)
 		}
 	}
 	return Figure{
@@ -127,8 +128,8 @@ func recoveryDeadlineSweep(cfg Config) Figure {
 		XLabel: "Operation deadline (us)",
 		YLabel: "Stream makespan",
 		Series: []Series{
-			sweep(cfg, "Myrinet", deadlines, point(false)),
-			sweep(cfg, "Quadrics", deadlines, point(true)),
+			sweep(cfg, "Myrinet", deadlines, point(hwprofile.LANaiXP)),
+			sweep(cfg, "Quadrics", deadlines, point(hwprofile.Elan3)),
 		},
 		Notes: []string{
 			"the first operation cannot fail before its deadline expires, so recovery",

@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"nicbarrier/internal/hwprofile"
+)
 
 // The crash curves must sit strictly above the clean curves — the
 // survival bill is real — but stay bounded: one detection is roughly
@@ -51,8 +55,8 @@ func TestRecoveryDeadlineSweepMonotoneOnQuadrics(t *testing.T) {
 
 func TestRecoveryMeasurementsDeterministic(t *testing.T) {
 	cfg := faultCfg()
-	a := measureRecoveryMakespan(cfg, false, 8, 1000, true, 7)
-	b := measureRecoveryMakespan(cfg, false, 8, 1000, true, 7)
+	a := measureRecoveryMakespan(cfg, hwprofile.LANaiXP, 8, 1000, true, 7)
+	b := measureRecoveryMakespan(cfg, hwprofile.LANaiXP, 8, 1000, true, 7)
 	if a != b {
 		t.Fatalf("recovery point not reproducible: %v vs %v", a, b)
 	}

@@ -28,30 +28,30 @@ type Scenario struct {
 	Table func(Config) Table
 }
 
-// Render runs the scenario and formats it as an aligned text table.
-func (s Scenario) Render(cfg Config) string {
+// render runs the scenario and formats it as an aligned text table.
+func (s Scenario) render(cfg Config) string {
 	if s.Figure != nil {
-		return s.Figure(cfg).Table()
+		return s.Figure(cfg).table()
 	}
-	return s.Table(cfg).Render()
+	return s.Table(cfg).render()
 }
 
-// TSV runs the scenario and formats it as tab-separated values.
+// tsv runs the scenario and formats it as tab-separated values.
 // Comparison tables have no TSV form and fall back to Render.
-func (s Scenario) TSV(cfg Config) string {
+func (s Scenario) tsv(cfg Config) string {
 	if s.Figure != nil {
-		return s.Figure(cfg).TSV()
+		return s.Figure(cfg).tsv()
 	}
-	return s.Table(cfg).Render()
+	return s.Table(cfg).render()
 }
 
 // Points runs the scenario and flattens it into named metric values for
 // machine-readable reports.
 func (s Scenario) Points(cfg Config) []NamedValue {
 	if s.Figure != nil {
-		return s.Figure(cfg).ToPoints()
+		return s.Figure(cfg).toPoints()
 	}
-	return s.Table(cfg).ToPoints()
+	return s.Table(cfg).toPoints()
 }
 
 var (
@@ -119,7 +119,7 @@ func Run(id string, cfg Config) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("harness: unknown experiment %q (have %v)", id, Experiments())
 	}
-	return s.Render(cfg), nil
+	return s.render(cfg), nil
 }
 
 // RunTSV executes one experiment by ID, returning its TSV rendering.
@@ -128,7 +128,7 @@ func RunTSV(id string, cfg Config) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("harness: unknown experiment %q (have %v)", id, Experiments())
 	}
-	return s.TSV(cfg), nil
+	return s.tsv(cfg), nil
 }
 
 // NamedValue is one flattened measurement: a stable slash-separated
@@ -152,10 +152,10 @@ func metricName(parts ...string) string {
 	return strings.Join(clean, "/")
 }
 
-// ToPoints flattens the figure into named metric values, one per
+// toPoints flattens the figure into named metric values, one per
 // (series, x) point, named "<figID>/<series>/n<N>". The unit is the
 // figure's Unit, defaulting to simulated microseconds.
-func (f Figure) ToPoints() []NamedValue {
+func (f Figure) toPoints() []NamedValue {
 	unit := f.Unit
 	if unit == "" {
 		unit = "sim_us"
@@ -178,14 +178,14 @@ func (f Figure) ToPoints() []NamedValue {
 	return out
 }
 
-// ToPoints flattens the comparison table into named metric values, one
+// toPoints flattens the comparison table into named metric values, one
 // per measured row. Top-level rows become "<tableID>/<metric>";
 // indented sub-rows (the table's convention for derived quantities)
 // nest under the preceding top-level row, which keeps repeated sub-row
 // labels like "improvement over host-based barrier" unique. Paper
 // reference values are constants, so only the measured column is
 // exported.
-func (t Table) ToPoints() []NamedValue {
+func (t Table) toPoints() []NamedValue {
 	var out []NamedValue
 	context := ""
 	for _, r := range t.Rows {
@@ -210,8 +210,8 @@ func (t Table) ToPoints() []NamedValue {
 	return out
 }
 
-// Point returns the value of one (series, N) data point of the figure.
-func (f Figure) Point(series string, n int) (float64, bool) {
+// value returns the value of one (series, N) data point of the figure.
+func (f Figure) value(series string, n int) (float64, bool) {
 	for _, s := range f.Series {
 		if s.Name == series {
 			return s.value(n)

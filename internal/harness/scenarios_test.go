@@ -70,7 +70,7 @@ func TestRunTSV(t *testing.T) {
 	}
 	// Tables have no TSV form and fall back to the rendered table.
 	s, _ := ScenarioByID("summary")
-	if got := s.TSV(tinyCfg()); !strings.Contains(got, "measured") {
+	if got := s.tsv(tinyCfg()); !strings.Contains(got, "measured") {
 		t.Fatalf("summary TSV fallback missing header:\n%s", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestFigureToPoints(t *testing.T) {
 			{Name: "z", Points: []Point{{2, 3.25}}},
 		},
 	}
-	pts := f.ToPoints()
+	pts := f.toPoints()
 	if len(pts) != 3 {
 		t.Fatalf("points = %+v", pts)
 	}
@@ -96,7 +96,7 @@ func TestFigureToPoints(t *testing.T) {
 	}
 
 	f.Unit = "pkts"
-	if got := f.ToPoints()[0].Unit; got != "pkts" {
+	if got := f.toPoints()[0].Unit; got != "pkts" {
 		t.Fatalf("explicit unit ignored: %q", got)
 	}
 }
@@ -111,7 +111,7 @@ func TestTableToPoints(t *testing.T) {
 			{Metric: "  improvement over host", Unit: "x", Paper: 3.38, Measured: 3.4},
 		},
 	}
-	pts := tb.ToPoints()
+	pts := tb.toPoints()
 	if len(pts) != 4 {
 		t.Fatalf("points = %+v", pts)
 	}
@@ -133,13 +133,13 @@ func TestTableToPoints(t *testing.T) {
 
 func TestFigurePoint(t *testing.T) {
 	f := Figure{Series: []Series{{Name: "a", Points: []Point{{2, 1.5}}}}}
-	if v, ok := f.Point("a", 2); !ok || v != 1.5 {
+	if v, ok := f.value("a", 2); !ok || v != 1.5 {
 		t.Fatalf("Point(a,2) = %v, %v", v, ok)
 	}
-	if _, ok := f.Point("a", 4); ok {
+	if _, ok := f.value("a", 4); ok {
 		t.Fatal("absent N resolved")
 	}
-	if _, ok := f.Point("b", 2); ok {
+	if _, ok := f.value("b", 2); ok {
 		t.Fatal("absent series resolved")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // Row is one paper-vs-measured comparison. Indentation in Metric
 // (leading spaces) means "derived from the row above" — it both groups
 // the rendered table visually and nests the exported metric name under
-// the parent row in Table.ToPoints. Rows that are independent absolute
+// the parent row in Table.toPoints. Rows that are independent absolute
 // measurements must not be indented, or their report metric would claim
 // a false parent.
 type Row struct {
@@ -25,8 +25,8 @@ type Row struct {
 	Measured float64
 }
 
-// Delta reports the relative deviation from the paper's value.
-func (r Row) Delta() float64 {
+// delta reports the relative deviation from the paper's value.
+func (r Row) delta() float64 {
 	if r.Paper == 0 {
 		return math.NaN()
 	}
@@ -41,14 +41,14 @@ type Table struct {
 	Notes []string
 }
 
-// Render produces an aligned text table with deviations.
-func (t Table) Render() string {
+// render produces an aligned text table with deviations.
+func (t Table) render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
 	fmt.Fprintf(&b, "%-52s %8s %9s %7s\n", "metric", "paper", "measured", "delta")
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-52s %6.2f%s %7.2f%s %+6.1f%%\n",
-			r.Metric, r.Paper, r.Unit, r.Measured, r.Unit, r.Delta()*100)
+			r.Metric, r.Paper, r.Unit, r.Measured, r.Unit, r.delta()*100)
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -59,23 +59,21 @@ func (t Table) Render() string {
 // summary regenerates every headline number from the paper's Section 8
 // prose and abstract, next to this reproduction's measurements.
 func summary(cfg Config) Table {
-	xp := hwprofile.LANaiXPCluster()
-	l9 := hwprofile.LANai91Cluster()
 	hostDS := comm.GroupConfig{MyrinetScheme: myrinet.SchemeHost, Algorithm: barrier.Dissemination}
 
-	quadNIC := measureBarrier(cfg, nil, 8, 8, chainedDS, nil)
-	quadGsync := measureBarrier(cfg, nil, 8, 8, comm.GroupConfig{ElanScheme: elan.SchemeGsync, Algorithm: barrier.GatherBroadcast}, nil)
-	quadHW := measureBarrier(cfg, nil, 8, 8, comm.GroupConfig{ElanScheme: elan.SchemeHW, Algorithm: barrier.Dissemination}, nil)
+	quadNIC := measureBarrier(cfg, hwprofile.Elan3, 8, 8, chainedDS, nil)
+	quadGsync := measureBarrier(cfg, hwprofile.Elan3, 8, 8, comm.GroupConfig{ElanScheme: elan.SchemeGsync, Algorithm: barrier.GatherBroadcast}, nil)
+	quadHW := measureBarrier(cfg, hwprofile.Elan3, 8, 8, comm.GroupConfig{ElanScheme: elan.SchemeHW, Algorithm: barrier.Dissemination}, nil)
 
-	xpNIC := measureBarrier(cfg, &xp, 8, 8, nicDS, nil)
-	xpHost := measureBarrier(cfg, &xp, 8, 8, hostDS, nil)
+	xpNIC := measureBarrier(cfg, hwprofile.LANaiXP, 8, 8, nicDS, nil)
+	xpHost := measureBarrier(cfg, hwprofile.LANaiXP, 8, 8, hostDS, nil)
 
-	l9NIC := measureBarrier(cfg, &l9, 16, 16, nicDS, nil)
-	l9Host := measureBarrier(cfg, &l9, 16, 16, hostDS, nil)
+	l9NIC := measureBarrier(cfg, hwprofile.LANai91, 16, 16, nicDS, nil)
+	l9Host := measureBarrier(cfg, hwprofile.LANai91, 16, 16, hostDS, nil)
 
 	// Fit the scalability models from measured sweeps and extrapolate.
-	quadModel := mustFitScalability(cfg, nil).Model
-	myriModel := mustFitScalability(cfg, &xp).Model
+	quadModel := mustFitScalability(cfg, hwprofile.Elan3).Model
+	myriModel := mustFitScalability(cfg, hwprofile.LANaiXP).Model
 
 	return Table{
 		ID:    "summary",

@@ -5,6 +5,7 @@ import (
 
 	"nicbarrier/internal/comm"
 	"nicbarrier/internal/fault"
+	"nicbarrier/internal/hwprofile"
 )
 
 // The multi-tenant experiment family measures the property the paper's
@@ -36,21 +37,21 @@ func tenantOps(cfg Config) int {
 func measureTenants(cfg Config, tenants int, spec comm.WorkloadSpec) comm.WorkloadResult {
 	spec.Tenants = tenants
 	spec.Seed = cfg.Seed ^ 0x7e0a<<16 ^ uint64(tenants)
-	return runWorkload(cfg, false, tenantClusterNodes, spec, nil)
+	return runWorkload(cfg, hwprofile.LANaiXP, tenantClusterNodes, spec, nil)
 }
 
 // runWorkload runs one workload data point on a fresh nodes-node cluster
 // of the named backend under plan (nil: fault-free). A spec without an
 // operation count gets tenantOps(cfg).
-func runWorkload(cfg Config, quadrics bool, nodes int, spec comm.WorkloadSpec, plan *fault.Plan) comm.WorkloadResult {
+func runWorkload(cfg Config, tb hwprofile.Testbed, nodes int, spec comm.WorkloadSpec, plan *fault.Plan) comm.WorkloadResult {
 	if spec.OpsPerTenant == 0 {
 		spec.OpsPerTenant = tenantOps(cfg)
 	}
-	c, p := cfg.commCluster(xpUnless(quadrics), nodes, fmt.Sprintf("workload %dn T=%d", nodes, spec.Tenants), plan)
+	c, p := cfg.commCluster(tb, nodes, fmt.Sprintf("workload %dn T=%d", nodes, spec.Tenants), plan)
 	defer p.drained()
 	res, err := comm.RunWorkload(c, spec)
 	if err != nil {
-		panic(fmt.Sprintf("harness: workload point (quadrics=%v, %d nodes, T=%d): %v", quadrics, nodes, spec.Tenants, err))
+		panic(fmt.Sprintf("harness: workload point (%v, %d nodes, T=%d): %v", tb, nodes, spec.Tenants, err))
 	}
 	return res
 }
@@ -150,23 +151,23 @@ func registerTenantScenarios() {
 // chained-RDMA barrier groups on 32 Quadrics nodes.
 func tenantShapes(cfg Config) Figure {
 	tenants := []int{2, 4, 8}
-	shape := func(quadrics bool, nodes int, salt uint64, spec comm.WorkloadSpec) []comm.WorkloadResult {
+	shape := func(tb hwprofile.Testbed, nodes int, salt uint64, spec comm.WorkloadSpec) []comm.WorkloadResult {
 		return measureAll(cfg, tenants, func(t int) comm.WorkloadResult {
 			s := spec
 			s.Tenants = t
 			s.Seed = cfg.Seed ^ 0x5a9e<<16 ^ salt<<8 ^ uint64(t)
-			return runWorkload(cfg, quadrics, nodes, s, nil)
+			return runWorkload(cfg, tb, nodes, s, nil)
 		})
 	}
-	openLoop := shape(false, 32, 1, comm.WorkloadSpec{
+	openLoop := shape(hwprofile.LANaiXP, 32, 1, comm.WorkloadSpec{
 		Mix:     comm.OpMix{Barrier: 1},
 		Arrival: comm.ArrivalSpec{Kind: comm.OpenLoop, MeanGapUS: 4},
 	})
-	overlap := shape(false, 16, 2, comm.WorkloadSpec{
+	overlap := shape(hwprofile.LANaiXP, 16, 2, comm.WorkloadSpec{
 		Mix:          comm.OpMix{Barrier: 1},
 		GroupSizeMin: 4, GroupSizeMax: 8, Overlap: true,
 	})
-	quad := shape(true, 32, 3, comm.WorkloadSpec{Mix: comm.OpMix{Barrier: 1}})
+	quad := shape(hwprofile.Elan3, 32, 3, comm.WorkloadSpec{Mix: comm.OpMix{Barrier: 1}})
 	return Figure{
 		ID:     "tenant-shapes",
 		Title:  "Open-loop bursts, overlapping groups and Quadrics tenants: throughput, tail latency, fairness",

@@ -17,7 +17,7 @@ func TestMultiTenantScalesAggregate(t *testing.T) {
 	fig := multiTenant(tenantCfg())
 	var prevKops float64
 	for i, n := range tenantCounts {
-		kops, ok := fig.Point("Agg-kops-per-sec", n)
+		kops, ok := fig.value("Agg-kops-per-sec", n)
 		if !ok {
 			t.Fatalf("missing throughput point at %d tenants", n)
 		}
@@ -25,12 +25,12 @@ func TestMultiTenantScalesAggregate(t *testing.T) {
 			t.Fatalf("throughput not increasing at %d tenants: %.1f after %.1f", n, kops, prevKops)
 		}
 		prevKops = kops
-		fair, _ := fig.Point("Fairness-Jain", n)
+		fair, _ := fig.value("Fairness-Jain", n)
 		if fair < 0.9 || fair > 1.0000001 {
 			t.Fatalf("fairness %v at %d tenants", fair, n)
 		}
-		p50, _ := fig.Point("Tenant-p50", n)
-		p99, _ := fig.Point("Tenant-p99-worst", n)
+		p50, _ := fig.value("Tenant-p50", n)
+		p99, _ := fig.value("Tenant-p99-worst", n)
 		if p50 <= 0 || p99 < p50 {
 			t.Fatalf("latency points inconsistent at %d tenants: p50 %v p99 %v", n, p50, p99)
 		}

@@ -18,10 +18,50 @@
 package hwprofile
 
 import (
+	"fmt"
+
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/pci"
 	"nicbarrier/internal/sim"
 )
+
+// Testbed names one of the paper's three testbeds. It is the one
+// vocabulary for that choice: comm.NewCluster builds a cluster of any of
+// them, and the facade's Interconnect shares its numbering.
+type Testbed int
+
+// The paper's testbeds.
+const (
+	// LANai91 is the Fig. 5 cluster (LANai91Cluster).
+	LANai91 Testbed = iota
+	// LANaiXP is the Fig. 6 cluster (LANaiXPCluster).
+	LANaiXP
+	// Elan3 is the Fig. 7 cluster's QsNet network (Elan3Cluster).
+	Elan3
+)
+
+// String implements fmt.Stringer.
+func (tb Testbed) String() string {
+	switch tb {
+	case LANai91:
+		return "myrinet-lanai9.1"
+	case LANaiXP:
+		return "myrinet-lanai-xp"
+	case Elan3:
+		return "quadrics-elan3"
+	default:
+		return fmt.Sprintf("Testbed(%d)", int(tb))
+	}
+}
+
+// LineRateMBps is the testbed's link rate, which a throttling fault
+// with no line rate of its own is charged against.
+func (tb Testbed) LineRateMBps() float64 {
+	if tb == Elan3 {
+		return Elan3Cluster().Net.BandwidthMBps
+	}
+	return baseMyrinet().Net.BandwidthMBps
+}
 
 // Host describes the host CPU side of a node.
 type Host struct {

@@ -23,27 +23,27 @@ import (
 	"nicbarrier/internal/obs"
 )
 
-// RunState is a run's lifecycle position.
-type RunState int
+// runState is a run's lifecycle position.
+type runState int
 
 // Run states.
 const (
-	// RunActive means the run's workload goroutine is still executing.
-	RunActive RunState = iota
-	// RunDone means it finished cleanly.
-	RunDone
-	// RunFailed means it returned an error.
-	RunFailed
+	// runActive means the run's workload goroutine is still executing.
+	runActive runState = iota
+	// runDone means it finished cleanly.
+	runDone
+	// runFailed means it returned an error.
+	runFailed
 )
 
 // String implements fmt.Stringer.
-func (s RunState) String() string {
+func (s runState) String() string {
 	switch s {
-	case RunActive:
+	case runActive:
 		return "active"
-	case RunDone:
+	case runDone:
 		return "done"
-	case RunFailed:
+	case runFailed:
 		return "failed"
 	default:
 		return fmt.Sprintf("RunState(%d)", int(s))
@@ -64,13 +64,13 @@ type Run struct {
 	tr *obs.Tracer
 
 	mu      sync.Mutex
-	state   RunState
+	state   runState
 	summary string
 	err     error
 }
 
-// State reports the run's current lifecycle position.
-func (r *Run) State() RunState {
+// currentState reports the run's current lifecycle position.
+func (r *Run) currentState() runState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.state
@@ -84,9 +84,9 @@ func (r *Run) Finish(summary string, err error) {
 	r.summary = summary
 	r.err = err
 	if err != nil {
-		r.state = RunFailed
+		r.state = runFailed
 	} else {
-		r.state = RunDone
+		r.state = runDone
 	}
 }
 
@@ -100,7 +100,7 @@ func (r *Run) snap() obs.Snapshot {
 	if live := r.tr.LiveSnapshot(); len(live.Scopes) > 0 {
 		return live
 	}
-	if r.State() == RunActive {
+	if r.currentState() == runActive {
 		return obs.Snapshot{}
 	}
 	return r.tr.Snapshot()
@@ -131,8 +131,8 @@ func (s *Server) Register(name, scenario string, tr *obs.Tracer) *Run {
 	return r
 }
 
-// Runs returns the registered runs in registration order.
-func (s *Server) Runs() []*Run {
+// allRuns returns the registered runs in registration order.
+func (s *Server) allRuns() []*Run {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*Run, len(s.runs))
@@ -160,7 +160,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // runFromQuery resolves the ?run= selector: a registry ID, a run name
 // (latest match wins), or absent — which selects the latest run.
 func (s *Server) runFromQuery(r *http.Request) (*Run, error) {
-	runs := s.Runs()
+	runs := s.allRuns()
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("no runs registered")
 	}
@@ -184,7 +184,7 @@ func (s *Server) runFromQuery(r *http.Request) (*Run, error) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writePrometheus(w, s.Runs())
+	writePrometheus(w, s.allRuns())
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -249,7 +249,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			lastEpoch = doc.Epoch
 			sent = true
 		}
-		if run.State() != RunActive {
+		if run.currentState() != runActive {
 			emit("done", obs.NewSnapshotDoc(run.snap()))
 			return
 		}
@@ -261,22 +261,22 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// RunInfo is one /runs row: identity, lifecycle state and live
+// runInfo is one /runs row: identity, lifecycle state and live
 // progress aggregated over the run's published snapshot.
-type RunInfo struct {
+type runInfo struct {
 	ID       int         `json:"id"`
 	Name     string      `json:"name"`
 	Scenario string      `json:"scenario"`
 	State    string      `json:"state"`
 	Summary  string      `json:"summary,omitempty"`
 	Error    string      `json:"error,omitempty"`
-	Progress RunProgress `json:"progress"`
+	Progress runProgress `json:"progress"`
 }
 
-// RunProgress aggregates a run's published metrics across its scopes
+// runProgress aggregates a run's published metrics across its scopes
 // and groups: completed operations, wire accounting with the
 // drop-reason breakdown, and the recovery counters.
-type RunProgress struct {
+type runProgress struct {
 	Epoch       uint64         `json:"epoch"`
 	AtUS        float64        `json:"atUS"`
 	Scopes      int            `json:"scopes"`
@@ -290,10 +290,10 @@ type RunProgress struct {
 	Retries     uint64         `json:"retries"`
 }
 
-// Info reports the run's current registry row.
-func (r *Run) Info() RunInfo {
+// info reports the run's current registry row.
+func (r *Run) info() runInfo {
 	r.mu.Lock()
-	info := RunInfo{
+	info := runInfo{
 		ID: r.ID, Name: r.Name, Scenario: r.Scenario,
 		State:   r.state.String(),
 		Summary: r.summary,
@@ -329,10 +329,10 @@ func (r *Run) Info() RunInfo {
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
-	runs := s.Runs()
-	infos := make([]RunInfo, len(runs))
+	runs := s.allRuns()
+	infos := make([]runInfo, len(runs))
 	for i, r := range runs {
-		infos[i] = r.Info()
+		infos[i] = r.info()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -43,6 +43,27 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// runRow is the part of a /runs row the tests read.
+type runRow struct {
+	Name, State string
+	Progress    struct{ Epoch, Ops, Sent uint64 }
+}
+
+// runState reads the only registered run's lifecycle state off /runs,
+// as a client sees it.
+func runState(t *testing.T, url string) string {
+	t.Helper()
+	code, body := get(t, url+"/runs")
+	if code != http.StatusOK {
+		t.Fatalf("/runs status %d", code)
+	}
+	var infos []runRow
+	if err := json.Unmarshal(body, &infos); err != nil || len(infos) != 1 {
+		t.Fatalf("/runs rows: %v\n%s", err, body)
+	}
+	return infos[0].State
+}
+
 // The headline test: scrape /metrics and /snapshot continuously over
 // HTTP while a churn workload runs, asserting snapshot monotonicity —
 // epochs strictly increase across distinct observations, counters never
@@ -70,7 +91,7 @@ func TestScrapeDuringChurnMonotone(t *testing.T) {
 
 	var lastEpoch, lastDone, lastSent uint64
 	scrapes := 0
-	for run.State() == metricsrv.RunActive || scrapes == 0 {
+	for runState(t, ts.URL) == "active" || scrapes == 0 {
 		code, body := get(t, ts.URL+"/snapshot")
 		if code != http.StatusOK {
 			t.Fatalf("/snapshot status %d: %s", code, body)
@@ -102,8 +123,8 @@ func TestScrapeDuringChurnMonotone(t *testing.T) {
 		}
 		scrapes++
 	}
-	if run.State() != metricsrv.RunDone {
-		t.Fatalf("run ended %v", run.State())
+	if st := runState(t, ts.URL); st != "done" {
+		t.Fatalf("run ended %v", st)
 	}
 
 	// Final state: every tenant's ops visible, Prometheus text carries
@@ -154,7 +175,7 @@ func TestEndpointsAndRunRegistry(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/runs status %d", code)
 	}
-	var infos []metricsrv.RunInfo
+	var infos []runRow
 	if err := json.Unmarshal(body, &infos); err != nil {
 		t.Fatalf("/runs JSON: %v\n%s", err, body)
 	}

@@ -2,6 +2,7 @@ package myrinet
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -114,7 +115,18 @@ func TestGMSteadyStateZeroAlloc(t *testing.T) {
 
 // freeLens reports the sizes of the pool's collective free lists.
 func (p *pool) freeLens() (handlers, payloads int) {
-	return p.handlers.Len(), p.payloads.Len()
+	return freeLen(&p.handlers), freeLen(&p.payloads)
+}
+
+// freeLen counts the records a sim free list holds. Only tests need the
+// count, so the lists export no accessor for it: reflection reads n of
+// a ChunkedFreeList, or the length of a FreeList's free slice.
+func freeLen(list any) int {
+	v := reflect.ValueOf(list).Elem()
+	if n := v.FieldByName("n"); n.IsValid() {
+		return int(n.Int())
+	}
+	return v.FieldByName("free").Len()
 }
 
 // Payload ownership under loss: notification 3 of each run is dropped,
@@ -236,7 +248,7 @@ func TestReinstallReusesGroupTable(t *testing.T) {
 	install(ops[1])
 	next := 2
 	cycle := func() {
-		nic.UninstallGroup(ops[(next+2)%4].group.ID)
+		nic.uninstallGroup(ops[(next+2)%4].group.ID)
 		install(ops[next%4])
 		next++
 		eng.Run() // the uninstall charge

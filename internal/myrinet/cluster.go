@@ -23,9 +23,8 @@ type Cluster struct {
 	nicShared
 }
 
-// NewCluster builds an n-node Myrinet cluster: a single 16-port crossbar
-// when it fits (the paper's testbeds), otherwise a Clos network of
-// 16-port switches (8 up / 8 down). imp is installed exactly as SetFaults
+// NewCluster builds an n-node Myrinet cluster on Topology(n). imp is
+// installed exactly as SetFaults
 // would install it; nil means a fault-free network. Pass an untyped nil,
 // not a nil *fault.Plan: a typed nil is a non-nil interface that the
 // network would call.
@@ -33,18 +32,22 @@ func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, imp netsi
 	if n < 1 {
 		panic(fmt.Sprintf("myrinet: cluster size %d", n))
 	}
-	var t topo.Topology
-	if n <= 16 {
-		t = topo.NewCrossbar(n)
-	} else {
-		t = topo.MinFatTree(8, n)
-	}
 	eng.Reserve(2 * n)
-	cl := &Cluster{Eng: eng, Prof: prof, Net: netsim.New(eng, t, prof.Net)}
+	cl := &Cluster{Eng: eng, Prof: prof, Net: netsim.New(eng, Topology(n), prof.Net)}
 	cl.net = cl.Net
 	cl.Nodes = newNodes(cl, n)
 	cl.SetFaults(imp)
 	return cl
+}
+
+// Topology is the network of an n-node Myrinet cluster: a single
+// 16-port crossbar when it fits (the paper's testbeds), otherwise a Clos
+// network of 16-port switches (8 up / 8 down).
+func Topology(n int) topo.Topology {
+	if n <= 16 {
+		return topo.NewCrossbar(n)
+	}
+	return topo.MinFatTree(8, n)
 }
 
 // SetTracer attaches an observability scope to the cluster: the network
@@ -77,7 +80,7 @@ type Stats struct {
 func (cl *Cluster) Stats() Stats {
 	var total Stats
 	for _, node := range cl.Nodes {
-		g := node.NIC.GMStats()
+		g := node.NIC.gmStats()
 		total.TokensEnqueued += g.TokensEnqueued
 		total.DataSent += g.DataSent
 		total.AcksSent += g.AcksSent

@@ -54,14 +54,14 @@ func (n *NIC) GroupSlotsFree() int {
 	return n.node.Prof.NIC.GroupQueueSlots - n.groups.Len()
 }
 
-// UninstallGroup retires a group's queue entry, freeing its slot for a
+// uninstallGroup retires a group's queue entry, freeing its slot for a
 // future install, and charges the firmware teardown cost on the NIC
 // processor (co-resident groups' handlers queue behind it). The caller —
 // the session layer — guarantees the group's operations have drained;
 // uninstalling a group with an active operation panics, since its bit
 // vector still expects arrivals. Unknown IDs panic too: freeing a slot
 // twice is the host-side bug the real firmware would corrupt SRAM over.
-func (n *NIC) UninstallGroup(id core.GroupID) {
+func (n *NIC) uninstallGroup(id core.GroupID) {
 	m, ok := n.groups.Get(id)
 	if !ok {
 		panic(fmt.Sprintf("myrinet: node %d: uninstalling unknown group %d", n.node.ID, id))
@@ -79,14 +79,14 @@ func (n *NIC) UninstallGroup(id core.GroupID) {
 	n.Exec(0, n.node.Prof.NIC.GroupUninstallCost, sim.Nop{})
 }
 
-// AbortGroup force-quiesces a group's NIC-resident operation after a
+// abortGroup force-quiesces a group's NIC-resident operation after a
 // deadline expiry: the NACK timer is cancelled, the bit-vector state
 // abandons its active operation, and the entry freezes — late
 // doorbells, arrivals and NACKs for it count as stale instead of
 // touching protocol state. The slot stays claimed until UninstallGroup
 // (which becomes legal, the state no longer being active); recovery
 // installs a fresh group rather than restarting a frozen one.
-func (n *NIC) AbortGroup(id core.GroupID) {
+func (n *NIC) abortGroup(id core.GroupID) {
 	m, ok := n.groups.Get(id)
 	if !ok {
 		panic(fmt.Sprintf("myrinet: node %d: aborting unknown group %d", n.node.ID, id))
@@ -99,12 +99,12 @@ func (n *NIC) AbortGroup(id core.GroupID) {
 	n.traceEvent(int(id), obs.KindOpTimeout, 0)
 }
 
-// ChargeGroupInstall charges the firmware-side cost of writing a fresh
+// chargeGroupInstall charges the firmware-side cost of writing a fresh
 // group-queue entry on the simulated timeline. Installation itself is
 // synchronous (the slot is claimed immediately); the charge models the
 // SRAM writes occupying the firmware processor, so lifecycle-aware
 // callers invoke it right after a successful install.
-func (n *NIC) ChargeGroupInstall(id core.GroupID) {
+func (n *NIC) chargeGroupInstall(id core.GroupID) {
 	n.traceEvent(int(id), obs.KindInstall, 0)
 	n.traceTime(int(id), 0, n.node.Prof.NIC.GroupInstallCost)
 	n.Exec(0, n.node.Prof.NIC.GroupInstallCost, sim.Nop{})

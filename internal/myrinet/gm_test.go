@@ -71,7 +71,7 @@ func TestGMPayloadOwnershipUnderLoss(t *testing.T) {
 			t.Fatalf("run %d: %d packets still in flight after settling", run, c.Sent-c.Delivered-c.Dropped)
 		}
 		p := &cl.pool
-		free := [3]int{p.records.Len(), p.data.Len(), p.acks.Len()}
+		free := [3]int{freeLen(&p.records), freeLen(&p.data), freeLen(&p.acks)}
 		if run == 0 {
 			stuck := 0
 			for _, node := range cl.Nodes {

@@ -219,9 +219,9 @@ type gmState struct {
 	stats GMStats
 }
 
-// GMStats returns the NIC's GM point-to-point counters, zero for a NIC
+// gmStats returns the NIC's GM point-to-point counters, zero for a NIC
 // that never used GM.
-func (n *NIC) GMStats() GMStats {
+func (n *NIC) gmStats() GMStats {
 	if n.gmState == nil {
 		return GMStats{}
 	}

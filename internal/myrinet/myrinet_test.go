@@ -96,9 +96,9 @@ func TestPointToPointDelivery(t *testing.T) {
 	eng, cl := xpCluster(4, nil)
 	var got []Event
 	cl.Nodes[1].Host.OnEvent = func(ev Event) { got = append(got, ev) }
-	cl.Nodes[1].Host.PostRecvTokens(2)
-	cl.Nodes[0].Host.Send(1, 64, "hello", true)
-	cl.Nodes[0].Host.Send(1, 128, "world", true)
+	cl.Nodes[1].Host.postRecvTokens(2)
+	cl.Nodes[0].Host.send(1, 64, "hello", true)
+	cl.Nodes[0].Host.send(1, 128, "world", true)
 	eng.Run()
 	var recvs []Event
 	for _, ev := range got {
@@ -116,7 +116,7 @@ func TestPointToPointDelivery(t *testing.T) {
 		t.Fatalf("wrong sender %d", recvs[0].FromNode)
 	}
 	// Sender should have gotten ACKs and freed its packets.
-	s := cl.Nodes[0].NIC.GMStats()
+	s := cl.Nodes[0].NIC.gmStats()
 	if s.DataSent != 2 || s.AcksRecv != 2 || s.Retransmits != 0 {
 		t.Fatalf("sender stats %+v", s)
 	}
@@ -135,20 +135,20 @@ func TestPointToPointNoTokenDrops(t *testing.T) {
 	}
 	// No tokens posted: the packet is dropped; after the sender's timeout
 	// and a token post, the retransmission lands.
-	cl.Nodes[0].Host.Send(1, 64, "x", true)
+	cl.Nodes[0].Host.send(1, 64, "x", true)
 	eng.RunUntil(eng.Now().Add(sim.Micros(100)))
 	if recvs != 0 {
 		t.Fatal("message delivered without a receive token")
 	}
-	if cl.Nodes[1].NIC.GMStats().TokenDrops == 0 {
+	if cl.Nodes[1].NIC.gmStats().TokenDrops == 0 {
 		t.Fatal("no token drop recorded")
 	}
-	cl.Nodes[1].Host.PostRecvTokens(1)
+	cl.Nodes[1].Host.postRecvTokens(1)
 	eng.RunUntil(eng.Now().Add(sim.Micros(3000)))
 	if recvs != 1 {
 		t.Fatalf("retransmission did not deliver (recvs=%d)", recvs)
 	}
-	if cl.Nodes[0].NIC.GMStats().Retransmits == 0 {
+	if cl.Nodes[0].NIC.gmStats().Retransmits == 0 {
 		t.Fatal("no retransmission recorded")
 	}
 }
@@ -162,13 +162,13 @@ func TestPointToPointLossRecovery(t *testing.T) {
 			recvs++
 		}
 	}
-	cl.Nodes[1].Host.PostRecvTokens(1)
-	cl.Nodes[0].Host.Send(1, 64, "x", true)
+	cl.Nodes[1].Host.postRecvTokens(1)
+	cl.Nodes[0].Host.send(1, 64, "x", true)
 	eng.Run()
 	if recvs != 1 {
 		t.Fatalf("lost packet never recovered (recvs=%d)", recvs)
 	}
-	if cl.Nodes[0].NIC.GMStats().Retransmits == 0 {
+	if cl.Nodes[0].NIC.gmStats().Retransmits == 0 {
 		t.Fatal("recovery without retransmission?")
 	}
 }
@@ -183,14 +183,14 @@ func TestRoundRobinAcrossDestinations(t *testing.T) {
 				order = append(order, i)
 			}
 		}
-		cl.Nodes[i].Host.PostRecvTokens(4)
+		cl.Nodes[i].Host.postRecvTokens(4)
 	}
 	// Queue 2 sends to node 1, then one each to 2 and 3, all back to back.
 	// Round-robin must interleave: 1, 2, 3, 1 — not 1, 1, 2, 3.
-	cl.Nodes[0].Host.Send(1, 64, "a", true)
-	cl.Nodes[0].Host.Send(1, 64, "b", true)
-	cl.Nodes[0].Host.Send(2, 64, "c", true)
-	cl.Nodes[0].Host.Send(3, 64, "d", true)
+	cl.Nodes[0].Host.send(1, 64, "a", true)
+	cl.Nodes[0].Host.send(1, 64, "b", true)
+	cl.Nodes[0].Host.send(2, 64, "c", true)
+	cl.Nodes[0].Host.send(3, 64, "d", true)
 	eng.Run()
 	if len(order) != 4 {
 		t.Fatalf("delivered %d, want 4", len(order))
@@ -211,9 +211,9 @@ func TestPacketPoolStalls(t *testing.T) {
 			recvs++
 		}
 	}
-	cl.Nodes[1].Host.PostRecvTokens(8)
+	cl.Nodes[1].Host.postRecvTokens(8)
 	for i := 0; i < 8; i++ {
-		cl.Nodes[0].Host.Send(1, 64, i, true)
+		cl.Nodes[0].Host.send(1, 64, i, true)
 	}
 	eng.Run()
 	if recvs != 8 {

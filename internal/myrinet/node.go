@@ -71,20 +71,20 @@ type Host struct {
 	// host-scheme barrier messages) to the session driving that group, so
 	// concurrent communicators can share one node without clobbering each
 	// other's event hook.
-	groups core.Bindings[EventHandler]
+	groups core.Bindings[eventHandler]
 }
 
-// EventHandler consumes the host events of one bound group. Session
+// eventHandler consumes the host events of one bound group. Session
 // members implement it, so binding a member stores the member itself
 // rather than a method value built per bind.
-type EventHandler interface {
+type eventHandler interface {
 	HandleEvent(Event)
 }
 
-// Bind routes this node's events for one group ID to eh. It panics on a
+// bind routes this node's events for one group ID to eh. It panics on a
 // duplicate binding: two drivers polling the same group's completions is
 // a programming error, exactly like double-attaching a NIC.
-func (h *Host) Bind(groupID int, eh EventHandler) {
+func (h *Host) bind(groupID int, eh eventHandler) {
 	if eh == nil {
 		panic("myrinet: nil group event handler")
 	}
@@ -93,12 +93,12 @@ func (h *Host) Bind(groupID int, eh EventHandler) {
 	}
 }
 
-// Unbind releases a group's event routing, the host half of group
+// unbind releases a group's event routing, the host half of group
 // teardown. Unbinding a group that was never bound panics — it means two
 // drivers disagree about who owns the group. Events for the group that
 // are still in flight afterwards fall through to OnEvent (usually nil),
 // exactly like events for a group that was never installed.
-func (h *Host) Unbind(groupID int) {
+func (h *Host) unbind(groupID int) {
 	if !h.groups.Unbind(core.GroupID(groupID)) {
 		panic(fmt.Sprintf("myrinet: node %d: unbinding group %d that is not bound", h.node.ID, groupID))
 	}
@@ -146,10 +146,10 @@ func (h *Host) dispatch(ev Event) {
 	}
 }
 
-// Send posts one GM send: host builds the descriptor, rings the doorbell
+// send posts one GM send: host builds the descriptor, rings the doorbell
 // over PCI, and the NIC takes over. hostData selects whether the payload
 // lives in host memory (true: the NIC must DMA it into the send packet).
-func (h *Host) Send(dst, size int, tag any, hostData bool) {
+func (h *Host) send(dst, size int, tag any, hostData bool) {
 	if dst == h.node.ID {
 		panic("myrinet: self-send not modeled")
 	}
@@ -174,24 +174,24 @@ func (h *Host) postSend(m dataMsg) {
 	h.Exec(h.node.Prof.Host.SendPostCycles, 0, nic.with(hSendPost, tok))
 }
 
-// PostRecvTokens replenishes k receive buffers, one PIO each (GM posts
+// postRecvTokens replenishes k receive buffers, one PIO each (GM posts
 // each receive buffer separately).
-func (h *Host) PostRecvTokens(k int) {
+func (h *Host) postRecvTokens(k int) {
 	for i := 0; i < k; i++ {
 		h.Exec(h.node.Prof.Host.TokenPostCycles, 0, h.node.NIC.pool.get(hRecvTokenPost, h.node.NIC))
 	}
 }
 
-// PostBarrier initiates a NIC-based barrier on a previously installed
+// postBarrier initiates a NIC-based barrier on a previously installed
 // group (collective scheme or direct scheme, fixed per group at install
 // time). Completion arrives as an EvBarrierDone host event.
-func (h *Host) PostBarrier(groupID int) { h.PostReduce(groupID, 0) }
+func (h *Host) postBarrier(groupID int) { h.postReduce(groupID, 0) }
 
-// PostReduce initiates a NIC-based allreduce on a group installed by an
+// postReduce initiates a NIC-based allreduce on a group installed by an
 // allreduce session, contributing value: the host builds the descriptor
 // and rings the doorbell over PCI (the hPost and hDoorbell handlers). The
 // EvBarrierDone completion event carries the combined result.
-func (h *Host) PostReduce(groupID int, value int64) {
+func (h *Host) postReduce(groupID int, value int64) {
 	r := h.node.NIC.pool.get(hPost, h.node.NIC)
 	r.msg.group, r.msg.value = core.GroupID(groupID), value
 	h.Exec(h.node.Prof.Host.SendPostCycles, 0, r)

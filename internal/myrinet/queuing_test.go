@@ -17,15 +17,15 @@ func floodTraffic(cl *Cluster, msgSize int, onEvent func(node int, ev Event)) {
 	for i, node := range cl.Nodes {
 		i, node := i, node
 		dst := (i + 1) % n
-		node.Host.PostRecvTokens(64)
+		node.Host.postRecvTokens(64)
 		prev := node.Host.OnEvent
 		node.Host.OnEvent = func(ev Event) {
 			if ev.Kind == EvSendDone {
-				node.Host.Send(dst, msgSize, "bg", true)
+				node.Host.send(dst, msgSize, "bg", true)
 			}
 			if ev.Kind == EvRecv {
 				if _, isBG := ev.Tag.(string); isBG {
-					node.Host.PostRecvTokens(1)
+					node.Host.postRecvTokens(1)
 					return
 				}
 			}
@@ -38,7 +38,7 @@ func floodTraffic(cl *Cluster, msgSize int, onEvent func(node int, ev Event)) {
 		}
 		// Prime the pump with a few outstanding sends.
 		for k := 0; k < 3; k++ {
-			node.Host.Send(dst, msgSize, "bg", true)
+			node.Host.send(dst, msgSize, "bg", true)
 		}
 	}
 }

@@ -154,18 +154,18 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 	if scheme != SchemeHost {
 		core.ReserveTables(len(nodeIDs), func(r int) *core.Table[*member] { return &node(r).NIC.groups })
 	}
-	core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[EventHandler] { return &node(r).Host.groups })
+	core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[eventHandler] { return &node(r).Host.groups })
 	for rank := range s.members {
 		m := &s.members[rank]
 		*m = member{nic: node(rank).NIC, s: s, group: group, state: arena.Op(rank), rank: int32(rank)}
 		if scheme == SchemeHost {
 			// Pre-post a pool of receive buffers; each consumed event
 			// is replenished during the run.
-			m.node().Host.PostRecvTokens(m.state.Schedule().TotalWaits() + 4)
+			m.node().Host.postRecvTokens(m.state.Schedule().TotalWaits() + 4)
 		} else if err := m.nic.install(m); err != nil {
 			return nil, err
 		}
-		m.node().Host.Bind(int(gid), m)
+		m.node().Host.bind(int(gid), m)
 	}
 	return s, nil
 }
@@ -183,11 +183,11 @@ func (h hooks) String() string {
 func (h hooks) Start(rank, seq, iter int) {
 	m := &h.s.members[rank]
 	if h.s.contrib != nil {
-		m.node().Host.PostReduce(int(h.s.gid), h.s.contrib(rank, iter))
+		m.node().Host.postReduce(int(h.s.gid), h.s.contrib(rank, iter))
 		return
 	}
 	if h.s.scheme != SchemeHost {
-		m.node().Host.PostBarrier(int(h.s.gid))
+		m.node().Host.postBarrier(int(h.s.gid))
 		return
 	}
 	sends, done, err := m.state.Start(seq)
@@ -208,7 +208,7 @@ func (h hooks) Abort(rank int) {
 	if h.s.scheme == SchemeHost {
 		m.state.Abort()
 	} else {
-		m.nic.AbortGroup(h.s.gid)
+		m.nic.abortGroup(h.s.gid)
 	}
 }
 
@@ -221,9 +221,9 @@ func (h hooks) Uninstall() {
 	for i := range h.s.members {
 		m := &h.s.members[i]
 		if h.s.scheme != SchemeHost {
-			m.nic.UninstallGroup(h.s.gid)
+			m.nic.uninstallGroup(h.s.gid)
 		}
-		m.node().Host.Unbind(int(h.s.gid))
+		m.node().Host.unbind(int(h.s.gid))
 	}
 	h.s.members = nil
 }
@@ -235,7 +235,7 @@ func (h hooks) ChargeInstall() {
 		return
 	}
 	for i := range h.s.members {
-		h.s.members[i].nic.ChargeGroupInstall(h.s.gid)
+		h.s.members[i].nic.chargeGroupInstall(h.s.gid)
 	}
 }
 
@@ -255,7 +255,7 @@ func (m *member) HandleEvent(ev Event) {
 		m.s.Complete(int(m.rank), ev.Seq)
 	case EvBarrierMsg:
 		// Replenish the receive buffer consumed by this message.
-		m.node().Host.PostRecvTokens(1)
+		m.node().Host.postRecvTokens(1)
 		fromRank, ok := m.group.RankOf(ev.FromNode)
 		if !ok {
 			panic(fmt.Sprintf("myrinet: barrier message from non-member node %d", ev.FromNode))

@@ -69,21 +69,18 @@ func (h *Histogram) Observe(d sim.Duration) {
 // Count reports how many values were observed.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Mean reports the exact mean of the observed values (the sum is kept
+// mean reports the exact mean of the observed values (the sum is kept
 // exactly; only quantiles are bucketed).
-func (h *Histogram) Mean() sim.Duration {
+func (h *Histogram) mean() sim.Duration {
 	if h.n == 0 {
 		return 0
 	}
 	return sim.Duration(h.sum / int64(h.n))
 }
 
-// Max reports the exact maximum observed value.
-func (h *Histogram) Max() sim.Duration { return sim.Duration(h.max) }
-
-// Quantile reports the q-quantile (q in [0,1]) as the midpoint of the
+// quantile reports the q-quantile (q in [0,1]) as the midpoint of the
 // bucket holding the nearest-rank value; the maximum is exact.
-func (h *Histogram) Quantile(q float64) sim.Duration {
+func (h *Histogram) quantile(q float64) sim.Duration {
 	if h.n == 0 {
 		return 0
 	}
@@ -117,9 +114,9 @@ type HistBin struct {
 	N uint64 `json:"n"` // observations in the bucket
 }
 
-// Bins exports the histogram's nonzero buckets in value order; nil for
+// bins exports the histogram's nonzero buckets in value order; nil for
 // an empty histogram.
-func (h *Histogram) Bins() []HistBin {
+func (h *Histogram) bins() []HistBin {
 	if h.n == 0 {
 		return nil
 	}

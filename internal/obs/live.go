@@ -36,12 +36,12 @@ import (
 // strictly increasing publication counter, AtUS the virtual time of
 // publication in microseconds.
 
-// SetMetronome arms (or with 0 disarms) periodic live publication on
+// setMetronome arms (or with 0 disarms) periodic live publication on
 // this scope: while the scope observes engine events, it publishes an
 // epoch-stamped snapshot every `every` of virtual time. Call it before
 // the scope's engine starts running; the scope must be installed as the
 // engine's observer (sim.Engine.SetObserver) for ticks to fire.
-func (s *Scope) SetMetronome(every sim.Duration) {
+func (s *Scope) setMetronome(every sim.Duration) {
 	if every < 0 {
 		panic(fmt.Sprintf("obs: negative metronome interval %v", every))
 	}
@@ -52,7 +52,7 @@ func (s *Scope) SetMetronome(every sim.Duration) {
 // metroTick publishes and advances the next tick past at. Called from
 // the engine goroutine (the scope's single writer) only.
 func (s *Scope) metroTick(at sim.Time) {
-	s.Publish(at)
+	s.publish(at)
 	next := s.metroNext
 	for next <= at {
 		next = next.Add(s.metroEvery)
@@ -60,13 +60,13 @@ func (s *Scope) metroTick(at sim.Time) {
 	s.metroNext = next
 }
 
-// Publish builds an immutable snapshot of the scope's current metric
+// publish builds an immutable snapshot of the scope's current metric
 // state, stamps it with the next epoch and the given virtual time, and
 // installs it for Live readers. It must be called from the scope's
 // writer goroutine (the one driving its engine) while no engine event
 // is mutating the scope — between events, or after the run drained.
 // It returns the published epoch.
-func (s *Scope) Publish(at sim.Time) uint64 {
+func (s *Scope) publish(at sim.Time) uint64 {
 	s.pubSeq.Add(1) // odd: publication in progress
 	snap := s.Snapshot()
 	snap.Epoch = s.pubSeq.Load()/2 + 1
@@ -83,15 +83,8 @@ func (s *Scope) Publish(at sim.Time) uint64 {
 // live observation).
 func (s *Scope) PublishFinal(at sim.Time) {
 	if s.metroEvery > 0 {
-		s.Publish(at)
+		s.publish(at)
 	}
-}
-
-// Live returns the most recently published snapshot of this scope, or
-// nil if the scope has never published. Safe to call from any
-// goroutine at any time; the returned snapshot is immutable.
-func (s *Scope) Live() *ScopeSnapshot {
-	return s.live.Load()
 }
 
 // SetMetronome sets the default metronome interval stamped onto every
@@ -114,7 +107,7 @@ func (tr *Tracer) SetMetronome(every sim.Duration) {
 func (tr *Tracer) LiveSnapshot() Snapshot {
 	var out Snapshot
 	for _, s := range tr.Scopes() {
-		if ls := s.Live(); ls != nil {
+		if ls := s.live.Load(); ls != nil {
 			out.Scopes = append(out.Scopes, *ls)
 		}
 	}

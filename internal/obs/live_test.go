@@ -13,7 +13,7 @@ func TestMetronomePublishesOnVirtualTime(t *testing.T) {
 	if sc.metroEvery <= 0 {
 		t.Fatal("scope did not inherit the tracer metronome")
 	}
-	if sc.Live() != nil {
+	if sc.live.Load() != nil {
 		t.Fatal("published before any event")
 	}
 
@@ -22,7 +22,7 @@ func TestMetronomePublishesOnVirtualTime(t *testing.T) {
 	for at := sim.Time(0); at < sim.Time(100*sim.Microsecond); at = at.Add(sim.Microsecond) {
 		sc.PktInject(at, 0, 1, 0, "data")
 		sc.EventFired(at)
-		if ls := sc.Live(); ls != nil && ls.Epoch != lastEpoch {
+		if ls := sc.live.Load(); ls != nil && ls.Epoch != lastEpoch {
 			if ls.Epoch <= lastEpoch {
 				t.Fatalf("epoch regressed: %d after %d", ls.Epoch, lastEpoch)
 			}
@@ -35,7 +35,7 @@ func TestMetronomePublishesOnVirtualTime(t *testing.T) {
 	if pubs < 9 || pubs > 11 {
 		t.Fatalf("published %d times over 100us at 10us interval", pubs)
 	}
-	ls := sc.Live()
+	ls := sc.live.Load()
 	if ls == nil || ls.EventsFired == 0 {
 		t.Fatalf("live snapshot missing engine counters: %+v", ls)
 	}
@@ -47,12 +47,12 @@ func TestMetronomePublishesOnVirtualTime(t *testing.T) {
 func TestPublishStampsEpochAndTime(t *testing.T) {
 	tr := NewTracer()
 	sc := tr.NewScope("run")
-	e1 := sc.Publish(sim.Time(5 * sim.Microsecond))
-	e2 := sc.Publish(sim.Time(7 * sim.Microsecond))
+	e1 := sc.publish(sim.Time(5 * sim.Microsecond))
+	e2 := sc.publish(sim.Time(7 * sim.Microsecond))
 	if e1 != 1 || e2 != 2 {
 		t.Fatalf("epochs = %d, %d; want 1, 2", e1, e2)
 	}
-	ls := sc.Live()
+	ls := sc.live.Load()
 	if ls.Epoch != 2 || ls.AtUS != 7 {
 		t.Fatalf("live stamp: epoch=%d atUS=%v", ls.Epoch, ls.AtUS)
 	}
@@ -62,7 +62,7 @@ func TestLiveSnapshotOmitsUnpublishedScopes(t *testing.T) {
 	tr := NewTracer()
 	a := tr.NewScope("a")
 	tr.NewScope("b") // never publishes
-	a.Publish(0)
+	a.publish(0)
 	snap := tr.LiveSnapshot()
 	if len(snap.Scopes) != 1 || snap.Scopes[0].Name != "a" {
 		t.Fatalf("live snapshot scopes: %+v", snap.Scopes)
@@ -73,13 +73,13 @@ func TestFinalPublishOnlyWhenArmed(t *testing.T) {
 	tr := NewTracer()
 	off := tr.NewScope("off")
 	off.PublishFinal(10)
-	if off.Live() != nil {
+	if off.live.Load() != nil {
 		t.Fatal("disarmed scope published a final snapshot")
 	}
 	on := tr.NewScope("on")
-	on.SetMetronome(sim.Millisecond)
+	on.setMetronome(sim.Millisecond)
 	on.PublishFinal(10)
-	if on.Live() == nil {
+	if on.live.Load() == nil {
 		t.Fatal("armed scope did not publish a final snapshot")
 	}
 }
@@ -90,7 +90,7 @@ func TestNegativeMetronomePanics(t *testing.T) {
 			t.Fatal("no panic on negative interval")
 		}
 	}()
-	NewTracer().NewScope("x").SetMetronome(-1)
+	NewTracer().NewScope("x").setMetronome(-1)
 }
 
 // TestDisarmedMetronomeZeroAlloc pins the disabled-path contract: an
@@ -115,7 +115,7 @@ func TestDisarmedMetronomeZeroAlloc(t *testing.T) {
 func TestArmedMetronomeZeroAllocBetweenTicks(t *testing.T) {
 	tr := NewTracer()
 	sc := tr.NewScope("warm")
-	sc.SetMetronome(sim.Second) // far beyond the test's virtual time
+	sc.setMetronome(sim.Second) // far beyond the test's virtual time
 	sc.EventFired(0)            // first tick publishes; the rest stay between ticks
 	var at sim.Time
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -175,7 +175,7 @@ func TestMergeTenantsPoolsAcrossScopes(t *testing.T) {
 	b.OpSpan(0, "bcast", 0, 0, sim.Time(2*sim.Microsecond))
 	a.OpSpan(5, "barrier", 0, 0, sim.Time(1*sim.Microsecond)) // unbound
 
-	rows := Snapshot{Scopes: []ScopeSnapshot{a.Snapshot(), b.Snapshot()}}.MergeTenants()
+	rows := mergeTenants(a.Snapshot(), b.Snapshot())
 	if len(rows) != 2 {
 		t.Fatalf("merged rows: %+v", rows)
 	}

@@ -182,18 +182,15 @@ func (r *ring) snapshot() []record {
 	return out
 }
 
-// Track is one timeline in the trace — a node, a NIC, a tenant, or a
+// track is one timeline in the trace — a node, a NIC, a tenant, or a
 // scope's engine. It renders as one chrome://tracing thread.
-type Track struct {
+type track struct {
 	name string
 	tid  int
 	ring ring
 }
 
-// Name reports the track's display name.
-func (t *Track) Name() string { return t.name }
-
-func (t *Track) emit(rec record) { t.ring.add(rec) }
+func (t *track) emit(rec record) { t.ring.add(rec) }
 
 // groupStats accumulates per-group (per-tenant) metrics: operation
 // counts, the latency histogram, and the queue/wire/NIC attribution
@@ -233,28 +230,25 @@ type Scope struct {
 	pid  int
 	tids int
 
-	engine  *Track
-	nodes   []*Track
-	nics    []*Track
-	tenants []*Track
+	engine  *track
+	nodes   []*track
+	nics    []*track
+	tenants []*track
 	groups  []groupStats // indexed by group ID
 
 	eventsFired     uint64
 	eventsCancelled uint64
 }
 
-// Name reports the scope's display name.
-func (s *Scope) Name() string { return s.name }
-
-func (s *Scope) newTrack(name string) *Track {
+func (s *Scope) newTrack(name string) *track {
 	s.tids++
-	return &Track{name: name, tid: s.tids, ring: ring{recs: make([]record, s.tr.perTrack)}}
+	return &track{name: name, tid: s.tids, ring: ring{recs: make([]record, s.tr.perTrack)}}
 }
 
 // trackAt returns (lazily creating) the i-th track of a family. The
 // slice grows on first sight of an index — setup/warmup cost, never
 // steady state.
-func (s *Scope) trackAt(list *[]*Track, i int, prefix string) *Track {
+func (s *Scope) trackAt(list *[]*track, i int, prefix string) *track {
 	for len(*list) <= i {
 		*list = append(*list, nil)
 	}
@@ -264,17 +258,17 @@ func (s *Scope) trackAt(list *[]*Track, i int, prefix string) *Track {
 	return (*list)[i]
 }
 
-// NodeTrack returns host i's wire-event track.
-func (s *Scope) NodeTrack(i int) *Track { return s.trackAt(&s.nodes, i, "node") }
+// nodeTrack returns host i's wire-event track.
+func (s *Scope) nodeTrack(i int) *track { return s.trackAt(&s.nodes, i, "node") }
 
-// NICTrack returns NIC i's firmware-event track.
-func (s *Scope) NICTrack(i int) *Track { return s.trackAt(&s.nics, i, "nic") }
+// nicTrack returns NIC i's firmware-event track.
+func (s *Scope) nicTrack(i int) *track { return s.trackAt(&s.nics, i, "nic") }
 
-// TenantTrack returns group gid's op-span track.
-func (s *Scope) TenantTrack(gid int) *Track { return s.trackAt(&s.tenants, gid, "tenant") }
+// tenantTrack returns group gid's op-span track.
+func (s *Scope) tenantTrack(gid int) *track { return s.trackAt(&s.tenants, gid, "tenant") }
 
-// EngineTrack returns the scope's engine timeline.
-func (s *Scope) EngineTrack() *Track {
+// engineTrack returns the scope's engine timeline.
+func (s *Scope) engineTrack() *track {
 	if s.engine == nil {
 		s.engine = s.newTrack("engine")
 	}
@@ -299,7 +293,7 @@ func (s *Scope) PktInject(at sim.Time, src, dst, group int, kind string) {
 		return
 	}
 	s.group(group).sent++
-	s.NodeTrack(src).emit(record{At: at, Kind: KindPktInject,
+	s.nodeTrack(src).emit(record{At: at, Kind: KindPktInject,
 		Src: int32(src), Dst: int32(dst), Group: int32(group), Label: kind})
 }
 
@@ -308,7 +302,7 @@ func (s *Scope) PktHop(at sim.Time, src, dst, group, link, hop int) {
 	if src < 0 {
 		return
 	}
-	s.NodeTrack(src).emit(record{At: at, Kind: KindPktHop,
+	s.nodeTrack(src).emit(record{At: at, Kind: KindPktHop,
 		Src: int32(src), Dst: int32(dst), Group: int32(group), Arg: int64(link)<<16 | int64(hop)})
 }
 
@@ -317,7 +311,7 @@ func (s *Scope) PktDeliver(at sim.Time, src, dst, group int, kind string) {
 	if dst < 0 {
 		return
 	}
-	s.NodeTrack(dst).emit(record{At: at, Kind: KindPktDeliver,
+	s.nodeTrack(dst).emit(record{At: at, Kind: KindPktDeliver,
 		Src: int32(src), Dst: int32(dst), Group: int32(group), Label: kind})
 }
 
@@ -329,7 +323,7 @@ func (s *Scope) PktDrop(at sim.Time, src, dst, group int, kind string, reason Dr
 	if src < 0 {
 		return
 	}
-	s.NodeTrack(src).emit(record{At: at, Kind: KindPktDrop, Reason: reason,
+	s.nodeTrack(src).emit(record{At: at, Kind: KindPktDrop, Reason: reason,
 		Src: int32(src), Dst: int32(dst), Group: int32(group), Label: kind})
 }
 
@@ -347,7 +341,7 @@ func (s *Scope) NICEvent(at sim.Time, node, group int, k Kind, arg int64) {
 	if node < 0 {
 		return
 	}
-	s.NICTrack(node).emit(record{At: at, Kind: k,
+	s.nicTrack(node).emit(record{At: at, Kind: k,
 		Src: int32(node), Group: int32(group), Arg: arg})
 }
 
@@ -364,7 +358,7 @@ func (s *Scope) NICTime(group int, d sim.Duration) {
 // disarmed and allocates nothing between ticks when armed.
 func (s *Scope) EventFired(at sim.Time) {
 	s.eventsFired++
-	s.EngineTrack().emit(record{At: at, Kind: KindEventFired})
+	s.engineTrack().emit(record{At: at, Kind: KindEventFired})
 	if s.metroEvery > 0 && at >= s.metroNext {
 		s.metroTick(at)
 	}
@@ -373,7 +367,7 @@ func (s *Scope) EventFired(at sim.Time) {
 // EventCancelled implements sim.EventObserver.
 func (s *Scope) EventCancelled(at sim.Time) {
 	s.eventsCancelled++
-	s.EngineTrack().emit(record{At: at, Kind: KindEventCancelled})
+	s.engineTrack().emit(record{At: at, Kind: KindEventCancelled})
 }
 
 // --- communicator layer ---
@@ -395,7 +389,7 @@ func (s *Scope) OpSpan(gid int, opKind string, eligible, start, done sim.Time) {
 	g.ops++
 	g.queueNS += int64(start.Sub(eligible))
 	g.lat.Observe(done.Sub(eligible))
-	tr := s.TenantTrack(gid)
+	tr := s.tenantTrack(gid)
 	if start > eligible {
 		tr.emit(record{At: eligible, Dur: start.Sub(eligible), Kind: KindOpQueue,
 			Group: int32(gid), Label: opKind})
@@ -419,13 +413,14 @@ func (s *Scope) Lifecycle(at sim.Time, gid int, k Kind, arg int64) {
 	case KindRetry:
 		g.retries++
 	}
-	s.TenantTrack(gid).emit(record{At: at, Kind: k, Group: int32(gid), Arg: arg})
+	s.tenantTrack(gid).emit(record{At: at, Kind: k, Group: int32(gid), Arg: arg})
 }
 
 // BindGroupTenant labels group gid with its workload-wide tenant
-// index, so snapshots of sharded runs — where each shard numbers its
-// groups locally — can merge one tenant's metrics across scopes (see
-// Snapshot.MergeTenants). Binding is observational; rebinding
+// index: a scope's tenant-merged view (ScopeSnapshot.MergeTenants)
+// folds the groups a tenant ran under, before and after a
+// reconfiguration, into one row, and the rows of a sharded run's scopes
+// name workload-wide tenants. Binding is observational; rebinding
 // overwrites.
 func (s *Scope) BindGroupTenant(gid, tenant int) {
 	if tenant < 0 {

@@ -18,7 +18,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	check := func(q, wantUS float64) {
 		t.Helper()
-		got := h.Quantile(q).Micros()
+		got := h.quantile(q).Micros()
 		if math.Abs(got-wantUS)/wantUS > 0.05 {
 			t.Errorf("p%.0f = %.1fus, want ~%.1fus", q*100, got, wantUS)
 		}
@@ -26,13 +26,13 @@ func TestHistogramQuantiles(t *testing.T) {
 	check(0.50, 500)
 	check(0.95, 950)
 	check(0.99, 990)
-	if got := h.Quantile(1).Micros(); got != 1000 {
+	if got := h.quantile(1).Micros(); got != 1000 {
 		t.Errorf("max quantile = %v, want exact 1000", got)
 	}
-	if got := h.Max().Micros(); got != 1000 {
+	if got := sim.Duration(h.max).Micros(); got != 1000 {
 		t.Errorf("max = %v", got)
 	}
-	if got := h.Mean().Micros(); math.Abs(got-500.5) > 1 {
+	if got := h.mean().Micros(); math.Abs(got-500.5) > 1 {
 		t.Errorf("mean = %v, want ~500.5", got)
 	}
 }
@@ -41,7 +41,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // tenant merging takes) like any other.
 func TestHistogramZeroValueAndMerge(t *testing.T) {
 	var a, b Histogram
-	if a.Quantile(0.5) != 0 || a.Mean() != 0 || a.Max() != 0 {
+	if a.quantile(0.5) != 0 || a.mean() != 0 || a.max != 0 {
 		t.Fatal("zero histogram should report zeros")
 	}
 	b.Observe(3 * sim.Microsecond)
@@ -90,7 +90,7 @@ func TestRingWrap(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		sc.PktInject(sim.Time(i), 0, 1, 0, "data")
 	}
-	track := sc.NodeTrack(0)
+	track := sc.nodeTrack(0)
 	if track.ring.total != 20 {
 		t.Fatalf("total = %d", track.ring.total)
 	}

@@ -103,7 +103,7 @@ func ValidateSnapshotJSON(data []byte) (int, error) {
 }
 
 func validateGroup(where string, g GroupSnapshot) error {
-	if got := g.Drops.Sum(); got != g.Dropped {
+	if got := g.Drops.sum(); got != g.Dropped {
 		return fmt.Errorf("snapshot: %s: drop reasons sum to %d, dropped = %d",
 			where, got, g.Dropped)
 	}

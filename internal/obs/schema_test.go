@@ -18,7 +18,7 @@ func sampleDoc(t *testing.T) SnapshotDoc {
 	sc.OpSpan(1, "barrier", 0, 0, sim.Time(5*sim.Microsecond))
 	sc.PktDrop(0, 0, 1, 1, "data", DropFailStop)
 	sc.Lifecycle(0, 1, KindOpTimeout, 0)
-	sc.Publish(sim.Time(5 * sim.Microsecond))
+	sc.publish(sim.Time(5 * sim.Microsecond))
 	return NewSnapshotDoc(tr.LiveSnapshot())
 }
 

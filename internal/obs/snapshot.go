@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"nicbarrier/internal/sim"
 )
 
 // HistSnapshot is the exported summary of one latency histogram:
@@ -28,14 +30,14 @@ type HistSnapshot struct {
 func SnapshotHistogram(h *Histogram) HistSnapshot {
 	return HistSnapshot{
 		Count:  h.Count(),
-		MeanUS: h.Mean().Micros(),
-		P50US:  h.Quantile(0.50).Micros(),
-		P95US:  h.Quantile(0.95).Micros(),
-		P99US:  h.Quantile(0.99).Micros(),
-		MaxUS:  h.Max().Micros(),
+		MeanUS: h.mean().Micros(),
+		P50US:  h.quantile(0.50).Micros(),
+		P95US:  h.quantile(0.95).Micros(),
+		P99US:  h.quantile(0.99).Micros(),
+		MaxUS:  sim.Duration(h.max).Micros(),
 		SumNS:  h.sum,
 		MaxNS:  h.max,
-		Bins:   h.Bins(),
+		Bins:   h.bins(),
 	}
 }
 
@@ -68,8 +70,8 @@ type DropCounts struct {
 	FailStop uint64 `json:"failStop"`
 }
 
-// Sum reports the total across every reason.
-func (d DropCounts) Sum() uint64 {
+// sum reports the total across every reason.
+func (d DropCounts) sum() uint64 {
 	return d.Injected + d.MidRoute + d.Rejected + d.FailStop
 }
 
@@ -124,17 +126,6 @@ type Snapshot struct {
 	Scopes []ScopeSnapshot `json:"scopes"`
 }
 
-// MergeTenants pools the snapshot's per-group metrics across scopes by
-// bound tenant identity: groups carrying the same Tenant index merge
-// into one row — counters sum, latency histograms pool exactly through
-// their bins — and unbound groups (Tenant < 0) are omitted. Rows come
-// back in tenant order. This is what makes a sharded workload's
-// snapshot read like the unsharded one: each shard numbers its groups
-// locally, but the tenant binding is workload-wide, so the merged view
-// reports every tenant exactly once whatever the partition count. A
-// merged row keeps the first contributing group's ID.
-func (s Snapshot) MergeTenants() []GroupSnapshot { return mergeTenants(s.Scopes...) }
-
 // MergeTenants is the scope's own tenant-merged view: the groups a
 // reconfiguration rebound to one tenant fold into one row, and nothing
 // is pooled with another scope. A registry scenario's scopes are
@@ -142,6 +133,11 @@ func (s Snapshot) MergeTenants() []GroupSnapshot { return mergeTenants(s.Scopes.
 // this way.
 func (sc ScopeSnapshot) MergeTenants() []GroupSnapshot { return mergeTenants(sc) }
 
+// mergeTenants pools the scopes' per-group metrics by bound tenant
+// identity: groups carrying the same Tenant index merge into one row —
+// counters sum, latency histograms pool exactly through their bins —
+// and unbound groups (Tenant < 0) are omitted. Rows come back in tenant
+// order; a merged row keeps the first contributing group's ID.
 func mergeTenants(scopes ...ScopeSnapshot) []GroupSnapshot {
 	byTenant := map[int]*GroupSnapshot{}
 	var order []int
@@ -237,12 +233,12 @@ func (s *Scope) Snapshot() ScopeSnapshot {
 	return ss
 }
 
-func (s *Scope) allTracks() []*Track {
-	var out []*Track
+func (s *Scope) allTracks() []*track {
+	var out []*track
 	if s.engine != nil {
 		out = append(out, s.engine)
 	}
-	for _, list := range [][]*Track{s.nodes, s.nics, s.tenants} {
+	for _, list := range [][]*track{s.nodes, s.nics, s.tenants} {
 		for _, t := range list {
 			if t != nil {
 				out = append(out, t)

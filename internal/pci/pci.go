@@ -27,8 +27,8 @@ type Params struct {
 	BandwidthMBps float64
 }
 
-// Counters records bus usage for experiment reports.
-type Counters struct {
+// usage records bus usage for experiment reports.
+type usage struct {
 	PIOWrites uint64
 	DMAs      uint64
 	DMABytes  uint64
@@ -42,7 +42,7 @@ type Bus struct {
 	eng       *sim.Engine
 	params    Params
 	busyUntil sim.Time
-	counters  Counters
+	counters  usage
 }
 
 // NewBuses builds n buses on the engine as one slice, one per host of a
@@ -57,9 +57,6 @@ func NewBuses(eng *sim.Engine, p Params, n int) []Bus {
 	}
 	return buses
 }
-
-// Counters returns a snapshot of usage counters.
-func (b *Bus) Counters() Counters { return b.counters }
 
 // acquire reserves the bus for d starting no earlier than now, returning
 // the completion time.

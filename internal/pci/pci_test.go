@@ -109,7 +109,7 @@ func TestCounters(t *testing.T) {
 	bus.DMA(100, sim.Nop{})
 	bus.DMA(200, sim.Nop{})
 	eng.Run()
-	c := bus.Counters()
+	c := bus.counters
 	if c.PIOWrites != 1 || c.DMAs != 2 || c.DMABytes != 300 {
 		t.Fatalf("counters %+v", c)
 	}

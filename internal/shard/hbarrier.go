@@ -10,7 +10,6 @@ import (
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/myrinet"
 	"nicbarrier/internal/sim"
-	"nicbarrier/internal/topo"
 )
 
 // HierSpec configures a hierarchical cross-shard barrier run: Nodes
@@ -134,7 +133,7 @@ func MeasureHierBarrier(spec HierSpec) HierResult {
 		sh.gather.Launch(1)
 	}
 	start := time.Now()
-	h.runner.Run(h.done)
+	h.runner.run(h.done)
 	wall := time.Since(start)
 	if !h.done() {
 		panic(fmt.Sprintf("shard: hier barrier stalled (%d nodes, %d parts)", spec.Nodes, spec.Parts))
@@ -164,8 +163,8 @@ func MeasureHierBarrier(spec HierSpec) HierResult {
 		Nodes:       spec.Nodes,
 		Parts:       spec.Parts,
 		Lookahead:   look,
-		Windows:     h.runner.Windows(),
-		Tokens:      h.runner.Delivered(),
+		Windows:     h.runner.windows,
+		Tokens:      h.runner.delivered(),
 		DoneAt:      done,
 		MeanLatency: core.MeanLatency(done, spec.Warmup),
 		WallTime:    wall,
@@ -178,28 +177,23 @@ func MeasureHierBarrier(spec HierSpec) HierResult {
 // minimum cross-partition head latency and the cheapest token flight,
 // so every Send provably lands at or beyond its window's end.
 func (h *hier) deriveLatencies() sim.Duration {
-	var t topo.Topology
-	if h.spec.Nodes <= 16 {
-		t = topo.NewCrossbar(h.spec.Nodes)
-	} else {
-		t = topo.MinFatTree(8, h.spec.Nodes)
-	}
+	t := myrinet.Topology(h.spec.Nodes)
 	params := h.spec.Prof.Net
 	tokenWire := sim.BytesAt(8, params.BandwidthMBps)
 
-	h.cross = make([][]sim.Duration, h.plan.Parts())
+	h.cross = make([][]sim.Duration, h.plan.parts)
 	look := sim.Duration(0)
-	if h.plan.Parts() > 1 {
+	if h.plan.parts > 1 {
 		look = minCrossLatency(t, h.plan, params)
 	}
-	for a := 0; a < h.plan.Parts(); a++ {
-		h.cross[a] = make([]sim.Duration, h.plan.Parts())
-		repA, _ := h.plan.Range(a)
-		for b := 0; b < h.plan.Parts(); b++ {
+	for a := 0; a < h.plan.parts; a++ {
+		h.cross[a] = make([]sim.Duration, h.plan.parts)
+		repA, _ := h.plan.bounds(a)
+		for b := 0; b < h.plan.parts; b++ {
 			if a == b {
 				continue
 			}
-			repB, _ := h.plan.Range(b)
+			repB, _ := h.plan.bounds(b)
 			lat := headLatency(t, repA, repB, params) + tokenWire
 			h.cross[a][b] = lat
 			if lat < look {
@@ -216,7 +210,7 @@ func (h *hier) deriveLatencies() sim.Duration {
 }
 
 func (h *hier) newShard(id int, eng *sim.Engine, dissem *barrier.Plan) *hierShard {
-	size := h.plan.Size(id)
+	size := h.plan.size(id)
 	cl := myrinet.NewCluster(eng, h.spec.Prof, size, nil)
 	ids := make([]int, size)
 	for i := range ids {
@@ -270,7 +264,7 @@ func (sh *hierShard) step(sends []int, completed bool, err error) {
 		panic(fmt.Sprintf("shard %d: cross-shard barrier: %v", sh.id, err))
 	}
 	for _, dst := range sends {
-		sh.h.runner.Send(sh.id, dst, sh.eng.Now().Add(sh.h.cross[sh.id][dst]), sh.op.Seq())
+		sh.h.runner.send(sh.id, dst, sh.eng.Now().Add(sh.h.cross[sh.id][dst]), sh.op.Seq())
 	}
 	if completed {
 		sh.bcast.Reset()

@@ -21,7 +21,7 @@ import (
 type msg struct {
 	From int      // source shard ID
 	At   sim.Time // virtual delivery time (≥ the window end it was sent in)
-	Seq  uint64   // per-source sequence number, assigned by runner.Send
+	Seq  uint64   // per-source sequence number, assigned by runner.send
 	Op   int      // sequence number of the collective operation it belongs to
 }
 
@@ -103,7 +103,7 @@ type runnerShard struct {
 
 	// delivered counts messages actually handed to deliver, incremented
 	// immediately before each callback on the worker goroutine — so
-	// Delivered() read from inside a deliver callback already includes
+	// delivered() read from inside a deliver callback already includes
 	// the message being delivered, and never counts a drained-but-not-
 	// yet-delivered batch.
 	delivered atomic.Uint64
@@ -133,17 +133,11 @@ func newRunner(lookahead sim.Duration, engines []*sim.Engine, deliver func(shard
 	return r
 }
 
-// Lookahead reports the window length the runner synchronizes on.
-func (r *runner) Lookahead() sim.Duration { return r.look }
-
-// Windows reports how many lookahead windows have been executed.
-func (r *runner) Windows() uint64 { return r.windows }
-
-// Delivered reports how many cross-shard messages have been handed to
+// delivered reports how many cross-shard messages have been handed to
 // deliver callbacks. Counting happens at delivery, so a read from
 // inside a deliver callback sees the in-flight message already counted
 // and none of the batch still waiting behind it.
-func (r *runner) Delivered() uint64 {
+func (r *runner) delivered() uint64 {
 	var n uint64
 	for i := range r.shards {
 		n += r.shards[i].delivered.Load()
@@ -151,7 +145,7 @@ func (r *runner) Delivered() uint64 {
 	return n
 }
 
-// Send posts a cross-shard message of operation op from shard `from`
+// send posts a cross-shard message of operation op from shard `from`
 // to shard `to`, to take effect at virtual time `at` on the
 // destination. It must be called from shard from's goroutine while a
 // window is executing (or from the coordinator's goroutine between
@@ -159,7 +153,7 @@ func (r *runner) Delivered() uint64 {
 // conservative invariant. A violation panics: it means the claimed
 // lookahead was larger than the model's true minimum cross-shard
 // latency, which would silently corrupt causality if allowed through.
-func (r *runner) Send(from, to int, at sim.Time, op int) {
+func (r *runner) send(from, to int, at sim.Time, op int) {
 	if at < r.winEnd {
 		panic(fmt.Sprintf("shard: lookahead violation: %d→%d at %v inside window ending %v",
 			from, to, at, r.winEnd))
@@ -189,13 +183,13 @@ func (r *runner) worker(sh *runnerShard) {
 	}
 }
 
-// Run executes windows until no shard has pending events or messages,
+// run executes windows until no shard has pending events or messages,
 // or until stop (checked at every barrier; nil means never) reports
 // true. Each barrier: collect the outboxes, pick the earliest next
 // event or message time W across shards (cached next-event times make
 // an idle shard one comparison), wake the workers of shards with work
 // before W+lookahead, wait for their acks, repeat.
-func (r *runner) Run(stop func() bool) {
+func (r *runner) run(stop func() bool) {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.wake = make(chan sim.Time, 1)

@@ -19,26 +19,26 @@ func TestDeliveredCountsAtDelivery(t *testing.T) {
 	var seen []uint64
 	var r *runner
 	r = newRunner(10, engines, func(int, msg) {
-		seen = append(seen, r.Delivered())
+		seen = append(seen, r.delivered())
 	})
 	// Post a batch before the run: the outboxes are collected in one
 	// barrier, so all three messages are delivered back to back in one
 	// window.
 	for i := 1; i <= 3; i++ {
-		r.Send(0, 0, sim.Time(100*i), 0)
+		r.send(0, 0, sim.Time(100*i), 0)
 	}
-	r.Run(nil)
+	r.run(nil)
 	if len(seen) != 3 {
 		t.Fatalf("delivered %d messages, want 3", len(seen))
 	}
 	for i, got := range seen {
 		if want := uint64(i + 1); got != want {
-			t.Fatalf("callback %d observed Delivered()=%d, want %d (batch counted before delivery?)",
+			t.Fatalf("callback %d observed delivered()=%d, want %d (batch counted before delivery?)",
 				i, got, want)
 		}
 	}
-	if r.Delivered() != 3 {
-		t.Fatalf("final Delivered()=%d, want 3", r.Delivered())
+	if r.delivered() != 3 {
+		t.Fatalf("final delivered()=%d, want 3", r.delivered())
 	}
 }
 
@@ -58,11 +58,10 @@ func TestSendLookaheadViolationMessage(t *testing.T) {
 				!strings.Contains(s, "0→1") {
 				t.Errorf("panic %v does not identify the violation", v)
 			}
-			engines[0].Stop()
 		}()
-		r.Send(0, 1, 50, 0) // window is [0, 100); arrival at 50 violates
+		r.send(0, 1, 50, 0) // window is [0, 100); arrival at 50 violates
 	})
-	r.Run(nil)
+	r.run(nil)
 }
 
 // TestRunnerBatchOrder pins the barrier's merge key: a destination's
@@ -72,12 +71,12 @@ func TestRunnerBatchOrder(t *testing.T) {
 	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
 	var got []msg
 	r := newRunner(10, engines, func(_ int, m msg) { got = append(got, m) })
-	r.Send(1, 0, 200, 0)
-	r.Send(0, 0, 300, 1)
-	r.Send(1, 0, 100, 2)
-	r.Send(0, 0, 300, 3)
-	r.Send(0, 0, 100, 4)
-	r.Run(nil)
+	r.send(1, 0, 200, 0)
+	r.send(0, 0, 300, 1)
+	r.send(1, 0, 100, 2)
+	r.send(0, 0, 300, 3)
+	r.send(0, 0, 100, 4)
+	r.run(nil)
 	want := []msg{
 		{From: 0, At: 100, Seq: 3, Op: 4},
 		{From: 0, At: 300, Seq: 1, Op: 1},
@@ -131,7 +130,7 @@ func BenchmarkRunnerWindow(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	r.Run(nil)
+	r.run(nil)
 }
 
 // benchSender is a self-rescheduling engine event on shard 0 that sends
@@ -146,8 +145,8 @@ type benchSender struct {
 func (s *benchSender) Fire() {
 	if s.left > 0 {
 		s.left--
-		look := s.r.Lookahead()
-		s.r.Send(0, 1, s.eng.Now().Add(look), s.left)
+		look := s.r.look
+		s.r.send(0, 1, s.eng.Now().Add(look), s.left)
 		s.eng.AfterEvent(look, s)
 	}
 }
@@ -163,8 +162,8 @@ func BenchmarkRunnerSend(b *testing.B) {
 	engines[0].ScheduleEvent(0, &benchSender{r: r, eng: engines[0], left: b.N})
 	b.ReportAllocs()
 	b.ResetTimer()
-	r.Run(nil)
-	if got := r.Delivered(); got != uint64(b.N) {
+	r.run(nil)
+	if got := r.delivered(); got != uint64(b.N) {
 		b.Fatalf("delivered %d messages, want %d", got, b.N)
 	}
 }

@@ -18,7 +18,7 @@
 // profile (see minCrossLatency). A message sent at time t arrives no
 // earlier than t+lookahead, so while every shard executes the window
 // [W, W+L) no message generated inside the window can land inside it —
-// the conservative invariant runner.Send enforces with a panic.
+// the conservative invariant runner.send enforces with a panic.
 //
 // Three layers build on this runtime:
 //
@@ -63,16 +63,10 @@ func newPlan(nodes, parts int) plan {
 	return plan{nodes: nodes, parts: parts}
 }
 
-// Nodes reports the total node count the plan partitions.
-func (p plan) Nodes() int { return p.nodes }
-
-// Parts reports the number of shards.
-func (p plan) Parts() int { return p.parts }
-
-// Range reports shard s's contiguous node range [lo, hi). Shards 0
+// bounds reports shard s's contiguous node range [lo, hi). Shards 0
 // through nodes%parts-1 hold one extra node, so sizes differ by at
 // most one.
-func (p plan) Range(s int) (lo, hi int) {
+func (p plan) bounds(s int) (lo, hi int) {
 	if s < 0 || s >= p.parts {
 		panic(fmt.Sprintf("shard: shard %d outside [0,%d)", s, p.parts))
 	}
@@ -85,9 +79,9 @@ func (p plan) Range(s int) (lo, hi int) {
 	return lo, hi
 }
 
-// Size reports the number of nodes in shard s.
-func (p plan) Size(s int) int {
-	lo, hi := p.Range(s)
+// size reports the number of nodes in shard s.
+func (p plan) size(s int) int {
+	lo, hi := p.bounds(s)
 	return hi - lo
 }
 
@@ -101,18 +95,18 @@ func (p plan) Size(s int) int {
 // topology. The serialization term is omitted (payload-dependent), so
 // the result is a true lower bound for any packet size.
 func minCrossLatency(t topo.Topology, p plan, params netsim.Params) sim.Duration {
-	if p.Parts() < 2 {
+	if p.parts < 2 {
 		return 0
 	}
 	least := sim.Duration(1<<62 - 1)
-	for a := 0; a < p.Parts(); a++ {
-		_, hiA := p.Range(a)
+	for a := 0; a < p.parts; a++ {
+		_, hiA := p.bounds(a)
 		src := hiA - 1 // boundary node of shard a
-		for b := 0; b < p.Parts(); b++ {
+		for b := 0; b < p.parts; b++ {
 			if a == b {
 				continue
 			}
-			loB, _ := p.Range(b)
+			loB, _ := p.bounds(b)
 			lat := headLatency(t, src, loB, params)
 			if lat < least {
 				least = lat

@@ -14,12 +14,12 @@ func TestPlanPartitionProperties(t *testing.T) {
 		{1, 1}, {7, 3}, {64, 4}, {64, 64}, {65536, 8}, {10, 16},
 	} {
 		p := newPlan(tc.nodes, tc.parts)
-		if p.Parts() > tc.nodes {
-			t.Fatalf("%v: %d parts for %d nodes", tc, p.Parts(), tc.nodes)
+		if p.parts > tc.nodes {
+			t.Fatalf("%v: %d parts for %d nodes", tc, p.parts, tc.nodes)
 		}
 		covered := 0
-		for s := 0; s < p.Parts(); s++ {
-			lo, hi := p.Range(s)
+		for s := 0; s < p.parts; s++ {
+			lo, hi := p.bounds(s)
 			if hi <= lo {
 				t.Fatalf("%v: empty shard %d [%d,%d)", tc, s, lo, hi)
 			}
@@ -33,8 +33,8 @@ func TestPlanPartitionProperties(t *testing.T) {
 		}
 		// Sizes balanced within one node.
 		min, max := tc.nodes, 0
-		for s := 0; s < p.Parts(); s++ {
-			if sz := p.Size(s); sz < min {
+		for s := 0; s < p.parts; s++ {
+			if sz := p.size(s); sz < min {
 				min = sz
 			} else if sz > max {
 				max = sz
@@ -94,17 +94,17 @@ func TestRunnerDeterministicMerge(t *testing.T) {
 				if d == s {
 					d = (d + 1) % parts
 				}
-				r.Send(s, d, engines[s].Now().Add(look), hop+1)
+				r.send(s, d, engines[s].Now().Add(look), hop+1)
 			})
 		})
 		// Seed: every shard pings its neighbor.
 		for s := 0; s < parts; s++ {
 			s := s
 			engines[s].Schedule(sim.Time(s), func() {
-				r.Send(s, (s+1)%parts, engines[s].Now().Add(look), 0)
+				r.send(s, (s+1)%parts, engines[s].Now().Add(look), 0)
 			})
 		}
-		r.Run(nil)
+		r.run(nil)
 		return logs
 	}
 	a, b := transcript(), transcript()
@@ -133,12 +133,11 @@ func TestRunnerLookaheadViolationPanics(t *testing.T) {
 			if recover() == nil {
 				t.Error("Send inside the window did not panic")
 			}
-			engines[0].Stop()
 		}()
 		// Window is [0, 100); arrival at 50 violates the invariant.
-		r.Send(0, 1, 50, 0)
+		r.send(0, 1, 50, 0)
 	})
-	r.Run(nil)
+	r.run(nil)
 }
 
 func TestRunnerWindowJumping(t *testing.T) {
@@ -148,9 +147,9 @@ func TestRunnerWindowJumping(t *testing.T) {
 	// windows through the gap would need ~100k windows; jumping needs 2.
 	engines[0].Schedule(0, func() {})
 	engines[1].Schedule(sim.Time(sim.Micros(1000)), func() {})
-	r.Run(nil)
-	if r.Windows() > 4 {
-		t.Fatalf("executed %d windows, want the idle gap jumped (≤4)", r.Windows())
+	r.run(nil)
+	if r.windows > 4 {
+		t.Fatalf("executed %d windows, want the idle gap jumped (≤4)", r.windows)
 	}
 }
 

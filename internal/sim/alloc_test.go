@@ -12,11 +12,11 @@ func TestEngineScheduleZeroAlloc(t *testing.T) {
 	fn := func() {}
 	for i := 0; i < 128; i++ { // warm the queue and slot arrays
 		eng.After(1, fn)
-		eng.Step()
+		eng.step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		eng.After(1, fn)
-		eng.Step()
+		eng.step()
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule+fire allocates %.1f objects per event, want 0", allocs)
@@ -42,11 +42,11 @@ func TestEngineScheduleEventZeroAlloc(t *testing.T) {
 	ev := &countEvent{}
 	for i := 0; i < 128; i++ {
 		eng.AfterEvent(1, ev)
-		eng.Step()
+		eng.step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		eng.AfterEvent(1, ev)
-		eng.Step()
+		eng.step()
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled-event schedule+fire allocates %.1f objects per event, want 0", allocs)
@@ -66,7 +66,7 @@ func TestEngineRefillZeroAlloc(t *testing.T) {
 	i := 0
 	hold := func() {
 		eng.After(delays[i%len(delays)], fn)
-		eng.Step()
+		eng.step()
 		i++
 	}
 	for i < 1<<15 {

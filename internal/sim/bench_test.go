@@ -13,7 +13,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.After(1, fn)
-		eng.Step()
+		eng.step()
 	}
 }
 
@@ -43,7 +43,7 @@ func BenchmarkEngineDepth64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.After(65, fn)
-		eng.Step()
+		eng.step()
 	}
 }
 
@@ -79,13 +79,13 @@ func BenchmarkEngineDepth4k(b *testing.B) {
 	}
 	for i := 0; i < 1<<16; i++ { // reach the steady-state delay spread
 		eng.After(delays[i%len(delays)], fn)
-		eng.Step()
+		eng.step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.After(delays[i%len(delays)], fn)
-		eng.Step()
+		eng.step()
 	}
 }
 

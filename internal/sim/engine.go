@@ -255,8 +255,8 @@ func (e *Engine) AfterEvent(d Duration, ev Event) Timer {
 	return e.ScheduleEvent(e.now.Add(d), ev)
 }
 
-// Step executes the single next event, if any, and reports whether one ran.
-func (e *Engine) Step() bool {
+// step executes the single next event, if any, and reports whether one ran.
+func (e *Engine) step() bool {
 	if !e.next(math.MaxInt64) {
 		return false
 	}
@@ -283,7 +283,7 @@ func (e *Engine) fire() {
 // Run executes events until the queue drains or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	for !e.stopped && e.step() {
 	}
 	e.flushExecuted()
 }
@@ -314,7 +314,7 @@ func (e *Engine) RunCondition(pred func() bool) bool {
 	if pred() {
 		return true
 	}
-	for !e.stopped && e.Step() {
+	for !e.stopped && e.step() {
 		if pred() {
 			return true
 		}
@@ -322,9 +322,9 @@ func (e *Engine) RunCondition(pred func() bool) bool {
 	return pred()
 }
 
-// Stop makes the current Run/RunUntil/RunCondition return after the current
+// stop makes the current Run/RunUntil/RunCondition return after the current
 // event completes.
-func (e *Engine) Stop() { e.stopped = true }
+func (e *Engine) stop() { e.stopped = true }
 
 // Timer is a value handle for a scheduled event; its only operation is
 // Cancel. The zero Timer is valid and cancels nothing. Handles are

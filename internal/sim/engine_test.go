@@ -197,7 +197,7 @@ func TestPendingCounter(t *testing.T) {
 	if e.Pending() != 8 {
 		t.Fatalf("pending = %d after double cancel, want 8", e.Pending())
 	}
-	e.Step()
+	e.step()
 	if e.Pending() != 7 {
 		t.Fatalf("pending = %d after one step, want 7", e.Pending())
 	}
@@ -276,7 +276,7 @@ func TestEngineStop(t *testing.T) {
 		e.After(Duration(i+1), func() {
 			count++
 			if count == 3 {
-				e.Stop()
+				e.stop()
 			}
 		})
 	}

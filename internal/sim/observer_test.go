@@ -66,11 +66,11 @@ func TestEngineZeroAllocWithNilObserver(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.ScheduleEvent(e.Now().Add(Microsecond), ev)
 	}
-	for e.Step() {
+	for e.step() {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.ScheduleEvent(e.Now().Add(Microsecond), ev)
-		e.Step()
+		e.step()
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule+step allocates %.1f/op with nil observer, want 0", allocs)

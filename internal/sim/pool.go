@@ -37,9 +37,6 @@ func (f *FreeList[T]) Put(x *T) {
 	f.free = append(f.free, x)
 }
 
-// Len reports how many records the list holds.
-func (f *FreeList[T]) Len() int { return len(f.free) }
-
 // Chunk hands out zeroed *T records carved from shared backing arrays,
 // so a pool that grows by many records at once (every rank of a large
 // group posting at one instant) allocates once per chunk instead of
@@ -75,7 +72,7 @@ func (c *Chunk[T]) New() *T {
 }
 
 // ChunkedFreeList is a free list whose Get carves from a Chunk instead
-// of allocating when the list is empty. Len counts only the records put
+// of allocating when the list is empty. It holds only the records put
 // back, not the chunk's unused tail.
 //
 // Only records that always come back belong on it (see Chunk), so Get
@@ -116,6 +113,3 @@ func (f *ChunkedFreeList[T]) Put(x *T) {
 	}
 	f.n++
 }
-
-// Len reports how many records the list holds.
-func (f *ChunkedFreeList[T]) Len() int { return f.n }

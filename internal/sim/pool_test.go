@@ -42,30 +42,31 @@ func TestChunkZeroedAndBounded(t *testing.T) {
 	}
 }
 
-// Records put back come back zeroed, Len counts only records put back
-// (never the chunk's unused tail), and Get reuses them before carving.
+// Records put back come back zeroed, the list counts only records put
+// back (never the chunk's unused tail), and Get reuses them before
+// carving.
 func TestChunkedFreeListLen(t *testing.T) {
 	var f ChunkedFreeList[poolRec]
-	if f.Len() != 0 {
-		t.Fatalf("empty list Len %d", f.Len())
+	if f.n != 0 {
+		t.Fatalf("empty list holds %d", f.n)
 	}
 	v := 7
 	a, b := f.Get(), f.Get()
-	if f.Len() != 0 {
-		t.Fatalf("Len %d after carving two records, want 0", f.Len())
+	if f.n != 0 {
+		t.Fatalf("%d held after carving two records, want 0", f.n)
 	}
 	a.a, a.p = 1, &v
 	b.a, b.p = 2, &v
 	f.Put(a)
 	f.Put(b)
-	if f.Len() != 2 {
-		t.Fatalf("Len %d after two Puts, want 2", f.Len())
+	if f.n != 2 {
+		t.Fatalf("%d held after two Puts, want 2", f.n)
 	}
 	if x := f.Get(); x != b || *x != (poolRec{}) {
 		t.Fatalf("Get returned %p %+v, want the last record put back (%p), zeroed", x, *x, b)
 	}
-	if f.Len() != 1 {
-		t.Fatalf("Len %d after reusing one record, want 1", f.Len())
+	if f.n != 1 {
+		t.Fatalf("%d held after reusing one record, want 1", f.n)
 	}
 	made := f.chunk.made
 	f.Get()

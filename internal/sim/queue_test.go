@@ -223,7 +223,7 @@ func (o *orderScript) run() {
 			}
 		case 5:
 			_, want := o.nextLive()
-			if got := e.Step(); got != want {
+			if got := e.step(); got != want {
 				o.t.Fatalf("Step() = %v, reference has live entry %v", got, want)
 			}
 		case 6: // RunUntil with a deadline that may fall between events
@@ -247,7 +247,7 @@ func (o *orderScript) run() {
 				o.t.Fatalf("NextAt() = %v, %v; reference has live entry %v (seq %d)", at, ok, want, next)
 			}
 		case 8: // a few steps in a row
-			for n := 1 + int(o.byte()%16); n > 0 && e.Step(); n-- {
+			for n := 1 + int(o.byte()%16); n > 0 && e.step(); n-- {
 			}
 		}
 		if got, want := e.Pending(), len(o.live); got != want {
@@ -274,7 +274,7 @@ func TestEngineOrderDifferential(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		script := make([]byte, 64+rng.Intn(1500))
 		for j := range script {
-			script[j] = byte(rng.Uint64())
+			script[j] = byte(rng.uint64())
 		}
 		runOrderScript(t, script)
 	}
@@ -333,14 +333,14 @@ func TestEnginePeekKeepsLastBehindNow(t *testing.T) {
 func TestScheduleAfterCancelledDrain(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(100, func() { t.Fatal("cancelled event fired") }).Cancel()
-	if e.Step() {
+	if e.step() {
 		t.Fatal("Step() ran an event from a queue holding only a cancelled one")
 	}
 	checkQueue(t, e)
 	fired := Time(-1)
 	e.Schedule(50, func() { fired = e.Now() })
 	checkQueue(t, e)
-	if !e.Step() || fired != 50 {
+	if !e.step() || fired != 50 {
 		t.Fatalf("event scheduled at 50 fired at %v", fired)
 	}
 }

@@ -13,13 +13,13 @@ type RNG struct {
 // NewRNG returns a generator seeded from the given 64-bit seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	r.Seed(seed)
+	r.seed(seed)
 	return r
 }
 
-// Seed resets the generator state from a 64-bit seed using SplitMix64,
+// seed resets the generator state from a 64-bit seed using SplitMix64,
 // which guarantees a well-mixed non-zero state for any input.
-func (r *RNG) Seed(seed uint64) {
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9e3779b97f4a7c15
@@ -35,8 +35,8 @@ func (r *RNG) Seed(seed uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
+// uint64 returns the next 64 random bits.
+func (r *RNG) uint64() uint64 {
 	result := rotl(r.s[1]*5, 7) * 9
 	t := r.s[1] << 17
 	r.s[2] ^= r.s[0]
@@ -57,7 +57,7 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	threshold := -bound % bound
 	for {
-		hi, lo := bits.Mul64(r.Uint64(), bound)
+		hi, lo := bits.Mul64(r.uint64(), bound)
 		if lo >= threshold {
 			return int(hi)
 		}
@@ -66,7 +66,7 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.uint64()>>11) / (1 << 53)
 }
 
 // Perm returns a random permutation of [0, n), Fisher-Yates shuffled.

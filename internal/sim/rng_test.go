@@ -8,15 +8,15 @@ import (
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.uint64() != b.uint64() {
 			t.Fatalf("same seed diverged at draw %d", i)
 		}
 	}
 	c := NewRNG(43)
 	same := 0
-	a.Seed(42)
+	a.seed(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() == c.Uint64() {
+		if a.uint64() == c.uint64() {
 			same++
 		}
 	}

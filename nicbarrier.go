@@ -52,19 +52,13 @@ const (
 	QuadricsElan3
 )
 
+// testbed maps ic onto hwprofile's testbeds, which share its
+// numbering; an unknown interconnect stays unknown, and Config
+// validation rejects it.
+func (ic Interconnect) testbed() hwprofile.Testbed { return hwprofile.Testbed(ic) }
+
 // String implements fmt.Stringer.
-func (ic Interconnect) String() string {
-	switch ic {
-	case MyrinetLANai91:
-		return "myrinet-lanai9.1"
-	case MyrinetLANaiXP:
-		return "myrinet-lanai-xp"
-	case QuadricsElan3:
-		return "quadrics-elan3"
-	default:
-		return fmt.Sprintf("Interconnect(%d)", int(ic))
-	}
-}
+func (ic Interconnect) String() string { return ic.testbed().String() }
 
 // Scheme selects the barrier implementation.
 type Scheme int
@@ -200,12 +194,24 @@ type DropBreakdown struct {
 	Stale    uint64 // NIC-discarded late duplicates (delivered, then ignored)
 }
 
+// checkInterconnect rejects an interconnect that names none of the
+// paper's testbeds.
+func checkInterconnect(ic Interconnect) error {
+	if ic < MyrinetLANai91 || ic > QuadricsElan3 {
+		return fmt.Errorf("nicbarrier: unknown interconnect %d", int(ic))
+	}
+	return nil
+}
+
 func (c Config) validate() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("nicbarrier: Nodes = %d", c.Nodes)
 	}
 	if c.TreeDegree < 0 || c.TreeDegree == 1 {
 		return fmt.Errorf("nicbarrier: TreeDegree = %d (0 for the default, else at least 2)", c.TreeDegree)
+	}
+	if err := checkInterconnect(c.Interconnect); err != nil {
+		return err
 	}
 	quadrics := c.Interconnect == QuadricsElan3
 	if c.Scheme == HardwareBroadcast && !quadrics {
@@ -271,13 +277,6 @@ func measureOnce(cfg Config, run func(*Group) (Result, error)) (Result, error) {
 		return Result{}, err
 	}
 	return run(g)
-}
-
-func myrinetProfile(ic Interconnect) hwprofile.MyrinetProfile {
-	if ic == MyrinetLANai91 {
-		return hwprofile.LANai91Cluster()
-	}
-	return hwprofile.LANaiXPCluster()
 }
 
 // MeasureBroadcast runs the NIC-based broadcast extension on a Myrinet
@@ -382,16 +381,10 @@ func FitScalabilityModel(ic Interconnect, maxNodes int, f Fidelity) (Scalability
 	if err != nil {
 		return ScalabilityModel{}, err
 	}
-	var myri *hwprofile.MyrinetProfile
-	switch ic {
-	case QuadricsElan3:
-	case MyrinetLANai91, MyrinetLANaiXP:
-		prof := myrinetProfile(ic)
-		myri = &prof
-	default:
-		return ScalabilityModel{}, fmt.Errorf("nicbarrier: unknown interconnect %d", int(ic))
+	if err := checkInterconnect(ic); err != nil {
+		return ScalabilityModel{}, err
 	}
-	fit, err := harness.FitScalability(cfg, myri, maxNodes)
+	fit, err := harness.FitScalability(cfg, ic.testbed(), maxNodes)
 	if err != nil {
 		return ScalabilityModel{}, err
 	}

@@ -89,11 +89,15 @@ func TestConfigValidation(t *testing.T) {
 		{Interconnect: MyrinetLANaiXP, Nodes: 4, Scheme: HardwareBroadcast},
 		{Interconnect: QuadricsElan3, Nodes: 4, Scheme: NICDirect},
 		{Interconnect: QuadricsElan3, Nodes: 4, LossRate: 0.1},
+		{Interconnect: Interconnect(7), Nodes: 4},
 	}
 	for i, cfg := range bad {
 		if _, err := MeasureBarrier(cfg, 1, 5); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+	if _, err := FitScalabilityModel(Interconnect(7), 8, Quick); err == nil {
+		t.Error("unknown interconnect accepted by FitScalabilityModel")
 	}
 	ok := Config{Interconnect: MyrinetLANaiXP, Nodes: 2}
 	if _, err := MeasureBarrier(ok, -1, 5); err == nil {
