@@ -35,7 +35,11 @@
 //     method that no non-test Go file of another package calls or takes
 //     as a value (type-checked with go/types), unless an interface of
 //     the module or of an imported standard package, error, or errors'
-//     Unwrap requires it.
+//     Unwrap requires it, or
+//   - an unexported top-level function, or an unexported method of a
+//     package-scope type, in any package of the module is used by no
+//     non-test Go file (its own package's count), unless such an
+//     interface requires it.
 //
 // Usage:
 //

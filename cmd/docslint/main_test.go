@@ -317,21 +317,31 @@ type Event interface{ Fire() }
 
 type T struct{}
 
-func (T) Called()           {}
-func (T) Value()            {}
-func (T) ByPerfbench()      {}
-func (T) Fire()             {}
-func (T) String() string    { return "" }
-func (*T) Error() string    { return "" }
-func (T) OnlyTests()        {}
-func (*T) Unused()          {}
-func (T) unexported()       {}
+func (T) Called()            {}
+func (T) Value()             {}
+func (T) ByPerfbench()       {}
+func (T) Fire()              {}
+func (T) String() string     { return "" }
+func (*T) Error() string     { return "" }
+func (T) OnlyTests()         {}
+func (*T) Unused()           {}
+func (T) unexported()        {}
+func (T) used()              {}
+func (T) onlyTestsInternal() {}
+func (T) fire()              {}
 
 type hidden struct{}
 
 func (hidden) Exported() {}
+
+type firer interface{ fire() }
+
+func Helped()     { helper(); T{}.used() }
+func helper()     {}
+func orphan()     {}
+func testHelper() {}
 `,
-		"internal/p/p_test.go": "package p\n\nvar _ = T.OnlyTests\n",
+		"internal/p/p_test.go": "package p\n\nvar _ = T.OnlyTests\nvar _ = T.onlyTestsInternal\nvar _ = testHelper\n",
 		"cmd/x/main.go": `package main
 
 import (
@@ -345,7 +355,12 @@ func main() {
 	t.Called()
 	f := t.Value
 	fmt.Println(t, f)
+	p.Helped()
+	run()
 }
+
+func run()    {}
+func unused() {}
 `,
 		"perfbench/go.mod": "module m/perfbench\n\nrequire m v0.0.0\n\nreplace m => ../\n",
 		"perfbench/main.go": `package main
@@ -357,9 +372,14 @@ func main() { p.T{}.ByPerfbench() }
 	})
 	p := filepath.Join("internal", "p", "p.go")
 	want := []string{
+		filepath.Join("cmd", "x", "main.go") + ":19: main.unused is unexported and no non-test file uses it",
 		p + ":13: p.T.OnlyTests is exported but no other package calls it",
 		p + ":14: p.T.Unused is exported but no other package calls it",
-		p + ":19: p.hidden.Exported is exported but no other package calls it",
+		p + ":15: p.T.unexported is unexported and no non-test file uses it",
+		p + ":17: p.T.onlyTestsInternal is unexported and no non-test file uses it",
+		p + ":22: p.hidden.Exported is exported but no other package calls it",
+		p + ":28: p.orphan is unexported and no non-test file uses it",
+		p + ":29: p.testHelper is unexported and no non-test file uses it",
 	}
 	if got := lintMethods(root); !slices.Equal(got, want) {
 		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
@@ -367,7 +387,9 @@ func main() { p.T{}.ByPerfbench() }
 }
 
 // Every exported method of the repository's internal packages is
-// called across a package boundary or required by an interface.
+// called across a package boundary or required by an interface, and
+// every unexported function and method of the module is used by
+// non-test code.
 func TestRepositoryMethods(t *testing.T) {
 	if got := lintMethods("../.."); len(got) != 0 {
 		t.Fatalf("unused internal methods: %q", got)

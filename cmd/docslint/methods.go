@@ -19,10 +19,13 @@ import (
 // in a non-test file of a package under root/internal that no non-test
 // Go file of another package calls or takes as a method value. The
 // root package, cmd/, the other internal packages and nested modules
-// such as perfbench/ all count. A method that an interface requires of
-// its type is exempt: an interface of the module or of a standard
-// library package it imports (fmt.Stringer's String, sim.Event's Fire),
-// the built-in error's Error, or errors' Unwrap.
+// such as perfbench/ all count. It also reports each unexported
+// top-level function, and each unexported method of a package-scope
+// type, in any package of the module that no non-test Go file uses,
+// its own package's included. A method that an interface requires of
+// its type is exempt from both: an interface of the module or of a
+// standard library package it imports (fmt.Stringer's String,
+// sim.Event's Fire), the built-in error's Error, or errors' Unwrap.
 func lintMethods(root string) []string {
 	module, err := modulePath(root)
 	if err != nil {
@@ -48,25 +51,42 @@ func lintMethods(root string) []string {
 		return out
 	}
 
-	called := map[*types.Func]bool{}
+	// used holds every function a non-test file names; called, those
+	// another package names.
+	used, called := map[*types.Func]bool{}, map[*types.Func]bool{}
 	for _, p := range m.pkgs {
 		if p == nil {
 			continue
 		}
 		for _, obj := range p.uses {
-			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != p.types {
-				called[fn.Origin()] = true
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+				if fn.Pkg() != p.types {
+					called[fn.Origin()] = true
+				}
 			}
 		}
 	}
 	ifaces := m.interfaces()
+	report := func(fn *types.Func, format string, args ...any) {
+		pos := m.fset.Position(fn.Pos())
+		file, _ := filepath.Rel(root, pos.Filename)
+		out = append(out, fmt.Sprintf("%s:%d: ", file, pos.Line)+fmt.Sprintf(format, args...))
+	}
 	for _, rel := range slices.Sorted(maps.Keys(m.pkgs)) {
 		p := m.pkgs[rel]
-		if p == nil || !strings.HasPrefix(rel, "internal/") {
+		if p == nil {
 			continue
 		}
+		internal := strings.HasPrefix(rel, "internal/")
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
+			if fn, ok := scope.Lookup(name).(*types.Func); ok {
+				if !fn.Exported() && !used[fn] && !(name == "main" && p.types.Name() == "main") {
+					report(fn, "%s.%s is unexported and no non-test file uses it", p.types.Name(), name)
+				}
+				continue
+			}
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
 				continue
@@ -77,11 +97,13 @@ func lintMethods(root string) []string {
 			}
 			for i := range named.NumMethods() {
 				fn := named.Method(i)
-				if fn.Exported() && !called[fn] && !required(named, fn.Name(), ifaces) {
-					pos := m.fset.Position(fn.Pos())
-					file, _ := filepath.Rel(root, pos.Filename)
-					out = append(out, fmt.Sprintf("%s:%d: %s.%s.%s is exported but no other package calls it",
-						file, pos.Line, p.types.Name(), name, fn.Name()))
+				switch {
+				case fn.Exported() && (!internal || called[fn]), !fn.Exported() && used[fn]:
+				case required(named, fn.Name(), ifaces):
+				case fn.Exported():
+					report(fn, "%s.%s.%s is exported but no other package calls it", p.types.Name(), name, fn.Name())
+				default:
+					report(fn, "%s.%s.%s is unexported and no non-test file uses it", p.types.Name(), name, fn.Name())
 				}
 			}
 		}

@@ -30,16 +30,3 @@ func NewBroadcastPlan(n, root, degree int) *Plan {
 // builds the same one-level star, and the cap keeps the position
 // arithmetic (position·degree) from overflowing on huge degrees.
 func starDegree(degree, n int) int { return min(degree, max(n-1, 2)) }
-
-// verifyBroadcast abstractly executes broadcast schedules and checks that
-// every rank completes and has transitively heard from the root.
-func verifyBroadcast(n, root, degree int) error {
-	// Reuse the barrier executor's progress machinery, then check the
-	// weaker knowledge property (heard from root, not from everyone).
-	return verifyKnowledge(NewBroadcastPlan(n, root, degree).all(), "broadcast", func(rank int, knowledge []bool) error {
-		if !knowledge[root] {
-			return fmt.Errorf("barrier: rank %d completed broadcast without hearing from root %d", rank, root)
-		}
-		return nil
-	})
-}

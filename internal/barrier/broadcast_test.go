@@ -1,6 +1,7 @@
 package barrier
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -119,4 +120,17 @@ func TestHugeTreeDegree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// verifyBroadcast abstractly executes broadcast schedules and checks that
+// every rank completes and has transitively heard from the root.
+func verifyBroadcast(n, root, degree int) error {
+	// Reuse the barrier executor's progress machinery, then check the
+	// weaker knowledge property (heard from root, not from everyone).
+	return verifyKnowledge(NewBroadcastPlan(n, root, degree).all(), "broadcast", func(rank int, knowledge []bool) error {
+		if !knowledge[root] {
+			return fmt.Errorf("barrier: rank %d completed broadcast without hearing from root %d", rank, root)
+		}
+		return nil
+	})
 }

@@ -41,20 +41,12 @@ func (p *Plan) Rank(rank int) Schedule {
 	return Schedule{p, rank}
 }
 
-// all returns every rank's schedule.
-func (p *Plan) all() []Schedule {
-	out := make([]Schedule, p.n)
-	for r := range out {
-		out[r] = p.Rank(r)
-	}
-	return out
-}
-
 // Schedule is one rank's complete collective script: a view of a plan
 // from that rank. Steps run in order. When a step starts (all earlier
 // steps completed) the rank notifies every peer on the step's send list
 // (AppendSends); the step completes once notifications from every peer
-// on its wait list (AppendWaits) have arrived.
+// on its wait list (the senders of arrival bits WaitEnd(i−1) up to
+// WaitEnd(i)) have arrived.
 // Notifications may arrive before their step starts and must be buffered
 // — the bit-vector bookkeeping in the NIC collective protocol exists for
 // exactly this.
@@ -132,18 +124,6 @@ func (s Schedule) AppendSends(dst []int, i int) []int {
 	}
 	if i == t.cs {
 		dst = s.appendChildren(dst, t)
-	}
-	return dst
-}
-
-// AppendWaits appends the ranks step i waits on, in order, to dst.
-func (s Schedule) AppendWaits(dst []int, i int) []int {
-	bit := 0
-	if i > 0 {
-		bit = s.WaitEnd(i - 1)
-	}
-	for end := s.WaitEnd(i); bit < end; bit++ {
-		dst = append(dst, s.Sender(bit))
 	}
 	return dst
 }

@@ -128,3 +128,24 @@ func verifyKnowledge[S script](scheds []S, name string, check func(rank int, kno
 	}
 	return nil
 }
+
+// all returns every rank's schedule.
+func (p *Plan) all() []Schedule {
+	out := make([]Schedule, p.n)
+	for r := range out {
+		out[r] = p.Rank(r)
+	}
+	return out
+}
+
+// AppendWaits appends the ranks step i waits on, in order, to dst.
+func (s Schedule) AppendWaits(dst []int, i int) []int {
+	bit := 0
+	if i > 0 {
+		bit = s.WaitEnd(i - 1)
+	}
+	for end := s.WaitEnd(i); bit < end; bit++ {
+		dst = append(dst, s.Sender(bit))
+	}
+	return dst
+}

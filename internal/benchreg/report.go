@@ -120,16 +120,6 @@ func (r *Report) validate() error {
 	return nil
 }
 
-// metric returns the named metric, if present.
-func (r *Report) metric(name string) (Metric, bool) {
-	for _, m := range r.Metrics {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Metric{}, false
-}
-
 // Filename is the canonical output name for this report: BENCH_<rev>.json.
 func (r *Report) Filename() string {
 	rev := r.GitRev

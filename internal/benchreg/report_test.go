@@ -208,3 +208,13 @@ func TestGitRev(t *testing.T) {
 		t.Fatalf("GitRev %q contains separator characters", rev)
 	}
 }
+
+// metric returns the named metric, if present.
+func (r *Report) metric(name string) (Metric, bool) {
+	for _, m := range r.Metrics {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return Metric{}, false
+}

@@ -565,11 +565,6 @@ func (g *Group) launchSess(iters int) {
 	}
 }
 
-// done reports whether every launched operation completed.
-func (g *Group) done() bool {
-	return g.sess != nil && g.pendingIters == 0 && g.sess.Done()
-}
-
 // DoneAt returns the current run's per-iteration completion times
 // (valid once Done); Completions holds every run's.
 func (g *Group) DoneAt() []sim.Time { return g.sess.DoneAt() }

@@ -387,3 +387,8 @@ func TestInvalidConfigRejected(t *testing.T) {
 		}
 	}
 }
+
+// done reports whether every launched operation completed.
+func (g *Group) done() bool {
+	return g.sess != nil && g.pendingIters == 0 && g.sess.Done()
+}

@@ -36,9 +36,17 @@ type refStep struct {
 func refScheduleOf(s barrier.Schedule) refSchedule {
 	ref := refSchedule{Algorithm: s.Algorithm(), N: s.Size(), Rank: s.Rank()}
 	for i := range s.Steps() {
+		var wait []int
+		bit := 0
+		if i > 0 {
+			bit = s.WaitEnd(i - 1)
+		}
+		for ; bit < s.WaitEnd(i); bit++ {
+			wait = append(wait, s.Sender(bit))
+		}
 		ref.Steps = append(ref.Steps, refStep{
 			Send:       s.AppendSends(nil, i),
-			Wait:       s.AppendWaits(nil, i),
+			Wait:       wait,
 			ResultWait: s.ResultWait(i),
 		})
 	}

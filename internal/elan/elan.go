@@ -24,7 +24,6 @@ import (
 	"nicbarrier/internal/hwprofile"
 	"nicbarrier/internal/netsim"
 	"nicbarrier/internal/obs"
-	"nicbarrier/internal/pci"
 	"nicbarrier/internal/sim"
 	"nicbarrier/internal/topo"
 )
@@ -68,7 +67,7 @@ const (
 type Node struct {
 	ID   int
 	Prof *hwprofile.QuadricsProfile
-	Bus  *pci.Bus
+	Bus  *sim.Proc // PIO doorbells hold it for the profile's PCI.PIOWrite
 	Host *Host
 	NIC  *NIC
 
@@ -84,23 +83,14 @@ type Host struct {
 	// groups routes group-addressed events (chain completions, gsync
 	// remote events) to the session driving that group, so concurrent
 	// communicators can share one node.
-	groups core.Bindings[eventHandler]
+	groups core.Bindings[*member]
 }
 
-// eventHandler consumes the host events of one bound group. Session
-// members implement it, so binding a member stores the member itself
-// rather than a method value built per bind.
-type eventHandler interface {
-	HandleEvent(Event)
-}
-
-// bind routes this node's events for one group ID to eh; duplicate
-// bindings panic (two drivers for one group is a programming error).
-func (h *Host) bind(groupID int, eh eventHandler) {
-	if eh == nil {
-		panic("elan: nil group event handler")
-	}
-	if !h.groups.Bind(core.GroupID(groupID), eh) {
+// bind routes this node's events for one group ID to session member m;
+// duplicate bindings panic (two drivers for one group is a programming
+// error).
+func (h *Host) bind(groupID int, m *member) {
+	if !h.groups.Bind(core.GroupID(groupID), m) {
 		panic(fmt.Sprintf("elan: node %d: group %d already bound", h.node.ID, groupID))
 	}
 }
@@ -205,11 +195,12 @@ func (p *port) Receive(pkt netsim.Packet) { (*NIC)(p).onPacket(pkt) }
 func newNodes(cl *Cluster, n int) []*Node {
 	eng, prof := cl.Eng, &cl.Prof
 	nodes, hosts, nics := make([]Node, n), make([]Host, n), make([]NIC, n)
-	buses := pci.NewBuses(eng, prof.PCI, n)
+	buses := make([]sim.Proc, n)
 	ptrs := make([]*Node, n)
 	for i := range nodes {
 		node := &nodes[i]
 		*node = Node{ID: i, Prof: prof, Bus: &buses[i], Host: &hosts[i], NIC: &nics[i], cluster: cl}
+		buses[i].Eng = eng
 		hosts[i] = Host{Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz}, node: node}
 		nics[i] = NIC{
 			Proc: sim.Proc{Eng: eng, ClockMHz: prof.NIC.ClockMHz},
@@ -235,8 +226,8 @@ func (h *Host) deliver(ev Event) {
 // handler, everything else (and events for unbound groups) to OnEvent.
 func (h *Host) dispatch(ev Event) {
 	if ev.Kind == EvBarrierDone || ev.Kind == EvRemote {
-		if eh, ok := h.groups.Get(core.GroupID(ev.Group)); ok {
-			eh.HandleEvent(ev)
+		if m, ok := h.groups.Get(core.GroupID(ev.Group)); ok {
+			m.handleEvent(ev)
 			return
 		}
 	}

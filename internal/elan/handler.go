@@ -83,7 +83,7 @@ func (h *handler) Fire() {
 	case hDeliver:
 		n.node.Host.dispatch(r.ev)
 	case hTrigger:
-		n.node.Bus.PIOWrite(n.relay(hChainDoorbell, r))
+		n.node.Bus.Hold(n.node.Prof.PCI.PIOWrite, n.relay(hChainDoorbell, r))
 	case hChainDoorbell:
 		n.startChain(r.msg.group)
 	case hRDMASend:
@@ -103,14 +103,14 @@ func (h *handler) Fire() {
 	case hGsync:
 		r.m.gsyncArrive(r.msg.seq, r.msg.fromRank)
 	case hRemotePost:
-		n.node.Bus.PIOWrite(n.relay(hRemoteDoorbell, r))
+		n.node.Bus.Hold(n.node.Prof.PCI.PIOWrite, n.relay(hRemoteDoorbell, r))
 	case hRemoteDoorbell:
 		p := &n.node.Prof.NIC
 		n.Exec(p.DMADescCycles, p.SendFixed, n.relay(hRemoteSend, r))
 	case hRemoteSend:
 		n.sendRDMA(r.dst, "rdma-host", r.msg)
 	case hHWPost:
-		n.node.Bus.PIOWrite(n.relay(hHWDoorbell, r))
+		n.node.Bus.Hold(n.node.Prof.PCI.PIOWrite, n.relay(hHWDoorbell, r))
 	case hHWDoorbell:
 		n.node.hwPost()
 	case hHWDone:

@@ -146,7 +146,7 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 		if scheme == SchemeChained {
 			core.ReserveTables(len(nodeIDs), func(r int) *core.Table[*chainOp] { return &node(r).NIC.chains })
 		}
-		core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[eventHandler] { return &node(r).Host.groups })
+		core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[*member] { return &node(r).Host.groups })
 	}
 	for rank, id := range group.Nodes {
 		m := &s.members[rank]
@@ -156,7 +156,7 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 			// No schedule: one network transaction synchronizes all. HW
 			// completions carry no group, so they flow through the plain
 			// event hook — one HW session per cluster, like the hardware.
-			m.node.Host.OnEvent = m.HandleEvent
+			m.node.Host.OnEvent = m.handleEvent
 			continue
 		}
 		m.state = arena.Op(rank)
@@ -284,9 +284,9 @@ func (m *member) gsyncSend(seq int, ranks []int) {
 	}
 }
 
-// HandleEvent implements EventHandler: the member's host events for the
+// handleEvent consumes the member's host events for the
 // session's group (all events, for the hardware barrier).
-func (m *member) HandleEvent(ev Event) {
+func (m *member) handleEvent(ev Event) {
 	switch ev.Kind {
 	case EvBarrierDone:
 		m.s.Complete(m.rank, ev.Seq)

@@ -235,7 +235,7 @@ func (discard) Receive(netsim.Packet) {}
 // the configured rate and leaves every other kind alone.
 func TestRandomLossRate(t *testing.T) {
 	eng := sim.NewEngine()
-	net := netsim.New(eng, topo.NewCrossbar(4), netsim.Params{BandwidthMBps: 250})
+	net := netsim.New(eng, topo.MinFatTree(4, 4), netsim.Params{BandwidthMBps: 250})
 	net.SetImpairment(NewPlan(1, Rule{Match: Match{Kinds: Kinds("data")}, Effect: RandomLoss{Rate: 0.3}}))
 	net.Attach(1, discard{})
 	const total = 20000

@@ -209,13 +209,3 @@ func (t Table) toPoints() []NamedValue {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// value returns the value of one (series, N) data point of the figure.
-func (f Figure) value(series string, n int) (float64, bool) {
-	for _, s := range f.Series {
-		if s.Name == series {
-			return s.value(n)
-		}
-	}
-	return 0, false
-}

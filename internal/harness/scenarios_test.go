@@ -166,3 +166,13 @@ func TestSummaryToPointsUnique(t *testing.T) {
 		t.Fatalf("summary points = %d, want 11 rows", len(pts))
 	}
 }
+
+// value returns the value of one (series, N) data point of the figure.
+func (f Figure) value(series string, n int) (float64, bool) {
+	for _, s := range f.Series {
+		if s.Name == series {
+			return s.value(n)
+		}
+	}
+	return 0, false
+}

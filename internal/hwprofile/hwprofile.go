@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"nicbarrier/internal/netsim"
-	"nicbarrier/internal/pci"
 	"nicbarrier/internal/sim"
 )
 
@@ -61,6 +60,23 @@ func (tb Testbed) LineRateMBps() float64 {
 		return Elan3Cluster().Net.BandwidthMBps
 	}
 	return baseMyrinet().Net.BandwidthMBps
+}
+
+// PCI fixes a node's host I/O bus: 66 MHz/64-bit PCI on the 700 MHz
+// Pentium-III cluster, 133 MHz/64-bit PCI-X on the 2.4 GHz Xeon cluster.
+// The bus is shared: programmed-I/O writes (doorbells) and DMA
+// transactions serialize on it, the node's one bus sim.Proc. Reduced
+// PCI round trips are one of the two headline benefits of NIC-based
+// barriers (the other being removed host involvement).
+type PCI struct {
+	// PIOWrite is the end-to-end latency of one programmed-I/O write
+	// from host to NIC (doorbell ring or small descriptor write).
+	PIOWrite sim.Duration
+	// DMASetup is the fixed cost to start one DMA transaction
+	// (arbitration, address phase, engine startup).
+	DMASetup sim.Duration
+	// BandwidthMBps is the burst transfer bandwidth of the bus.
+	BandwidthMBps float64
 }
 
 // Host describes the host CPU side of a node.
@@ -175,7 +191,7 @@ type MyrinetProfile struct {
 	Name string
 	Host Host
 	NIC  MyrinetNIC
-	PCI  pci.Params
+	PCI  PCI
 	Net  netsim.Params
 
 	DataHeaderBytes int // wire header on data packets
@@ -189,7 +205,7 @@ type QuadricsProfile struct {
 	Name string
 	Host Host
 	NIC  ElanNIC
-	PCI  pci.Params
+	PCI  PCI
 	Net  netsim.Params
 
 	FatTreeArity int // QsNet is quaternary
@@ -215,7 +231,7 @@ func LANai91Cluster() MyrinetProfile {
 		TokenPostCycles: 550,
 	}
 	p.NIC.ClockMHz = 133
-	p.PCI = pci.Params{
+	p.PCI = PCI{
 		PIOWrite:      sim.Nanos(500),
 		DMASetup:      sim.Nanos(850),
 		BandwidthMBps: 528, // 66 MHz * 64 bit
@@ -235,7 +251,7 @@ func LANaiXPCluster() MyrinetProfile {
 		TokenPostCycles: 500,
 	}
 	p.NIC.ClockMHz = 225
-	p.PCI = pci.Params{
+	p.PCI = PCI{
 		PIOWrite:      sim.Nanos(400),
 		DMASetup:      sim.Nanos(600),
 		BandwidthMBps: 1064, // 133 MHz * 64 bit PCI-X
@@ -321,7 +337,7 @@ func Elan3Cluster() QuadricsProfile {
 			HWBarrierBase:     sim.Nanos(2050),
 			HWBarrierPerLevel: sim.Nanos(450),
 		},
-		PCI: pci.Params{
+		PCI: PCI{
 			PIOWrite:      sim.Nanos(250),
 			DMASetup:      sim.Nanos(500),
 			BandwidthMBps: 528,

@@ -41,11 +41,13 @@ func NewCluster(eng *sim.Engine, prof hwprofile.MyrinetProfile, n int, imp netsi
 }
 
 // Topology is the network of an n-node Myrinet cluster: a single
-// 16-port crossbar when it fits (the paper's testbeds), otherwise a Clos
-// network of 16-port switches (8 up / 8 down).
+// 16-port crossbar when it fits (the paper's testbeds), which is a
+// one-level fat tree of arity n, otherwise a Clos network of 16-port
+// switches (8 up / 8 down). A one-node cluster gets a two-port switch,
+// the smallest tree there is.
 func Topology(n int) topo.Topology {
 	if n <= 16 {
-		return topo.NewCrossbar(n)
+		return topo.MinFatTree(max(n, 2), n)
 	}
 	return topo.MinFatTree(8, n)
 }

@@ -169,7 +169,7 @@ func (h *handler) Fire() {
 	case hDirectRecv:
 		n.arriveDirect(r.msg)
 	case hSendPost:
-		n.node.Bus.PIOWrite(n.pool.next(hSendDoorbell, &r))
+		n.node.Bus.Hold(n.node.Prof.PCI.PIOWrite, n.pool.next(hSendDoorbell, &r))
 	case hSendDoorbell:
 		n.Exec(n.node.Prof.NIC.TokenTranslate, 0, n.pool.next(hTokenEnqueue, &r))
 	case hTokenEnqueue:
@@ -182,7 +182,7 @@ func (h *handler) Fire() {
 	case hInject:
 		n.inject(r.data)
 	case hRecvTokenPost:
-		n.node.Bus.PIOWrite(n.pool.get(hRecvTokenDoorbell, n))
+		n.node.Bus.Hold(n.node.Prof.PCI.PIOWrite, n.pool.get(hRecvTokenDoorbell, n))
 	case hRecvTokenDoorbell:
 		n.Exec(n.node.Prof.NIC.TokenPost, 0, n.pool.get(hRecvToken, n))
 	case hRecvToken:
@@ -191,7 +191,7 @@ func (h *handler) Fire() {
 	case hDataRecv:
 		n.checkData(r.data)
 	case hRecvMatch:
-		n.node.Bus.DMA(r.data.size, n.pool.next(hRecvDMA, &r))
+		n.node.dma(r.data.size, n.pool.next(hRecvDMA, &r))
 	case hRecvDMA:
 		n.deliverData(r.data)
 	case hAckSend:
@@ -202,7 +202,7 @@ func (h *handler) Fire() {
 		n.reinject(recordKey{r.dst, uint32(r.msg.seq)})
 	case hPostEvent:
 		n.Stats.EventsPosted++
-		n.node.Bus.DMA(n.node.Prof.EventBytes, n.pool.next(hEventDMA, &r))
+		n.node.dma(n.node.Prof.EventBytes, n.pool.next(hEventDMA, &r))
 	case hEventDMA:
 		n.node.Host.Exec(n.node.Prof.Host.RecvPollCycles, 0, n.pool.next(hDeliver, &r))
 	case hDeliver:
@@ -214,7 +214,7 @@ func (h *handler) Fire() {
 		}
 		n.node.Host.dispatch(ev)
 	case hPost:
-		n.node.Bus.PIOWrite(n.pool.next(hDoorbell, &r))
+		n.node.Bus.Hold(n.node.Prof.PCI.PIOWrite, n.pool.next(hDoorbell, &r))
 	case hDoorbell:
 		n.onBarrierDoorbell(int(r.msg.group), r.msg.value)
 	}

@@ -351,7 +351,7 @@ func (n *NIC) kick() {
 
 func (n *NIC) fillPacket(tok *dataMsg) {
 	if tok.hostData && tok.size > 0 {
-		n.node.Bus.DMA(tok.size, n.with(hFilled, tok))
+		n.node.dma(tok.size, n.with(hFilled, tok))
 		return
 	}
 	n.injectData(tok)

@@ -1,6 +1,7 @@
 package myrinet
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -529,4 +530,17 @@ func TestClusterStatsSumsEveryCounter(t *testing.T) {
 			t.Errorf("Stats().%s = %d, want %d", name, got, sum)
 		}
 	}
+}
+
+// send posts one GM send: host builds the descriptor, rings the doorbell
+// over PCI, and the NIC takes over. hostData selects whether the payload
+// lives in host memory (true: the NIC must DMA it into the send packet).
+func (h *Host) send(dst, size int, tag any, hostData bool) {
+	if dst == h.node.ID {
+		panic("myrinet: self-send not modeled")
+	}
+	if size < 0 {
+		panic(fmt.Sprintf("myrinet: negative send size %d", size))
+	}
+	h.postSend(dataMsg{dst: dst, size: size, tag: tag, hostData: hostData})
 }

@@ -22,7 +22,6 @@ import (
 
 	"nicbarrier/internal/core"
 	"nicbarrier/internal/hwprofile"
-	"nicbarrier/internal/pci"
 	"nicbarrier/internal/sim"
 )
 
@@ -51,13 +50,23 @@ type Event struct {
 	Value    int64 // EvBarrierDone: allreduce result, when applicable
 }
 
-// Node is one cluster node: host + PCI bus + NIC.
+// Node is one cluster node: host + PCI bus + NIC. The bus is a
+// clockless sim.Proc: PIO writes and DMAs hold it at the profile's PCI
+// costs and serialize on it.
 type Node struct {
 	ID   int
 	Prof *hwprofile.MyrinetProfile
-	Bus  *pci.Bus
+	Bus  *sim.Proc
 	Host *Host
 	NIC  *NIC
+}
+
+// dma moves bytes across the node's bus (either direction; the model is
+// symmetric) and fires ev at completion: the DMA setup plus the bytes at
+// the bus bandwidth.
+func (nd *Node) dma(bytes int, ev sim.Event) {
+	pci := &nd.Prof.PCI
+	nd.Bus.Hold(pci.DMASetup+sim.BytesAt(int64(bytes), pci.BandwidthMBps), ev)
 }
 
 // Host models the host CPU side of GM.
@@ -71,24 +80,15 @@ type Host struct {
 	// host-scheme barrier messages) to the session driving that group, so
 	// concurrent communicators can share one node without clobbering each
 	// other's event hook.
-	groups core.Bindings[eventHandler]
+	groups core.Bindings[*member]
 }
 
-// eventHandler consumes the host events of one bound group. Session
-// members implement it, so binding a member stores the member itself
-// rather than a method value built per bind.
-type eventHandler interface {
-	HandleEvent(Event)
-}
-
-// bind routes this node's events for one group ID to eh. It panics on a
-// duplicate binding: two drivers polling the same group's completions is
-// a programming error, exactly like double-attaching a NIC.
-func (h *Host) bind(groupID int, eh eventHandler) {
-	if eh == nil {
-		panic("myrinet: nil group event handler")
-	}
-	if !h.groups.Bind(core.GroupID(groupID), eh) {
+// bind routes this node's events for one group ID to session member m.
+// It panics on a duplicate binding: two drivers polling the same group's
+// completions is a programming error, exactly like double-attaching a
+// NIC.
+func (h *Host) bind(groupID int, m *member) {
+	if !h.groups.Bind(core.GroupID(groupID), m) {
 		panic(fmt.Sprintf("myrinet: node %d: group %d already bound", h.node.ID, groupID))
 	}
 }
@@ -112,11 +112,12 @@ func (h *Host) unbind(groupID int) {
 func newNodes(cl *Cluster, n int) []*Node {
 	eng, prof := cl.Eng, &cl.Prof
 	nodes, hosts, nics := make([]Node, n), make([]Host, n), make([]NIC, n)
-	buses := pci.NewBuses(eng, prof.PCI, n)
+	buses := make([]sim.Proc, n)
 	ptrs := make([]*Node, n)
 	for i := range nodes {
 		node := &nodes[i]
 		*node = Node{ID: i, Prof: prof, Bus: &buses[i], Host: &hosts[i], NIC: &nics[i]}
+		buses[i].Eng = eng
 		hosts[i] = Host{Proc: sim.Proc{Eng: eng, ClockMHz: prof.Host.ClockMHz}, node: node}
 		nic := &nics[i]
 		*nic = NIC{
@@ -136,27 +137,14 @@ func newNodes(cl *Cluster, n int) []*Node {
 // the host poll loop demultiplexing its event queue.
 func (h *Host) dispatch(ev Event) {
 	if ev.Kind == EvBarrierDone || ev.Kind == EvBarrierMsg {
-		if eh, ok := h.groups.Get(core.GroupID(ev.Group)); ok {
-			eh.HandleEvent(ev)
+		if m, ok := h.groups.Get(core.GroupID(ev.Group)); ok {
+			m.handleEvent(ev)
 			return
 		}
 	}
 	if h.OnEvent != nil {
 		h.OnEvent(ev)
 	}
-}
-
-// send posts one GM send: host builds the descriptor, rings the doorbell
-// over PCI, and the NIC takes over. hostData selects whether the payload
-// lives in host memory (true: the NIC must DMA it into the send packet).
-func (h *Host) send(dst, size int, tag any, hostData bool) {
-	if dst == h.node.ID {
-		panic("myrinet: self-send not modeled")
-	}
-	if size < 0 {
-		panic(fmt.Sprintf("myrinet: negative send size %d", size))
-	}
-	h.postSend(dataMsg{dst: dst, size: size, tag: tag, hostData: hostData})
 }
 
 // sendBarrier posts a host-scheme barrier message: an 8-byte GM send

@@ -154,7 +154,7 @@ func NewGroupSession(cl *Cluster, gid core.GroupID, nodeIDs []int, scheme Scheme
 	if scheme != SchemeHost {
 		core.ReserveTables(len(nodeIDs), func(r int) *core.Table[*member] { return &node(r).NIC.groups })
 	}
-	core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[eventHandler] { return &node(r).Host.groups })
+	core.ReserveBindings(len(nodeIDs), func(r int) *core.Bindings[*member] { return &node(r).Host.groups })
 	for rank := range s.members {
 		m := &s.members[rank]
 		*m = member{nic: node(rank).NIC, s: s, group: group, state: arena.Op(rank), rank: int32(rank)}
@@ -246,9 +246,9 @@ func (m *member) hostSend(seq int, ranks []int) {
 	}
 }
 
-// HandleEvent implements EventHandler: the member's host events for the
+// handleEvent consumes the member's host events for the
 // session's group.
-func (m *member) HandleEvent(ev Event) {
+func (m *member) handleEvent(ev Event) {
 	switch ev.Kind {
 	case EvBarrierDone:
 		m.s.SetResult(int(m.rank), ev.Seq, ev.Value)

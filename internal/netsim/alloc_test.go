@@ -65,7 +65,7 @@ func TestMulticastZeroAlloc(t *testing.T) {
 // entries or allocate either.
 func TestSendDropZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	seen := 0
 	net.SetImpairment(hookImp{inject: func(Packet, sim.Time) Outcome {
 		seen++

@@ -44,7 +44,7 @@ func dropNth(kind string, nth ...int) hookImp {
 
 func TestInjectDelayPostponesWholeTransmission(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	net.SetImpairment(hookImp{inject: func(Packet, sim.Time) Outcome {
 		return Outcome{Delay: 1000}
 	}})
@@ -61,7 +61,7 @@ func TestInjectDelayPostponesWholeTransmission(t *testing.T) {
 
 func TestHopDelayAddsAtThatHop(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	net.SetImpairment(hookImp{hop: func(_ Packet, _ int, hop, _ int, _ sim.Time) Outcome {
 		if hop == 1 {
 			return Outcome{Delay: 700}
@@ -82,7 +82,7 @@ func TestHopDelayAddsAtThatHop(t *testing.T) {
 // dead packet's serialization.
 func TestHopDropKeepsUpstreamOccupancy(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	net.SetImpairment(hookImp{hop: func(pkt Packet, _ int, hop, _ int, _ sim.Time) Outcome {
 		if pkt.Kind == "doomed" && hop == 1 {
 			return Outcome{Drop: true}
@@ -113,7 +113,7 @@ func TestHopDropKeepsUpstreamOccupancy(t *testing.T) {
 
 func TestRejectSemanticsNotifyObserver(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	net.SetImpairment(hookImp{inject: func(pkt Packet, _ sim.Time) Outcome {
 		return Outcome{Reject: pkt.Kind == "blocked"}
 	}})
@@ -205,7 +205,7 @@ func TestMulticastHopDropPrunesSubtree(t *testing.T) {
 // the branch serving that destination.
 func TestMulticastHopSeesPerDestinationPacket(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	seenDsts := map[int]bool{}
 	net.SetImpairment(hookImp{hop: func(pkt Packet, _ int, _, _ int, _ sim.Time) Outcome {
 		seenDsts[pkt.Dst] = true

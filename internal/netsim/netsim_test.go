@@ -23,7 +23,7 @@ func testParams() Params {
 
 func TestSendLatencyCrossbar(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	var at sim.Time
 	net.Attach(1, receiverFunc(func(Packet) { at = eng.Now() }))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 100, Kind: "data"})
@@ -62,7 +62,7 @@ func TestSendLatencyScalesWithHops(t *testing.T) {
 
 func TestOutputPortContention(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	var arrivals []sim.Time
 	net.Attach(3, receiverFunc(func(Packet) { arrivals = append(arrivals, eng.Now()) }))
 	// Two senders target host 3 at the same instant; the second worm must
@@ -88,7 +88,7 @@ func TestOutputPortContention(t *testing.T) {
 
 func TestDistinctDestinationsDoNotContend(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	var a2, a3 sim.Time
 	net.Attach(2, receiverFunc(func(Packet) { a2 = eng.Now() }))
 	net.Attach(3, receiverFunc(func(Packet) { a3 = eng.Now() }))
@@ -102,7 +102,7 @@ func TestDistinctDestinationsDoNotContend(t *testing.T) {
 
 func TestCountersAndKinds(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	net.Attach(1, receiverFunc(func(Packet) {}))
 	net.Attach(2, receiverFunc(func(Packet) {}))
 	net.Send(Packet{Src: 0, Dst: 1, Size: 10, Kind: "data"})
@@ -123,7 +123,7 @@ func TestCountersAndKinds(t *testing.T) {
 
 func TestScriptedLoss(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(4), testParams())
+	net := New(eng, topo.MinFatTree(4, 4), testParams())
 	net.SetImpairment(dropNth("data", 1))
 	var got []string
 	net.Attach(1, receiverFunc(func(p Packet) { got = append(got, p.Kind) }))
@@ -285,14 +285,14 @@ func (d dropLink) Hop(_ Packet, link, _, _ int, _ sim.Time) Outcome {
 
 func TestAttachGuards(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(2), testParams())
+	net := New(eng, topo.MinFatTree(2, 2), testParams())
 	net.Attach(0, receiverFunc(func(Packet) {}))
 	for name, fn := range map[string]func(){
 		"double attach":  func() { net.Attach(0, receiverFunc(func(Packet) {})) },
 		"range":          func() { net.Attach(5, receiverFunc(func(Packet) {})) },
 		"nil receiver":   func() { net.Attach(1, nil) },
 		"loopback":       func() { net.Send(Packet{Src: 1, Dst: 1, Size: 1}) },
-		"zero bandwidth": func() { New(eng, topo.NewCrossbar(2), Params{}) },
+		"zero bandwidth": func() { New(eng, topo.MinFatTree(2, 2), Params{}) },
 	} {
 		func() {
 			defer func() {
@@ -307,7 +307,7 @@ func TestAttachGuards(t *testing.T) {
 
 func TestUnattachedDeliveryPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	net := New(eng, topo.NewCrossbar(2), testParams())
+	net := New(eng, topo.MinFatTree(2, 2), testParams())
 	net.Send(Packet{Src: 0, Dst: 1, Size: 1, Kind: "x"})
 	defer func() {
 		if recover() == nil {

@@ -36,19 +36,6 @@ import (
 // strictly increasing publication counter, AtUS the virtual time of
 // publication in microseconds.
 
-// setMetronome arms (or with 0 disarms) periodic live publication on
-// this scope: while the scope observes engine events, it publishes an
-// epoch-stamped snapshot every `every` of virtual time. Call it before
-// the scope's engine starts running; the scope must be installed as the
-// engine's observer (sim.Engine.SetObserver) for ticks to fire.
-func (s *Scope) setMetronome(every sim.Duration) {
-	if every < 0 {
-		panic(fmt.Sprintf("obs: negative metronome interval %v", every))
-	}
-	s.metroEvery = every
-	s.metroNext = 0
-}
-
 // metroTick publishes and advances the next tick past at. Called from
 // the engine goroutine (the scope's single writer) only.
 func (s *Scope) metroTick(at sim.Time) {

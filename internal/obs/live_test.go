@@ -76,8 +76,8 @@ func TestFinalPublishOnlyWhenArmed(t *testing.T) {
 	if off.live.Load() != nil {
 		t.Fatal("disarmed scope published a final snapshot")
 	}
+	tr.SetMetronome(sim.Millisecond)
 	on := tr.NewScope("on")
-	on.setMetronome(sim.Millisecond)
 	on.PublishFinal(10)
 	if on.live.Load() == nil {
 		t.Fatal("armed scope did not publish a final snapshot")
@@ -90,7 +90,7 @@ func TestNegativeMetronomePanics(t *testing.T) {
 			t.Fatal("no panic on negative interval")
 		}
 	}()
-	NewTracer().NewScope("x").setMetronome(-1)
+	NewTracer().SetMetronome(-1)
 }
 
 // TestDisarmedMetronomeZeroAlloc pins the disabled-path contract: an
@@ -114,9 +114,9 @@ func TestDisarmedMetronomeZeroAlloc(t *testing.T) {
 // between ticks the metronome costs a comparison, not an allocation.
 func TestArmedMetronomeZeroAllocBetweenTicks(t *testing.T) {
 	tr := NewTracer()
+	tr.SetMetronome(sim.Second) // far beyond the test's virtual time
 	sc := tr.NewScope("warm")
-	sc.setMetronome(sim.Second) // far beyond the test's virtual time
-	sc.EventFired(0)            // first tick publishes; the rest stay between ticks
+	sc.EventFired(0) // first tick publishes; the rest stay between ticks
 	var at sim.Time
 	allocs := testing.AllocsPerRun(1000, func() {
 		at++

@@ -73,9 +73,8 @@ const compactMin = 64
 // through their slot and skipped when they surface), and the queue
 // compacts itself when cancelled entries outnumber live ones.
 type Engine struct {
-	now     Time
-	seq     uint64
-	stopped bool
+	now Time
+	seq uint64
 	// last is the latest instant the queue has taken out of its
 	// buckets, never after now; front[head:] holds the entries at it in
 	// seq order, and heads the bucket chains after it. Bucket b is
@@ -280,10 +279,9 @@ func (e *Engine) fire() {
 	ev.Fire()
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.step() {
+	for e.step() {
 	}
 	e.flushExecuted()
 }
@@ -294,15 +292,11 @@ func (e *Engine) Run() {
 // takes out no instant past the deadline.
 func (e *Engine) RunUntil(deadline Time) bool {
 	defer e.flushExecuted()
-	e.stopped = false
-	for !e.stopped {
-		if !e.next(deadline) {
-			e.now = max(e.now, deadline)
-			return e.live == 0
-		}
+	for e.next(deadline) {
 		e.fire()
 	}
-	return false
+	e.now = max(e.now, deadline)
+	return e.live == 0
 }
 
 // RunCondition executes events until pred() reports true after some event,
@@ -310,21 +304,16 @@ func (e *Engine) RunUntil(deadline Time) bool {
 // This is how experiments run "until the barrier completed".
 func (e *Engine) RunCondition(pred func() bool) bool {
 	defer e.flushExecuted()
-	e.stopped = false
 	if pred() {
 		return true
 	}
-	for !e.stopped && e.step() {
+	for e.step() {
 		if pred() {
 			return true
 		}
 	}
 	return pred()
 }
-
-// stop makes the current Run/RunUntil/RunCondition return after the current
-// event completes.
-func (e *Engine) stop() { e.stopped = true }
 
 // Timer is a value handle for a scheduled event; its only operation is
 // Cancel. The zero Timer is valid and cancels nothing. Handles are

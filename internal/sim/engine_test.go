@@ -269,23 +269,6 @@ func TestCancelCompactionOrdering(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.After(Duration(i+1), func() {
-			count++
-			if count == 3 {
-				e.stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time

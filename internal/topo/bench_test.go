@@ -47,8 +47,11 @@ func BenchmarkFatTreeRouteCold(b *testing.B) {
 	}
 }
 
-func BenchmarkCrossbarRoute(b *testing.B) {
-	c := NewCrossbar(16)
+// BenchmarkFatTreeRouteOneLevel routes on the 16-ary 1-tree, the single
+// 16-port crossbar of the paper's Myrinet testbeds: one uplink and one
+// downlink per route (0 allocs/op).
+func BenchmarkFatTreeRouteOneLevel(b *testing.B) {
+	c := MinFatTree(16, 16)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			c.Route(src, dst)
@@ -63,7 +66,7 @@ func BenchmarkCrossbarRoute(b *testing.B) {
 
 func TestRouteMemoZeroAlloc(t *testing.T) {
 	ft := newFatTree(4, 2)
-	c := NewCrossbar(16)
+	c := MinFatTree(16, 16)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			ft.Route(src, dst)
@@ -74,7 +77,7 @@ func TestRouteMemoZeroAlloc(t *testing.T) {
 		t.Fatalf("warm FatTree.Route allocates %.1f objects, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(500, func() { c.Route(3, 14) }); allocs != 0 {
-		t.Fatalf("warm Crossbar.Route allocates %.1f objects, want 0", allocs)
+		t.Fatalf("warm one-level FatTree.Route allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -15,8 +15,10 @@ import "fmt"
 //
 // Quadrics QsNet is a quaternary (k=4) fat tree of Elite switches; the
 // paper's Elan3 cluster uses a "dimension two, quaternary fat tree"
-// (k=4, n=2, Elite-16). Myrinet Clos networks beyond a single crossbar are
-// modeled as k=8 trees of 16-port switches.
+// (k=4, n=2, Elite-16). A single Myrinet crossbar serving k hosts is the
+// k-ary 1-tree (host h's uplink 2h, downlink 2h+1, one switch hop);
+// Myrinet Clos networks beyond one crossbar are modeled as k=8 trees of
+// 16-port switches.
 //
 // Routing ascends straight up to the lowest common ancestor level (the
 // most significant digit where source and destination differ), then

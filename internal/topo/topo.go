@@ -1,7 +1,9 @@
 // Package topo models the switch topologies of the two interconnects in
 // the paper: Myrinet 2000 (wormhole-routed crossbar switches, arranged as a
 // single crossbar or a Clos/fat-tree of 16-port crossbars) and Quadrics
-// QsNet (Elite switches arranged in a quaternary fat tree).
+// QsNet (Elite switches arranged in a quaternary fat tree). All of them
+// are k-ary n-trees (FatTree); a single crossbar with k ports is the
+// k-ary 1-tree.
 //
 // A topology enumerates directed links with dense integer IDs and answers
 // routing queries with the exact sequence of links a packet traverses.
@@ -57,61 +59,4 @@ func checkHostRange(t Topology, src, dst int) {
 	if src < 0 || src >= t.Hosts() || dst < 0 || dst >= t.Hosts() {
 		panic(fmt.Sprintf("topo: route %d->%d outside [0,%d)", src, dst, t.Hosts()))
 	}
-}
-
-// Crossbar is a single wormhole crossbar switch with H host ports — the
-// Myrinet-2000 configuration for the paper's 8- and 16-node clusters
-// (one 16-port switch).
-type Crossbar struct {
-	hosts int
-	// scratch backs Route answers; a crossbar route is always the
-	// source uplink followed by the destination downlink.
-	scratch [2]int
-}
-
-// NewCrossbar builds a single-switch topology with the given number of
-// host ports.
-func NewCrossbar(hosts int) *Crossbar {
-	if hosts < 1 {
-		panic("topo: crossbar needs at least one host")
-	}
-	return &Crossbar{hosts: hosts}
-}
-
-func (c *Crossbar) Name() string { return fmt.Sprintf("crossbar-%d", c.hosts) }
-
-func (c *Crossbar) Hosts() int { return c.hosts }
-
-// LinkCount: each host has one up-link into the switch (ID 2h) and one
-// down-link from the switch (ID 2h+1).
-func (c *Crossbar) LinkCount() int { return 2 * c.hosts }
-
-func (c *Crossbar) Levels() int { return 1 }
-
-func (c *Crossbar) Route(src, dst int) []int {
-	checkHostRange(c, src, dst)
-	if src == dst {
-		return nil
-	}
-	c.scratch[0], c.scratch[1] = 2*src, 2*dst+1
-	return c.scratch[:]
-}
-
-func (c *Crossbar) SwitchHops(src, dst int) int {
-	checkHostRange(c, src, dst)
-	if src == dst {
-		return 0
-	}
-	return 1
-}
-
-func (c *Crossbar) LinkEnds(link int) (string, string) {
-	if link < 0 || link >= c.LinkCount() {
-		panic(fmt.Sprintf("topo: link %d out of range", link))
-	}
-	host := fmt.Sprintf("host%d", link/2)
-	if link%2 == 0 {
-		return host, "xbar"
-	}
-	return "xbar", host
 }

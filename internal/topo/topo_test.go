@@ -61,7 +61,7 @@ func itoa(n int) string {
 }
 
 func TestCrossbarRoutes(t *testing.T) {
-	c := NewCrossbar(16)
+	c := MinFatTree(16, 16)
 	if c.Hosts() != 16 || c.LinkCount() != 32 || c.Levels() != 1 {
 		t.Fatalf("crossbar geometry: hosts=%d links=%d levels=%d",
 			c.Hosts(), c.LinkCount(), c.Levels())
@@ -80,11 +80,37 @@ func TestCrossbarRoutes(t *testing.T) {
 	}
 }
 
+// A single crossbar serving n hosts is the n-ary 1-tree: for every
+// cluster that fits one 16-port Myrinet switch, host s's uplink is
+// link 2s, host d's downlink is 2d+1, and every route crosses one
+// switch over those two links.
+func TestCrossbarIsOneLevelFatTree(t *testing.T) {
+	for n := 2; n <= 16; n++ {
+		c := MinFatTree(n, n)
+		if c.Hosts() != n || c.LinkCount() != 2*n || c.Levels() != 1 {
+			t.Fatalf("n=%d: hosts=%d links=%d levels=%d", n, c.Hosts(), c.LinkCount(), c.Levels())
+		}
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src == dst {
+					continue
+				}
+				if r := c.Route(src, dst); len(r) != 2 || r[0] != 2*src || r[1] != 2*dst+1 {
+					t.Fatalf("n=%d: route %d->%d = %v, want [%d %d]", n, src, dst, r, 2*src, 2*dst+1)
+				}
+				if hops := c.SwitchHops(src, dst); hops != 1 {
+					t.Fatalf("n=%d: SwitchHops(%d,%d) = %d, want 1", n, src, dst, hops)
+				}
+			}
+		}
+	}
+}
+
 func TestCrossbarPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero hosts":   func() { NewCrossbar(0) },
-		"bad route":    func() { NewCrossbar(4).Route(0, 9) },
-		"bad linkends": func() { NewCrossbar(4).LinkEnds(99) },
+		"zero hosts":   func() { MinFatTree(0, 0) },
+		"bad route":    func() { MinFatTree(4, 4).Route(0, 9) },
+		"bad linkends": func() { MinFatTree(4, 4).LinkEnds(99) },
 	} {
 		func() {
 			defer func() {
