@@ -10,6 +10,19 @@ type stamp struct {
 
 func (s *stamp) Fire() { s.at = append(s.at, s.eng.Now()) }
 
+// A hold on an idle processor completes after exactly its duration: a
+// 400-ns PIO write on an idle bus completes at 400 ns.
+func TestProcHoldLatency(t *testing.T) {
+	eng := NewEngine()
+	bus := &Proc{Eng: eng}
+	ev := &stamp{eng: eng}
+	bus.Hold(400, ev)
+	eng.Run()
+	if len(ev.at) != 1 || ev.at[0] != 400 {
+		t.Fatalf("hold completed at %v, want 400ns", ev.at)
+	}
+}
+
 // Holds issued back to back serialize: each starts when the previous
 // one ends (a 1,600-ns DMA, then two 400-ns PIO writes on one bus), and
 // the completions allocate nothing once the engine is warm.
