@@ -1,54 +1,46 @@
 // Command docslint enforces the repository's documentation contract in
-// CI. It fails when
+// CI. It reads the documents as text and the module's Go packages
+// through one type-checked load, and fails when
 //
-//   - any exported top-level identifier (function, method on an exported
-//     type, type, var or const) in the root nicbarrier package or in
-//     internal/{sim,netsim,comm,obs} lacks a doc comment, or
-//   - any of those packages lacks a package comment, or
+//   - an exported top-level identifier (function, method on an exported
+//     type, type, var or const) of a package in docPackages lacks a doc
+//     comment, or such a package lacks a package comment;
 //   - a relative link in README.md, ARCHITECTURE.md or ROADMAP.md points
-//     at a file that does not exist, or
+//     at a file that does not exist (http, mailto and in-page links are
+//     skipped, fragments stripped);
+//   - one of those documents cites `path:line` (a bare `:N` after it
+//     cites the same file) where the file or the line does not exist, or
+//     the line holds none of the identifiers backticked in the sentence;
 //   - one of those documents quotes a baseline metric count ("530-metric",
-//     "530 metrics", "530 gated simulated metrics") other than the number
-//     of metrics in bench/baseline.json, or
+//     "530 gated simulated metrics") other than bench/baseline.json's;
 //   - a `go run ./cmd/<x>` or `go build ./cmd/<x>` line in README.md,
-//     ARCHITECTURE.md or the verify skill notes names a command directory
-//     that does not exist, passes cmd/<x> a flag it does not define, or
-//     gives barrier-bench, simserve or benchgate a -fig/-scenario value
-//     that is not a registered harness scenario ID (or "all"), or
-//   - README.md or ARCHITECTURE.md cites nicbarrier.X or <pkg>.X for a
-//     package under internal/ where X is neither a top-level identifier
-//     declared in that package nor one of its files ("comm.go"), or a
-//     ```go block sets a field that nicbarrier.T{…} or <pkg>.T{…} does
-//     not have, or calls x.M(…), x not a package of the module or of
-//     the standard library, where no non-test type in the module
-//     declares a method M, or
-//   - a non-test Go source file cites a *.md file that exists neither
-//     at that path from the repository root nor from the file's own
-//     directory, or
-//   - a package under internal/ exports a top-level name that no
-//     non-test Go file of another package names (the root package,
-//     cmd/, the other internal packages and perfbench/ all count),
-//     unless an exported signature, field or method of a used name
-//     reaches it, it is a constant of such a type, or it is an Err*
-//     sentinel variable, or
-//   - a concrete type of a package under internal/ has an exported
-//     method that no non-test Go file of another package calls or takes
-//     as a value (type-checked with go/types), unless an interface of
-//     the module or of an imported standard package, error, or errors'
-//     Unwrap requires it, or
-//   - an unexported top-level function, or an unexported method of a
-//     package-scope type, in any package of the module is used by no
-//     non-test Go file (its own package's count), unless such an
-//     interface requires it.
+//     ARCHITECTURE.md or the verify skill notes names a missing command
+//     directory, a flag cmd/<x> does not define, or a -fig/-scenario
+//     value that is not a registered harness scenario ID (or "all");
+//   - README.md or ARCHITECTURE.md cites nicbarrier.X or <pkg>.X, for a
+//     package under internal/, where X is neither declared at package
+//     level nor one of the package's files ("comm.go"); cites
+//     <pkg>.T.M where type T has no field or method M; or has a ```go
+//     block that sets a field <pkg>.T{…} does not have, or calls x.M(…),
+//     x not a package name, where no type of the module declares M;
+//   - a non-test Go file cites a *.md file that exists neither from the
+//     repository root nor from the file's own directory;
+//   - a package under internal/ exports a name that no non-test file of
+//     another package uses (the root package, cmd/ and perfbench/
+//     count), unless the exported surface of a used name reaches it, it
+//     is a constant of such a type, or it is an Err* variable;
+//   - a concrete type under internal/ has an exported method that no
+//     other package calls or takes as a value, or a package of the
+//     module has an unexported function or method that no non-test file
+//     uses, unless an interface (the module's, an imported standard
+//     package's, error, or errors' Unwrap) requires it.
 //
 // Usage:
 //
 //	go run ./cmd/docslint [-root dir]
 //
-// External links (http/https/mailto) and pure in-page anchors are not
-// checked; fragments on relative links are stripped before the file
-// check. The tool prints one line per violation and exits non-zero if
-// any were found.
+// It prints one line per violation and exits non-zero if any were
+// found.
 package main
 
 import (
@@ -60,7 +52,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -85,18 +76,23 @@ func main() {
 	flag.Parse()
 
 	var violations []string
-	for _, pkg := range docPackages {
-		violations = append(violations, lintPackage(filepath.Join(*root, pkg))...)
-	}
 	for _, f := range linkFiles {
 		violations = append(violations, lintLinks(*root, f)...)
+		violations = append(violations, lintLineCites(*root, f)...)
 	}
 	violations = append(violations, lintMetricCounts(*root)...)
 	violations = append(violations, lintCommands(*root, harness.Experiments())...)
-	violations = append(violations, lintCitations(*root)...)
 	violations = append(violations, lintDocRefs(*root)...)
-	violations = append(violations, lintExports(*root)...)
-	violations = append(violations, lintMethods(*root)...)
+	m, failed := loadModule(*root)
+	violations = append(violations, failed...)
+	if len(failed) == 0 {
+		for _, pkg := range docPackages {
+			violations = append(violations, lintPackage(m, pkg)...)
+		}
+		violations = append(violations, lintCitations(m)...)
+		violations = append(violations, lintExports(m)...)
+		violations = append(violations, lintMethods(m)...)
+	}
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, v)
 	}
@@ -107,91 +103,60 @@ func main() {
 	fmt.Println("docslint: ok")
 }
 
-// lintPackage parses every non-test Go file in dir and reports exported
-// top-level identifiers without doc comments, plus a missing package
-// comment.
-func lintPackage(dir string) []string {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", dir, err)}
+// lintPackage reports the exported top-level identifiers of the loaded
+// package in directory rel that lack doc comments, plus a missing
+// package comment. A spec inside a grouped var/const/type block is
+// covered by either its own doc comment or the block's; a method counts
+// when its receiver's base type is exported.
+func lintPackage(m *moduleChecker, rel string) []string {
+	dir := filepath.Join(m.root, rel)
+	p := m.pkgs[rel]
+	if p == nil {
+		return []string{dir + ": no Go package"}
 	}
 	var out []string
-	for _, pkg := range pkgs {
-		hasPkgDoc := false
-		for _, f := range pkg.Files {
-			if f.Doc != nil {
-				hasPkgDoc = true
-			}
-			out = append(out, lintFile(fset, f)...)
-		}
-		if !hasPkgDoc {
-			out = append(out, fmt.Sprintf("%s: package %s has no package comment", dir, pkg.Name))
+	report := func(id *ast.Ident, what string) {
+		if id.IsExported() {
+			pos := m.fset.Position(id.Pos())
+			out = append(out, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", pos.Filename, pos.Line, what, id.Name))
 		}
 	}
-	return out
-}
-
-// lintFile reports undocumented exported declarations in one file. A
-// spec inside a grouped var/const/type block is covered by either its
-// own doc comment or the block's.
-func lintFile(fset *token.FileSet, f *ast.File) []string {
-	var out []string
-	report := func(pos token.Pos, what, name string) {
-		p := fset.Position(pos)
-		out = append(out, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", p.Filename, p.Line, what, name))
-	}
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if !d.Name.IsExported() || !exportedReceiver(d) {
-				continue
-			}
-			if d.Doc == nil {
-				what := "function"
-				if d.Recv != nil {
-					what = "method"
+	hasPkgDoc := false
+	for _, f := range p.files {
+		hasPkgDoc = hasPkgDoc || f.Doc != nil
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Doc == nil && d.Recv == nil {
+					report(d.Name, "function")
+				} else if d.Doc == nil {
+					recv, _, _ := strings.Cut(strings.TrimLeft(types.ExprString(d.Recv.List[0].Type), "*"), "[")
+					if ast.IsExported(recv) {
+						report(d.Name, "method")
+					}
 				}
-				report(d.Pos(), what, d.Name.Name)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					if s.Name.IsExported() && d.Doc == nil && s.Doc == nil {
-						report(s.Pos(), "type", s.Name.Name)
-					}
-				case *ast.ValueSpec:
-					if d.Doc != nil || s.Doc != nil {
-						continue
-					}
-					for _, n := range s.Names {
-						if n.IsExported() {
-							report(n.Pos(), declWhat(d.Tok), n.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if d.Doc == nil && s.Doc == nil {
+							report(s.Name, "type")
+						}
+					case *ast.ValueSpec:
+						if d.Doc == nil && s.Doc == nil {
+							for _, n := range s.Names {
+								report(n, d.Tok.String()) // "var" or "const"
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	return out
-}
-
-func declWhat(tok token.Token) string {
-	if tok == token.CONST {
-		return "const"
+	if !hasPkgDoc {
+		out = append(out, fmt.Sprintf("%s: package %s has no package comment", dir, p.types.Name()))
 	}
-	return "var"
-}
-
-// exportedReceiver reports whether a declaration is part of the
-// exported surface: free functions always are; methods only when their
-// receiver's base type is exported.
-func exportedReceiver(d *ast.FuncDecl) bool {
-	name := receiverType(d)
-	return name == "" || ast.IsExported(name)
+	return out
 }
 
 // mdLink matches inline markdown links; the first group is the target.
@@ -209,18 +174,74 @@ func lintLinks(root, name string) []string {
 	var out []string
 	for i, line := range strings.Split(string(data), "\n") {
 		for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
-			target := m[1]
-			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") || strings.HasPrefix(target, "#") {
+			target, _, _ := strings.Cut(m[1], "#")
+			if target == "" || strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
 				continue
 			}
-			target, _, _ = strings.Cut(target, "#")
-			if target == "" {
-				continue
-			}
-			resolved := filepath.Join(filepath.Dir(path), target)
-			if _, err := os.Stat(resolved); err != nil {
+			if !exists(filepath.Join(filepath.Dir(path), target)) {
 				out = append(out, fmt.Sprintf("%s:%d: broken link %q", name, i+1, m[1]))
 			}
+		}
+	}
+	return out
+}
+
+// lineCite matches a backticked path:line citation of a file with an
+// extension ("internal/sim/queue.go:164", not "localhost:8080"); a bare
+// `:N` (group 1 empty) cites the previous citation's file again.
+var lineCite = regexp.MustCompile("`((?:[\\w./-]+\\.[A-Za-z]+)?):(\\d+)`")
+
+// codeSpan matches an inline code span, sentenceEnd the end of a
+// sentence, a paragraph or a list item, and identifier a Go identifier.
+var (
+	codeSpan    = regexp.MustCompile("`[^`\\n]+`")
+	sentenceEnd = regexp.MustCompile(`[.!?]\s|\n\s*(\n|[-*] )`)
+	identifier  = regexp.MustCompile(`[A-Za-z_]\w*`)
+)
+
+// lintLineCites reports each path:line citation in root/name whose file
+// (relative to root) or line does not exist, or whose line holds none of
+// the identifiers in the other code spans of the citation's sentence.
+func lintLineCites(root, name string) []string {
+	data, err := os.ReadFile(filepath.Join(root, name))
+	if err != nil {
+		return []string{fmt.Sprintf("%s: %v", name, err)}
+	}
+	text := string(data)
+	var out []string
+	file := ""
+	for _, c := range lineCite.FindAllStringSubmatchIndex(text, -1) {
+		if c[3] > c[2] {
+			file = text[c[2]:c[3]]
+		}
+		n, _ := strconv.Atoi(text[c[4]:c[5]])
+		where := fmt.Sprintf("%s:%d: %s:%d", name, 1+strings.Count(text[:c[0]], "\n"), file, n)
+		src, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil || file == "" {
+			out = append(out, where+": no such file")
+			continue
+		}
+		lines := strings.Split(strings.TrimSuffix(string(src), "\n"), "\n")
+		if n < 1 || n > len(lines) {
+			out = append(out, fmt.Sprintf("%s: %s has %d lines", where, file, len(lines)))
+			continue
+		}
+		start, end := 0, len(text)
+		for _, e := range sentenceEnd.FindAllStringIndex(text[:c[0]], -1) {
+			start = e[1]
+		}
+		if e := sentenceEnd.FindStringIndex(text[c[1]:]); e != nil {
+			end = c[1] + e[0]
+		}
+		var names []string
+		for _, span := range codeSpan.FindAllString(text[start:end], -1) {
+			if !lineCite.MatchString(span) {
+				names = append(names, identifier.FindAllString(span, -1)...)
+			}
+		}
+		have := identifier.FindAllString(lines[n-1], -1)
+		if !slices.ContainsFunc(names, func(id string) bool { return slices.Contains(have, id) }) {
+			out = append(out, fmt.Sprintf("%s holds none of the names cited beside it: %s", where, strings.Join(names, " ")))
 		}
 	}
 	return out
@@ -461,44 +482,39 @@ func definedFlags(dir string) map[string]bool {
 var citeFiles = []string{"README.md", "ARCHITECTURE.md"}
 
 // citation matches a package-qualified identifier; group 1 is the
-// package name, group 2 the identifier.
-var citation = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+// package name, group 2 the identifier and group 3, if present, a
+// member of it.
+var citation = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
 
-// pkgDecls is what a package declares at top level: every identifier
-// (functions, types, vars and each member of a const block) and the
-// field names of its struct types.
-type pkgDecls struct {
-	dir    string
-	idents map[string]bool
-	fields map[string]map[string]bool
-}
-
-// lintCitations reports citations in the cite documents under root of
-// nicbarrier.X, or of <pkg>.X for a directory internal/<pkg>, where X
-// is neither declared at top level in that package's non-test files
-// nor the name of one of its files. A citation preceded by a path or
-// identifier character ("internal/comm.X", "x.comm.Y") is not one.
+// lintCitations reports citations in the cite documents of m's module
+// of <pkg>.X, for the root package ("nicbarrier.X") or a package
+// internal/<pkg>, where X is neither declared at package level in that
+// package nor the name of one of its files. A citation preceded by a
+// path or identifier character ("internal/comm.X", "x.comm.Y") is not
+// one. A cited <pkg>.T.M must name a field or method M of type T.
 // Fields set in composite literals of the package's struct types and
 // method calls inside ```go blocks are checked too.
-func lintCitations(root string) []string {
-	pkgs := map[string]*pkgDecls{"nicbarrier": {dir: root}}
-	entries, _ := os.ReadDir(filepath.Join(root, "internal"))
-	for _, e := range entries {
-		if e.IsDir() {
-			pkgs[e.Name()] = &pkgDecls{dir: filepath.Join(root, "internal", e.Name())}
+func lintCitations(m *moduleChecker) []string {
+	lookup := func(name string) *checkedPkg {
+		if p := m.pkgs["."]; p != nil && p.types.Name() == name {
+			return p
 		}
+		return m.pkgs["internal/"+name]
 	}
-	lookup := func(name string) *pkgDecls {
-		p := pkgs[name]
-		if p != nil && p.idents == nil {
-			p.scan()
+	methods := map[string]bool{} // every method a type of the module has
+	for _, p := range m.pkgs {
+		for _, name := range p.types.Scope().Names() {
+			t := p.types.Scope().Lookup(name).Type()
+			for _, ms := range []*types.MethodSet{types.NewMethodSet(t), types.NewMethodSet(types.NewPointer(t))} {
+				for i := range ms.Len() {
+					methods[ms.At(i).Obj().Name()] = true
+				}
+			}
 		}
-		return p
 	}
 	var out []string
-	methods := moduleMethods(root)
 	for _, name := range citeFiles {
-		data, err := os.ReadFile(filepath.Join(root, name))
+		data, err := os.ReadFile(filepath.Join(m.root, name))
 		if os.IsNotExist(err) {
 			continue
 		}
@@ -508,65 +524,30 @@ func lintCitations(root string) []string {
 		}
 		lines := strings.Split(string(data), "\n")
 		for i, line := range lines {
-			for _, m := range citation.FindAllStringSubmatchIndex(line, -1) {
-				if m[0] > 0 && strings.ContainsRune("/._-", rune(line[m[0]-1])) {
+			for _, c := range citation.FindAllStringSubmatchIndex(line, -1) {
+				if c[0] > 0 && strings.ContainsRune("/._-", rune(line[c[0]-1])) {
 					continue
 				}
-				pkg, id := line[m[2]:m[3]], line[m[4]:m[5]]
+				pkg, id := line[c[2]:c[3]], line[c[4]:c[5]]
 				p := lookup(pkg)
-				if p == nil || p.idents[id] {
+				if p == nil {
 					continue
 				}
-				if _, err := os.Stat(filepath.Join(p.dir, pkg+"."+id)); err == nil {
-					continue
+				obj := p.types.Scope().Lookup(id)
+				if obj == nil && !exists(filepath.Join(p.dir, pkg+"."+id)) {
+					out = append(out, fmt.Sprintf("%s:%d: %s.%s is not declared in package %s", name, i+1, pkg, id, pkg))
 				}
-				out = append(out, fmt.Sprintf("%s:%d: %s.%s is not declared in package %s", name, i+1, pkg, id, pkg))
+				if tn, ok := obj.(*types.TypeName); ok && c[6] >= 0 {
+					member := line[c[6]:c[7]]
+					if obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, p.types, member); obj == nil {
+						out = append(out, fmt.Sprintf("%s:%d: %s.%s has no field or method %s", name, i+1, pkg, id, member))
+					}
+				}
 			}
 		}
 		out = append(out, lintGoBlocks(name, lines, lookup, methods)...)
 	}
 	return out
-}
-
-// moduleMethods lists the method names non-test types declare anywhere
-// in the module rooted at root, interface methods included. Directories
-// holding a module of their own, testdata and dot-directories are
-// skipped.
-func moduleMethods(root string) map[string]bool {
-	methods := map[string]bool{}
-	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return nil
-		}
-		if path != root {
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
-				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-		}
-		parsed, _ := parser.ParseDir(token.NewFileSet(), path, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, 0)
-		for _, pkg := range parsed {
-			ast.Inspect(pkg, func(n ast.Node) bool {
-				switch v := n.(type) {
-				case *ast.FuncDecl:
-					if v.Recv != nil {
-						methods[v.Name.Name] = true
-					}
-				case *ast.InterfaceType:
-					for _, f := range v.Methods.List {
-						for _, name := range f.Names {
-							methods[name.Name] = true
-						}
-					}
-				}
-				return true
-			})
-		}
-		return nil
-	})
-	return methods
 }
 
 // stdlibNames holds the name of every standard library package: the
@@ -587,72 +568,12 @@ var stdlibNames = sync.OnceValue(func() map[string]bool {
 	return names
 })
 
-// scan parses the package's non-test files and records its top-level
-// declarations.
-func (p *pkgDecls) scan() {
-	p.idents, p.fields = map[string]bool{}, map[string]map[string]bool{}
-	fset := token.NewFileSet()
-	parsed, _ := parser.ParseDir(fset, p.dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	for _, pkg := range parsed {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Recv == nil {
-						p.idents[d.Name.Name] = true
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							p.idents[s.Name.Name] = true
-							if st, ok := s.Type.(*ast.StructType); ok {
-								p.fields[s.Name.Name] = structFields(st)
-							}
-						case *ast.ValueSpec:
-							for _, n := range s.Names {
-								p.idents[n.Name] = true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// structFields lists a struct's field names, embedded ones by their
-// type name.
-func structFields(st *ast.StructType) map[string]bool {
-	fields := map[string]bool{}
-	for _, f := range st.Fields.List {
-		for _, n := range f.Names {
-			fields[n.Name] = true
-		}
-		if len(f.Names) == 0 {
-			t := f.Type
-			if star, ok := t.(*ast.StarExpr); ok {
-				t = star.X
-			}
-			switch e := t.(type) {
-			case *ast.Ident:
-				fields[e.Name] = true
-			case *ast.SelectorExpr:
-				fields[e.Sel.Name] = true
-			}
-		}
-	}
-	return fields
-}
-
 // lintGoBlocks parses each ```go block of a document as a function body
 // and reports keys of pkg.T{…} literals that are not fields of struct
 // type T, and calls x.M(…) whose x is not a package name (of the module
-// or the standard library) and whose M no type of the module declares
-// as a method. A block that does not parse is skipped.
-func lintGoBlocks(name string, lines []string, lookup func(string) *pkgDecls, methods map[string]bool) []string {
+// or the standard library) and whose M is not in methods. A block that
+// does not parse is skipped.
+func lintGoBlocks(name string, lines []string, lookup func(string) *checkedPkg, methods map[string]bool) []string {
 	var out []string
 	for i := 0; i < len(lines); i++ {
 		if strings.TrimSpace(lines[i]) != "```go" {
@@ -684,19 +605,18 @@ func lintGoBlocks(name string, lines []string, lookup func(string) *pkgDecls, me
 				return true
 			}
 			lit, ok := n.(*ast.CompositeLit)
+			if !ok || lit.Type == nil {
+				return true
+			}
+			pkg, typ, _ := strings.Cut(types.ExprString(lit.Type), ".")
+			if lookup(pkg) == nil {
+				return true
+			}
+			tn, ok := lookup(pkg).types.Scope().Lookup(typ).(*types.TypeName)
 			if !ok {
 				return true
 			}
-			sel, ok := lit.Type.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			p := lookup(pkg.Name)
-			if p == nil || p.fields[sel.Sel.Name] == nil {
+			if _, ok := tn.Type().Underlying().(*types.Struct); !ok {
 				return true
 			}
 			for _, elt := range lit.Elts {
@@ -704,209 +624,16 @@ func lintGoBlocks(name string, lines []string, lookup func(string) *pkgDecls, me
 				if !ok {
 					continue
 				}
-				if key, ok := kv.Key.(*ast.Ident); ok && !p.fields[sel.Sel.Name][key.Name] {
-					line := start + fset.Position(key.Pos()).Line - 2
-					out = append(out, fmt.Sprintf("%s:%d: %s.%s has no field %s", name, line, pkg.Name, sel.Sel.Name, key.Name))
+				if key, ok := kv.Key.(*ast.Ident); ok {
+					obj, index, _ := types.LookupFieldOrMethod(tn.Type(), false, tn.Pkg(), key.Name)
+					if _, field := obj.(*types.Var); !field || len(index) > 1 {
+						line := start + fset.Position(key.Pos()).Line - 2
+						out = append(out, fmt.Sprintf("%s:%d: %s.%s has no field %s", name, line, pkg, typ, key.Name))
+					}
 				}
 			}
 			return true
 		})
 	}
 	return out
-}
-
-// lintExports reports each exported top-level name declared in a
-// non-test file of a package under root/internal that no non-test Go
-// file of another package names. The root package, cmd/, the other
-// internal packages and nested modules such as perfbench/ all count. A
-// name stays exempt when an exported signature, field or method of a
-// used name reaches it (followed transitively), when it is a constant
-// of such a type, or when it is an Err* sentinel variable.
-func lintExports(root string) []string {
-	module, err := modulePath(root)
-	if err != nil {
-		return []string{err.Error()}
-	}
-	prefix := module + "/internal/"
-	fset := token.NewFileSet()
-	pkgs := map[string]*ast.Package{} // by directory under internal/
-	used := map[string]bool{}         // "<dir>.<Name>" selectors
-	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return nil
-		}
-		if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		parsed, _ := parser.ParseDir(fset, path, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, 0)
-		rel, _ := filepath.Rel(root, path)
-		for _, pkg := range parsed {
-			if dir, ok := strings.CutPrefix(filepath.ToSlash(rel), "internal/"); ok {
-				pkgs[dir] = pkg
-			}
-			for _, f := range pkg.Files {
-				imported := map[string]string{}
-				for _, imp := range f.Imports {
-					p, _ := strconv.Unquote(imp.Path.Value)
-					if dir, ok := strings.CutPrefix(p, prefix); ok {
-						name := filepath.Base(dir)
-						if imp.Name != nil {
-							name = imp.Name.Name
-						}
-						imported[name] = dir
-					}
-				}
-				ast.Inspect(f, func(n ast.Node) bool {
-					if sel, ok := n.(*ast.SelectorExpr); ok {
-						if x, ok := sel.X.(*ast.Ident); ok && imported[x.Name] != "" {
-							used[imported[x.Name]+"."+sel.Sel.Name] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-		return nil
-	})
-	var out []string
-	for _, dir := range slices.Sorted(maps.Keys(pkgs)) {
-		out = append(out, unusedExports(fset, root, dir, pkgs[dir], used)...)
-	}
-	return out
-}
-
-// unusedExports applies lintExports' rule to the package in
-// root/internal/dir; used holds the "<dir>.<Name>" selectors other
-// packages write.
-func unusedExports(fset *token.FileSet, root, dir string, pkg *ast.Package, used map[string]bool) []string {
-	decls := map[string]token.Pos{}    // exported top-level names
-	surface := map[string][]ast.Node{} // what keeping a name keeps
-	enumOf := map[string]string{}      // constant -> its type
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				name := receiverType(d)
-				if d.Recv == nil {
-					name = d.Name.Name
-					decls[name] = d.Name.Pos()
-				}
-				if d.Name.IsExported() {
-					surface[name] = append(surface[name], d.Type)
-				}
-			case *ast.GenDecl:
-				typ := ""
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						decls[s.Name.Name] = s.Name.Pos()
-						surface[s.Name.Name] = append(surface[s.Name.Name], s)
-					case *ast.ValueSpec:
-						// A constant's type is its own, the previous spec's
-						// (implicit repetition) or that of a typed constant
-						// its value names ("Second = 1000 * Millisecond").
-						if id, ok := s.Type.(*ast.Ident); ok {
-							typ = id.Name
-						} else if s.Type != nil || len(s.Values) > 0 {
-							typ = ""
-							for _, v := range s.Values {
-								ast.Inspect(v, func(n ast.Node) bool {
-									if id, ok := n.(*ast.Ident); ok && typ == "" {
-										typ = enumOf[id.Name]
-									}
-									return typ == ""
-								})
-							}
-						}
-						for _, n := range s.Names {
-							if d.Tok == token.CONST {
-								enumOf[n.Name] = typ
-							} else if strings.HasPrefix(n.Name, "Err") {
-								continue // an error sentinel
-							}
-							decls[n.Name] = n.Pos()
-							if s.Type != nil {
-								surface[n.Name] = append(surface[n.Name], s.Type)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	keep := map[string]bool{}
-	var visit func(name string)
-	var mark func(n ast.Node)
-	visit = func(name string) {
-		if _, ok := decls[name]; ok && ast.IsExported(name) && !keep[name] {
-			keep[name] = true
-			for _, n := range surface[name] {
-				mark(n)
-			}
-		}
-	}
-	// mark keeps every name of the package a type expression or
-	// signature shows another package: a struct's exported and embedded
-	// fields, not its unexported ones, and types, not parameter names.
-	mark = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.SelectorExpr: // another package's name
-				return false
-			case *ast.StructType:
-				for _, f := range v.Fields.List {
-					if len(f.Names) == 0 || slices.ContainsFunc(f.Names, (*ast.Ident).IsExported) {
-						mark(f.Type)
-					}
-				}
-				return false
-			case *ast.Field:
-				mark(v.Type)
-				return false
-			case *ast.Ident:
-				visit(v.Name)
-			}
-			return true
-		})
-	}
-	for name := range decls {
-		if used[dir+"."+name] {
-			visit(name)
-		}
-	}
-	var out []string
-	for name, pos := range decls {
-		if ast.IsExported(name) && !keep[name] && !keep[enumOf[name]] {
-			p := fset.Position(pos)
-			rel, _ := filepath.Rel(root, p.Filename)
-			out = append(out, fmt.Sprintf("%s:%d: %s.%s is exported but no other package uses it", rel, p.Line, filepath.Base(dir), name))
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// receiverType names a method's receiver base type; it is empty for a
-// function or a receiver of another form.
-func receiverType(d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return ""
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch v := t.(type) {
-		case *ast.StarExpr:
-			t = v.X
-		case *ast.IndexExpr: // generic receiver T[P]
-			t = v.X
-		case *ast.IndexListExpr:
-			t = v.X
-		case *ast.Ident:
-			return v.Name
-		default:
-			return ""
-		}
-	}
 }

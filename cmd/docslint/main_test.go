@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"nicbarrier/internal/harness"
@@ -21,6 +22,31 @@ func writeFiles(t *testing.T, root string, files map[string]string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// mustLoad loads the fixture module under root, failing the test if it
+// does not type-check.
+func mustLoad(t *testing.T, root string) *moduleChecker {
+	t.Helper()
+	m, failed := loadModule(root)
+	if len(failed) > 0 {
+		t.Fatalf("load %s: %q", root, failed)
+	}
+	return m
+}
+
+// repo is the repository's own module, loaded once for every
+// TestRepository* test of a check that reads Go declarations.
+var repo = sync.OnceValues(func() (*moduleChecker, []string) { return loadModule("../..") })
+
+// repoModule returns the shared load of the repository's module.
+func repoModule(t *testing.T) *moduleChecker {
+	t.Helper()
+	m, failed := repo()
+	if len(failed) > 0 {
+		t.Fatalf("load: %q", failed)
+	}
+	return m
 }
 
 // A fixture tree whose baseline holds three metrics: every quote of
@@ -112,15 +138,16 @@ func TestRepositoryCommands(t *testing.T) {
 }
 
 // A fixture tree with the root package and one internal package:
-// citations of undeclared identifiers, literal keys that are not fields
-// and calls of methods no type declares are reported with their line;
-// declared functions, types and const-block members (iota continuations
-// included), package files, paths, unknown packages, method chains on
-// declared types, declared and interface methods and standard library
-// calls are not.
+// citations of undeclared identifiers and of members a type lacks,
+// literal keys that are not fields and calls of methods no type declares
+// are reported with their line; declared functions, types, methods and
+// const-block members (iota continuations included), package files,
+// paths, unknown packages, method chains on declared types, declared and
+// interface methods and standard library calls are not.
 func TestLintCitations(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
+		"go.mod": "module nicbarrier\n\ngo 1.23\n",
 		"nicbarrier.go": `package nicbarrier
 
 type Config struct {
@@ -164,7 +191,8 @@ func RunWorkload() {}
 			"tr.OnlyInTest()\n" +
 			"```\n",
 		"ARCHITECTURE.md": "See internal/comm/comm.go, `comm.go`, nicbarrier/internal/comm.Cluster, " +
-			"`comm.Cluster.SetTracer`, `other.Thing` and `nicbarrier.Trace`.\n",
+			"`comm.Cluster.SetTracer`, `other.Thing` and `nicbarrier.Trace`.\n" +
+			"Gone: `comm.Cluster.Gone`.\n",
 	}
 	writeFiles(t, root, files)
 	want := []string{
@@ -175,8 +203,9 @@ func RunWorkload() {}
 		"README.md:6: nicbarrier.Config has no field Partitions",
 		"README.md:13: c.SetTracer().RunForever: no type in the module declares method RunForever",
 		"README.md:14: tr.OnlyInTest: no type in the module declares method OnlyInTest",
+		"ARCHITECTURE.md:2: comm.Cluster has no field or method Gone",
 	}
-	if got := lintCitations(root); !slices.Equal(got, want) {
+	if got := lintCitations(mustLoad(t, root)); !slices.Equal(got, want) {
 		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
 	}
 }
@@ -184,7 +213,7 @@ func RunWorkload() {}
 // The repository's own documents cite only declared identifiers and
 // fields.
 func TestRepositoryCitations(t *testing.T) {
-	if got := lintCitations("../.."); len(got) != 0 {
+	if got := lintCitations(repoModule(t)); len(got) != 0 {
 		t.Fatalf("stale citations: %q", got)
 	}
 }
@@ -288,7 +317,7 @@ func main() { alias.OnlyPerfbench() }
 		p + ":30: p.Planted is exported but no other package uses it",
 		p + ":36: p.Unused is exported but no other package uses it",
 	}
-	if got := lintExports(root); !slices.Equal(got, want) {
+	if got := lintExports(mustLoad(t, root)); !slices.Equal(got, want) {
 		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
 	}
 }
@@ -296,7 +325,7 @@ func main() { alias.OnlyPerfbench() }
 // Every export of the repository's internal packages is used across a
 // package boundary.
 func TestRepositoryExports(t *testing.T) {
-	if got := lintExports("../.."); len(got) != 0 {
+	if got := lintExports(repoModule(t)); len(got) != 0 {
 		t.Fatalf("unused internal exports: %q", got)
 	}
 }
@@ -381,7 +410,7 @@ func main() { p.T{}.ByPerfbench() }
 		p + ":28: p.orphan is unexported and no non-test file uses it",
 		p + ":29: p.testHelper is unexported and no non-test file uses it",
 	}
-	if got := lintMethods(root); !slices.Equal(got, want) {
+	if got := lintMethods(mustLoad(t, root)); !slices.Equal(got, want) {
 		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
 	}
 }
@@ -391,7 +420,139 @@ func main() { p.T{}.ByPerfbench() }
 // every unexported function and method of the module is used by
 // non-test code.
 func TestRepositoryMethods(t *testing.T) {
-	if got := lintMethods("../.."); len(got) != 0 {
+	if got := lintMethods(repoModule(t)); len(got) != 0 {
 		t.Fatalf("unused internal methods: %q", got)
+	}
+}
+
+// A fixture module with two packages: an undocumented exported function,
+// method on an exported type, var and type in an undocumented group are
+// reported with their line, and so is a package without a package
+// comment; documented declarations, a grouped const covered by its block
+// comment, unexported names and a method on an unexported type are not.
+func TestLintPackage(t *testing.T) {
+	root := t.TempDir()
+	writeFiles(t, root, map[string]string{
+		"go.mod": "module m\n\ngo 1.23\n",
+		"p/p.go": `// Package p is documented.
+package p
+
+func Undocumented() {}
+
+// T is documented.
+type T struct{}
+
+func (T) Method() {}
+
+// Grouped constants share the block's comment.
+const (
+	A = 1
+	B = 2
+)
+
+type hidden struct{}
+
+func (hidden) Exported() {}
+
+func (*hidden) also() {}
+
+var V = 1
+
+type (
+	// U is documented in its group.
+	U int
+	W int
+)
+`,
+		"q/q.go": "package q\n\n// F is documented.\nfunc F() {}\n",
+	})
+	p := filepath.Join(root, "p", "p.go")
+	want := []string{
+		p + ":4: exported function Undocumented has no doc comment",
+		p + ":9: exported method Method has no doc comment",
+		p + ":23: exported var V has no doc comment",
+		p + ":28: exported type W has no doc comment",
+		filepath.Join(root, "q") + ": package q has no package comment",
+	}
+	m := mustLoad(t, root)
+	got := append(lintPackage(m, "p"), lintPackage(m, "q")...)
+	if !slices.Equal(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// A fixture document: a broken relative link is reported with its line,
+// also with a fragment; a fragment on an existing file is stripped, and
+// http, mailto and in-page links are skipped.
+func TestLintLinks(t *testing.T) {
+	root := t.TempDir()
+	writeFiles(t, root, map[string]string{
+		"docs/a.md": "",
+		"README.md": "[ok](docs/a.md) and [gone](docs/missing.md).\n" +
+			"[part](docs/a.md#section), [web](https://example.com/x.md), [mail](mailto:a@b.c), [top](#top).\n" +
+			"[stale](missing.md#x)\n",
+	})
+	want := []string{
+		`README.md:1: broken link "docs/missing.md"`,
+		`README.md:3: broken link "missing.md#x"`,
+	}
+	if got := lintLinks(root, "README.md"); !slices.Equal(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// The repository's documented packages document every exported
+// identifier and carry a package comment.
+func TestRepositoryPackages(t *testing.T) {
+	m := repoModule(t)
+	for _, pkg := range docPackages {
+		if got := lintPackage(m, pkg); len(got) != 0 {
+			t.Errorf("undocumented: %q", got)
+		}
+	}
+}
+
+// The repository's documents link only to files that exist.
+func TestRepositoryLinks(t *testing.T) {
+	for _, name := range linkFiles {
+		if got := lintLinks("../..", name); len(got) != 0 {
+			t.Errorf("broken links: %q", got)
+		}
+	}
+}
+
+// A fixture document citing source lines: a citation whose line has
+// shifted away from the names its sentence backticks, a missing file, a
+// line past the end of its file and a shifted bare `:N` are reported
+// with their line; citations whose line holds one of those names, also
+// through a bare `:N` and across a line break, and a host:port span
+// are not.
+func TestLintLineCites(t *testing.T) {
+	root := t.TempDir()
+	writeFiles(t, root, map[string]string{
+		"internal/x/x.go": "package x\n\nfunc Start() {}\n\nfunc Stop() {}\n",
+		"ROADMAP.md": "`Start` and `Stop` (`internal/x/x.go:3`, `:5`) are fine, on `localhost:8080` too.\n" +
+			"So is `Stop`, in\n(`internal/x/x.go:5`). But `Start` is not at `internal/x/x.go:5`.\n" +
+			"- `Gone` (`internal/x/gone.go:1`) and `Start` (`internal/x/x.go:9`).\n" +
+			"- `Start` is at `internal/x/x.go:3`. `Stop` is not (`:3`).\n",
+	})
+	x := "internal/x/x.go"
+	want := []string{
+		"ROADMAP.md:3: " + x + ":5 holds none of the names cited beside it: Start",
+		"ROADMAP.md:4: internal/x/gone.go:1: no such file",
+		"ROADMAP.md:4: " + x + ":9: " + x + " has 5 lines",
+		"ROADMAP.md:5: " + x + ":3 holds none of the names cited beside it: Stop",
+	}
+	if got := lintLineCites(root, "ROADMAP.md"); !slices.Equal(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// The repository's documents cite source lines that hold what they cite.
+func TestRepositoryLineCites(t *testing.T) {
+	for _, name := range linkFiles {
+		if got := lintLineCites("../..", name); len(got) != 0 {
+			t.Errorf("stale line citations: %q", got)
+		}
 	}
 }

@@ -2,18 +2,118 @@ package main
 
 import (
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"maps"
-	"os"
 	"path"
-	"path/filepath"
 	"slices"
 	"strings"
 )
+
+// lintExports reports each exported package-level name of a package
+// under root/internal that no non-test Go file of another package uses.
+// The root package, cmd/, the other internal packages and nested
+// modules such as perfbench/ all count. A name stays exempt when the
+// exported surface of a used name reaches it (followed transitively:
+// exported and embedded struct fields, exported method signatures,
+// function and variable types), when it is a constant whose type is
+// such a name, or when it is an Err* sentinel variable.
+func lintExports(m *moduleChecker) []string {
+	used := map[types.Object]bool{} // objects another package uses
+	for _, p := range m.pkgs {
+		for _, obj := range p.uses {
+			used[obj] = used[obj] || obj.Pkg() != p.types
+		}
+	}
+	var out []string
+	for _, rel := range slices.Sorted(maps.Keys(m.pkgs)) {
+		p := m.pkgs[rel]
+		if !strings.HasPrefix(rel, "internal/") {
+			continue
+		}
+		kept := map[types.Object]bool{}
+		var keep func(obj types.Object)
+		var reach func(t types.Type)
+		keep = func(obj types.Object) {
+			if obj.Pkg() != p.types || !obj.Exported() || kept[obj] {
+				return
+			}
+			kept[obj] = true
+			switch obj := obj.(type) {
+			case *types.Const: // a constant reaches nothing
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok { // an alias
+					reach(types.Unalias(obj.Type()))
+					return
+				}
+				reach(named.Underlying())
+				for i := range named.NumMethods() {
+					if fn := named.Method(i); fn.Exported() {
+						reach(fn.Type())
+					}
+				}
+			default:
+				reach(obj.Type())
+			}
+		}
+		reach = func(t types.Type) {
+			switch t := t.(type) {
+			case *types.Named:
+				keep(t.Obj())
+				for i := range t.TypeArgs().Len() {
+					reach(t.TypeArgs().At(i))
+				}
+			case *types.Alias:
+				keep(t.Obj())
+			case *types.Map:
+				reach(t.Key())
+				reach(t.Elem())
+			case interface{ Elem() types.Type }: // pointer, slice, array, channel
+				reach(t.Elem())
+			case *types.Signature:
+				for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+					for i := range tuple.Len() {
+						reach(tuple.At(i).Type())
+					}
+				}
+			case *types.Struct:
+				for i := range t.NumFields() {
+					if f := t.Field(i); f.Exported() || f.Embedded() {
+						reach(f.Type())
+					}
+				}
+			case *types.Interface:
+				for i := range t.NumEmbeddeds() {
+					reach(t.EmbeddedType(i))
+				}
+				for i := range t.NumExplicitMethods() {
+					reach(t.ExplicitMethod(i).Type())
+				}
+			}
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if used[scope.Lookup(name)] {
+				keep(scope.Lookup(name))
+			}
+		}
+		var unused []string
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			_, isVar := obj.(*types.Var)
+			_, isConst := obj.(*types.Const)
+			named, _ := obj.Type().(*types.Named)
+			if !obj.Exported() || kept[obj] || isVar && strings.HasPrefix(name, "Err") || isConst && named != nil && kept[named.Obj()] {
+				continue
+			}
+			unused = append(unused, m.pos(obj)+fmt.Sprintf("%s.%s is exported but no other package uses it", path.Base(rel), name))
+		}
+		slices.Sort(unused)
+		out = append(out, unused...)
+	}
+	return out
+}
 
 // lintMethods reports each exported method of a concrete type declared
 // in a non-test file of a package under root/internal that no non-test
@@ -26,38 +126,11 @@ import (
 // its type is exempt from both: an interface of the module or of a
 // standard library package it imports (fmt.Stringer's String,
 // sim.Event's Fire), the built-in error's Error, or errors' Unwrap.
-func lintMethods(root string) []string {
-	module, err := modulePath(root)
-	if err != nil {
-		return []string{err.Error()}
-	}
-	m := &moduleChecker{fset: token.NewFileSet(), root: root, module: module, pkgs: map[string]*checkedPkg{}}
-	m.std = importer.ForCompiler(m.fset, "gc", nil)
-	var out []string
-	filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return nil
-		}
-		if p != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		rel, _ := filepath.Rel(root, p)
-		if _, err := m.check(filepath.ToSlash(rel)); err != nil {
-			out = append(out, fmt.Sprintf("%s: type check: %v", rel, err))
-		}
-		return nil
-	})
-	if len(out) > 0 {
-		return out
-	}
-
+func lintMethods(m *moduleChecker) []string {
 	// used holds every function a non-test file names; called, those
 	// another package names.
 	used, called := map[*types.Func]bool{}, map[*types.Func]bool{}
 	for _, p := range m.pkgs {
-		if p == nil {
-			continue
-		}
 		for _, obj := range p.uses {
 			if fn, ok := obj.(*types.Func); ok {
 				used[fn.Origin()] = true
@@ -68,16 +141,12 @@ func lintMethods(root string) []string {
 		}
 	}
 	ifaces := m.interfaces()
+	var out []string
 	report := func(fn *types.Func, format string, args ...any) {
-		pos := m.fset.Position(fn.Pos())
-		file, _ := filepath.Rel(root, pos.Filename)
-		out = append(out, fmt.Sprintf("%s:%d: ", file, pos.Line)+fmt.Sprintf(format, args...))
+		out = append(out, m.pos(fn)+fmt.Sprintf(format, args...))
 	}
 	for _, rel := range slices.Sorted(maps.Keys(m.pkgs)) {
 		p := m.pkgs[rel]
-		if p == nil {
-			continue
-		}
 		internal := strings.HasPrefix(rel, "internal/")
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
@@ -112,81 +181,6 @@ func lintMethods(root string) []string {
 	return out
 }
 
-// modulePath reads the module path off root's go.mod.
-func modulePath(root string) (string, error) {
-	modfile, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", fmt.Errorf("go.mod: %v", err)
-	}
-	module, _, _ := strings.Cut(strings.TrimPrefix(string(modfile), "module "), "\n")
-	return strings.TrimSpace(module), nil
-}
-
-// checkedPkg is one type-checked package and the object each of its
-// identifiers uses.
-type checkedPkg struct {
-	types *types.Package
-	uses  map[*ast.Ident]types.Object
-}
-
-// moduleChecker type-checks the non-test files of the module's
-// packages from source, by directory relative to root, importing the
-// standard library from export data.
-type moduleChecker struct {
-	fset         *token.FileSet
-	root, module string
-	std          types.Importer
-	pkgs         map[string]*checkedPkg // nil: no Go files, or in progress
-}
-
-// Import implements types.Importer.
-func (m *moduleChecker) Import(importPath string) (*types.Package, error) {
-	if importPath != m.module && !strings.HasPrefix(importPath, m.module+"/") {
-		return m.std.Import(importPath)
-	}
-	p, err := m.check(strings.TrimPrefix(strings.TrimPrefix(importPath, m.module), "/"))
-	if err == nil && p == nil {
-		err = fmt.Errorf("no Go files for %s", importPath)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return p.types, nil
-}
-
-// check type-checks the package in directory rel ("" or "." for the
-// root), once; a directory without non-test Go files checks to nil.
-func (m *moduleChecker) check(rel string) (*checkedPkg, error) {
-	if rel == "" {
-		rel = "."
-	}
-	if p, ok := m.pkgs[rel]; ok {
-		return p, nil
-	}
-	m.pkgs[rel] = nil
-	parsed, err := parser.ParseDir(m.fset, filepath.Join(m.root, rel), func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil || len(parsed) == 0 {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, pkg := range parsed {
-		for _, name := range slices.Sorted(maps.Keys(pkg.Files)) {
-			files = append(files, pkg.Files[name])
-		}
-	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{Importer: m}
-	tp, err := conf.Check(path.Join(m.module, rel), m.fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	p := &checkedPkg{types: tp, uses: info.Uses}
-	m.pkgs[rel] = p
-	return p, nil
-}
-
 // interfaces collects every non-empty package-scope interface of the
 // module's packages and of the standard library packages they import,
 // plus error and errors' Unwrap protocol.
@@ -214,9 +208,7 @@ func (m *moduleChecker) interfaces() []*types.Interface {
 		}
 	}
 	for _, rel := range slices.Sorted(maps.Keys(m.pkgs)) {
-		if p := m.pkgs[rel]; p != nil {
-			add(p.types)
-		}
+		add(m.pkgs[rel].types)
 	}
 	return out
 }
